@@ -137,7 +137,7 @@ async def run_naive(executor, entry, pages, concurrency: int):
     async def one(page):
         shard = executor.shard_for(content_hash(page))
         future = executor.submit(shard, entry.cache_key, [page])
-        return (await asyncio.wrap_future(future))[0]
+        return (await asyncio.wrap_future(future))["pages"][0]
 
     start = time.perf_counter()
     results = await _gather_limited([one(p) for p in pages], concurrency)

@@ -652,6 +652,15 @@ class KernelProgram:
         self.max_branches = primary.max_branches
         self.superlinear = primary.superlinear
 
+    def __getstate__(self):
+        # The last run's state pins that run's whole document snapshot
+        # (with its lazily built move maps, which hold closures): it is
+        # per-run scratch, not part of the compiled program, so it never
+        # travels to a worker or a shard daemon.
+        state = dict(self.__dict__)
+        state["last_state"] = None
+        return state
+
     def applicable(self, structure: Structure) -> bool:
         """Whether this kernel can evaluate over ``structure``."""
         return self._bind(structure) is not None

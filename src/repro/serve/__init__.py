@@ -14,7 +14,9 @@ four pieces, each usable on its own:
   pool of single-worker process shards (generalizing the per-call
   ``workers=`` fan-out of the batch APIs); each compiled wrapper is
   pickled to a shard exactly once and documents are routed to shards by
-  content hash;
+  content hash.  Every shard, local or remote, runs one operation on one
+  :class:`ShardStore`: ``(html, doc_id | None)`` items in, outputs plus
+  per-page stats out;
 * :mod:`repro.serve.batcher` -- :class:`MicroBatcher`: coalesces
   concurrent single-document requests into kernel batches (flush on size
   or deadline), dedupes identical documents inside a batch, and fronts
@@ -49,9 +51,8 @@ change -- a dead or draining daemon moves only its own key interval.
 Observability (``repro.serve.tracing`` / ``repro.serve.metrics``): every
 request gets a :class:`~repro.serve.tracing.Span` tree --
 ``http.request`` down through batcher queueing, ring routing, shard RPC,
-and the kernel run itself (engine, rounds, fallback reason), with remote
-daemons shipping kernel stats back over an optional trace frame field
-that old daemons simply ignore.  A bounded :class:`Tracer` retains
+and the kernel run itself (engine, rounds, fallback reason), grafted
+from the per-page stats every shard reply carries.  A bounded :class:`Tracer` retains
 recent traces plus slow/error exemplars behind ``GET /debug/traces``;
 :class:`ServeMetrics` keeps fixed-bucket latency histograms per stage
 and per wrapper version, exported as JSON (``/metrics``) or Prometheus
@@ -71,7 +72,7 @@ Quickstart::
 
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ResultCache
-from repro.serve.executor import ShardExecutor, content_hash
+from repro.serve.executor import ShardExecutor, ShardStore, content_hash
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import ServeMetrics, parse_prometheus_text
 from repro.serve.registry import RegisteredWrapper, WrapperRegistry
@@ -99,6 +100,7 @@ __all__ = [
     "ServerThread",
     "ShardDaemon",
     "ShardExecutor",
+    "ShardStore",
     "ShardSupervisor",
     "Span",
     "Tracer",

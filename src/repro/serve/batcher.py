@@ -10,10 +10,18 @@ queue hand-off, wakeup) is amortized across the whole batch -- that is
 where the measured >=2x over the naive one-request-one-submission path
 comes from (``benchmarks/bench_serve.py``).
 
+A request may name its document with a ``doc_id`` (a URL, a crawl key):
+it then routes by ``content_hash(doc_id)`` instead of by content, so every
+version of the document lands on the shard holding the previous
+version's snapshot and derived masks, which re-derives only the changed
+region.  Such requests queue, coalesce and fail over exactly like the
+others: every shard call carries ``(html, doc_id | None)`` items and
+returns the per-page stats alongside the outputs.
+
 Two further document-level savings happen before anything is submitted:
 
 * identical documents inside one batch are deduplicated by content hash
-  and evaluated once;
+  (and ``doc_id``) and evaluated once;
 * every document is first looked up in the shared
   :class:`~repro.serve.cache.ResultCache`; hits never leave the event
   loop.
@@ -39,8 +47,8 @@ Fault tolerance (see also :mod:`repro.serve.supervisor`):
   that exceeds it gets its worker **killed and respawned** and fails
   with the retryable :class:`~repro.errors.RequestTimeout`, so one hung
   evaluation can never wedge a coalesced batch;
-* shard results are validated (one dict per page); corruption is
-  treated as a crash;
+* shard replies are validated (one output dict and one stats dict per
+  page); corruption is treated as a crash;
 * when a *multi-document* shard call crashes, the batch is **bisected**
   and the halves re-submitted, isolating the offending document(s):
   innocent batch-mates still succeed, and each single-document crash
@@ -73,11 +81,7 @@ from repro.errors import (
 )
 from repro.serve.cache import ResultCache
 from repro.serve.executor import ShardExecutor, content_hash
-from repro.serve.faults import (
-    validate_shard_result,
-    validate_traced_result,
-    validate_warm_result,
-)
+from repro.serve.faults import validate_reply
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import RegisteredWrapper
 from repro.serve.supervisor import Quarantine, ShardSupervisor
@@ -87,6 +91,14 @@ from repro.serve.tracing import Span
 #: should reach exactly that document's waiter.
 Outcome = Union[dict, BaseException]
 
+#: A document in flight: ``(html, content hash, doc_id or None)``.
+Doc = Tuple[str, str, Optional[str]]
+
+#: What one shard evaluation is keyed by: ``(content hash, doc_id)``.
+#: Identical documents are evaluated once per batch, but versions named
+#: by different doc_ids are not folded together (each owes its state).
+Key = Tuple[str, Optional[str]]
+
 
 class _Queue:
     """Per-wrapper pending micro-batch."""
@@ -95,13 +107,12 @@ class _Queue:
 
     def __init__(self, entry: RegisteredWrapper):
         self.entry = entry
-        #: ``(html, doc_hash, future, timeout, span, queue_span)`` tuples
-        #: awaiting a flush; the span pair is ``(None, None)`` when the
-        #: request is untraced.
+        #: ``(doc, future, timeout, span, queue_span)`` tuples awaiting a
+        #: flush; the span pair is ``(None, None)`` when the request is
+        #: untraced.
         self.items: List[
             Tuple[
-                str,
-                str,
+                Doc,
                 asyncio.Future,
                 Optional[float],
                 Optional[Span],
@@ -178,6 +189,7 @@ class MicroBatcher:
         html: str,
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
+        doc_id: Optional[str] = None,
     ) -> dict:
         """One document through the coalescing queue; returns its payload.
 
@@ -187,6 +199,11 @@ class MicroBatcher:
         ``span``, when given, is the request's root span: the batcher
         hangs ``batcher.queue`` / ``batch.flush`` / ``ring.route`` /
         ``shard.call`` children off it as the document moves through.
+        ``doc_id`` names the document across versions and takes the
+        incremental warm path (see the module docstring); a state miss
+        (first visit, evicted state, respawned worker) is simply a cold
+        run, and the exact-match result cache still short-circuits
+        unchanged re-crawls before any shard is touched.
         """
         doc_hash = (await self._content_hashes([html]))[0]
         # Quarantine outranks the cache: a poisoned hash is rejected
@@ -201,6 +218,7 @@ class MicroBatcher:
             raise ServerOverloaded(
                 f"serving queue full ({self._pending}/{self.max_pending} documents)"
             )
+        doc = (html, doc_hash, doc_id)
         queue = self._queues.get(entry.cache_key)
         if self._pending < self.bypass_concurrency and (
             queue is None or not queue.items
@@ -212,11 +230,7 @@ class MicroBatcher:
             self._metrics.incr("bypassed")
             self._pending += 1
             try:
-                outcome = (
-                    await self._evaluate(
-                        entry, [(html, doc_hash)], timeout, span=span
-                    )
-                )[0]
+                outcome = (await self._evaluate(entry, [doc], timeout, span=span))[0]
             finally:
                 self._pending -= 1
             if isinstance(outcome, BaseException):
@@ -229,7 +243,7 @@ class MicroBatcher:
         self._inflight.add(future)
         future.add_done_callback(self._inflight.discard)
         queue_span = span.child("batcher.queue") if span is not None else None
-        queue.items.append((html, doc_hash, future, timeout, span, queue_span))
+        queue.items.append((doc, future, timeout, span, queue_span))
         self._pending += 1
         if len(queue.items) >= self.max_batch:
             self._schedule_flush(entry.cache_key)
@@ -238,161 +252,6 @@ class MicroBatcher:
                 self.max_delay, self._schedule_flush, entry.cache_key
             )
         return await future
-
-    async def submit_warm(
-        self,
-        entry: RegisteredWrapper,
-        html: str,
-        doc_id: str,
-        timeout: Optional[float] = None,
-        span: Optional[Span] = None,
-    ) -> dict:
-        """One document through the incremental warm path.
-
-        ``doc_id`` names the document across versions (a URL, a crawl
-        key); requests are routed by ``content_hash(doc_id)`` -- not by
-        document content -- so every version of one document lands on
-        the shard process holding its previous snapshot + derived masks.
-        A state miss (first visit, evicted state, respawned worker) is
-        simply a cold run on the shard, so the path is always correct;
-        the exact-match result cache still short-circuits unchanged
-        re-crawls before any shard is touched.  Warm requests bypass the
-        coalescing queue: re-crawl traffic is per-document serial, and a
-        coalesced batch would route by content instead of by ``doc_id``.
-        """
-        doc_hash = (await self._content_hashes([html]))[0]
-        self.quarantine.check(doc_hash)
-        hit = self._cache.get((entry.cache_key, doc_hash))
-        if hit is not None:
-            self._metrics.incr("cache_hits")
-            return hit
-        if self._pending >= self.max_pending:
-            self._metrics.incr("rejected")
-            raise ServerOverloaded(
-                f"serving queue full ({self._pending}/{self.max_pending} documents)"
-            )
-        self._metrics.incr("cache_misses")
-        self._pending += 1
-        try:
-            route_span = span.child("ring.route") if span is not None else None
-            shard = self._route(content_hash(doc_id))
-            if route_span is not None:
-                route_span.tag(
-                    shard=shard,
-                    rerouted=bool(
-                        self.supervisor is not None
-                        and self.supervisor.last_route_rerouted
-                    ),
-                )
-                route_span.finish()
-            try:
-                payload = await self._call_warm(
-                    entry, shard, html, doc_id, timeout, span=span
-                )
-            except RetryableServeError as exc:
-                if self.supervisor is not None:
-                    self.supervisor.record_failure(shard)
-                if isinstance(exc, ShardCrashed) and not exc.blameless:
-                    if self.quarantine.strike(doc_hash):
-                        self._metrics.incr("quarantined")
-                    if span is not None:
-                        span.tag(
-                            quarantine_strikes=span.tags.get(
-                                "quarantine_strikes", 0
-                            )
-                            + 1
-                        )
-                raise
-            if self.supervisor is not None:
-                self.supervisor.record_success(shard)
-            self.quarantine.absolve(doc_hash)
-            self._cache.put((entry.cache_key, doc_hash), payload, weight=len(html))
-            self._metrics.incr("documents")
-            return payload
-        finally:
-            self._pending -= 1
-
-    async def _call_warm(
-        self,
-        entry: RegisteredWrapper,
-        shard: int,
-        html: str,
-        doc_id: str,
-        timeout: Optional[float],
-        span: Optional[Span] = None,
-    ) -> dict:
-        """One bounded warm shard call (mirrors ``_call_once``).
-
-        Validates the ``{"pages", "stats"}`` payload and feeds the reuse
-        stats into the incremental metrics before returning the single
-        page's output dict.  The ``shard.call`` span is tagged with the
-        warm/engines/dirty reuse stats (warm calls carry no per-stage
-        shard timings; the engines list still names the kernel used)."""
-        call_span = (
-            span.child("shard.call", shard=shard, pages=1, warm=True)
-            if span is not None
-            else None
-        )
-        try:
-            try:
-                try:
-                    installs = self._executor.ensure_installed(
-                        entry.cache_key, entry.wrapper, shard=shard
-                    )
-                    for install in installs:
-                        await asyncio.wait_for(
-                            asyncio.wrap_future(install), timeout
-                        )
-                    submission = self._executor.submit_warm(
-                        shard, entry.cache_key, [(html, doc_id)]
-                    )
-                except ShardCrashed as exc:
-                    exc.blameless = True
-                    raise
-                except BrokenExecutor:
-                    crash = ShardCrashed(
-                        "shard worker died before this batch was submitted; "
-                        "shard respawned, retry the request"
-                    )
-                    crash.blameless = True
-                    raise crash from None
-                result = await asyncio.wait_for(
-                    asyncio.wrap_future(submission), timeout
-                )
-            except asyncio.TimeoutError:
-                self._metrics.incr("timeouts")
-                self._executor.kill_shard(shard)
-                raise RequestTimeout(
-                    f"shard call exceeded its {timeout:.3f}s budget; "
-                    "worker killed and respawned, retry the request"
-                ) from None
-            except BrokenExecutor:
-                raise ShardCrashed(
-                    "shard worker died under this request; "
-                    "shard respawned, retry the request"
-                ) from None
-            pages, stats = validate_warm_result(result, 1)
-        except BaseException as exc:
-            if call_span is not None:
-                call_span.fail(f"{type(exc).__name__}: {exc}")
-            raise
-        for stat in stats:
-            if stat.get("warm"):
-                self._metrics.incr("incremental_hits")
-                fraction = stat.get("dirty_fraction")
-                if fraction is not None:
-                    self._metrics.observe_dirty(fraction)
-            else:
-                self._metrics.incr("incremental_misses")
-        if call_span is not None:
-            stat = stats[0]
-            call_span.tag(
-                warm=bool(stat.get("warm")),
-                engines=stat.get("engines"),
-                dirty_fraction=stat.get("dirty_fraction"),
-            )
-            call_span.finish()
-        return pages[0]
 
     async def run_batch(
         self,
@@ -425,7 +284,10 @@ class MicroBatcher:
         try:
             hashes = await self._content_hashes(pages)
             outcomes = await self._evaluate(
-                entry, list(zip(pages, hashes)), timeout, span=span
+                entry,
+                [(page, doc_hash, None) for page, doc_hash in zip(pages, hashes)],
+                timeout,
+                span=span,
             )
         finally:
             self._pending -= len(pages)
@@ -490,14 +352,14 @@ class MicroBatcher:
         # One shard call serves the whole batch: bound it by the most
         # generous member budget; stricter per-request deadlines are
         # enforced upstream by the server's retry loop.
-        timeouts = [timeout for _, _, _, timeout, _, _ in items]
+        timeouts = [timeout for _, _, timeout, _, _ in items]
         timeout = None if any(t is None for t in timeouts) else max(timeouts)
         self._metrics.observe_batch(len(items))
         # One shared ``batch.flush`` span object, attached into *every*
         # traced member's tree: each trace shows the same flush (same
         # timings, same batch size) its request rode in.
         flush_span: Optional[Span] = None
-        for _, _, _, _, span, queue_span in items:
+        for _, _, _, span, queue_span in items:
             if queue_span is not None:
                 queue_span.finish()
             if span is not None:
@@ -508,11 +370,11 @@ class MicroBatcher:
         try:
             outcomes = await self._evaluate(
                 queue.entry,
-                [(html, doc_hash) for html, doc_hash, _, _, _, _ in items],
+                [doc for doc, _, _, _, _ in items],
                 timeout,
                 span=flush_span,
             )
-            for (_, _, future, _, _, _), outcome in zip(items, outcomes):
+            for (_, future, _, _, _), outcome in zip(items, outcomes):
                 if future.done():
                     continue
                 if isinstance(outcome, BaseException):
@@ -520,7 +382,7 @@ class MicroBatcher:
                 else:
                     future.set_result(outcome)
         except Exception as exc:  # defensive: propagate to every waiter
-            for _, _, future, _, _, _ in items:
+            for _, future, _, _, _ in items:
                 if not future.done():
                     future.set_exception(exc)
         finally:
@@ -531,19 +393,19 @@ class MicroBatcher:
     async def _evaluate(
         self,
         entry: RegisteredWrapper,
-        docs: Sequence[Tuple[str, str]],
+        docs: Sequence[Doc],
         timeout: Optional[float] = None,
         span: Optional[Span] = None,
     ) -> List[Outcome]:
-        """Resolve ``(html, hash)`` docs to per-document outcomes, via the
-        cache, with in-batch dedup and one submission per healthy shard.
+        """Resolve docs to per-document outcomes, via the cache, with
+        in-batch dedup and one submission per healthy shard.
 
         ``span`` is the parent for ``ring.route`` / ``shard.call``
         children: the request's root span on the bypass path, the shared
         ``batch.flush`` span for a coalesced flush."""
         results: List[Optional[Outcome]] = [None] * len(docs)
-        misses: Dict[str, List[int]] = {}
-        for index, (_, doc_hash) in enumerate(docs):
+        misses: Dict[Key, List[int]] = {}
+        for index, (_, doc_hash, doc_id) in enumerate(docs):
             if self.quarantine.is_quarantined(doc_hash):
                 self._metrics.incr("poison_rejected")
                 results[index] = PoisonDocument(
@@ -556,7 +418,7 @@ class MicroBatcher:
                 self._metrics.incr("cache_hits")
                 results[index] = hit
             else:
-                misses.setdefault(doc_hash, []).append(index)
+                misses.setdefault((doc_hash, doc_id), []).append(index)
         if misses:
             # Per *document*, like cache_hits, so hits + misses adds up
             # to documents and /metrics hit rates are meaningful.
@@ -564,10 +426,12 @@ class MicroBatcher:
                 "cache_misses", sum(len(indexes) for indexes in misses.values())
             )
             route_span = span.child("ring.route") if span is not None else None
-            by_shard: Dict[int, List[str]] = {}
+            by_shard: Dict[int, List[Key]] = {}
             rerouted = 0
-            for doc_hash in misses:
-                by_shard.setdefault(self._route(doc_hash), []).append(doc_hash)
+            for key in misses:
+                doc_hash, doc_id = key
+                routing_hash = doc_hash if doc_id is None else content_hash(doc_id)
+                by_shard.setdefault(self._route(routing_hash), []).append(key)
                 if (
                     self.supervisor is not None
                     and self.supervisor.last_route_rerouted
@@ -575,25 +439,27 @@ class MicroBatcher:
                     rerouted += 1
             if route_span is not None:
                 route_span.tag(shards=sorted(by_shard), rerouted=rerouted)
+                if len(by_shard) == 1:
+                    route_span.tag(shard=next(iter(by_shard)))
                 route_span.finish()
-            pages_by_hash = {h: docs[indexes[0]][0] for h, indexes in misses.items()}
+            pages_by_key = {key: docs[indexes[0]][0] for key, indexes in misses.items()}
             groups = await asyncio.gather(
                 *(
                     self._call_group(
-                        entry, shard, hashes, pages_by_hash, timeout, span=span
+                        entry, shard, keys, pages_by_key, timeout, span=span
                     )
-                    for shard, hashes in by_shard.items()
+                    for shard, keys in by_shard.items()
                 )
             )
             for group in groups:
-                for doc_hash, outcome in group.items():
+                for key, outcome in group.items():
                     if not isinstance(outcome, BaseException):
                         self._cache.put(
-                            (entry.cache_key, doc_hash),
+                            (entry.cache_key, key[0]),
                             outcome,
-                            weight=len(pages_by_hash[doc_hash]),
+                            weight=len(pages_by_key[key]),
                         )
-                    for index in misses[doc_hash]:
+                    for index in misses[key]:
                         results[index] = outcome
         self._metrics.incr("documents", len(docs))
         return results  # type: ignore[return-value]
@@ -602,36 +468,36 @@ class MicroBatcher:
         self,
         entry: RegisteredWrapper,
         shard: int,
-        hashes: List[str],
-        pages_by_hash: Dict[str, str],
+        keys: List[Key],
+        pages_by_key: Dict[Key, str],
         timeout: Optional[float],
         span: Optional[Span] = None,
-    ) -> Dict[str, Outcome]:
+    ) -> Dict[Key, Outcome]:
         """One shard sub-batch, with crash bisection.
 
-        Returns an outcome per content hash.  On a crash/timeout of a
+        Returns an outcome per key.  On a crash/timeout of a
         multi-document call the batch is split and both halves re-run
         (the shard has respawned in between; ``_call_once`` re-installs
         the wrapper), so only genuinely poisonous documents keep
         failing.  A single-document crash earns a quarantine strike.
         Each attempt (including bisection halves) opens its own
         ``shard.call`` child span, so retries are visible per trace."""
-        pages = [pages_by_hash[h] for h in hashes]
+        items = [(pages_by_key[key], key[1]) for key in keys]
         try:
             payloads = await self._call_once(
-                entry, shard, pages, timeout, span=span
+                entry, shard, items, timeout, span=span
             )
         except RetryableServeError as exc:
             if self.supervisor is not None:
                 self.supervisor.record_failure(shard)
-            if len(hashes) == 1:
+            if len(keys) == 1:
                 # Strike only when the crash is attributable to this
                 # document: the worker died *while evaluating it*.
                 # Blameless crashes (install failures, a pool broken by
                 # an earlier request, wrapper-not-resident) and plain
                 # timeouts never quarantine.
                 if isinstance(exc, ShardCrashed) and not exc.blameless:
-                    if self.quarantine.strike(hashes[0]):
+                    if self.quarantine.strike(keys[0][0]):
                         self._metrics.incr("quarantined")
                     if span is not None:
                         span.tag(
@@ -640,30 +506,30 @@ class MicroBatcher:
                             )
                             + 1
                         )
-                return {hashes[0]: exc}
+                return {keys[0]: exc}
             self._metrics.incr("bisections")
-            mid = len(hashes) // 2
+            mid = len(keys) // 2
             left = await self._call_group(
-                entry, shard, hashes[:mid], pages_by_hash, timeout, span=span
+                entry, shard, keys[:mid], pages_by_key, timeout, span=span
             )
             right = await self._call_group(
-                entry, shard, hashes[mid:], pages_by_hash, timeout, span=span
+                entry, shard, keys[mid:], pages_by_key, timeout, span=span
             )
             left.update(right)
             return left
         if self.supervisor is not None:
             self.supervisor.record_success(shard)
-        outcomes: Dict[str, Outcome] = {}
-        for doc_hash, payload in zip(hashes, payloads):
-            self.quarantine.absolve(doc_hash)
-            outcomes[doc_hash] = payload
+        outcomes: Dict[Key, Outcome] = {}
+        for key, payload in zip(keys, payloads):
+            self.quarantine.absolve(key[0])
+            outcomes[key] = payload
         return outcomes
 
     async def _call_once(
         self,
         entry: RegisteredWrapper,
         shard: int,
-        pages: List[str],
+        items: List[Tuple[str, Optional[str]]],
         timeout: Optional[float],
         span: Optional[Span] = None,
     ) -> List[dict]:
@@ -676,20 +542,14 @@ class MicroBatcher:
         ``blameless`` so an innocent document retrying into a pool that
         an *earlier* crash broke does not accumulate quarantine strikes.
 
-        With ``span`` set the submission goes through ``submit_traced``:
-        the shard ships per-page kernel stats back and they are grafted
-        into the ``shard.call`` child span as ``snapshot.build`` /
-        ``kernel.run`` spans.  An executor without ``submit_traced`` (or
-        a remote daemon that ignores the trace frame field) degrades to
-        a transport-only span tagged ``degraded``."""
+        The reply's per-page stats feed the incremental metrics for
+        ``doc_id`` items and, with ``span`` set, are grafted into the
+        ``shard.call`` child span as ``snapshot.build`` / ``kernel.run``
+        spans.  A daemon too old to send stats degrades the span to a
+        transport-only one tagged ``degraded``."""
         call_span = (
-            span.child("shard.call", shard=shard, pages=len(pages))
+            span.child("shard.call", shard=shard, pages=len(items))
             if span is not None
-            else None
-        )
-        submit_traced = (
-            getattr(self._executor, "submit_traced", None)
-            if call_span is not None
             else None
         )
         try:
@@ -702,17 +562,16 @@ class MicroBatcher:
                         await asyncio.wait_for(
                             asyncio.wrap_future(install), timeout
                         )
-                    if submit_traced is not None:
-                        submission = submit_traced(
-                            shard,
-                            entry.cache_key,
-                            pages,
-                            trace={"trace_id": span.tags.get("trace_id")},
-                        )
-                    else:
-                        submission = self._executor.submit(
-                            shard, entry.cache_key, pages
-                        )
+                    submission = self._executor.submit(
+                        shard,
+                        entry.cache_key,
+                        items,
+                        trace=(
+                            None
+                            if span is None
+                            else {"trace_id": span.tags.get("trace_id")}
+                        ),
+                    )
                 except ShardCrashed as exc:
                     exc.blameless = True
                     raise
@@ -740,21 +599,27 @@ class MicroBatcher:
                     "shard worker died under this request; "
                     "shard respawned, retry the request"
                 ) from None
-            if submit_traced is not None:
-                payloads, kernel = validate_traced_result(result, len(pages))
-            else:
-                payloads, kernel = validate_shard_result(result, len(pages)), None
+            payloads, stats = validate_reply(result, len(items))
         except BaseException as exc:
             if call_span is not None:
                 call_span.fail(f"{type(exc).__name__}: {exc}")
             raise
+        for (_, doc_id), page_stats in zip(items, stats or [{}] * len(items)):
+            if doc_id is None:
+                continue
+            if page_stats.get("warm"):
+                self._metrics.incr("incremental_hits")
+                fraction = page_stats.get("dirty_fraction")
+                if fraction is not None:
+                    self._metrics.observe_dirty(fraction)
+            else:
+                self._metrics.incr("incremental_misses")
         if call_span is not None:
-            if kernel is not None:
-                for trace in kernel:
-                    call_span.graft_kernel_stats(trace)
-            elif submit_traced is not None:
-                # The responder answered the untraced shape: an old
-                # daemon that ignored the trace frame field.
+            if stats is None:
                 call_span.tag(degraded="untraced_shard")
+            else:
+                for page_stats in stats:
+                    call_span.graft_kernel_stats(page_stats)
+                call_span.tag(warm=any(s.get("warm") for s in stats))
             call_span.finish()
         return payloads

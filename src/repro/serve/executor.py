@@ -8,11 +8,20 @@ installed into each shard exactly once (plans + kernel tables, a few KB);
 after that, only HTML strings travel to a shard and only flat
 JSON-serializable output dicts travel back.
 
-Documents are routed to shards by content hash, so identical documents
-always land on the same shard and a multi-document batch splits into at
-most one sub-batch per shard.  ``shards=0`` selects the *inline* mode --
-a single thread-backed shard with no pickling -- used by tests and by
-single-core boxes where process fan-out cannot pay for itself.
+Every shard -- a local process, the inline thread, or a remote
+:class:`~repro.serve.shard.ShardDaemon` -- holds one :class:`ShardStore`
+and runs one operation on it, :meth:`ShardStore.wrap`: a list of
+``(html, doc_id | None)`` items in, ``{"pages": [...], "kernel": [...]}``
+out, one output dict and one per-page stats dict per item.  An item with
+a ``doc_id`` is wrapped warm against the state that document's previous
+version left on the shard.
+
+Documents are routed to shards by content hash (``doc_id`` requests by
+the hash of the id), so identical documents always land on the same
+shard and a multi-document batch splits into at most one sub-batch per
+shard.  ``shards=0`` selects the *inline* mode -- a single thread-backed
+shard with no pickling -- used by tests and by single-core boxes where
+process fan-out cannot pay for itself.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     ServeError,
@@ -35,8 +44,18 @@ from repro.errors import (
     ShardCrashed,
     WrapperNotResident,
 )
-from repro.serve.faults import FAULTS_ENV, FaultInjector, FaultPlan, release_hangs
+from repro.serve.faults import (
+    FAULTS_ENV,
+    FaultInjector,
+    FaultPlan,
+    process_injector,
+    release_hangs,
+)
 from repro.wrap.extraction import Wrapper, WrapperState
+
+#: One unit of shard work: an HTML page and the document id it is a
+#: version of (``None`` for a one-off page).
+Item = Tuple[str, Optional[str]]
 
 
 def content_hash(html: str) -> str:
@@ -44,157 +63,282 @@ def content_hash(html: str) -> str:
     return hashlib.sha256(html.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-#: Per-worker-process wrapper store, populated by :func:`_shard_install`.
-_SHARD_WRAPPERS: Dict[str, Wrapper] = {}
+def as_items(items: Sequence[Union[str, Item]]) -> List[Item]:
+    """Shard items as ``(html, doc_id)`` pairs; a bare page is ``(html, None)``.
 
-#: Per-worker-process snapshot cache for the incremental warm path:
-#: ``(wrapper key, doc_id) -> WrapperState`` (the previous version's
-#: snapshot + derived kernel masks), LRU-bounded.  Worker death loses
-#: the states, which is always safe -- a state miss is just a cold run.
-_SHARD_STATES: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
-
-#: Cap on retained per-document states per worker process.  A state
-#: holds one snapshot (columns + payloads, roughly the document's size in
-#: memory), so this bounds worker memory like ``max_installed`` bounds
-#: resident wrappers.
-_STATE_CAP = 128
-
-
-def _shard_install(key: str, wrapper: Wrapper) -> bool:
-    _SHARD_WRAPPERS[key] = wrapper
-    return True
-
-
-def _shard_uninstall(key: str) -> bool:
-    return _SHARD_WRAPPERS.pop(key, None) is not None
-
-
-def _shard_ping() -> bool:
-    """Health-check round trip: proves the worker is alive and draining."""
-    return True
-
-
-def _shard_wrap(key: str, pages: List[str]) -> List[dict]:
-    from repro.serve.faults import process_injector
-
-    wrapper = _SHARD_WRAPPERS.get(key)
-    if wrapper is None:
-        # Retryable: the wrapper was evicted or the worker was respawned;
-        # the next attempt re-installs it via ensure_installed.
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    injector = process_injector()
-    if injector is not None:
-        injector.before_call(key, pages)
-    result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-    if injector is not None:
-        result = injector.after_call(key, result)
-    return result
-
-
-def _shard_wrap_traced(key: str, pages: List[str]) -> dict:
-    """Traced flavor of :func:`_shard_wrap`: per-page kernel stats ride
-    along as ``{"pages": [...], "kernel": [...]}``.
-
-    Fault injection applies to the ``pages`` half only -- the kernel
-    stats are observability metadata, not results, so garbling faults
-    target what the client actually consumes.
+    >>> as_items(["<p>a</p>", ("<p>b</p>", "doc-1")])
+    [('<p>a</p>', None), ('<p>b</p>', 'doc-1')]
     """
-    from repro.serve.faults import process_injector
-
-    wrapper = _SHARD_WRAPPERS.get(key)
-    if wrapper is None:
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    injector = process_injector()
-    if injector is not None:
-        injector.before_call(key, pages)
-    traced = wrapper.wrap_html_traced(pages)
-    result = [out.to_dict() for out, _ in traced]
-    if injector is not None:
-        result = injector.after_call(key, result)
-    return {"pages": result, "kernel": [trace for _, trace in traced]}
+    return [
+        (item, None) if isinstance(item, str) else (item[0], item[1])
+        for item in items
+    ]
 
 
-def _wrap_warm_against(
-    wrapper: Wrapper,
-    states: "OrderedDict[Tuple[str, str], WrapperState]",
-    key: str,
-    items: List[Tuple[str, str]],
-) -> dict:
-    """Warm-wrap ``(html, doc_id)`` items against a per-document state store.
+class ShardStore:
+    """What one shard holds, and the one operation it runs on it.
 
-    Shared by the process and inline shard flavors: each document is
-    evaluated against the state its ``doc_id`` left behind last time (a
-    miss runs cold), and the store is rotated LRU under
-    :data:`_STATE_CAP`.  Returns ``{"pages": [...], "stats": [...]}`` --
-    one output dict and one reuse-stats dict per item.
+    The store keeps the installed compiled wrappers and, per
+    ``(wrapper key, doc_id)``, the :class:`WrapperState` the previous
+    version of that document left behind (its snapshot plus derived
+    kernel masks).  ``state_cap`` bounds the states LRU -- a state holds
+    one snapshot, roughly the document's size in memory -- and
+    ``max_installed`` (when set) bounds the wrappers.  Losing the store
+    (worker death, respawn) is always safe: a missing wrapper is a
+    retryable :class:`~repro.errors.WrapperNotResident`, a missing state
+    a cold run.
+
+    >>> from repro.datalog import parse_program
+    >>> store = ShardStore()
+    >>> store.install("k", Wrapper().add_datalog("item", parse_program(
+    ...     "item(x) :- label_li(x).", query="item")))
+    True
+    >>> reply = store.wrap("k", [("<ul><li>a<li>b</ul>", "doc"),
+    ...                          ("<ul><li>a<li>c</ul>", "doc")])
+    >>> [len(page["children"]) for page in reply["pages"]]
+    [2, 2]
+    >>> [stats["warm"] for stats in reply["kernel"]]
+    [False, True]
     """
-    pages: List[dict] = []
-    stats: List[dict] = []
-    for html, doc_id in items:
-        state_key = (key, doc_id)
-        prior = states.get(state_key)
-        output, state, stat = wrapper.wrap_html_stateful(html, prior)
-        states[state_key] = state
-        states.move_to_end(state_key)
-        while len(states) > _STATE_CAP:
-            states.popitem(last=False)
-        pages.append(output.to_dict())
-        stats.append(
-            {
-                "warm": stat["warm"],
-                "dirty": stat["dirty"],
-                "dirty_fraction": stat["dirty_fraction"],
-                "engines": stat["engines"],
-            }
-        )
-    return {"pages": pages, "stats": stats}
+
+    def __init__(
+        self,
+        injector: Optional[FaultInjector] = None,
+        max_installed: Optional[int] = None,
+        state_cap: int = 128,
+    ):
+        self.injector = injector
+        self.max_installed = max_installed
+        self.state_cap = state_cap
+        self.wrappers: "OrderedDict[str, Wrapper]" = OrderedDict()
+        self.states: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
+
+    def install(self, key: str, wrapper: Wrapper) -> bool:
+        # A key names one compiled artifact (it carries the source hash),
+        # so a re-install -- after a dropped connection, say -- keeps the
+        # resident wrapper, and with it the warm states, whose kernel
+        # lowerings belong to that wrapper object.
+        self.wrappers.setdefault(key, wrapper)
+        self.wrappers.move_to_end(key)
+        cap = self.max_installed
+        while cap is not None and len(self.wrappers) > cap:
+            self.wrappers.popitem(last=False)
+        return True
+
+    def uninstall(self, key: str) -> bool:
+        return self.wrappers.pop(key, None) is not None
+
+    def ping(self) -> bool:
+        """Health-check round trip: proves the worker is alive and draining."""
+        return True
+
+    def wrap(self, key: str, items: List[Item]) -> dict:
+        """Wrap ``(html, doc_id)`` items with the wrapper installed as ``key``.
+
+        Each page runs :meth:`Wrapper.wrap_html_stateful`, warm against
+        its ``doc_id``'s stored state when it has one.  Returns
+        ``{"pages": [output dicts], "kernel": [per-page stats]}``.  Fault
+        injection applies to the pages only: the stats are observability
+        metadata, so garbling faults target what the client consumes.
+        """
+        wrapper = self.wrappers.get(key)
+        if wrapper is None:
+            # Retryable: the wrapper was evicted or the worker respawned;
+            # the next attempt re-installs it via ensure_installed.
+            raise WrapperNotResident(
+                f"wrapper {key!r} is not resident on this shard; retry the request"
+            )
+        self.wrappers.move_to_end(key)
+        injector = self.injector
+        if injector is not None:
+            injector.before_call(key, [html for html, _ in items])
+        pages: List[dict] = []
+        kernel: List[dict] = []
+        for html, doc_id in items:
+            state_key = (key, doc_id)
+            prior = self.states.get(state_key) if doc_id is not None else None
+            output, state, stats = wrapper.wrap_html_stateful(html, prior)
+            if doc_id is not None:
+                self.states[state_key] = state
+                self.states.move_to_end(state_key)
+                while len(self.states) > self.state_cap:
+                    self.states.popitem(last=False)
+            pages.append(output.to_dict())
+            kernel.append(stats)
+        if injector is not None:
+            pages = injector.after_call(key, pages)
+        return {"pages": pages, "kernel": kernel}
 
 
-def _shard_wrap_warm(key: str, items: List[Tuple[str, str]]) -> dict:
-    from repro.serve.faults import process_injector
+#: The store of a process shard's worker (one per worker process).
+_WORKER_STORE = ShardStore()
 
-    wrapper = _SHARD_WRAPPERS.get(key)
-    if wrapper is None:
-        raise WrapperNotResident(
-            f"wrapper {key!r} is not resident on this shard; retry the request"
-        )
-    injector = process_injector()
-    if injector is not None:
-        injector.before_call(key, [html for html, _ in items])
-    result = _wrap_warm_against(wrapper, _SHARD_STATES, key, items)
-    if injector is not None:
-        result["pages"] = injector.after_call(key, result["pages"])
-    return result
+
+def _worker_op(op: str, *args):
+    """Run one :class:`ShardStore` operation inside a process shard.
+
+    The fault plan arrives through the environment the worker inherited,
+    and faults are *hard* here: an injected kill really exits."""
+    _WORKER_STORE.injector = process_injector()
+    return getattr(_WORKER_STORE, op)(*args)
 
 
 def _forget_on_failure(shard, key: str):
-    def callback(future: Future) -> None:
+    def callback(future) -> None:
         if future.cancelled() or future.exception() is not None:
             shard.installed.pop(key, None)
 
     return callback
 
 
-class _ProcessShard:
-    """One single-worker process, wrappers installed once.
+class ShardSet:
+    """The executor surface every shard transport shares.
 
-    A dead worker (OOM-killed, segfaulted) breaks its ``ProcessPoolExecutor``
-    permanently; submissions after that respawn the pool -- the in-flight
-    request fails with a retryable :class:`ServerOverloaded`, installed
-    wrappers are forgotten (so they re-install on the next request), and
-    the shard heals itself.
+    Routing, install-once bookkeeping, health pings and kills, over
+    ``self._shards``: objects with an ``installed`` LRU of wrapper keys,
+    a ``draining`` flag, ``call(op, *args)`` (a future of one
+    :class:`ShardStore` operation), ``evict(key)`` (fire-and-forget
+    uninstall) and ``kill()``.  :class:`ShardExecutor` runs local shards;
+    :class:`~repro.serve.transport.RemoteShardExecutor` runs daemons.
     """
 
-    def __init__(self) -> None:
-        self.pool = ProcessPoolExecutor(max_workers=1)
+    def __init__(self, shards: list, max_installed: int):
+        self._shards = shards
+        self.max_installed = max(1, max_installed)
+        self._closed = False
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._shards)
+
+    def shard_for(self, doc_hash: str) -> int:
+        """Deterministic home-shard index for one document content hash
+        (the supervisor's consistent-hash ring overrides this)."""
+        return int(doc_hash[:16], 16) % len(self._shards)
+
+    def _call(self, shard_index: int, op: str, *args):
+        if self._closed:
+            raise ServeError("executor is closed")
+        return self._shards[shard_index].call(op, *args)
+
+    def ensure_installed(
+        self, key: str, wrapper: Wrapper, shard: Optional[int] = None
+    ) -> list:
+        """Install ``key`` on every shard that lacks it; pending futures.
+
+        The wrapper is pickled to each shard at most once while it stays
+        resident; callers await the returned futures before submitting
+        work for ``key``.  With ``shard`` given, only that shard's install
+        future is returned -- the caller's request depends on it alone;
+        installs elsewhere still fire but heal in the background (their
+        failures just forget the key for a later retry), and a draining
+        shard, which will never be routed new keys, is skipped.  Shard
+        stores are LRU-bounded by ``max_installed``: the least recently
+        used key is uninstalled from the shard (safe -- its next request
+        just re-installs), keeping shard memory flat however many
+        registrations come and go.
+        """
+        if self._closed:
+            raise ServeError("executor is closed")
+        futures = []
+        for index, target in enumerate(self._shards):
+            if key in target.installed:
+                target.installed.move_to_end(key)
+                continue
+            if target.draining and index != shard:
+                continue
+            future = target.call("install", key, wrapper)
+            target.installed[key] = True
+            # A failed install must not poison the shard: forget the
+            # key again so the next request retries the install.
+            future.add_done_callback(_forget_on_failure(target, key))
+            if shard is None or index == shard:
+                futures.append(future)
+            while len(target.installed) > self.max_installed:
+                stale, _ = target.installed.popitem(last=False)
+                target.evict(stale)
+        return futures
+
+    def installed_on(self, key: str) -> List[int]:
+        """Shard indices currently holding ``key`` (acked installs)."""
+        return [
+            index
+            for index, shard in enumerate(self._shards)
+            if key in shard.installed
+        ]
+
+    def is_draining(self, shard_index: int) -> bool:
+        return self._shards[shard_index].draining
+
+    def ping(self, shard_index: int):
+        """Health-check round trip through one shard's queue."""
+        return self._call(shard_index, "ping")
+
+    def kill_shard(self, shard_index: int) -> None:
+        """Cut one shard off (a call hung past its deadline).
+
+        Installed wrappers are forgotten; the next request re-installs.
+        """
+        if not self._closed:
+            self._shards[shard_index].kill()
+
+    def respawn_shard(self, shard_index: int) -> None:
+        """Supervisor hook: proactively recycle one (sick) shard."""
+        self.kill_shard(shard_index)
+
+
+class _LocalShard:
+    """One single-worker local shard: a worker process, or a thread.
+
+    A process shard's dead worker (OOM-killed, segfaulted) breaks its
+    ``ProcessPoolExecutor`` permanently; submissions after that respawn
+    the pool -- the in-flight request fails with a retryable
+    :class:`ShardCrashed`, installed wrappers are forgotten (so they
+    re-install on the next request), and the shard heals itself.
+
+    The ``inline`` shard runs on a thread and keeps its
+    :class:`ShardStore` in the server's memory (no pickling).  Faults are
+    injected *softly* there (simulated crashes instead of process death),
+    so the whole recovery stack is exercisable without spawning
+    processes.
+    """
+
+    def __init__(self, inline: bool, faults: Optional[FaultPlan] = None) -> None:
+        self.inline = inline
+        #: Survives respawns: an inline chaos run is one deterministic
+        #: call sequence, so a plan combining ``kill_every`` with delays
+        #: keeps firing *all* its faults instead of resetting to the
+        #: kill-only prefix after every respawn.
+        self.injector: Optional[FaultInjector] = (
+            FaultInjector(faults, hard=False, shard_tag="inline")
+            if inline and faults is not None and faults.enabled
+            else None
+        )
+        self._spawn()
+
+    def _spawn(self) -> None:
+        if self.inline:
+            self.pool = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-shard"
+            )
+            self.store = ShardStore(injector=self.injector)
+        else:
+            self.pool = ProcessPoolExecutor(max_workers=1)
         #: Installed wrapper keys in LRU order (see ensure_installed).
         self.installed: "OrderedDict[str, bool]" = OrderedDict()
 
-    def _submit(self, fn, *args) -> Future:
+    def _respawn(self) -> None:
+        old = self.pool
+        self._spawn()
+        old.shutdown(wait=False, cancel_futures=True)
+
+    #: Local shards never drain independently of the server.
+    draining = False
+
+    def call(self, op: str, *args) -> Future:
+        """Queue one :class:`ShardStore` operation on this shard's worker."""
+        if self.inline:
+            return self.pool.submit(getattr(self.store, op), *args)
         # Never submit to a freshly respawned pool here: the respawn
         # cleared the installed set, so the caller must go back through
         # ensure_installed first.  Raising the retryable error (mapped to
@@ -211,7 +355,7 @@ class _ProcessShard:
             crash.blameless = True
             raise crash
         try:
-            return self.pool.submit(fn, *args)
+            return self.pool.submit(_worker_op, op, *args)
         except BrokenExecutor:
             self._respawn()
             crash = ShardCrashed(
@@ -220,152 +364,41 @@ class _ProcessShard:
             crash.blameless = True
             raise crash from None
 
-    def _respawn(self) -> None:
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=1)
-        self.installed.clear()
-
-    def install(self, key: str, wrapper: Wrapper) -> Future:
-        return self._submit(_shard_install, key, wrapper)
-
-    def uninstall(self, key: str) -> Future:
-        return self._submit(_shard_uninstall, key)
-
-    def run(self, key: str, pages: List[str]) -> Future:
-        return self._submit(_shard_wrap, key, pages)
-
-    def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self._submit(_shard_wrap_traced, key, pages)
-
-    def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
-        return self._submit(_shard_wrap_warm, key, items)
-
-    def ping(self) -> Future:
-        return self._submit(_shard_ping)
+    def evict(self, key: str) -> None:
+        try:
+            # Fire-and-forget: the single-worker pool is FIFO, so any
+            # batch already queued for ``key`` runs first.
+            self.call("uninstall", key)
+        except (ServerOverloaded, ShardCrashed):
+            pass  # pool respawned: the whole store is gone anyway
 
     def kill(self) -> None:
         """Hard-kill the worker (hung past a deadline) and respawn.
 
-        SIGKILL, not terminate(): a worker stuck in C code or an
-        injected hang must die unconditionally.  In-flight futures fail
-        with :class:`BrokenExecutor`, which callers map to the retryable
-        crash path."""
-        for pid in list(getattr(self.pool, "_processes", {}) or {}):
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):  # pragma: no cover - raced exit
-                pass
+        Process workers get SIGKILL, not terminate(): a worker stuck in C
+        code or an injected hang must die unconditionally; in-flight
+        futures fail with :class:`BrokenExecutor`, which callers map to
+        the retryable crash path.  The inline shard loses its store
+        (forcing re-install) and any injected hang is released so the
+        abandoned worker thread can exit."""
+        if self.inline:
+            release_hangs()
+        else:
+            for pid in list(getattr(self.pool, "_processes", {}) or {}):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, OSError):  # pragma: no cover - raced exit
+                    pass
         self._respawn()
 
     def close(self) -> None:
+        if self.inline:
+            release_hangs()
         self.pool.shutdown(wait=True, cancel_futures=True)
 
 
-class _InlineShard:
-    """Thread-backed shard: no pickling, shared-memory wrapper store.
-
-    Faults are injected *softly* here (simulated crashes instead of
-    process death), so the whole recovery stack is exercisable without
-    spawning processes."""
-
-    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-shard"
-        )
-        self.installed: "OrderedDict[str, bool]" = OrderedDict()
-        self._wrappers: Dict[str, Wrapper] = {}
-        self._states: "OrderedDict[Tuple[str, str], WrapperState]" = OrderedDict()
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(faults, hard=False, shard_tag="inline")
-            if faults is not None and faults.enabled
-            else None
-        )
-
-    def install(self, key: str, wrapper: Wrapper) -> Future:
-        return self.pool.submit(self._wrappers.__setitem__, key, wrapper)
-
-    def uninstall(self, key: str) -> Future:
-        return self.pool.submit(self._wrappers.pop, key, None)
-
-    def run(self, key: str, pages: List[str]) -> Future:
-        return self.pool.submit(self._wrap, key, pages)
-
-    def run_traced(self, key: str, pages: List[str]) -> Future:
-        return self.pool.submit(self._wrap_traced, key, pages)
-
-    def run_warm(self, key: str, items: List[Tuple[str, str]]) -> Future:
-        return self.pool.submit(self._wrap_warm, key, items)
-
-    def ping(self) -> Future:
-        return self.pool.submit(_shard_ping)
-
-    def _wrap(self, key: str, pages: List[str]) -> List[dict]:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return result
-
-    def _wrap_traced(self, key: str, pages: List[str]) -> dict:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        traced = wrapper.wrap_html_traced(pages)
-        result = [out.to_dict() for out, _ in traced]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return {"pages": result, "kernel": [trace for _, trace in traced]}
-
-    def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this shard; retry the request"
-            )
-        if self.injector is not None:
-            self.injector.before_call(key, [html for html, _ in items])
-        result = _wrap_warm_against(wrapper, self._states, key, items)
-        if self.injector is not None:
-            result["pages"] = self.injector.after_call(key, result["pages"])
-        return result
-
-    def kill(self) -> None:
-        """Simulated hard kill: new pool, empty store, hangs released.
-
-        Mirrors process-shard death semantics — the wrapper store is
-        lost (forcing re-install) and any injected hang is unblocked so
-        the abandoned worker thread can exit.  The fault injector (and
-        its call counter) deliberately survives: an inline chaos run is
-        one deterministic call sequence, so a plan combining
-        ``kill_every`` with delays keeps firing *all* its faults instead
-        of resetting to the kill-only prefix after every respawn."""
-        release_hangs()
-        old = self.pool
-        self.pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-shard"
-        )
-        self.installed.clear()
-        self._wrappers = {}
-        self._states = OrderedDict()
-        old.shutdown(wait=False, cancel_futures=True)
-
-    def close(self) -> None:
-        release_hangs()
-        self.pool.shutdown(wait=True, cancel_futures=True)
-
-
-class ShardExecutor:
-    """A fixed set of long-lived evaluation shards.
+class ShardExecutor(ShardSet):
+    """A fixed set of long-lived local evaluation shards.
 
     Parameters
     ----------
@@ -406,68 +439,11 @@ class ShardExecutor:
             os.environ[FAULTS_ENV] = faults.spec()
         if shards <= 0:
             self.mode = "inline"
-            self._shards = [_InlineShard(faults)]
+            local = [_LocalShard(inline=True, faults=faults)]
         else:
             self.mode = "process"
-            self._shards = [_ProcessShard() for _ in range(shards)]
-        self.max_installed = max(1, max_installed)
-        self._closed = False
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def shard_for(self, doc_hash: str) -> int:
-        """Deterministic shard index for one document content hash."""
-        return int(doc_hash[:16], 16) % len(self._shards)
-
-    def ensure_installed(
-        self, key: str, wrapper: Wrapper, shard: Optional[int] = None
-    ) -> List[Future]:
-        """Install ``key`` on every shard that lacks it; pending futures.
-
-        The wrapper is pickled to each process shard at most once while it
-        stays resident; callers await the returned futures before
-        submitting work for ``key``.  With ``shard`` given, only that
-        shard's install future is returned -- the caller's request
-        depends on it alone; installs elsewhere still fire but heal in
-        the background (their failures just forget the key for a later
-        retry).  Shard stores are LRU-bounded by ``max_installed``: the
-        least recently used key is uninstalled from the worker (safe --
-        its next request just re-installs), keeping worker memory flat
-        however many registrations come and go.
-        """
-        if self._closed:
-            raise ServeError("executor is closed")
-        futures: List[Future] = []
-        for index, target in enumerate(self._shards):
-            if key in target.installed:
-                target.installed.move_to_end(key)
-                continue
-            future = target.install(key, wrapper)
-            target.installed[key] = True
-            # A failed install must not poison the shard: forget the
-            # key again so the next request retries the install.
-            future.add_done_callback(_forget_on_failure(target, key))
-            if shard is None or index == shard:
-                futures.append(future)
-            while len(target.installed) > self.max_installed:
-                stale, _ = target.installed.popitem(last=False)
-                try:
-                    # Fire-and-forget: the single-worker pool is FIFO, so
-                    # any batch already queued for ``stale`` runs first.
-                    target.uninstall(stale)
-                except (ServerOverloaded, ShardCrashed):
-                    pass  # pool respawned: the whole store is gone anyway
-        return futures
-
-    def installed_on(self, key: str) -> List[int]:
-        """Shard indices currently holding ``key`` (acked installs)."""
-        return [
-            index
-            for index, shard in enumerate(self._shards)
-            if key in shard.installed
-        ]
+            local = [_LocalShard(inline=False) for _ in range(shards)]
+        super().__init__(local, max_installed)
 
     def shard_state(self, shard_index: int) -> Dict:
         """Transport view of one shard for ``/healthz`` (local flavor)."""
@@ -480,63 +456,25 @@ class ShardExecutor:
             "installed_wrappers": len(self._shards[shard_index].installed),
         }
 
-    def is_draining(self, shard_index: int) -> bool:
-        """Local shards never drain independently of the server."""
-        return False
-
-    def submit(self, shard_index: int, key: str, pages: List[str]) -> Future:
-        """Evaluate a sub-batch of pages on one shard (future of dicts)."""
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].run(key, pages)
-
-    def submit_traced(
+    def submit(
         self,
         shard_index: int,
         key: str,
-        pages: List[str],
+        items: Sequence[Union[str, Item]],
         trace: Optional[dict] = None,
     ) -> Future:
-        """Traced :meth:`submit`: resolves to ``{"pages": [...],
-        "kernel": [...]}`` with one per-page kernel-stats dict alongside
-        each output, for grafting into the request trace.  ``trace`` is
-        accepted for signature parity with the remote transport (local
-        workers do not need the trace id)."""
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].run_traced(key, pages)
+        """Wrap a sub-batch of items on one shard (see :meth:`ShardStore.wrap`).
 
-    def submit_warm(
-        self, shard_index: int, key: str, items: List[Tuple[str, str]]
-    ) -> Future:
-        """Warm-evaluate ``(html, doc_id)`` items on one shard.
+        ``items`` are ``(html, doc_id)`` pairs or bare pages; the future
+        resolves to ``{"pages": [...], "kernel": [...]}``.  The caller
+        routes ``doc_id`` items by ``content_hash(doc_id)`` so successive
+        versions of one document land on the shard holding its state.
+        ``trace`` (the request's trace context) is accepted for signature
+        parity with the remote transport, whose daemons log it."""
+        return self._call(shard_index, "wrap", key, as_items(items))
 
-        Resolves to ``{"pages": [...], "stats": [...]}``; the caller
-        routes by ``content_hash(doc_id)`` (not by document content) so
-        successive versions of one document land on the shard holding
-        its state.
-        """
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].run_warm(key, items)
-
-    def ping(self, shard_index: int) -> Future:
-        """Health-check round trip through one shard's queue."""
-        if self._closed:
-            raise ServeError("executor is closed")
-        return self._shards[shard_index].ping()
-
-    def kill_shard(self, shard_index: int) -> None:
-        """Hard-kill one shard's worker (hung past a deadline) + respawn.
-
-        Installed wrappers are forgotten; the next request re-installs.
-        """
-        if not self._closed:
-            self._shards[shard_index].kill()
-
-    def respawn_shard(self, shard_index: int) -> None:
-        """Supervisor hook: proactively recycle one (sick) shard."""
-        self.kill_shard(shard_index)
+    #: Every reply carries the per-page stats, so tracing needs no other call.
+    submit_traced = submit
 
     def close(self) -> None:
         """Shut every shard down (graceful: running batches finish)."""

@@ -242,11 +242,10 @@ class FaultInjector:
     """Applies a :class:`FaultPlan` to shard calls, deterministically.
 
     One injector lives per shard worker (a module global in process
-    workers, one per :class:`~repro.serve.executor._InlineShard` in
-    inline mode).  ``hard=True`` means real worker death
-    (``os._exit``); ``hard=False`` simulates the crash by raising
-    :class:`~repro.errors.ShardCrashed`, which exercises the identical
-    recovery path without sacrificing a process.
+    workers, one per inline shard or shard daemon).  ``hard=True`` means
+    real worker death (``os._exit``); ``hard=False`` simulates the crash
+    by raising :class:`~repro.errors.ShardCrashed`, which exercises the
+    identical recovery path without sacrificing a process.
     """
 
     def __init__(self, plan: FaultPlan, hard: bool, shard_tag: str = "?"):
@@ -419,78 +418,44 @@ def validate_shard_result(result: object, expected: int) -> List[Dict]:
     return result
 
 
-def validate_warm_result(result: object, expected: int):
-    """Validate the dict form a warm shard call returns.
+def validate_reply(result: object, expected: int):
+    """Validate one shard reply; returns ``(pages, stats_or_None)``.
 
-    A healthy warm call resolves to ``{"pages": [...], "stats": [...]}``
-    with one output dict and one stats dict per submitted item; the
-    pages go through :func:`validate_shard_result` (so injected
-    corruption is caught the same way), and a malformed stats column is
-    likewise treated as a crash.  Returns ``(pages, stats)``.
+    A shard answers ``{"pages": [...], "kernel": [...]}`` -- one output
+    dict and one per-page stats dict per item.  A daemon that predates
+    per-page stats answers the plain page list; that is healthy too, and
+    the stats come back as ``None`` so the caller can degrade to a
+    transport-only span.  The pages go through
+    :func:`validate_shard_result` (so injected corruption is caught), and
+    a malformed stats column is likewise a crash.
 
-    >>> validate_warm_result({"pages": [{"a": 1}], "stats": [{"warm": True}]}, 1)
-    ([{'a': 1}], [{'warm': True}])
-    >>> validate_warm_result([{"a": 1}], 1)
+    >>> validate_reply([{"a": 1}], 1)
+    ([{'a': 1}], None)
+    >>> pages, stats = validate_reply(
+    ...     {"pages": [{"a": 1}], "kernel": [{"kernel_ms": 0.5}]}, 1)
+    >>> stats[0]["kernel_ms"]
+    0.5
+    >>> validate_reply({"pages": [{"a": 1}], "kernel": "bad"}, 1)
     Traceback (most recent call last):
         ...
-    repro.errors.ShardCrashed: warm shard call returned list, not a pages/stats dict; treating as a crash
+    repro.errors.ShardCrashed: shard returned malformed per-page stats for 1 page(s); treating as a crash
     """
+    if isinstance(result, list):
+        return validate_shard_result(result, expected), None
     if not isinstance(result, dict):
         raise ShardCrashed(
-            f"warm shard call returned {type(result).__name__}, not a "
-            "pages/stats dict; treating as a crash"
+            f"shard returned {type(result).__name__}, not a pages/kernel "
+            "dict or page list; treating as a crash"
         )
     pages = validate_shard_result(result.get("pages"), expected)
-    stats = result.get("stats")
+    stats = result.get("kernel")
     if (
         not isinstance(stats, list)
         or len(stats) != expected
         or not all(isinstance(item, dict) for item in stats)
     ):
         raise ShardCrashed(
-            f"warm shard call returned malformed stats for {expected} "
-            "item(s); treating as a crash"
+            f"shard returned malformed per-page stats for {expected} "
+            "page(s); treating as a crash"
         )
     return pages, stats
-
-
-def validate_traced_result(result: object, expected: int):
-    """Validate a *traced* shard call, tolerating untraced responders.
-
-    A tracing-aware shard returns ``{"pages": [...], "kernel": [...]}``
-    (one kernel-stats dict per page); a shard or daemon that predates
-    tracing answers the same request with the plain page list.  Both are
-    healthy -- returns ``(pages, kernel_or_None)`` so the caller can
-    degrade to a transport-only span.  A malformed kernel column is a
-    crash, same as corrupted pages.
-
-    >>> validate_traced_result([{"a": 1}], 1)
-    ([{'a': 1}], None)
-    >>> pages, kernel = validate_traced_result(
-    ...     {"pages": [{"a": 1}], "kernel": [{"kernel_ms": 0.5}]}, 1)
-    >>> kernel[0]["kernel_ms"]
-    0.5
-    >>> validate_traced_result({"pages": [{"a": 1}], "kernel": "bad"}, 1)
-    Traceback (most recent call last):
-        ...
-    repro.errors.ShardCrashed: traced shard call returned malformed kernel stats for 1 page(s); treating as a crash
-    """
-    if isinstance(result, list):
-        return validate_shard_result(result, expected), None
-    if not isinstance(result, dict):
-        raise ShardCrashed(
-            f"traced shard call returned {type(result).__name__}, not a "
-            "pages/kernel dict or page list; treating as a crash"
-        )
-    pages = validate_shard_result(result.get("pages"), expected)
-    kernel = result.get("kernel")
-    if (
-        not isinstance(kernel, list)
-        or len(kernel) != expected
-        or not all(isinstance(item, dict) for item in kernel)
-    ):
-        raise ShardCrashed(
-            f"traced shard call returned malformed kernel stats for "
-            f"{expected} page(s); treating as a crash"
-        )
-    return pages, kernel

@@ -668,22 +668,15 @@ class ExtractionServer:
             if span is not None:
                 span.tag(wrapper=f"{entry.name}@{entry.version}")
             timeout = self.deadline_for(html)
-            if doc_id:
-                # Incremental warm path: the shard holding this doc_id's
-                # previous snapshot re-derives only the changed region.
-                payload = await self._with_retries(
-                    lambda: self.batcher.submit_warm(
-                        entry, html, doc_id, timeout=timeout, span=span
-                    ),
-                    span=span,
-                )
-            else:
-                payload = await self._with_retries(
-                    lambda: self.batcher.submit(
-                        entry, html, timeout=timeout, span=span
-                    ),
-                    span=span,
-                )
+            # A doc_id takes the incremental warm path: the shard holding
+            # the previous version's state re-derives only the changed
+            # region.
+            payload = await self._with_retries(
+                lambda: self.batcher.submit(
+                    entry, html, timeout=timeout, span=span, doc_id=doc_id or None
+                ),
+                span=span,
+            )
             return 200, {
                 "wrapper": entry.name,
                 "version": entry.version,

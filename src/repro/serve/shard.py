@@ -10,15 +10,15 @@ time -- the same single-worker queue semantics as local process shards,
 so a ping round trip proves the daemon is draining its queue).
 
 Operations: ``install`` / ``uninstall`` (compiled-wrapper residency,
-LRU-capped), ``wrap`` (a page sub-batch; a request carrying the optional
-``trace`` frame field additionally returns per-page kernel stats as
-``{"pages": [...], "kernel": [...]}`` and logs the client trace id --
-old daemons read only the keys they know, so the field degrades
-harmlessly), ``wrap_warm`` (``(html,
-doc_id)`` items against the daemon's per-document
-:class:`~repro.wrap.extraction.WrapperState` store -- the incremental
-warm path, state-local to this box), ``ping`` (health + stats), and
-``drain`` (operator-initiated graceful shutdown).
+LRU-capped), ``wrap`` (the one shard operation, see
+:meth:`~repro.serve.executor.ShardStore.wrap`: a page sub-batch with an
+optional parallel ``doc_ids`` column -- a page with a doc id is wrapped
+warm against the daemon's per-document
+:class:`~repro.wrap.extraction.WrapperState` store, state-local to this
+box -- answered with ``{"pages": [...], "kernel": [...]}``; an optional
+``trace`` field carries the client's trace id into the daemon's log),
+``ping`` (health + stats), and ``drain`` (operator-initiated graceful
+shutdown).
 
 **Graceful drain** (``SIGTERM``, or a ``drain`` frame): the daemon stops
 accepting connections, pushes an unsolicited ``{"op": "drain"}`` notice
@@ -53,12 +53,11 @@ import contextlib
 import signal
 import sys
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
-from repro.errors import ServeError, WrapperNotResident
-from repro.serve.executor import _wrap_warm_against
+from repro.errors import ServeError
+from repro.serve.executor import ShardStore
 from repro.serve.faults import FaultInjector, FaultPlan, log_fault_event
 from repro.serve.transport import (
     FrameError,
@@ -83,16 +82,16 @@ class ShardDaemon:
         self.host = host
         self.port = port  # 0 -> ephemeral; set to the bound port by start()
         plan = FaultPlan.parse(faults) if isinstance(faults, str) else faults
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(plan, hard=False, shard_tag=f"daemon:{port}")
-            if plan is not None and plan.enabled
-            else None
+        self.store = ShardStore(
+            injector=(
+                FaultInjector(plan, hard=False, shard_tag=f"daemon:{port}")
+                if plan is not None and plan.enabled
+                else None
+            ),
+            max_installed=max(1, max_installed),
+            state_cap=state_cap,
         )
-        self.max_installed = max(1, max_installed)
-        self.state_cap = state_cap
         self.drain_grace = drain_grace
-        self._wrappers: "OrderedDict[str, object]" = OrderedDict()
-        self._states: OrderedDict = OrderedDict()
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-shard-daemon"
         )
@@ -102,6 +101,7 @@ class ShardDaemon:
             "uninstalls": 0,
             "wraps": 0,
             "warm_wraps": 0,
+            "traced_wraps": 0,
             "pages": 0,
             "pings": 0,
             "frame_errors": 0,
@@ -231,47 +231,31 @@ class ShardDaemon:
             self.stats["pings"] += 1
             return {"draining": self.draining, "stats": dict(self.stats)}
         if op == "install":
-            key, wrapper = message["key"], message["wrapper"]
-            self._wrappers[key] = wrapper
-            self._wrappers.move_to_end(key)
             self.stats["installs"] += 1
-            while len(self._wrappers) > self.max_installed:
-                self._wrappers.popitem(last=False)
-            return True
+            return self.store.install(message["key"], message["wrapper"])
         if op == "uninstall":
             self.stats["uninstalls"] += 1
-            return self._wrappers.pop(message["key"], None) is not None
+            return self.store.uninstall(message["key"])
         if op == "wrap":
-            key, pages = message["key"], message["pages"]
+            pages = message["pages"]
+            items = list(zip(pages, message.get("doc_ids") or [None] * len(pages)))
             self.stats["wraps"] += 1
-            self.stats["pages"] += len(pages)
+            self.stats["pages"] += len(items)
+            if any(doc_id is not None for _, doc_id in items):
+                self.stats["warm_wraps"] += 1
             trace = message.get("trace")
             if isinstance(trace, dict):
-                # Tracing-aware router: evaluate with kernel stats and
-                # log the client's trace id so a cross-box grep by
-                # trace id finds the daemon-side line.  Daemons that
-                # predate this field never reach here -- they read only
-                # the keys they know and answer the plain page list.
-                self.stats["traced_wraps"] = self.stats.get("traced_wraps", 0) + 1
-                result = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._wrap_traced, key, pages
-                )
+                # Log the client's trace id so a cross-box grep by trace
+                # id finds the daemon-side line.
+                self.stats["traced_wraps"] += 1
                 log_fault_event(
                     "daemon_traced_wrap",
                     address=self.address,
                     trace_id=trace.get("trace_id"),
-                    pages=len(pages),
+                    pages=len(items),
                 )
-                return result
             return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._wrap, key, pages
-            )
-        if op == "wrap_warm":
-            key, items = message["key"], message["items"]
-            self.stats["warm_wraps"] += 1
-            self.stats["pages"] += len(items)
-            return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._wrap_warm, key, items
+                self._pool, self.store.wrap, message["key"], items
             )
         if op == "drain":
             # Operator-initiated graceful shutdown over the wire; the
@@ -279,45 +263,6 @@ class ShardDaemon:
             asyncio.ensure_future(self.drain())
             return True
         raise ServeError(f"unknown shard daemon operation {op!r}")
-
-    def _resident(self, key: str):
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            # Retryable + blameless by class: the router re-installs.
-            raise WrapperNotResident(
-                f"wrapper {key!r} is not resident on this daemon; "
-                "retry the request"
-            )
-        self._wrappers.move_to_end(key)
-        return wrapper
-
-    def _wrap(self, key: str, pages: List[str]) -> List[dict]:
-        wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        result = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return result
-
-    def _wrap_traced(self, key: str, pages: List[str]) -> dict:
-        wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, pages)
-        traced = wrapper.wrap_html_traced(pages)
-        result = [out.to_dict() for out, _ in traced]
-        if self.injector is not None:
-            result = self.injector.after_call(key, result)
-        return {"pages": result, "kernel": [trace for _, trace in traced]}
-
-    def _wrap_warm(self, key: str, items: List[Tuple[str, str]]) -> dict:
-        wrapper = self._resident(key)
-        if self.injector is not None:
-            self.injector.before_call(key, [html for html, _ in items])
-        result = _wrap_warm_against(wrapper, self._states, key, items)
-        if self.injector is not None:
-            result["pages"] = self.injector.after_call(key, result["pages"])
-        return result
 
 
 class DaemonThread:

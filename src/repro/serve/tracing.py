@@ -26,12 +26,12 @@ worklist is visible per request instead of only in aggregate.
 Spans are plain objects linked parent -> children; a span created for a
 shared stage (one ``batch.flush`` serving many coalesced requests) is
 attached to *every* member's tree -- serialization walks the shared
-subtree once per trace.  Remote shard daemons do not build spans at all:
-they return cheap per-page kernel-stats dicts over the RPC protocol, and
-the router grafts them into the client-side trace as ``snapshot.build``
-/ ``kernel.run`` spans (see :meth:`Span.graft_kernel_stats`).  A daemon
-too old to understand the trace request field simply returns the
-untraced payload shape and the trace degrades to a transport-only
+subtree once per trace.  Shards do not build spans at all:
+every shard reply carries cheap per-page stats dicts, and the router
+grafts them into the client-side trace as ``snapshot.build`` /
+``kernel.run`` spans (see :meth:`Span.graft_kernel_stats`) -- tracing is
+a router-side decision only.  A daemon too old to send per-page stats
+answers the plain page list and the trace degrades to a transport-only
 ``shard.call`` span.
 
 The :class:`Tracer` keeps finished traces in a bounded ring buffer plus
@@ -157,9 +157,11 @@ class Span:
 
         ``trace`` is the cheap stats payload a (local or remote) shard
         returns per page: ``{"snapshot_build_ms", "kernel_ms", "runs":
-        [per-plan stats dicts]}``.  Shards never build Span objects --
-        this is where their counters become ``snapshot.build`` and
-        ``kernel.run`` spans in the client-side tree."""
+        [per-plan stats dicts], ...}`` (see
+        :meth:`repro.wrap.extraction.Wrapper.wrap_html_stateful`).
+        Shards never build Span objects -- this is where their counters
+        become ``snapshot.build`` and ``kernel.run`` spans in the
+        client-side tree."""
         if not isinstance(trace, dict):
             return
         snapshot_ms = trace.get("snapshot_build_ms")

@@ -58,10 +58,11 @@ import pickle
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import repro.errors as _errors
 from repro.errors import ServeError, ShardCrashed
+from repro.serve.executor import Item, ShardSet, as_items
 from repro.serve.faults import FaultPlan, TransportFaultInjector
 
 #: Header: payload length + CRC32, both unsigned 32-bit big-endian.
@@ -340,6 +341,23 @@ class _RemoteShard:
             raise decode_error(reply.get("error"))
         return reply.get("value")
 
+    #: Frame fields of the operations :meth:`call` sends positionally.
+    _FIELDS = {"install": ("key", "wrapper"), "uninstall": ("key",)}
+
+    def call(self, op: str, *args) -> "asyncio.Task":
+        """One shard-store operation as a framed round trip (a task)."""
+        return asyncio.ensure_future(
+            self.request(op, **dict(zip(self._FIELDS[op], args)))
+        )
+
+    def evict(self, key: str) -> None:
+        self.call("uninstall", key).add_done_callback(_consume_exception)
+
+    #: A hung or timed-out call severs the connection: the daemon (on
+    #: another box) survives; what matters is that *this* router stops
+    #: trusting the stream and reconnects fresh.
+    kill = drop
+
     def state(self) -> Dict:
         return {
             "transport": "remote",
@@ -352,16 +370,16 @@ class _RemoteShard:
         }
 
 
-class RemoteShardExecutor:
+class RemoteShardExecutor(ShardSet):
     """The :class:`~repro.serve.executor.ShardExecutor` surface over sockets.
 
-    Drop-in for the batcher and supervisor: ``run``-shaped submissions
-    return awaitable futures (``asyncio`` tasks -- ``asyncio.wrap_future``
-    passes them through), ``ping`` feeds the health loop,
-    ``kill_shard``/``respawn_shard`` become connection drops with lazy
-    reconnect, and every failure is one of the PR-7 error types, so the
-    retry, breaker, quarantine, and rerouting machinery upstream applies
-    unchanged to a cluster of remote boxes.
+    Drop-in for the batcher and supervisor: submissions return awaitable
+    futures (``asyncio`` tasks -- ``asyncio.wrap_future`` passes them
+    through), ``ping`` feeds the health loop, ``kill_shard`` /
+    ``respawn_shard`` become connection drops with lazy reconnect, and
+    every failure is one of the PR-7 error types, so the retry, breaker,
+    quarantine, and rerouting machinery upstream applies unchanged to a
+    cluster of remote boxes.
 
     Must be created and used on one asyncio event loop (the server's).
     """
@@ -378,113 +396,59 @@ class RemoteShardExecutor:
         if not addresses:
             raise ServeError("RemoteShardExecutor needs at least one address")
         self.faults = faults
-        self._shards = [
-            _RemoteShard(
-                address,
-                injector=(
-                    TransportFaultInjector(faults, shard_tag=f"remote-{index}")
-                    if faults is not None and faults.transport_enabled
-                    else None
-                ),
-                connect_timeout=connect_timeout,
-            )
-            for index, address in enumerate(addresses)
-        ]
-        self.max_installed = max(1, max_installed)
-        self._closed = False
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
+        super().__init__(
+            [
+                _RemoteShard(
+                    address,
+                    injector=(
+                        TransportFaultInjector(faults, shard_tag=f"remote-{index}")
+                        if faults is not None and faults.transport_enabled
+                        else None
+                    ),
+                    connect_timeout=connect_timeout,
+                )
+                for index, address in enumerate(addresses)
+            ],
+            max_installed,
+        )
 
     @property
     def addresses(self) -> List[str]:
         return [shard.address for shard in self._shards]
-
-    def shard_for(self, doc_hash: str) -> int:
-        """Flat home-shard index (the ring in the supervisor overrides
-        this for routing; this remains the no-supervisor fallback)."""
-        return int(doc_hash[:16], 16) % len(self._shards)
 
     def _task(self, coroutine) -> "asyncio.Task":
         if self._closed:
             raise ServeError("executor is closed")
         return asyncio.ensure_future(coroutine)
 
-    def ensure_installed(self, key: str, wrapper, shard: Optional[int] = None):
-        """Install ``key`` wherever it is missing; futures to await.
-
-        With ``shard`` given, only that shard's install future is
-        returned (the caller's request depends on it alone); installs to
-        the *other* shards are still fired but self-heal in the
-        background -- a dead daemon elsewhere in the ring must not fail
-        this request.
-        """
-        if self._closed:
-            raise ServeError("executor is closed")
-        futures = []
-        for index, remote in enumerate(self._shards):
-            if key in remote.installed:
-                remote.installed.move_to_end(key)
-                continue
-            if remote.draining and index != shard:
-                continue  # a draining daemon will never be routed new keys
-            task = self._task(remote.request("install", key=key, wrapper=wrapper))
-            remote.installed[key] = True
-            task.add_done_callback(self._forget_on_failure(remote, key))
-            if shard is None or index == shard:
-                futures.append(task)
-            while len(remote.installed) > self.max_installed:
-                stale, _ = remote.installed.popitem(last=False)
-                evict = self._task(remote.request("uninstall", key=stale))
-                evict.add_done_callback(_consume_exception)
-        return futures
-
-    @staticmethod
-    def _forget_on_failure(remote: _RemoteShard, key: str):
-        def callback(task) -> None:
-            if task.cancelled() or task.exception() is not None:
-                remote.installed.pop(key, None)
-
-        return callback
-
-    def installed_on(self, key: str) -> List[int]:
-        """Shard indices currently holding ``key`` (acked installs)."""
-        return [
-            index
-            for index, remote in enumerate(self._shards)
-            if key in remote.installed
-        ]
-
-    def submit(self, shard_index: int, key: str, pages: List[str]):
-        return self._task(
-            self._shards[shard_index].request("wrap", key=key, pages=pages)
-        )
-
-    def submit_traced(
+    def submit(
         self,
         shard_index: int,
         key: str,
-        pages: List[str],
+        items: Sequence[Union[str, Item]],
         trace: Optional[dict] = None,
     ):
-        """Traced :meth:`submit`: the request frame carries a new
-        optional ``trace`` field (the client-side trace context, e.g.
-        ``{"trace_id": ...}``).  A tracing-aware daemon echoes kernel
-        stats back as ``{"pages": [...], "kernel": [...]}`` and logs the
-        trace id; an older daemon reads only the frame keys it knows,
-        ignores ``trace``, and answers the plain page list -- which the
-        batcher accepts, degrading to a transport-only span."""
-        return self._task(
-            self._shards[shard_index].request(
-                "wrap", key=key, pages=pages, trace=trace or {"trace_id": None}
-            )
-        )
+        """Wrap a sub-batch on one daemon (see :meth:`ShardExecutor.submit`).
 
-    def submit_warm(self, shard_index: int, key: str, items: List[Tuple[str, str]]):
-        return self._task(
-            self._shards[shard_index].request("wrap_warm", key=key, items=items)
-        )
+        The ``wrap`` frame carries the pages, a parallel ``doc_ids``
+        column and, for traced requests, the client-side ``trace``
+        context (e.g. ``{"trace_id": ...}``) for the daemon's log.  A
+        daemon from before per-page stats reads only the frame keys it
+        knows and answers the plain page list (its ``doc_id`` pages run
+        cold), which the batcher accepts, degrading to a transport-only
+        span."""
+        items = as_items(items)
+        fields = {
+            "key": key,
+            "pages": [html for html, _ in items],
+            "doc_ids": [doc_id for _, doc_id in items],
+        }
+        if trace is not None:
+            fields["trace"] = trace
+        return self._task(self._shards[shard_index].request("wrap", **fields))
+
+    #: Every reply carries the per-page stats, so tracing needs no other call.
+    submit_traced = submit
 
     def ping(self, shard_index: int):
         remote = self._shards[shard_index]
@@ -498,22 +462,8 @@ class RemoteShardExecutor:
 
         return self._task(_ping())
 
-    def kill_shard(self, shard_index: int) -> None:
-        """A hung/timed-out call: sever the connection.  The daemon (on
-        another box) survives; what matters is that *this* router stops
-        trusting the stream and reconnects fresh."""
-        if not self._closed:
-            self._shards[shard_index].drop()
-
-    def respawn_shard(self, shard_index: int) -> None:
-        """Supervisor hook: drop and let the next use reconnect."""
-        self.kill_shard(shard_index)
-
     def shard_state(self, shard_index: int) -> Dict:
         return self._shards[shard_index].state()
-
-    def is_draining(self, shard_index: int) -> bool:
-        return self._shards[shard_index].draining
 
     async def aclose(self) -> None:
         """Close every connection (the event-loop-native shutdown)."""

@@ -27,7 +27,10 @@ Documents come in two representations, interchangeable everywhere:
 The batch entry points :meth:`Wrapper.extract_many` /
 :meth:`Wrapper.wrap_many` accept either representation, and
 :meth:`Wrapper.wrap_html_many` / :meth:`Wrapper.extract_html_many` run
-the streaming path end to end from raw HTML strings.  All four take
+the streaming path end to end from raw HTML strings.  Those two and the
+warm :meth:`Wrapper.wrap_html_stateful` share one per-page core that
+returns ``(output, state, stats)`` -- the same per-stage stats a serving
+shard ships back to its router.  All four batch entry points take
 ``workers=N`` to fan the batch out over a process pool: documents are
 independent, the compiled wrapper (plans plus kernel tables) is pickled
 once per worker, and each worker streams its documents locally -- for
@@ -226,37 +229,47 @@ class Wrapper:
     def _extract_structure(
         self,
         structure: IndexedStructure,
-        collect: Optional[List[Dict]] = None,
-    ) -> Dict[str, Set[int]]:
+        prior: Optional[WrapperState] = None,
+    ) -> Tuple[Dict[str, Set[int]], WrapperState, List[Dict]]:
         """Evaluate all extraction functions against one shared runtime.
 
-        ``collect``, when given, receives one kernel-stats dict per
-        distinct plan evaluation (``EvaluationResult.stats``, or a
-        minimal ``{"engine": ...}`` for non-kernel strategies) -- the
-        raw material tracing grafts into ``kernel.run`` spans.
+        Each distinct compiled plan is evaluated once, warm against its
+        state in ``prior`` when there is one (a plan without a usable
+        state runs cold; see :meth:`CompiledProgram.run_incremental`).
+        Returns ``(ids, state, runs)``: node-id sets per name, the
+        :class:`WrapperState` for the document's next version, and one
+        stats dict per plan evaluation (``EvaluationResult.stats``, or a
+        minimal ``{"engine": ...}`` for non-kernel strategies).
         """
         # Automaton queries and user callables keep receiving the concrete
         # (unwrapped) structure their registered signatures promise; only
         # the datalog engine consumes the index wrapper.
         base = structure.base
         streaming = isinstance(base, Document)
+        prior_states = prior.states if prior is not None else {}
         out: Dict[str, Set[int]] = {}
         #: One evaluation per distinct compiled plan per document.
-        runs: Dict[int, object] = {}
+        results: Dict[int, object] = {}
+        #: Kernel states by plan slot: distinct plans in order of first
+        #: use, stable across calls because ``self._functions`` is fixed.
+        states: Dict[int, object] = {}
+        runs: List[Dict] = []
         for index, (kind, name, payload) in enumerate(self._functions):
             if kind == "datalog":
                 program, pred = payload
                 plan = self._compiled_plan(index, program)
-                result = runs.get(id(plan))
+                result = results.get(id(plan))
                 if result is None:
-                    result = runs[id(plan)] = plan.run(structure)
-                    if collect is not None:
-                        stats = getattr(result, "stats", None)
-                        collect.append(
-                            dict(stats)
-                            if stats
-                            else {"engine": result.engine or result.method}
-                        )
+                    slot = len(states)
+                    result, states[slot], _ = plan.run_incremental(
+                        structure, prior_states.get(slot)
+                    )
+                    results[id(plan)] = result
+                    runs.append(
+                        dict(result.stats)
+                        if result.stats
+                        else {"engine": result.engine or result.method}
+                    )
                 ids = result.unary(pred)
             elif streaming:
                 raise WrapError(
@@ -272,7 +285,7 @@ class Wrapper:
             # Merge without mutating ``ids`` (it may be an engine-owned
             # set): the common single-contribution case stores it as is.
             out[name] = ids if known is None else known | ids
-        return out
+        return out, WrapperState(states), runs
 
     def _runtime(self, document: DocumentLike) -> IndexedStructure:
         """One shared :class:`IndexedStructure` for any document form."""
@@ -296,7 +309,7 @@ class Wrapper:
             runtime = self._runtime(document)
         else:
             runtime = as_indexed(structure)
-        return self._extract_structure(runtime)
+        return self._extract_structure(runtime)[0]
 
     def extract_many(
         self,
@@ -311,15 +324,14 @@ class Wrapper:
         """
         self.compile()
         if _parallel(workers):
-            return self._fanout(_job_extract, list(documents), workers, None)
-        return [
-            self._extract_structure(self._runtime(document))
-            for document in documents
-        ]
+            return self._fanout("extract_many", list(documents), workers)
+        return [self.extract(document) for document in documents]
 
     def wrap(self, document: DocumentLike, root_label: str = "result") -> OutputNode:
         """Wrap a document: extract, relabel, build the output tree."""
-        return self._wrap_structure(self._runtime(document), root_label)
+        runtime = self._runtime(document)
+        ids = self._extract_structure(runtime)[0]
+        return self._assemble(runtime, ids, root_label)
 
     def wrap_many(
         self,
@@ -335,13 +347,12 @@ class Wrapper:
         """
         self.compile()
         if _parallel(workers):
-            return self._fanout(_job_wrap, list(documents), workers, root_label)
-        return [
-            self._wrap_structure(self._runtime(document), root_label)
-            for document in documents
-        ]
+            return self._fanout(
+                "wrap_many", list(documents), workers, root_label=root_label
+            )
+        return [self.wrap(document, root_label) for document in documents]
 
-    # -- streaming HTML batches ----------------------------------------------
+    # -- streaming HTML: one per-page core -----------------------------------
 
     def wrap_html_many(
         self,
@@ -359,86 +370,37 @@ class Wrapper:
         """
         self.compile()
         if _parallel(workers):
-            return self._fanout(_job_wrap_html, list(pages), workers, root_label)
-        return [
-            self._wrap_structure(as_indexed(Document.from_html(page)), root_label)
-            for page in pages
-        ]
-
-    def wrap_html_traced(
-        self,
-        pages: Sequence[str],
-        root_label: str = "result",
-    ) -> List[Tuple[OutputNode, Dict]]:
-        """Wrap raw HTML pages while timing each stage of the work.
-
-        Returns one ``(output, trace)`` pair per page, where ``trace``
-        is the cheap stats payload shards ship back over the RPC
-        protocol so the client can graft ``snapshot.build`` /
-        ``kernel.run`` spans into the request trace (see
-        :meth:`repro.serve.tracing.Span.graft_kernel_stats`)::
-
-            {"snapshot_build_ms": float,   # HTML -> columnar snapshot
-             "kernel_ms": float,           # extraction + assembly
-             "runs": [per-plan kernel stats dicts]}
-
-        Each ``runs`` entry is an :attr:`EvaluationResult.stats` dict
-        (engine, rounds, facts, frontier_widths, fallback).  No Span
-        objects are built here -- just counters and two clock reads per
-        page, so the overhead over :meth:`wrap_html_many` is noise.
-
-        >>> from repro.datalog import parse_program
-        >>> w = Wrapper().add_datalog("item", parse_program(
-        ...     "item(x) :- label_li(x).", query="item"))
-        >>> [(out, trace)] = w.wrap_html_traced(["<ul><li>a<li>b</ul>"])
-        >>> out.to_sexpr()
-        'result(item, item)'
-        >>> trace["runs"][0]["engine"] in ("frontier", "worklist")
-        True
-        >>> trace["snapshot_build_ms"] >= 0.0
-        True
-        """
-        self.compile()
-        out: List[Tuple[OutputNode, Dict]] = []
-        for page in pages:
-            started = time.perf_counter()
-            runtime = as_indexed(Document.from_html(page))
-            # Force the snapshot build so its cost lands in this stage
-            # rather than inside the first plan's evaluation.
-            runtime.base.snapshot()
-            built = time.perf_counter()
-            runs: List[Dict] = []
-            output = self._wrap_structure(runtime, root_label, collect=runs)
-            finished = time.perf_counter()
-            out.append(
-                (
-                    output,
-                    {
-                        "snapshot_build_ms": round((built - started) * 1e3, 3),
-                        "kernel_ms": round((finished - built) * 1e3, 3),
-                        "runs": runs,
-                    },
-                )
+            return self._fanout(
+                "wrap_html_many", list(pages), workers, root_label=root_label
             )
-        return out
+        return [self._wrap_page(page, None, root_label)[0] for page in pages]
 
     def wrap_html_stateful(
         self,
         page: str,
         prior: Optional[WrapperState] = None,
         root_label: str = "result",
-    ):
-        """Wrap one HTML page warm against its previous version.
+    ) -> Tuple[OutputNode, WrapperState, Dict]:
+        """Wrap one HTML page, warm against its previous version.
 
-        ``prior`` is the :class:`WrapperState` returned by this method for
-        an earlier version of the *same* document (``None`` starts cold).
-        Returns ``(output, state, stats)``: the output tree, the state to
-        feed the next version, and a stats dict -- ``stats["warm"]`` is
-        true when at least one plan reused the previous fixpoint
-        (``engine`` starting with ``"incremental"``), and ``dirty`` /
-        ``dirty_fraction`` report the largest diff any plan saw.  Plans
-        outside the kernel fragment fall back to cold evaluation per
-        document, so this is always safe to call.
+        This is the per-page core every raw-HTML entry point and every
+        serving shard runs.  ``prior`` is the :class:`WrapperState`
+        returned for an earlier version of the *same* document (``None``
+        starts cold).  Returns ``(output, state, stats)``: the output
+        tree, the state to feed the next version, and the per-stage
+        stats a shard ships back to the router::
+
+            {"snapshot_build_ms": float,   # HTML -> columnar snapshot
+             "kernel_ms": float,           # extraction + output assembly
+             "runs": [...],                # one EvaluationResult.stats
+                                           # dict per distinct plan
+             "warm": bool,                 # some plan reused the prior
+                                           # fixpoint (engine incremental*)
+             "dirty": int | None,          # the largest diff any plan
+             "dirty_fraction": float | None}   # saw (None when cold)
+
+        Plans outside the kernel fragment run cold on every version, so
+        this is always safe to call.
 
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
@@ -446,61 +408,17 @@ class Wrapper:
         >>> out, state, stats = w.wrap_html_stateful("<ul><li>a<li>b</ul>")
         >>> out.to_sexpr(), stats["warm"]
         ('result(item, item)', False)
+        >>> stats["runs"][0]["engine"] in ("frontier", "worklist")
+        True
+        >>> stats["snapshot_build_ms"] >= 0.0
+        True
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"]
         ('result(item, item)', True)
         """
         self.compile()
-        runtime = as_indexed(Document.from_html(page))
-        prior_states = prior.states if prior is not None else {}
-        results: Dict[str, Set[int]] = {}
-        runs: Dict[int, object] = {}
-        next_states: Dict[int, object] = {}
-        engines: List[str] = []
-        dirty: Optional[int] = None
-        dirty_fraction: Optional[float] = None
-        for index, (kind, name, payload) in enumerate(self._functions):
-            if kind != "datalog":
-                raise WrapError(
-                    f"extraction function {name!r} ({kind}) needs a "
-                    "Node-backed structure; streaming Documents only "
-                    "support datalog/Elog extraction"
-                )
-            program, pred = payload
-            plan = self._compiled_plan(index, program)
-            run = runs.get(id(plan))
-            if run is None:
-                # Distinct plans keyed by order of first use: stable
-                # across calls because ``self._functions`` is fixed.
-                slot = len(next_states)
-                result, state, info = plan.run_incremental(
-                    runtime, prior_states.get(slot)
-                )
-                next_states[slot] = state
-                engines.append(result.engine or result.method)
-                if info is not None:
-                    if dirty is None or info["dirty"] > dirty:
-                        dirty = info["dirty"]
-                        dirty_fraction = info["dirty_fraction"]
-                run = runs[id(plan)] = result
-            ids = run.unary(pred)
-            known = results.get(name)
-            results[name] = ids if known is None else known | ids
-        assignment: Dict[int, str] = {}
-        for name in self.names():
-            for ident in results.get(name, ()):
-                assignment.setdefault(ident, name)
-        output = build_output_from_snapshot(
-            runtime.base.snapshot(), assignment, root_label=root_label
-        )
-        stats = {
-            "warm": any(e.startswith("incremental") for e in engines),
-            "engines": engines,
-            "dirty": dirty,
-            "dirty_fraction": dirty_fraction,
-        }
-        return output, WrapperState(next_states), stats
+        return self._wrap_page(page, prior, root_label)
 
     def extract_html_many(
         self,
@@ -510,78 +428,92 @@ class Wrapper:
         """Batch extraction from raw HTML pages on the streaming path."""
         self.compile()
         if _parallel(workers):
-            return self._fanout(_job_extract_html, list(pages), workers, None)
-        return [
-            self._extract_structure(as_indexed(Document.from_html(page)))
-            for page in pages
-        ]
+            return self._fanout("extract_html_many", list(pages), workers)
+        return [self._wrap_page(page, None, None)[0] for page in pages]
 
     # -- internals -----------------------------------------------------------
 
-    def _wrap_structure(
+    def _wrap_page(
         self,
-        structure: IndexedStructure,
-        root_label: str,
-        collect: Optional[List[Dict]] = None,
+        page: str,
+        prior: Optional[WrapperState],
+        root_label: Optional[str],
+    ):
+        """HTML -> snapshot -> one evaluation per plan -> output tree.
+
+        ``root_label=None`` skips assembly and returns the node-id sets
+        as the output.  See :meth:`wrap_html_stateful` for the result.
+        """
+        started = time.perf_counter()
+        runtime = as_indexed(Document.from_html(page))
+        built = time.perf_counter()
+        ids, state, runs = self._extract_structure(runtime, prior)
+        output = ids if root_label is None else self._assemble(runtime, ids, root_label)
+        finished = time.perf_counter()
+        dirtiest = max(
+            (run for run in runs if run.get("dirty") is not None),
+            key=lambda run: run["dirty"],
+            default={},
+        )
+        stats = {
+            "snapshot_build_ms": round((built - started) * 1e3, 3),
+            "kernel_ms": round((finished - built) * 1e3, 3),
+            "runs": runs,
+            "warm": any(
+                str(run.get("engine", "")).startswith("incremental") for run in runs
+            ),
+            "dirty": dirtiest.get("dirty"),
+            "dirty_fraction": dirtiest.get("dirty_fraction"),
+        }
+        return output, state, stats
+
+    def _assemble(
+        self, structure: IndexedStructure, ids: Dict[str, Set[int]], root_label: str
     ) -> OutputNode:
-        results = self._extract_structure(structure, collect=collect)
+        """Relabel by priority and build the output tree."""
         base = structure.base
         if isinstance(base, Document):
             assignment: Dict[int, str] = {}
             for name in self.names():
-                for ident in results.get(name, ()):
+                for ident in ids.get(name, ()):
                     assignment.setdefault(ident, name)
             return build_output_from_snapshot(
                 base.snapshot(), assignment, root_label=root_label
             )
         node_assignment: Dict[int, str] = {}
         for name in self.names():
-            for ident in results.get(name, ()):
+            for ident in ids.get(name, ()):
                 node_assignment.setdefault(id(structure.node(ident)), name)
         return build_output_tree(
             structure.root_node, node_assignment, root_label=root_label
         )
 
-    def _fanout(self, job, items: list, workers: int, root_label: Optional[str]) -> list:
+    def _fanout(self, method: str, items: list, workers: int, **kwargs) -> list:
+        """Run the batch method ``method`` one item at a time in a pool."""
         from concurrent.futures import ProcessPoolExecutor
 
         chunksize = max(1, len(items) // (workers * 4))
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_init,
-            initargs=(self, root_label),
+            initargs=(self, method, kwargs),
         ) as pool:
-            return list(pool.map(job, items, chunksize=chunksize))
+            return list(pool.map(_pool_job, items, chunksize=chunksize))
 
 
 def _parallel(workers: Optional[int]) -> bool:
     return workers is not None and workers > 1
 
 
-#: Per-worker state: the unpickled wrapper and the batch's root label.
+#: Per-worker state: the unpickled wrapper's batch method and its options.
 _POOL_STATE: Optional[tuple] = None
 
 
-def _pool_init(wrapper: Wrapper, root_label: Optional[str]) -> None:
+def _pool_init(wrapper: Wrapper, method: str, kwargs: dict) -> None:
     global _POOL_STATE
-    _POOL_STATE = (wrapper, root_label)
+    _POOL_STATE = (getattr(wrapper, method), kwargs)
 
 
-def _job_wrap_html(page: str) -> OutputNode:
-    wrapper, root_label = _POOL_STATE
-    return wrapper.wrap_html_many([page], root_label=root_label)[0]
-
-
-def _job_extract_html(page: str) -> Dict[str, Set[int]]:
-    wrapper, _ = _POOL_STATE
-    return wrapper.extract_html_many([page])[0]
-
-
-def _job_wrap(document: DocumentLike) -> OutputNode:
-    wrapper, root_label = _POOL_STATE
-    return wrapper.wrap(document, root_label=root_label)
-
-
-def _job_extract(document: DocumentLike) -> Dict[str, Set[int]]:
-    wrapper, _ = _POOL_STATE
-    return wrapper.extract(document)
+def _pool_job(item):
+    run, kwargs = _POOL_STATE
+    return run([item], **kwargs)[0]

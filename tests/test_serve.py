@@ -196,8 +196,9 @@ class TestShardExecutor:
                 future.result(timeout=10)
             # Installs are idempotent: no new futures the second time.
             assert executor.ensure_installed("k", wrapper) == []
-            result = executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=10)
-            assert result[0]["children"][0]["label"] == "item"
+            reply = executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=10)
+            assert reply["pages"][0]["children"][0]["label"] == "item"
+            assert reply["kernel"][0]["warm"] is False
         finally:
             executor.close()
 
@@ -227,7 +228,7 @@ class TestShardExecutor:
                 except Exception:
                     time.sleep(0.05)
             assert healed
-            assert out[0]["children"][0]["label"] == "item"
+            assert out["pages"][0]["children"][0]["label"] == "item"
         finally:
             executor.close()
 
@@ -246,7 +247,7 @@ class TestShardExecutor:
             for future in executor.ensure_installed("k1", wrapper):
                 future.result(timeout=10)
             out = executor.submit(0, "k1", ["<ul><li>x</ul>"]).result(timeout=10)
-            assert out[0]["children"][0]["label"] == "item"
+            assert out["pages"][0]["children"][0]["label"] == "item"
         finally:
             executor.close()
 

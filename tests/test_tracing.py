@@ -373,15 +373,17 @@ class TestServerTracing:
 
 
 class LegacyShardDaemon(ShardDaemon):
-    """A daemon from before the trace frame field existed.
+    """A daemon from before per-page stats and the trace frame field.
 
-    Old daemons read only the keys they know, so dropping ``trace`` on
-    the floor is exactly how they behave -- the router must degrade the
-    trace instead of failing the request."""
+    Old daemons read only the keys they know and answer ``wrap`` with
+    the plain page list -- the router must degrade the trace instead of
+    failing the request."""
 
-    def _dispatch(self, message):
+    async def _dispatch(self, message):
         message.pop("trace", None)
-        return super()._dispatch(message)
+        message.pop("doc_ids", None)
+        value = await super()._dispatch(message)
+        return value["pages"] if message.get("op") == "wrap" else value
 
 
 @pytest.fixture

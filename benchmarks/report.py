@@ -13,7 +13,8 @@ linear-time propagation kernel of :mod:`repro.datalog.kernel` against
 both, with a document-size doubling sweep and an empirical-linearity
 column ``time(2n)/time(n)``), ``benchmarks/BENCH_stream.json`` (the
 Node-free streaming ingestion pipeline end to end against the PR-2
-Node-tree path, serial and across a process pool),
+Node-tree path, serial and across a process pool, plus a hostile tag-soup
+depth sweep whose ``time(2n)/time(n)`` column the smoke run guards),
 ``benchmarks/BENCH_incremental.json`` (warm re-extraction over Merkle
 snapshot diffs against cold kernel runs on an edit-ratio sweep), and
 ``benchmarks/BENCH_delta.json`` (the Theorem 6.6 Elog-Delta workload).
@@ -488,6 +489,83 @@ def _catalog_wrapper(shared: bool) -> Wrapper:
     return wrapper.compile()
 
 
+#: Hostile tag-soup footers, by nesting depth: each tag of the run makes
+#: a quadratic tree-construction policy scan the whole open-element stack.
+HOSTILE_SOUP = {
+    "stray_end": lambda depth: "<div>" * depth + "</span>" * depth,
+    "p_runs": lambda depth: "<div>" * depth
+    + "".join(f"<p>r{i}" for i in range(depth)),
+}
+
+#: Smoke-run bound on the hostile sweep's time(2n)/time(n): linear is ~2.
+HOSTILE_MAX_RATIO = 2.5
+
+
+def _hostile_page(kind: str, depth: int) -> str:
+    """A 64-item catalog page whose footer is ``depth``-deep tag soup."""
+    page = catalog_page(seed=1, items=64)
+    junk = HOSTILE_SOUP[kind](depth)
+    return page.replace('<div id="footer">', '<div id="footer">' + junk, 1)
+
+
+def _hostile_sweep(wrapper: Wrapper, smoke: bool) -> list:
+    """Wrap hostile pages at doubling depths; returns rows with t(2n)/t(n).
+
+    Each time is a best-of-5.  A ratio above :data:`HOSTILE_MAX_RATIO` is
+    measured again, up to twice, keeping the best time of each size, so a
+    noisy sample does not inflate it; in smoke mode a ratio still above
+    the bound fails the run, since the size-derived serve deadlines assume
+    linear ingestion.
+    """
+    import gc
+
+    depths = (1000, 2000, 4000) if smoke else (2000, 4000, 8000, 16000)
+
+    def best(page):
+        gc.collect()
+        gc.disable()
+        try:
+            return _timed(wrapper.wrap_html_many, [page], repeat=5)[0]
+        finally:
+            gc.enable()
+
+    rows = []
+    for kind in HOSTILE_SOUP:
+        pages = {depth: _hostile_page(kind, depth) for depth in depths}
+        wrap_s = {depth: best(pages[depth]) for depth in depths}
+        linearity = {depths[0]: None}
+        for small, large in zip(depths, depths[1:]):
+            for _ in range(2):
+                if wrap_s[large] / wrap_s[small] <= HOSTILE_MAX_RATIO:
+                    break
+                wrap_s[small] = min(wrap_s[small], best(pages[small]))
+                wrap_s[large] = min(wrap_s[large], best(pages[large]))
+            linearity[large] = round(wrap_s[large] / wrap_s[small], 2)
+            if smoke and linearity[large] > HOSTILE_MAX_RATIO:
+                raise SystemExit(
+                    f"tag-soup ingestion no longer linear: {kind} "
+                    f"t(2n)/t(n)={linearity[large]} at depth={large}"
+                )
+        for depth in depths:
+            ratio = linearity[depth]
+            rows.append(
+                {
+                    "kind": kind,
+                    "depth": depth,
+                    "bytes": len(pages[depth]),
+                    "wrap_s": wrap_s[depth],
+                    "linearity": ratio,
+                }
+            )
+            print(
+                f"    hostile {kind:>9} depth={depth:>6} "
+                f"bytes={len(pages[depth]):>7}  "
+                f"wrap t={wrap_s[depth] * 1e3:8.2f} ms   "
+                f"t(2n)/t(n)={ratio if ratio is not None else '  --'}"
+            )
+    return rows
+
+
 def report_stream(smoke: bool = False) -> None:
     """E-STREAM: the Node-free streaming ingestion pipeline end to end.
 
@@ -505,7 +583,9 @@ def report_stream(smoke: bool = False) -> None:
 
     Paths alternate inside each repetition (best-of-N per path) so the
     comparison is robust to machine noise, and every path's outputs are
-    asserted identical before any timing is reported.
+    asserted identical before any timing is reported.  A second sweep
+    (``hostile_rows``) wraps catalog pages with deep tag-soup footers at
+    doubling depths and records ``t(2n)/t(n)``; see :func:`_hostile_sweep`.
     """
     import gc
     import os
@@ -598,6 +678,7 @@ def report_stream(smoke: bool = False) -> None:
             f"stream+workers t={timings['workers'] * 1e3:8.2f} ms   "
             f"speedup={speedup_stream:5.2f}x / {speedup_workers:5.2f}x (workers={workers})"
         )
+    hostile_rows = _hostile_sweep(streaming, smoke)
     payload = {
         "experiment": "streaming_ingestion_end_to_end",
         "workload": "catalog batch, raw HTML -> wrapped output trees",
@@ -605,9 +686,11 @@ def report_stream(smoke: bool = False) -> None:
             "node": "parse_html -> UnrankedStructure -> per-function plans (PR-2 baseline path)",
             "stream": "Wrapper.wrap_html_many (scan_list -> SnapshotBuilder columns -> kernel -> snapshot output)",
             "stream_workers": "Wrapper.wrap_html_many(workers=N) process-pool fan-out",
+            "hostile": "Wrapper.wrap_html_many on 64-item catalog pages with a depth-n tag-soup footer",
         },
         "smoke": smoke,
         "rows": rows,
+        "hostile_rows": hostile_rows,
     }
     out_path = pathlib.Path(__file__).resolve().parent / "BENCH_stream.json"
     out_path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -18,19 +18,14 @@ Builds a :class:`repro.trees.Node` document from the
 The tag-soup policy (void elements, implicit closers, scope barriers)
 lives in :mod:`repro.html.policy` and is shared verbatim with the
 Node-free streaming snapshot builder (:mod:`repro.trees.stream`), so the
-two front ends cannot drift apart.
+two front ends cannot drift apart: both keep their open elements in one
+:class:`~repro.html.policy.OpenElements` stack, whose cuts cost O(1)
+amortized, so construction is linear in the document on any tag soup.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.html.policy import (
-    IMPLICIT_CLOSERS,
-    VOID_ELEMENTS,
-    end_tag_cut,
-    implied_close_cut,
-)
+from repro.html.policy import OpenElements
 from repro.html.tokenizer import scan_events
 from repro.trees.node import Node
 
@@ -43,36 +38,22 @@ def parse_html(html: str, root_label: str = "document") -> Node:
     'ul(li(#text), li(#text))'
     """
     synthetic_root = Node(root_label)
-    stack: List[Node] = [synthetic_root]
-    labels: List[str] = [root_label]
+    stack = OpenElements()
+    stack.push(root_label, synthetic_root)
+    open_nodes = stack.items
 
     for event in scan_events(html):
         kind = event[0]
         if kind == "text":
-            stack[-1].add_child(Node("#text", text=event[1]))
+            open_nodes[-1].add_child(Node("#text", text=event[1]))
             continue
         if kind == "start":
             _, name, attrs, self_closing = event
-            closers = IMPLICIT_CLOSERS.get(name)
-            if closers:
-                cut = implied_close_cut(labels, closers)
-                if cut < len(stack):
-                    del stack[cut:]
-                    del labels[cut:]
             element = Node(name, attrs=attrs)
-            stack[-1].add_child(element)
-            if name not in VOID_ELEMENTS and not self_closing:
-                stack.append(element)
-                labels.append(name)
+            stack.start_tag(name, element, self_closing).add_child(element)
             continue
         if kind == "end":
-            name = event[1]
-            if name in VOID_ELEMENTS:
-                continue
-            cut = end_tag_cut(labels, name)
-            if cut < len(stack):
-                del stack[cut:]
-                del labels[cut:]
+            stack.end_tag(event[1])
             continue
         # comments and doctypes carry no tree content
 

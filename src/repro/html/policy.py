@@ -4,16 +4,20 @@ The tag-soup rules -- void elements, implicit-close tables, scope
 barriers, end-tag matching -- are needed by *two* builders that must
 never drift apart: the classic :class:`~repro.trees.node.Node` builder
 (:mod:`repro.html.parser`) and the Node-free streaming snapshot builder
-(:mod:`repro.trees.stream`).  Both keep a plain list of open-element
-*labels* alongside their own stack representation and delegate every
-policy decision to the helpers here, which compute stack *cut indexes*
-(the new length of the open-element stack) without touching the builder's
-node representation.
+(:mod:`repro.trees.stream`).  Both keep their open elements in one
+:class:`OpenElements` stack and hand it every start and end tag; the
+stack applies all of these rules itself.
+
+Each cut costs O(1) amortized, so ingestion stays linear in the document
+on any tag soup (the bound every later layer relies on, Thm 4.2): the
+stack indexes its frames by label and remembers where the scope barriers
+sit, instead of rescanning the open elements on every tag.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from collections import defaultdict
+from typing import Any, Dict, List, Set
 
 #: Elements that never have content.
 VOID_ELEMENTS = {
@@ -39,39 +43,117 @@ IMPLICIT_CLOSERS: Dict[str, Set[str]] = {
 SCOPE_BARRIERS = {"table", "ul", "ol", "dl", "select", "body", "html", "document"}
 
 
-def implied_close_cut(labels: List[str], names: Set[str]) -> int:
-    """Stack length after the implicit-close rules fire for ``names``.
+class OpenElements:
+    """The open-element stack of an HTML tree builder.
 
-    ``labels`` are the labels of the open-element stack (index 0 is the
-    synthetic root, which never closes).  Repeatedly closing the innermost
-    open element whose label is in ``names`` -- without crossing a scope
-    barrier -- amounts to truncating at the *lowest* matching frame
-    reachable from the top before a barrier intervenes.
+    Frame 0 is the document root, which no tag ever closes.  ``items``
+    holds the builder's own per-frame value (a Node, a node id) and
+    ``labels`` the element names; both lists are only ever mutated in
+    place, so a builder may bind them to locals.  Two indexes make every
+    cut O(1) amortized:
 
-    >>> implied_close_cut(["document", "table", "tr", "td", "b"], {"td", "th", "tr"})
-    2
-    >>> implied_close_cut(["document", "li", "table", "tr"], {"li"})
-    4
+    * ``_positions[label]`` -- the positions of the open ``label``
+      frames, ascending;
+    * ``_barriers`` -- the positions of the open scope barriers,
+      ascending.
+
+    >>> stack = OpenElements()
+    >>> stack.push("document", 0)
+    >>> for nid, name in enumerate(["table", "tr", "td", "b"], 1):
+    ...     _ = stack.start_tag(name, nid)
+    >>> stack.start_tag("tr", 5), stack.labels
+    (1, ['document', 'table', 'tr'])
+    >>> stack.start_tag("br", 6), stack.labels
+    (5, ['document', 'table', 'tr'])
+    >>> stack.end_tag("p"); stack.end_tag("table"); stack.labels
+    ['document']
     """
-    cut = len(labels)
-    for index in range(len(labels) - 1, 0, -1):
-        label = labels[index]
-        if label in names:
-            cut = index
-        elif label in SCOPE_BARRIERS:
-            break
-    return cut
 
+    __slots__ = ("items", "labels", "_positions", "_barriers")
 
-def end_tag_cut(labels: List[str], name: str) -> int:
-    """Stack length after an explicit ``</name>``; unmatched tags cut nothing.
+    def __init__(self):
+        self.items: List[Any] = []
+        self.labels: List[str] = []
+        self._positions: Dict[str, List[int]] = defaultdict(list)
+        self._barriers: List[int] = []
 
-    >>> end_tag_cut(["document", "ul", "li", "b"], "ul")
-    1
-    >>> end_tag_cut(["document", "ul"], "p")
-    2
-    """
-    for index in range(len(labels) - 1, 0, -1):
-        if labels[index] == name:
-            return index
-    return len(labels)
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def push(self, label: str, item: Any) -> None:
+        """Open a ``label`` frame carrying the builder's ``item``."""
+        labels = self.labels
+        self._positions[label].append(len(labels))
+        if label in SCOPE_BARRIERS:
+            self._barriers.append(len(labels))
+        labels.append(label)
+        self.items.append(item)
+
+    def pop(self) -> None:
+        """Close the innermost frame."""
+        self.truncate(len(self.labels) - 1)
+
+    def truncate(self, cut: int) -> None:
+        """Close frames until only ``cut`` remain."""
+        labels = self.labels
+        positions = self._positions
+        for position in range(len(labels) - 1, cut - 1, -1):
+            positions[labels[position]].pop()
+        del labels[cut:]
+        del self.items[cut:]
+        barriers = self._barriers
+        while barriers and barriers[-1] >= cut:
+            barriers.pop()
+
+    def start_tag(self, name: str, item: Any, self_closing: bool = False) -> Any:
+        """Apply ``<name>``: implied closes, then open ``name`` unless void.
+
+        Returns the item of the new element's parent.  Repeatedly closing
+        the innermost open element that ``name`` implicitly closes --
+        without crossing a scope barrier -- amounts to cutting at the
+        *lowest* such frame above the nearest barrier.  Each closed name's
+        position list is walked down from its top while the position is
+        above the barrier; every position visited is closed by the cut.
+        """
+        labels = self.labels
+        closers = IMPLICIT_CLOSERS.get(name)
+        if closers:
+            barriers = self._barriers
+            floor = barriers[-1] if barriers else 0
+            cut = len(labels)
+            get = self._positions.get
+            for closed in closers:
+                positions = get(closed)
+                if positions:
+                    index = len(positions) - 1
+                    while index >= 0 and positions[index] > floor:
+                        if positions[index] < cut:
+                            cut = positions[index]
+                        index -= 1
+            if cut < len(labels):
+                self.truncate(cut)
+        items = self.items
+        parent = items[-1]
+        if not self_closing and name not in VOID_ELEMENTS:
+            # push(), inlined: this runs once per start tag.
+            self._positions[name].append(len(labels))
+            if name in SCOPE_BARRIERS:
+                self._barriers.append(len(labels))
+            labels.append(name)
+            items.append(item)
+        return parent
+
+    def end_tag(self, name: str) -> None:
+        """Close the innermost open ``name`` frame; unmatched tags close nothing."""
+        labels = self.labels
+        if len(labels) > 1 and labels[-1] == name:
+            # Fast path: the end tag matches the innermost element.
+            labels.pop()
+            self.items.pop()
+            self._positions[name].pop()
+            if name in SCOPE_BARRIERS:
+                self._barriers.pop()
+            return
+        positions = self._positions.get(name)
+        if positions and positions[-1]:
+            self.truncate(positions[-1])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.html.entities import decode_entities
 
@@ -37,14 +37,16 @@ _ONE_ATTR = re.compile(r'\s([\w:-]+)="([^"]*)"(/?)>')
 #: shared string objects, so later dict lookups hash once).
 _LOWER_NAMES: Dict[str, str] = {}
 
-#: One attribute-scanner step inside a start tag: tag close, stray slash,
-#: or ``name [= value]`` with double-quoted / single-quoted / unquoted
-#: value forms.  Unterminated quotes run to end of input; unquoted values
-#: stop at whitespace or ``>`` (and may therefore swallow a ``/``).
+#: One attribute-scanner step inside a start tag: tag close, ``name [=
+#: value]`` with double-quoted / single-quoted / unquoted value forms, or
+#: one junk character (a stray slash, ``=``, a quote...), which is skipped.
+#: Unterminated quotes run to end of input; unquoted values stop at
+#: whitespace or ``>`` (and may therefore swallow a ``/``).  Every step
+#: matches and consumes its leading whitespace, so a tag is scanned in
+#: time linear in its length.
 _ATTR = re.compile(
     r"""\s*
     (?: (?P<close>/?>)
-      | /(?!>)
       | (?P<name>[\w:-]+)
         (?: \s*=\s*
             (?: "(?P<dq>[^"]*)"?
@@ -52,6 +54,7 @@ _ATTR = re.compile(
               | (?P<uq>[^\s>]*)
             )
         )?
+      | .?
     )""",
     re.X,
 )
@@ -80,9 +83,6 @@ def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
     match = _ATTR.match
     while i < n:
         m = match(html, i)
-        if m is None:
-            i += 1
-            continue
         close = m.group("close")
         if close is not None:
             return attrs, close == "/>", m.end()
@@ -94,10 +94,6 @@ def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
             if value is None:
                 value = m.group("uq")
             attrs[name.lower()] = decode_entities(value) if value else ""
-        elif m.end() == i:
-            # No progress (a bare junk character): skip it.
-            i += 1
-            continue
         i = m.end()
     return attrs, False, i
 

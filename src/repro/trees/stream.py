@@ -14,11 +14,12 @@ only arrays from bytes to output.
 Event sources:
 
 * :func:`html_snapshot` -- drives the builder from
-  :func:`repro.html.tokenizer.scan_events`, applying the *same*
+  :func:`repro.html.tokenizer.scan_into`, applying the *same*
   void-element / implicit-close / end-tag policy as
-  :func:`repro.html.parser.parse_html` (both delegate to
-  :mod:`repro.html.policy`, so the two front ends cannot drift), with
-  identical synthetic-root unwrapping;
+  :func:`repro.html.parser.parse_html` (both keep their open elements in
+  one :class:`repro.html.policy.OpenElements` stack, so the two front
+  ends cannot drift, and every cut is O(1) amortized, so ingestion is
+  linear on any tag soup), with identical synthetic-root unwrapping;
 * :func:`sexpr_snapshot` -- the s-expression reader;
 * :func:`tree_snapshot` -- replays an existing :class:`Node` tree as
   events (parity harness, and snapshots for generated trees).
@@ -33,6 +34,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import TreeError
+from repro.html.policy import OpenElements
+from repro.html.tokenizer import scan_into
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
 
@@ -40,10 +43,11 @@ from repro.trees.snapshot import TreeSnapshot
 class SnapshotBuilder:
     """Build a :class:`TreeSnapshot` from document events, Node-free.
 
-    One pass, one open-element stack of integer ids; every event appends
-    to the flat columns.  Identifiers are assigned in document order
-    (preorder), exactly as :class:`~repro.trees.unranked.UnrankedStructure`
-    numbers an equivalent tree.
+    One pass, one :class:`~repro.html.policy.OpenElements` stack of
+    integer ids; every event appends to the flat columns.  Identifiers
+    are assigned in document order (preorder), exactly as
+    :class:`~repro.trees.unranked.UnrankedStructure` numbers an
+    equivalent tree.
 
     Examples
     --------
@@ -68,8 +72,7 @@ class SnapshotBuilder:
         "_label_index",
         "_texts",
         "_attrs",
-        "_stack",
-        "stack_labels",
+        "_open",
     )
 
     def __init__(self):
@@ -83,10 +86,7 @@ class SnapshotBuilder:
         self._label_index: Dict[str, int] = {}
         self._texts: Dict[int, str] = {}
         self._attrs: Dict[int, Dict[str, str]] = {}
-        self._stack: List[int] = []
-        #: Labels of the open elements (shared with the tag-soup policy
-        #: helpers, which compute cut indexes over this list).
-        self.stack_labels: List[str] = []
+        self._open = OpenElements()
 
     @property
     def size(self) -> int:
@@ -96,7 +96,7 @@ class SnapshotBuilder:
     @property
     def depth(self) -> int:
         """Number of currently open elements."""
-        return len(self._stack)
+        return len(self._open)
 
     def _append(
         self,
@@ -105,7 +105,7 @@ class SnapshotBuilder:
         attrs: Optional[Dict[str, str]],
     ) -> int:
         nid = len(self._parent)
-        stack = self._stack
+        stack = self._open.items
         if stack:
             parent = stack[-1]
             previous = self._lastchild[parent]
@@ -143,8 +143,7 @@ class SnapshotBuilder:
     ) -> int:
         """Open an element; returns its document-order id."""
         nid = self._append(label, text, attrs)
-        self._stack.append(nid)
-        self.stack_labels.append(label)
+        self._open.push(label, nid)
         return nid
 
     def leaf(
@@ -162,16 +161,9 @@ class SnapshotBuilder:
 
     def close(self) -> None:
         """Close the innermost open element."""
-        if not self._stack:
+        if not self._open:
             raise TreeError("no open element to close")
-        self._stack.pop()
-        self.stack_labels.pop()
-
-    def close_to(self, cut: int) -> None:
-        """Close open elements until only ``cut`` remain."""
-        if cut < len(self._stack):
-            del self._stack[cut:]
-            del self.stack_labels[cut:]
+        self._open.pop()
 
     def strip_root(self) -> None:
         """Drop node 0, promoting its single child to the root.
@@ -223,12 +215,15 @@ class SnapshotBuilder:
             self._label_index = label_index
         self._texts = {k - 1: v for k, v in self._texts.items() if k}
         self._attrs = {k - 1: v for k, v in self._attrs.items() if k}
-        self._stack = [v - 1 for v in self._stack if v > 0]
-        del self.stack_labels[: len(self.stack_labels) - len(self._stack)]
+        old_open = self._open
+        self._open = OpenElements()
+        for label, nid in zip(old_open.labels, old_open.items):
+            if nid > 0:
+                self._open.push(label, nid - 1)
 
     def finish(self, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:
         """Close any open elements and return the finished snapshot."""
-        self.close_to(0)
+        self._open.truncate(0)
         return TreeSnapshot(
             schema,
             self._parent,
@@ -255,21 +250,14 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     This is the batch pipeline's hottest loop, so the column appends of
     :meth:`SnapshotBuilder._append` are inlined over the builder's own
     lists (the randomized parity suite in ``tests/test_stream.py`` pins
-    the equivalence); all tag-soup policy decisions still go through
-    :mod:`repro.html.policy`, shared with :func:`repro.html.parser.parse_html`.
+    the equivalence); every tag-soup decision still goes through the
+    builder's :class:`~repro.html.policy.OpenElements` stack, shared with
+    :func:`repro.html.parser.parse_html`.
 
     >>> snap = html_snapshot("<ul><li>a<li>b</ul>")
     >>> [snap.labels[l] for l in snap.label_ids]
     ['ul', 'li', '#text', 'li', '#text']
     """
-    from repro.html.policy import (
-        IMPLICIT_CLOSERS,
-        VOID_ELEMENTS,
-        end_tag_cut,
-        implied_close_cut,
-    )
-    from repro.html.tokenizer import scan_into
-
     builder = SnapshotBuilder()
     builder.open(root_label)
     parent = builder._parent
@@ -278,10 +266,10 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     label_index = builder._label_index
     texts = builder._texts
     attrs_column = builder._attrs
-    stack = builder._stack
-    stack_labels = builder.stack_labels
+    open_elements = builder._open
+    stack = open_elements.items
+    start_tag = open_elements.start_tag
     text_lid = -1
-    get_closers = IMPLICIT_CLOSERS.get
     get_lid = label_index.get
     parent_append = parent.append
     label_ids_append = label_ids.append
@@ -298,14 +286,8 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         label_ids_append(text_lid)
 
     def on_start(name, attrs, self_closing):
-        closers = get_closers(name)
-        if closers:
-            cut = implied_close_cut(stack_labels, closers)
-            if cut < len(stack):
-                del stack[cut:]
-                del stack_labels[cut:]
         nid = len(parent)
-        parent_append(stack[-1])
+        parent_append(start_tag(name, nid, self_closing))
         lid = get_lid(name)
         if lid is None:
             lid = label_index[name] = len(labels)
@@ -313,24 +295,9 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         label_ids_append(lid)
         if attrs:
             attrs_column[nid] = attrs
-        if not self_closing and name not in VOID_ELEMENTS:
-            stack.append(nid)
-            stack_labels.append(name)
-
-    def on_end(name):
-        if stack_labels[-1] == name and len(stack) > 1:
-            # Fast path: the end tag matches the innermost open element
-            # (equivalent to end_tag_cut returning len-1).
-            stack.pop()
-            stack_labels.pop()
-        elif name not in VOID_ELEMENTS:
-            cut = end_tag_cut(stack_labels, name)
-            if cut < len(stack):
-                del stack[cut:]
-                del stack_labels[cut:]
 
     # Comments and doctypes carry no tree content (on_misc=None).
-    scan_into(html, on_start, on_end, on_text)
+    scan_into(html, on_start, open_elements.end_tag, on_text)
 
     # Derive the sibling-link columns from ``parent`` in one pass: ids
     # are preorder, so each node's children arrive in document order and

@@ -1,0 +1,109 @@
+"""Linear-time ingestion on adversarial HTML.
+
+The paper's evaluation bound (Thm 4.2) is linear in the document, and
+the serving deadlines are derived from document size on the strength of
+it.  Each generator below builds hostile input of size proportional to
+``n``: tag soup that makes the tree-construction policy look far down
+the open-element stack, start tags that make the attribute scanner
+retry, and wide, commented or rawtext documents.  For each one, doubling
+``n`` must not much more than double the time of both HTML builders and
+of the full wrapping path (a quadratic shape gives ~4).
+
+Each size's time is the minimum over interleaved samples.  A ratio over
+the bound is measured again after a pause, up to ``ATTEMPTS`` times,
+keeping the minima of all samples so far: a quadratic shape exceeds the
+bound however many samples are taken, while a linear one only does when
+a busy host slows its samples of one size more than the other.
+"""
+
+import gc
+import time
+
+import pytest
+
+from repro.html import parse_html
+from repro.trees.stream import html_snapshot
+from tests.test_stream import catalog_wrapper
+
+#: Base size; every generator is timed at N and 2N.
+N = 1000
+
+#: Allowed t(2N)/t(N): linear is ~2, quadratic ~4.
+MAX_RATIO = 2.5
+
+#: A timed sample is repeated until it lasts at least this long, so
+#: small inputs are not lost in timer noise.
+MIN_SAMPLE_S = 0.004
+
+#: Samples per size in one attempt, and attempts before a ratio over
+#: the bound fails.
+SAMPLES = 5
+ATTEMPTS = 5
+
+GENERATORS = {
+    "stray_end_tags": lambda n: "<div>" * n + "</span>" * n,
+    "p_runs_deep": lambda n: "<div>" * n + "".join(f"<p>r{i}" for i in range(n)),
+    "td_behind_table": lambda n: "<table>" + "<div>" * n + "<td>c" * n,
+    "nested_ul_li": lambda n: "<ul><li>" * n + "<li>i" * n + "</ul>" * n,
+    "whitespace_junk_attrs": lambda n: "<a" + " " * (4 * n) + "=x>t" + "<b  =>u" * n,
+    "attribute_flood": lambda n: "<div "
+    + " ".join(f'a{i}="{i}" b{i}=x c{i}' for i in range(n))
+    + ">t</div>",
+    "wide_fan_out": lambda n: "<ul>" + "<li>x" * n + "</ul>",
+    "comments": lambda n: "<div><!-- c -->t</div>" * n + "<!-- unterminated",
+    "unclosed_script": lambda n: "<p>t" * n + "<script>" + "if(a<b)x();" * n,
+}
+
+
+WRAPPER = catalog_wrapper()
+
+PATHS = {
+    "html_snapshot": html_snapshot,
+    "parse_html": parse_html,
+    "wrap_html_many": lambda page: WRAPPER.wrap_html_many([page]),
+}
+
+
+def sample(run, page, repeats: int) -> float:
+    """Mean CPU time of ``repeats`` runs (time the host gave to other
+    work does not count).
+
+    The collector is off while timing; the young generation is collected
+    first, so that Node trees (cyclic through parent links) left by the
+    previous sample are freed rather than piling up.
+    """
+    gc.collect(0)
+    start = time.process_time()
+    for _ in range(repeats):
+        run(page)
+    return (time.process_time() - start) / repeats
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_doubling_input_at_most_doubles_time(generator, path):
+    run = PATHS[path]
+    small = GENERATORS[generator](N)
+    large = GENERATORS[generator](2 * N)
+    best_small = best_large = float("inf")
+    ratios = []
+    gc.collect()
+    gc.disable()
+    try:
+        repeats = max(1, int(MIN_SAMPLE_S / sample(run, small, 1)))
+        run(large)
+        for _ in range(ATTEMPTS):
+            if ratios:
+                time.sleep(0.1)
+            for _ in range(SAMPLES):
+                best_small = min(best_small, sample(run, small, repeats))
+                best_large = min(best_large, sample(run, large, repeats))
+            ratios.append(best_large / best_small)
+            if ratios[-1] <= MAX_RATIO:
+                break
+    finally:
+        gc.enable()
+    assert ratios[-1] <= MAX_RATIO, (
+        f"{generator} via {path}: t(2n)/t(n) = "
+        + ", ".join(f"{ratio:.2f}" for ratio in ratios)
+    )

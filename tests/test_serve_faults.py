@@ -42,6 +42,7 @@ from repro.serve import (
 )
 from repro.serve.faults import FaultInjector, validate_shard_result
 from repro.serve.supervisor import ShardSupervisor
+from repro.workloads import CATALOG_WRAPPER, catalog_page
 from tests.test_serve import request
 
 ITEM_DATALOG = "item(x) :- label_li(x)."
@@ -513,6 +514,42 @@ class TestProcessShardRecovery:
             timeout=120,
         )
         assert status == 200
+
+
+class TestHostilePage:
+    def test_deep_tag_soup_served_inside_default_deadline(self, fault_server):
+        # ~100 KB of tag soup 8000 elements deep: every <p> implies closing
+        # the previous one, under the whole stack of unclosed <div>s.
+        # Ingestion is linear, so the page fits its size-derived deadline
+        # (~2.5 s) on the first attempt instead of being killed, retried
+        # and quarantined as wedged.
+        from repro.serve.registry import build_wrapper
+
+        registry = WrapperRegistry()
+        registry.register(
+            "catalog", CATALOG_WRAPPER, kind="elog",
+            patterns=["record", "name", "price"],
+        )
+        depth = 8000
+        junk = "<div>" * depth + "".join(f"<p>r{i}" for i in range(depth))
+        page = catalog_page(seed=3, items=64).replace(
+            '<div id="footer">', '<div id="footer">' + junk, 1
+        )
+        assert len(page) > 100_000
+        host, port, server = fault_server(registry=registry, shards=1)
+        status, body = request(
+            host, port, "POST", "/extract/catalog", {"html": page}, timeout=120
+        )
+        assert status == 200, body
+        wrapper, _ = build_wrapper(
+            "elog", CATALOG_WRAPPER, ["record", "name", "price"]
+        )
+        assert body["result"] == wrapper.wrap_html_many([page])[0].to_dict()
+        _, metrics = request(host, port, "GET", "/metrics")
+        assert metrics["counters"].get("retries", 0) == 0, metrics["counters"]
+        assert metrics["counters"].get("timeouts", 0) == 0, metrics["counters"]
+        status, listing = request(host, port, "GET", "/quarantine")
+        assert status == 200 and listing["quarantined"] == []
 
 
 class TestChaosAcceptance:

@@ -20,6 +20,12 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.errors import DatalogError, TreeError, WrapError
 from repro.html import parse_html
+from repro.html.policy import (
+    IMPLICIT_CLOSERS,
+    SCOPE_BARRIERS,
+    VOID_ELEMENTS,
+    OpenElements,
+)
 from repro.structures import as_indexed
 from repro.trees import parse_sexpr
 from repro.trees.generate import random_tree
@@ -55,8 +61,49 @@ SOUP_PIECES = [
 ]
 
 
+#: Deep runs of hostile tag soup, by run length: each tag of the run
+#: makes the policy look far down the open-element stack.
+DEEP_RUNS = [
+    lambda k: "<div>" * k + "</span>" * k,
+    lambda k: "".join(f"<p>r{i}" for i in range(k)),
+    lambda k: "<table><tr><td>" * k + "<div>" * k + "<td>c" * k,
+    lambda k: "<ul><li>" * k + "<div>" * k + "<li>i" * k + "</ul>" * k,
+]
+
+
 def soup(rng: random.Random, pieces: int = 14) -> str:
-    return "".join(rng.choice(SOUP_PIECES) for _ in range(rng.randint(0, pieces)))
+    parts = []
+    for _ in range(rng.randint(0, pieces)):
+        if rng.random() < 0.1:
+            parts.append(rng.choice(DEEP_RUNS)(rng.randint(1, 40)))
+        else:
+            parts.append(rng.choice(SOUP_PIECES))
+    return "".join(parts)
+
+
+def implied_close_cut(labels, names) -> int:
+    """Reference oracle: the linear-scan implicit-close rule.
+
+    Stack length after closing the innermost frame whose label is in
+    ``names``, repeatedly, without crossing a scope barrier; index 0 is
+    the document root, which never closes.
+    """
+    cut = len(labels)
+    for index in range(len(labels) - 1, 0, -1):
+        label = labels[index]
+        if label in names:
+            cut = index
+        elif label in SCOPE_BARRIERS:
+            break
+    return cut
+
+
+def end_tag_cut(labels, name) -> int:
+    """Reference oracle: stack length after ``</name>`` (linear scan)."""
+    for index in range(len(labels) - 1, 0, -1):
+        if labels[index] == name:
+            return index
+    return len(labels)
 
 
 def columns(snapshot: TreeSnapshot) -> dict:
@@ -155,6 +202,69 @@ class TestSnapshotParity:
         second_root.close()
         with pytest.raises(TreeError):
             second_root.open("b")
+
+
+class TestOpenElements:
+    """The O(1)-amortized stack cuts exactly where the linear scans do."""
+
+    ALPHABET = sorted(
+        SCOPE_BARRIERS
+        | set(IMPLICIT_CLOSERS)
+        | set().union(*IMPLICIT_CLOSERS.values())
+        | {"div", "span", "b", "br"}
+    )
+
+    @staticmethod
+    def assert_indexes_consistent(stack):
+        positions = {}
+        for index, label in enumerate(stack.labels):
+            positions.setdefault(label, []).append(index)
+        assert {k: v for k, v in stack._positions.items() if v} == positions
+        barriers = [i for i, label in enumerate(stack.labels) if label in SCOPE_BARRIERS]
+        assert stack._barriers == barriers
+
+    def test_random_sequences_match_linear_scans(self):
+        rng = random.Random(20261016)
+        alphabet = self.ALPHABET
+        for _ in range(300):
+            root = rng.choice(("document", "li", "div"))
+            stack = OpenElements()
+            stack.push(root, 0)
+            reference = [root]
+            items = [0]
+            for step in range(rng.randint(1, 120)):
+                op = rng.random()
+                if op < 0.2:
+                    label = rng.choice(alphabet)
+                    stack.push(label, step + 1)
+                    reference.append(label)
+                    items.append(step + 1)
+                elif op < 0.3:
+                    if len(reference) > 1:
+                        stack.pop()
+                        reference.pop()
+                        items.pop()
+                elif op < 0.75:
+                    name = rng.choice(alphabet)
+                    self_closing = rng.random() < 0.1
+                    closed = IMPLICIT_CLOSERS.get(name, ())
+                    cut = implied_close_cut(reference, closed)
+                    del reference[cut:], items[cut:]
+                    assert stack.start_tag(name, step + 1, self_closing) == items[-1]
+                    if name not in VOID_ELEMENTS and not self_closing:
+                        reference.append(name)
+                        items.append(step + 1)
+                else:
+                    name = rng.choice(alphabet + [root])
+                    cut = end_tag_cut(reference, name)
+                    stack.end_tag(name)
+                    del reference[cut:], items[cut:]
+                assert stack.labels == reference
+                assert stack.items == items
+                self.assert_indexes_consistent(stack)
+            stack.truncate(0)
+            assert not stack and stack._barriers == []
+            self.assert_indexes_consistent(stack)
 
 
 class TestDocument:

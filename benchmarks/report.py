@@ -16,7 +16,8 @@ Node-free streaming ingestion pipeline end to end against the PR-2
 Node-tree path, serial and across a process pool, plus a hostile tag-soup
 depth sweep whose ``time(2n)/time(n)`` column the smoke run guards),
 ``benchmarks/BENCH_incremental.json`` (warm re-extraction over Merkle
-snapshot diffs against cold kernel runs on an edit-ratio sweep), and
+snapshot diffs against cold kernel runs on an edit-ratio sweep; smoke
+runs write ``BENCH_incremental.smoke.json`` instead), and
 ``benchmarks/BENCH_delta.json`` (the Theorem 6.6 Elog-Delta workload).
 """
 
@@ -759,17 +760,22 @@ def report_delta(smoke: bool = False) -> None:
     print(f"    wrote {out_path}")
 
 
-def _thread_tail_nodes(root, per_thread: int):
-    """The deepest ``per_thread`` interior nodes of each comment chain."""
-    out = []
+def _thread_chains(root):
+    """The interior nodes of each comment chain, top down."""
+    chains = []
     for thread in root.children:
         chain = []
         node = thread
         while node.children:
             chain.append(node)
             node = node.children[0]
-        out.extend(chain[-per_thread:])
-    return out
+        chains.append(chain)
+    return chains
+
+
+def _thread_tail_nodes(root, per_thread: int):
+    """The deepest ``per_thread`` interior nodes of each comment chain."""
+    return [node for chain in _thread_chains(root) for node in chain[-per_thread:]]
 
 
 def _assert_incremental_exercised() -> None:
@@ -814,29 +820,48 @@ def parse_program_incremental():
     )
 
 
+def _thread_spread_nodes(root, edits: int):
+    """``edits`` chain nodes spread over all threads and all depths.
+
+    Edit ``k`` lands in thread ``k mod threads`` at depth ``k * depth /
+    edits``, so the first edits sit at the tops of their chains and
+    condemn everything below them.
+    """
+    chains = _thread_chains(root)
+    picked = []
+    for k in range(edits):
+        chain = chains[k % len(chains)]
+        picked.append(chain[k * len(chain) // edits])
+    return picked
+
+
 def report_incremental(smoke: bool = False) -> None:
     """E-INCR: warm re-extraction over snapshot diffs vs cold runs.
 
-    Emits ``benchmarks/BENCH_incremental.json``.  The workload is a
+    Emits ``benchmarks/BENCH_incremental.json`` (full mode) or
+    ``benchmarks/BENCH_incremental.smoke.json`` (``--smoke``, so a CI run
+    never overwrites the committed full-mode file).  The workload is a
     comment-thread page (:func:`repro.trees.generate.thread_tree`: many
     unary chains under one root) with a recursive descent program, so a
     cold kernel run pays one frontier round per chain level while a warm
-    run pays only the snapshot diff plus the dirty region.  Edits are
-    text changes on the *deepest* comments of each thread -- the
+    run pays only the snapshot diff plus the dirty region.  The headline
+    rows edit text on the *deepest* comments of each thread -- the
     re-crawl recency model (new activity lands at thread bottoms), which
-    keeps delete-and-rederive cones short; scattering the same edits
-    uniformly over chain interiors makes DRed re-derive everything below
-    each edit and is deliberately not the headline (the engine stays
-    correct there, just not faster -- see tests/test_incremental.py).
+    keeps delete-and-rederive cones short.  One more row per size
+    scatters 1% edits over chain interiors at all depths: each edit near
+    the top of a chain condemns the whole chain below it, and that deep
+    cone re-derives on the scalar worklist (``fallback="deep_cone"``)
+    instead of one frontier round per chain level.
 
     Each warm timing clears the diff memo first: a real re-crawl diffs
     every incoming version exactly once, so the memo would otherwise hide
     the diff cost from the measurement.
 
     Guards (SystemExit): cold/warm result parity on every row; every
-    warm row must report ``engine="incremental*"``; and in full mode the
-    ≤1%-edit rows at the largest size must be at least 5x faster than
-    cold.
+    warm row must report ``engine="incremental*"``; every scattered row
+    must take the deep-cone worklist route; and in full mode the
+    ≤1%-edit deepest-comment rows at the largest size must be at least
+    5x faster than cold.
     """
     import random as _random
 
@@ -846,6 +871,7 @@ def report_incremental(smoke: bool = False) -> None:
     compiled = parse_program_incremental()
     sizes = ((20, 40), (40, 80)) if smoke else ((50, 100), (100, 200), (150, 400))
     ratios = (0.001, 0.01, 0.1)
+    scattered_ratio = 0.01
     repeat = 2 if smoke else 3
     rows = []
     for threads, depth in sizes:
@@ -857,13 +883,21 @@ def report_incremental(smoke: bool = False) -> None:
             )
         old_snapshot = old_doc.base.snapshot()
         nodes = old_snapshot.size
+        edit_sets = []
         for ratio in ratios:
             edits = max(1, round(ratio * nodes))
             per_thread = max(1, -(-edits // threads))
             new_tree = thread_tree(threads, depth)
             pool = _thread_tail_nodes(new_tree, per_thread)
             rng = _random.Random(threads * 7 + int(ratio * 1000))
-            for node in rng.sample(pool, min(edits, len(pool))):
+            chosen = rng.sample(pool, min(edits, len(pool)))
+            edit_sets.append(("deepest", ratio, new_tree, chosen))
+        new_tree = thread_tree(threads, depth)
+        edits = max(1, round(scattered_ratio * nodes))
+        chosen = _thread_spread_nodes(new_tree, edits)
+        edit_sets.append(("scattered", scattered_ratio, new_tree, chosen))
+        for placement, ratio, new_tree, chosen in edit_sets:
+            for node in chosen:
                 node.text = (node.text or "") + " (edited)"
             new_doc = as_indexed(UnrankedStructure(new_tree))
             compiled.run(new_doc, method="kernel")  # warm document caches
@@ -877,18 +911,27 @@ def report_incremental(smoke: bool = False) -> None:
                 start = time.perf_counter()
                 warm, _, info = compiled.run_incremental(new_doc, state)
                 warm_s = min(warm_s, time.perf_counter() - start)
+            where = f"threads={threads} {placement} ratio={ratio}"
             if (
                 warm.unary("deep") != cold.unary("deep")
                 or warm.unary("mark") != cold.unary("mark")
             ):
                 raise SystemExit(
-                    f"warm/cold disagree at threads={threads} ratio={ratio}; "
-                    "refusing to report timings"
+                    f"warm/cold disagree at {where}; refusing to report timings"
                 )
             if info is None or not warm.engine.startswith("incremental"):
                 raise SystemExit(
-                    f"incremental path not exercised at threads={threads} "
-                    f"ratio={ratio}: engine={warm.engine!r}"
+                    f"incremental path not exercised at {where}: "
+                    f"engine={warm.engine!r}"
+                )
+            if placement == "scattered" and (
+                warm.engine != "incremental+worklist"
+                or info["fallback"] != "deep_cone"
+            ):
+                raise SystemExit(
+                    f"deep-cone route not taken at {where}: "
+                    f"engine={warm.engine!r} fallback={info['fallback']!r} "
+                    f"delete_rounds={info['delete_rounds']}"
                 )
             speedup = cold_s / warm_s if warm_s else float("inf")
             rows.append(
@@ -896,26 +939,34 @@ def report_incremental(smoke: bool = False) -> None:
                     "threads": threads,
                     "depth": depth,
                     "nodes": nodes,
+                    "placement": placement,
                     "edit_ratio": ratio,
-                    "edits": min(edits, len(pool)),
+                    "edits": len(chosen),
                     "dirty_fraction": round(info["dirty_fraction"], 6),
+                    "delete_rounds": info["delete_rounds"],
                     "rounds": info["rounds"],
                     "engine": warm.engine,
+                    "fallback": info["fallback"],
                     "cold_s": cold_s,
                     "warm_s": warm_s,
                     "speedup": round(speedup, 2),
                 }
             )
             print(
-                f"    n={nodes:>6} edits={ratio * 100:5.1f}%  "
+                f"    n={nodes:>6} {placement:>9} edits={ratio * 100:5.1f}%  "
                 f"cold t={cold_s * 1e3:8.2f} ms   warm t={warm_s * 1e3:8.2f} ms   "
-                f"speedup={speedup:5.2f}x  rounds={info['rounds']}"
+                f"speedup={speedup:5.2f}x  rounds={info['rounds']}  "
+                f"engine={warm.engine}"
             )
     _assert_incremental_exercised()
     if not smoke:
         biggest = max(rows, key=lambda r: r["nodes"])["nodes"]
         small_edit = [
-            r for r in rows if r["nodes"] == biggest and r["edit_ratio"] <= 0.01
+            r
+            for r in rows
+            if r["nodes"] == biggest
+            and r["placement"] == "deepest"
+            and r["edit_ratio"] <= 0.01
         ]
         if not any(r["speedup"] >= 5.0 for r in small_edit):
             raise SystemExit(
@@ -927,19 +978,22 @@ def report_incremental(smoke: bool = False) -> None:
         "experiment": "incremental_vs_cold",
         "workload": (
             "comment-thread page (thread_tree), recursive descent program, "
-            "text edits on the deepest comments (re-crawl recency model)"
+            "text edits on the deepest comments (re-crawl recency model), "
+            "plus one row per size of 1% edits scattered over all depths"
         ),
         "engine": {
             "cold": "CompiledProgram.run(method='kernel') (frontier)",
             "warm": (
                 "CompiledProgram.run_incremental: signature_table diff + "
-                "DRed delta fixpoint (engine='incremental')"
+                "DRed delta fixpoint (engine='incremental'; deep delete "
+                "cones finish on the worklist, engine='incremental+worklist')"
             ),
         },
         "smoke": smoke,
         "rows": rows,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_incremental.json"
+    name = "BENCH_incremental.smoke.json" if smoke else "BENCH_incremental.json"
+    out_path = pathlib.Path(__file__).resolve().parent / name
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"    wrote {out_path}")
 

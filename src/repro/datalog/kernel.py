@@ -94,14 +94,22 @@ facts via delete-and-rederive:
 * **carry + re-derive** (new id space, new plan): surviving facts
   translate through the old→new id mapping (matched ranges are
   contiguous, so the whole mapping is a handful of mask/shift classes),
-  the sweeps re-run in full (cheap big-int conjunctions), and the normal
-  frontier rounds are seeded with the new sweep facts plus every carried
-  fact within ``nslots`` hops of the changed region -- the only places a
-  missing rule instance can have all-carried bodies.  The rounds, the
-  narrow-frontier scalar handoff, and the collection all proceed exactly
-  as in a cold run, so the fixpoint provably equals cold evaluation; the
-  cold engines stay on as the parity oracle (randomized edit tests
-  assert incremental == cold across kernel/seminaive/ground).
+  the sweeps re-run in full (cheap big-int conjunctions), and the
+  fixpoint resumes from the new sweep facts plus every carried fact
+  within ``nslots`` hops of the changed region -- the only places a
+  missing rule instance can have all-carried bodies.  How it resumes
+  depends on the depth of the condemned cone, i.e. the number of rounds
+  the over-delete closure took.  A shallow cone (edits near the bottom
+  of their chains) re-derives in a few frontier rounds, with the same
+  narrow-frontier handoff as a cold run.  A deep cone (more than
+  :data:`_NARROW_ROUND_LIMIT` closure rounds: edits high up in long
+  chains condemn everything below them) would re-derive one chain level
+  per round, so the carried facts and the seeded frontier go straight
+  to the scalar worklist instead (``fallback="deep_cone"``), which is
+  linear in the facts it re-derives.  Either way the fixpoint provably
+  equals cold evaluation; the cold engines stay on as the parity oracle
+  (randomized edit tests assert incremental == cold across
+  kernel/seminaive/ground).
 """
 
 from __future__ import annotations
@@ -374,8 +382,9 @@ def _vector_plan(variant: _Lowering, snapshot):
 
     All-or-nothing: one inexpressible block anywhere sends the whole
     lowering to the scalar worklist, so the two engines never interleave
-    within a fixpoint (except through the explicit narrow-frontier
-    handoff, which replays the exact derived state).
+    within a fixpoint (except through the explicit worklist handoff --
+    narrow frontier or deep delete cone -- which replays the exact
+    derived state).
     """
     plans = snapshot._vector_plans
     try:
@@ -526,8 +535,8 @@ class KernelState:
     snapshot, and the derived big-int node set per predicate -- exactly
     what :meth:`KernelProgram.run_incremental` needs to re-evaluate the
     next version of the same document.  Captured when the big-int engine
-    reaches the fixpoint itself and when a narrow-frontier scalar handoff
-    finishes it (the worklist's per-node bitmasks pack back into lanes);
+    reaches the fixpoint itself and when the scalar worklist finishes a
+    handoff (the worklist's per-node bitmasks pack back into lanes);
     only documents that never held a vector plan leave ``None``, which
     holders must treat as "start cold".
     """
@@ -617,9 +626,9 @@ class KernelProgram:
         #: ``"incremental"`` / ``"incremental+worklist"`` for
         #: :meth:`run_incremental` warm runs.
         self.last_engine: Optional[str] = None
-        #: :class:`KernelState` of the most recent run when the pure
-        #: frontier engine completed it (``None`` otherwise) -- feed it
-        #: back as ``previous`` to :meth:`run_incremental`.
+        #: :class:`KernelState` of the most recent run when it held a
+        #: vector plan (``None`` otherwise) -- feed it back as
+        #: ``previous`` to :meth:`run_incremental`.
         self.last_state: Optional[KernelState] = None
         #: Cheap per-run stats of the most recent run -- the unified
         #: shape for cold *and* warm runs (warm runs add their reuse
@@ -632,10 +641,12 @@ class KernelProgram:
         #: * ``frontier_widths`` -- counts per power-of-two width
         #:   bucket (index ``b`` covers widths in ``[2^b, 2^(b+1))``);
         #: * ``fallback`` -- why the run left the pure frontier engine:
-        #:   ``None``, ``"narrow_frontier"``, ``"vector_plan_rejected"``
-        #:   or ``"vectorize_disabled"``;
+        #:   ``None``, ``"narrow_frontier"``, ``"deep_cone"`` (warm runs
+        #:   whose over-delete closure was too deep for frontier rounds),
+        #:   ``"vector_plan_rejected"`` or ``"vectorize_disabled"``;
         #: * warm runs (:meth:`run_incremental`) additionally carry
-        #:   ``dirty`` / ``dirty_fraction`` / ``carried`` / ``deleted``.
+        #:   ``dirty`` / ``dirty_fraction`` / ``carried`` / ``deleted``
+        #:   and ``delete_rounds`` (the depth of the condemned cone).
         #:
         #: Only counters the engines already compute are recorded, so
         #: the hot loops stay allocation-free.
@@ -914,13 +925,13 @@ class KernelProgram:
         :attr:`last_state`).  Returns
         ``((relations, unary_sets), state, info)`` -- the same payload as
         :meth:`try_run_full`, the state for the *next* warm run (packed
-        from the worklist bitmasks after a narrow-frontier scalar
-        handoff), and a stats dict -- the unified :attr:`last_stats`
-        shape (``engine`` / ``rounds`` / ``facts`` /
-        ``frontier_widths`` / ``fallback``) plus the warm-only reuse
-        keys ``dirty`` / ``dirty_fraction`` / ``carried`` / ``deleted``
-        -- or ``None`` whenever warm evaluation does not apply, in
-        which case the caller should run cold:
+        from the worklist bitmasks when the scalar worklist finished the
+        run), and a stats dict -- the unified :attr:`last_stats` shape
+        (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
+        ``fallback``) plus the warm-only reuse keys ``dirty`` /
+        ``dirty_fraction`` / ``carried`` / ``deleted`` /
+        ``delete_rounds`` -- or ``None`` whenever warm evaluation does
+        not apply, in which case the caller should run cold:
 
         * the structure binds a different lowering variant (or none), or
           either snapshot is not an unranked vector-plannable document
@@ -932,7 +943,13 @@ class KernelProgram:
 
         The result is exactly the cold fixpoint (see the module
         docstring's delete-and-rederive argument); ``last_engine``
-        reports ``"incremental"`` or ``"incremental+worklist"``.
+        reports ``"incremental"`` or ``"incremental+worklist"``.  A warm
+        run finishes on the scalar worklist in two cases: its frontier
+        stays narrow for :data:`_NARROW_ROUND_LIMIT` rounds, as in a cold
+        run (``fallback="narrow_frontier"``), or its over-delete closure
+        took more than :data:`_NARROW_ROUND_LIMIT` rounds, so the
+        re-derivation would walk the condemned chains one level per round
+        (``fallback="deep_cone"``; no frontier round runs at all).
         """
         if previous is None or not VECTORIZE_PROPAGATION:
             return None
@@ -971,6 +988,7 @@ class KernelProgram:
         # over-deleted facts simply re-derive in phase 1).
         deleted = [0] * P
         deleted_count = 0
+        delete_rounds = 0
         bad_old = d.old_bad_int
         if bad_old:
             old_full = old_snap.unary_int("dom")
@@ -1006,6 +1024,7 @@ class KernelProgram:
                             vb.head_pred,
                         )
             while any(dpend):
+                delete_rounds += 1
                 cur = dpend
                 dpend = [0] * P
                 for p in range(P):
@@ -1024,12 +1043,11 @@ class KernelProgram:
                         )
 
         # Phase 1 -- carry the survivors into the new id space and finish
-        # the fixpoint with the normal frontier machinery, seeded with the
-        # re-run sweeps plus every carried fact near the changed region.
+        # the fixpoint from the re-run sweeps plus every carried fact near
+        # the changed region: in frontier rounds when the condemned cone is
+        # shallow, on the scalar worklist when it is deep (re-deriving a
+        # deep cone in rounds would pay one round per condemned level).
         translate = d.translator()
-        full = snapshot.unary_int("dom")
-        vsweeps, vtriggers = plan
-        has_triggers = [bool(group) for group in vtriggers]
         derived = [0] * P
         carried_count = 0
         region = d.new_bad_int
@@ -1042,95 +1060,41 @@ class KernelProgram:
             derived[p] = keep
             carried_count += keep.bit_count()
         pending = [0] * P
-        memo = {}
-        for vb in vsweeps:
-            add = _run_vblock(vb, vb.entry_int, derived, full, memo)
-            if add:
-                hp = vb.head_pred
-                new = add & ~derived[hp]
-                if new:
-                    derived[hp] |= new
-                    if has_triggers[hp]:
-                        pending[hp] |= new
         if region:
             seed_zone = _expand_hops(snapshot, region, hops)
-            for p in range(P):
-                if has_triggers[p]:
-                    hot = derived[p] & seed_zone
-                    if hot:
-                        pending[p] |= hot
+            for p, group in enumerate(plan[1]):
+                if group:
+                    pending[p] = derived[p] & seed_zone
         info = {
             "dirty": d.dirty_count,
             "dirty_fraction": d.dirty_fraction,
             "carried": carried_count,
             "deleted": deleted_count,
-            "rounds": 0,
+            "delete_rounds": delete_rounds,
         }
-        narrow = 0
-        widths = [0] * _WIDTH_BUCKETS
-        while True:
-            if not any(pending):
-                break
-            info["rounds"] += 1
-            cur = pending
-            pending = [0] * P
-            for pred in range(P):
-                frontier = cur[pred]
-                if not frontier:
-                    continue
-                for vb in vtriggers[pred]:
-                    entry = (
-                        vb.entry_int if vb.entry_int is not None else frontier
-                    )
-                    add = _run_vblock(vb, entry, derived, full, memo)
-                    if add:
-                        hp = vb.head_pred
-                        new = add & ~derived[hp]
-                        if new:
-                            derived[hp] |= new
-                            if has_triggers[hp]:
-                                pending[hp] |= new
-            pushed = sum(f.bit_count() for f in pending)
-            if pushed:
-                widths[pushed.bit_length() - 1] += 1
-            if 0 < pushed <= _NARROW_FRONTIER:
-                narrow += 1
-                if narrow >= _NARROW_ROUND_LIMIT:
-                    self.last_engine = "incremental+worklist"
-                    out = self._run_scalar(
-                        bound, resume=(derived, pending), capture_state=True
-                    )
-                    scalar_stats = self.last_stats or {}
-                    info.update(
-                        engine="incremental+worklist",
-                        facts=scalar_stats.get("facts", 0),
-                        frontier_widths=_trim_widths(widths),
-                        fallback="narrow_frontier",
-                    )
-                    self.last_stats = info
-                    return out, self.last_state, info
-            else:
-                narrow = 0
-        self.last_engine = "incremental"
-        state = KernelState(variant, snapshot, derived)
-        self.last_state = state
-        info.update(
-            engine="incremental",
-            facts=sum(d.bit_count() for d in derived),
-            frontier_widths=_trim_widths(widths),
-            fallback=None,
+        out = self._fixpoint(
+            bound,
+            plan,
+            derived,
+            pending,
+            info,
+            "incremental",
+            "deep_cone" if delete_rounds > _NARROW_ROUND_LIMIT else None,
         )
-        self.last_stats = info
-        return self._collect_vector(variant, snapshot, derived), state, info
+        return out, self.last_state, info
 
     def _run_bound(self, bound) -> Tuple[Relations, Dict[str, Set[int]]]:
         """Dispatch one bound lowering to the preferred engine."""
         self.last_state = None
         self.last_stats = None
         if VECTORIZE_PROPAGATION:
-            result = self._run_vector(bound)
-            if result is not None:
-                return result
+            variant, snapshot, _sweeps, _triggers = bound
+            plan = _vector_plan(variant, snapshot)
+            if plan is not None:
+                P = variant.npreds
+                return self._fixpoint(
+                    bound, plan, [0] * P, [0] * P, {}, "frontier"
+                )
             fallback = "vector_plan_rejected"
         else:
             fallback = "vectorize_disabled"
@@ -1140,29 +1104,34 @@ class KernelProgram:
             self.last_stats["fallback"] = fallback
         return out
 
-    def _run_vector(self, bound):
-        """Frontier-at-a-time fixpoint; ``None`` when the plan falls back.
+    def _fixpoint(
+        self, bound, plan, derived, pending, stats, engine, fallback=None
+    ):
+        """Frontier-at-a-time fixpoint from a partial state.
 
-        Seeds come from the sweep blocks evaluated over their anchor
-        sets; each round then runs every trigger block of every predicate
-        whose frontier is non-empty, entering with the frontier itself
-        (the semi-naive delta -- other intensional tests in the same body
-        read the full ``derived`` sets, and completeness follows exactly
-        as for the worklist: each rule has one trigger block per body
-        occurrence, so the last-derived fact of any satisfied body always
-        re-enters the rule).  A persistently narrow frontier hands the
-        partial fixpoint to :meth:`_run_scalar` (see
-        :data:`_NARROW_ROUND_LIMIT`).
+        ``derived`` holds the facts established so far (nothing for a cold
+        run, the carried facts for a warm one) and ``pending`` the facts
+        whose consequences are still owed.  Seeds come from the sweep
+        blocks evaluated over their anchor sets; each round then runs
+        every trigger block of every predicate whose frontier is
+        non-empty, entering with the frontier itself (the semi-naive
+        delta -- other intensional tests in the same body read the full
+        ``derived`` sets, and completeness follows exactly as for the
+        worklist: each rule has one trigger block per body occurrence, so
+        the last-derived fact of any satisfied body always re-enters the
+        rule).
+
+        A persistently narrow frontier (see :data:`_NARROW_ROUND_LIMIT`)
+        -- or a ``fallback`` reason given up front, before any round runs
+        -- hands the partial fixpoint to :meth:`_run_scalar`, and the run
+        reports ``engine + "+worklist"``.  Records the run's stats by
+        updating ``stats`` in place (it becomes :attr:`last_stats`) and
+        returns the ``(relations, unary_sets)`` payload.
         """
         variant, snapshot, _sweeps, _triggers = bound
-        plan = _vector_plan(variant, snapshot)
-        if plan is None:
-            return None
         vsweeps, vtriggers = plan
         P = variant.npreds
         full = snapshot.unary_int("dom")
-        derived = [0] * P
-        pending = [0] * P
         has_triggers = [bool(group) for group in vtriggers]
         # Move results are pure functions of their operand set, so one
         # memo serves the whole fixpoint.
@@ -1179,9 +1148,7 @@ class KernelProgram:
         narrow = 0
         rounds = 0
         widths = [0] * _WIDTH_BUCKETS
-        while True:
-            if not any(pending):
-                break
+        while fallback is None and any(pending):
             rounds += 1
             cur = pending
             pending = [0] * P
@@ -1207,32 +1174,30 @@ class KernelProgram:
             if 0 < pushed <= _NARROW_FRONTIER:
                 narrow += 1
                 if narrow >= _NARROW_ROUND_LIMIT:
-                    self.last_engine = "frontier+worklist"
-                    out = self._run_scalar(
-                        bound, resume=(derived, pending), capture_state=True
-                    )
-                    # The scalar finisher recorded its own fact count;
-                    # fold the frontier prefix's round structure back in.
-                    if self.last_stats is not None:
-                        self.last_stats.update(
-                            engine="frontier+worklist",
-                            rounds=rounds,
-                            frontier_widths=_trim_widths(widths),
-                            fallback="narrow_frontier",
-                        )
-                    return out
+                    fallback = "narrow_frontier"
             else:
                 narrow = 0
-        self.last_engine = "frontier"
-        self.last_state = KernelState(variant, snapshot, derived)
-        self.last_stats = {
-            "engine": "frontier",
-            "rounds": rounds,
-            "facts": sum(d.bit_count() for d in derived),
-            "frontier_widths": _trim_widths(widths),
-            "fallback": None,
-        }
-        return self._collect_vector(variant, snapshot, derived)
+        if fallback is not None:
+            engine += "+worklist"
+            self.last_engine = engine
+            out = self._run_scalar(
+                bound, resume=(derived, pending), capture_state=True
+            )
+            facts = self.last_stats["facts"]
+        else:
+            self.last_engine = engine
+            self.last_state = KernelState(variant, snapshot, derived)
+            out = self._collect_vector(variant, snapshot, derived)
+            facts = sum(d.bit_count() for d in derived)
+        stats.update(
+            engine=engine,
+            rounds=rounds,
+            facts=facts,
+            frontier_widths=_trim_widths(widths),
+            fallback=fallback,
+        )
+        self.last_stats = stats
+        return out
 
     @staticmethod
     def _collect_vector(variant, snapshot, derived):
@@ -1438,9 +1403,9 @@ class KernelProgram:
             # Pack the completed per-node bitmasks back into per-predicate
             # byte lanes: the scalar worklist finishes the exact fixpoint,
             # so its residue is just as reusable by the next warm run as a
-            # pure frontier run's.  Only the handoff sites ask for this
-            # (both hold a vector plan); a lane is allocated lazily per
-            # predicate that actually derived something.
+            # pure frontier run's.  Only the handoff in ``_fixpoint``
+            # asks for this (it holds a vector plan); a lane is allocated
+            # lazily per predicate that actually derived something.
             lanes: List[Optional[bytearray]] = [None] * P
             for v, m in enumerate(masks):
                 while m:

@@ -68,7 +68,7 @@ class EvaluationResult:
         For ``method == "kernel"``, the kernel's per-run stats dict
         (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
         ``fallback``; warm runs add ``dirty`` / ``dirty_fraction`` /
-        ``carried`` / ``deleted``) -- the same shape
+        ``carried`` / ``deleted`` / ``delete_rounds``) -- the same shape
         :meth:`CompiledProgram.run_incremental` returns as its ``info``
         triple member, now available for cold runs too.  ``None`` for
         non-kernel strategies.

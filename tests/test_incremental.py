@@ -279,6 +279,115 @@ class TestIncrementalKernelParity:
             assert warm.unary("mark") == cold.unary("mark")
 
 
+
+def forum_wrapper():
+    from repro.elog import parse_elog
+    from repro.wrap import Wrapper
+
+    program = parse_elog(FORUM_WRAPPER)
+    wrapper = Wrapper()
+    for pattern in ("thread", "comment", "body"):
+        wrapper.add_elog(pattern, program, pattern=pattern)
+    return wrapper.compile()
+
+
+def edit_comments(page, spots, tag):
+    for thread, depth in spots:
+        marker = f"Comment {thread}.{depth} by"
+        assert marker in page
+        page = page.replace(marker, f"Comment {thread}.{depth} {tag} by", 1)
+    return page
+
+
+class TestDeepConeRoute:
+    """Warm runs whose over-delete closure is deep finish on the worklist.
+
+    An edit high up in a reply chain condemns every fact below it, one
+    closure round per chain level; re-deriving that cone in frontier
+    rounds would pay one round per level, so the kernel routes it to the
+    scalar worklist.  Edits at the bottom of the chains condemn a
+    one-round cone and keep the frontier rounds.
+    """
+
+    THREADS, DEPTH = 8, 80
+
+    def versions(self):
+        base = forum_page(seed=11, threads=self.THREADS, depth=self.DEPTH)
+        spots = [
+            (t, d) for d in range(self.DEPTH - 1) for t in range(self.THREADS)
+        ]
+        scattered = edit_comments(base, spots[:: len(spots) // 64][:64], "(moved)")
+        deepest = [(t, self.DEPTH - 1) for t in range(self.THREADS)]
+        return base, scattered, edit_comments(scattered, deepest, "(new)")
+
+    def test_scattered_edits_take_the_deep_cone_route(self):
+        from repro.datalog.kernel import _NARROW_ROUND_LIMIT
+
+        wrapper = forum_wrapper()
+        base, scattered, follow_up = self.versions()
+        _, state, _ = wrapper.wrap_html_stateful(base)
+        out, state, stats = wrapper.wrap_html_stateful(scattered, state)
+        (run,) = stats["runs"]
+        assert stats["warm"]
+        assert run["engine"] == "incremental+worklist"
+        assert run["fallback"] == "deep_cone"
+        assert run["delete_rounds"] > _NARROW_ROUND_LIMIT
+        assert run["rounds"] == 0 and run["frontier_widths"] == []
+        cold = wrapper.wrap_html_many([scattered])[0]
+        assert out.to_dict() == cold.to_dict()
+        # The worklist's captured state feeds the next version warm.
+        out, _, stats = wrapper.wrap_html_stateful(follow_up, state)
+        (run,) = stats["runs"]
+        assert stats["warm"] and run["engine"] == "incremental"
+        assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
+
+    def test_deepest_comment_edit_keeps_frontier_rounds(self):
+        from repro.datalog.kernel import _NARROW_ROUND_LIMIT
+
+        wrapper = forum_wrapper()
+        base = forum_page(seed=12, threads=self.THREADS, depth=self.DEPTH)
+        edited = edit_comments(
+            base, [(t, self.DEPTH - 1) for t in range(self.THREADS)], "(new)"
+        )
+        _, state, _ = wrapper.wrap_html_stateful(base)
+        out, _, stats = wrapper.wrap_html_stateful(edited, state)
+        (run,) = stats["runs"]
+        assert run["engine"] == "incremental"
+        assert run["fallback"] is None
+        assert run["delete_rounds"] <= _NARROW_ROUND_LIMIT
+        assert 0 < run["rounds"] < _NARROW_ROUND_LIMIT + 8
+        assert out.to_dict() == wrapper.wrap_html_many([edited])[0].to_dict()
+
+    def test_deep_cone_parity_across_engines(self):
+        # An edit near the top of a chain condemns the whole chain below
+        # it: the route must agree with cold kernel and seminaive runs.
+        rng = random.Random(83)
+        program = descent_program()
+        raw = parse_program(DESCENT, query="deep")
+        routed = 0
+        for _ in range(12):
+            threads = rng.randint(2, 6)
+            depth = rng.randint(20, 40)
+            v1 = thread_tree(threads, depth)
+            _, state, _ = program.run_incremental(
+                as_indexed(UnrankedStructure(v1)), None
+            )
+            v2 = thread_tree(threads, depth)
+            spine = v2.children[rng.randrange(threads)]
+            for _ in range(rng.randint(0, 3)):
+                spine = spine.children[0]
+            spine.text = (spine.text or "") + " X"
+            doc = as_indexed(UnrankedStructure(v2))
+            warm, state, info = program.run_incremental(doc, state)
+            assert info is not None and state is not None
+            routed += info["fallback"] == "deep_cone"
+            cold = program.run(doc, method="kernel")
+            interp = evaluate(raw, UnrankedStructure(v2), method="seminaive")
+            assert warm.unary("mark") == cold.unary("mark")
+            assert warm.unary("deep") == cold.unary("deep") == interp.unary("deep")
+        assert routed >= 10
+
+
 def request(host, port, method, path, body=None, timeout=60):
     import http.client
 

@@ -501,6 +501,11 @@ HOSTILE_SOUP = {
 #: Smoke-run bound on the hostile sweep's time(2n)/time(n): linear is ~2.
 HOSTILE_MAX_RATIO = 2.5
 
+#: Smoke-run bound on the streaming path's serial speedup over the Node
+#: path at the largest catalog size (BENCH_stream.json records ~2.2x on
+#: a 2-core x86 VM with Python 3.11).
+STREAM_MIN_SPEEDUP = 1.5
+
 
 def _hostile_page(kind: str, depth: int) -> str:
     """A 64-item catalog page whose footer is ``depth``-deep tag soup."""
@@ -575,16 +580,18 @@ def report_stream(smoke: bool = False) -> None:
 
     * the PR-2 baseline path (``parse_html`` -> ``Node`` tree ->
       ``UnrankedStructure`` -> per-function plans -> Node output walk),
-    * the streaming path (tokenizer events -> snapshot columns ->
-      one shared kernel fixpoint -> snapshot-native output; zero ``Node``
-      objects), and
+    * the streaming path (one scan loop from HTML text to snapshot
+      columns -> one shared kernel fixpoint -> snapshot-native output;
+      zero ``Node`` objects), and
     * the streaming path fanned out over a process pool
       (``wrap_html_many(workers=N)``; degrades to serial when the machine
       offers a single core).
 
     Paths alternate inside each repetition (best-of-N per path) so the
     comparison is robust to machine noise, and every path's outputs are
-    asserted identical before any timing is reported.  A second sweep
+    asserted identical before any timing is reported.  In smoke mode a
+    serial speedup under :data:`STREAM_MIN_SPEEDUP` at the largest size
+    fails the run.  A second sweep
     (``hostile_rows``) wraps catalog pages with deep tag-soup footers at
     doubling depths and records ``t(2n)/t(n)``; see :func:`_hostile_sweep`.
     """
@@ -679,13 +686,18 @@ def report_stream(smoke: bool = False) -> None:
             f"stream+workers t={timings['workers'] * 1e3:8.2f} ms   "
             f"speedup={speedup_stream:5.2f}x / {speedup_workers:5.2f}x (workers={workers})"
         )
+        if smoke and items == sweep[-1][0] and speedup_stream < STREAM_MIN_SPEEDUP:
+            raise SystemExit(
+                f"streaming path only {speedup_stream:.2f}x the Node path at "
+                f"items={items} (bound {STREAM_MIN_SPEEDUP}x)"
+            )
     hostile_rows = _hostile_sweep(streaming, smoke)
     payload = {
         "experiment": "streaming_ingestion_end_to_end",
         "workload": "catalog batch, raw HTML -> wrapped output trees",
         "engine": {
             "node": "parse_html -> UnrankedStructure -> per-function plans (PR-2 baseline path)",
-            "stream": "Wrapper.wrap_html_many (scan_list -> SnapshotBuilder columns -> kernel -> snapshot output)",
+            "stream": "Wrapper.wrap_html_many (html_snapshot scan loop -> snapshot columns -> kernel -> snapshot output)",
             "stream_workers": "Wrapper.wrap_html_many(workers=N) process-pool fan-out",
             "hostile": "Wrapper.wrap_html_many on 64-item catalog pages with a depth-n tag-soup footer",
         },

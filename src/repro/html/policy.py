@@ -42,20 +42,28 @@ IMPLICIT_CLOSERS: Dict[str, Set[str]] = {
 #: Block elements an implicit closer must not escape.
 SCOPE_BARRIERS = {"table", "ul", "ol", "dl", "select", "body", "html", "document"}
 
+#: Start tags :meth:`OpenElements.start_tag` does more for than a push:
+#: void elements (no frame) and implicit closers (a cut first).
+POLICY_START_TAGS = frozenset(VOID_ELEMENTS) | frozenset(IMPLICIT_CLOSERS)
+
 
 class OpenElements:
     """The open-element stack of an HTML tree builder.
 
     Frame 0 is the document root, which no tag ever closes.  ``items``
     holds the builder's own per-frame value (a Node, a node id) and
-    ``labels`` the element names; both lists are only ever mutated in
-    place, so a builder may bind them to locals.  Two indexes make every
-    cut O(1) amortized:
+    ``labels`` the element names.  Two indexes make every cut O(1)
+    amortized:
 
-    * ``_positions[label]`` -- the positions of the open ``label``
+    * ``positions[label]`` -- the positions of the open ``label``
       frames, ascending;
-    * ``_barriers`` -- the positions of the open scope barriers,
+    * ``barriers`` -- the positions of the open scope barriers,
       ascending.
+
+    All four are only ever mutated in place, so a builder may bind them
+    to locals.  :func:`repro.trees.stream.html_snapshot` does, to inline
+    two fast paths: a start tag not in :data:`POLICY_START_TAGS` is a
+    plain push, and an end tag matching the innermost frame a plain pop.
 
     >>> stack = OpenElements()
     >>> stack.push("document", 0)
@@ -69,13 +77,13 @@ class OpenElements:
     ['document']
     """
 
-    __slots__ = ("items", "labels", "_positions", "_barriers")
+    __slots__ = ("items", "labels", "positions", "barriers")
 
     def __init__(self):
         self.items: List[Any] = []
         self.labels: List[str] = []
-        self._positions: Dict[str, List[int]] = defaultdict(list)
-        self._barriers: List[int] = []
+        self.positions: Dict[str, List[int]] = defaultdict(list)
+        self.barriers: List[int] = []
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -83,9 +91,9 @@ class OpenElements:
     def push(self, label: str, item: Any) -> None:
         """Open a ``label`` frame carrying the builder's ``item``."""
         labels = self.labels
-        self._positions[label].append(len(labels))
+        self.positions[label].append(len(labels))
         if label in SCOPE_BARRIERS:
-            self._barriers.append(len(labels))
+            self.barriers.append(len(labels))
         labels.append(label)
         self.items.append(item)
 
@@ -96,12 +104,12 @@ class OpenElements:
     def truncate(self, cut: int) -> None:
         """Close frames until only ``cut`` remain."""
         labels = self.labels
-        positions = self._positions
+        positions = self.positions
         for position in range(len(labels) - 1, cut - 1, -1):
             positions[labels[position]].pop()
         del labels[cut:]
         del self.items[cut:]
-        barriers = self._barriers
+        barriers = self.barriers
         while barriers and barriers[-1] >= cut:
             barriers.pop()
 
@@ -118,10 +126,10 @@ class OpenElements:
         labels = self.labels
         closers = IMPLICIT_CLOSERS.get(name)
         if closers:
-            barriers = self._barriers
+            barriers = self.barriers
             floor = barriers[-1] if barriers else 0
             cut = len(labels)
-            get = self._positions.get
+            get = self.positions.get
             for closed in closers:
                 positions = get(closed)
                 if positions:
@@ -136,9 +144,9 @@ class OpenElements:
         parent = items[-1]
         if not self_closing and name not in VOID_ELEMENTS:
             # push(), inlined: this runs once per start tag.
-            self._positions[name].append(len(labels))
+            self.positions[name].append(len(labels))
             if name in SCOPE_BARRIERS:
-                self._barriers.append(len(labels))
+                self.barriers.append(len(labels))
             labels.append(name)
             items.append(item)
         return parent
@@ -150,10 +158,10 @@ class OpenElements:
             # Fast path: the end tag matches the innermost element.
             labels.pop()
             self.items.pop()
-            self._positions[name].pop()
+            self.positions[name].pop()
             if name in SCOPE_BARRIERS:
-                self._barriers.pop()
+                self.barriers.pop()
             return
-        positions = self._positions.get(name)
+        positions = self.positions.get(name)
         if positions and positions[-1]:
             self.truncate(positions[-1])

@@ -1,25 +1,37 @@
 """HTML tokenization.
 
-Two entry points over the same scanner:
+One scanner, three front ends:
 
-* :func:`scan_events` -- the streaming core: a generator of plain event
-  tuples (``("start", name, attrs, self_closing)``, ``("end", name)``,
-  ``("text", data)``, ``("comment", data)``, ``("doctype", data)``) with
-  no per-token object allocation.  Both tree construction
-  (:mod:`repro.html.parser`) and the Node-free snapshot builder
-  (:mod:`repro.trees.stream`) consume these events.
+* :func:`scan_into` -- the scanner: delivers events through callbacks;
+* :func:`scan_list` / :func:`scan_events` -- plain event tuples
+  (``("start", name, attrs, self_closing)``, ``("end", name)``,
+  ``("text", data)``, ``("comment", data)``, ``("doctype", data)``),
+  consumed by tree construction (:mod:`repro.html.parser`);
 * :func:`tokenize` -- the classic API: wraps each event in a
   :class:`Token` value.
 
+The scan is one loop of :data:`TOKEN` matches.  Each match takes a text
+run plus the regular tag after it -- a start tag with no attribute or
+one double-quoted attribute, or an end tag up to its ``>`` -- and
+:meth:`re.Match.groups` hands over every capture at once.  Anything the
+token regex does not take (comments, doctypes, tags with other
+attributes, a stray ``<``, trailing text, an end tag with no ``>``) is
+one call of :func:`scan_step`, the general scanner step, which consumes
+exactly one such token and its preceding text.  The Node-free snapshot
+builder (:func:`repro.trees.stream.html_snapshot`) drives the same
+regex and the same step itself, with its column appends inline, so the
+two paths cannot drift.
+
 ``script`` and ``style`` contents are treated as rawtext (scanned
-verbatim until the matching close tag), as the HTML standard prescribes;
-the document is lowercased at most once for all rawtext scans combined.
+verbatim until the matching close tag, see :func:`scan_rawtext`), as the
+HTML standard prescribes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from sys import intern
 from typing import Dict, Iterator, List, Tuple
 
 from repro.html.entities import decode_entities
@@ -29,13 +41,22 @@ RAWTEXT_ELEMENTS = ("script", "style")
 #: Tag and attribute names: alphanumerics plus ``-``, ``_``, ``:``.
 _NAME = re.compile(r"[\w:-]+")
 
-#: Whole-tail fast path for the single most common attributed tag shape:
-#: one double-quoted attribute immediately followed by the tag close.
-_ONE_ATTR = re.compile(r'\s([\w:-]+)="([^"]*)"(/?)>')
+#: One fast-path token: a text run (group 1, possibly empty), then a
+#: start tag (name in group 2) with no attribute or exactly one
+#: double-quoted attribute (name, value and an optional ``/`` in groups
+#: 3-5), or an end tag (name in group 6) up to its ``>``.  Names are
+#: greedy, so a name can only end where the next character is not a
+#: name character: the match never splits a name.
+TOKEN = re.compile(
+    r'([^<]*)<(?:([\w:-]+)(?:\s([\w:-]+)="([^"]*)"(/?))?>|/([\w:-]+)[^>]*>)'
+)
 
-#: Lowercased tag names, cached (tag vocabulary is tiny; values are
-#: shared string objects, so later dict lookups hash once).
-_LOWER_NAMES: Dict[str, str] = {}
+#: The close tag of each rawtext element, matched without regard to
+#: ASCII case.
+_RAWTEXT_CLOSE = {
+    name: re.compile("</" + name, re.IGNORECASE | re.ASCII)
+    for name in RAWTEXT_ELEMENTS
+}
 
 #: One attribute-scanner step inside a start tag: tag close, ``name [=
 #: value]`` with double-quoted / single-quoted / unquoted value forms, or
@@ -98,14 +119,92 @@ def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
     return attrs, False, i
 
 
+def scan_rawtext(html: str, i: int, name: str, on_text, on_end) -> int:
+    """Scan the body of rawtext element ``name`` that starts at ``i``.
+
+    Delivers the body verbatim (unless empty or whitespace-only) and the
+    end tag, if the document has one; returns the position after it.
+    """
+    n = len(html)
+    m = _RAWTEXT_CLOSE[name].search(html, i)
+    close = n if m is None else m.start()
+    raw = html[i:close]
+    if raw and not raw.isspace():
+        on_text(raw)
+    if m is None:
+        return n
+    on_end(name)
+    gt = html.find(">", close)
+    return (gt + 1) if gt != -1 else n
+
+
+def scan_step(html: str, i: int, on_start, on_end, on_text, on_misc) -> int:
+    """One general scanner step from ``i`` (``i < len(html)``).
+
+    Takes the text run at ``i`` and the token after it (a comment, a
+    doctype, a start tag with its rawtext body, an end tag, a stray
+    ``<``), delivering their events through the :func:`scan_into`
+    callbacks; returns the position after them.  The scan loops call it
+    for every token that :data:`TOKEN` does not take, so a start tag
+    seen here never has the fast-path shapes and goes straight to the
+    attribute scanner.
+
+    Tag names are interned (the scan loops intern each name once per
+    document), so the events -- and the Node labels and open-element
+    frames built from them -- hold one string per name, not one per tag.
+    """
+    n = len(html)
+    if html[i] != "<":
+        lt = html.find("<", i)
+        end = n if lt == -1 else lt
+        text = html[i:end]
+        if not text.isspace():
+            on_text(decode_entities(text) if "&" in text else text)
+        if lt == -1:
+            return n
+        i = lt
+    nxt = html[i + 1 : i + 2]
+    if nxt == "!":
+        if html.startswith("<!--", i):
+            end = html.find("-->", i + 4)
+            if end == -1:
+                end = n - 3
+            if on_misc is not None:
+                on_misc("comment", html[i + 4 : end])
+            return end + 3
+        end = html.find(">", i + 2)
+        if end == -1:
+            end = n - 1
+        if on_misc is not None:
+            on_misc("doctype", html[i + 2 : end].strip())
+        return end + 1
+    if nxt == "/":
+        m = _NAME.match(html, i + 2)
+        if m is None:
+            end = html.find(">", i + 2)
+        else:
+            end = html.find(">", m.end())
+            on_end(intern(m.group().lower()))
+        return (end + 1) if end != -1 else n
+    m = _NAME.match(html, i + 1)
+    if m is None:
+        # A stray '<' -- treat as text.
+        on_text("<")
+        return i + 1
+    name = intern(m.group().lower())
+    attrs, self_closing, i = _scan_attributes(html, m.end())
+    on_start(name, attrs, self_closing)
+    if name in RAWTEXT_ELEMENTS and not self_closing:
+        i = scan_rawtext(html, i, name, on_text, on_end)
+    return i
+
+
 def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
     """Scan an HTML document, delivering events through callbacks.
 
-    The single scanner implementation behind every front end: the event
-    list of :func:`scan_list` (and :func:`tokenize`) and the Node-free
-    streaming snapshot builder (:func:`repro.trees.stream.html_snapshot`),
-    which consumes the callbacks directly so no per-token object of any
-    kind is allocated.  Permissive, never raises on bad markup.
+    The scanner behind :func:`scan_list` (and so :func:`tokenize` and
+    :func:`repro.html.parser.parse_html`).  Permissive, never raises on
+    bad markup.
 
     * ``on_start(name, attrs, self_closing)`` -- lowercased tag name,
       attribute dict (``None`` when the tag has no attributes),
@@ -118,101 +217,35 @@ def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
     """
     i = 0
     n = len(html)
-    lower = None  # lowercased document, built at most once (rawtext scans)
-    find = html.find
-    name_match = _NAME.match
-    one_attr_match = _ONE_ATTR.match
-    scan_attributes = _scan_attributes
+    token = TOKEN.match
     decode = decode_entities
-    lower_names = _LOWER_NAMES
+    names: Dict[str, str] = {}  # tag name as written -> lowercased
     while i < n:
-        if html[i] == "<":
-            lt = i
-        else:
-            lt = find("<", i)
-            end = n if lt == -1 else lt
-            text = html[i:end]
-            if not text.isspace():
-                on_text(decode(text) if "&" in text else text)
-            if lt == -1:
-                return
-            i = lt
-        nxt = html[i + 1] if i + 1 < n else ""
-        if nxt == "!":
-            if html.startswith("<!--", i):
-                end = find("-->", i + 4)
-                if end == -1:
-                    end = n - 3
-                if on_misc is not None:
-                    on_misc("comment", html[i + 4 : end])
-                i = end + 3
-            else:
-                end = find(">", i + 2)
-                if end == -1:
-                    end = n - 1
-                if on_misc is not None:
-                    on_misc("doctype", html[i + 2 : end].strip())
-                i = end + 1
-            continue
-        if nxt == "/":
-            m = name_match(html, i + 2)
-            if m is None:
-                end = find(">", i + 2)
-            else:
-                end = find(">", m.end())
-                raw_name = m.group()
-                name = lower_names.get(raw_name)
-                if name is None:
-                    name = raw_name.lower()
-                    if len(lower_names) < 4096:
-                        lower_names[raw_name] = name
-                on_end(name)
-            i = (end + 1) if end != -1 else n
-            continue
-        m = name_match(html, i + 1)
+        m = token(html, i)
         if m is None:
-            # A stray '<' -- treat as text.
-            on_text("<")
-            i += 1
+            i = scan_step(html, i, on_start, on_end, on_text, on_misc)
             continue
-        raw_name = m.group()
-        name = lower_names.get(raw_name)
+        text, raw, attr, value, slash, raw_end = m.groups()
+        i = m.end()
+        if text and not text.isspace():
+            on_text(decode(text) if "&" in text else text)
+        if raw_end is not None:
+            name = names.get(raw_end)
+            if name is None:
+                name = names[raw_end] = intern(raw_end.lower())
+            on_end(name)
+            continue
+        name = names.get(raw)
         if name is None:
-            name = raw_name.lower()
-            if len(lower_names) < 4096:
-                lower_names[raw_name] = name
-        j = m.end()
-        if j < n and html[j] == ">":
-            # Fast path: attribute-free tag, by far the common case.
-            attrs = None
-            self_closing = False
-            i = j + 1
+            name = names[raw] = intern(raw.lower())
+        if attr is None:
+            on_start(name, None, False)
         else:
-            m = one_attr_match(html, j)
-            if m is not None:
-                # Fast path: exactly one double-quoted attribute.
-                value = m.group(2)
-                if value and "&" in value:
-                    value = decode(value)
-                attrs = {m.group(1).lower(): value}
-                self_closing = m.group(3) == "/"
-                i = m.end()
-            else:
-                attrs, self_closing, i = scan_attributes(html, j)
-        on_start(name, attrs, self_closing)
-        if name in RAWTEXT_ELEMENTS and not self_closing:
-            if lower is None:
-                lower = html.lower()
-            close = lower.find(f"</{name}", i)
-            if close == -1:
-                close = n
-            raw = html[i:close]
-            if raw and not raw.isspace():
-                on_text(raw)
-            gt = find(">", close)
-            if close < n:
-                on_end(name)
-            i = (gt + 1) if gt != -1 else n
+            if "&" in value:
+                value = decode(value)
+            on_start(name, {attr.lower(): value}, slash == "/")
+        if name in RAWTEXT_ELEMENTS and not slash:
+            i = scan_rawtext(html, i, name, on_text, on_end)
 
 
 def scan_list(html: str) -> List[tuple]:

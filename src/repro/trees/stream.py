@@ -4,25 +4,28 @@ The classic ingestion path allocates a :class:`~repro.trees.node.Node`
 per element/text token, walks the tree again to assign identifiers
 (:class:`~repro.trees.unranked.UnrankedStructure`), and only then
 flattens into the integer columns the propagation kernel reads.  This
-module collapses those three passes into one: a
-:class:`SnapshotBuilder` consumes open/text/close events and writes the
-:class:`~repro.trees.snapshot.TreeSnapshot` columns directly, assigning
-identifiers in document order as elements open.  Nothing but flat lists
-is ever allocated, so huge pages can be wrapped with the runtime touching
-only arrays from bytes to output.
+module collapses those three passes into one, writing the
+:class:`~repro.trees.snapshot.TreeSnapshot` columns directly and
+assigning identifiers in document order as elements open.  Nothing but
+flat lists is ever allocated, so huge pages can be wrapped with the
+runtime touching only arrays from bytes to output.
 
-Event sources:
+Sources:
 
-* :func:`html_snapshot` -- drives the builder from
-  :func:`repro.html.tokenizer.scan_into`, applying the *same*
-  void-element / implicit-close / end-tag policy as
-  :func:`repro.html.parser.parse_html` (both keep their open elements in
-  one :class:`repro.html.policy.OpenElements` stack, so the two front
-  ends cannot drift, and every cut is O(1) amortized, so ingestion is
-  linear on any tag soup), with identical synthetic-root unwrapping;
-* :func:`sexpr_snapshot` -- the s-expression reader;
-* :func:`tree_snapshot` -- replays an existing :class:`Node` tree as
-  events (parity harness, and snapshots for generated trees).
+* :func:`html_snapshot` -- one loop from HTML text to columns: each
+  step is one :data:`repro.html.tokenizer.TOKEN` match (a text run plus
+  a regular tag) with the column appends inline, and every other token
+  is one :func:`repro.html.tokenizer.scan_step`, the scanner's own
+  general step.  It applies the *same* void-element / implicit-close /
+  end-tag policy as :func:`repro.html.parser.parse_html` (both keep
+  their open elements in one :class:`repro.html.policy.OpenElements`
+  stack, so the two front ends cannot drift, and every cut is O(1)
+  amortized, so ingestion is linear on any tag soup), with identical
+  synthetic-root unwrapping;
+* :func:`sexpr_snapshot` -- the s-expression reader, and
+  :func:`tree_snapshot` -- a replay of an existing :class:`Node` tree
+  (parity harness, and snapshots for generated trees), both through the
+  event-driven :class:`SnapshotBuilder`.
 
 Parity invariant (enforced by ``tests/test_stream.py``): for every
 document, ``html_snapshot(doc)`` is column-identical to
@@ -31,11 +34,13 @@ document, ``html_snapshot(doc)`` is column-identical to
 
 from __future__ import annotations
 
+from sys import intern
 from typing import Dict, List, Optional
 
 from repro.errors import TreeError
-from repro.html.policy import OpenElements
-from repro.html.tokenizer import scan_into
+from repro.html.entities import decode_entities
+from repro.html.policy import POLICY_START_TAGS, SCOPE_BARRIERS, OpenElements
+from repro.html.tokenizer import RAWTEXT_ELEMENTS, TOKEN, scan_rawtext, scan_step
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
 
@@ -165,62 +170,6 @@ class SnapshotBuilder:
             raise TreeError("no open element to close")
         self._open.pop()
 
-    def strip_root(self) -> None:
-        """Drop node 0, promoting its single child to the root.
-
-        This is the streaming counterpart of the synthetic-root unwrapping
-        in :func:`repro.html.parser.parse_html`; it requires node 0 to
-        have exactly one child.
-        """
-        if not self._parent or self._parent[0] != -1:
-            raise TreeError("no root to strip")
-        first = self._firstchild[0]
-        if first < 0 or first != self._lastchild[0]:
-            raise TreeError("root does not have exactly one child")
-        for column in (
-            self._parent,
-            self._firstchild,
-            self._nextsibling,
-            self._prevsibling,
-            self._lastchild,
-        ):
-            column[:] = [v - 1 if v > 0 else -1 for v in column]
-            del column[0]
-        # Re-intern labels: the dropped root's label may no longer occur,
-        # and label ids must match first-occurrence order over the
-        # remaining nodes (column parity with the Node-built snapshot).
-        label_ids = self._label_ids
-        del label_ids[0]
-        if 0 not in label_ids:
-            # Fast path: the synthetic root's label (id 0, interned first)
-            # occurs nowhere else, so dropping it shifts every id by one
-            # while preserving first-occurrence order.
-            label_ids[:] = [lid - 1 for lid in label_ids]
-            del self._labels[0]
-            self._label_index = {
-                name: lid for lid, name in enumerate(self._labels)
-            }
-        else:
-            old_labels = self._labels
-            labels: List[str] = []
-            label_index: Dict[str, int] = {}
-            for i, lid in enumerate(label_ids):
-                name = old_labels[lid]
-                new = label_index.get(name)
-                if new is None:
-                    new = label_index[name] = len(labels)
-                    labels.append(name)
-                label_ids[i] = new
-            self._labels = labels
-            self._label_index = label_index
-        self._texts = {k - 1: v for k, v in self._texts.items() if k}
-        self._attrs = {k - 1: v for k, v in self._attrs.items() if k}
-        old_open = self._open
-        self._open = OpenElements()
-        for label, nid in zip(old_open.labels, old_open.items):
-            if nid > 0:
-                self._open.push(label, nid - 1)
-
     def finish(self, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:
         """Close any open elements and return the finished snapshot."""
         self._open.truncate(0)
@@ -245,44 +194,52 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
 
     Column-identical to ``UnrankedStructure(parse_html(html)).snapshot()``
     -- same document-order ids, same interned labels, same tag-soup
-    handling -- but built in a single pass over the token events.
+    handling -- but built in a single pass over the document.
 
-    This is the batch pipeline's hottest loop, so the column appends of
-    :meth:`SnapshotBuilder._append` are inlined over the builder's own
-    lists (the randomized parity suite in ``tests/test_stream.py`` pins
-    the equivalence); every tag-soup decision still goes through the
-    builder's :class:`~repro.html.policy.OpenElements` stack, shared with
-    :func:`repro.html.parser.parse_html`.
+    This is the batch pipeline's hottest loop, so it drives the scanner
+    itself: one :data:`~repro.html.tokenizer.TOKEN` match per text run
+    plus regular tag, with the column appends inline and no callback.
+    The plain push and the matching pop of the shared
+    :class:`~repro.html.policy.OpenElements` stack are inlined too; every
+    other tag-soup decision (implied closes, void and self-closing tags,
+    unmatched end tags) goes through the stack's own methods, shared with
+    :func:`repro.html.parser.parse_html`, and every other token through
+    :func:`~repro.html.tokenizer.scan_step`.  The randomized parity suite
+    in ``tests/test_stream.py`` pins the equivalence.
 
     >>> snap = html_snapshot("<ul><li>a<li>b</ul>")
     >>> [snap.labels[l] for l in snap.label_ids]
     ['ul', 'li', '#text', 'li', '#text']
     """
-    builder = SnapshotBuilder()
-    builder.open(root_label)
-    parent = builder._parent
-    label_ids = builder._label_ids
-    labels = builder._labels
-    label_index = builder._label_index
-    texts = builder._texts
-    attrs_column = builder._attrs
-    open_elements = builder._open
-    stack = open_elements.items
+    # Ids are assigned as if the synthetic root were unwrapped: the root
+    # is not a node (its frame carries id -1), so node 0 is the first
+    # node of the document.  The root is added at the end if it stays.
+    parent: List[int] = []
+    label_ids: List[int] = []
+    labels: List[str] = []
+    label_index: Dict[str, int] = {}
+    texts: Dict[int, str] = {}
+    attrs_column: Dict[int, Dict[str, str]] = {}
+    open_elements = OpenElements()
+    open_elements.push(root_label, -1)
+    frames = open_elements.labels
+    items = open_elements.items
+    positions = open_elements.positions
+    barriers = open_elements.barriers
     start_tag = open_elements.start_tag
-    text_lid = -1
-    get_lid = label_index.get
+    end_tag = open_elements.end_tag
     parent_append = parent.append
     label_ids_append = label_ids.append
+    get_lid = label_index.get
+    text_lid = -1
 
     def on_text(data):
         nonlocal text_lid
         if text_lid < 0:
-            text_lid = get_lid("#text", -1)
-            if text_lid < 0:
-                text_lid = label_index["#text"] = len(labels)
-                labels.append("#text")
+            text_lid = label_index["#text"] = len(labels)
+            labels.append("#text")
         texts[len(parent)] = data
-        parent_append(stack[-1])
+        parent_append(items[-1])
         label_ids_append(text_lid)
 
     def on_start(name, attrs, self_closing):
@@ -296,18 +253,88 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         if attrs:
             attrs_column[nid] = attrs
 
-    # Comments and doctypes carry no tree content (on_misc=None).
-    scan_into(html, on_start, open_elements.end_tag, on_text)
+    token = TOKEN.match
+    names: Dict[str, str] = {}  # tag name as written -> lowercased
+    policy_start_tags = POLICY_START_TAGS
+    i = 0
+    n = len(html)
+    while i < n:
+        m = token(html, i)
+        if m is None:
+            # Comments and doctypes carry no tree content (on_misc=None).
+            i = scan_step(html, i, on_start, end_tag, on_text, None)
+            continue
+        text, raw, attr, value, slash, raw_end = m.groups()
+        i = m.end()
+        if text and not text.isspace():
+            if text_lid < 0:
+                text_lid = label_index["#text"] = len(labels)
+                labels.append("#text")
+            texts[len(parent)] = decode_entities(text) if "&" in text else text
+            parent_append(items[-1])
+            label_ids_append(text_lid)
+        if raw_end is not None:
+            name = names.get(raw_end)
+            if name is None:
+                name = names[raw_end] = intern(raw_end.lower())
+            if frames[-1] == name and len(frames) > 1:
+                # OpenElements.end_tag's fast path, inlined.
+                frames.pop()
+                items.pop()
+                positions[name].pop()
+                if name in SCOPE_BARRIERS:
+                    barriers.pop()
+            else:
+                end_tag(name)
+            continue
+        name = names.get(raw)
+        if name is None:
+            name = names[raw] = intern(raw.lower())
+        nid = len(parent)
+        if slash or name in policy_start_tags:
+            parent_append(start_tag(name, nid, slash == "/"))
+        else:
+            # OpenElements.start_tag's fast path (a plain push), inlined.
+            parent_append(items[-1])
+            positions[name].append(len(frames))
+            if name in SCOPE_BARRIERS:
+                barriers.append(len(frames))
+            frames.append(name)
+            items.append(nid)
+        lid = get_lid(name)
+        if lid is None:
+            lid = label_index[name] = len(labels)
+            labels.append(name)
+        label_ids_append(lid)
+        if attr is not None:
+            attrs_column[nid] = {
+                attr.lower(): decode_entities(value) if "&" in value else value
+            }
+        if name in RAWTEXT_ELEMENTS and not slash:
+            i = scan_rawtext(html, i, name, on_text, end_tag)
+
+    # Unwrap the synthetic root when the document has one root element and
+    # no top-level text (same rule as parse_html): the columns are final.
+    # Otherwise the root becomes node 0 with label id 0, shifting the rest.
+    if parent.count(-1) != 1 or label_ids[0] == text_lid:
+        parent = [-1] + [p + 1 for p in parent]
+        old_labels = labels
+        labels = [root_label] + [name for name in old_labels if name != root_label]
+        label_index = {name: lid for lid, name in enumerate(labels)}
+        new_lid = [label_index[name] for name in old_labels]
+        label_ids = [0] + [new_lid[lid] for lid in label_ids]
+        texts = {nid + 1: data for nid, data in texts.items()}
+        attrs_column = {nid + 1: attrs for nid, attrs in attrs_column.items()}
 
     # Derive the sibling-link columns from ``parent`` in one pass: ids
     # are preorder, so each node's children arrive in document order and
     # the running last-child table is exactly ``lastchild`` at the end.
-    n = len(parent)
-    firstchild = [-1] * n
-    nextsibling = [-1] * n
-    prevsibling = [-1] * n
-    lastchild = [-1] * n
-    for v in range(1, n):
+    size = len(parent)
+    firstchild = [-1] * size
+    nextsibling = [-1] * size
+    prevsibling = [-1] * size
+    lastchild = [-1] * size
+    for v in range(1, size):
         p = parent[v]
         previous = lastchild[p]
         if previous < 0:
@@ -316,17 +343,19 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             nextsibling[previous] = v
             prevsibling[v] = previous
         lastchild[p] = v
-    builder._firstchild = firstchild
-    builder._nextsibling = nextsibling
-    builder._prevsibling = prevsibling
-    builder._lastchild = lastchild
-
-    # Unwrap the synthetic root when the document has one root element and
-    # no top-level text (same rule as parse_html).
-    first = firstchild[0]
-    if first >= 0 and first == lastchild[0] and labels[label_ids[first]] != "#text":
-        builder.strip_root()
-    return builder.finish()
+    return TreeSnapshot(
+        "unranked",
+        parent,
+        firstchild,
+        nextsibling,
+        prevsibling,
+        lastchild,
+        label_ids,
+        labels,
+        label_index,
+        texts=texts,
+        attrs=attrs_column,
+    )
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:

@@ -14,18 +14,21 @@ and wrapped outputs agree across every path (Node, Document, workers).
 """
 
 import random
+import re
 
 import pytest
 
 from repro.datalog.parser import parse_program
 from repro.errors import DatalogError, TreeError, WrapError
 from repro.html import parse_html
+from repro.html.entities import decode_entities
 from repro.html.policy import (
     IMPLICIT_CLOSERS,
     SCOPE_BARRIERS,
     VOID_ELEMENTS,
     OpenElements,
 )
+from repro.html.tokenizer import _scan_attributes, scan_list, tokenize
 from repro.structures import as_indexed
 from repro.trees import parse_sexpr
 from repro.trees.generate import random_tree
@@ -58,7 +61,17 @@ SOUP_PIECES = [
     "<i a='q'>", '<b a="un', "</ p>", "<dt>d", "<dd>e", "<option>o",
     "<tbody>", "<thead>", "<html>", "<body>", "</body>", "<div>", "</div>",
     "<p>par<p>par2", "<select>", "</select>", "x &amp; y", "<a href='/x?a=1&amp;b=2'>y</a>",
+    # Straddling the scanner's one-match fast path and its general step.
+    '<a x="1" y="2">', "<a x='1'>", "<a x=1>", '<img src="a"/>', "</a junk>",
+    '<a x="1', "<A HREF=\"/Y\">", "</A>", "<DiV Class=\"c\">", '<a t="x &amp; y">',
+    "a &lt; b", "< b", "<=", "<a >", '<a x="1" />', '<a\nx="1">', "</>", "<li/>",
+    "</a", "<script/>", '<span x="1"/>', " ", "\n\t", "<table></table>", "<ul></ul>",
+    "<document>", "</document>",
 ]
+
+#: Appended at the end of some random documents: a trailing end tag
+#: with no ``>`` (only the end of input can leave it open).
+SOUP_TAILS = ["</a", "</TD", "</", "<!-- open", "tail &amp; text"]
 
 
 #: Deep runs of hostile tag soup, by run length: each tag of the run
@@ -78,6 +91,8 @@ def soup(rng: random.Random, pieces: int = 14) -> str:
             parts.append(rng.choice(DEEP_RUNS)(rng.randint(1, 40)))
         else:
             parts.append(rng.choice(SOUP_PIECES))
+    if rng.random() < 0.1:
+        parts.append(rng.choice(SOUP_TAILS))
     return "".join(parts)
 
 
@@ -106,6 +121,97 @@ def end_tag_cut(labels, name) -> int:
     return len(labels)
 
 
+_REFERENCE_NAME = re.compile(r"[\w:-]+")
+_REFERENCE_ONE_ATTR = re.compile(r'\s([\w:-]+)="([^"]*)"(/?)>')
+
+
+def reference_scan_list(html: str) -> list:
+    """Reference oracle: the scanner loop as it was before the one-match
+    token regex, emitting :func:`scan_list` events.
+
+    One find/slice/match step per token, the document lowercased once
+    for the rawtext close-tag searches (so it is only an oracle on
+    documents whose lowercasing keeps every offset, e.g. ASCII ones).
+    The attribute scanner is shared with the code under test.
+    """
+    out = []
+    i = 0
+    n = len(html)
+    lower = None
+    find = html.find
+    while i < n:
+        if html[i] == "<":
+            lt = i
+        else:
+            lt = find("<", i)
+            end = n if lt == -1 else lt
+            text = html[i:end]
+            if not text.isspace():
+                out.append(("text", decode_entities(text) if "&" in text else text))
+            if lt == -1:
+                return out
+            i = lt
+        nxt = html[i + 1] if i + 1 < n else ""
+        if nxt == "!":
+            if html.startswith("<!--", i):
+                end = find("-->", i + 4)
+                if end == -1:
+                    end = n - 3
+                out.append(("comment", html[i + 4 : end]))
+                i = end + 3
+            else:
+                end = find(">", i + 2)
+                if end == -1:
+                    end = n - 1
+                out.append(("doctype", html[i + 2 : end].strip()))
+                i = end + 1
+            continue
+        if nxt == "/":
+            m = _REFERENCE_NAME.match(html, i + 2)
+            if m is None:
+                end = find(">", i + 2)
+            else:
+                end = find(">", m.end())
+                out.append(("end", m.group().lower()))
+            i = (end + 1) if end != -1 else n
+            continue
+        m = _REFERENCE_NAME.match(html, i + 1)
+        if m is None:
+            out.append(("text", "<"))
+            i += 1
+            continue
+        name = m.group().lower()
+        j = m.end()
+        if j < n and html[j] == ">":
+            attrs, self_closing, i = {}, False, j + 1
+        else:
+            m = _REFERENCE_ONE_ATTR.match(html, j)
+            if m is not None:
+                value = m.group(2)
+                if value and "&" in value:
+                    value = decode_entities(value)
+                attrs = {m.group(1).lower(): value}
+                self_closing = m.group(3) == "/"
+                i = m.end()
+            else:
+                attrs, self_closing, i = _scan_attributes(html, j)
+        out.append(("start", name, attrs, self_closing))
+        if name in ("script", "style") and not self_closing:
+            if lower is None:
+                lower = html.lower()
+            close = lower.find(f"</{name}", i)
+            if close == -1:
+                close = n
+            raw = html[i:close]
+            if raw and not raw.isspace():
+                out.append(("text", raw))
+            gt = find(">", close)
+            if close < n:
+                out.append(("end", name))
+            i = (gt + 1) if gt != -1 else n
+    return out
+
+
 def columns(snapshot: TreeSnapshot) -> dict:
     return {
         "size": snapshot.size,
@@ -130,6 +236,44 @@ def catalog_wrapper() -> Wrapper:
     for pattern in ("record", "name", "price"):
         wrapper.add_elog(pattern, program, pattern=pattern)
     return wrapper
+
+
+class TestScanner:
+    """The one-match scanner emits exactly the reference scanner's events."""
+
+    def test_randomized_events_match_reference(self):
+        rng = random.Random(20261017)
+        for _ in range(2000):
+            doc = soup(rng, pieces=20)
+            assert scan_list(doc) == reference_scan_list(doc), repr(doc)
+
+    def test_workload_events_match_reference(self):
+        for page in (
+            catalog_page(seed=1, items=120),
+            news_page(seed=2, articles=25),
+            noisy_table_page(seed=3, rows=60),
+        ):
+            assert scan_list(page) == reference_scan_list(page)
+
+    def test_fast_and_general_steps(self):
+        assert scan_list('t<a x="1">u</a>') == [
+            ("text", "t"), ("start", "a", {"x": "1"}, False),
+            ("text", "u"), ("end", "a"),
+        ]
+        # Two attributes, single quotes, unquoted values, ``<br/>``: the
+        # general step; the events do not depend on which step ran.
+        assert scan_list("<a x='1' y=2><br/>") == [
+            ("start", "a", {"x": "1", "y": "2"}, False),
+            ("start", "br", {}, True),
+        ]
+        assert scan_list("</B junk>x</a") == [("end", "b"), ("text", "x"), ("end", "a")]
+
+    def test_rawtext_close_after_case_changing_text(self):
+        # Lowercasing "İ" makes it two characters long; the rawtext close
+        # tag is still found at its offset in the document itself.
+        assert [t.data for t in tokenize("İ<script>x</script>y") if t.kind == "text"] == [
+            "İ", "x", "y",
+        ]
 
 
 class TestSnapshotParity:
@@ -219,9 +363,9 @@ class TestOpenElements:
         positions = {}
         for index, label in enumerate(stack.labels):
             positions.setdefault(label, []).append(index)
-        assert {k: v for k, v in stack._positions.items() if v} == positions
+        assert {k: v for k, v in stack.positions.items() if v} == positions
         barriers = [i for i, label in enumerate(stack.labels) if label in SCOPE_BARRIERS]
-        assert stack._barriers == barriers
+        assert stack.barriers == barriers
 
     def test_random_sequences_match_linear_scans(self):
         rng = random.Random(20261016)
@@ -263,7 +407,7 @@ class TestOpenElements:
                 assert stack.items == items
                 self.assert_indexes_consistent(stack)
             stack.truncate(0)
-            assert not stack and stack._barriers == []
+            assert not stack and stack.barriers == []
             self.assert_indexes_consistent(stack)
 
 

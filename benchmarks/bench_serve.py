@@ -65,7 +65,6 @@ import concurrent.futures
 import http.client
 import json
 import os
-import pathlib
 import sys
 import time
 
@@ -81,6 +80,7 @@ from repro.serve import (
     WrapperRegistry,
     content_hash,
 )
+from benchio import _write_bench
 from repro.workloads import (
     CATALOG_WRAPPER,
     FORUM_WRAPPER,
@@ -794,9 +794,7 @@ def main(argv=None) -> int:
         "tracing_overhead": tracing_row,
         "multicore": multicore_row,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_serve.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench("BENCH_serve.json", payload)
     batched_ok = all(
         row["speedup_batched"] >= 2.0 for row in rows if row["concurrency"] >= 8
     )

@@ -23,11 +23,10 @@ runs write ``BENCH_incremental.smoke.json`` instead), and
 
 from __future__ import annotations
 
-import json
-import pathlib
 import sys
 import time
 
+from benchio import _write_bench
 from repro.datalog.engine import compile_program, evaluate
 from repro.datalog.seminaive import evaluate_seminaive
 from repro.structures import as_indexed
@@ -234,9 +233,7 @@ def report_compiled(smoke: bool = False) -> None:
         "smoke": smoke,
         "rows": rows,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_compiled.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench("BENCH_compiled.json", payload)
 
 
 def _timed_kernel_pair(compiled, indexed, repeat: int):
@@ -465,9 +462,7 @@ def report_kernel(smoke: bool = False) -> None:
         "rows": rows,
         "deep_rows": deep_rows,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_kernel.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench("BENCH_kernel.json", payload)
 
 
 def _catalog_wrapper(shared: bool) -> Wrapper:
@@ -705,9 +700,7 @@ def report_stream(smoke: bool = False) -> None:
         "rows": rows,
         "hostile_rows": hostile_rows,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_stream.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench("BENCH_stream.json", payload)
 
 
 def report_delta(smoke: bool = False) -> None:
@@ -767,9 +760,7 @@ def report_delta(smoke: bool = False) -> None:
         "smoke": smoke,
         "rows": rows,
     }
-    out_path = pathlib.Path(__file__).resolve().parent / "BENCH_delta.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench("BENCH_delta.json", payload)
 
 
 def _thread_chains(root):
@@ -1005,9 +996,7 @@ def report_incremental(smoke: bool = False) -> None:
         "rows": rows,
     }
     name = "BENCH_incremental.smoke.json" if smoke else "BENCH_incremental.json"
-    out_path = pathlib.Path(__file__).resolve().parent / name
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"    wrote {out_path}")
+    _write_bench(name, payload)
 
 
 def _assert_remote_path_exercised() -> None:

@@ -10,13 +10,14 @@ four pieces, each usable on its own:
   :meth:`repro.wrap.extraction.Wrapper.compile`), persisted to a disk
   cache via pickle with source-hash invalidation and warm-loaded on
   startup;
-* :mod:`repro.serve.executor` -- :class:`ShardExecutor`: a long-lived
-  pool of single-worker process shards (generalizing the per-call
-  ``workers=`` fan-out of the batch APIs); each compiled wrapper is
-  pickled to a shard exactly once and documents are routed to shards by
-  content hash.  Every shard, local or remote, runs one operation on one
-  :class:`ShardStore`: ``(html, doc_id | None)`` items in, outputs plus
-  per-page stats out;
+* :mod:`repro.serve.executor` -- :class:`ShardExecutor`: a fixed set of
+  long-lived shards (generalizing the per-call ``workers=`` fan-out of
+  the batch APIs), each a :class:`ShardDaemon` forked onto a Unix socket
+  and reached over the same framed RPC as a remote daemon; each compiled
+  wrapper is pickled to a shard exactly once and documents are routed to
+  shards by content hash.  Every shard, local or remote, runs one
+  operation on one :class:`ShardStore`: ``(html, doc_id | None)`` items
+  in, outputs plus per-page stats out;
 * :mod:`repro.serve.batcher` -- :class:`MicroBatcher`: coalesces
   concurrent single-document requests into kernel batches (flush on size
   or deadline), dedupes identical documents inside a batch, and fronts
@@ -78,7 +79,6 @@ from repro.serve.metrics import ServeMetrics, parse_prometheus_text
 from repro.serve.registry import RegisteredWrapper, WrapperRegistry
 from repro.serve.ring import HashRing
 from repro.serve.server import ExtractionServer, ServerThread
-from repro.serve.shard import DaemonThread, ShardDaemon
 from repro.serve.supervisor import CircuitBreaker, Quarantine, ShardSupervisor
 from repro.serve.tracing import RequestLog, Span, Tracer, find_spans, stage_timings
 from repro.serve.transport import RemoteShardExecutor
@@ -110,3 +110,13 @@ __all__ = [
     "parse_prometheus_text",
     "stage_timings",
 ]
+
+
+def __getattr__(name: str):
+    # The daemon module loads on first use, so that running it as
+    # ``python -m repro.serve.shard`` does not find it imported already.
+    if name in ("DaemonThread", "ShardDaemon"):
+        from repro.serve import shard
+
+        return getattr(shard, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

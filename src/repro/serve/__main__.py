@@ -2,7 +2,7 @@
 
 Examples::
 
-    # In-memory registry, demo catalog wrapper, one process shard:
+    # In-memory registry, demo catalog wrapper, one local shard daemon:
     python -m repro.serve --port 8421 --demo --shards 1
 
     # Persistent registry (warm-loads previously registered wrappers):
@@ -47,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="process shards for evaluation (0 = inline single shard)",
+        help=(
+            "local shard daemons for evaluation, each a forked process "
+            "(0 = inline single shard)"
+        ),
     )
     parser.add_argument(
         "--remote-shard",

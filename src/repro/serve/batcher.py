@@ -5,8 +5,8 @@ wrapper and flushed together -- when the queue reaches ``max_batch`` or
 when the oldest entry's deadline (``max_delay`` seconds) expires,
 whichever comes first.  One flush turns into at most one
 :class:`~repro.serve.executor.ShardExecutor` submission per shard, so
-under concurrency the per-request process-pool round trip (pickling,
-queue hand-off, wakeup) is amortized across the whole batch -- that is
+under concurrency the per-request shard round trip (pickling,
+socket hand-off, wakeup) is amortized across the whole batch -- that is
 where the measured >=2x over the naive one-request-one-submission path
 comes from (``benchmarks/bench_serve.py``).
 
@@ -68,7 +68,6 @@ The batcher must be used from a single asyncio event loop.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import BrokenExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import (
@@ -493,8 +492,9 @@ class MicroBatcher:
             if len(keys) == 1:
                 # Strike only when the crash is attributable to this
                 # document: the worker died *while evaluating it*.
-                # Blameless crashes (install failures, a pool broken by
-                # an earlier request, wrapper-not-resident) and plain
+                # Blameless crashes (install failures, a shard that was
+                # unreachable before the pages were sent,
+                # wrapper-not-resident) and plain
                 # timeouts never quarantine.
                 if isinstance(exc, ShardCrashed) and not exc.blameless:
                     if self.quarantine.strike(keys[0][0]):
@@ -539,8 +539,9 @@ class MicroBatcher:
         deadline overrun to a worker kill + respawn +
         :class:`~repro.errors.RequestTimeout`.  Failures in the install
         phase -- before the pages ever reach a worker -- are marked
-        ``blameless`` so an innocent document retrying into a pool that
-        an *earlier* crash broke does not accumulate quarantine strikes.
+        ``blameless`` so an innocent document retrying into a shard that
+        an *earlier* crash took down does not accumulate quarantine
+        strikes.
 
         The reply's per-page stats feed the incremental metrics for
         ``doc_id`` items and, with ``span`` set, are grafted into the
@@ -575,13 +576,6 @@ class MicroBatcher:
                 except ShardCrashed as exc:
                     exc.blameless = True
                     raise
-                except BrokenExecutor:
-                    crash = ShardCrashed(
-                        "shard worker died before this batch was submitted; "
-                        "shard respawned, retry the request"
-                    )
-                    crash.blameless = True
-                    raise crash from None
                 result = await asyncio.wait_for(
                     asyncio.wrap_future(submission), timeout
                 )
@@ -593,11 +587,6 @@ class MicroBatcher:
                 raise RequestTimeout(
                     f"shard call exceeded its {timeout:.3f}s budget; "
                     "worker killed and respawned, retry the request"
-                ) from None
-            except BrokenExecutor:
-                raise ShardCrashed(
-                    "shard worker died under this request; "
-                    "shard respawned, retry the request"
                 ) from None
             payloads, stats = validate_reply(result, len(items))
         except BaseException as exc:

@@ -1,14 +1,17 @@
-"""Sharded long-lived evaluation pool for compiled wrappers.
+"""Sharded long-lived evaluation for compiled wrappers.
 
 The batch APIs of :mod:`repro.wrap.extraction` spin a process pool up per
 call; a server cannot afford that.  :class:`ShardExecutor` owns a fixed
-set of *shards* -- each a single-worker ``ProcessPoolExecutor`` -- that
-live for the whole server lifetime.  A compiled wrapper is pickled and
-installed into each shard exactly once (plans + kernel tables, a few KB);
-after that, only HTML strings travel to a shard and only flat
-JSON-serializable output dicts travel back.
+set of *shards* that live for the whole server lifetime: each a
+:class:`~repro.serve.shard.ShardDaemon` forked onto a Unix socket the
+executor owns and reached over the framed RPC of
+:mod:`repro.serve.transport`, the same connection code that reaches a
+remote daemon.  A compiled wrapper is pickled and installed into each
+shard exactly once (plans + kernel tables, a few KB); after that, only
+HTML strings travel to a shard and only flat JSON-serializable output
+dicts travel back.
 
-Every shard -- a local process, the inline thread, or a remote
+Every shard -- a local daemon, the inline thread, or a remote
 :class:`~repro.serve.shard.ShardDaemon` -- holds one :class:`ShardStore`
 and runs one operation on it, :meth:`ShardStore.wrap`: a list of
 ``(html, doc_id | None)`` items in, ``{"pages": [...], "kernel": [...]}``
@@ -26,31 +29,17 @@ process fan-out cannot pay for itself.
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import os
-import signal
+import shutil
+import tempfile
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import (
-    ServeError,
-    ServerOverloaded,
-    ShardCrashed,
-    WrapperNotResident,
-)
-from repro.serve.faults import (
-    FAULTS_ENV,
-    FaultInjector,
-    FaultPlan,
-    process_injector,
-    release_hangs,
-)
+from repro.errors import ServeError, WrapperNotResident
+from repro.serve.faults import FaultInjector, FaultPlan, release_hangs
 from repro.wrap.extraction import Wrapper, WrapperState
 
 #: One unit of shard work: an HTML page and the document id it is a
@@ -170,19 +159,6 @@ class ShardStore:
         return {"pages": pages, "kernel": kernel}
 
 
-#: The store of a process shard's worker (one per worker process).
-_WORKER_STORE = ShardStore()
-
-
-def _worker_op(op: str, *args):
-    """Run one :class:`ShardStore` operation inside a process shard.
-
-    The fault plan arrives through the environment the worker inherited,
-    and faults are *hard* here: an injected kill really exits."""
-    _WORKER_STORE.injector = process_injector()
-    return getattr(_WORKER_STORE, op)(*args)
-
-
 def _forget_on_failure(shard, key: str):
     def callback(future) -> None:
         if future.cancelled() or future.exception() is not None:
@@ -194,12 +170,15 @@ def _forget_on_failure(shard, key: str):
 class ShardSet:
     """The executor surface every shard transport shares.
 
-    Routing, install-once bookkeeping, health pings and kills, over
-    ``self._shards``: objects with an ``installed`` LRU of wrapper keys,
-    a ``draining`` flag, ``call(op, *args)`` (a future of one
-    :class:`ShardStore` operation), ``evict(key)`` (fire-and-forget
-    uninstall) and ``kill()``.  :class:`ShardExecutor` runs local shards;
-    :class:`~repro.serve.transport.RemoteShardExecutor` runs daemons.
+    Routing, install-once bookkeeping, submission, health pings, kills
+    and shutdown, over ``self._shards``: objects with an ``installed``
+    LRU of wrapper keys, a ``draining`` flag, ``call(op, *args)`` (a
+    future of one :class:`ShardStore` operation), ``wrap(key, items,
+    trace)`` and ``ping()`` (futures of those operations), ``evict(key)``
+    (fire-and-forget uninstall), ``kill()``, ``state()`` and ``close()``
+    (safe from any thread).  :class:`ShardExecutor` runs local shards;
+    :class:`~repro.serve.transport.RemoteShardExecutor` runs remote
+    daemons.
     """
 
     def __init__(self, shards: list, max_installed: int):
@@ -216,10 +195,10 @@ class ShardSet:
         (the supervisor's consistent-hash ring overrides this)."""
         return int(doc_hash[:16], 16) % len(self._shards)
 
-    def _call(self, shard_index: int, op: str, *args):
+    def _shard(self, shard_index: int):
         if self._closed:
             raise ServeError("executor is closed")
-        return self._shards[shard_index].call(op, *args)
+        return self._shards[shard_index]
 
     def ensure_installed(
         self, key: str, wrapper: Wrapper, shard: Optional[int] = None
@@ -270,9 +249,33 @@ class ShardSet:
     def is_draining(self, shard_index: int) -> bool:
         return self._shards[shard_index].draining
 
+    def submit(
+        self,
+        shard_index: int,
+        key: str,
+        items: Sequence[Union[str, Item]],
+        trace: Optional[dict] = None,
+    ):
+        """Wrap a sub-batch of items on one shard (see :meth:`ShardStore.wrap`).
+
+        ``items`` are ``(html, doc_id)`` pairs or bare pages; the future
+        resolves to ``{"pages": [...], "kernel": [...]}``.  The caller
+        routes ``doc_id`` items by ``content_hash(doc_id)`` so successive
+        versions of one document land on the shard holding its state.
+        ``trace`` (the request's trace context) travels to daemons, which
+        log it; the inline shard ignores it."""
+        return self._shard(shard_index).wrap(key, as_items(items), trace)
+
+    #: Every reply carries the per-page stats, so tracing needs no other call.
+    submit_traced = submit
+
     def ping(self, shard_index: int):
         """Health-check round trip through one shard's queue."""
-        return self._call(shard_index, "ping")
+        return self._shard(shard_index).ping()
+
+    def shard_state(self, shard_index: int) -> Dict:
+        """Transport view of one shard for ``/healthz``."""
+        return self._shards[shard_index].state()
 
     def kill_shard(self, shard_index: int) -> None:
         """Cut one shard off (a call hung past its deadline).
@@ -286,119 +289,98 @@ class ShardSet:
         """Supervisor hook: proactively recycle one (sick) shard."""
         self.kill_shard(shard_index)
 
+    def close(self) -> None:
+        """Shut every shard down; safe to call from any thread."""
+        if self._closed:
+            return
+        self._closed = True
+        for shard in self._shards:
+            shard.close()
 
-class _LocalShard:
-    """One single-worker local shard: a worker process, or a thread.
+    async def aclose(self) -> None:
+        """:meth:`close` from the event loop (its blocking waits run off it)."""
+        await asyncio.get_running_loop().run_in_executor(None, self.close)
 
-    A process shard's dead worker (OOM-killed, segfaulted) breaks its
-    ``ProcessPoolExecutor`` permanently; submissions after that respawn
-    the pool -- the in-flight request fails with a retryable
-    :class:`ShardCrashed`, installed wrappers are forgotten (so they
-    re-install on the next request), and the shard heals itself.
 
-    The ``inline`` shard runs on a thread and keeps its
-    :class:`ShardStore` in the server's memory (no pickling).  Faults are
-    injected *softly* there (simulated crashes instead of process death),
-    so the whole recovery stack is exercisable without spawning
-    processes.
+class _InlineShard:
+    """The ``shards=0`` shard: one worker thread over an in-memory store.
+
+    The :class:`ShardStore` lives in the server's memory (no pickling).
+    Faults are injected *softly* here (simulated crashes instead of
+    process death), so the whole recovery stack is exercisable without
+    spawning processes.
     """
 
-    def __init__(self, inline: bool, faults: Optional[FaultPlan] = None) -> None:
-        self.inline = inline
+    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
         #: Survives respawns: an inline chaos run is one deterministic
         #: call sequence, so a plan combining ``kill_every`` with delays
         #: keeps firing *all* its faults instead of resetting to the
         #: kill-only prefix after every respawn.
         self.injector: Optional[FaultInjector] = (
             FaultInjector(faults, hard=False, shard_tag="inline")
-            if inline and faults is not None and faults.enabled
+            if faults is not None and faults.enabled
             else None
         )
         self._spawn()
 
     def _spawn(self) -> None:
-        if self.inline:
-            self.pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-shard"
-            )
-            self.store = ShardStore(injector=self.injector)
-        else:
-            self.pool = ProcessPoolExecutor(max_workers=1)
+        self.pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve-shard"
+        )
+        self.store = ShardStore(injector=self.injector)
         #: Installed wrapper keys in LRU order (see ensure_installed).
         self.installed: "OrderedDict[str, bool]" = OrderedDict()
 
-    def _respawn(self) -> None:
+    #: The inline shard never drains independently of the server.
+    draining = False
+
+    def call(self, op: str, *args) -> Future:
+        """Queue one :class:`ShardStore` operation on the worker thread."""
+        return self.pool.submit(getattr(self.store, op), *args)
+
+    def wrap(self, key: str, items: List[Item], trace=None) -> Future:
+        return self.call("wrap", key, items)
+
+    def ping(self) -> Future:
+        return self.call("ping")
+
+    def evict(self, key: str) -> None:
+        # Fire-and-forget: the single worker is FIFO, so any batch
+        # already queued for ``key`` runs first.
+        self.call("uninstall", key)
+
+    def kill(self) -> None:
+        """Drop the store (forcing re-install) and start a fresh worker.
+
+        Any injected hang is released so the abandoned worker thread can
+        exit."""
+        release_hangs()
         old = self.pool
         self._spawn()
         old.shutdown(wait=False, cancel_futures=True)
 
-    #: Local shards never drain independently of the server.
-    draining = False
-
-    def call(self, op: str, *args) -> Future:
-        """Queue one :class:`ShardStore` operation on this shard's worker."""
-        if self.inline:
-            return self.pool.submit(getattr(self.store, op), *args)
-        # Never submit to a freshly respawned pool here: the respawn
-        # cleared the installed set, so the caller must go back through
-        # ensure_installed first.  Raising the retryable error (mapped to
-        # 503) makes the next attempt do exactly that.
-        # Both raises below are *blameless*: the pool broke under some
-        # earlier request, so whatever documents this submission carries
-        # cannot be what killed the worker -- they must not earn
-        # quarantine strikes.
-        if getattr(self.pool, "_broken", False):
-            self._respawn()
-            crash = ShardCrashed(
-                "shard worker died; shard respawned, retry the request"
-            )
-            crash.blameless = True
-            raise crash
-        try:
-            return self.pool.submit(_worker_op, op, *args)
-        except BrokenExecutor:
-            self._respawn()
-            crash = ShardCrashed(
-                "shard worker died; shard respawned, retry the request"
-            )
-            crash.blameless = True
-            raise crash from None
-
-    def evict(self, key: str) -> None:
-        try:
-            # Fire-and-forget: the single-worker pool is FIFO, so any
-            # batch already queued for ``key`` runs first.
-            self.call("uninstall", key)
-        except (ServerOverloaded, ShardCrashed):
-            pass  # pool respawned: the whole store is gone anyway
-
-    def kill(self) -> None:
-        """Hard-kill the worker (hung past a deadline) and respawn.
-
-        Process workers get SIGKILL, not terminate(): a worker stuck in C
-        code or an injected hang must die unconditionally; in-flight
-        futures fail with :class:`BrokenExecutor`, which callers map to
-        the retryable crash path.  The inline shard loses its store
-        (forcing re-install) and any injected hang is released so the
-        abandoned worker thread can exit."""
-        if self.inline:
-            release_hangs()
-        else:
-            for pid in list(getattr(self.pool, "_processes", {}) or {}):
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except (ProcessLookupError, OSError):  # pragma: no cover - raced exit
-                    pass
-        self._respawn()
+    def state(self) -> Dict:
+        return {
+            "transport": "local",
+            "mode": "inline",
+            "connected": True,
+            "draining": False,
+            "reconnects_total": 0,
+            "installed_wrappers": len(self.installed),
+        }
 
     def close(self) -> None:
-        if self.inline:
-            release_hangs()
+        release_hangs()
         self.pool.shutdown(wait=True, cancel_futures=True)
 
 
 class ShardExecutor(ShardSet):
     """A fixed set of long-lived local evaluation shards.
+
+    ``shards=N > 0`` forks ``N`` :class:`~repro.serve.shard.ShardDaemon`
+    processes on Unix sockets in a private temporary directory, reached
+    like remote daemons and so used on one event loop; :meth:`close`
+    (from any thread) reaps them and removes the directory.
 
     Parameters
     ----------
@@ -407,10 +389,13 @@ class ShardExecutor(ShardSet):
         thread-backed shard.
     max_installed:
         Cap on resident compiled wrappers per shard.  Superseded or
-        rarely used registrations are evicted LRU from the worker's store
+        rarely used registrations are evicted LRU from the shard's store
         (and transparently re-installed on their next request), so a
         server whose wrappers are re-registered over time cannot grow
-        worker memory without bound.
+        shard memory without bound.
+    faults:
+        Deterministic fault plan for chaos testing: injected softly in
+        the inline shard, hard (real process exits) in process shards.
 
     Examples
     --------
@@ -430,63 +415,27 @@ class ShardExecutor(ShardSet):
         faults: Optional[FaultPlan] = None,
     ):
         self.faults = faults
-        self._faults_env_prior: Optional[str] = None
-        if faults is not None and faults.enabled and shards > 0:
-            # Worker processes do not share memory with the server: they
-            # pick the plan up from the environment they inherit at
-            # spawn.  Restored by close().
-            self._faults_env_prior = os.environ.get(FAULTS_ENV)
-            os.environ[FAULTS_ENV] = faults.spec()
+        self._socket_dir: Optional[str] = None
         if shards <= 0:
             self.mode = "inline"
-            local = [_LocalShard(inline=True, faults=faults)]
+            local = [_InlineShard(faults)]
         else:
+            # Imported here: the transport builds on this module.
+            from repro.serve.transport import _LocalShard
+
             self.mode = "process"
-            local = [_LocalShard(inline=False) for _ in range(shards)]
+            self._socket_dir = tempfile.mkdtemp(prefix="repro-shards-")
+            local = [
+                _LocalShard(os.path.join(self._socket_dir, f"{i}.sock"), faults)
+                for i in range(shards)
+            ]
         super().__init__(local, max_installed)
 
-    def shard_state(self, shard_index: int) -> Dict:
-        """Transport view of one shard for ``/healthz`` (local flavor)."""
-        return {
-            "transport": "local",
-            "mode": self.mode,
-            "connected": not self._closed,
-            "draining": False,
-            "reconnects_total": 0,
-            "installed_wrappers": len(self._shards[shard_index].installed),
-        }
-
-    def submit(
-        self,
-        shard_index: int,
-        key: str,
-        items: Sequence[Union[str, Item]],
-        trace: Optional[dict] = None,
-    ) -> Future:
-        """Wrap a sub-batch of items on one shard (see :meth:`ShardStore.wrap`).
-
-        ``items`` are ``(html, doc_id)`` pairs or bare pages; the future
-        resolves to ``{"pages": [...], "kernel": [...]}``.  The caller
-        routes ``doc_id`` items by ``content_hash(doc_id)`` so successive
-        versions of one document land on the shard holding its state.
-        ``trace`` (the request's trace context) is accepted for signature
-        parity with the remote transport, whose daemons log it."""
-        return self._call(shard_index, "wrap", key, as_items(items))
-
-    #: Every reply carries the per-page stats, so tracing needs no other call.
-    submit_traced = submit
-
     def close(self) -> None:
-        """Shut every shard down (graceful: running batches finish)."""
-        if self._closed:
-            return
-        self._closed = True
-        for shard in self._shards:
-            shard.close()
-        if self._faults_env_prior is not None:
-            os.environ[FAULTS_ENV] = self._faults_env_prior
-        elif self.faults is not None and self.faults.enabled and self.mode == "process":
-            os.environ.pop(FAULTS_ENV, None)
+        """Shut every shard down, reap the children, remove the sockets."""
+        super().close()
+        if self._socket_dir is not None:
+            shutil.rmtree(self._socket_dir, ignore_errors=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ShardExecutor({self.mode}, {self.n_shards} shards)"

@@ -8,18 +8,16 @@ knob resembling a seed is ``phase``, which offsets the counter so two
 runs of the same plan can exercise different call positions — equally
 deterministically.
 
-A :class:`FaultPlan` is parsed from a compact ``key=value`` spec string
-(also accepted via the ``REPRO_SERVE_FAULTS`` environment variable, which
-is how worker *processes* — which do not share memory with the server —
-pick up the active plan):
+A :class:`FaultPlan` is parsed from a compact ``key=value`` spec string:
 
     kill_every=5,delay_every=10,delay_s=0.25,poison_marker=POISON,phase=0
 
 Faults, all counter-based (``0`` disables each):
 
 * ``kill_every=N``   — every Nth shard call kills the worker
-  (``os._exit`` in process shards, a simulated
-  :class:`~repro.errors.ShardCrashed` in inline shards);
+  (``os._exit`` in a local shard's forked daemon, a simulated
+  :class:`~repro.errors.ShardCrashed` in the inline shard and in remote
+  daemons);
 * ``delay_every=N`` / ``delay_s=S`` — every Nth call sleeps ``S`` seconds
   before evaluating (models a slow page / GC pause / noisy neighbor);
 * ``hang_every=N`` / ``hang_s=S`` — every Nth call blocks for up to ``S``
@@ -66,9 +64,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.errors import ServeError, ShardCrashed
-
-#: Environment variable carrying the active fault spec to worker processes.
-FAULTS_ENV = "REPRO_SERVE_FAULTS"
 
 #: Environment variable naming the fault-event JSONL log (optional).
 FAULT_LOG_ENV = "REPRO_SERVE_FAULT_LOG"
@@ -241,9 +236,9 @@ class FaultPlan:
 class FaultInjector:
     """Applies a :class:`FaultPlan` to shard calls, deterministically.
 
-    One injector lives per shard worker (a module global in process
-    workers, one per inline shard or shard daemon).  ``hard=True`` means
-    real worker death (``os._exit``); ``hard=False`` simulates the crash
+    One injector lives per shard worker (the inline shard, or a shard
+    daemon's store).  ``hard=True`` means real worker death
+    (``os._exit``); ``hard=False`` simulates the crash
     by raising :class:`~repro.errors.ShardCrashed`, which exercises the
     identical recovery path without sacrificing a process.
     """
@@ -293,10 +288,7 @@ class FaultInjector:
             self._crash(f"kill_every={self.plan.kill_every}")
         if self._due(self.plan.hang_every):
             self._log("hang", seconds=self.plan.hang_s)
-            if self.hard:
-                time.sleep(self.plan.hang_s)
-            else:
-                _HANG_RELEASE.wait(self.plan.hang_s)
+            _HANG_RELEASE.wait(self.plan.hang_s)
         elif self._due(self.plan.delay_every):
             self._log("delay", seconds=self.plan.delay_s)
             time.sleep(self.plan.delay_s)
@@ -362,31 +354,6 @@ class TransportFaultInjector:
             )
             return "delay", self.plan.delay_frame_s
         return None, None
-
-
-#: Lazily-built injector for *process* shard workers, configured from the
-#: environment the worker inherited (set by ShardExecutor before spawn).
-_PROCESS_INJECTOR: Optional[FaultInjector] = None
-_PROCESS_INJECTOR_SPEC: Optional[str] = None
-
-
-def process_injector() -> Optional[FaultInjector]:
-    """The per-worker-process injector, or ``None`` when faults are off.
-
-    Rebuilt if the environment spec changed (a respawned worker always
-    starts from a fresh counter — deterministic per worker lifetime).
-    """
-    global _PROCESS_INJECTOR, _PROCESS_INJECTOR_SPEC
-    spec = os.environ.get(FAULTS_ENV) or None
-    if spec != _PROCESS_INJECTOR_SPEC:
-        _PROCESS_INJECTOR_SPEC = spec
-        plan = FaultPlan.parse(spec)
-        _PROCESS_INJECTOR = (
-            FaultInjector(plan, hard=True, shard_tag="process")
-            if plan.enabled
-            else None
-        )
-    return _PROCESS_INJECTOR
 
 
 def validate_shard_result(result: object, expected: int) -> List[Dict]:

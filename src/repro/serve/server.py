@@ -82,7 +82,6 @@ import json
 import random
 import threading
 import time
-from concurrent.futures import BrokenExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -243,7 +242,7 @@ class ExtractionServer:
         except Exception:
             # A failed bind must not leak shard worker processes.
             executor, self.executor, self.batcher = self.executor, None, None
-            await self._close_executor(executor)
+            await executor.aclose()
             raise
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.monotonic()
@@ -282,19 +281,7 @@ class ExtractionServer:
         if self.executor is not None:
             executor = self.executor
             self.executor = None
-            await self._close_executor(executor)
-
-    @staticmethod
-    async def _close_executor(executor) -> None:
-        """Shut an executor down from the serving loop.
-
-        Remote executors close natively on the loop (``aclose``); local
-        process pools block on worker exit, so they close off-loop."""
-        aclose = getattr(executor, "aclose", None)
-        if aclose is not None:
-            await aclose()
-        else:
-            await asyncio.get_running_loop().run_in_executor(None, executor.close)
+            await executor.aclose()
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -553,7 +540,7 @@ class ExtractionServer:
             return 504, {"error": str(exc), "retryable": True}
         except ServerOverloaded as exc:
             return 503, {"error": str(exc), "retryable": True}
-        except (ShardCrashed, BrokenExecutor) as exc:
+        except ShardCrashed as exc:
             # Retries exhausted on worker death; the shard respawns on
             # the next submission, so the client may retry later.
             self.metrics.incr("errors")
@@ -573,7 +560,7 @@ class ExtractionServer:
             shard_health = (
                 self.supervisor.describe() if self.supervisor is not None else []
             )
-            if self.executor is not None and hasattr(self.executor, "shard_state"):
+            if self.executor is not None:
                 # Per-shard transport state (local|remote, connected,
                 # reconnects, draining) merged into the health entries.
                 for entry in shard_health:
@@ -605,21 +592,16 @@ class ExtractionServer:
                     "ring_generation", self.supervisor.ring.generation
                 )
                 self.metrics.set_gauge("ring_members", len(self.supervisor.ring))
-            if self.executor is not None and hasattr(self.executor, "shard_state"):
+            if self.executor is not None:
+                shards = [
+                    self.executor.shard_state(index)
+                    for index in range(self.executor.n_shards)
+                ]
                 self.metrics.set_gauge(
-                    "shards_connected",
-                    sum(
-                        1
-                        for index in range(self.executor.n_shards)
-                        if self.executor.shard_state(index).get("connected")
-                    ),
+                    "shards_connected", sum(s["connected"] for s in shards)
                 )
                 self.metrics.set_gauge(
-                    "reconnects_total",
-                    sum(
-                        self.executor.shard_state(index).get("reconnects_total", 0)
-                        for index in range(self.executor.n_shards)
-                    ),
+                    "reconnects_total", sum(s["reconnects_total"] for s in shards)
                 )
             self.metrics.set_gauge("quarantined_documents", len(self.quarantine))
             if "format=prometheus" in query.split("&"):

@@ -1,13 +1,13 @@
 """Standalone evaluation shard daemon: ``python -m repro.serve.shard``.
 
-One daemon is one remote shard: a single-worker evaluation box speaking
-the length-prefixed frame protocol of :mod:`repro.serve.transport` over a
-listening socket.  A router (:class:`~repro.serve.transport.RemoteShardExecutor`
-inside an :class:`~repro.serve.server.ExtractionServer`) installs each
+One daemon is one shard: a single-worker evaluation box speaking the
+length-prefixed frame protocol of :mod:`repro.serve.transport` over a
+listening socket.  Run from this CLI it is a remote shard on
+``host:port``; a :class:`~repro.serve.executor.ShardExecutor` forks its
+local shards as daemons on Unix sockets it owns.  A router installs each
 compiled wrapper at most once per connection lifetime, then streams
 pages; the daemon evaluates them on a dedicated worker thread (one at a
-time -- the same single-worker queue semantics as local process shards,
-so a ping round trip proves the daemon is draining its queue).
+time, so a ping round trip proves the daemon is draining its queue).
 
 Operations: ``install`` / ``uninstall`` (compiled-wrapper residency,
 LRU-capped), ``wrap`` (the one shard operation, see
@@ -32,8 +32,9 @@ Fault injection: ``--faults`` applies the *evaluation* fault kinds
 ``poison_marker``) via a **soft** :class:`~repro.serve.faults.FaultInjector`
 -- an injected kill raises :class:`~repro.errors.ShardCrashed`, which
 travels back as a typed error frame and exercises the identical
-retry/quarantine path as local worker death, deterministically and
-without sacrificing the process.  *Real* daemon death (the SIGKILL chaos
+retry/quarantine path as real worker death, deterministically and
+without sacrificing the process.  (A local shard's daemon injects kills
+hard: it really exits, and the executor forks a fresh one.)  *Real* daemon death (the SIGKILL chaos
 runs) needs no injector at all; the network fault kinds
 (``drop_conn``/``delay_frame``/``garble_frame``) belong to the router
 side.

@@ -1,30 +1,31 @@
-"""Fault-mapped socket transport for remote evaluation shards.
+"""Fault-mapped socket transport: the one way a router reaches a shard.
 
-The :class:`~repro.serve.executor.ShardExecutor` protocol (install a
-wrapper once, stream pages, ping, kill, respawn) was always
-shape-compatible with a wire protocol; this module is that wire.  It has
-one design rule, inherited from the fault-tolerance layer: **every
-transport failure must surface as one of the PR-7 error types**, so the
-batcher's retry/bisection, the supervisor's circuit breakers, the
-quarantine, and the server's backoff loop work against remote boxes
-without a single change:
+Every process shard is a :class:`~repro.serve.shard.ShardDaemon` behind
+this wire -- a remote box at ``host:port``, or a local daemon the
+:class:`~repro.serve.executor.ShardExecutor` forked onto a Unix socket it
+owns (:class:`_LocalShard`).  The shard protocol (install a wrapper once,
+stream pages, ping, kill, respawn) travels as framed messages.  The
+module has one design rule, inherited from the fault-tolerance layer:
+**every transport failure must surface as one of the serving error
+types**, so the batcher's retry/bisection, the supervisor's circuit
+breakers, the quarantine, and the server's backoff loop work the same
+against every shard:
 
 * connection refused / unreachable daemon -> *blameless*
   :class:`~repro.errors.ShardCrashed` (the daemon was down before the
   documents ever reached it);
 * connection reset / EOF / broken frame mid-call ->
   :class:`~repro.errors.ShardCrashed` (attributable: the documents in
-  flight may be what killed the daemon -- exactly like local worker
-  death, so quarantine strikes work identically);
+  flight may be what killed the daemon, so they earn quarantine
+  strikes);
 * a call exceeding its size-derived deadline is cut off by the batcher's
-  ``asyncio.wait_for`` exactly as for local shards; the cancellation
-  closes the connection (a sequential frame stream that timed out can no
-  longer be trusted) and the failure surfaces as
-  :class:`~repro.errors.RequestTimeout`;
+  ``asyncio.wait_for``; the cancellation closes the connection (a
+  sequential frame stream that timed out can no longer be trusted) and
+  the failure surfaces as :class:`~repro.errors.RequestTimeout`;
 * a daemon-side evaluation error travels back as a typed error frame and
   is re-raised as the same :mod:`repro.errors` class (so
   ``WrapperNotResident`` after a daemon restart, or an injected
-  ``ShardCrashed``, behave bit-for-bit like their local counterparts).
+  ``ShardCrashed``, behave bit-for-bit like the inline shard's).
 
 Frame format (both directions)::
 
@@ -37,33 +38,38 @@ exactly once -- which also means the transport is for **trusted
 networks only** (a cluster-internal fabric), like any pickle RPC.
 
 Requests and responses are matched by ``id``.  Each connection is
-serialized by a lock (one outstanding request), mirroring the
-single-worker semantics of local shards: a ping queued behind a long
-evaluation proves the daemon is draining its queue, and a hung daemon
-fails its ping -- feeding the same breaker machinery.  The daemon may
+serialized by a lock (one outstanding request), matching the daemon's
+single evaluation worker: a ping queued behind a long evaluation proves
+the daemon is draining its queue, and a hung daemon fails its ping --
+feeding the same breaker machinery.  The daemon may
 interleave one unsolicited frame, ``{"op": "drain"}``, announcing a
 planned shutdown; the client marks the shard draining so the supervisor
 removes it from the consistent-hash ring before the socket closes.
 
 Network fault injection (``drop_conn`` / ``delay_frame`` /
 ``garble_frame``, see :mod:`repro.serve.faults`) is applied here on the
-router side, counted per connection frame, so chaos runs remain fully
-deterministic.
+router side of remote connections, counted per connection frame, so
+chaos runs remain fully deterministic.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import multiprocessing
+import os
 import pickle
+import signal
+import socket
 import struct
 import zlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import repro.errors as _errors
 from repro.errors import ServeError, ShardCrashed
-from repro.serve.executor import Item, ShardSet, as_items
-from repro.serve.faults import FaultPlan, TransportFaultInjector
+from repro.serve.executor import Item, ShardSet
+from repro.serve.faults import FaultInjector, FaultPlan, TransportFaultInjector
 
 #: Header: payload length + CRC32, both unsigned 32-bit big-endian.
 _HEADER = struct.Struct(">II")
@@ -208,6 +214,9 @@ def parse_address(address: str) -> Tuple[str, int]:
 class _RemoteShard:
     """One daemon connection: sequential framed RPC with fault mapping."""
 
+    #: What ``shard_state`` reports as this shard's transport.
+    transport = "remote"
+
     def __init__(
         self,
         address: str,
@@ -215,7 +224,6 @@ class _RemoteShard:
         connect_timeout: float = 5.0,
     ):
         self.address = address
-        self.host, self.port = parse_address(address)
         self.injector = injector
         self.connect_timeout = connect_timeout
         self.reader: Optional[asyncio.StreamReader] = None
@@ -231,22 +239,28 @@ class _RemoteShard:
         #: Stats from the daemon's last ping reply (installs, wraps, ...).
         self.last_stats: Dict = {}
         self._next_id = 0
+        #: The loop the connection lives on (set on connect).
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    def _open(self):
+        """Open a stream pair to the daemon (awaitable)."""
+        return asyncio.open_connection(*parse_address(self.address))
 
     async def _connect(self) -> None:
         try:
             self.reader, self.writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                self.connect_timeout,
+                self._open(), self.connect_timeout
             )
         except (OSError, asyncio.TimeoutError, TimeoutError) as exc:
             crash = ShardCrashed(
-                f"cannot connect to remote shard {self.address} ({exc!r}); "
-                "retry the request"
+                f"cannot connect to {self.transport} shard {self.address} "
+                f"({exc!r}); retry the request"
             )
             # The daemon was unreachable before any page was sent: the
             # documents in this call cannot be at fault.
             crash.blameless = True
             raise crash from None
+        self._loop = asyncio.get_running_loop()
         self.connects += 1
         if self.connects > 1:
             self.reconnects += 1
@@ -332,7 +346,7 @@ class _RemoteShard:
             ) as exc:
                 self.drop()
                 raise ShardCrashed(
-                    f"remote shard {self.address} failed mid-call "
+                    f"{self.transport} shard {self.address} failed mid-call "
                     f"({type(exc).__name__}: {exc}); retry the request"
                 ) from None
         if reply.get("draining"):
@@ -350,6 +364,34 @@ class _RemoteShard:
             self.request(op, **dict(zip(self._FIELDS[op], args)))
         )
 
+    def wrap(
+        self, key: str, items: List[Item], trace: Optional[dict] = None
+    ) -> "asyncio.Task":
+        """The ``wrap`` frame: pages, a parallel ``doc_ids`` column and,
+        when traced, the request's ``trace`` context for the daemon's log.
+        A daemon from before per-page stats answers the plain page list
+        (its ``doc_id`` pages run cold), which the batcher accepts."""
+        fields = {
+            "key": key,
+            "pages": [html for html, _ in items],
+            "doc_ids": [doc_id for _, doc_id in items],
+        }
+        if trace is not None:
+            fields["trace"] = trace
+        return asyncio.ensure_future(self.request("wrap", **fields))
+
+    def ping(self) -> "asyncio.Task":
+        """Health round trip; picks up the daemon's drain flag and stats."""
+
+        async def _ping() -> bool:
+            value = await self.request("ping")
+            if isinstance(value, dict):
+                self.draining = bool(value.get("draining", False))
+                self.last_stats = value.get("stats", {})
+            return True
+
+        return asyncio.ensure_future(_ping())
+
     def evict(self, key: str) -> None:
         self.call("uninstall", key).add_done_callback(_consume_exception)
 
@@ -358,9 +400,23 @@ class _RemoteShard:
     #: trusting the stream and reconnects fresh.
     kill = drop
 
+    def close(self) -> None:
+        """Drop the connection; from another thread, on the connection's
+        loop while it runs (a ``StreamWriter`` belongs to its loop)."""
+        loop = self._loop
+        if (
+            loop is not None
+            and loop.is_running()
+            and asyncio._get_running_loop() is not loop
+        ):
+            with contextlib.suppress(RuntimeError):  # the loop closed meanwhile
+                loop.call_soon_threadsafe(self.drop)
+        else:
+            self.drop()
+
     def state(self) -> Dict:
         return {
-            "transport": "remote",
+            "transport": self.transport,
             "address": self.address,
             "connected": self.connected,
             "draining": self.draining,
@@ -370,18 +426,110 @@ class _RemoteShard:
         }
 
 
+def _serve_local_daemon(
+    listener: socket.socket, faults: Optional[FaultPlan]
+) -> None:
+    """A local shard's child process: one ShardDaemon on ``listener``.
+
+    The socket was bound and listening before the fork, so the router may
+    connect as soon as the child exists.  Injected kills are *hard* here:
+    they exit the child, as real worker death does.
+    """
+    from repro.serve.shard import ShardDaemon  # shard imports this module
+
+    # Signals are the router's: it shuts its shards down itself, and a
+    # handler inherited from its event loop must not fire in the child.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    daemon = ShardDaemon(host=listener.getsockname(), port=0)
+    if faults is not None and faults.enabled:
+        daemon.store.injector = FaultInjector(faults, hard=True, shard_tag="process")
+
+    async def serve() -> None:
+        # A router that dies without closing its shards takes them along.
+        parent = multiprocessing.parent_process()
+        asyncio.get_running_loop().add_reader(parent.sentinel, os._exit, 0)
+        daemon._server = await asyncio.start_unix_server(
+            daemon._client_connected, sock=listener
+        )
+        await daemon.serve_forever()
+
+    asyncio.run(serve())
+
+
+class _LocalShard(_RemoteShard):
+    """A :class:`~repro.serve.shard.ShardDaemon` forked onto a Unix socket.
+
+    The socket is bound before the fork, so the child serves it at once:
+    no readiness handshake, no port race.  Local and remote shards
+    differ in one place: the router owns this process.  :meth:`kill`
+    SIGKILLs the child and forks a fresh daemon on the same socket, and
+    connecting to a child that has exited respawns it first.
+    """
+
+    transport = "local"
+
+    def __init__(self, path: str, faults: Optional[FaultPlan] = None):
+        super().__init__(path)
+        self.faults = faults
+        self.closed = False
+        self.listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.listener.bind(path)
+        self.listener.listen()
+        self._fork()
+
+    def _fork(self) -> None:
+        # Forked, so the child starts with the router's modules imported.
+        self.process = multiprocessing.get_context("fork").Process(
+            target=_serve_local_daemon,
+            args=(self.listener, self.faults),
+            daemon=True,
+        )
+        self.process.start()
+
+    def _reap(self) -> None:
+        self.process.kill()
+        self.process.join()
+
+    def _open(self):
+        if self.closed:  # a call queued before close() must not respawn
+            raise ConnectionRefusedError(f"shard {self.address} is closed")
+        if not self.process.is_alive():
+            self._reap()
+            self._fork()
+        return asyncio.open_unix_connection(self.address)
+
+    def kill(self) -> None:
+        """SIGKILL the child (hung past a deadline) and fork a fresh one.
+
+        SIGKILL, not SIGTERM: a child stuck in C code or an injected hang
+        must die unconditionally.  An in-flight call fails with
+        :class:`~repro.errors.ShardCrashed`."""
+        self._reap()
+        self.drop()
+        self._fork()
+
+    def close(self) -> None:
+        """Drop the connection, reap the child and close the socket."""
+        self.closed = True
+        super().close()
+        self._reap()
+        self.listener.close()
+
+
 class RemoteShardExecutor(ShardSet):
-    """The :class:`~repro.serve.executor.ShardExecutor` surface over sockets.
+    """The shard executor surface over ``host:port`` daemons.
 
     Drop-in for the batcher and supervisor: submissions return awaitable
     futures (``asyncio`` tasks -- ``asyncio.wrap_future`` passes them
     through), ``ping`` feeds the health loop, ``kill_shard`` /
     ``respawn_shard`` become connection drops with lazy reconnect, and
-    every failure is one of the PR-7 error types, so the retry, breaker,
-    quarantine, and rerouting machinery upstream applies unchanged to a
-    cluster of remote boxes.
+    every failure is one of the serving error types, so the retry,
+    breaker, quarantine, and rerouting machinery upstream applies
+    unchanged to a cluster of remote boxes.
 
-    Must be created and used on one asyncio event loop (the server's).
+    Must be used on one asyncio event loop (the server's).
     """
 
     mode = "remote"
@@ -395,6 +543,8 @@ class RemoteShardExecutor(ShardSet):
     ):
         if not addresses:
             raise ServeError("RemoteShardExecutor needs at least one address")
+        for address in addresses:
+            parse_address(address)  # fail fast on a malformed address
         self.faults = faults
         super().__init__(
             [
@@ -412,78 +562,8 @@ class RemoteShardExecutor(ShardSet):
             max_installed,
         )
 
-    @property
-    def addresses(self) -> List[str]:
-        return [shard.address for shard in self._shards]
-
-    def _task(self, coroutine) -> "asyncio.Task":
-        if self._closed:
-            raise ServeError("executor is closed")
-        return asyncio.ensure_future(coroutine)
-
-    def submit(
-        self,
-        shard_index: int,
-        key: str,
-        items: Sequence[Union[str, Item]],
-        trace: Optional[dict] = None,
-    ):
-        """Wrap a sub-batch on one daemon (see :meth:`ShardExecutor.submit`).
-
-        The ``wrap`` frame carries the pages, a parallel ``doc_ids``
-        column and, for traced requests, the client-side ``trace``
-        context (e.g. ``{"trace_id": ...}``) for the daemon's log.  A
-        daemon from before per-page stats reads only the frame keys it
-        knows and answers the plain page list (its ``doc_id`` pages run
-        cold), which the batcher accepts, degrading to a transport-only
-        span."""
-        items = as_items(items)
-        fields = {
-            "key": key,
-            "pages": [html for html, _ in items],
-            "doc_ids": [doc_id for _, doc_id in items],
-        }
-        if trace is not None:
-            fields["trace"] = trace
-        return self._task(self._shards[shard_index].request("wrap", **fields))
-
-    #: Every reply carries the per-page stats, so tracing needs no other call.
-    submit_traced = submit
-
-    def ping(self, shard_index: int):
-        remote = self._shards[shard_index]
-
-        async def _ping() -> bool:
-            value = await remote.request("ping")
-            if isinstance(value, dict):
-                remote.draining = bool(value.get("draining", False))
-                remote.last_stats = value.get("stats", {})
-            return True
-
-        return self._task(_ping())
-
-    def shard_state(self, shard_index: int) -> Dict:
-        return self._shards[shard_index].state()
-
-    async def aclose(self) -> None:
-        """Close every connection (the event-loop-native shutdown)."""
-        if self._closed:
-            return
-        self._closed = True
-        for remote in self._shards:
-            remote.drop()
-
-    def close(self) -> None:
-        """Best-effort sync close (for callers outside the loop)."""
-        self._closed = True
-        for remote in self._shards:
-            try:
-                remote.drop()
-            except Exception:  # pragma: no cover - loop already gone
-                pass
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RemoteShardExecutor({self.addresses!r})"
+        return f"RemoteShardExecutor({[s.address for s in self._shards]!r})"
 
 
 def _consume_exception(task) -> None:

@@ -340,6 +340,30 @@ class TestRemoteCluster:
         assert status == 200
 
 
+class TestDaemonCli:
+    def test_cli_start_and_drain_print_no_warning(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve.shard", "--listen", "127.0.0.1:0"],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert "listening on" in process.stdout.readline()
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "RuntimeWarning" not in stderr, stderr
+
+
 class TestDeadDaemon:
     def test_sigkilled_daemon_trips_breaker_and_requests_reroute(
         self, daemon_processes, cluster

@@ -203,34 +203,76 @@ class TestShardExecutor:
             executor.close()
 
     def test_process_shard_self_heals_after_worker_death(self):
+        import asyncio
         import os
         import signal
 
-        executor = ShardExecutor(shards=1)
-        try:
-            wrapper, _ = build_wrapper("datalog", ITEM_DATALOG, ["item"])
+        async def run():
+            executor = ShardExecutor(shards=1)
+            try:
+                wrapper, _ = build_wrapper("datalog", ITEM_DATALOG, ["item"])
+                for future in executor.ensure_installed("k", wrapper):
+                    await future
+                await executor.submit(0, "k", ["<ul><li>a</ul>"])
+                child = executor._shards[0].process
+                os.kill(child.pid, signal.SIGKILL)
+                child.join(timeout=30)
+                assert child.exitcode == -signal.SIGKILL
+                for _ in range(10):
+                    try:
+                        for future in executor.ensure_installed("k", wrapper):
+                            await future
+                        out = await executor.submit(0, "k", ["<ul><li>b</ul>"])
+                        break
+                    except Exception:
+                        await asyncio.sleep(0.05)
+                else:
+                    pytest.fail("the shard never healed after its daemon died")
+                assert executor._shards[0].process.pid != child.pid
+                return out
+            finally:
+                await executor.aclose()
+
+        out = asyncio.run(run())
+        assert out["pages"][0]["children"][0]["label"] == "item"
+
+    def test_closing_leaves_no_shard_processes(self):
+        import asyncio
+        import os
+
+        wrapper, _ = build_wrapper("datalog", ITEM_DATALOG, ["item"])
+
+        async def run(close_from_thread):
+            executor = ShardExecutor(shards=2)
             for future in executor.ensure_installed("k", wrapper):
-                future.result(timeout=30)
-            executor.submit(0, "k", ["<ul><li>a</ul>"]).result(timeout=30)
-            shard = executor._shards[0]
-            for pid in list(shard.pool._processes):
-                os.kill(pid, signal.SIGKILL)
-            healed = False
-            for _ in range(10):
-                try:
-                    for future in executor.ensure_installed("k", wrapper):
-                        future.result(timeout=30)
-                    out = executor.submit(0, "k", ["<ul><li>b</ul>"]).result(
-                        timeout=30
-                    )
-                    healed = True
-                    break
-                except Exception:
-                    time.sleep(0.05)
-            assert healed
+                await future
+            killed = executor._shards[0].process
+            executor.kill_shard(0)
+            for future in executor.ensure_installed("k", wrapper):
+                await future
+            out = await executor.submit(0, "k", ["<ul><li>a</ul>"])
             assert out["pages"][0]["children"][0]["label"] == "item"
-        finally:
-            executor.close()
+            children = [killed] + [shard.process for shard in executor._shards]
+            socket_dir = executor._socket_dir
+            assert os.path.isdir(socket_dir)
+            if close_from_thread:
+                # How a caller outside the loop's thread closes it.
+                await asyncio.get_running_loop().run_in_executor(
+                    None, executor.close
+                )
+            else:
+                await executor.aclose()
+            return children, socket_dir
+
+        for close_from_thread in (False, True):
+            children, socket_dir = asyncio.run(run(close_from_thread))
+            assert len({child.pid for child in children}) == 3
+            for child in children:
+                # Exited and reaped: not even a zombie is left.
+                assert child.exitcode is not None
+                with pytest.raises(ProcessLookupError):
+                    os.kill(child.pid, 0)
+            assert not os.path.exists(socket_dir)
 
     def test_installed_wrappers_are_lru_bounded(self):
         executor = ShardExecutor(shards=0, max_installed=2)

@@ -84,23 +84,26 @@ class TestPerPageCore:
         assert stats["warm"] is False and stats["dirty"] is None
 
 
-def _shard_replies(executor, wrapper, batches):
-    """Run each batch through ``executor.submit`` (local flavors)."""
-    for future in executor.ensure_installed("k", wrapper):
-        future.result(timeout=60)
-    return [executor.submit(0, "k", items).result(timeout=60) for items in batches]
+async def _executor_replies(executor, wrapper, batches):
+    """Run each batch through ``executor.submit`` (every shard flavor)."""
+    try:
+        for install in executor.ensure_installed("k", wrapper):
+            await asyncio.wrap_future(install)
+        return [
+            await asyncio.wrap_future(executor.submit(0, "k", items))
+            for items in batches
+        ]
+    finally:
+        await executor.aclose()
 
 
 async def _daemon_replies(wrapper, batches):
     daemon = DaemonThread(ShardDaemon())
     host, port = daemon.start()
-    executor = RemoteShardExecutor([f"{host}:{port}"])
     try:
-        for install in executor.ensure_installed("k", wrapper):
-            await install
-        return [await executor.submit(0, "k", items) for items in batches]
+        executor = RemoteShardExecutor([f"{host}:{port}"])
+        return await _executor_replies(executor, wrapper, batches)
     finally:
-        await executor.aclose()
         daemon.stop()
 
 
@@ -116,17 +119,15 @@ class TestOneShardOp:
         # The wrapper runs here before it is pickled into the process
         # shard and the daemon: its last run must not travel with it.
         expected = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
-        inline = ShardExecutor(shards=0)
-        process = ShardExecutor(shards=1)
-        try:
-            replies = {
-                "inline": _shard_replies(inline, wrapper, batches),
-                "process": _shard_replies(process, wrapper, batches),
-                "daemon": asyncio.run(_daemon_replies(wrapper, batches)),
-            }
-        finally:
-            inline.close()
-            process.close()
+        replies = {
+            "inline": asyncio.run(
+                _executor_replies(ShardExecutor(shards=0), wrapper, batches)
+            ),
+            "process": asyncio.run(
+                _executor_replies(ShardExecutor(shards=1), wrapper, batches)
+            ),
+            "daemon": asyncio.run(_daemon_replies(wrapper, batches)),
+        }
         for flavor, flavor_replies in replies.items():
             pages_out = [reply["pages"] for reply in flavor_replies]
             assert pages_out[0] == [expected[0]] == pages_out[1], flavor

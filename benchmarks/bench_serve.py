@@ -6,7 +6,8 @@ exists for: each request is cheap, so the per-request process-pool round
 trip (pickling, queue hand-off, worker wakeup) dominates unless it is
 amortized across a batch.
 
-Three measurements, written to ``benchmarks/BENCH_serve.json``:
+Three measurements, written to ``benchmarks/BENCH_serve.json``
+(``BENCH_serve.smoke.json`` with ``--smoke``):
 
 * **naive vs batched throughput** at concurrency 1 / 8 / 32, on two
   request streams.  The naive path submits one executor task per request

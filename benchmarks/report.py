@@ -16,9 +16,11 @@ Node-free streaming ingestion pipeline end to end against the PR-2
 Node-tree path, serial and across a process pool, plus a hostile tag-soup
 depth sweep whose ``time(2n)/time(n)`` column the smoke run guards),
 ``benchmarks/BENCH_incremental.json`` (warm re-extraction over Merkle
-snapshot diffs against cold kernel runs on an edit-ratio sweep; smoke
-runs write ``BENCH_incremental.smoke.json`` instead), and
+snapshot diffs against cold kernel runs on an edit-ratio sweep), and
 ``benchmarks/BENCH_delta.json`` (the Theorem 6.6 Elog-Delta workload).
+Smoke runs write each file as ``BENCH_*.smoke.json`` instead
+(:func:`benchio._write_bench`), so they never overwrite a committed
+full-mode file.
 """
 
 from __future__ import annotations
@@ -841,9 +843,7 @@ def _thread_spread_nodes(root, edits: int):
 def report_incremental(smoke: bool = False) -> None:
     """E-INCR: warm re-extraction over snapshot diffs vs cold runs.
 
-    Emits ``benchmarks/BENCH_incremental.json`` (full mode) or
-    ``benchmarks/BENCH_incremental.smoke.json`` (``--smoke``, so a CI run
-    never overwrites the committed full-mode file).  The workload is a
+    Emits ``benchmarks/BENCH_incremental.json``.  The workload is a
     comment-thread page (:func:`repro.trees.generate.thread_tree`: many
     unary chains under one root) with a recursive descent program, so a
     cold kernel run pays one frontier round per chain level while a warm
@@ -995,8 +995,7 @@ def report_incremental(smoke: bool = False) -> None:
         "smoke": smoke,
         "rows": rows,
     }
-    name = "BENCH_incremental.smoke.json" if smoke else "BENCH_incremental.json"
-    _write_bench(name, payload)
+    _write_bench("BENCH_incremental.json", payload)
 
 
 def _assert_remote_path_exercised() -> None:

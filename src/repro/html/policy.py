@@ -42,10 +42,6 @@ IMPLICIT_CLOSERS: Dict[str, Set[str]] = {
 #: Block elements an implicit closer must not escape.
 SCOPE_BARRIERS = {"table", "ul", "ol", "dl", "select", "body", "html", "document"}
 
-#: Start tags :meth:`OpenElements.start_tag` does more for than a push:
-#: void elements (no frame) and implicit closers (a cut first).
-POLICY_START_TAGS = frozenset(VOID_ELEMENTS) | frozenset(IMPLICIT_CLOSERS)
-
 
 class OpenElements:
     """The open-element stack of an HTML tree builder.
@@ -62,8 +58,11 @@ class OpenElements:
 
     All four are only ever mutated in place, so a builder may bind them
     to locals.  :func:`repro.trees.stream.html_snapshot` does, to inline
-    two fast paths: a start tag not in :data:`POLICY_START_TAGS` is a
-    plain push, and an end tag matching the innermost frame a plain pop.
+    three fast paths: a start tag that is neither void nor an implicit
+    closer is a plain push; so is an implicit closer none of whose closed
+    labels is open above the top barrier (``positions[closed]`` empty or
+    its last entry at or below ``barriers[-1]``); and an end tag matching
+    the innermost frame is a plain pop.
 
     >>> stack = OpenElements()
     >>> stack.push("document", 0)

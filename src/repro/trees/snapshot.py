@@ -12,7 +12,7 @@ document-order pass:
   observation that every binary relation of a tree schema is a partial
   bijection (or, for ``child``, backward-functional);
 * ``label_ids[i]`` -- interned label identifiers (``labels`` /
-  ``label_index`` translate back and forth);
+  ``label_index`` translate back and forth; ``bytes`` under 256 labels);
 * byte masks for the unary schema relations (``root``, ``leaf``,
   ``lastsibling``, ``firstsibling``, ``label_a``, ...), plus the node
   lists behind them for selective enumeration.
@@ -26,17 +26,24 @@ would itself supply: asking for a relation outside the schema returns
 
 The integer columns are stored as ``array('i')`` rather than Python
 lists, so per-node boxed objects disappear from the snapshot itself, and
-each column exposes a buffer for bulk operations.  On top of the columns
-the snapshot also serves the *frontier-at-a-time* kernel: byte-lane big
-ints (:meth:`unary_int`) and bulk set moves (:meth:`vector_move`) that
-push a whole node set through one tree relation in a handful of big-int
-shifts -- see the kernel module docstring for the layout contract.
+each column exposes a buffer for bulk operations.  The one exception is
+``label_ids``: a document with fewer than 256 distinct labels (nearly
+every page) stores it as ``bytes``, one byte lane per node, so every
+``label_a`` / ``notlabel_a`` mask is a single ``bytes.translate``; wider
+label sets keep ``array('i')``.
+
+On top of the columns the snapshot also serves the *frontier-at-a-time*
+kernel: byte-lane big ints (:meth:`unary_int`) and bulk set moves
+(:meth:`vector_move`) that push a whole node set through one tree
+relation in a handful of big-int shifts -- see the kernel module
+docstring for the layout contract.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.trees.node import Node
@@ -165,6 +172,15 @@ def _column(values) -> array:
     return array("i", values)
 
 
+def _label_column(label_ids, label_count: int):
+    """``bytes`` label ids when every id fits a byte, else ``array('i')``."""
+    if label_count >= 256:
+        return _column(label_ids)
+    if isinstance(label_ids, array):
+        label_ids = label_ids.tolist()
+    return bytes(label_ids)
+
+
 class TreeSnapshot:
     """Flat columnar view of one document tree.
 
@@ -182,6 +198,12 @@ class TreeSnapshot:
     mappings; most nodes have neither), so HTML documents can be wrapped
     -- including text capture on output nodes -- from the columns alone.
 
+    The tree columns are ``array('i')``; ``label_ids`` is ``bytes`` (one
+    byte lane per node) when the document has fewer than 256 distinct
+    labels and ``array('i')`` otherwise.  Every producer goes through
+    ``__init__``, which picks the form, so snapshots of one document
+    built by different producers compare equal column by column.
+
     Examples
     --------
     >>> from repro.trees import parse_sexpr
@@ -193,6 +215,8 @@ class TreeSnapshot:
     array('i', [1, -1, 3, -1, -1])
     >>> snap.nextsibling
     array('i', [-1, 2, 4, -1, -1])
+    >>> snap.label_ids
+    b'\\x00\\x01\\x02\\x03\\x01'
     >>> snap.labels[snap.label_ids[3]]
     'd'
     """
@@ -243,20 +267,20 @@ class TreeSnapshot:
         self.size = len(parent)
         self.schema = schema
         self.max_rank = max_rank
-        # One `array('i')` per column: unboxed storage, built once here so
-        # every producer (streaming builder, tree flattener) can keep
-        # assembling plain lists.
+        # One `array('i')` per column (`bytes` label ids under 256 labels):
+        # unboxed storage, built once here so every producer (streaming
+        # builder, tree flattener) can keep assembling plain lists.
         self.parent = _column(parent)
         self.firstchild = _column(firstchild)
         self.nextsibling = _column(nextsibling)
         self.prevsibling = _column(prevsibling)
         self.lastchild = _column(lastchild)
-        self.label_ids = _column(label_ids)
+        self.label_ids = _label_column(label_ids, len(labels))
         self.labels = labels
         self.label_index = label_index
         self.texts = texts
         self.attrs = attrs
-        self._unary_masks: Dict[str, Optional[bytearray]] = {}
+        self._unary_masks: Dict[str, Optional[Sequence[int]]] = {}
         self._unary_nodes: Dict[str, Optional[List[int]]] = {}
         self._unary_ints: Dict[str, Optional[int]] = {}
         self._forward: Dict[str, Optional[Sequence[int]]] = {}
@@ -344,9 +368,10 @@ class TreeSnapshot:
     def label_nodes(self) -> List[List[int]]:
         """Node-id lists per label id (one document-order pass, cached).
 
-        The anchor lists behind every ``label_a`` sweep of the kernel, so
-        a document with many distinct labels pays one scan total instead
-        of one scan per queried label.
+        The anchor lists behind ``label_a`` on documents with 256 or more
+        distinct labels (``array('i')`` label ids), so such a document pays
+        one scan total instead of one scan per queried label.  Byte-lane
+        label ids derive each list from the label's mask instead.
         """
         if self._label_nodes is None:
             by_label: List[List[int]] = [[] for _ in self.labels]
@@ -356,7 +381,7 @@ class TreeSnapshot:
             self._label_nodes = by_label
         return self._label_nodes
 
-    def _compute_unary_mask(self, name: str) -> Optional[bytearray]:
+    def _compute_unary_mask(self, name: str) -> Optional[Sequence[int]]:
         n = self.size
         if name == "dom":
             return bytearray(b"\x01" * n)
@@ -386,24 +411,29 @@ class TreeSnapshot:
                 if v >= 0:
                     mask[v] = 1
             return mask
-        if name.startswith("label_"):
-            lid = self.label_index.get(name[len("label_") :])
-            mask = bytearray(n)
+        if name.startswith(("label_", "notlabel_")):
+            hit = 1 if name.startswith("label_") else 0
+            lid = self.label_index.get(name[name.index("_") + 1 :])
+            label_ids = self.label_ids
+            if isinstance(label_ids, bytes):
+                # Byte-lane ids: the whole mask is one C-speed translate.
+                table = bytearray([1 - hit]) * 256
+                if lid is not None:
+                    table[lid] = hit
+                return label_ids.translate(table)
+            mask = bytearray([1 - hit]) * n
             if lid is not None:
                 for i in self.label_nodes()[lid]:
-                    mask[i] = 1
-            return mask
-        if name.startswith("notlabel_"):
-            lid = self.label_index.get(name[len("notlabel_") :])
-            mask = bytearray(b"\x01" * n)
-            if lid is not None:
-                for i in self.label_nodes()[lid]:
-                    mask[i] = 0
+                    mask[i] = hit
             return mask
         return None
 
-    def unary_mask(self, name: str) -> Optional[bytearray]:
-        """Byte mask of unary relation ``name``; ``None`` if unsupported."""
+    def unary_mask(self, name: str) -> Optional[Sequence[int]]:
+        """Byte mask of unary relation ``name``; ``None`` if unsupported.
+
+        A read-only bytes-like object (``bytes`` or ``bytearray``) with
+        byte ``v`` set to 1 exactly when node ``v`` is in the relation.
+        """
         if name not in self._unary_masks:
             self._unary_masks[name] = self._compute_unary_mask(name)
         return self._unary_masks[name]
@@ -431,7 +461,7 @@ class TreeSnapshot:
     def unary_nodes(self, name: str) -> Optional[List[int]]:
         """Node ids satisfying unary relation ``name`` (anchor lists)."""
         if name not in self._unary_nodes:
-            if name.startswith("label_"):
+            if name.startswith("label_") and not isinstance(self.label_ids, bytes):
                 lid = self.label_index.get(name[len("label_") :])
                 nodes: Optional[List[int]] = (
                     [] if lid is None else self.label_nodes()[lid]
@@ -441,7 +471,7 @@ class TreeSnapshot:
                 nodes = (
                     None
                     if mask is None
-                    else [i for i in range(self.size) if mask[i]]
+                    else list(compress(range(self.size), mask))
                 )
             self._unary_nodes[name] = nodes
         return self._unary_nodes[name]

@@ -39,10 +39,18 @@ from typing import Dict, List, Optional
 
 from repro.errors import TreeError
 from repro.html.entities import decode_entities
-from repro.html.policy import POLICY_START_TAGS, SCOPE_BARRIERS, OpenElements
+from repro.html.policy import (
+    IMPLICIT_CLOSERS,
+    SCOPE_BARRIERS,
+    VOID_ELEMENTS,
+    OpenElements,
+)
 from repro.html.tokenizer import RAWTEXT_ELEMENTS, TOKEN, scan_rawtext, scan_step
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
+
+#: Implicit closer -> the labels it closes, as tuples for the fused loop.
+_CLOSES = {name: tuple(closed) for name, closed in IMPLICIT_CLOSERS.items()}
 
 
 class SnapshotBuilder:
@@ -199,10 +207,14 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     This is the batch pipeline's hottest loop, so it drives the scanner
     itself: one :data:`~repro.html.tokenizer.TOKEN` match per text run
     plus regular tag, with the column appends inline and no callback.
-    The plain push and the matching pop of the shared
-    :class:`~repro.html.policy.OpenElements` stack are inlined too; every
-    other tag-soup decision (implied closes, void and self-closing tags,
-    unmatched end tags) goes through the stack's own methods, shared with
+    Three fast paths of the shared
+    :class:`~repro.html.policy.OpenElements` stack are inlined too: the
+    plain push, the matching pop, and the implicit closer that closes
+    nothing (a ``<td>`` or ``<li>`` with no open ``td``/``li`` above the
+    nearest scope barrier, as on every well-formed page), which is a
+    plain push as well.  Every other tag-soup decision (a needed implied
+    close, void and self-closing tags, unmatched end tags) goes through
+    the stack's own methods, shared with
     :func:`repro.html.parser.parse_html`, and every other token through
     :func:`~repro.html.tokenizer.scan_step`.  The randomized parity suite
     in ``tests/test_stream.py`` pins the equivalence.
@@ -225,6 +237,7 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     frames = open_elements.labels
     items = open_elements.items
     positions = open_elements.positions
+    open_at = positions.get
     barriers = open_elements.barriers
     start_tag = open_elements.start_tag
     end_tag = open_elements.end_tag
@@ -255,7 +268,8 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
 
     token = TOKEN.match
     names: Dict[str, str] = {}  # tag name as written -> lowercased
-    policy_start_tags = POLICY_START_TAGS
+    closes = _CLOSES
+    void_elements = VOID_ELEMENTS
     i = 0
     n = len(html)
     while i < n:
@@ -291,7 +305,17 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         if name is None:
             name = names[raw] = intern(raw.lower())
         nid = len(parent)
-        if slash or name in policy_start_tags:
+        general = slash or name in void_elements
+        if not general and name in closes:
+            # An implicit closer cuts only when a label it closes is open
+            # above the nearest scope barrier; otherwise it is a push.
+            floor = barriers[-1] if barriers else 0
+            for closed in closes[name]:
+                at = open_at(closed)
+                if at and at[-1] > floor:
+                    general = True
+                    break
+        if general:
             parent_append(start_tag(name, nid, slash == "/"))
         else:
             # OpenElements.start_tag's fast path (a plain push), inlined.

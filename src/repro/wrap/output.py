@@ -17,7 +17,7 @@ snapshot's text column).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
@@ -196,38 +196,33 @@ def build_output_from_snapshot(
     # Snapshot ids are assigned in document (pre-) order by every builder,
     # so ascending kept ids visit parents before children and siblings
     # left to right: appending each kept node to its nearest kept
-    # ancestor's output (computed by walking ``parent`` with memoization,
-    # O(kept + touched ancestors) rather than O(n)) reproduces the
-    # recursive Node walk exactly.
+    # ancestor's output reproduces the recursive Node walk exactly.
+    # ``out_of[u]`` is u's output node (kept) or that of its nearest kept
+    # ancestor (unkept, memoized on the walk up), so the walks touch
+    # O(kept + ancestors) ids.  Its extra last slot, read as ``out_of[-1]``
+    # through the root's parent, holds the synthetic root.  Most kept
+    # nodes hang directly under a known id (a record's cells under the
+    # record), so the path list is only allocated when that lookup misses.
     kept = sorted(assignment)
-    created: List[Tuple[OutputNode, int]] = []
-    #: node id -> its output node (kept) or the output node of its
-    #: nearest kept ancestor (unkept, memoized while walking up).
-    out_of: Dict[int, OutputNode] = {}
+    out_of: List[Optional[OutputNode]] = [None] * (snapshot.size + 1)
+    out_of[-1] = out_root
     for v in kept:
-        ancestor_out = None
-        path: List[int] = []
         u = parent[v]
-        while u != -1:
-            known = out_of.get(u)
-            if known is not None:
-                ancestor_out = known
-                break
-            path.append(u)
-            u = parent[u]
+        ancestor_out = out_of[u]
         if ancestor_out is None:
-            ancestor_out = out_root
-        out_node = OutputNode(assignment[v], source_id=v)
+            path: List[int] = []
+            while ancestor_out is None:
+                path.append(u)
+                u = parent[u]
+                ancestor_out = out_of[u]
+            for u in path:
+                out_of[u] = ancestor_out
+        out_node = OutputNode(assignment[v], None, v)
         ancestor_out.children.append(out_node)
-        created.append((out_node, v))
         out_of[v] = out_node
-        for u in path:
-            out_of[u] = ancestor_out
     if capture_text and snapshot.texts:
-        leaves = [(out_node, v) for out_node, v in created if not out_node.children]
-        for (out_node, _), text in zip(
-            leaves, snapshot.node_texts([v for _, v in leaves])
-        ):
+        leaves = [v for v in kept if not out_of[v].children]
+        for v, text in zip(leaves, snapshot.node_texts(leaves)):
             if text:
-                out_node.text = text
+                out_of[v].text = text
     return out_root

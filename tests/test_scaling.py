@@ -5,9 +5,11 @@ the serving deadlines are derived from document size on the strength of
 it.  Each generator below builds hostile input of size proportional to
 ``n``: tag soup that makes the tree-construction policy look far down
 the open-element stack, start tags that make the attribute scanner
-retry, and wide, commented or rawtext documents.  For each one, doubling
-``n`` must not much more than double the time of both HTML builders and
-of the full wrapping path (a quadratic shape gives ~4).
+retry, wide, commented or rawtext documents, and documents with more
+distinct tag names than a byte holds.  For each one, doubling ``n`` must
+not much more than double the time of both HTML builders, of output
+assembly on the page's snapshot, and of the full wrapping path (a
+quadratic shape gives ~4).
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -22,6 +24,7 @@ with ones from a slow spell, and could fail a linear path in every
 attempt.)
 """
 
+import functools
 import gc
 import statistics
 import time
@@ -30,6 +33,7 @@ import pytest
 
 from repro.html import parse_html
 from repro.trees.stream import html_snapshot
+from repro.wrap import build_output_from_snapshot
 from tests.test_stream import catalog_wrapper
 
 #: Base size; every generator is timed at N and 2N.
@@ -63,15 +67,31 @@ GENERATORS = {
     # run, so each token is scanned twice (failed match, general step).
     "two_attribute_tags": lambda n: 't<a x="1" y="2">u</a>' * n,
     "text_then_comment": lambda n: "t<!-- c -->" * n,
+    # n // 5 distinct tag names: 200 at N, 400 at 2N, so the pair spans
+    # the 256-label switch from byte-lane to array('i') label ids and
+    # both forms are timed.
+    "distinct_labels": lambda n: "".join(f"<t{i}>x</t{i}>" for i in range(n // 5)) * 5,
 }
 
 
 WRAPPER = catalog_wrapper()
 
+
+@functools.lru_cache(maxsize=2)
+def snapshot_and_even_ids(page):
+    """The page's snapshot and an assignment keeping every even id
+    (built once per page, outside the timed output assembly)."""
+    snapshot = html_snapshot(page)
+    return snapshot, dict.fromkeys(range(0, snapshot.size, 2), "kept")
+
+
 PATHS = {
     "html_snapshot": html_snapshot,
     "parse_html": parse_html,
     "wrap_html_many": lambda page: WRAPPER.wrap_html_many([page]),
+    "output_assembly": lambda page: build_output_from_snapshot(
+        *snapshot_and_even_ids(page)
+    ),
 }
 
 

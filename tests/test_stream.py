@@ -13,8 +13,10 @@ column by column, to flattening the Node tree built by ``parse_html``,
 and wrapped outputs agree across every path (Node, Document, workers).
 """
 
+import pickle
 import random
 import re
+from array import array
 
 import pytest
 
@@ -44,6 +46,7 @@ from repro.workloads import (
     CATALOG_WRAPPER,
     catalog_page,
     catalog_pages,
+    forum_page,
     news_page,
     noisy_table_page,
 )
@@ -411,6 +414,108 @@ class TestOpenElements:
             self.assert_indexes_consistent(stack)
 
 
+class TestImplicitCloserFastPath:
+    """An implicit closer that closes nothing is a plain push in
+    ``html_snapshot``; every other start tag still goes through
+    :meth:`OpenElements.start_tag`, and the columns never differ."""
+
+    #: Document -> the start tags that must take the general path: the
+    #: closers that cut, and self-closing closers.  A closer with a scope
+    #: barrier between it and the label it closes cuts nothing.
+    GENERAL_CALLS = {
+        "<table><tr><td>a<td>b<tr><td>c</table>": ["td", "tr"],
+        "<dl><dt>a<dd>b<dt>c</dl>": ["dd", "dt"],
+        "<p>a<p>b": ["p"],
+        "<ul><li>a<ul><li>b</ul><li>c</ul>": ["li"],
+        "<table><tr><td><table><tr><td>x</table>y": [],
+        "<td/>": ["td"],
+        "<li/>": ["li"],
+        '<table><tr><td x="1"/><td>a</table>': ["td"],
+    }
+
+    @staticmethod
+    def count_start_tags(monkeypatch):
+        calls = []
+        start_tag = OpenElements.start_tag
+
+        def counting(self, name, *args):
+            calls.append(name)
+            return start_tag(self, name, *args)
+
+        monkeypatch.setattr(OpenElements, "start_tag", counting)
+        return calls
+
+    def test_column_parity(self):
+        for doc in self.GENERAL_CALLS:
+            via_nodes = UnrankedStructure(parse_html(doc)).snapshot()
+            assert columns(via_nodes) == columns(html_snapshot(doc)), repr(doc)
+
+    def test_general_path_taken_exactly_when_needed(self, monkeypatch):
+        calls = self.count_start_tags(monkeypatch)
+        for doc, expected in self.GENERAL_CALLS.items():
+            del calls[:]
+            html_snapshot(doc)
+            assert calls == expected, repr(doc)
+
+    def test_well_formed_pages_never_call_start_tag(self, monkeypatch):
+        pages = [catalog_page(seed=7, items=640), forum_page(seed=7, threads=8, depth=80)]
+        calls = self.count_start_tags(monkeypatch)
+        for page in pages:
+            html_snapshot(page)
+        assert calls == []
+
+
+class TestLabelIdLanes:
+    """``label_ids`` is ``bytes`` under 256 labels, ``array('i')`` above,
+    and everything built on it agrees with the Node path either way."""
+
+    @staticmethod
+    def page(tags: int) -> str:
+        return "".join(f"<t{i}><td>x<td>y</t{i}>" for i in range(tags))
+
+    @staticmethod
+    def wrapper() -> Wrapper:
+        wrapper = Wrapper()
+        wrapper.add_datalog("cell", parse_program("cell(x) :- label_td(x).", query="cell"))
+        wrapper.add_datalog(
+            "first", parse_program("first(x) :- notlabel_td(x), firstsibling(x).", query="first")
+        )
+        return wrapper
+
+    def test_lane_form_follows_label_count(self):
+        assert isinstance(html_snapshot(self.page(200)).label_ids, bytes)
+        assert isinstance(html_snapshot(self.page(300)).label_ids, array)
+
+    @pytest.mark.parametrize("tags", [200, 300])
+    def test_masks_and_wrap_match_node_path(self, tags):
+        page = self.page(tags)
+        streamed = html_snapshot(page)
+        via_nodes = UnrankedStructure(parse_html(page)).snapshot()
+        assert columns(streamed) == columns(via_nodes)
+        td = streamed.label_index["td"]
+        expected = bytearray(lid == td for lid in streamed.label_ids)
+        for snapshot in (streamed, via_nodes):
+            assert bytes(snapshot.unary_mask("label_td")) == expected
+            assert snapshot.unary_nodes("notlabel_td") == [
+                v for v in range(snapshot.size) if not expected[v]
+            ]
+        wrapper = self.wrapper()
+        (streamed_out,) = wrapper.wrap_html_many([page])
+        (via_tree_out,) = wrapper.wrap_many([parse_html(page)])
+        assert [(n.label, n.text) for n in streamed_out.iter_subtree()] == [
+            (n.label, n.text) for n in via_tree_out.iter_subtree()
+        ]
+        assert streamed_out.to_sexpr() == via_tree_out.to_sexpr()
+
+    def test_both_forms_pickle(self):
+        for tags in (200, 300):
+            snapshot = html_snapshot(self.page(tags))
+            clone = pickle.loads(pickle.dumps(snapshot))
+            assert type(clone.label_ids) is type(snapshot.label_ids)
+            assert columns(clone) == columns(snapshot)
+            assert clone.unary_nodes("label_td") == snapshot.unary_nodes("label_td")
+
+
 class TestDocument:
     def test_relations_match_unranked_structure(self):
         page = noisy_table_page(seed=9, rows=12)
@@ -457,8 +562,6 @@ class TestDocument:
         )
 
     def test_document_pickles(self):
-        import pickle
-
         document = Document.from_html(catalog_page(seed=1, items=5))
         clone = pickle.loads(pickle.dumps(document))
         assert columns(clone.snapshot()) == columns(document.snapshot())

@@ -499,7 +499,7 @@ HOSTILE_SOUP = {
 HOSTILE_MAX_RATIO = 2.5
 
 #: Smoke-run bound on the streaming path's serial speedup over the Node
-#: path at the largest catalog size (BENCH_stream.json records ~2.2x on
+#: path at the largest catalog size (BENCH_stream.json records ~2.1x on
 #: a 2-core x86 VM with Python 3.11).
 STREAM_MIN_SPEEDUP = 1.5
 

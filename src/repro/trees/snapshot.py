@@ -431,8 +431,9 @@ class TreeSnapshot:
     def unary_mask(self, name: str) -> Optional[Sequence[int]]:
         """Byte mask of unary relation ``name``; ``None`` if unsupported.
 
-        A read-only bytes-like object (``bytes`` or ``bytearray``) with
-        byte ``v`` set to 1 exactly when node ``v`` is in the relation.
+        A bytes-like object (``bytes`` or ``bytearray``) with byte ``v``
+        set to 1 exactly when node ``v`` is in the relation.  It is cached
+        and shared by every caller, so treat it as read-only.
         """
         if name not in self._unary_masks:
             self._unary_masks[name] = self._compute_unary_mask(name)

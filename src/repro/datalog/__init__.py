@@ -10,8 +10,9 @@ The package provides:
   satisfiability core (Proposition 3.5, Dowling-Gallier);
 * :mod:`repro.datalog.kernel` -- the linear-time propagation kernel:
   monadic programs lowered to numeric rule tables evaluated over columnar
-  document snapshots with per-node predicate bitmasks (Theorem 4.2 as the
-  hot path, auto-selected for tree workloads);
+  document snapshots with one byte lane per predicate (Theorem 4.2 as the
+  hot path, auto-selected for tree workloads), its scalar worklist
+  generated as Python source by :mod:`repro.datalog.worklist`;
 * :mod:`repro.datalog.grounding` -- Theorem 4.2's linear-time grounding of
   connected monadic programs over tree structures (the kernel's
   cross-check oracle);

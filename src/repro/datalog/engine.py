@@ -13,7 +13,7 @@ one-shot API by compiling and running in a single call.
 * ``"kernel"`` -- the linear-time propagation kernel
   (:mod:`repro.datalog.kernel`): monadic programs over tree-backed
   structures evaluated against the columnar document snapshot with
-  per-node predicate bitmasks, Theorem 4.2 as the hot path;
+  one byte lane per predicate, Theorem 4.2 as the hot path;
 * ``"ground"`` -- Theorem 4.2's linear-time grounding + Horn-SAT, when the
   program is monadic and every binary body relation is bidirectionally
   functional in the structure (Proposition 4.1); kept as the cross-check

@@ -19,8 +19,8 @@ Compilation (:func:`compile_kernel`, program-only, cached by
   forward traversal by child enumeration);
 * every rule body is lowered to a flat numeric op sequence -- functional
   *steps* (one array lookup), bounded *branch* steps (``child`` forward),
-  byte-mask checks for unary schema relations, per-node predicate
-  *bitmask* tests for intensional atoms, and guarded binds/equality
+  byte-mask checks for unary schema relations, byte-lane tests for
+  intensional atoms, and guarded binds/equality
   checks for body constants (each constant pins a slot to one node) --
   rooted at the cheapest anchor (fewest branch steps first, then a
   pinned constant, then the most selective unary relation);
@@ -33,14 +33,19 @@ Compilation (:func:`compile_kernel`, program-only, cached by
 
 Evaluation (:meth:`KernelProgram.run`) is a worklist fixpoint in the style
 of the Dowling-Gallier Horn-SAT solver (:mod:`repro.datalog.hornsat`),
-generalized from propositional atoms to ``(predicate-bit, node-index)``
-pairs *without materializing ground rules*: derived facts live in one
-integer bitmask per node, the worklist holds plain ``node * P + pred``
-integers, and when a fact fires, each body occurrence of its predicate
-re-checks the O(1) remaining atoms of that rule through array lookups
-(bodies are constant-width after lowering, so re-checking preserves the
+generalized from propositional atoms to ``(predicate, node)`` pairs
+*without materializing ground rules*: derived facts live in one
+``bytearray`` lane per predicate (byte ``v`` is 1 when the fact holds at
+node ``v``), the worklist is one stack of node ids per predicate, and
+when a fact fires, each body occurrence of its predicate re-checks the
+O(1) remaining atoms of that rule through array lookups (bodies are
+constant-width after lowering, so re-checking preserves the
 ``O(|P| * |dom|)`` bound that the explicit Dowling-Gallier counters give;
-it just never builds the counter table or any ground rule).
+it just never builds the counter table or any ground rule).  The worklist
+is not interpreted: each lowering generates it once as straight-line
+Python (:mod:`repro.datalog.worklist`) -- every rule body one nested
+conjunction of array lookups, every ``child`` enumeration a ``while``
+loop -- and each document passes its columns and masks in as arguments.
 
 :func:`repro.datalog.engine.evaluate` auto-selects this kernel for monadic
 programs over tree-backed structures; :mod:`repro.datalog.grounding` stays
@@ -68,9 +73,11 @@ anchors and ``cbind`` / ``ccheck`` equality pins, ``bcheck`` cycle edges,
 form) make the whole lowering fall back to the scalar worklist -- which
 also takes over mid-run when the frontier stays narrow for many rounds
 (deep-chain propagation derives one node per round, where big-int sweeps
-over the full domain would turn linear work quadratic).  The scalar path
-doubles as the parity oracle: tests flip :data:`VECTORIZE_PROPAGATION`
-and assert identical output.
+over the full domain would turn linear work quadratic).  The lanes share
+the big ints' byte layout, so a handoff converts each predicate with one
+``to_bytes`` and the finished lanes pack back with one ``from_bytes``.
+The scalar path doubles as the parity oracle: tests flip
+:data:`VECTORIZE_PROPAGATION` and assert identical output.
 
 Incremental re-evaluation
 -------------------------
@@ -89,8 +96,12 @@ facts via delete-and-rederive:
   Because every lowered rule connects its slots by 1-hop tree moves, any
   instance touching a bad node has its entry slot within ``nslots`` hops,
   so restricting each block's entry to that neighborhood finds all
-  initially compromised heads; a worklist over the old trigger blocks
-  then closes the set downstream.
+  initially compromised heads; big-int rounds over the old trigger
+  blocks then close the set downstream.  A closure still open after
+  :data:`_NARROW_ROUND_LIMIT` rounds (a deep cone: each round condemns
+  one more chain level) is finished by the generated worklist in its
+  *condemn* form over the old snapshot, linear in the facts it
+  condemns.
 * **carry + re-derive** (new id space, new plan): surviving facts
   translate through the old→new id mapping (matched ranges are
   contiguous, so the whole mapping is a handful of mask/shift classes),
@@ -130,9 +141,9 @@ from repro.trees.diff import diff_snapshots
 Relations = Dict[str, Set[Tuple[int, ...]]]
 
 #: Module switch for the vectorized seed-rule sweeps (byte-mask batch
-#: conjunctions instead of the scalar per-node loop).  The scalar path is
-#: kept as the fallback for blocks the vector form cannot express; tests
-#: flip this flag to assert exact parity between the two.
+#: conjunctions instead of the generated per-node loop).  The loop is
+#: kept for the sweeps the vector form cannot express; tests flip this
+#: flag to assert exact parity between the two.
 VECTORIZE_SWEEPS = True
 
 #: Module switch for frontier-at-a-time propagation (big-int node sets
@@ -151,6 +162,11 @@ _NARROW_FRONTIER = 4
 #: Wide workloads (the catalog sweep) never hit a narrow round at all, so
 #: a short fuse only costs runs that genuinely oscillate narrow-then-wide.
 _NARROW_ROUND_LIMIT = 8
+
+#: Most ``child`` enumerations one lowered rule may nest: the generated
+#: worklist spends one ``while`` per enumeration inside its two drain
+#: loops and a sweep ``for``, and CPython compiles at most 20 nested loops.
+_MAX_BRANCHES = 16
 
 #: Width-histogram buckets preallocated per run: bucket ``b`` counts
 #: rounds whose frontier pushed ``[2^b, 2^(b+1))`` new facts -- 48
@@ -185,17 +201,6 @@ _MATCH_START = re.Match.start
 #: bijections); ``child<k>`` and the ``tau_ur`` binaries resolve only over
 #: their own schema -- the snapshot gates all of this at bind time.
 _BINARY_NAME = re.compile(r"^(firstchild|nextsibling|lastchild|child\d*)$")
-
-# Runtime opcodes (resolved from the symbolic compile-time ops at bind time).
-_STEP = 0  # vals[t] = arr[vals[f]]; fail if -1
-_BRANCH = 1  # enumerate children of vals[f] into vals[t]
-_BCHECK = 2  # arr[vals[f]] == vals[t]
-_UBIT = 3  # unary schema byte mask test on vals[f]
-_IBIT = 4  # per-node predicate bitmask test
-_GBIT = 5  # propositional (0-ary) predicate bit test
-_CBIND = 6  # vals[t] = constant; fail if outside the domain
-_CCHECK = 7  # vals[f] == constant
-
 
 def _anchor_cost(name: Optional[str]) -> int:
     """Selectivity rank of a unary anchor relation (lower enumerates less)."""
@@ -483,6 +488,10 @@ class _Lowering:
         "superlinear",
         "required_rank",
         "hops",
+        "pushes",
+        "resources",
+        "sweep_masks",
+        "_worklists",
     )
 
     def __init__(
@@ -517,6 +526,130 @@ class _Lowering:
         #: rank would be unsound (a rank-``K+1`` tree has children the
         #: ``child1..childK`` expansion never visits).
         self.required_rank: Optional[int] = None
+        #: Per predicate: whether its facts feed any trigger block (facts
+        #: of the others are recorded but never pushed).
+        self.pushes = tuple(bool(group) for group in triggers)
+        #: Every per-document object the blocks read, as ``(kind, name)``
+        #: keys (see :func:`_resource`); the generated worklist receives
+        #: them positionally as ``R0, R1, ...``.
+        keys: Dict[Tuple[str, str], None] = {}
+        for block in blocks:
+            keys.update(dict.fromkeys(_block_resources(block)))
+        self.resources = tuple(keys)
+        #: Per sweep block: the unary relations whose conjunction *is* the
+        #: sweep (a pure unary seed rule, evaluated as one big-int AND),
+        #: or ``None`` when the sweep runs in the generated worklist.
+        self.sweep_masks = tuple(_sweep_masks(block) for block in sweeps)
+        #: ``(source, derive, condemn)``: the generated worklist source and
+        #: its two functions, built on the first scalar run (both at once,
+        #: while little else is live) and never pickled.
+        self._worklists: Optional[tuple] = None
+
+    def __getstate__(self):
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_worklists"] = None
+        return state
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    def worklists(self):
+        """``(derive, condemn)``, generated by
+        :func:`repro.datalog.worklist.worklist_source`."""
+        if self._worklists is None:
+            # Imported here: only documents that reach the worklist pay
+            # for loading the generator.
+            from repro.datalog.worklist import worklist_source
+
+            namespace: Dict[str, object] = {}
+            sources = []
+            # One compile per function halves the compiler's peak memory.
+            for condemn in (False, True):
+                source = worklist_source(self, condemn)
+                code = compile(source, f"<kernel worklist: {self.route}>", "exec")
+                exec(code, namespace)
+                sources.append(source)
+            self._worklists = (
+                "".join(sources),
+                namespace["derive"],
+                namespace["condemn"],
+            )
+        return self._worklists[1:]
+
+    def bind_args(self, snapshot) -> Optional[list]:
+        """Resolve :attr:`resources` against ``snapshot``; ``None`` if any
+        is missing (the document does not supply a relation)."""
+        args = []
+        for kind, name in self.resources:
+            value = _resource(snapshot, kind, name)
+            if value is None:
+                return None
+            args.append(value)
+        return args
+
+
+def _block_resources(block: _Block):
+    """``(kind, name)`` keys of the per-document objects ``block`` reads."""
+    if block.anchor is not None:
+        yield ("nodes", block.anchor if block.nslots else "")
+    for op in block.ops:
+        kind = op[0]
+        if kind == "step":
+            yield ("fwd" if op[2] else "bwd", op[1])
+        elif kind == "bcheck":
+            # ``child`` has no forward map: its edge is checked backward.
+            yield ("bwd", op[1]) if op[1] == "child" else ("fwd", op[1])
+        elif kind == "ubit":
+            yield ("mask", op[1])
+
+
+def _resource(snapshot, kind: str, name: str):
+    """One per-document object of a lowering, or ``None`` if unsupported.
+
+    ``fwd`` / ``bwd`` are functional maps, ``mask`` a unary byte mask and
+    ``nodes`` an anchor's enumeration: ``"*"`` the whole domain, ``""``
+    one pass for a slot-free rule, ``"@const:c"`` the pinned node (none
+    when ``c`` is outside the domain), else the relation's node list.
+    """
+    if kind == "fwd":
+        return snapshot.forward_map(name)
+    if kind == "bwd":
+        return snapshot.backward_map(name)
+    if kind == "mask":
+        return snapshot.unary_mask(name)
+    if name == "*":
+        return range(snapshot.size)
+    if not name:
+        return (0,)
+    if name.startswith("@const:"):
+        value = int(name[len("@const:") :])
+        return (value,) if 0 <= value < snapshot.size else ()
+    return snapshot.unary_nodes(name)
+
+
+def _sweep_masks(block: _Block) -> Optional[Tuple[str, ...]]:
+    """Unary relations whose conjunction is this sweep, or ``None``.
+
+    A sweep block is vectorizable when it is a pure unary seed rule: the
+    head is derived at the anchored slot itself and every residual check
+    is a unary byte-mask test on that slot.  The anchor relation
+    contributes its own mask (``"*"`` contributes nothing -- it is the
+    full domain).  Constant-pinned or traversing blocks run in the
+    generated worklist.
+    """
+    if block.head_slot < 0 or block.head_slot != block.start:
+        return None
+    names = []
+    if block.anchor != "*":
+        if block.anchor.startswith("@const:"):
+            return None
+        names.append(block.anchor)
+    for op in block.ops:
+        if op[0] != "ubit" or op[2] != block.start:
+            return None
+        names.append(op[1])
+    return tuple(names) if names else None
 
 
 #: Incremental runs only pay off while most of the document is reusable;
@@ -536,7 +669,7 @@ class KernelState:
     what :meth:`KernelProgram.run_incremental` needs to re-evaluate the
     next version of the same document.  Captured when the big-int engine
     reaches the fixpoint itself and when the scalar worklist finishes a
-    handoff (the worklist's per-node bitmasks pack back into lanes);
+    handoff (each of its byte lanes packs into one big int);
     only documents that never held a vector plan leave ``None``, which
     holders must treat as "start cold".
     """
@@ -574,12 +707,11 @@ def _expand_hops(snapshot, mask: int, hops: int) -> int:
     # domain after a few hops; the ``full`` check stops the walk there.
     frontier = mask
     for _ in range(hops):
-        grown = bytearray(size)
-        for hit in _NONZERO.finditer(frontier.to_bytes(size, "little")):
-            v = _MATCH_START(hit)
-            for w in (parent[v], prevsibling[v], nextsibling[v]):
-                if w >= 0:
-                    grown[w] = 1
+        # One spare byte at the end: a missing neighbour (-1) marks it.
+        grown = bytearray(size + 1)
+        for v in _ids(frontier, size):
+            grown[parent[v]] = grown[prevsibling[v]] = grown[nextsibling[v]] = 1
+        del grown[size]
         frontier = (int.from_bytes(grown, "little") | children(frontier)) & ~mask
         if not frontier:
             break
@@ -587,6 +719,59 @@ def _expand_hops(snapshot, mask: int, hops: int) -> int:
         if mask == full:
             break
     return mask
+
+
+def _ids(packed: int, size: int) -> List[int]:
+    """Ascending node ids of a byte-lane big int (a regex scan: fastest on
+    sparse sets, such as the frontiers a worklist is seeded from)."""
+    if not packed:
+        return []
+    buffer = packed.to_bytes(size, "little")
+    return list(map(_MATCH_START, _NONZERO.finditer(buffer)))
+
+
+def _condemn_walk(variant: _Lowering, snapshot, derived_old, deleted, frontier):
+    """Finish an over-delete closure on the generated condemn worklist.
+
+    ``deleted`` holds the old facts condemned so far and ``frontier`` the
+    condemned facts whose consequences are still owed (big ints per
+    predicate, old id space); the walk runs the old trigger blocks, bound
+    to the old ``snapshot``, from the frontier.  Returns the closed
+    ``deleted`` big ints -- exactly the set the big-int rounds would reach.
+    """
+    n = snapshot.size
+    lanes = [
+        bytearray((old & ~dead).to_bytes(n, "little"))
+        for old, dead in zip(derived_old, deleted)
+    ]
+    # Old-fixpoint lanes only for the predicates some body tests.
+    tested = {
+        op[1]
+        for group in variant.triggers
+        for block in group
+        for op in block.ops
+        if op[0] == "ibit"
+    }
+    old = [
+        bytearray(d.to_bytes(n, "little")) if p in tested else None
+        for p, d in enumerate(derived_old)
+    ]
+    _, condemn = variant.worklists()
+    condemn(
+        n,
+        snapshot.firstchild,
+        snapshot.nextsibling,
+        None,
+        lanes,
+        old,
+        [_ids(f, n) for f in frontier],
+        variant.bind_args(snapshot),
+        None,
+    )
+    return [
+        packed & ~int.from_bytes(lane, "little")
+        for packed, lane in zip(derived_old, lanes)
+    ]
 
 
 class KernelProgram:
@@ -646,7 +831,10 @@ class KernelProgram:
         #:   ``"vector_plan_rejected"`` or ``"vectorize_disabled"``;
         #: * warm runs (:meth:`run_incremental`) additionally carry
         #:   ``dirty`` / ``dirty_fraction`` / ``carried`` / ``deleted``
-        #:   and ``delete_rounds`` (the depth of the condemned cone).
+        #:   and ``delete_rounds`` (the over-delete closure's big-int
+        #:   rounds, plus one for the condemn walk that finishes a deep
+        #:   cone -- so past :data:`_NARROW_ROUND_LIMIT` it reads the
+        #:   limit plus one, not the cone's depth).
         #:
         #: Only counters the engines already compute are recorded, so
         #: the hot loops stay allocation-free.
@@ -677,140 +865,6 @@ class KernelProgram:
         return self._bind(structure) is not None
 
     # -- binding -----------------------------------------------------------
-
-    def _bind_ops(self, block: _Block, snapshot):
-        ops = []
-        for op in block.ops:
-            kind = op[0]
-            if kind == "step":
-                _, rel, forward, f, t = op
-                arr = (
-                    snapshot.forward_map(rel)
-                    if forward
-                    else snapshot.backward_map(rel)
-                )
-                if arr is None:
-                    return None
-                ops.append((_STEP, arr, f, t))
-            elif kind == "branch":
-                _, rel, f, t = op
-                if not snapshot.branches_forward(rel):
-                    return None
-                ops.append((_BRANCH, None, f, t))
-            elif kind == "bcheck":
-                _, rel, a, b = op
-                arr = snapshot.forward_map(rel)
-                if arr is not None:
-                    ops.append((_BCHECK, arr, a, b))
-                else:
-                    arr = snapshot.backward_map(rel)
-                    if arr is None:
-                        return None
-                    ops.append((_BCHECK, arr, b, a))
-            elif kind == "ubit":
-                _, name, f = op
-                mask = snapshot.unary_mask(name)
-                if mask is None:
-                    return None
-                ops.append((_UBIT, mask, f, 0))
-            elif kind == "ibit":
-                _, pred, f = op
-                ops.append((_IBIT, pred, f, 0))
-            elif kind == "cbind":
-                _, value, t = op
-                ops.append((_CBIND, value, 0, t))
-            elif kind == "ccheck":
-                _, value, f = op
-                ops.append((_CCHECK, value, f, 0))
-            else:  # gbit
-                _, pred = op
-                ops.append((_GBIT, pred, 0, 0))
-        return tuple(ops)
-
-    @staticmethod
-    def _sweep_vector(block: _Block, ops, snapshot):
-        """Byte masks whose conjunction *is* this sweep, or ``None``.
-
-        A sweep block is vectorizable when it is a pure unary seed rule:
-        the head is derived at the anchored slot itself and every residual
-        check is a unary byte-mask test on that slot.  The anchor relation
-        contributes its own mask (``"*"`` contributes nothing -- it is the
-        full domain).  Constant-pinned or traversing blocks fall back to
-        the scalar loop.
-        """
-        if block.head_slot < 0 or block.head_slot != block.start:
-            return None
-        masks = []
-        if block.anchor != "*":
-            if block.anchor is None or block.anchor.startswith("@const:"):
-                return None
-            mask = snapshot.unary_mask(block.anchor)
-            if mask is None:
-                return None
-            masks.append(mask)
-        for op in ops:
-            if op[0] != _UBIT or op[2] != block.start:
-                return None
-            masks.append(op[1])
-        return tuple(masks) if masks else None
-
-    def _bind_variant(self, variant: _Lowering, snapshot):
-        """Resolve one lowering's symbolic ops; ``None`` if impossible."""
-
-        def anchor_nodes(block: _Block):
-            if block.anchor == "*":
-                return range(snapshot.size) if block.nslots else (0,)
-            if block.anchor.startswith("@const:"):
-                value = int(block.anchor[len("@const:") :])
-                return (value,) if 0 <= value < snapshot.size else ()
-            nodes = snapshot.unary_nodes(block.anchor)
-            return nodes if nodes is not None else None
-
-        bound_sweeps = []
-        for block in variant.sweeps:
-            ops = self._bind_ops(block, snapshot)
-            anchor = anchor_nodes(block)
-            if ops is None or anchor is None:
-                return None
-            vals = [0] * max(block.nslots, 1)
-            vector = self._sweep_vector(block, ops, snapshot)
-            bound_sweeps.append(
-                (
-                    anchor,
-                    block.start,
-                    ops,
-                    block.head_pred,
-                    block.head_slot,
-                    vals,
-                    vector,
-                )
-            )
-        bound_triggers: List[List[tuple]] = []
-        for group in variant.triggers:
-            rows = []
-            for block in group:
-                ops = self._bind_ops(block, snapshot)
-                if ops is None:
-                    return None
-                anchor = None
-                if block.anchor is not None:
-                    anchor = anchor_nodes(block)
-                    if anchor is None:
-                        return None
-                vals = [0] * max(block.nslots, 1)
-                rows.append(
-                    (
-                        anchor,
-                        block.start,
-                        ops,
-                        block.head_pred,
-                        block.head_slot,
-                        vals,
-                        block.gate,
-                    )
-                )
-            bound_triggers.append(rows)
-        return variant, snapshot, bound_sweeps, bound_triggers
 
     def _ranked_variant(self, max_rank: int) -> Optional[_Lowering]:
         """The Lemma 5.4 + Theorem 5.2 lowering for rank-``K`` snapshots.
@@ -848,9 +902,10 @@ class KernelProgram:
         return variant
 
     def _bind(self, structure: Structure):
-        """Resolve symbolic ops against a document; ``None`` if impossible.
+        """``(variant, snapshot)``: the lowering that binds the document.
 
-        Tries the static lowerings in preference order (linear ones
+        ``None`` when no lowering's relations are all supplied.  Tries the
+        static lowerings in preference order (linear ones
         first); when none binds and the snapshot is ranked, compiles and
         tries the ranked-TMNF variant before falling back to any
         superlinear static lowering.
@@ -869,9 +924,8 @@ class KernelProgram:
                     or snapshot.max_rank != variant.required_rank
                 ):
                     continue
-                bound = self._bind_variant(variant, snapshot)
-                if bound is not None:
-                    return bound
+                if variant.bind_args(snapshot) is not None:
+                    return variant, snapshot
             return None
 
         fast = [v for v in self._variants if not v.superlinear]
@@ -925,7 +979,7 @@ class KernelProgram:
         :attr:`last_state`).  Returns
         ``((relations, unary_sets), state, info)`` -- the same payload as
         :meth:`try_run_full`, the state for the *next* warm run (packed
-        from the worklist bitmasks when the scalar worklist finished the
+        from the worklist's lanes when the scalar worklist finished the
         run), and a stats dict -- the unified :attr:`last_stats` shape
         (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
         ``fallback``) plus the warm-only reuse keys ``dirty`` /
@@ -947,9 +1001,10 @@ class KernelProgram:
         run finishes on the scalar worklist in two cases: its frontier
         stays narrow for :data:`_NARROW_ROUND_LIMIT` rounds, as in a cold
         run (``fallback="narrow_frontier"``), or its over-delete closure
-        took more than :data:`_NARROW_ROUND_LIMIT` rounds, so the
-        re-derivation would walk the condemned chains one level per round
-        (``fallback="deep_cone"``; no frontier round runs at all).
+        ran past :data:`_NARROW_ROUND_LIMIT` rounds (and was finished by
+        the condemn walk), so the re-derivation would walk the condemned
+        chains one level per round (``fallback="deep_cone"``; no frontier
+        round runs at all).
         """
         if previous is None or not VECTORIZE_PROPAGATION:
             return None
@@ -957,7 +1012,7 @@ class KernelProgram:
         bound = self._bind(structure)
         if bound is None:
             return None
-        variant, snapshot, _sweeps, _triggers = bound
+        variant, snapshot = bound
         if (
             variant is not previous.variant
             or snapshot.schema != "unranked"
@@ -1025,6 +1080,14 @@ class KernelProgram:
                         )
             while any(dpend):
                 delete_rounds += 1
+                if delete_rounds > _NARROW_ROUND_LIMIT:
+                    # A deep cone: the rest of the closure is condemned
+                    # one level per round, so finish it on the scalar
+                    # walk, linear in the facts it condemns.
+                    deleted = _condemn_walk(
+                        variant, old_snap, derived_old, deleted, dpend
+                    )
+                    break
                 cur = dpend
                 dpend = [0] * P
                 for p in range(P):
@@ -1061,10 +1124,20 @@ class KernelProgram:
             carried_count += keep.bit_count()
         pending = [0] * P
         if region:
-            seed_zone = _expand_hops(snapshot, region, hops)
+            # Few survivors around a wide region (a deep cone condemns
+            # nearly everything): re-seeding every carried fact costs less
+            # than finding the ones near the region, and a re-seeded fact
+            # only repeats work, never changes the fixpoint.
+            seed_zone = (
+                None
+                if carried_count <= hops * region.bit_count()
+                else _expand_hops(snapshot, region, hops)
+            )
             for p, group in enumerate(plan[1]):
                 if group:
-                    pending[p] = derived[p] & seed_zone
+                    pending[p] = (
+                        derived[p] if seed_zone is None else derived[p] & seed_zone
+                    )
         info = {
             "dirty": d.dirty_count,
             "dirty_fraction": d.dirty_fraction,
@@ -1088,7 +1161,7 @@ class KernelProgram:
         self.last_state = None
         self.last_stats = None
         if VECTORIZE_PROPAGATION:
-            variant, snapshot, _sweeps, _triggers = bound
+            variant, snapshot = bound
             plan = _vector_plan(variant, snapshot)
             if plan is not None:
                 P = variant.npreds
@@ -1128,7 +1201,7 @@ class KernelProgram:
         updating ``stats`` in place (it becomes :attr:`last_stats`) and
         returns the ``(relations, unary_sets)`` payload.
         """
-        variant, snapshot, _sweeps, _triggers = bound
+        variant, snapshot = bound
         vsweeps, vtriggers = plan
         P = variant.npreds
         full = snapshot.unary_int("dom")
@@ -1222,223 +1295,80 @@ class KernelProgram:
     def _run_scalar(
         self, bound, resume=None, capture_state: bool = False
     ) -> Tuple[Relations, Dict[str, Set[int]]]:
-        variant, snapshot, sweeps, triggers = bound
+        """Run the lowering's generated worklist to the fixpoint.
+
+        Cold, the sweeps seed it: pure unary seed rules as one big-int
+        conjunction each (with :data:`VECTORIZE_SWEEPS`), the rest inside
+        the generated code.  ``resume=(derived, pending)`` instead adopts
+        a frontier engine's partial fixpoint: the derived big ints become
+        the lanes and exactly the unprocessed frontier seeds the stacks,
+        so the worklist invariant ("each derived fact was popped or is on
+        a stack") holds without re-running the sweeps.  ``capture_state``
+        packs the finished lanes into :attr:`last_state`.
+        """
+        variant, snapshot = bound
         P = variant.npreds
         outputs = variant.outputs
-        relations: Relations = {
-            name: set() for name, _, _ in outputs
-        }
-        if P == 0:
-            self.last_stats = {
-                "engine": self.last_engine,
-                "rounds": 0,
-                "facts": 0,
-                "frontier_widths": [],
-                "fallback": None,
-            }
-            return relations, {}
-
-        firstchild = snapshot.firstchild
-        nextsibling = snapshot.nextsibling
-        domain_size = snapshot.size
-        masks = [0] * snapshot.size
-        gmask_cell = [0]
-        stack: List[int] = []
-        # Node lists per output predicate id (helpers collect nothing).
-        out_by_pred: List[Optional[List[int]]] = [None] * P
-        out_lists: List[Tuple[str, List[int]]] = []
-        for name, pred, arity in outputs:
-            if pred >= 0 and arity == 1:
-                out_by_pred[pred] = collected = []
-                out_lists.append((name, collected))
-        # Facts of predicates with no body occurrences need no propagation.
-        needs_push = [bool(group) for group in triggers]
-
-        def execute(ops, i, vals, head_pred, head_slot, nops):
-            while i < nops:
-                k, obj, f, t = ops[i]
-                if k == _STEP:
-                    w = obj[vals[f]]
-                    if w < 0:
-                        return
-                    vals[t] = w
-                elif k == _UBIT:
-                    if not obj[vals[f]]:
-                        return
-                elif k == _IBIT:
-                    if not (masks[vals[f]] >> obj) & 1:
-                        return
-                elif k == _BCHECK:
-                    if obj[vals[f]] != vals[t]:
-                        return
-                elif k == _CBIND:
-                    if not 0 <= obj < domain_size:
-                        return
-                    vals[t] = obj
-                elif k == _CCHECK:
-                    if vals[f] != obj:
-                        return
-                elif k == _GBIT:
-                    if not (gmask_cell[0] >> obj) & 1:
-                        return
-                else:  # _BRANCH
-                    child = firstchild[vals[f]]
-                    i += 1
-                    while child >= 0:
-                        vals[t] = child
-                        execute(ops, i, vals, head_pred, head_slot, nops)
-                        child = nextsibling[child]
-                    return
-                i += 1
-            # All body conditions hold: derive the head fact (once).
-            if head_slot >= 0:
-                v = vals[head_slot]
-                m = masks[v]
-                bit = 1 << head_pred
-                if not m & bit:
-                    masks[v] = m | bit
-                    if needs_push[head_pred]:
-                        stack.append(v * P + head_pred)
-                    collected = out_by_pred[head_pred]
-                    if collected is not None:
-                        collected.append(v)
-            else:
-                bit = 1 << head_pred
-                if not gmask_cell[0] & bit:
-                    gmask_cell[0] |= bit
-                    if needs_push[head_pred]:
-                        stack.append(-head_pred - 1)
-
+        relations: Relations = {name: set() for name, _, _ in outputs}
+        unary_sets: Dict[str, Set[int]] = {}
+        n = snapshot.size
+        stacks: List[List[int]] = [[] for _ in range(P)]
+        flags = bytearray(len(variant.sweeps))
         if resume is not None:
-            # Adopt the frontier engine's partial fixpoint: every derived
-            # fact enters the per-node bitmasks (and output collections),
-            # and exactly the unprocessed frontier seeds the stack -- the
-            # worklist invariant ("each derived fact was popped or is on
-            # the stack") holds, so the loop below finishes the fixpoint
-            # without re-running the sweeps.
-            derived_ints, pending_ints = resume
-            for pred in range(P):
-                packed = derived_ints[pred]
-                if not packed:
+            derived, pending = resume
+            lanes = [bytearray(d.to_bytes(n, "little")) for d in derived]
+            for p in range(P):
+                if variant.pushes[p]:
+                    stacks[p] = _ids(pending[p], n)
+        else:
+            lanes = [bytearray(n) for _ in range(P)]
+            for k, names in enumerate(variant.sweep_masks):
+                if names is None or not VECTORIZE_SWEEPS:
+                    flags[k] = 1
                     continue
-                bit = 1 << pred
-                collected = out_by_pred[pred]
-                for hit in _NONZERO.finditer(
-                    packed.to_bytes(domain_size, "little")
-                ):
-                    v = hit.start()
-                    masks[v] |= bit
-                    if collected is not None:
-                        collected.append(v)
-                packed = pending_ints[pred]
-                if packed and needs_push[pred]:
-                    for hit in _NONZERO.finditer(
-                        packed.to_bytes(domain_size, "little")
-                    ):
-                        stack.append(hit.start() * P + pred)
-        vectorize = VECTORIZE_SWEEPS
-        for anchor, start, ops, head_pred, head_slot, vals, vector in (
-            () if resume is not None else sweeps
-        ):
-            if vector is not None and vectorize:
-                # Vectorized seed enumeration: the whole sweep is a
-                # conjunction of unary byte masks, evaluated as one big
-                # integer AND (C speed) with surviving node ids recovered
-                # by a regex scan over the result bytes -- the tight
-                # per-node Python loop never runs.
-                combined = int.from_bytes(memoryview(vector[0]), "little")
-                for mask in vector[1:]:
-                    if not combined:
-                        break
-                    combined &= int.from_bytes(memoryview(mask), "little")
-                if not combined:
-                    continue
-                bit = 1 << head_pred
-                push = needs_push[head_pred]
-                collected = out_by_pred[head_pred]
-                survivors = combined.to_bytes(domain_size, "little")
-                for hit in _NONZERO.finditer(survivors):
-                    v = hit.start()
-                    m = masks[v]
-                    if not m & bit:
-                        masks[v] = m | bit
-                        if push:
-                            stack.append(v * P + head_pred)
-                        if collected is not None:
-                            collected.append(v)
-                continue
-            nops = len(ops)
-            for v in anchor:
-                vals[start] = v
-                execute(ops, 0, vals, head_pred, head_slot, nops)
-
-        while stack:
-            token = stack.pop()
-            if token >= 0:
-                v, pred = divmod(token, P)
-                for anchor, start, ops, head_pred, head_slot, vals, gate in triggers[
-                    pred
-                ]:
-                    if anchor is None:
-                        vals[start] = v
-                        execute(ops, 0, vals, head_pred, head_slot, len(ops))
-                    elif gate is None or gate == v:
-                        # An anchored re-sweep: a constant-pinned body atom
-                        # became true (or the gate is open), so replay the
-                        # rule from its enumerated anchor.
-                        nops = len(ops)
-                        for u in anchor:
-                            vals[start] = u
-                            execute(ops, 0, vals, head_pred, head_slot, nops)
-            else:
-                for anchor, start, ops, head_pred, head_slot, vals, gate in triggers[
-                    -token - 1
-                ]:
-                    nops = len(ops)
-                    for v in anchor:
-                        vals[start] = v
-                        execute(ops, 0, vals, head_pred, head_slot, nops)
-
+                combined = snapshot.unary_int(names[0])
+                for name in names[1:]:
+                    combined &= snapshot.unary_int(name)
+                hp = variant.sweeps[k].head_pred
+                held = int.from_bytes(lanes[hp], "little")
+                new = combined & ~held
+                if new:
+                    lanes[hp] = bytearray((held | new).to_bytes(n, "little"))
+                    if variant.pushes[hp]:
+                        stacks[hp].extend(_ids(new, n))
+        gbits = bytearray(P)
+        if P:
+            derive, _ = variant.worklists()
+            derive(
+                n,
+                snapshot.firstchild,
+                snapshot.nextsibling,
+                gbits,
+                lanes,
+                None,
+                stacks,
+                variant.bind_args(snapshot),
+                flags,
+            )
         if capture_state:
-            # Pack the completed per-node bitmasks back into per-predicate
-            # byte lanes: the scalar worklist finishes the exact fixpoint,
-            # so its residue is just as reusable by the next warm run as a
-            # pure frontier run's.  Only the handoff in ``_fixpoint``
-            # asks for this (it holds a vector plan); a lane is allocated
-            # lazily per predicate that actually derived something.
-            lanes: List[Optional[bytearray]] = [None] * P
-            for v, m in enumerate(masks):
-                while m:
-                    low = m & -m
-                    lane = lanes[low.bit_length() - 1]
-                    if lane is None:
-                        lane = lanes[low.bit_length() - 1] = bytearray(
-                            domain_size
-                        )
-                    lane[v] = 1
-                    m ^= low
             self.last_state = KernelState(
                 variant,
                 snapshot,
-                [
-                    0 if lane is None else int.from_bytes(lane, "little")
-                    for lane in lanes
-                ],
+                [int.from_bytes(lane, "little") for lane in lanes],
             )
-        unary_sets: Dict[str, Set[int]] = {}
-        for name, collected in out_lists:
-            unary_sets[name] = ids = set(collected)
-            relations[name] = set(zip(ids))
-        gmask = gmask_cell[0]
         for name, pred, arity in outputs:
-            if pred >= 0 and arity == 0 and (gmask >> pred) & 1:
+            if pred < 0:
+                continue
+            if arity == 1:
+                ids = set(itertools.compress(range(n), lanes[pred]))
+                unary_sets[name] = ids
+                relations[name] = set(zip(ids))
+            elif gbits[pred]:
                 relations[name] = {()}
-        # One end-of-run popcount pass over the per-node bitmasks: O(n),
-        # outside the propagation loop, so the hot path stays untouched.
         self.last_stats = {
             "engine": self.last_engine,
             "rounds": 0,
-            "facts": sum(m.bit_count() for m in masks) + gmask.bit_count(),
+            "facts": sum(lane.count(1) for lane in lanes) + gbits.count(1),
             "frontier_widths": [],
             "fallback": None,
         }
@@ -1781,7 +1711,10 @@ def _lower(source: Program, lowered: Program, route: str) -> Optional[_Lowering]
         outputs.append(
             (name, pred_index.get(name, -1), source_arities.get(name, 1))
         )
-    return _Lowering(lowered, pred_index, sweeps, triggers, outputs, route)
+    lowering = _Lowering(lowered, pred_index, sweeps, triggers, outputs, route)
+    if lowering.max_branches > _MAX_BRANCHES:
+        return None
+    return lowering
 
 
 def compile_kernel(program: Program) -> Optional[KernelProgram]:

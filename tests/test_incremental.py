@@ -41,6 +41,16 @@ deep(x) :- mark(x), label_leafc(x).
 """
 
 
+@pytest.fixture
+def frontier_engine(monkeypatch):
+    """Pin the frontier engine on: these tests assert engine routes
+    (``frontier``, ``incremental``, ``frontier+worklist``, ...), which
+    otherwise follow the ambient ``REPRO_VECTORIZE_PROPAGATION``."""
+    import repro.datalog.kernel as kernel_mod
+
+    monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+
+
 def descent_program():
     return compile_program(parse_program(DESCENT, query="deep"))
 
@@ -196,7 +206,7 @@ class TestIncrementalKernelParity:
         for node in rng.sample(pool, min(edits, len(pool))):
             node.text += " X"
 
-    def test_randomized_text_edits_match_cold_across_engines(self):
+    def test_randomized_text_edits_match_cold_across_engines(self, frontier_engine):
         rng = random.Random(47)
         program = descent_program()
         raw = parse_program(DESCENT, query="deep")
@@ -226,7 +236,7 @@ class TestIncrementalKernelParity:
         # the warm path must actually engage on most trials, not fall back
         assert applied >= 30
 
-    def test_worklist_handoff_packs_reusable_state(self):
+    def test_worklist_handoff_packs_reusable_state(self, frontier_engine):
         # 2 threads keep the frontier under the narrow limit: the cold
         # run *must* hand off to the scalar worklist, and since the
         # handoff packs the finished bitmasks into a KernelState, the
@@ -320,7 +330,7 @@ class TestDeepConeRoute:
         deepest = [(t, self.DEPTH - 1) for t in range(self.THREADS)]
         return base, scattered, edit_comments(scattered, deepest, "(new)")
 
-    def test_scattered_edits_take_the_deep_cone_route(self):
+    def test_scattered_edits_take_the_deep_cone_route(self, frontier_engine):
         from repro.datalog.kernel import _NARROW_ROUND_LIMIT
 
         wrapper = forum_wrapper()
@@ -341,7 +351,7 @@ class TestDeepConeRoute:
         assert stats["warm"] and run["engine"] == "incremental"
         assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
 
-    def test_deepest_comment_edit_keeps_frontier_rounds(self):
+    def test_deepest_comment_edit_keeps_frontier_rounds(self, frontier_engine):
         from repro.datalog.kernel import _NARROW_ROUND_LIMIT
 
         wrapper = forum_wrapper()
@@ -358,7 +368,7 @@ class TestDeepConeRoute:
         assert 0 < run["rounds"] < _NARROW_ROUND_LIMIT + 8
         assert out.to_dict() == wrapper.wrap_html_many([edited])[0].to_dict()
 
-    def test_deep_cone_parity_across_engines(self):
+    def test_deep_cone_parity_across_engines(self, frontier_engine):
         # An edit near the top of a chain condemns the whole chain below
         # it: the route must agree with cold kernel and seminaive runs.
         rng = random.Random(83)
@@ -388,6 +398,44 @@ class TestDeepConeRoute:
         assert routed >= 10
 
 
+GATED_DESCENT = """
+mark(x) :- root(x).
+mark(y) :- mark(x), child(x, y), label_c(y).
+deep(x) :- mark(x0), child(x0, x), label_leafc(x).
+"""
+
+
+class TestDeepConeDeletions:
+    """A relabel near the top of a chain *removes* every fact below it:
+    the condemn walk must close the whole cone, or stale facts survive
+    (text edits cannot show this -- their cones re-derive unchanged)."""
+
+    def test_relabel_cones_match_cold(self, frontier_engine):
+        rng = random.Random(2718)
+        raw = parse_program(GATED_DESCENT, query="deep")
+        program = compile_program(raw)
+        walked = 0
+        for trial in range(12):
+            threads, depth = rng.randint(2, 5), rng.randint(20, 40)
+            trees = [thread_tree(threads, depth) for _ in range(2)]
+            # Odd trials cut a chain (facts go), even ones restore it.
+            cut = trees[trial % 2].children[rng.randrange(threads)]
+            for _ in range(rng.randint(0, 3)):
+                cut = cut.children[0]
+            cut.label = "x"
+            _, state, _ = program.run_incremental(
+                as_indexed(UnrankedStructure(trees[0])), None
+            )
+            doc = as_indexed(UnrankedStructure(trees[1]))
+            warm, _, info = program.run_incremental(doc, state)
+            assert info is not None
+            walked += info["fallback"] == "deep_cone"
+            cold = evaluate(raw, UnrankedStructure(trees[1]), method="seminaive")
+            assert warm.unary("mark") == cold.unary("mark")
+            assert warm.unary("deep") == cold.unary("deep")
+        assert walked >= 5
+
+
 def request(host, port, method, path, body=None, timeout=60):
     import http.client
 
@@ -415,7 +463,7 @@ class TestServeWarmPath:
         yield host, port
         thread.stop()
 
-    def test_doc_id_reuses_state_and_matches_cold(self, forum_server):
+    def test_doc_id_reuses_state_and_matches_cold(self, forum_server, frontier_engine):
         host, port = forum_server
         v1 = forum_page(seed=5, threads=3, depth=12)
         v2 = v1.replace("Comment 1.11 ", "Comment 1.11 (edited) ")

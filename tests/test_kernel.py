@@ -527,8 +527,8 @@ class TestVectorizedSweeps:
         structure = UnrankedStructure(parse_sexpr("a(a, b(a), c)"))
         bound = kernel._bind(structure)
         assert bound is not None
-        _, _, sweeps, _ = bound
-        assert any(entry[-1] is not None for entry in sweeps)
+        variant, _ = bound
+        assert any(names is not None for names in variant.sweep_masks)
         assert kernel.run(structure) == evaluate_seminaive(program, structure)
 
     def test_vector_and_scalar_paths_agree(self, monkeypatch):
@@ -722,20 +722,23 @@ class TestFrontierParity:
             )
             assert vectorized == scalar == evaluate_seminaive(program, structure)
 
-    def test_constant_anchored_blocks_fall_back_to_worklist(self):
+    def test_constant_anchored_blocks_fall_back_to_worklist(self, monkeypatch):
         # ``ccheck``/``cbind`` blocks are outside the vector fragment by
         # design: the whole variant must fall back to the scalar worklist
         # even with vectorization enabled (the CI smoke job keys on this).
         import repro.datalog.kernel as kernel_mod
 
-        assert kernel_mod.VECTORIZE_PROPAGATION  # default: enabled
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
         program = parse_program("p(x) :- firstchild(0, x).", query="p")
         kernel = compile_kernel(program)
         structure = UnrankedStructure(parse_sexpr("a(b, c)"))
         assert kernel.run(structure)["p"] == {(1,)}
         assert kernel.last_engine == "worklist"
 
-    def test_engine_is_reported_through_the_plan_layer(self):
+    def test_engine_is_reported_through_the_plan_layer(self, monkeypatch):
+        import repro.datalog.kernel as kernel_mod
+
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
         program = parse_program("p(y) :- label_a(x), firstchild(x, y).", query="p")
         structure = UnrankedStructure(parse_sexpr("a(b, c)"))
         result = compile_program(program).run(structure)
@@ -743,3 +746,169 @@ class TestFrontierParity:
         assert result.engine == "frontier"
         seminaive = compile_program(program).run(structure, method="seminaive")
         assert seminaive.engine is None
+
+
+_CONSTANT_SHAPES = [
+    "q{i}(x) :- {s}(x), firstchild({c}, x).",
+    "q{i}(x) :- {s}({c}), child({c}, x).",
+    "q{i}(x) :- {s}({c}), label_b(x).",
+    "q{i}(x) :- {s}(x), {o}({c}).",
+    "q{i}(x) :- {s}(x), child(x, y), nextsibling(y, {c}).",
+    "q{i}(x) :- label_a({c}), {s}(x).",
+    "q{i}(y) :- {s}(x), child(x, y).",
+]
+
+_FIXED_PROGRAMS = [
+    # 0-ary heads, and a 0-ary atom beside a unary trigger (gbit).
+    """
+    seen :- label_b(x).
+    p(x) :- seen, leaf(x).
+    q(x) :- p(x), label_a(y).
+    r(x) :- seen, q(x).
+    """,
+    # A constant-pinned intensional atom: a gated anchored re-sweep.
+    """
+    seen(x) :- label_b(x).
+    p(x) :- seen(1), firstchild(x, y), label_b(y).
+    """,
+    # A cycle edge checked through a forward map (bcheck lastchild).
+    """
+    s(x) :- label_a(x).
+    p(x) :- s(x), firstchild(x, y), nextsibling(y, z), lastchild(x, z).
+    """,
+    # A constant-anchored sweep (ccheck on the pinned entry slot).
+    """
+    p(x) :- firstchild(0, x).
+    p(y) :- p(x), nextsibling(x, y).
+    """,
+    # TMNF route.
+    """
+    q(x) :- label_b(x).
+    p(x) :- q(x), child(x, y), child(y, z), label_a(z).
+    p(x) :- p(y), child(x, y).
+    """,
+]
+
+_RANKED_PROGRAM = """
+q(x) :- label_f(x).
+p(x) :- q(x), child(x, y), child(y, z), label_c(z).
+"""
+
+
+def _codegen_corpus():
+    """Fixed ``(program, structure)`` fuzz cases for the generated worklist:
+    random recursive programs, random constant programs, and programs
+    that pin 0-ary heads, gates, cycle checks, constant anchors and the
+    TMNF / ranked-TMNF routes."""
+    rng = random.Random(1818)
+    cases = []
+    for _ in range(24):
+        program = _random_kernel_program(rng)
+        tree = random_tree(rng, rng.randint(1, 24), labels=("a", "b"))
+        cases.append((program, UnrankedStructure(tree)))
+    for _ in range(16):
+        rules = ["q0(x) :- label_a(x)."]
+        preds = ["q0"]
+        for i in range(1, rng.randint(2, 6)):
+            rules.append(
+                rng.choice(_CONSTANT_SHAPES).format(
+                    i=i, s=rng.choice(preds), o=rng.choice(preds), c=rng.randint(0, 8)
+                )
+            )
+            preds.append(f"q{i}")
+        program = parse_program("\n".join(rules), query=preds[-1])
+        tree = random_tree(rng, rng.randint(1, 14), labels=("a", "b"))
+        cases.append((program, UnrankedStructure(tree)))
+    for text in _FIXED_PROGRAMS:
+        program = parse_program(text)
+        for _ in range(4):
+            tree = random_tree(rng, rng.randint(1, 16), labels=("a", "b"))
+            cases.append((program, UnrankedStructure(tree)))
+    ranked = parse_program(_RANKED_PROGRAM, query="p")
+    for _ in range(4):
+        tree = random_binary_tree(rng, rng.randint(1, 14), "f", "c")
+        cases.append((ranked, RankedStructure(tree, max_rank=2)))
+    return cases
+
+
+#: ``facts`` per corpus case as counted by the interpreted worklist that
+#: the generated code replaced (every derived fact, helpers and 0-ary
+#: facts included).
+_INTERPRETER_FACTS = [
+    22, 21, 7, 20, 14, 12, 34, 18, 14, 26, 9, 1, 27, 11, 63, 6, 28, 6, 3, 4,
+    38, 15, 11, 58, 2, 4, 1, 1, 3, 12, 3, 12, 1, 0, 7, 2, 2, 2, 8, 8, 4, 11,
+    11, 23, 3, 7, 7, 15, 2, 3, 9, 2, 1, 2, 2, 2, 67, 1, 94, 76, 5, 67, 60, 29,
+]
+
+
+class TestGeneratedWorklist:
+    """The scalar worklist is Python source generated per lowering."""
+
+    def _bound_variants(self):
+        for program, structure in _codegen_corpus():
+            kernel = compile_kernel(program)
+            assert kernel is not None, program
+            bound = kernel._bind(structure)
+            assert bound is not None, program
+            yield kernel, bound[0], program, structure
+
+    def test_sources_hold_only_numeric_constants(self):
+        import ast
+
+        for _, variant, _, _ in self._bound_variants():
+            variant.worklists()
+            source, _, _ = variant._worklists
+            tree = ast.parse(source)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant):
+                    assert node.value is None or type(node.value) in (
+                        int,
+                        bool,
+                    ), ast.dump(node)
+
+    def test_corpus_covers_every_op_kind_gates_and_zero_ary_heads(self):
+        kinds, gates, zero_ary_heads = set(), 0, 0
+        for _, variant, _, _ in self._bound_variants():
+            for block in variant.sweeps + [b for g in variant.triggers for b in g]:
+                kinds.update(op[0] for op in block.ops)
+                gates += block.gate is not None
+                zero_ary_heads += block.head_slot < 0
+        assert kinds == {
+            "step", "branch", "bcheck", "ubit", "ibit", "gbit", "cbind", "ccheck",
+        }
+        assert gates and zero_ary_heads
+
+    def test_facts_match_the_interpreted_worklist(self, monkeypatch):
+        import repro.datalog.kernel as kernel_mod
+
+        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
+        facts = []
+        for kernel, _, program, structure in self._bound_variants():
+            assert kernel.run(structure) == evaluate_seminaive(program, structure)
+            assert kernel.last_engine == "worklist"
+            facts.append(kernel.last_stats["facts"])
+        assert facts == _INTERPRETER_FACTS
+
+    def test_wrapper_pickles_after_a_worklist_run(self):
+        import pickle
+
+        from repro.workloads import FORUM_WRAPPER, forum_page
+        from repro.elog import parse_elog
+        from repro.wrap import Wrapper
+
+        elog = parse_elog(FORUM_WRAPPER)
+        wrapper = Wrapper()
+        for pattern in ("thread", "comment", "body"):
+            wrapper.add_elog(pattern, elog, pattern=pattern)
+        pages = [forum_page(seed=s, threads=2, depth=30) for s in (1, 2, 3)]
+        _, _, stats = wrapper.wrap_html_stateful(pages[0])
+        assert stats["runs"][0]["engine"].endswith("worklist")
+        expected = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
+        restored = pickle.loads(pickle.dumps(wrapper))
+        for plan in restored._compiled.values():
+            for variant in plan._kernel._variants:
+                assert variant._worklists is None
+        assert [out.to_dict() for out in restored.wrap_html_many(pages)] == expected
+        again = pickle.loads(pickle.dumps(wrapper))
+        parallel = again.wrap_html_many(pages, workers=2)
+        assert [out.to_dict() for out in parallel] == expected

@@ -1,4 +1,4 @@
-"""Linear-time ingestion on adversarial HTML.
+"""Linear time on adversarial HTML and deep reply chains.
 
 The paper's evaluation bound (Thm 4.2) is linear in the document, and
 the serving deadlines are derived from document size on the strength of
@@ -9,7 +9,10 @@ retry, wide, commented or rawtext documents, and documents with more
 distinct tag names than a byte holds.  For each one, doubling ``n`` must
 not much more than double the time of both HTML builders, of output
 assembly on the page's snapshot, and of the full wrapping path (a
-quadratic shape gives ~4).
+quadratic shape gives ~4).  Forum pages whose reply chains double in
+depth hold the kernel to the same bound where its frontier rounds would
+go quadratic: a cold run (handed to the scalar worklist) and a warm
+re-run whose edits condemn whole chains (the deep-cone delete walk).
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -33,7 +36,9 @@ import pytest
 
 from repro.html import parse_html
 from repro.trees.stream import html_snapshot
+from repro.workloads import forum_page
 from repro.wrap import build_output_from_snapshot
+from tests.test_incremental import forum_wrapper
 from tests.test_stream import catalog_wrapper
 
 #: Base size; every generator is timed at N and 2N.
@@ -110,12 +115,9 @@ def sample(run, page, repeats: int) -> float:
     return (time.process_time() - start) / repeats
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-@pytest.mark.parametrize("generator", sorted(GENERATORS))
-def test_doubling_input_at_most_doubles_time(generator, path):
-    run = PATHS[path]
-    small = GENERATORS[generator](N)
-    large = GENERATORS[generator](2 * N)
+def doubling_ratios(run, small, large):
+    """``t(large)/t(small)`` per attempt (median of back-to-back pairs),
+    stopping at the first attempt within :data:`MAX_RATIO`."""
     ratios = []
     gc.collect()
     gc.disable()
@@ -136,7 +138,68 @@ def test_doubling_input_at_most_doubles_time(generator, path):
                 break
     finally:
         gc.enable()
+    return ratios
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_doubling_input_at_most_doubles_time(generator, path):
+    run = PATHS[path]
+    ratios = doubling_ratios(
+        run, GENERATORS[generator](N), GENERATORS[generator](2 * N)
+    )
     assert ratios[-1] <= MAX_RATIO, (
         f"{generator} via {path}: t(2n)/t(n) = "
+        + ", ".join(f"{ratio:.2f}" for ratio in ratios)
+    )
+
+
+#: Deep-chain forum pages: FORUM_THREADS reply chains of FORUM_DEPTH
+#: comments at n, twice as deep at 2n.  Few threads keep the frontier
+#: narrow, so a cold run hands off to the scalar worklist; an edit at
+#: depth 0 of every thread condemns every chain below it (a deep cone).
+FORUM_THREADS = 4
+FORUM_DEPTH = 60
+
+FORUM = forum_wrapper()
+
+
+@functools.lru_cache(maxsize=2)
+def forum_versions(depth):
+    """A forum page, the page with depth 0 of every thread edited, and
+    the page's warm state (built once per depth, outside the timing)."""
+    base = forum_page(seed=5, threads=FORUM_THREADS, depth=depth)
+    edited = base
+    for t in range(FORUM_THREADS):
+        edited = edited.replace(f"Comment {t}.0 by", f"Comment {t}.0 (edited) by", 1)
+    _, state, _ = FORUM.wrap_html_stateful(base)
+    return base, edited, state
+
+
+FORUM_PATHS = {
+    # (timed call, the fallback its kernel run must report)
+    "cold": (
+        lambda depth: FORUM.wrap_html_stateful(forum_versions(depth)[0]),
+        "narrow_frontier",
+    ),
+    "deep_cone": (
+        lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:]),
+        "deep_cone",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(FORUM_PATHS))
+def test_doubling_chain_depth_at_most_doubles_time(path, monkeypatch):
+    import repro.datalog.kernel as kernel_mod
+
+    monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+    run, fallback = FORUM_PATHS[path]
+    for depth in (FORUM_DEPTH, 2 * FORUM_DEPTH):
+        _, _, stats = run(depth)
+        assert stats["runs"][0]["fallback"] == fallback
+    ratios = doubling_ratios(run, FORUM_DEPTH, 2 * FORUM_DEPTH)
+    assert ratios[-1] <= MAX_RATIO, (
+        f"forum chains via {path}: t(2n)/t(n) = "
         + ", ".join(f"{ratio:.2f}" for ratio in ratios)
     )

@@ -801,7 +801,7 @@ def _assert_incremental_exercised() -> None:
     new_doc = as_indexed(UnrankedStructure(new_tree))
     _, state, _ = program.run_incremental(old_doc, None)
     result, _, info = program.run_incremental(new_doc, state)
-    if info is None or not result.engine.startswith("incremental"):
+    if info is None or result.engine != "incremental":
         raise SystemExit(
             "incremental path no longer exercised: warm re-run reported "
             f"engine={result.engine!r}, info={info!r}"
@@ -852,19 +852,20 @@ def report_incremental(smoke: bool = False) -> None:
     re-crawl recency model (new activity lands at thread bottoms), which
     keeps delete-and-rederive cones short.  One more row per size
     scatters 1% edits over chain interiors at all depths: each edit near
-    the top of a chain condemns the whole chain below it, and that deep
-    cone re-derives on the scalar worklist (``fallback="deep_cone"``)
-    instead of one frontier round per chain level.
+    the top of a chain condemns the whole chain below it, a deep cone that
+    the warm run condemns and re-derives on the generated worklist, linear
+    in the facts it touches.
 
     Each warm timing clears the diff memo first: a real re-crawl diffs
     every incoming version exactly once, so the memo would otherwise hide
     the diff cost from the measurement.
 
     Guards (SystemExit): cold/warm result parity on every row; every
-    warm row must report ``engine="incremental*"``; every scattered row
-    must take the deep-cone worklist route; and in full mode the
-    ≤1%-edit deepest-comment rows at the largest size must be at least
-    5x faster than cold.
+    warm row must report ``engine="incremental"``; every scattered row
+    must condemn a deep cone (at least 10 facts per edit, so the rows
+    keep measuring deep cones); and in full mode the ≤1%-edit
+    deepest-comment rows at the largest size must be at least 5x faster
+    than cold.
     """
     import random as _random
 
@@ -922,19 +923,15 @@ def report_incremental(smoke: bool = False) -> None:
                 raise SystemExit(
                     f"warm/cold disagree at {where}; refusing to report timings"
                 )
-            if info is None or not warm.engine.startswith("incremental"):
+            if info is None or warm.engine != "incremental":
                 raise SystemExit(
                     f"incremental path not exercised at {where}: "
                     f"engine={warm.engine!r}"
                 )
-            if placement == "scattered" and (
-                warm.engine != "incremental+worklist"
-                or info["fallback"] != "deep_cone"
-            ):
+            if placement == "scattered" and info["deleted"] < 10 * len(chosen):
                 raise SystemExit(
-                    f"deep-cone route not taken at {where}: "
-                    f"engine={warm.engine!r} fallback={info['fallback']!r} "
-                    f"delete_rounds={info['delete_rounds']}"
+                    f"no deep cone condemned at {where}: "
+                    f"deleted={info['deleted']} for {len(chosen)} edits"
                 )
             speedup = cold_s / warm_s if warm_s else float("inf")
             rows.append(
@@ -946,10 +943,8 @@ def report_incremental(smoke: bool = False) -> None:
                     "edit_ratio": ratio,
                     "edits": len(chosen),
                     "dirty_fraction": round(info["dirty_fraction"], 6),
-                    "delete_rounds": info["delete_rounds"],
-                    "rounds": info["rounds"],
+                    "deleted": info["deleted"],
                     "engine": warm.engine,
-                    "fallback": info["fallback"],
                     "cold_s": cold_s,
                     "warm_s": warm_s,
                     "speedup": round(speedup, 2),
@@ -958,8 +953,7 @@ def report_incremental(smoke: bool = False) -> None:
             print(
                 f"    n={nodes:>6} {placement:>9} edits={ratio * 100:5.1f}%  "
                 f"cold t={cold_s * 1e3:8.2f} ms   warm t={warm_s * 1e3:8.2f} ms   "
-                f"speedup={speedup:5.2f}x  rounds={info['rounds']}  "
-                f"engine={warm.engine}"
+                f"speedup={speedup:5.2f}x  deleted={info['deleted']}"
             )
     _assert_incremental_exercised()
     if not smoke:
@@ -988,8 +982,8 @@ def report_incremental(smoke: bool = False) -> None:
             "cold": "CompiledProgram.run(method='kernel') (frontier)",
             "warm": (
                 "CompiledProgram.run_incremental: signature_table diff + "
-                "DRed delta fixpoint (engine='incremental'; deep delete "
-                "cones finish on the worklist, engine='incremental+worklist')"
+                "DRed delta fixpoint, over-delete and re-derive each one "
+                "generated worklist call (engine='incremental')"
             ),
         },
         "smoke": smoke,

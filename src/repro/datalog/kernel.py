@@ -84,43 +84,36 @@ Incremental re-evaluation
 
 :meth:`KernelProgram.run_incremental` re-evaluates a *changed version* of
 a previously evaluated document without paying the full fixpoint again.
-A completed frontier run leaves a :class:`KernelState` (snapshot + the
-derived big ints); the next version is matched subtree-by-subtree against
-that snapshot (:mod:`repro.trees.diff` over the Merkle hashes of
+A completed run leaves a :class:`KernelState` (snapshot + the derived big
+ints); the next version is matched subtree-by-subtree against that
+snapshot (:mod:`repro.trees.diff` over the Merkle hashes of
 :mod:`repro.trees.merkle`) and the fixpoint restarts from the previous
-facts via delete-and-rederive:
+facts via delete-and-rederive, both halves on the lowering's generated
+worklist (:mod:`repro.datalog.worklist`) and nothing else:
 
-* **over-delete** (old id space, old plan): starting from the *bad* old
-  nodes -- unmatched ones plus matched subtree roots whose cross edges
-  changed -- delete every old fact whose derivation might touch them.
-  Because every lowered rule connects its slots by 1-hop tree moves, any
-  instance touching a bad node has its entry slot within ``nslots`` hops,
-  so restricting each block's entry to that neighborhood finds all
-  initially compromised heads; big-int rounds over the old trigger
-  blocks then close the set downstream.  A closure still open after
-  :data:`_NARROW_ROUND_LIMIT` rounds (a deep cone: each round condemns
-  one more chain level) is finished by the generated worklist in its
-  *condemn* form over the old snapshot, linear in the facts it
-  condemns.
-* **carry + re-derive** (new id space, new plan): surviving facts
-  translate through the old→new id mapping (matched ranges are
-  contiguous, so the whole mapping is a handful of mask/shift classes),
-  the sweeps re-run in full (cheap big-int conjunctions), and the
-  fixpoint resumes from the new sweep facts plus every carried fact
-  within ``nslots`` hops of the changed region -- the only places a
-  missing rule instance can have all-carried bodies.  How it resumes
-  depends on the depth of the condemned cone, i.e. the number of rounds
-  the over-delete closure took.  A shallow cone (edits near the bottom
-  of their chains) re-derives in a few frontier rounds, with the same
-  narrow-frontier handoff as a cold run.  A deep cone (more than
-  :data:`_NARROW_ROUND_LIMIT` closure rounds: edits high up in long
-  chains condemn everything below them) would re-derive one chain level
-  per round, so the carried facts and the seeded frontier go straight
-  to the scalar worklist instead (``fallback="deep_cone"``), which is
-  linear in the facts it re-derives.  Either way the fixpoint provably
-  equals cold evaluation; the cold engines stay on as the parity oracle
-  (randomized edit tests assert incremental == cold across
-  kernel/seminaive/ground).
+* **over-delete** (old id space): one call of the generated *condemn*
+  function over the old snapshot condemns every old fact whose
+  derivation might touch a *bad* old node -- an unmatched one, or a
+  matched subtree root whose cross edges changed.  Because every lowered
+  rule connects its slots by 1-hop tree moves, any instance touching a
+  bad node has its entry slot within ``nslots`` hops, so the walk starts
+  with the facts at bad nodes cleared and every old fact in that
+  neighbourhood on the stacks, and runs each sweep only over the
+  anchors there.  Each fact it condemns is pushed in turn, which closes
+  the set downstream, linear in the facts it condemns however deep the
+  cone.
+* **carry + re-derive** (new id space): surviving facts translate through
+  the old→new id mapping (matched ranges are contiguous, so the whole
+  mapping is a handful of mask/shift classes), and one run of the
+  generated *derive* function resumes from them: the sweeps re-run as in
+  a cold start (pushing only facts their lanes do not hold yet), and the
+  stacks start with every carried fact within ``nslots`` hops of the
+  changed region -- the only places a missing rule instance can have
+  all-carried bodies.  Its finished lanes become the next state.
+
+The fixpoint provably equals cold evaluation; the cold engines stay on as
+the parity oracle (randomized edit tests assert incremental == cold
+across kernel/seminaive/ground).
 """
 
 from __future__ import annotations
@@ -387,9 +380,8 @@ def _vector_plan(variant: _Lowering, snapshot):
 
     All-or-nothing: one inexpressible block anywhere sends the whole
     lowering to the scalar worklist, so the two engines never interleave
-    within a fixpoint (except through the explicit worklist handoff --
-    narrow frontier or deep delete cone -- which replays the exact
-    derived state).
+    within a fixpoint (except through the narrow-frontier handoff, which
+    replays the exact derived state).
     """
     plans = snapshot._vector_plans
     try:
@@ -662,16 +654,17 @@ _INCREMENTAL_SHIFT_CAP = 64
 
 
 class KernelState:
-    """Reusable residue of one completed frontier run.
+    """Reusable residue of one completed kernel run.
 
     Holds the lowering variant that bound the document, the document's
     snapshot, and the derived big-int node set per predicate -- exactly
     what :meth:`KernelProgram.run_incremental` needs to re-evaluate the
     next version of the same document.  Captured when the big-int engine
-    reaches the fixpoint itself and when the scalar worklist finishes a
-    handoff (each of its byte lanes packs into one big int);
-    only documents that never held a vector plan leave ``None``, which
-    holders must treat as "start cold".
+    reaches the fixpoint itself, when the scalar worklist finishes a
+    handoff, and by every warm run (each byte lane packs into one big
+    int).  A cold run whose lowering held no vector plan leaves ``None``,
+    which holders must treat as "start cold" -- so a state's lowering
+    never has constants, gated sweeps or 0-ary predicates.
     """
 
     __slots__ = ("variant", "snapshot", "derived")
@@ -687,32 +680,34 @@ def _expand_hops(snapshot, mask: int, hops: int) -> int:
 
     One hop adds every parent, child, and adjacent sibling of the set --
     the union of the images of every 1-hop relation the kernel can move
-    along, in either direction.  Children ride the always-available bulk
-    move; the functional directions (parent, prev/next sibling) are read
-    straight off the columns into a byte accumulator, so one hop costs
-    O(n + |set|) regardless of how the columns decompose.
+    along, in either direction -- read straight off the columns into a
+    byte accumulator.
     """
     if not mask or hops <= 0:
         return mask
     size = snapshot.size
     full = snapshot.unary_int("dom")
     parent = snapshot.parent
+    firstchild = snapshot.firstchild
     prevsibling = snapshot.prevsibling
     nextsibling = snapshot.nextsibling
-    children = snapshot.vector_move("child", True)[0]
     # Breadth-first by frontier: hop k only walks the nodes added in hop
     # k-1 (their neighbours were already folded in when *they* were the
-    # frontier), so the per-node scalar loop does O(reached) total work
-    # rather than O(hops * |set|).  Broad documents saturate to the whole
-    # domain after a few hops; the ``full`` check stops the walk there.
+    # frontier), so the whole walk visits each node and each child edge
+    # at most once.  Broad documents saturate to the whole domain after a
+    # few hops; the ``full`` check stops the walk there.
     frontier = mask
     for _ in range(hops):
         # One spare byte at the end: a missing neighbour (-1) marks it.
         grown = bytearray(size + 1)
         for v in _ids(frontier, size):
             grown[parent[v]] = grown[prevsibling[v]] = grown[nextsibling[v]] = 1
+            child = firstchild[v]
+            while child >= 0:
+                grown[child] = 1
+                child = nextsibling[child]
         del grown[size]
-        frontier = (int.from_bytes(grown, "little") | children(frontier)) & ~mask
+        frontier = int.from_bytes(grown, "little") & ~mask
         if not frontier:
             break
         mask |= frontier
@@ -730,20 +725,22 @@ def _ids(packed: int, size: int) -> List[int]:
     return list(map(_MATCH_START, _NONZERO.finditer(buffer)))
 
 
-def _condemn_walk(variant: _Lowering, snapshot, derived_old, deleted, frontier):
-    """Finish an over-delete closure on the generated condemn worklist.
+def _over_delete(variant: _Lowering, snapshot, derived: List[int], bad: int):
+    """The old facts a warm run condemns, per predicate (old id space).
 
-    ``deleted`` holds the old facts condemned so far and ``frontier`` the
-    condemned facts whose consequences are still owed (big ints per
-    predicate, old id space); the walk runs the old trigger blocks, bound
-    to the old ``snapshot``, from the frontier.  Returns the closed
-    ``deleted`` big ints -- exactly the set the big-int rounds would reach.
+    One call of the generated condemn worklist over the old ``snapshot``:
+    lanes start as the old facts ``derived`` minus those at ``bad``
+    nodes, and the stacks hold every old fact within the lowering's
+    ``hops`` of a bad node, so each trigger block runs from every entry
+    a rule instance touching a bad node can have; sweeps run only over
+    the anchors in that neighbourhood.  Every fact condemned on the way
+    is pushed, which closes the set downstream.
     """
+    if not bad:
+        return [0] * len(derived)
     n = snapshot.size
-    lanes = [
-        bytearray((old & ~dead).to_bytes(n, "little"))
-        for old, dead in zip(derived_old, deleted)
-    ]
+    near = _expand_hops(snapshot, bad, variant.hops)
+    lanes = [bytearray((facts & ~bad).to_bytes(n, "little")) for facts in derived]
     # Old-fixpoint lanes only for the predicates some body tests.
     tested = {
         op[1]
@@ -753,9 +750,18 @@ def _condemn_walk(variant: _Lowering, snapshot, derived_old, deleted, frontier):
         if op[0] == "ibit"
     }
     old = [
-        bytearray(d.to_bytes(n, "little")) if p in tested else None
-        for p, d in enumerate(derived_old)
+        bytearray(facts.to_bytes(n, "little")) if p in tested else None
+        for p, facts in enumerate(derived)
     ]
+    stacks = [
+        _ids(facts & near, n) if pushes else []
+        for facts, pushes in zip(derived, variant.pushes)
+    ]
+    args = variant.bind_args(snapshot)
+    for i, (kind, name) in enumerate(variant.resources):
+        if kind == "nodes":
+            anchors = snapshot.unary_int("dom" if name == "*" else name)
+            args[i] = _ids(anchors & near, n)
     _, condemn = variant.worklists()
     condemn(
         n,
@@ -764,13 +770,13 @@ def _condemn_walk(variant: _Lowering, snapshot, derived_old, deleted, frontier):
         None,
         lanes,
         old,
-        [_ids(f, n) for f in frontier],
-        variant.bind_args(snapshot),
-        None,
+        stacks,
+        args,
+        b"\x01" * len(variant.sweeps),
     )
     return [
-        packed & ~int.from_bytes(lane, "little")
-        for packed, lane in zip(derived_old, lanes)
+        facts & ~int.from_bytes(lane, "little")
+        for facts, lane in zip(derived, lanes)
     ]
 
 
@@ -808,33 +814,30 @@ class KernelProgram:
         #: Which engine the most recent :meth:`run` used: ``"frontier"``
         #: (big-int rounds to fixpoint), ``"worklist"`` (scalar),
         #: ``"frontier+worklist"`` (narrow-frontier handoff mid-run), or
-        #: ``"incremental"`` / ``"incremental+worklist"`` for
-        #: :meth:`run_incremental` warm runs.
+        #: ``"incremental"`` for :meth:`run_incremental` warm runs.
         self.last_engine: Optional[str] = None
         #: :class:`KernelState` of the most recent run when it held a
-        #: vector plan (``None`` otherwise) -- feed it back as
-        #: ``previous`` to :meth:`run_incremental`.
+        #: vector plan or ran warm (``None`` otherwise) -- feed it back
+        #: as ``previous`` to :meth:`run_incremental`.
         self.last_state: Optional[KernelState] = None
         #: Cheap per-run stats of the most recent run -- the unified
         #: shape for cold *and* warm runs (warm runs add their reuse
         #: keys on top):
         #:
         #: * ``engine`` -- same value as :attr:`last_engine`;
-        #: * ``rounds`` -- frontier rounds executed (0 for a pure
-        #:   scalar-worklist run, which has no round structure);
+        #: * ``rounds`` -- frontier rounds executed (0 for a run on the
+        #:   scalar worklist alone, warm runs included: it has no round
+        #:   structure);
         #: * ``facts`` -- derived facts at fixpoint;
         #: * ``frontier_widths`` -- counts per power-of-two width
         #:   bucket (index ``b`` covers widths in ``[2^b, 2^(b+1))``);
-        #: * ``fallback`` -- why the run left the pure frontier engine:
-        #:   ``None``, ``"narrow_frontier"``, ``"deep_cone"`` (warm runs
-        #:   whose over-delete closure was too deep for frontier rounds),
-        #:   ``"vector_plan_rejected"`` or ``"vectorize_disabled"``;
+        #: * ``fallback`` -- why a cold run left the pure frontier engine:
+        #:   ``None``, ``"narrow_frontier"``, ``"vector_plan_rejected"``
+        #:   or ``"vectorize_disabled"``;
         #: * warm runs (:meth:`run_incremental`) additionally carry
-        #:   ``dirty`` / ``dirty_fraction`` / ``carried`` / ``deleted``
-        #:   and ``delete_rounds`` (the over-delete closure's big-int
-        #:   rounds, plus one for the condemn walk that finishes a deep
-        #:   cone -- so past :data:`_NARROW_ROUND_LIMIT` it reads the
-        #:   limit plus one, not the cone's depth).
+        #:   ``dirty`` / ``dirty_fraction`` (unmatched new nodes),
+        #:   ``carried`` (old facts kept) and ``deleted`` (old facts the
+        #:   over-delete condemned).
         #:
         #: Only counters the engines already compute are recorded, so
         #: the hot loops stay allocation-free.
@@ -978,33 +981,26 @@ class KernelProgram:
         *this* program over an earlier version of the same document (see
         :attr:`last_state`).  Returns
         ``((relations, unary_sets), state, info)`` -- the same payload as
-        :meth:`try_run_full`, the state for the *next* warm run (packed
-        from the worklist's lanes when the scalar worklist finished the
-        run), and a stats dict -- the unified :attr:`last_stats` shape
-        (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
-        ``fallback``) plus the warm-only reuse keys ``dirty`` /
-        ``dirty_fraction`` / ``carried`` / ``deleted`` /
-        ``delete_rounds`` -- or ``None`` whenever warm evaluation does
-        not apply, in which case the caller should run cold:
+        :meth:`try_run_full`, the state for the *next* warm run, and a
+        stats dict -- the unified :attr:`last_stats` shape (``engine`` /
+        ``rounds`` / ``facts`` / ``frontier_widths`` / ``fallback``) plus
+        the warm-only reuse keys ``dirty`` / ``dirty_fraction`` /
+        ``carried`` / ``deleted`` -- or ``None`` whenever warm evaluation
+        does not apply, in which case the caller should run cold:
 
         * the structure binds a different lowering variant (or none), or
-          either snapshot is not an unranked vector-plannable document
-          (ranked ``child_k`` positions are not edit-stable, so ranked
-          snapshots always re-run cold);
+          either snapshot is not an unranked document (ranked ``child_k``
+          positions are not edit-stable, so ranked snapshots always re-run
+          cold);
         * the diff matched too little of the document
           (:data:`_INCREMENTAL_DIRTY_LIMIT`) or in too many shifted
           pieces (:data:`_INCREMENTAL_SHIFT_CAP`) for reuse to win.
 
         The result is exactly the cold fixpoint (see the module
-        docstring's delete-and-rederive argument); ``last_engine``
-        reports ``"incremental"`` or ``"incremental+worklist"``.  A warm
-        run finishes on the scalar worklist in two cases: its frontier
-        stays narrow for :data:`_NARROW_ROUND_LIMIT` rounds, as in a cold
-        run (``fallback="narrow_frontier"``), or its over-delete closure
-        ran past :data:`_NARROW_ROUND_LIMIT` rounds (and was finished by
-        the condemn walk), so the re-derivation would walk the condemned
-        chains one level per round (``fallback="deep_cone"``; no frontier
-        round runs at all).
+        docstring's delete-and-rederive argument).  Both halves run on
+        the generated worklist -- one condemn call over the old snapshot,
+        one derive call resumed from the carried facts -- so no frontier
+        round runs, and ``last_engine`` reports ``"incremental"``.
         """
         if previous is None or not VECTORIZE_PROPAGATION:
             return None
@@ -1021,10 +1017,6 @@ class KernelProgram:
             or not old_snap.size
         ):
             return None
-        plan = _vector_plan(variant, snapshot)
-        old_plan = _vector_plan(variant, old_snap)
-        if plan is None or old_plan is None:
-            return None
         d = diff_snapshots(old_snap, snapshot)
         if d.dirty_fraction > _INCREMENTAL_DIRTY_LIMIT:
             return None
@@ -1035,84 +1027,14 @@ class KernelProgram:
         P = variant.npreds
         hops = variant.hops
         derived_old = previous.derived
+        deleted = _over_delete(variant, old_snap, derived_old, d.old_bad_int)
 
-        # Phase 0 -- over-delete in the old id space: every old fact whose
-        # derivation might touch a bad node is condemned, closing the set
-        # downstream through the old trigger blocks (delete-and-rederive's
-        # deletion half, without counting alternative derivations --
-        # over-deleted facts simply re-derive in phase 1).
-        deleted = [0] * P
-        deleted_count = 0
-        delete_rounds = 0
-        bad_old = d.old_bad_int
-        if bad_old:
-            old_full = old_snap.unary_int("dom")
-            old_vsweeps, old_vtriggers = old_plan
-            near = _expand_hops(old_snap, bad_old, hops)
-            memo: Dict = {}
-            dpend = [0] * P
-
-            def condemn(add: int, hp: int) -> None:
-                hit = add & derived_old[hp] & ~deleted[hp]
-                if hit:
-                    deleted[hp] |= hit
-                    dpend[hp] |= hit
-
-            for p in range(P):
-                hit = derived_old[p] & bad_old
-                if hit:
-                    deleted[p] = hit
-                    dpend[p] = hit
-            for vb in old_vsweeps:
-                entry = vb.entry_int & near
-                if entry:
-                    condemn(
-                        _run_vblock(vb, entry, derived_old, old_full, memo),
-                        vb.head_pred,
-                    )
-            for p in range(P):
-                entry = derived_old[p] & near
-                if entry:
-                    for vb in old_vtriggers[p]:
-                        condemn(
-                            _run_vblock(vb, entry, derived_old, old_full, memo),
-                            vb.head_pred,
-                        )
-            while any(dpend):
-                delete_rounds += 1
-                if delete_rounds > _NARROW_ROUND_LIMIT:
-                    # A deep cone: the rest of the closure is condemned
-                    # one level per round, so finish it on the scalar
-                    # walk, linear in the facts it condemns.
-                    deleted = _condemn_walk(
-                        variant, old_snap, derived_old, deleted, dpend
-                    )
-                    break
-                cur = dpend
-                dpend = [0] * P
-                for p in range(P):
-                    frontier = cur[p]
-                    if not frontier:
-                        continue
-                    for vb in old_vtriggers[p]:
-                        entry = (
-                            vb.entry_int
-                            if vb.entry_int is not None
-                            else frontier
-                        )
-                        condemn(
-                            _run_vblock(vb, entry, derived_old, old_full, memo),
-                            vb.head_pred,
-                        )
-
-        # Phase 1 -- carry the survivors into the new id space and finish
-        # the fixpoint from the re-run sweeps plus every carried fact near
-        # the changed region: in frontier rounds when the condemned cone is
-        # shallow, on the scalar worklist when it is deep (re-deriving a
-        # deep cone in rounds would pay one round per condemned level).
+        # Carry the survivors into the new id space and resume the
+        # fixpoint from them, with every carried fact near the changed
+        # region on the stacks.
         translate = d.translator()
         derived = [0] * P
-        carried_count = 0
+        deleted_count = carried_count = 0
         region = d.new_bad_int
         for p in range(P):
             dead = deleted[p]
@@ -1128,32 +1050,21 @@ class KernelProgram:
             # nearly everything): re-seeding every carried fact costs less
             # than finding the ones near the region, and a re-seeded fact
             # only repeats work, never changes the fixpoint.
-            seed_zone = (
-                None
-                if carried_count <= hops * region.bit_count()
-                else _expand_hops(snapshot, region, hops)
-            )
-            for p, group in enumerate(plan[1]):
-                if group:
-                    pending[p] = (
-                        derived[p] if seed_zone is None else derived[p] & seed_zone
-                    )
+            if carried_count <= hops * region.bit_count():
+                pending = derived
+            else:
+                seed_zone = _expand_hops(snapshot, region, hops)
+                pending = [facts & seed_zone for facts in derived]
+        self.last_engine = "incremental"
+        out = self._run_scalar(bound, resume=(derived, pending))
         info = {
             "dirty": d.dirty_count,
             "dirty_fraction": d.dirty_fraction,
             "carried": carried_count,
             "deleted": deleted_count,
-            "delete_rounds": delete_rounds,
+            **self.last_stats,
         }
-        out = self._fixpoint(
-            bound,
-            plan,
-            derived,
-            pending,
-            info,
-            "incremental",
-            "deep_cone" if delete_rounds > _NARROW_ROUND_LIMIT else None,
-        )
+        self.last_stats = info
         return out, self.last_state, info
 
     def _run_bound(self, bound) -> Tuple[Relations, Dict[str, Set[int]]]:
@@ -1164,46 +1075,38 @@ class KernelProgram:
             variant, snapshot = bound
             plan = _vector_plan(variant, snapshot)
             if plan is not None:
-                P = variant.npreds
-                return self._fixpoint(
-                    bound, plan, [0] * P, [0] * P, {}, "frontier"
-                )
+                return self._fixpoint(bound, plan)
             fallback = "vector_plan_rejected"
         else:
             fallback = "vectorize_disabled"
         self.last_engine = "worklist"
         out = self._run_scalar(bound)
-        if self.last_stats is not None:
-            self.last_stats["fallback"] = fallback
+        self.last_stats["fallback"] = fallback
         return out
 
-    def _fixpoint(
-        self, bound, plan, derived, pending, stats, engine, fallback=None
-    ):
-        """Frontier-at-a-time fixpoint from a partial state.
+    def _fixpoint(self, bound, plan):
+        """Cold frontier-at-a-time fixpoint.
 
-        ``derived`` holds the facts established so far (nothing for a cold
-        run, the carried facts for a warm one) and ``pending`` the facts
-        whose consequences are still owed.  Seeds come from the sweep
-        blocks evaluated over their anchor sets; each round then runs
-        every trigger block of every predicate whose frontier is
-        non-empty, entering with the frontier itself (the semi-naive
-        delta -- other intensional tests in the same body read the full
-        ``derived`` sets, and completeness follows exactly as for the
-        worklist: each rule has one trigger block per body occurrence, so
-        the last-derived fact of any satisfied body always re-enters the
-        rule).
+        Seeds come from the sweep blocks evaluated over their anchor
+        sets; each round then runs every trigger block of every predicate
+        whose frontier is non-empty, entering with the frontier itself
+        (the semi-naive delta -- other intensional tests in the same body
+        read the full ``derived`` sets, and completeness follows exactly
+        as for the worklist: each rule has one trigger block per body
+        occurrence, so the last-derived fact of any satisfied body always
+        re-enters the rule).
 
         A persistently narrow frontier (see :data:`_NARROW_ROUND_LIMIT`)
-        -- or a ``fallback`` reason given up front, before any round runs
-        -- hands the partial fixpoint to :meth:`_run_scalar`, and the run
-        reports ``engine + "+worklist"``.  Records the run's stats by
-        updating ``stats`` in place (it becomes :attr:`last_stats`) and
-        returns the ``(relations, unary_sets)`` payload.
+        hands the partial fixpoint to :meth:`_run_scalar`, and the run
+        reports ``"frontier+worklist"``.  Records the run's stats as
+        :attr:`last_stats` and returns the ``(relations, unary_sets)``
+        payload.
         """
         variant, snapshot = bound
         vsweeps, vtriggers = plan
         P = variant.npreds
+        derived = [0] * P
+        pending = [0] * P
         full = snapshot.unary_int("dom")
         has_triggers = [bool(group) for group in vtriggers]
         # Move results are pure functions of their operand set, so one
@@ -1221,6 +1124,7 @@ class KernelProgram:
         narrow = 0
         rounds = 0
         widths = [0] * _WIDTH_BUCKETS
+        fallback = None
         while fallback is None and any(pending):
             rounds += 1
             cur = pending
@@ -1251,25 +1155,21 @@ class KernelProgram:
             else:
                 narrow = 0
         if fallback is not None:
-            engine += "+worklist"
-            self.last_engine = engine
-            out = self._run_scalar(
-                bound, resume=(derived, pending), capture_state=True
-            )
+            engine = self.last_engine = "frontier+worklist"
+            out = self._run_scalar(bound, resume=(derived, pending), sweep=False)
             facts = self.last_stats["facts"]
         else:
-            self.last_engine = engine
+            engine = self.last_engine = "frontier"
             self.last_state = KernelState(variant, snapshot, derived)
             out = self._collect_vector(variant, snapshot, derived)
             facts = sum(d.bit_count() for d in derived)
-        stats.update(
-            engine=engine,
-            rounds=rounds,
-            facts=facts,
-            frontier_widths=_trim_widths(widths),
-            fallback=fallback,
-        )
-        self.last_stats = stats
+        self.last_stats = {
+            "engine": engine,
+            "rounds": rounds,
+            "facts": facts,
+            "frontier_widths": _trim_widths(widths),
+            "fallback": fallback,
+        }
         return out
 
     @staticmethod
@@ -1293,18 +1193,20 @@ class KernelProgram:
         return relations, unary_sets
 
     def _run_scalar(
-        self, bound, resume=None, capture_state: bool = False
+        self, bound, resume=None, sweep: bool = True
     ) -> Tuple[Relations, Dict[str, Set[int]]]:
         """Run the lowering's generated worklist to the fixpoint.
 
-        Cold, the sweeps seed it: pure unary seed rules as one big-int
-        conjunction each (with :data:`VECTORIZE_SWEEPS`), the rest inside
-        the generated code.  ``resume=(derived, pending)`` instead adopts
-        a frontier engine's partial fixpoint: the derived big ints become
-        the lanes and exactly the unprocessed frontier seeds the stacks,
-        so the worklist invariant ("each derived fact was popped or is on
-        a stack") holds without re-running the sweeps.  ``capture_state``
-        packs the finished lanes into :attr:`last_state`.
+        Cold, it starts from empty lanes and the sweeps seed it: pure
+        unary seed rules as one big-int conjunction each (with
+        :data:`VECTORIZE_SWEEPS`), the rest inside the generated code.
+        ``resume=(derived, pending)`` starts it from a partial fixpoint
+        instead: the derived big ints become the lanes, and the pending
+        big ints -- every fact whose consequences may still be missing --
+        seed the stacks; the finished lanes pack into :attr:`last_state`.
+        A narrow-frontier handoff passes ``sweep=False`` (its sweeps
+        already ran); a warm run re-runs them, and a sweep pushes only the
+        facts its lane does not hold yet.
         """
         variant, snapshot = bound
         P = variant.npreds
@@ -1312,16 +1214,18 @@ class KernelProgram:
         relations: Relations = {name: set() for name, _, _ in outputs}
         unary_sets: Dict[str, Set[int]] = {}
         n = snapshot.size
-        stacks: List[List[int]] = [[] for _ in range(P)]
         flags = bytearray(len(variant.sweeps))
-        if resume is not None:
+        if resume is None:
+            lanes = [bytearray(n) for _ in range(P)]
+            stacks: List[List[int]] = [[] for _ in range(P)]
+        else:
             derived, pending = resume
             lanes = [bytearray(d.to_bytes(n, "little")) for d in derived]
-            for p in range(P):
-                if variant.pushes[p]:
-                    stacks[p] = _ids(pending[p], n)
-        else:
-            lanes = [bytearray(n) for _ in range(P)]
+            stacks = [
+                _ids(facts, n) if pushes else []
+                for facts, pushes in zip(pending, variant.pushes)
+            ]
+        if sweep:
             for k, names in enumerate(variant.sweep_masks):
                 if names is None or not VECTORIZE_SWEEPS:
                     flags[k] = 1
@@ -1350,7 +1254,7 @@ class KernelProgram:
                 variant.bind_args(snapshot),
                 flags,
             )
-        if capture_state:
+        if resume is not None:
             self.last_state = KernelState(
                 variant,
                 snapshot,

@@ -62,13 +62,14 @@ class EvaluationResult:
     engine:
         For ``method == "kernel"``, which propagation engine ran:
         ``"frontier"`` (big-int frontier-at-a-time), ``"worklist"`` (scalar
-        Dowling–Gallier), or ``"frontier+worklist"`` (narrow-frontier
-        bailout).  ``None`` for the other strategies.
+        Dowling–Gallier), ``"frontier+worklist"`` (narrow-frontier
+        bailout), or ``"incremental"`` (a warm delete-and-rederive run on
+        the scalar worklist).  ``None`` for the other strategies.
     stats:
         For ``method == "kernel"``, the kernel's per-run stats dict
         (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
         ``fallback``; warm runs add ``dirty`` / ``dirty_fraction`` /
-        ``carried`` / ``deleted`` / ``delete_rounds``) -- the same shape
+        ``carried`` / ``deleted``) -- the same shape
         :meth:`CompiledProgram.run_incremental` returns as its ``info``
         triple member, now available for cold runs too.  ``None`` for
         non-kernel strategies.

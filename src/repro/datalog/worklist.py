@@ -4,9 +4,9 @@
 worklist as Python source generated once per lowering, not through an
 interpreter: :func:`worklist_source` turns the lowering's sweep and
 trigger blocks into straight-line functions -- ``derive`` runs the
-fixpoint, ``condemn`` finishes a deep over-delete closure -- which the
-kernel compiles on the lowering's first scalar run and then calls once
-per document with the document's columns and masks as arguments.
+fixpoint, ``condemn`` a warm run's over-delete -- which the kernel
+compiles on the lowering's first scalar run and then calls once per
+document with the document's columns and masks as arguments.
 """
 
 from typing import List, Optional, Tuple
@@ -35,11 +35,12 @@ def worklist_source(variant, condemn: bool) -> str:
     predicate's stack is drained through its trigger blocks until every
     stack is empty.
 
-    With ``condemn`` the same blocks finish an over-delete closure: body
-    tests read the old fixpoint's lanes ``O<p>``, ``L<p>`` holds the old
-    facts not yet condemned, and the head condemns one of those (clears
-    its byte and pushes it).  No sweep runs; delete walks only run on
-    vector-plannable lowerings, which have no 0-ary predicates.
+    With ``condemn`` the same blocks run an over-delete: body tests read
+    the old fixpoint's lanes ``O<p>``, ``L<p>`` holds the old facts not
+    yet condemned, and a head -- a sweep's too -- condemns one of those
+    (clears its byte and pushes it).  The caller restricts the sweeps
+    through their anchor lists in ``R``.  Over-deletes only run for
+    lowerings that left a warm state, which have no 0-ary predicates.
 
     The source holds integer literals and fixed names only: every
     document object arrives as an argument.
@@ -157,10 +158,9 @@ def worklist_source(variant, condemn: bool) -> str:
     if condemn:
         for p in sorted({op[1] for b in blocks for op in b.ops if op[0] == "ibit"}):
             emit(1, f"O{p} = O[{p}]")
-    else:
-        for k, block in enumerate(variant.sweeps):
-            emit(1, f"if SW[{k}]:")
-            anchored(block, 2, ())
+    for k, block in enumerate(variant.sweeps):
+        emit(1, f"if SW[{k}]:")
+        anchored(block, 2, ())
     order = _drain_order(variant)
     if order:
         emit(1, f"while {' or '.join(f'S{p}' for p in order)}:")

@@ -395,7 +395,7 @@ class Wrapper:
              "runs": [...],                # one EvaluationResult.stats
                                            # dict per distinct plan
              "warm": bool,                 # some plan reused the prior
-                                           # fixpoint (engine incremental*)
+                                           # fixpoint (engine incremental)
              "dirty": int | None,          # the largest diff any plan
              "dirty_fraction": float | None}   # saw (None when cold)
 
@@ -459,9 +459,7 @@ class Wrapper:
             "snapshot_build_ms": round((built - started) * 1e3, 3),
             "kernel_ms": round((finished - built) * 1e3, 3),
             "runs": runs,
-            "warm": any(
-                str(run.get("engine", "")).startswith("incremental") for run in runs
-            ),
+            "warm": any(run.get("engine") == "incremental" for run in runs),
             "dirty": dirtiest.get("dirty"),
             "dirty_fraction": dirtiest.get("dirty_fraction"),
         }

@@ -309,14 +309,20 @@ def edit_comments(page, spots, tag):
     return page
 
 
-class TestDeepConeRoute:
-    """Warm runs whose over-delete closure is deep finish on the worklist.
+def condemns_deep_cone(info):
+    """Whether a warm run's over-delete condemned more facts than a cone
+    8 chain levels deep holds (one ``mark`` fact per level, one ``deep``
+    fact at the chain's end)."""
+    return info["deleted"] > 9
 
-    An edit high up in a reply chain condemns every fact below it, one
-    closure round per chain level; re-deriving that cone in frontier
-    rounds would pay one round per level, so the kernel routes it to the
-    scalar worklist.  Edits at the bottom of the chains condemn a
-    one-round cone and keep the frontier rounds.
+
+class TestDeepConeRoute:
+    """Warm runs stay warm however deep the over-delete cone.
+
+    An edit high up in a reply chain condemns every fact below it; the
+    condemn walk closes that cone and the worklist re-derives it, each
+    linear in the facts it touches.  Edits at the bottom of the chains
+    condemn a short cone.  Both run warm, with no frontier round.
     """
 
     THREADS, DEPTH = 8, 80
@@ -330,18 +336,13 @@ class TestDeepConeRoute:
         deepest = [(t, self.DEPTH - 1) for t in range(self.THREADS)]
         return base, scattered, edit_comments(scattered, deepest, "(new)")
 
-    def test_scattered_edits_take_the_deep_cone_route(self, frontier_engine):
-        from repro.datalog.kernel import _NARROW_ROUND_LIMIT
-
+    def test_scattered_edits_run_warm(self, frontier_engine):
         wrapper = forum_wrapper()
         base, scattered, follow_up = self.versions()
         _, state, _ = wrapper.wrap_html_stateful(base)
         out, state, stats = wrapper.wrap_html_stateful(scattered, state)
         (run,) = stats["runs"]
-        assert stats["warm"]
-        assert run["engine"] == "incremental+worklist"
-        assert run["fallback"] == "deep_cone"
-        assert run["delete_rounds"] > _NARROW_ROUND_LIMIT
+        assert stats["warm"] and run["engine"] == "incremental"
         assert run["rounds"] == 0 and run["frontier_widths"] == []
         cold = wrapper.wrap_html_many([scattered])[0]
         assert out.to_dict() == cold.to_dict()
@@ -351,9 +352,7 @@ class TestDeepConeRoute:
         assert stats["warm"] and run["engine"] == "incremental"
         assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
 
-    def test_deepest_comment_edit_keeps_frontier_rounds(self, frontier_engine):
-        from repro.datalog.kernel import _NARROW_ROUND_LIMIT
-
+    def test_deepest_comment_edit_runs_warm(self, frontier_engine):
         wrapper = forum_wrapper()
         base = forum_page(seed=12, threads=self.THREADS, depth=self.DEPTH)
         edited = edit_comments(
@@ -362,15 +361,13 @@ class TestDeepConeRoute:
         _, state, _ = wrapper.wrap_html_stateful(base)
         out, _, stats = wrapper.wrap_html_stateful(edited, state)
         (run,) = stats["runs"]
-        assert run["engine"] == "incremental"
+        assert stats["warm"] and run["engine"] == "incremental"
         assert run["fallback"] is None
-        assert run["delete_rounds"] <= _NARROW_ROUND_LIMIT
-        assert 0 < run["rounds"] < _NARROW_ROUND_LIMIT + 8
         assert out.to_dict() == wrapper.wrap_html_many([edited])[0].to_dict()
 
     def test_deep_cone_parity_across_engines(self, frontier_engine):
         # An edit near the top of a chain condemns the whole chain below
-        # it: the route must agree with cold kernel and seminaive runs.
+        # it: the warm run must agree with cold kernel and seminaive runs.
         rng = random.Random(83)
         program = descent_program()
         raw = parse_program(DESCENT, query="deep")
@@ -390,7 +387,8 @@ class TestDeepConeRoute:
             doc = as_indexed(UnrankedStructure(v2))
             warm, state, info = program.run_incremental(doc, state)
             assert info is not None and state is not None
-            routed += info["fallback"] == "deep_cone"
+            assert warm.engine == "incremental"
+            routed += condemns_deep_cone(info)
             cold = program.run(doc, method="kernel")
             interp = evaluate(raw, UnrankedStructure(v2), method="seminaive")
             assert warm.unary("mark") == cold.unary("mark")
@@ -407,7 +405,7 @@ deep(x) :- mark(x0), child(x0, x), label_leafc(x).
 
 class TestDeepConeDeletions:
     """A relabel near the top of a chain *removes* every fact below it:
-    the condemn walk must close the whole cone, or stale facts survive
+    the over-delete must close the whole cone, or stale facts survive
     (text edits cannot show this -- their cones re-derive unchanged)."""
 
     def test_relabel_cones_match_cold(self, frontier_engine):
@@ -428,12 +426,108 @@ class TestDeepConeDeletions:
             )
             doc = as_indexed(UnrankedStructure(trees[1]))
             warm, _, info = program.run_incremental(doc, state)
-            assert info is not None
-            walked += info["fallback"] == "deep_cone"
+            assert info is not None and warm.engine == "incremental"
+            walked += condemns_deep_cone(info)
             cold = evaluate(raw, UnrankedStructure(trees[1]), method="seminaive")
             assert warm.unary("mark") == cold.unary("mark")
             assert warm.unary("deep") == cold.unary("deep")
         assert walked >= 5
+
+
+CLIMB = """
+near(x) :- label_leafc(x), child(y, x), label_c(y), child(z, y), label_c(z).
+"""
+
+
+class TestTraversingSweepWarm:
+    """The catalog wrapper's ``record`` sweep climbs from each ``tr`` to
+    the body, so the over-delete runs it from the anchors near an edit.
+    Edits in and around the rows, and a relabelled ``table`` that drops
+    or restores every record, must leave warm == cold == seminaive."""
+
+    ROW = '<tr><td class="name">added {}</td><td class="price">$1.00</td></tr>'
+    TABLE = ('<table id="products">', '</table><div id="footer">')
+    DIV = ('<div id="products">', '</div><div id="footer">')
+
+    def edit(self, rng, page):
+        kind = rng.choice(("text", "add", "remove", "relabel"))
+        if kind == "relabel":
+            old, new = (self.TABLE, self.DIV)
+            if old[0] not in page:
+                old, new = new, old
+            for before, after in zip(old, new):
+                page = page.replace(before, after, 1)
+            return page
+        rows = [i for i in range(len(page)) if page.startswith("<tr>", i)]
+        if not rows or kind == "add":
+            start = page.index('id="products">') + len('id="products">')
+            at = rng.choice(rows) if rows else start
+            return page[:at] + self.ROW.format(rng.randrange(100)) + page[at:]
+        at = rng.choice(rows)
+        if kind == "text":
+            at = page.index("</td>", at)
+            return page[:at] + " edited" + page[at:]
+        return page[:at] + page[page.index("</tr>", at) + len("</tr>") :]
+
+    def test_randomized_row_edits_match_cold_and_seminaive(self, frontier_engine):
+        from repro.elog import elog_to_datalog, parse_elog
+        from repro.wrap import Document
+        from repro.workloads import CATALOG_WRAPPER, catalog_page
+        from tests.test_stream import catalog_wrapper
+
+        wrapper = catalog_wrapper().compile()
+        reference = compile_program(
+            elog_to_datalog(parse_elog(CATALOG_WRAPPER, query="record"))
+        )
+        rng = random.Random(4242)
+        warm_runs = 0
+        for trial in range(12):
+            page = catalog_page(seed=trial, items=rng.randint(6, 24))
+            _, state, _ = wrapper.wrap_html_stateful(page, root_label=None)
+            for _ in range(4):
+                for _ in range(rng.randint(1, 3)):
+                    page = self.edit(rng, page)
+                ids, state, stats = wrapper.wrap_html_stateful(
+                    page, state, root_label=None
+                )
+                cold = wrapper.extract_html_many([page])[0]
+                interp = reference.run(
+                    as_indexed(Document.from_html(page)), method="seminaive"
+                )
+                assert ids == cold
+                for name in ("record", "name", "price"):
+                    assert ids[name] == interp.unary(name)
+                if stats["warm"]:
+                    warm_runs += 1
+                    (run,) = stats["runs"]
+                    assert run["engine"] == "incremental" and run["rounds"] == 0
+                    (kernel_state,) = state.states.values()
+                    assert not kernel_state.snapshot._vector_moves
+                    assert not kernel_state.snapshot._vector_plans
+        assert warm_runs >= 30
+
+
+    def test_relabel_above_a_climbing_sweep_matches_seminaive(self, frontier_engine):
+        # Relabelling a leaf's grandparent makes its parent bad but not the
+        # leaf: only the sweep, run from the leaf, condemns ``near(leaf)``.
+        raw = parse_program(CLIMB, query="near")
+        program = compile_program(raw)
+        rng = random.Random(1618)
+        for trial in range(12):
+            threads, depth = rng.randint(2, 5), rng.randint(4, 12)
+            trees = [thread_tree(threads, depth) for _ in range(2)]
+            grandparent = trees[trial % 2].children[rng.randrange(threads)]
+            for _ in range(depth - 2):
+                grandparent = grandparent.children[0]
+            grandparent.label = "x"
+            _, state, _ = program.run_incremental(
+                as_indexed(UnrankedStructure(trees[0])), None
+            )
+            doc = as_indexed(UnrankedStructure(trees[1]))
+            warm, _, info = program.run_incremental(doc, state)
+            assert info is not None and warm.engine == "incremental"
+            cold = evaluate(raw, UnrankedStructure(trees[1]), method="seminaive")
+            assert warm.unary("near") == cold.unary("near")
 
 
 def request(host, port, method, path, body=None, timeout=60):

@@ -12,7 +12,9 @@ assembly on the page's snapshot, and of the full wrapping path (a
 quadratic shape gives ~4).  Forum pages whose reply chains double in
 depth hold the kernel to the same bound where its frontier rounds would
 go quadratic: a cold run (handed to the scalar worklist) and a warm
-re-run whose edits condemn whole chains (the deep-cone delete walk).
+re-run whose edits condemn whole chains (a deep cone, condemned and
+re-derived on the generated worklist).  The snapshot diff of a warm run
+is held to the bound on every generator's page, one character edited.
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -35,6 +37,7 @@ import time
 import pytest
 
 from repro.html import parse_html
+from repro.trees.diff import diff_snapshots
 from repro.trees.stream import html_snapshot
 from repro.workloads import forum_page
 from repro.wrap import build_output_from_snapshot
@@ -90,6 +93,23 @@ def snapshot_and_even_ids(page):
     return snapshot, dict.fromkeys(range(0, snapshot.size, 2), "kept")
 
 
+@functools.lru_cache(maxsize=2)
+def snapshot_pair(page):
+    """Snapshots of the page and of the page with one character appended
+    (built once per page, outside the timed diff)."""
+    return html_snapshot(page), html_snapshot(page + "x")
+
+
+def diff_from_scratch(page):
+    """Diff the page's snapshot against its one-character edit, with the
+    Merkle and diff memos cleared first so that every call computes both
+    signature tables (inside :func:`diff_snapshots`) and the match."""
+    old, new = snapshot_pair(page)
+    for snapshot in (old, new):
+        snapshot._merkle = snapshot._sig = snapshot._diff = None
+    return diff_snapshots(old, new)
+
+
 PATHS = {
     "html_snapshot": html_snapshot,
     "parse_html": parse_html,
@@ -97,6 +117,7 @@ PATHS = {
     "output_assembly": lambda page: build_output_from_snapshot(
         *snapshot_and_even_ids(page)
     ),
+    "snapshot_diff": diff_from_scratch,
 }
 
 
@@ -177,14 +198,16 @@ def forum_versions(depth):
 
 
 FORUM_PATHS = {
-    # (timed call, the fallback its kernel run must report)
+    # (timed call, whether it runs warm, what its kernel run must report)
     "cold": (
         lambda depth: FORUM.wrap_html_stateful(forum_versions(depth)[0]),
-        "narrow_frontier",
+        False,
+        {"fallback": "narrow_frontier"},
     ),
     "deep_cone": (
         lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:]),
-        "deep_cone",
+        True,
+        {"engine": "incremental"},
     ),
 }
 
@@ -194,10 +217,12 @@ def test_doubling_chain_depth_at_most_doubles_time(path, monkeypatch):
     import repro.datalog.kernel as kernel_mod
 
     monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
-    run, fallback = FORUM_PATHS[path]
+    run, warm, expected = FORUM_PATHS[path]
     for depth in (FORUM_DEPTH, 2 * FORUM_DEPTH):
         _, _, stats = run(depth)
-        assert stats["runs"][0]["fallback"] == fallback
+        (kernel_run,) = stats["runs"]
+        assert stats["warm"] == warm
+        assert {key: kernel_run[key] for key in expected} == expected
     ratios = doubling_ratios(run, FORUM_DEPTH, 2 * FORUM_DEPTH)
     assert ratios[-1] <= MAX_RATIO, (
         f"forum chains via {path}: t(2n)/t(n) = "

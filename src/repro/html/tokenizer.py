@@ -10,17 +10,20 @@ One scanner, three front ends:
 * :func:`tokenize` -- the classic API: wraps each event in a
   :class:`Token` value.
 
-The scan is one loop of :data:`TOKEN` matches.  Each match takes a text
-run plus the regular tag after it -- a start tag with no attribute or
-one double-quoted attribute, or an end tag up to its ``>`` -- and
-:meth:`re.Match.groups` hands over every capture at once.  Anything the
-token regex does not take (comments, doctypes, tags with other
-attributes, a stray ``<``, trailing text, an end tag with no ``>``) is
-one call of :func:`scan_step`, the general scanner step, which consumes
-exactly one such token and its preceding text.  The Node-free snapshot
-builder (:func:`repro.trees.stream.html_snapshot`) drives the same
-regex and the same step itself, with its column appends inline, so the
-two paths cannot drift.
+The scan splits the document once on ``<``: each piece after the first
+holds one token and the text run after it, split once more at its first
+``>``.  The text between a ``<`` and that ``>`` is looked up in a
+per-document tag cache, filled by :func:`parse_tag`: a regular tag -- a
+start tag with no attribute or one double-quoted attribute, or an end
+tag -- is :data:`TAG`'s parsed form, built once per distinct tag text.
+Everything else (comments, doctypes, tags with other attributes or a
+``>`` inside a quoted value, ``script``/``style`` start tags, a stray
+``<``, an end tag with no ``>``) is one call of :func:`scan_step`, the
+general scanner step, at the token's ``<``; :func:`resync` then skips
+the pieces that step consumed.  The Node-free snapshot builder
+(:func:`repro.trees.stream.html_snapshot`) drives the same split, cache
+and step itself, with its column appends inline, so the two paths
+cannot drift.
 
 ``script`` and ``style`` contents are treated as rawtext (scanned
 verbatim until the matching close tag, see :func:`scan_rawtext`), as the
@@ -32,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from sys import intern
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.html.entities import decode_entities
 
@@ -41,15 +44,11 @@ RAWTEXT_ELEMENTS = ("script", "style")
 #: Tag and attribute names: alphanumerics plus ``-``, ``_``, ``:``.
 _NAME = re.compile(r"[\w:-]+")
 
-#: One fast-path token: a text run (group 1, possibly empty), then a
-#: start tag (name in group 2) with no attribute or exactly one
-#: double-quoted attribute (name, value and an optional ``/`` in groups
-#: 3-5), or an end tag (name in group 6) up to its ``>``.  Names are
-#: greedy, so a name can only end where the next character is not a
-#: name character: the match never splits a name.
-TOKEN = re.compile(
-    r'([^<]*)<(?:([\w:-]+)(?:\s([\w:-]+)="([^"]*)"(/?))?>|/([\w:-]+)[^>]*>)'
-)
+#: One regular tag, matched against the whole text between a ``<`` and
+#: the first ``>`` after it: a start tag (name in group 1) with no
+#: attribute or exactly one double-quoted attribute (name, value and an
+#: optional ``/`` in groups 2-4), or an end tag (name in group 5).
+TAG = re.compile(r'([\w:-]+)(?:\s([\w:-]+)="([^"]*)"(/?))?|/([\w:-]+)[^>]*')
 
 #: The close tag of each rawtext element, matched without regard to
 #: ASCII case.
@@ -139,30 +138,20 @@ def scan_rawtext(html: str, i: int, name: str, on_text, on_end) -> int:
 
 
 def scan_step(html: str, i: int, on_start, on_end, on_text, on_misc) -> int:
-    """One general scanner step from ``i`` (``i < len(html)``).
+    """One general scanner step from the ``<`` at ``i``.
 
-    Takes the text run at ``i`` and the token after it (a comment, a
-    doctype, a start tag with its rawtext body, an end tag, a stray
-    ``<``), delivering their events through the :func:`scan_into`
-    callbacks; returns the position after them.  The scan loops call it
-    for every token that :data:`TOKEN` does not take, so a start tag
-    seen here never has the fast-path shapes and goes straight to the
+    Takes the token there (a comment, a doctype, a start tag with its
+    rawtext body, an end tag, a stray ``<``), delivering its events
+    through the :func:`scan_into` callbacks; returns the position after
+    it.  The scan loops call it for every token that :func:`parse_tag`
+    leaves to it, so a start tag seen here goes straight to the
     attribute scanner.
 
-    Tag names are interned (the scan loops intern each name once per
-    document), so the events -- and the Node labels and open-element
-    frames built from them -- hold one string per name, not one per tag.
+    Tag names are interned, so the events -- and the Node labels and
+    open-element frames built from them -- hold one string per name, not
+    one per tag.
     """
     n = len(html)
-    if html[i] != "<":
-        lt = html.find("<", i)
-        end = n if lt == -1 else lt
-        text = html[i:end]
-        if not text.isspace():
-            on_text(decode_entities(text) if "&" in text else text)
-        if lt == -1:
-            return n
-        i = lt
     nxt = html[i + 1 : i + 2]
     if nxt == "!":
         if html.startswith("<!--", i):
@@ -199,6 +188,51 @@ def scan_step(html: str, i: int, on_start, on_end, on_text, on_misc) -> int:
     return i
 
 
+def parse_tag(tag: str) -> Optional[tuple]:
+    """The tag-cache entry for ``tag``, the text between a ``<`` and the
+    first ``>`` after it.
+
+    A regular tag (a :data:`TAG` match) becomes ``(name, is_end, attr,
+    value, self_closing)``: the interned lowercased name, the lowercased
+    attribute name (``None`` when the tag has none) and its
+    entity-decoded value.  ``None`` leaves the token to
+    :func:`scan_step`: any other text, and a ``script``/``style`` start
+    tag, whose rawtext body the step scans.
+    """
+    m = TAG.fullmatch(tag)
+    if m is None:
+        return None
+    raw, attr, value, slash, raw_end = m.groups()
+    if raw_end is not None:
+        return intern(raw_end.lower()), True, None, None, False
+    name = intern(raw.lower())
+    if name in RAWTEXT_ELEMENTS and not slash:
+        return None
+    if attr is None:
+        return name, False, None, None, False
+    if "&" in value:
+        value = decode_entities(value)
+    return name, False, attr.lower(), value, slash == "/"
+
+
+#: The value of a tag-cache lookup for tag text not seen yet.
+UNSEEN = object()
+
+
+def resync(html: str, pieces: Iterator[str], at: int, i: int) -> Tuple[str, int]:
+    """Catch the split on ``<`` up with a general step that ended at ``i``.
+
+    ``pieces`` iterates the pieces of ``html.split("<")`` and ``at`` is
+    the offset of the ``<`` before the next one.  Skips the pieces whose
+    ``<`` lies before ``i`` (the step consumed them); returns the text
+    run from ``i`` to the next ``<`` (or the end) and that ``<``'s
+    offset.  Positions only move forward, so a scan stays linear.
+    """
+    while at < i:
+        at += len(next(pieces)) + 1
+    return html[i:at], at
+
+
 def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
     """Scan an HTML document, delivering events through callbacks.
 
@@ -215,37 +249,34 @@ def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
     * ``on_misc(kind, data)`` -- comments and doctypes, skipped when the
       callback is ``None``.
     """
-    i = 0
-    n = len(html)
-    token = TOKEN.match
     decode = decode_entities
-    names: Dict[str, str] = {}  # tag name as written -> lowercased
-    while i < n:
-        m = token(html, i)
-        if m is None:
-            i = scan_step(html, i, on_start, on_end, on_text, on_misc)
-            continue
-        text, raw, attr, value, slash, raw_end = m.groups()
-        i = m.end()
+    tags: Dict[str, Optional[tuple]] = {}  # tag text -> parse_tag(tag text)
+    get_tag = tags.get
+    unseen = UNSEEN
+    pieces = iter(html.split("<"))
+    text = next(pieces)
+    at = len(text)  # offset of the next piece's '<'
+    for piece in pieces:
         if text and not text.isspace():
             on_text(decode(text) if "&" in text else text)
-        if raw_end is not None:
-            name = names.get(raw_end)
-            if name is None:
-                name = names[raw_end] = intern(raw_end.lower())
-            on_end(name)
+        tag, gt, text = piece.partition(">")
+        entry = get_tag(tag, unseen) if gt else None
+        if entry is unseen:
+            entry = tags[tag] = parse_tag(tag)
+        if entry is None:
+            i = scan_step(html, at, on_start, on_end, on_text, on_misc)
+            text, at = resync(html, pieces, at + len(piece) + 1, i)
             continue
-        name = names.get(raw)
-        if name is None:
-            name = names[raw] = intern(raw.lower())
-        if attr is None:
+        at += len(piece) + 1
+        name, is_end, attr, value, self_closing = entry
+        if is_end:
+            on_end(name)
+        elif attr is None:
             on_start(name, None, False)
         else:
-            if "&" in value:
-                value = decode(value)
-            on_start(name, {attr.lower(): value}, slash == "/")
-        if name in RAWTEXT_ELEMENTS and not slash:
-            i = scan_rawtext(html, i, name, on_text, on_end)
+            on_start(name, {attr: value}, self_closing)
+    if text and not text.isspace():
+        on_text(decode(text) if "&" in text else text)
 
 
 def scan_list(html: str) -> List[tuple]:

@@ -12,11 +12,12 @@ runtime touching only arrays from bytes to output.
 
 Sources:
 
-* :func:`html_snapshot` -- one loop from HTML text to columns: each
-  step is one :data:`repro.html.tokenizer.TOKEN` match (a text run plus
-  a regular tag) with the column appends inline, and every other token
-  is one :func:`repro.html.tokenizer.scan_step`, the scanner's own
-  general step.  It applies the *same* void-element / implicit-close /
+* :func:`html_snapshot` -- one loop from HTML text to columns over the
+  scanner's own front end (:mod:`repro.html.tokenizer`): the document
+  split once on ``<``, each regular tag read from a per-document tag
+  cache with the column appends inline, and every other token one
+  :func:`repro.html.tokenizer.scan_step`, the scanner's general step.
+  It applies the *same* void-element / implicit-close /
   end-tag policy as :func:`repro.html.parser.parse_html` (both keep
   their open elements in one :class:`repro.html.policy.OpenElements`
   stack, so the two front ends cannot drift, and every cut is O(1)
@@ -34,7 +35,6 @@ document, ``html_snapshot(doc)`` is column-identical to
 
 from __future__ import annotations
 
-from sys import intern
 from typing import Dict, List, Optional
 
 from repro.errors import TreeError
@@ -45,7 +45,7 @@ from repro.html.policy import (
     VOID_ELEMENTS,
     OpenElements,
 )
-from repro.html.tokenizer import RAWTEXT_ELEMENTS, TOKEN, scan_rawtext, scan_step
+from repro.html.tokenizer import UNSEEN, parse_tag, resync, scan_step
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
 
@@ -205,9 +205,11 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     handling -- but built in a single pass over the document.
 
     This is the batch pipeline's hottest loop, so it drives the scanner
-    itself: one :data:`~repro.html.tokenizer.TOKEN` match per text run
-    plus regular tag, with the column appends inline and no callback.
-    Three fast paths of the shared
+    itself, with the column appends inline and no callback: the document
+    is split once on ``<``, each piece once at its first ``>``, and the
+    tag text between is looked up in a per-document cache of
+    :func:`~repro.html.tokenizer.parse_tag` entries, so each distinct
+    tag is parsed once per page.  Three fast paths of the shared
     :class:`~repro.html.policy.OpenElements` stack are inlined too: the
     plain push, the matching pop, and the implicit closer that closes
     nothing (a ``<td>`` or ``<li>`` with no open ``td``/``li`` above the
@@ -215,9 +217,11 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     plain push as well.  Every other tag-soup decision (a needed implied
     close, void and self-closing tags, unmatched end tags) goes through
     the stack's own methods, shared with
-    :func:`repro.html.parser.parse_html`, and every other token through
-    :func:`~repro.html.tokenizer.scan_step`.  The randomized parity suite
-    in ``tests/test_stream.py`` pins the equivalence.
+    :func:`repro.html.parser.parse_html`, and every token whose cache
+    entry is ``None`` through :func:`~repro.html.tokenizer.scan_step`,
+    after which :func:`~repro.html.tokenizer.resync` catches the split
+    up.  The randomized parity suite in ``tests/test_stream.py`` pins the
+    equivalence.
 
     >>> snap = html_snapshot("<ul><li>a<li>b</ul>")
     >>> [snap.labels[l] for l in snap.label_ids]
@@ -266,20 +270,15 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         if attrs:
             attrs_column[nid] = attrs
 
-    token = TOKEN.match
-    names: Dict[str, str] = {}  # tag name as written -> lowercased
+    tags: Dict[str, Optional[tuple]] = {}  # tag text -> parse_tag(tag text)
+    get_tag = tags.get
+    unseen = UNSEEN
     closes = _CLOSES
     void_elements = VOID_ELEMENTS
-    i = 0
-    n = len(html)
-    while i < n:
-        m = token(html, i)
-        if m is None:
-            # Comments and doctypes carry no tree content (on_misc=None).
-            i = scan_step(html, i, on_start, end_tag, on_text, None)
-            continue
-        text, raw, attr, value, slash, raw_end = m.groups()
-        i = m.end()
+    pieces = iter(html.split("<"))
+    text = next(pieces)
+    at = len(text)  # offset of the next piece's '<'
+    for piece in pieces:
         if text and not text.isspace():
             if text_lid < 0:
                 text_lid = label_index["#text"] = len(labels)
@@ -287,10 +286,18 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             texts[len(parent)] = decode_entities(text) if "&" in text else text
             parent_append(items[-1])
             label_ids_append(text_lid)
-        if raw_end is not None:
-            name = names.get(raw_end)
-            if name is None:
-                name = names[raw_end] = intern(raw_end.lower())
+        tag, gt, text = piece.partition(">")
+        entry = get_tag(tag, unseen) if gt else None
+        if entry is unseen:
+            entry = tags[tag] = parse_tag(tag)
+        if entry is None:
+            # Comments and doctypes carry no tree content (on_misc=None).
+            i = scan_step(html, at, on_start, end_tag, on_text, None)
+            text, at = resync(html, pieces, at + len(piece) + 1, i)
+            continue
+        at += len(piece) + 1
+        name, is_end, attr, value, self_closing = entry
+        if is_end:
             if frames[-1] == name and len(frames) > 1:
                 # OpenElements.end_tag's fast path, inlined.
                 frames.pop()
@@ -301,22 +308,19 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             else:
                 end_tag(name)
             continue
-        name = names.get(raw)
-        if name is None:
-            name = names[raw] = intern(raw.lower())
         nid = len(parent)
-        general = slash or name in void_elements
+        general = self_closing or name in void_elements
         if not general and name in closes:
             # An implicit closer cuts only when a label it closes is open
             # above the nearest scope barrier; otherwise it is a push.
             floor = barriers[-1] if barriers else 0
             for closed in closes[name]:
-                at = open_at(closed)
-                if at and at[-1] > floor:
+                found = open_at(closed)
+                if found and found[-1] > floor:
                     general = True
                     break
         if general:
-            parent_append(start_tag(name, nid, slash == "/"))
+            parent_append(start_tag(name, nid, self_closing))
         else:
             # OpenElements.start_tag's fast path (a plain push), inlined.
             parent_append(items[-1])
@@ -331,11 +335,11 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             labels.append(name)
         label_ids_append(lid)
         if attr is not None:
-            attrs_column[nid] = {
-                attr.lower(): decode_entities(value) if "&" in value else value
-            }
-        if name in RAWTEXT_ELEMENTS and not slash:
-            i = scan_rawtext(html, i, name, on_text, end_tag)
+            # A fresh dict per node: the cached entry is shared by every
+            # tag with the same text.
+            attrs_column[nid] = {attr: value}
+    if text and not text.isspace():
+        on_text(decode_entities(text) if "&" in text else text)
 
     # Unwrap the synthetic root when the document has one root element and
     # no top-level text (same rule as parse_html): the columns are final.

@@ -71,9 +71,16 @@ GENERATORS = {
     "wide_fan_out": lambda n: "<ul>" + "<li>x" * n + "</ul>",
     "comments": lambda n: "<div><!-- c -->t</div>" * n + "<!-- unterminated",
     "unclosed_script": lambda n: "<p>t" * n + "<script>" + "if(a<b)x();" * n,
-    # Every tag misses the scanner's one-match token regex after a text
-    # run, so each token is scanned twice (failed match, general step).
+    # Two attributes are more than the tag grammar takes: the tag text is
+    # cached as a miss, so every start tag goes through the general step
+    # and the split on '<' resyncs after it.
     "two_attribute_tags": lambda n: 't<a x="1" y="2">u</a>' * n,
+    # Every start tag's text is new, so every lookup misses the
+    # per-document tag cache and the cache grows with the page.
+    "distinct_tag_texts": lambda n: "".join(f'<a href="/p{i}">x</a>' for i in range(n)),
+    # A '>' in a quoted value cuts the tag text short: every start tag
+    # goes through the general step and the resync after it.
+    "gt_in_quoted_values": lambda n: '<a t="x>y">u</a>' * n,
     "text_then_comment": lambda n: "t<!-- c -->" * n,
     # n // 5 distinct tag names: 200 at N, 400 at 2N, so the pair spans
     # the 256-label switch from byte-lane to array('i') label ids and

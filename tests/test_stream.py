@@ -64,12 +64,17 @@ SOUP_PIECES = [
     "<i a='q'>", '<b a="un', "</ p>", "<dt>d", "<dd>e", "<option>o",
     "<tbody>", "<thead>", "<html>", "<body>", "</body>", "<div>", "</div>",
     "<p>par<p>par2", "<select>", "</select>", "x &amp; y", "<a href='/x?a=1&amp;b=2'>y</a>",
-    # Straddling the scanner's one-match fast path and its general step.
+    # Straddling the scanner's tag-cache fast path and its general step.
     '<a x="1" y="2">', "<a x='1'>", "<a x=1>", '<img src="a"/>', "</a junk>",
     '<a x="1', "<A HREF=\"/Y\">", "</A>", "<DiV Class=\"c\">", '<a t="x &amp; y">',
     "a &lt; b", "< b", "<=", "<a >", '<a x="1" />', '<a\nx="1">', "</>", "<li/>",
     "</a", "<script/>", '<span x="1"/>', " ", "\n\t", "<table></table>", "<ul></ul>",
     "<document>", "</document>",
+    # Straddling the split on '<' and the first '>' after it: a '>' or a
+    # '<' inside a quoted value, tags inside comments and rawtext, and
+    # one tag text in two cases (two tag-cache entries, one name).
+    '<a t="x>y">', '<a t="x<y">', '</a t="x>y">', "<!-- <b>c</b> -->",
+    "<style>a>b{}</style>", "<TD>", "<td>",
 ]
 
 #: Appended at the end of some random documents: a trailing end tag
@@ -242,7 +247,7 @@ def catalog_wrapper() -> Wrapper:
 
 
 class TestScanner:
-    """The one-match scanner emits exactly the reference scanner's events."""
+    """The split scanner emits exactly the reference scanner's events."""
 
     def test_randomized_events_match_reference(self):
         rng = random.Random(20261017)
@@ -270,6 +275,26 @@ class TestScanner:
             ("start", "br", {}, True),
         ]
         assert scan_list("</B junk>x</a") == [("end", "b"), ("text", "x"), ("end", "a")]
+        # A '>' or '<' in a quoted value: the general step, then the split
+        # on '<' resumes after the tag.
+        assert scan_list('<a t="x>y">u</a><b t="x<y">v') == [
+            ("start", "a", {"t": "x>y"}, False), ("text", "u"), ("end", "a"),
+            ("start", "b", {"t": "x<y"}, False), ("text", "v"),
+        ]
+
+    def test_identical_tags_get_distinct_attrs_dicts(self):
+        # One tag-cache entry serves both tags; each event still gets its
+        # own dict, and so does each node of the snapshot.
+        doc = '<p><a href="/x">1</a><a href="/x">2</a></p>'
+        first, second = [e[2] for e in scan_list(doc) if e[0] == "start" and e[1] == "a"]
+        assert first == second == {"href": "/x"}
+        assert first is not second
+        snapshot = html_snapshot(doc)
+        a1, a2 = (attrs for nid, attrs in sorted(snapshot.attrs.items()))
+        assert a1 == a2 == {"href": "/x"}
+        assert a1 is not a2
+        a1["href"] = "/changed"
+        assert html_snapshot(doc).attrs[1] == {"href": "/x"}
 
     def test_rawtext_close_after_case_changing_text(self):
         # Lowercasing "İ" makes it two characters long; the rawtext close

@@ -17,12 +17,12 @@ Sources:
   split once on ``<``, each regular tag read from a per-document tag
   cache with the column appends inline, and every other token one
   :func:`repro.html.tokenizer.scan_step`, the scanner's general step.
-  It applies the *same* void-element / implicit-close /
-  end-tag policy as :func:`repro.html.parser.parse_html` (both keep
-  their open elements in one :class:`repro.html.policy.OpenElements`
-  stack, so the two front ends cannot drift, and every cut is O(1)
-  amortized, so ingestion is linear on any tag soup), with identical
-  synthetic-root unwrapping;
+  It applies the *same* void-element / implicit-close / end-tag policy
+  as :func:`repro.html.parser.parse_html` (both keep their open
+  elements in one :class:`repro.html.policy.OpenElements` stack, so the
+  two front ends cannot drift, and every cut is O(1) amortized, so
+  ingestion is linear on any tag soup), with identical synthetic-root
+  unwrapping;
 * :func:`sexpr_snapshot` -- the s-expression reader, and
   :func:`tree_snapshot` -- a replay of an existing :class:`Node` tree
   (parity harness, and snapshots for generated trees), both through the

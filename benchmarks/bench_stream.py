@@ -7,7 +7,7 @@ two ingestion pipelines:
   ``UnrankedStructure`` -> per-function compiled plans -> Node output
   walk (the PR-2 baseline shape);
 * the streaming path of ``Wrapper.wrap_html_many``: tokenizer events ->
-  :class:`SnapshotBuilder` columns -> one shared kernel fixpoint ->
+  ``html_snapshot`` columns -> one shared kernel fixpoint ->
   snapshot-native output, with **zero Node objects** allocated.
 
 The streaming path should beat the Node path by >=2x at the largest

@@ -282,11 +282,12 @@ def _assert_scalar_fallback_exercised() -> None:
     from repro.trees import parse_sexpr
 
     kernel = compile_kernel(parse_program("p(x) :- firstchild(0, x).", query="p"))
-    out = kernel.run(UnrankedStructure(parse_sexpr("a(b, c)")))
-    if out["p"] != {(1,)} or kernel.last_engine != "worklist":
+    out = kernel.evaluate(UnrankedStructure(parse_sexpr("a(b, c)")))
+    engine = out.stats["engine"]
+    if out.relations["p"] != {(1,)} or engine != "worklist":
         raise SystemExit(
             "scalar fallback no longer exercised: constant-anchored program "
-            f"ran via {kernel.last_engine!r} and derived {out['p']!r}"
+            f"ran via {engine!r} and derived {out.relations['p']!r}"
         )
     print("    scalar-fallback guard: constant-anchored block -> worklist ok")
 

@@ -82,14 +82,15 @@ The scalar path doubles as the parity oracle: tests flip
 Incremental re-evaluation
 -------------------------
 
-:meth:`KernelProgram.run_incremental` re-evaluates a *changed version* of
-a previously evaluated document without paying the full fixpoint again.
-A completed run leaves a :class:`KernelState` (snapshot + the derived big
-ints); the next version is matched subtree-by-subtree against that
-snapshot (:mod:`repro.trees.diff` over the Merkle hashes of
-:mod:`repro.trees.merkle`) and the fixpoint restarts from the previous
-facts via delete-and-rederive, both halves on the lowering's generated
-worklist (:mod:`repro.datalog.worklist`) and nothing else:
+:meth:`KernelProgram.evaluate` given ``previous`` re-evaluates a *changed
+version* of a previously evaluated document without paying the full
+fixpoint again.  A completed run returns a :class:`KernelState` (snapshot
++ the derived big ints) in its :class:`KernelRun`; the next version is
+matched subtree-by-subtree against that snapshot (:mod:`repro.trees.diff`
+over the subtree signatures of :mod:`repro.trees.merkle`) and the fixpoint
+restarts from the previous facts via delete-and-rederive, both halves on
+the lowering's generated worklist (:mod:`repro.datalog.worklist`) and
+nothing else:
 
 * **over-delete** (old id space): one call of the generated *condemn*
   function over the old snapshot condemns every old fact whose
@@ -122,7 +123,7 @@ import itertools
 import os
 import re
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.datalog.analysis import split_disconnected
 from repro.datalog.program import Program, Rule
@@ -658,13 +659,13 @@ class KernelState:
 
     Holds the lowering variant that bound the document, the document's
     snapshot, and the derived big-int node set per predicate -- exactly
-    what :meth:`KernelProgram.run_incremental` needs to re-evaluate the
-    next version of the same document.  Captured when the big-int engine
-    reaches the fixpoint itself, when the scalar worklist finishes a
-    handoff, and by every warm run (each byte lane packs into one big
-    int).  A cold run whose lowering held no vector plan leaves ``None``,
-    which holders must treat as "start cold" -- so a state's lowering
-    never has constants, gated sweeps or 0-ary predicates.
+    what :meth:`KernelProgram.evaluate` needs, as ``previous``, to
+    re-evaluate the next version of the same document.  Captured when the
+    big-int engine reaches the fixpoint itself, when the scalar worklist
+    finishes a handoff, and by every warm run (each byte lane packs into
+    one big int).  A cold run whose lowering held no vector plan leaves
+    ``None``, which holders must treat as "start cold" -- so a state's
+    lowering never has constants, gated sweeps or 0-ary predicates.
     """
 
     __slots__ = ("variant", "snapshot", "derived")
@@ -673,6 +674,36 @@ class KernelState:
         self.variant = variant
         self.snapshot = snapshot
         self.derived = derived
+
+
+class KernelRun(NamedTuple):
+    """The outcome of one :meth:`KernelProgram.evaluate` call.
+
+    * ``relations`` -- each output predicate's derived tuple set;
+    * ``unary_sets`` -- each unary output predicate's plain ``{node id}``
+      set, a byproduct of the propagation loop that batch wrappers
+      consume directly instead of stripping 1-tuples;
+    * ``stats`` -- cheap per-run counters, one shape for cold and warm
+      runs: ``engine`` (``"frontier"`` for big-int rounds to fixpoint,
+      ``"worklist"`` for the scalar worklist, ``"frontier+worklist"`` for
+      a narrow-frontier handoff mid-run, ``"incremental"`` for a warm
+      run), ``rounds`` (frontier rounds; 0 on the worklist alone),
+      ``facts`` (derived facts at fixpoint), ``frontier_widths`` (rounds
+      per power-of-two width bucket: index ``b`` covers ``[2^b,
+      2^(b+1))``) and ``fallback`` (why a cold run left the pure frontier
+      engine: ``None``, ``"narrow_frontier"``, ``"vector_plan_rejected"``
+      or ``"vectorize_disabled"``).  Warm runs add ``dirty`` /
+      ``dirty_fraction`` (unmatched new nodes), ``carried`` (old facts
+      kept) and ``deleted`` (old facts the over-delete condemned);
+    * ``state`` -- the :class:`KernelState` to pass as ``previous`` for
+      the document's next version, or ``None`` when the run held no
+      vector plan and did not run warm.
+    """
+
+    relations: Relations
+    unary_sets: Dict[str, Set[int]]
+    stats: Dict[str, object]
+    state: Optional[KernelState]
 
 
 def _expand_hops(snapshot, mask: int, hops: int) -> int:
@@ -784,12 +815,13 @@ class KernelProgram:
     """A monadic program lowered to numeric propagation tables.
 
     Build with :func:`compile_kernel` (returns ``None`` when the program is
-    outside the kernel fragment); evaluate with :meth:`run`.  The artifact
-    is program-only and reusable across documents.  It holds one or more
-    alternative :class:`_Lowering` variants -- binding a document selects
-    the first variant whose relations the snapshot supplies, preferring
-    linear lowerings, then a lazily compiled ranked-TMNF variant for
-    ranked snapshots, then any superlinear last resort.
+    outside the kernel fragment); evaluate with :meth:`evaluate` (or
+    :meth:`run`).  The artifact is program-only, keeps no per-run state and
+    is reusable across documents.  It holds one or more alternative
+    :class:`_Lowering` variants -- binding a document selects the first
+    variant whose relations the snapshot supplies, preferring linear
+    lowerings, then a lazily compiled ranked-TMNF variant for ranked
+    snapshots, then any superlinear last resort.
 
     Examples
     --------
@@ -811,37 +843,6 @@ class KernelProgram:
         #: Lazily compiled ranked-TMNF lowerings, keyed by snapshot
         #: ``max_rank`` (``None`` where the route does not apply).
         self._ranked_cache: Dict[int, Optional[_Lowering]] = {}
-        #: Which engine the most recent :meth:`run` used: ``"frontier"``
-        #: (big-int rounds to fixpoint), ``"worklist"`` (scalar),
-        #: ``"frontier+worklist"`` (narrow-frontier handoff mid-run), or
-        #: ``"incremental"`` for :meth:`run_incremental` warm runs.
-        self.last_engine: Optional[str] = None
-        #: :class:`KernelState` of the most recent run when it held a
-        #: vector plan or ran warm (``None`` otherwise) -- feed it back
-        #: as ``previous`` to :meth:`run_incremental`.
-        self.last_state: Optional[KernelState] = None
-        #: Cheap per-run stats of the most recent run -- the unified
-        #: shape for cold *and* warm runs (warm runs add their reuse
-        #: keys on top):
-        #:
-        #: * ``engine`` -- same value as :attr:`last_engine`;
-        #: * ``rounds`` -- frontier rounds executed (0 for a run on the
-        #:   scalar worklist alone, warm runs included: it has no round
-        #:   structure);
-        #: * ``facts`` -- derived facts at fixpoint;
-        #: * ``frontier_widths`` -- counts per power-of-two width
-        #:   bucket (index ``b`` covers widths in ``[2^b, 2^(b+1))``);
-        #: * ``fallback`` -- why a cold run left the pure frontier engine:
-        #:   ``None``, ``"narrow_frontier"``, ``"vector_plan_rejected"``
-        #:   or ``"vectorize_disabled"``;
-        #: * warm runs (:meth:`run_incremental`) additionally carry
-        #:   ``dirty`` / ``dirty_fraction`` (unmatched new nodes),
-        #:   ``carried`` (old facts kept) and ``deleted`` (old facts the
-        #:   over-delete condemned).
-        #:
-        #: Only counters the engines already compute are recorded, so
-        #: the hot loops stay allocation-free.
-        self.last_stats: Optional[Dict[str, object]] = None
         # Introspection mirrors of the primary (preferred) lowering.
         primary = self._variants[0]
         self.lowered = primary.lowered
@@ -853,15 +854,6 @@ class KernelProgram:
         self.route = primary.route
         self.max_branches = primary.max_branches
         self.superlinear = primary.superlinear
-
-    def __getstate__(self):
-        # The last run's state pins that run's whole document snapshot
-        # (with its lazily built move maps, which hold closures): it is
-        # per-run scratch, not part of the compiled program, so it never
-        # travels to a worker or a shard daemon.
-        state = dict(self.__dict__)
-        state["last_state"] = None
-        return state
 
     def applicable(self, structure: Structure) -> bool:
         """Whether this kernel can evaluate over ``structure``."""
@@ -947,49 +939,52 @@ class KernelProgram:
 
     def run(self, structure: Structure) -> Relations:
         """Evaluate over a tree-backed structure; raises if inapplicable."""
-        bound = self._bind(structure)
-        if bound is None:
+        out = self.evaluate(structure)
+        if out is None:
             raise DatalogError(
                 "kernel strategy does not apply: structure is not tree-backed "
                 "or lacks a relation the program needs"
             )
-        return self._run_bound(bound)[0]
+        return out.relations
 
-    def try_run(self, structure: Structure) -> Optional[Relations]:
-        """Evaluate if applicable, else ``None`` (single bind, no raise)."""
-        bound = self._bind(structure)
-        if bound is None:
-            return None
-        return self._run_bound(bound)[0]
+    def evaluate(
+        self, structure: Structure, previous: Optional[KernelState] = None
+    ) -> Optional[KernelRun]:
+        """Evaluate over ``structure``, or ``None`` if the kernel does not apply.
 
-    def try_run_full(self, structure: Structure):
-        """Like :meth:`try_run`, but returns ``(relations, unary_sets)``.
-
-        ``unary_sets`` maps each unary output predicate to its plain
-        ``{node id}`` set -- a byproduct of the propagation loop that
-        batch wrappers consume directly instead of stripping 1-tuples.
+        Binds the document once.  ``previous`` is the
+        :attr:`KernelRun.state` of an earlier run of *this* program over an
+        earlier version of the same document: the run goes warm
+        (:meth:`_run_warm`) when that state is usable, and cold otherwise.
+        A cold run takes the frontier engine when the bound lowering has a
+        vector plan, and the generated worklist when it has none.
         """
         bound = self._bind(structure)
         if bound is None:
             return None
-        return self._run_bound(bound)
+        if VECTORIZE_PROPAGATION:
+            if previous is not None:
+                warm = self._run_warm(bound, previous)
+                if warm is not None:
+                    return warm
+            plan = _vector_plan(*bound)
+            if plan is not None:
+                return self._fixpoint(bound, plan)
+            fallback = "vector_plan_rejected"
+        else:
+            fallback = "vectorize_disabled"
+        out = self._run_scalar(bound, "worklist")
+        out.stats["fallback"] = fallback
+        return out
 
-    def run_incremental(self, structure: Structure, previous: KernelState):
+    def _run_warm(self, bound, previous: KernelState) -> Optional[KernelRun]:
         """Warm re-evaluation against the previous version's fixpoint.
 
-        ``previous`` is the :class:`KernelState` left by an earlier run of
-        *this* program over an earlier version of the same document (see
-        :attr:`last_state`).  Returns
-        ``((relations, unary_sets), state, info)`` -- the same payload as
-        :meth:`try_run_full`, the state for the *next* warm run, and a
-        stats dict -- the unified :attr:`last_stats` shape (``engine`` /
-        ``rounds`` / ``facts`` / ``frontier_widths`` / ``fallback``) plus
-        the warm-only reuse keys ``dirty`` / ``dirty_fraction`` /
-        ``carried`` / ``deleted`` -- or ``None`` whenever warm evaluation
-        does not apply, in which case the caller should run cold:
+        Returns ``None`` whenever warm evaluation does not apply, and the
+        caller runs cold:
 
-        * the structure binds a different lowering variant (or none), or
-          either snapshot is not an unranked document (ranked ``child_k``
+        * the structure bound a different lowering variant, or either
+          snapshot is not an unranked document (ranked ``child_k``
           positions are not edit-stable, so ranked snapshots always re-run
           cold);
         * the diff matched too little of the document
@@ -1000,14 +995,9 @@ class KernelProgram:
         docstring's delete-and-rederive argument).  Both halves run on
         the generated worklist -- one condemn call over the old snapshot,
         one derive call resumed from the carried facts -- so no frontier
-        round runs, and ``last_engine`` reports ``"incremental"``.
+        round runs, and the engine reports ``"incremental"``.
         """
-        if previous is None or not VECTORIZE_PROPAGATION:
-            return None
         old_snap = previous.snapshot
-        bound = self._bind(structure)
-        if bound is None:
-            return None
         variant, snapshot = bound
         if (
             variant is not previous.variant
@@ -1022,8 +1012,6 @@ class KernelProgram:
             return None
         if len({nw - ov for ov, nw, _ in d.ranges}) > _INCREMENTAL_SHIFT_CAP:
             return None
-        self.last_state = None
-        self.last_stats = None
         P = variant.npreds
         hops = variant.hops
         derived_old = previous.derived
@@ -1055,34 +1043,15 @@ class KernelProgram:
             else:
                 seed_zone = _expand_hops(snapshot, region, hops)
                 pending = [facts & seed_zone for facts in derived]
-        self.last_engine = "incremental"
-        out = self._run_scalar(bound, resume=(derived, pending))
-        info = {
+        out = self._run_scalar(bound, "incremental", resume=(derived, pending))
+        stats = {
             "dirty": d.dirty_count,
             "dirty_fraction": d.dirty_fraction,
             "carried": carried_count,
             "deleted": deleted_count,
-            **self.last_stats,
+            **out.stats,
         }
-        self.last_stats = info
-        return out, self.last_state, info
-
-    def _run_bound(self, bound) -> Tuple[Relations, Dict[str, Set[int]]]:
-        """Dispatch one bound lowering to the preferred engine."""
-        self.last_state = None
-        self.last_stats = None
-        if VECTORIZE_PROPAGATION:
-            variant, snapshot = bound
-            plan = _vector_plan(variant, snapshot)
-            if plan is not None:
-                return self._fixpoint(bound, plan)
-            fallback = "vector_plan_rejected"
-        else:
-            fallback = "vectorize_disabled"
-        self.last_engine = "worklist"
-        out = self._run_scalar(bound)
-        self.last_stats["fallback"] = fallback
-        return out
+        return out._replace(stats=stats)
 
     def _fixpoint(self, bound, plan):
         """Cold frontier-at-a-time fixpoint.
@@ -1098,9 +1067,7 @@ class KernelProgram:
 
         A persistently narrow frontier (see :data:`_NARROW_ROUND_LIMIT`)
         hands the partial fixpoint to :meth:`_run_scalar`, and the run
-        reports ``"frontier+worklist"``.  Records the run's stats as
-        :attr:`last_stats` and returns the ``(relations, unary_sets)``
-        payload.
+        reports ``"frontier+worklist"``.
         """
         variant, snapshot = bound
         vsweeps, vtriggers = plan
@@ -1155,22 +1122,24 @@ class KernelProgram:
             else:
                 narrow = 0
         if fallback is not None:
-            engine = self.last_engine = "frontier+worklist"
-            out = self._run_scalar(bound, resume=(derived, pending), sweep=False)
-            facts = self.last_stats["facts"]
+            engine = "frontier+worklist"
+            relations, unary_sets, handoff, state = self._run_scalar(
+                bound, engine, resume=(derived, pending), sweep=False
+            )
+            facts = handoff["facts"]
         else:
-            engine = self.last_engine = "frontier"
-            self.last_state = KernelState(variant, snapshot, derived)
-            out = self._collect_vector(variant, snapshot, derived)
+            engine = "frontier"
+            state = KernelState(variant, snapshot, derived)
+            relations, unary_sets = self._collect_vector(variant, snapshot, derived)
             facts = sum(d.bit_count() for d in derived)
-        self.last_stats = {
+        stats = {
             "engine": engine,
             "rounds": rounds,
             "facts": facts,
             "frontier_widths": _trim_widths(widths),
             "fallback": fallback,
         }
-        return out
+        return KernelRun(relations, unary_sets, stats, state)
 
     @staticmethod
     def _collect_vector(variant, snapshot, derived):
@@ -1193,8 +1162,8 @@ class KernelProgram:
         return relations, unary_sets
 
     def _run_scalar(
-        self, bound, resume=None, sweep: bool = True
-    ) -> Tuple[Relations, Dict[str, Set[int]]]:
+        self, bound, engine: str, resume=None, sweep: bool = True
+    ) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
 
         Cold, it starts from empty lanes and the sweeps seed it: pure
@@ -1203,10 +1172,11 @@ class KernelProgram:
         ``resume=(derived, pending)`` starts it from a partial fixpoint
         instead: the derived big ints become the lanes, and the pending
         big ints -- every fact whose consequences may still be missing --
-        seed the stacks; the finished lanes pack into :attr:`last_state`.
-        A narrow-frontier handoff passes ``sweep=False`` (its sweeps
-        already ran); a warm run re-runs them, and a sweep pushes only the
-        facts its lane does not hold yet.
+        seed the stacks; the finished lanes pack into the run's state.
+        ``engine`` is the name the run's stats report.  A narrow-frontier
+        handoff passes ``sweep=False`` (its sweeps already ran); a warm run
+        re-runs them, and a sweep pushes only the facts its lane does not
+        hold yet.
         """
         variant, snapshot = bound
         P = variant.npreds
@@ -1254,8 +1224,9 @@ class KernelProgram:
                 variant.bind_args(snapshot),
                 flags,
             )
+        state = None
         if resume is not None:
-            self.last_state = KernelState(
+            state = KernelState(
                 variant,
                 snapshot,
                 [int.from_bytes(lane, "little") for lane in lanes],
@@ -1269,14 +1240,14 @@ class KernelProgram:
                 relations[name] = set(zip(ids))
             elif gbits[pred]:
                 relations[name] = {()}
-        self.last_stats = {
-            "engine": self.last_engine,
+        stats = {
+            "engine": engine,
             "rounds": 0,
             "facts": sum(lane.count(1) for lane in lanes) + gbits.count(1),
             "frontier_widths": [],
             "fallback": None,
         }
-        return relations, unary_sets
+        return KernelRun(relations, unary_sets, stats, state)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

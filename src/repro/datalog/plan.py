@@ -69,10 +69,11 @@ class EvaluationResult:
         For ``method == "kernel"``, the kernel's per-run stats dict
         (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
         ``fallback``; warm runs add ``dirty`` / ``dirty_fraction`` /
-        ``carried`` / ``deleted``) -- the same shape
-        :meth:`CompiledProgram.run_incremental` returns as its ``info``
-        triple member, now available for cold runs too.  ``None`` for
-        non-kernel strategies.
+        ``carried`` / ``deleted``): the ``stats`` of the kernel's
+        :class:`repro.datalog.kernel.KernelRun`, which
+        :meth:`CompiledProgram.run_incremental` also returns as its
+        ``info`` triple member after a warm run.  ``None`` for non-kernel
+        strategies.
     """
 
     def __init__(
@@ -582,47 +583,23 @@ class CompiledProgram:
         are wrapped on the fly.
         """
         edb = as_indexed(structure)
-        if method == "auto":
+        if method in ("auto", "kernel"):
             # Fastest applicable strategy first: the linear-time propagation
             # kernel for monadic programs over tree documents, then the
             # Theorem 4.2 grounding, then the general compiled join plans.
             kernel = self._kernel
-            if kernel is not None:
-                out = kernel.try_run_full(edb)
-                if out is not None:
-                    relations, unary_sets = out
-                    return EvaluationResult(
-                        relations,
-                        "kernel",
-                        self.program.query,
-                        unary_sets,
-                        engine=kernel.last_engine,
-                        stats=kernel.last_stats,
-                    )
+            out = kernel.evaluate(edb) if kernel is not None else None
+            if out is not None:
+                return self._kernel_result(out)
+            if method == "kernel":
+                reason = (
+                    "program is outside the monadic tree fragment"
+                    if kernel is None
+                    else "structure is not tree-backed or lacks a relation "
+                    "the program needs"
+                )
+                raise DatalogError(f"kernel strategy does not apply: {reason}")
             method = "ground" if self.grounding_applicable(edb) else "seminaive"
-
-        if method == "kernel":
-            kernel = self._kernel
-            if kernel is None:
-                raise DatalogError(
-                    "kernel strategy does not apply: program is outside the "
-                    "monadic tree fragment"
-                )
-            out = kernel.try_run_full(edb)
-            if out is None:
-                raise DatalogError(
-                    "kernel strategy does not apply: structure is not "
-                    "tree-backed or lacks a relation the program needs"
-                )
-            relations, unary_sets = out
-            return EvaluationResult(
-                relations,
-                "kernel",
-                self.program.query,
-                unary_sets,
-                engine=kernel.last_engine,
-                stats=kernel.last_stats,
-            )
         if method == "ground":
             from repro.datalog.grounding import evaluate_ground
 
@@ -683,34 +660,26 @@ class CompiledProgram:
         1
         """
         kernel = self._kernel
-        if kernel is not None:
-            edb = as_indexed(structure)
-            if previous is not None:
-                out = kernel.run_incremental(edb, previous)
-                if out is not None:
-                    (relations, unary_sets), state, info = out
-                    result = EvaluationResult(
-                        relations,
-                        "kernel",
-                        self.program.query,
-                        unary_sets,
-                        engine=kernel.last_engine,
-                        stats=info,
-                    )
-                    return result, state, info
-            out = kernel.try_run_full(edb)
-            if out is not None:
-                relations, unary_sets = out
-                result = EvaluationResult(
-                    relations,
-                    "kernel",
-                    self.program.query,
-                    unary_sets,
-                    engine=kernel.last_engine,
-                    stats=kernel.last_stats,
-                )
-                return result, kernel.last_state, None
-        return self.run(structure), None, None
+        out = (
+            kernel.evaluate(as_indexed(structure), previous)
+            if kernel is not None
+            else None
+        )
+        if out is None:
+            return self.run(structure), None, None
+        info = out.stats if out.stats["engine"] == "incremental" else None
+        return self._kernel_result(out), out.state, info
+
+    def _kernel_result(self, out) -> EvaluationResult:
+        """The :class:`EvaluationResult` of one kernel run."""
+        return EvaluationResult(
+            out.relations,
+            "kernel",
+            self.program.query,
+            out.unary_sets,
+            engine=out.stats["engine"],
+            stats=out.stats,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

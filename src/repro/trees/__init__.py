@@ -14,9 +14,9 @@ This package implements Section 2 of the paper:
   Figure 1;
 * :mod:`repro.trees.snapshot` -- columnar tree snapshots (flat integer
   columns + interned labels) feeding the linear-time propagation kernel;
-* :mod:`repro.trees.stream` -- the streaming snapshot builder: document
-  events (HTML tokens, s-expressions, tree replays) written straight
-  into snapshot columns, no :class:`Node` allocation;
+* :mod:`repro.trees.stream` -- snapshot sources: HTML tokens written
+  straight into snapshot columns with no :class:`Node` allocation, plus
+  s-expressions and existing trees flattened to the same columns;
 * :mod:`repro.trees.traversal` -- traversals and document order;
 * :mod:`repro.trees.generate` -- deterministic random tree generators for
   tests and benchmarks.
@@ -25,7 +25,6 @@ This package implements Section 2 of the paper:
 from repro.trees.node import Node, parse_sexpr, to_sexpr
 from repro.trees.snapshot import TreeSnapshot
 from repro.trees.stream import (
-    SnapshotBuilder,
     html_snapshot,
     sexpr_snapshot,
     tree_snapshot,
@@ -53,7 +52,6 @@ __all__ = [
     "parse_sexpr",
     "to_sexpr",
     "TreeSnapshot",
-    "SnapshotBuilder",
     "html_snapshot",
     "sexpr_snapshot",
     "tree_snapshot",

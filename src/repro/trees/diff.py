@@ -1,7 +1,7 @@
 """Snapshot diffs: match unchanged subtrees between document versions.
 
 Given the columnar snapshots of two versions of a document, produce the
-ingredients the incremental kernel (:meth:`KernelProgram.run_incremental`)
+ingredients the incremental kernel (a warm :meth:`KernelProgram.evaluate`)
 needs to avoid re-deriving facts over unchanged regions:
 
 * ``new_from_old[v]`` -- the new preorder id of old node ``v``, or -1

@@ -1,41 +1,11 @@
-"""Merkle-style structural hashes over the columnar snapshot.
+"""Subtree signatures over the columnar snapshot.
 
 Incremental re-extraction (see :mod:`repro.trees.diff`) needs to decide,
 for any two document versions, which subtrees are *identical* -- same
-shape, same labels, same text payloads, same attributes.  This module
-computes one 64-bit structural hash per node, bottom-up, in a single
-reverse-preorder pass over the ``parent[]`` column:
-
-* preorder ids put every child after its parent, so iterating ids in
-  reverse visits all children before the node itself;
-* sibling subtrees occupy increasing id ranges, so the reverse pass sees
-  a node's children *last child first* -- folding each finished child
-  hash into a per-parent accumulator therefore reproduces the
-  (order-sensitive) right fold over the child sequence without ever
-  materializing child lists.
-
-Hashes are deterministic across processes and Python versions: strings
-go through ``zlib.crc32`` (never the randomized builtin ``hash``) and
-are combined with a 64-bit FNV-style multiply/xor mix.  Equal subtrees
-always hash equal; unequal subtrees collide with probability ~2^-64 per
-pair, which the diff accepts (a collision would silently reuse stale
-facts -- the same trade every content-addressed system makes).
-
-The result is cached on the snapshot (``snapshot._merkle``) so repeated
-diffs against the same cached version pay the pass once.
-
-Two representations
--------------------
-
-:func:`merkle_table` is the per-node digest form: one 64-bit hash per
-subtree, handy for tests and tools that want to name a subtree by a
-single value.  The bottom-up fold is a per-node Python loop, though,
-which makes it the most expensive pass in a warm re-extraction -- far
-slower than the vectorized kernel it is meant to shortcut.
-
-:func:`signature_table` is the bulk form the snapshot diff actually
-matches on, built entirely by C-speed primitives so the per-document
-cost is a few big-int expressions and joins, not a per-node loop.
+shape, same labels, same text payloads, same attributes.
+:func:`signature_table` builds the columns the snapshot diff matches on,
+entirely by C-speed primitives, so the per-document cost is a few
+big-int expressions and joins, not a per-node loop.
 Because a subtree of ``v`` occupies exactly the contiguous preorder
 range ``[v, v + size(v))``, "are these two subtrees identical?" becomes
 a handful of slice comparisons.  The pieces:
@@ -59,66 +29,26 @@ a handful of slice comparisons.  The pieces:
   at the same first offset, with equal gap lanes and equal value
   slices -- all bisect + slice comparisons, and *exact*: text and
   attribute payloads are compared by value, never by digest.
+
+Label digests are deterministic across processes and Python versions:
+label strings go through ``zlib.crc32``, never the randomized builtin
+``hash``.  Two distinct labels with equal digests would make the diff
+reuse stale facts -- the trade every content-addressed system makes.
+The table is cached on the snapshot (``snapshot._sig``), so repeated
+diffs against the same cached version pay the pass once.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, List, NamedTuple, Sequence
+from typing import NamedTuple
 from zlib import crc32
 
-#: 64-bit FNV prime; the mix is ``h = (h ^ x) * PRIME mod 2^64``.
-_FNV = 0x100000001B3
 _M64 = (1 << 64) - 1
 
-#: Domain tags keep label / text / attribute / child contributions from
-#: colliding across domains (e.g. a label equal to a text payload).
+#: Domain tag of the label lanes.
 _TAG_LABEL = 0x9E3779B97F4A7C15
-_TAG_TEXT = 0xC2B2AE3D27D4EB4F
-_TAG_ATTRS = 0x165667B19E3779F9
-_SEED = 0x84222325CBF29CE4
-
-
-class MerkleTable(NamedTuple):
-    """Per-node structural hashes and subtree sizes (preorder-indexed)."""
-
-    hashes: List[int]
-    sizes: List[int]
-
-
-def _string_hash(s: str) -> int:
-    """Deterministic 64-bit hash of a string (crc32 + length)."""
-    data = s.encode("utf-8", "surrogatepass")
-    return (crc32(data) << 32) ^ (len(data) & 0xFFFFFFFF) ^ (crc32(data[::-1]) << 13)
-
-
-def merkle_table(snapshot) -> MerkleTable:
-    """Subtree hashes and sizes for every node of ``snapshot`` (cached).
-
-    ``hashes[v]`` covers the whole subtree rooted at ``v``: its shape,
-    every label, every text payload, and every attribute dictionary
-    (order-insensitively for attrs, order-sensitively for children).
-    ``sizes[v]`` is the number of nodes in that subtree, so the subtree
-    of ``v`` is exactly the contiguous preorder range
-    ``[v, v + sizes[v])``.
-
-    >>> from repro.trees import parse_sexpr
-    >>> from repro.trees.unranked import UnrankedStructure
-    >>> a = UnrankedStructure(parse_sexpr("a(b, c(d), b)")).snapshot()
-    >>> b = UnrankedStructure(parse_sexpr("x(b, c(d))")).snapshot()
-    >>> t, u = merkle_table(a), merkle_table(b)
-    >>> t.hashes[2] == u.hashes[2]  # the two c(d) subtrees agree
-    True
-    >>> t.hashes[1] == u.hashes[1] and t.hashes[0] != u.hashes[0]
-    True
-    >>> t.sizes
-    [5, 1, 2, 1, 1]
-    """
-    cached = snapshot._merkle
-    if cached is None:
-        cached = snapshot._merkle = _compute(snapshot)
-    return cached
 
 
 class SignatureTable(NamedTuple):
@@ -162,8 +92,7 @@ def _fast_string_hash(s: str) -> int:
     """Cheap deterministic 64-bit string digest for label lanes.
 
     Two independent-ish crc32s (whole string, odd-byte subsequence) plus
-    the length; one pass cheaper than :func:`_string_hash`'s reversed
-    second crc.  Only label strings go through this (a handful per
+    the length.  Only label strings go through this (a handful per
     document); payloads are compared by value, not digest.
     """
     data = s.encode("utf-8", "surrogatepass")
@@ -223,39 +152,3 @@ def _compute_signature(snapshot) -> SignatureTable:
         pay_delta = b""
         pay_texts = pay_attrs = ()
     return SignatureTable(labels, shape, pay_keys, pay_delta, pay_texts, pay_attrs)
-
-
-def _compute(snapshot) -> MerkleTable:
-    n = snapshot.size
-    parent: Sequence[int] = snapshot.parent
-    label_ids: Sequence[int] = snapshot.label_ids
-    texts = snapshot.texts or {}
-    attrs = snapshot.attrs or {}
-    text_get = texts.get
-    attrs_get = attrs.get
-    # One string hash per interned label, not per node.
-    label_hash = [
-        (_string_hash(label) ^ _TAG_LABEL) & _M64 for label in snapshot.labels
-    ]
-    hashes = [_SEED] * n  # doubles as the child-fold accumulator
-    sizes = [1] * n
-    for v in range(n - 1, -1, -1):
-        # hashes[v] currently holds the right fold over v's children
-        # (each child finalized and folded in by the time we get here).
-        h = hashes[v]
-        h = ((h ^ label_hash[label_ids[v]]) * _FNV) & _M64
-        t = text_get(v)
-        if t is not None:
-            h = ((h ^ _TAG_TEXT ^ _string_hash(t)) * _FNV) & _M64
-        a = attrs_get(v)
-        if a:
-            ah = _TAG_ATTRS
-            for key in sorted(a):
-                ah ^= ((_string_hash(key) * _FNV) ^ _string_hash(a[key])) & _M64
-            h = ((h ^ ah) * _FNV) & _M64
-        hashes[v] = h
-        p = parent[v]
-        if p >= 0:
-            hashes[p] = ((hashes[p] ^ h) * _FNV) & _M64
-            sizes[p] += sizes[v]
-    return MerkleTable(hashes, sizes)

@@ -189,8 +189,7 @@ class TreeSnapshot:
     and on :class:`repro.structures.IndexedStructure`) via
     :meth:`from_tree`, or column-by-column -- without any
     :class:`~repro.trees.node.Node` allocation -- by
-    :func:`repro.trees.stream.html_snapshot` and the streaming
-    :class:`repro.trees.stream.SnapshotBuilder`; not usually constructed
+    :func:`repro.trees.stream.html_snapshot`; not usually constructed
     by hand.
 
     The optional ``texts`` / ``attrs`` side columns carry the text payload
@@ -244,7 +243,6 @@ class TreeSnapshot:
         "_label_nodes",
         "_vector_moves",
         "_vector_plans",
-        "_merkle",
         "_sig",
         "_diff",
     )
@@ -268,8 +266,8 @@ class TreeSnapshot:
         self.schema = schema
         self.max_rank = max_rank
         # One `array('i')` per column (`bytes` label ids under 256 labels):
-        # unboxed storage, built once here so every producer (streaming
-        # builder, tree flattener) can keep assembling plain lists.
+        # unboxed storage, built once here so every producer (HTML
+        # scanner, tree flattener) can keep assembling plain lists.
         self.parent = _column(parent)
         self.firstchild = _column(firstchild)
         self.nextsibling = _column(nextsibling)
@@ -292,12 +290,9 @@ class TreeSnapshot:
         #: kernel lowering object (identity); owned here so the plan dies
         #: with the document instead of accumulating on the program.
         self._vector_plans: Dict = {}
-        #: Cached :func:`repro.trees.merkle.merkle_table` result (subtree
-        #: hashes + sizes); computed on first use, shared by every diff
-        #: against this snapshot.
-        self._merkle = None
         #: Cached :func:`repro.trees.merkle.signature_table` lanes (the
-        #: bulk-comparison form the snapshot diff actually matches on).
+        #: bulk-comparison form the snapshot diff matches on); computed on
+        #: first use, shared by every diff against this snapshot.
         self._sig = None
         #: One-entry diff memo ``(new_snapshot, SnapshotDiff)`` held by the
         #: *old* version, so wrappers diffing the same pair once per

@@ -24,9 +24,9 @@ Sources:
   ingestion is linear on any tag soup), with identical synthetic-root
   unwrapping;
 * :func:`sexpr_snapshot` -- the s-expression reader, and
-  :func:`tree_snapshot` -- a replay of an existing :class:`Node` tree
-  (parity harness, and snapshots for generated trees), both through the
-  event-driven :class:`SnapshotBuilder`.
+  :func:`tree_snapshot` -- an existing :class:`Node` tree (parity
+  harness, and snapshots for generated trees), both flattened by
+  :meth:`TreeSnapshot.from_tree` over the tree's document order.
 
 Parity invariant (enforced by ``tests/test_stream.py``): for every
 document, ``html_snapshot(doc)`` is column-identical to
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.errors import TreeError
 from repro.html.entities import decode_entities
 from repro.html.policy import (
     IMPLICIT_CLOSERS,
@@ -48,153 +47,10 @@ from repro.html.policy import (
 from repro.html.tokenizer import UNSEEN, parse_tag, resync, scan_step
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
+from repro.trees.traversal import document_order
 
 #: Implicit closer -> the labels it closes, as tuples for the fused loop.
 _CLOSES = {name: tuple(closed) for name, closed in IMPLICIT_CLOSERS.items()}
-
-
-class SnapshotBuilder:
-    """Build a :class:`TreeSnapshot` from document events, Node-free.
-
-    One pass, one :class:`~repro.html.policy.OpenElements` stack of
-    integer ids; every event appends to the flat columns.  Identifiers
-    are assigned in document order (preorder), exactly as
-    :class:`~repro.trees.unranked.UnrankedStructure` numbers an
-    equivalent tree.
-
-    Examples
-    --------
-    >>> b = SnapshotBuilder()
-    >>> _ = b.open("a"); _ = b.open("b"); b.close()
-    >>> _ = b.leaf("c"); _ = b.open("b"); b.close()
-    >>> snap = b.finish()
-    >>> snap.parent
-    array('i', [-1, 0, 0, 0])
-    >>> snap.labels
-    ['a', 'b', 'c']
-    """
-
-    __slots__ = (
-        "_parent",
-        "_firstchild",
-        "_nextsibling",
-        "_prevsibling",
-        "_lastchild",
-        "_label_ids",
-        "_labels",
-        "_label_index",
-        "_texts",
-        "_attrs",
-        "_open",
-    )
-
-    def __init__(self):
-        self._parent: List[int] = []
-        self._firstchild: List[int] = []
-        self._nextsibling: List[int] = []
-        self._prevsibling: List[int] = []
-        self._lastchild: List[int] = []
-        self._label_ids: List[int] = []
-        self._labels: List[str] = []
-        self._label_index: Dict[str, int] = {}
-        self._texts: Dict[int, str] = {}
-        self._attrs: Dict[int, Dict[str, str]] = {}
-        self._open = OpenElements()
-
-    @property
-    def size(self) -> int:
-        """Number of nodes emitted so far."""
-        return len(self._parent)
-
-    @property
-    def depth(self) -> int:
-        """Number of currently open elements."""
-        return len(self._open)
-
-    def _append(
-        self,
-        label: str,
-        text: Optional[str],
-        attrs: Optional[Dict[str, str]],
-    ) -> int:
-        nid = len(self._parent)
-        stack = self._open.items
-        if stack:
-            parent = stack[-1]
-            previous = self._lastchild[parent]
-            if previous < 0:
-                self._firstchild[parent] = nid
-            else:
-                self._nextsibling[previous] = nid
-            self._lastchild[parent] = nid
-        else:
-            if nid:
-                raise TreeError("snapshot already has a root")
-            parent = -1
-            previous = -1
-        self._parent.append(parent)
-        self._firstchild.append(-1)
-        self._nextsibling.append(-1)
-        self._prevsibling.append(previous)
-        self._lastchild.append(-1)
-        lid = self._label_index.get(label)
-        if lid is None:
-            lid = self._label_index[label] = len(self._labels)
-            self._labels.append(label)
-        self._label_ids.append(lid)
-        if text:
-            self._texts[nid] = text
-        if attrs:
-            self._attrs[nid] = attrs
-        return nid
-
-    def open(
-        self,
-        label: str,
-        attrs: Optional[Dict[str, str]] = None,
-        text: Optional[str] = None,
-    ) -> int:
-        """Open an element; returns its document-order id."""
-        nid = self._append(label, text, attrs)
-        self._open.push(label, nid)
-        return nid
-
-    def leaf(
-        self,
-        label: str,
-        text: Optional[str] = None,
-        attrs: Optional[Dict[str, str]] = None,
-    ) -> int:
-        """Emit a childless node (open + immediate close)."""
-        return self._append(label, text, attrs)
-
-    def text(self, data: str) -> int:
-        """Emit an HTML text node (label ``#text`` with payload)."""
-        return self._append("#text", data, None)
-
-    def close(self) -> None:
-        """Close the innermost open element."""
-        if not self._open:
-            raise TreeError("no open element to close")
-        self._open.pop()
-
-    def finish(self, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:
-        """Close any open elements and return the finished snapshot."""
-        self._open.truncate(0)
-        return TreeSnapshot(
-            schema,
-            self._parent,
-            self._firstchild,
-            self._nextsibling,
-            self._prevsibling,
-            self._lastchild,
-            self._label_ids,
-            self._labels,
-            self._label_index,
-            max_rank=max_rank,
-            texts=self._texts,
-            attrs=self._attrs,
-        )
 
 
 def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
@@ -387,35 +243,14 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:
-    """Replay an existing tree through the builder (document order).
+    """Flatten an existing tree into snapshot columns (document order).
 
-    Equivalent to ``UnrankedStructure(root).snapshot()`` plus the text and
-    attribute side columns, without materializing the id dictionary.
+    Column-identical to ``UnrankedStructure(root).snapshot()`` (attribute
+    dicts shared with the nodes), without building the structure.
     """
-    builder = SnapshotBuilder()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            builder.close()
-            continue
-        children = node.children
-        if children:
-            builder.open(
-                node.label,
-                dict(node.attrs) if node.attrs else None,
-                node.text,
-            )
-            stack.append((node, True))
-            for child in reversed(children):
-                stack.append((child, False))
-        else:
-            builder.leaf(
-                node.label,
-                node.text,
-                dict(node.attrs) if node.attrs else None,
-            )
-    return builder.finish(schema=schema, max_rank=max_rank)
+    nodes = document_order(root)
+    ids = {id(node): i for i, node in enumerate(nodes)}
+    return TreeSnapshot.from_tree(nodes, ids, schema, max_rank)
 
 
 def sexpr_snapshot(text: str) -> TreeSnapshot:

@@ -1,11 +1,12 @@
-"""Incremental re-extraction: Merkle snapshots, diffs, warm fixpoints.
+"""Incremental re-extraction: subtree signatures, diffs, warm fixpoints.
 
 Covers the whole warm path bottom up:
 
-* Merkle/signature stability -- the streaming :class:`SnapshotBuilder`
-  and the Node-tree path must hash identical documents identically
+* signature stability -- the streaming snapshot sources
+  (:func:`tree_snapshot`, :func:`html_snapshot`) and the Node-tree path
+  must build identical signature tables for identical documents
   (including randomized tag-soup HTML, where implied closes reshape the
-  tree the same way on both paths);
+  tree the same way on both paths), and an edit must change the table;
 * snapshot diffing -- the structural invariants every diff must satisfy,
   on targeted fast-path shapes (payload-only edits, deep unary spines)
   and randomized edit scripts;
@@ -28,7 +29,7 @@ from repro.serve import ExtractionServer, ServerThread, WrapperRegistry
 from repro.structures import as_indexed
 from repro.trees.diff import diff_snapshots
 from repro.trees.generate import random_tree, thread_tree
-from repro.trees.merkle import merkle_table, signature_table
+from repro.trees.merkle import signature_table
 from repro.trees.stream import html_snapshot, tree_snapshot
 from repro.trees.unranked import UnrankedStructure
 from repro.html import parse_html
@@ -99,7 +100,6 @@ class TestMerkleStability:
                 node.attrs = {"k": str(rng.randrange(10))}
             streamed = tree_snapshot(tree)
             reference = UnrankedStructure(tree).snapshot()
-            assert merkle_table(streamed).hashes == merkle_table(reference).hashes
             assert signature_table(streamed) == signature_table(reference)
 
     def test_tag_soup_html_paths_hash_identically(self):
@@ -108,20 +108,18 @@ class TestMerkleStability:
             page = soup_page(rng)
             streamed = html_snapshot(page)
             reference = UnrankedStructure(parse_html(page)).snapshot()
-            assert merkle_table(streamed).hashes == merkle_table(reference).hashes
+            assert signature_table(streamed) == signature_table(reference)
 
     def test_hash_is_sensitive_to_payload_and_shape(self):
         base = UnrankedStructure(thread_tree(2, 3)).snapshot()
         edited = thread_tree(2, 3)
         edited.children[0].text = "different"
         reshaped = thread_tree(3, 3)
-        assert (
-            merkle_table(base).hashes[0]
-            != merkle_table(UnrankedStructure(edited).snapshot()).hashes[0]
+        assert signature_table(base) != signature_table(
+            UnrankedStructure(edited).snapshot()
         )
-        assert (
-            merkle_table(base).hashes[0]
-            != merkle_table(UnrankedStructure(reshaped).snapshot()).hashes[0]
+        assert signature_table(base) != signature_table(
+            UnrankedStructure(reshaped).snapshot()
         )
 
 

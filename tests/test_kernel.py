@@ -411,10 +411,10 @@ class TestKernelRoutingAndFallback:
             reference = evaluate_seminaive(program, structure)
             kernel = compile_kernel(program)
             assert kernel is not None, program
-            result = kernel.try_run(structure)
+            result = kernel.evaluate(structure)
             assert result is not None
             hits += 1
-            assert result == reference, f"{program}\non {tree}"
+            assert result.relations == reference, f"{program}\non {tree}"
         assert hits == 60
 
     def test_constant_gated_trigger_blocks(self):
@@ -609,12 +609,11 @@ class TestFrontierParity:
         import repro.datalog.kernel as kernel_mod
 
         monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
-        vectorized = kernel.run(structure)
-        engine = kernel.last_engine
+        vectorized = kernel.evaluate(structure)
         monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
-        scalar = kernel.run(structure)
-        assert kernel.last_engine == "worklist"
-        return vectorized, scalar, engine
+        scalar = kernel.evaluate(structure)
+        assert scalar.stats["engine"] == "worklist"
+        return vectorized.relations, scalar.relations, vectorized.stats["engine"]
 
     def test_random_programs_random_trees_all_engines_agree(self, monkeypatch):
         rng = random.Random(20260807)
@@ -732,8 +731,9 @@ class TestFrontierParity:
         program = parse_program("p(x) :- firstchild(0, x).", query="p")
         kernel = compile_kernel(program)
         structure = UnrankedStructure(parse_sexpr("a(b, c)"))
-        assert kernel.run(structure)["p"] == {(1,)}
-        assert kernel.last_engine == "worklist"
+        out = kernel.evaluate(structure)
+        assert out.relations["p"] == {(1,)}
+        assert out.stats["engine"] == "worklist"
 
     def test_engine_is_reported_through_the_plan_layer(self, monkeypatch):
         import repro.datalog.kernel as kernel_mod
@@ -884,9 +884,10 @@ class TestGeneratedWorklist:
         monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
         facts = []
         for kernel, _, program, structure in self._bound_variants():
-            assert kernel.run(structure) == evaluate_seminaive(program, structure)
-            assert kernel.last_engine == "worklist"
-            facts.append(kernel.last_stats["facts"])
+            out = kernel.evaluate(structure)
+            assert out.relations == evaluate_seminaive(program, structure)
+            assert out.stats["engine"] == "worklist"
+            facts.append(out.stats["facts"])
         assert facts == _INTERPRETER_FACTS
 
     def test_wrapper_pickles_after_a_worklist_run(self):
@@ -901,9 +902,13 @@ class TestGeneratedWorklist:
         for pattern in ("thread", "comment", "body"):
             wrapper.add_elog(pattern, elog, pattern=pattern)
         pages = [forum_page(seed=s, threads=2, depth=30) for s in (1, 2, 3)]
+        wrapper.compile()
+        size = len(pickle.dumps(wrapper))
         _, _, stats = wrapper.wrap_html_stateful(pages[0])
         assert stats["runs"][0]["engine"].endswith("worklist")
         expected = [out.to_dict() for out in wrapper.wrap_html_many(pages)]
+        # A run leaves nothing on the compiled program to pickle.
+        assert len(pickle.dumps(wrapper)) == size
         restored = pickle.loads(pickle.dumps(wrapper))
         for plan in restored._compiled.values():
             for variant in plan._kernel._variants:
@@ -912,3 +917,34 @@ class TestGeneratedWorklist:
         again = pickle.loads(pickle.dumps(wrapper))
         parallel = again.wrap_html_many(pages, workers=2)
         assert [out.to_dict() for out in parallel] == expected
+
+    def test_wrapper_keeps_no_snapshot_after_a_batch(self):
+        import gc
+        import types
+
+        from repro.elog import parse_elog
+        from repro.trees.snapshot import TreeSnapshot
+        from repro.workloads import FORUM_WRAPPER, forum_page
+        from repro.wrap import Wrapper
+
+        elog = parse_elog(FORUM_WRAPPER)
+        wrapper = Wrapper()
+        for pattern in ("thread", "comment", "body"):
+            wrapper.add_elog(pattern, elog, pattern=pattern)
+        wrapper.wrap_html_many(
+            [forum_page(seed=s, threads=4, depth=20) for s in (1, 2, 3)]
+        )
+        # Everything the wrapper reaches, short of classes, modules and
+        # functions (whose globals reach the whole process).
+        reached, seen, stack = [], set(), [wrapper]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)
+            ):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, TreeSnapshot):
+                reached.append(obj)
+            stack.extend(gc.get_referents(obj))
+        assert reached == []

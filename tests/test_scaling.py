@@ -109,11 +109,11 @@ def snapshot_pair(page):
 
 def diff_from_scratch(page):
     """Diff the page's snapshot against its one-character edit, with the
-    Merkle and diff memos cleared first so that every call computes both
+    signature and diff memos cleared first so that every call computes both
     signature tables (inside :func:`diff_snapshots`) and the match."""
     old, new = snapshot_pair(page)
     for snapshot in (old, new):
-        snapshot._merkle = snapshot._sig = snapshot._diff = None
+        snapshot._sig = snapshot._diff = None
     return diff_snapshots(old, new)
 
 

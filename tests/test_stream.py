@@ -1,14 +1,14 @@
 """The streaming ingestion pipeline: HTML bytes -> columns, no Nodes.
 
-Covers :mod:`repro.trees.stream` (the :class:`SnapshotBuilder` and its
-HTML/s-expression/tree drivers), :mod:`repro.html.policy` (shared
+Covers :mod:`repro.trees.stream` (its HTML, s-expression and tree
+snapshot sources), :mod:`repro.html.policy` (shared
 tag-soup rules), :class:`repro.wrap.document.Document`,
 :func:`repro.wrap.output.build_output_from_snapshot`, and the batch /
 process-pool entry points of :class:`repro.wrap.extraction.Wrapper`.
 
 The core guarantee is *column parity*: for any document -- including
 randomized tag soup with implicit closers, void elements, rawtext and
-stray end tags -- the streaming builder produces a snapshot identical,
+stray end tags -- the streaming scanner produces a snapshot identical,
 column by column, to flattening the Node tree built by ``parse_html``,
 and wrapped outputs agree across every path (Node, Document, workers).
 """
@@ -21,7 +21,7 @@ from array import array
 import pytest
 
 from repro.datalog.parser import parse_program
-from repro.errors import DatalogError, TreeError, WrapError
+from repro.errors import DatalogError, WrapError
 from repro.html import parse_html
 from repro.html.entities import decode_entities
 from repro.html.policy import (
@@ -35,12 +35,7 @@ from repro.structures import as_indexed
 from repro.trees import parse_sexpr
 from repro.trees.generate import random_tree
 from repro.trees.snapshot import TreeSnapshot
-from repro.trees.stream import (
-    SnapshotBuilder,
-    html_snapshot,
-    sexpr_snapshot,
-    tree_snapshot,
-)
+from repro.trees.stream import html_snapshot, sexpr_snapshot, tree_snapshot
 from repro.trees.unranked import UnrankedStructure
 from repro.workloads import (
     CATALOG_WRAPPER,
@@ -355,25 +350,6 @@ class TestSnapshotParity:
         assert snapshot.texts == reference.texts == {0: "interior", 1: "child"}
         assert snapshot.attrs == reference.attrs
         assert snapshot.node_text(0) == "interior child"
-
-    def test_builder_primitives_and_errors(self):
-        builder = SnapshotBuilder()
-        root = builder.open("a")
-        builder.leaf("b", text="t")
-        child = builder.open("c", attrs={"k": "v"})
-        builder.close()
-        snapshot = builder.finish()
-        assert (root, child) == (0, 2)
-        assert list(snapshot.parent) == [-1, 0, 0]
-        assert snapshot.texts[1] == "t"
-        assert snapshot.attrs[2] == {"k": "v"}
-        with pytest.raises(TreeError):
-            SnapshotBuilder().close()
-        second_root = SnapshotBuilder()
-        second_root.open("a")
-        second_root.close()
-        with pytest.raises(TreeError):
-            second_root.open("b")
 
 
 class TestOpenElements:

@@ -43,10 +43,11 @@ crash-looping shard cannot leak the server into permanent 503s.
 
 Fault tolerance (see also :mod:`repro.serve.supervisor`):
 
-* every shard call is bounded by the request's ``timeout`` -- a call
-  that exceeds it gets its worker **killed and respawned** and fails
-  with the retryable :class:`~repro.errors.RequestTimeout`, so one hung
-  evaluation can never wedge a coalesced batch;
+* every shard call (wrapper install included) is bounded by one
+  deadline, the request's ``timeout`` -- a call that exceeds it gets its
+  worker **killed and respawned** and fails with the retryable
+  :class:`~repro.errors.RequestTimeout`, so one hung evaluation can
+  never wedge a coalesced batch;
 * shard replies are validated (one output dict and one stats dict per
   page); corruption is treated as a crash;
 * when a *multi-document* shard call crashes, the batch is **bisected**
@@ -535,9 +536,10 @@ class MicroBatcher:
     ) -> List[dict]:
         """One bounded shard call: install if needed, submit, validate.
 
-        Maps worker death to :class:`~repro.errors.ShardCrashed` and a
-        deadline overrun to a worker kill + respawn +
-        :class:`~repro.errors.RequestTimeout`.  Failures in the install
+        One deadline, ``timeout``, covers the install, the submission
+        and the reply.  Maps worker death to
+        :class:`~repro.errors.ShardCrashed` and a deadline overrun to a
+        worker kill + respawn + :class:`~repro.errors.RequestTimeout`.  Failures in the install
         phase -- before the pages ever reach a worker -- are marked
         ``blameless`` so an innocent document retrying into a shard that
         an *earlier* crash took down does not accumulate quarantine
@@ -553,31 +555,11 @@ class MicroBatcher:
             if span is not None
             else None
         )
+        trace = None if span is None else {"trace_id": span.tags.get("trace_id")}
         try:
             try:
-                try:
-                    installs = self._executor.ensure_installed(
-                        entry.cache_key, entry.wrapper, shard=shard
-                    )
-                    for install in installs:
-                        await asyncio.wait_for(
-                            asyncio.wrap_future(install), timeout
-                        )
-                    submission = self._executor.submit(
-                        shard,
-                        entry.cache_key,
-                        items,
-                        trace=(
-                            None
-                            if span is None
-                            else {"trace_id": span.tags.get("trace_id")}
-                        ),
-                    )
-                except ShardCrashed as exc:
-                    exc.blameless = True
-                    raise
                 result = await asyncio.wait_for(
-                    asyncio.wrap_future(submission), timeout
+                    self._install_and_wrap(entry, shard, items, trace), timeout
                 )
             except asyncio.TimeoutError:
                 self._metrics.incr("timeouts")
@@ -612,3 +594,27 @@ class MicroBatcher:
                 call_span.tag(warm=any(s.get("warm") for s in stats))
             call_span.finish()
         return payloads
+
+    async def _install_and_wrap(
+        self,
+        entry: RegisteredWrapper,
+        shard: int,
+        items: List[Tuple[str, Optional[str]]],
+        trace: Optional[dict],
+    ):
+        """Install the wrapper on ``shard`` if needed, then wrap ``items``.
+
+        Runs under the caller's one deadline.  A crash before the pages
+        reach the worker is marked ``blameless``."""
+        try:
+            for install in self._executor.ensure_installed(
+                entry.cache_key, entry.wrapper, shard=shard
+            ):
+                await asyncio.wrap_future(install)
+            submission = self._executor.submit(
+                shard, entry.cache_key, items, trace=trace
+            )
+        except ShardCrashed as exc:
+            exc.blameless = True
+            raise
+        return await asyncio.wrap_future(submission)

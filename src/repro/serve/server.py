@@ -30,7 +30,8 @@ Observability: every ``/extract`` and ``/batch`` request gets a trace id
 server's :class:`~repro.serve.tracing.Tracer` -- ``http.request`` down
 through batcher queueing, ring routing, shard RPC, and the kernel run
 itself (engine, rounds, fallback), including kernel spans grafted back
-from remote shard daemons over the framed RPC protocol.  Stage timings
+from remote shard daemons over the framed RPC protocol, and the
+response's JSON encoding (``http.encode``).  Stage timings
 feed the per-stage histograms in ``/metrics``; an ``access_log`` sink
 emits one structured JSON line per request (trace id, status, stage
 timings, retries, reroutes, quarantine strikes).  ``tracing=False``
@@ -48,9 +49,12 @@ shards shut down.
 
 Fault tolerance (the paper's linear-time bound, made operational):
 
+* reading a request -- line, headers and body -- runs under one
+  ``idle_timeout`` deadline; a client that has not sent a whole request
+  by then is disconnected, however steadily it drips bytes;
 * every extraction carries a **deadline derived from document size** --
   ``deadline_base + deadline_per_mb * megabytes`` seconds per shard
-  call.  Monadic-datalog wrappers evaluate in time linear in the
+  call, wrapper install included.  Monadic-datalog wrappers evaluate in time linear in the
   document (Gottlob & Koch 2002), so a call that blows this budget is
   *wedged, not slow*: the worker is killed and respawned and the call
   fails retryable;
@@ -118,6 +122,35 @@ _REASONS = {
 
 #: Routes whose duration feeds the latency percentiles.
 _TIMED_ROUTES = ("/extract/", "/batch")
+
+#: Header lines accepted per request.
+_MAX_HEADERS = 100
+
+
+class _Rejected(Exception):
+    """A request the server answers with ``status`` and then closes."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
+async def _readline(reader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's line-length limit
+        raise _Rejected(400, f"{what} line too long") from None
+
+
+def _encode(payload) -> Tuple[bytes, str]:
+    """A response body and its content type."""
+    if isinstance(payload, str):
+        # Text exposition (``/metrics?format=prometheus``).
+        return (
+            payload.encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+    return json.dumps(payload).encode("utf-8"), "application/json"
 
 
 class ExtractionServer:
@@ -313,74 +346,23 @@ class ExtractionServer:
 
     async def _serve_connection(self, reader, writer) -> None:
         while True:
+            # One idle deadline covers the whole request -- line, headers
+            # and body -- so a client dripping bytes cannot hold a
+            # connection task past ``idle_timeout``.
             try:
-                request_line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.idle_timeout
+                request = await asyncio.wait_for(
+                    self._read_request(reader, writer), self.idle_timeout
                 )
-            except asyncio.TimeoutError:
-                return
-            except ValueError:
-                # Request line exceeds the stream's line-length limit.
-                await self._respond(writer, 400, {"error": "request line too long"})
-                return
-            except (ConnectionError, OSError):
-                return
-            if not request_line:
-                return
-            parts = request_line.decode("latin-1").strip().split()
-            if len(parts) < 2:
-                await self._respond(writer, 400, {"error": "malformed request line"})
-                return
-            method = parts[0].upper()
-            target = parts[1]
-            version = parts[2] if len(parts) > 2 else "HTTP/1.0"
-            headers: Dict[str, str] = {}
-            try:
-                # The idle timeout also bounds header/body reads, so a
-                # stalled client cannot hold a connection task forever.
-                while True:
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.idle_timeout
-                    )
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    if len(headers) >= 100:
-                        await self._respond(
-                            writer, 400, {"error": "too many headers"}
-                        )
-                        return
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    await self._respond(writer, 400, {"error": "bad content-length"})
-                    return
-                if length < 0:
-                    await self._respond(writer, 400, {"error": "bad content-length"})
-                    return
-                if length > self.max_body:
-                    await self._respond(writer, 413, {"error": "body too large"})
-                    return
-                if "100-continue" in headers.get("expect", "").lower():
-                    # curl sends this for large bodies and waits ~1s for
-                    # the interim response before posting anyway.
-                    writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-                    await writer.drain()
-                body = (
-                    await asyncio.wait_for(
-                        reader.readexactly(length), timeout=self.idle_timeout
-                    )
-                    if length
-                    else b""
+            except _Rejected as exc:
+                await self._respond(
+                    writer, exc.status, _encode({"error": str(exc)})
                 )
-            except asyncio.TimeoutError:
                 return
-            except ValueError:
-                await self._respond(writer, 400, {"error": "header line too long"})
+            except (asyncio.TimeoutError, asyncio.IncompleteReadError, OSError):
                 return
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            if request is None:
                 return
+            method, target, version, headers, body = request
             keep_alive = (
                 version == "HTTP/1.1"
                 and headers.get("connection", "").lower() != "close"
@@ -401,20 +383,67 @@ class ExtractionServer:
             status, payload = await self._dispatch(method, target, body, span=span)
             if self._stopping:
                 keep_alive = False
-            elapsed = time.perf_counter() - started
+            encode_span: Optional[Span] = None
             if span is not None:
                 if status >= 400 and isinstance(payload, dict):
                     span.fail(str(payload.get("error", status)))
                 span.tag(status=status)
+                if isinstance(payload, dict):
+                    payload.setdefault("trace_id", span.tags["trace_id"])
+                encode_span = span.child("http.encode")
+            encoded = _encode(payload)
+            elapsed = time.perf_counter() - started
+            if span is not None:
+                # The trace is stored before the response leaves, so a
+                # client can fetch it as soon as it has the reply.
+                encode_span.finish()
                 trace_id = tracer.finish_trace(span)
-                if isinstance(payload, dict) and "trace_id" not in payload:
-                    payload["trace_id"] = trace_id
                 self._record_request(span, trace_id, status, elapsed)
             elif timed:
                 self.metrics.observe_latency(elapsed)
-            ok = await self._respond(writer, status, payload, keep_alive)
+            ok = await self._respond(writer, status, encoded, keep_alive)
             if not ok or not keep_alive:
                 return
+
+    async def _read_request(self, reader, writer):
+        """Read one request: ``(method, target, version, headers, body)``.
+
+        ``None`` at a clean EOF before the request line.  A request the
+        server must refuse raises :class:`_Rejected`; the caller bounds
+        the whole read with one deadline."""
+        request_line = await _readline(reader, "request")
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) < 2:
+            raise _Rejected(400, "malformed request line")
+        headers: Dict[str, str] = {}
+        # Lines, not distinct names, count against the cap: repeating one
+        # header must not get round it.
+        for _ in range(_MAX_HEADERS + 1):
+            line = await _readline(reader, "header")
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Rejected(400, "too many headers")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _Rejected(400, "bad content-length")
+        if length > self.max_body:
+            raise _Rejected(413, "body too large")
+        if "100-continue" in headers.get("expect", "").lower():
+            # curl sends this for large bodies and waits ~1s for the
+            # interim response before posting anyway.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
+        body = await reader.readexactly(length) if length else b""
+        version = parts[2] if len(parts) > 2 else "HTTP/1.0"
+        return parts[0].upper(), parts[1], version, headers, body
 
     def _record_request(
         self, span: Span, trace_id: str, status: int, elapsed: float
@@ -451,14 +480,8 @@ class ExtractionServer:
             error=root.get("error"),
         )
 
-    async def _respond(self, writer, status, payload, keep_alive=False) -> bool:
-        if isinstance(payload, str):
-            # Text exposition (``/metrics?format=prometheus``).
-            data = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            data = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
+    async def _respond(self, writer, status, encoded, keep_alive=False) -> bool:
+        data, content_type = encoded
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -727,18 +750,23 @@ class ExtractionServer:
             # Pre-install the fresh wrapper and report which shards
             # acked: operators learn immediately whether the cluster can
             # serve it (a dead daemon simply does not appear here -- its
-            # install self-heals when it comes back).
+            # install self-heals when it comes back).  One deadline covers
+            # the whole install set; an install it cuts off is cancelled
+            # and not reported.
             shards_acked: List[int] = []
             if self.executor is not None:
                 with contextlib.suppress(Exception):
                     installs = self.executor.ensure_installed(
                         entry.cache_key, entry.wrapper
                     )
-                    for install in installs:
-                        with contextlib.suppress(Exception):
-                            await asyncio.wait_for(
-                                asyncio.wrap_future(install), self.deadline_base
-                            )
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(
+                            asyncio.gather(
+                                *map(asyncio.wrap_future, installs),
+                                return_exceptions=True,
+                            ),
+                            self.deadline_base,
+                        )
                     shards_acked = self.executor.installed_on(entry.cache_key)
             return 201, dict(entry.describe(), shards_acked=shards_acked)
         if path == "/quarantine/release":
@@ -767,15 +795,18 @@ class ExtractionServer:
 
 
 class ServerThread:
-    """Run an :class:`ExtractionServer` on a dedicated event-loop thread.
+    """Run a service on a dedicated event-loop thread.
 
     The embedding harness used by the test suite, the benchmark driver and
-    any synchronous caller: ``start()`` blocks until the port is bound
-    (propagating startup errors), ``stop()`` performs the server's
-    graceful shutdown and joins the thread.
+    any synchronous caller, for an :class:`ExtractionServer` here and a
+    shard daemon as :class:`~repro.serve.shard.DaemonThread`.  The
+    service has ``host``/``port`` and async ``start()``/``stop()``:
+    ``start()`` blocks until the port is bound (propagating startup
+    errors), ``stop()`` performs the service's graceful shutdown and
+    joins the thread.
     """
 
-    def __init__(self, server: ExtractionServer):
+    def __init__(self, server):
         self.server = server
         self._thread: Optional[threading.Thread] = None
         self._started = threading.Event()
@@ -784,29 +815,25 @@ class ServerThread:
         self._stop_event: Optional[asyncio.Event] = None
 
     def start(self) -> Tuple[str, int]:
+        name = type(self.server).__name__
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve", daemon=True
+            target=lambda: asyncio.run(self._main()), name=name, daemon=True
         )
         self._thread.start()
         if not self._started.wait(timeout=30):
-            raise ServeError("server thread failed to start within 30s")
+            raise ServeError(f"{name} thread failed to start within 30s")
         if self._error is not None:
-            raise ServeError(f"server failed to start: {self._error}")
+            raise ServeError(f"{name} failed to start: {self._error}")
         return self.server.host, self.server.port
 
     def stop(self) -> None:
         if self._thread is None:
             return
         if self._loop is not None and self._stop_event is not None:
-            try:
+            with contextlib.suppress(RuntimeError):  # loop already closed
                 self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:  # loop already closed
-                pass
         self._thread.join(timeout=30)
         self._thread = None
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()

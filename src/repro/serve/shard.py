@@ -53,13 +53,13 @@ import asyncio
 import contextlib
 import signal
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.errors import ServeError
 from repro.serve.executor import ShardStore
 from repro.serve.faults import FaultInjector, FaultPlan, log_fault_event
+from repro.serve.server import ServerThread
 from repro.serve.transport import (
     FrameError,
     encode_error,
@@ -165,6 +165,9 @@ class ShardDaemon:
             self._server = None
         self._pool.shutdown(wait=True)
 
+    #: The graceful shutdown :class:`DaemonThread` runs.
+    stop = drain
+
     # -- connections ---------------------------------------------------------
 
     async def _client_connected(self, reader, writer) -> None:
@@ -266,61 +269,17 @@ class ShardDaemon:
         raise ServeError(f"unknown shard daemon operation {op!r}")
 
 
-class DaemonThread:
+class DaemonThread(ServerThread):
     """Run a :class:`ShardDaemon` on a dedicated event-loop thread.
 
-    The embedding harness for tests and benchmarks -- the daemon-side
-    analogue of :class:`~repro.serve.server.ServerThread`.  ``start()``
-    blocks until the port is bound; ``stop()`` performs the graceful
-    drain and joins the thread.
+    The embedding harness for tests and benchmarks: ``start()`` blocks
+    until the port is bound; ``stop()`` performs the graceful drain and
+    joins the thread.
     """
 
-    def __init__(self, daemon: ShardDaemon):
-        self.daemon = daemon
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-
-    def start(self) -> Tuple[str, int]:
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-shard-daemon",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServeError("shard daemon thread failed to start within 30s")
-        if self._error is not None:
-            raise ServeError(f"shard daemon failed to start: {self._error}")
-        return self.daemon.host, self.daemon.port
-
-    def drain(self) -> None:
-        """Trigger the graceful drain without joining the thread yet."""
-        if self._loop is not None and self._stop_event is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self.drain()
-        self._thread.join(timeout=30)
-        self._thread = None
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        try:
-            await self.daemon.start()
-        except Exception as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self._stop_event.wait()
-        await self.daemon.drain()
+    @property
+    def daemon(self) -> ShardDaemon:
+        return self.server
 
 
 # -- the CLI -----------------------------------------------------------------

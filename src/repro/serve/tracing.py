@@ -18,6 +18,7 @@ passes through --
           kernel.run            one kernel fixpoint, on the shard (tags:
                                 engine, rounds, facts, fallback,
                                 frontier-width histogram)
+      http.encode               JSON-encoding the response
 
 -- so a slow request decomposes into *which stage* was slow, and a
 kernel that silently fell back from the frontier engine to the scalar

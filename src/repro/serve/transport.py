@@ -19,9 +19,10 @@ against every shard:
   flight may be what killed the daemon, so they earn quarantine
   strikes);
 * a call exceeding its size-derived deadline is cut off by the batcher's
-  ``asyncio.wait_for``; the cancellation closes the connection (a
-  sequential frame stream that timed out can no longer be trusted) and
-  the failure surfaces as :class:`~repro.errors.RequestTimeout`;
+  one ``asyncio.wait_for`` per shard call (install, submission and reply
+  together); the cancellation closes the connection (a sequential frame
+  stream that timed out can no longer be trusted) and the failure
+  surfaces as :class:`~repro.errors.RequestTimeout`;
 * a daemon-side evaluation error travels back as a typed error frame and
   is re-raised as the same :mod:`repro.errors` class (so
   ``WrapperNotResident`` after a daemon restart, or an injected

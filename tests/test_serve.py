@@ -3,22 +3,28 @@
 Covers the registry (versioning, persistence, source-hash invalidation),
 the shard executor's content-hash routing, and the asyncio HTTP server:
 register -> /extract -> /batch round trips on an ephemeral port, cache-hit
-behavior, 503 backpressure, and registry persistence across a restart.
+behavior, 503 backpressure, registry persistence across a restart, the
+request reader (framing, caps, one idle deadline per request) and the one
+deadline per shard call.
 """
 
+import asyncio
 import concurrent.futures
 import http.client
 import json
 import pickle
+import socket
 import threading
 import time
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import RequestTimeout, ServeError
 from repro.serve import (
     ExtractionServer,
+    MicroBatcher,
     ResultCache,
+    ServeMetrics,
     ServerThread,
     ShardExecutor,
     WrapperRegistry,
@@ -609,3 +615,171 @@ class TestServerEndToEnd:
             assert metrics["batches"]["count"] == 0
         finally:
             thread.stop()
+
+
+def raw_exchange(host, port, data, timeout=5):
+    """Send raw bytes on a fresh connection; read until the server closes."""
+    with socket.create_connection((host, port), timeout=timeout) as raw:
+        raw.sendall(data)
+        chunks = []
+        while True:
+            chunk = raw.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def status_of(response):
+    return int(response.split(b" ", 2)[1])
+
+
+class TestRequestReader:
+    """The HTTP request head and body reader: framing, caps, deadline."""
+
+    def test_bare_lf_head_is_served(self, running_server):
+        host, port, _ = running_server
+        response = raw_exchange(host, port, b"GET /healthz HTTP/1.0\n\n")
+        assert status_of(response) == 200
+        assert json.loads(response.split(b"\r\n\r\n", 1)[1])["status"] == "ok"
+
+    def test_body_over_max_body_gets_413(self, running_server):
+        host, port, server = running_server
+        response = raw_exchange(
+            host, port,
+            b"POST /extract/x HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (server.max_body + 1),
+        )
+        assert status_of(response) == 413
+        assert b"body too large" in response
+
+    @pytest.mark.parametrize("length", [b"-1", b"twelve"])
+    def test_bad_content_length_gets_400(self, running_server, length):
+        host, port, _ = running_server
+        response = raw_exchange(
+            host, port,
+            b"POST /extract/x HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert status_of(response) == 400
+        assert b"bad content-length" in response
+
+    def test_expect_100_continue_gets_interim_response(self, running_server):
+        host, port, _ = running_server
+        body = json.dumps({"hash": "feed"}).encode()
+        with socket.create_connection((host, port), timeout=5) as raw:
+            raw.sendall(
+                b"POST /quarantine/release HTTP/1.1\r\n"
+                b"Connection: close\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += raw.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            raw.sendall(body)
+            final = b""
+            while True:
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                final += chunk
+        assert status_of(final) == 404
+        assert json.loads(final.split(b"\r\n\r\n", 1)[1])["released"] is False
+
+    def test_too_many_distinct_headers_get_400(self, running_server):
+        host, port, _ = running_server
+        head = b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+        head += b"Connection: close\r\n"
+        response = raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n")
+        assert status_of(response) == 400
+        assert b"too many headers" in response
+
+    def test_header_cap_counts_lines_not_names(self, running_server):
+        host, port, _ = running_server
+        head = b"X-Same: v\r\n" * 100 + b"Connection: close\r\n"
+        response = raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n")
+        assert status_of(response) == 400
+        assert b"too many headers" in response
+        # One line fewer is within the cap.
+        head = b"X-Same: v\r\n" * 99 + b"Connection: close\r\n"
+        response = raw_exchange(host, port, b"GET /healthz HTTP/1.1\r\n" + head + b"\r\n")
+        assert status_of(response) == 200
+
+    def test_dripped_head_is_cut_at_one_idle_deadline(self, tmp_path):
+        server = ExtractionServer(
+            WrapperRegistry(), port=0, shards=0, idle_timeout=0.5
+        )
+        thread = ServerThread(server)
+        host, port = thread.start()
+        try:
+            with socket.create_connection((host, port), timeout=5) as raw:
+                raw.sendall(b"GET /healthz HTTP/1.1\r\n")
+                start = time.monotonic()
+                closed_after = None
+                # One header line every 0.3s: each line is inside the idle
+                # timeout, the whole head is not.
+                for i in range(6):
+                    try:
+                        raw.sendall(b"X-Drip-%d: 1\r\n" % i)
+                        raw.settimeout(0.3)
+                        if raw.recv(4096) == b"":
+                            closed_after = time.monotonic() - start
+                            break
+                    except socket.timeout:
+                        continue
+                    except (ConnectionError, OSError):
+                        closed_after = time.monotonic() - start
+                        break
+            assert closed_after is not None, "dripping client kept its connection"
+            assert closed_after < 1.0, closed_after
+        finally:
+            thread.stop()
+
+
+class TestShardCallDeadline:
+    class _SlowExecutor:
+        """One fake shard whose install and wrap each take ``delay`` s."""
+
+        def __init__(self, delay):
+            self.delay = delay
+            self.killed = []
+
+        def shard_for(self, doc_hash):
+            return 0
+
+        def _later(self, value):
+            future = concurrent.futures.Future()
+            asyncio.get_running_loop().call_later(
+                self.delay, lambda: future.done() or future.set_result(value)
+            )
+            return future
+
+        def ensure_installed(self, key, wrapper, shard=None):
+            return [self._later(True)]
+
+        def submit(self, shard, key, items, trace=None):
+            stats = [{}] * len(items)
+            return self._later({"pages": stats, "kernel": stats})
+
+        def kill_shard(self, shard):
+            self.killed.append(shard)
+
+    def test_install_and_wrap_share_one_budget(self):
+        budget = 0.4
+        registry = WrapperRegistry()
+        entry = registry.register(
+            "items", ITEM_DATALOG, kind="datalog", patterns=["item"]
+        )
+        executor = self._SlowExecutor(delay=0.6 * budget)
+        metrics = ServeMetrics()
+        batcher = MicroBatcher(executor, ResultCache(0), metrics)
+
+        async def run():
+            start = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                await batcher.submit(entry, "<ul><li>x</li></ul>", timeout=budget)
+            return time.monotonic() - start
+
+        elapsed = asyncio.run(run())
+        assert executor.killed == [0]
+        assert metrics.snapshot()["counters"]["timeouts"] == 1
+        assert elapsed < 1.5 * budget, elapsed

@@ -303,6 +303,24 @@ class TestServerTracing:
         assert kernel_runs[0]["tags"]["rounds"] >= 0
         assert find_spans(root, "snapshot.build")
 
+    def test_response_encode_is_a_child_of_the_request_span(
+        self, traced_server
+    ):
+        host, port, server = traced_server
+        status, payload = request(
+            host, port, "POST", "/extract/items", {"html": item_page(7)}
+        )
+        assert status == 200
+        status, record = request(
+            host, port, "GET", f"/debug/traces/{payload['trace_id']}"
+        )
+        root = record["root"]
+        encodes = [c for c in root["children"] if c["name"] == "http.encode"]
+        assert len(encodes) == 1, [c["name"] for c in root["children"]]
+        assert 0.0 <= encodes[0]["elapsed_ms"] <= root["elapsed_ms"]
+        status, snap = request(host, port, "GET", "/metrics")
+        assert snap["stages"]["http.encode"]["count"] >= 1
+
     def test_trace_listing_and_stage_histograms_populate(self, traced_server):
         host, port, server = traced_server
         for i in range(3):

@@ -123,7 +123,7 @@ import itertools
 import os
 import re
 from collections import deque
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datalog.analysis import split_disconnected
 from repro.datalog.program import Program, Rule
@@ -676,13 +676,16 @@ class KernelState:
         self.derived = derived
 
 
-class KernelRun(NamedTuple):
+class KernelRun:
     """The outcome of one :meth:`KernelProgram.evaluate` call.
 
-    * ``relations`` -- each output predicate's derived tuple set;
     * ``unary_sets`` -- each unary output predicate's plain ``{node id}``
-      set, a byproduct of the propagation loop that batch wrappers
-      consume directly instead of stripping 1-tuples;
+      set, read straight off the propagation lanes: the unary query's
+      answer, which wrappers consume directly;
+    * ``relations`` -- each output predicate's derived tuple set, built
+      from ``unary_sets`` (and the 0-ary facts) on first read and kept,
+      so a caller that reads only ``unary_sets`` never allocates one
+      1-tuple per fact;
     * ``stats`` -- cheap per-run counters, one shape for cold and warm
       runs: ``engine`` (``"frontier"`` for big-int rounds to fixpoint,
       ``"worklist"`` for the scalar worklist, ``"frontier+worklist"`` for
@@ -700,10 +703,40 @@ class KernelRun(NamedTuple):
       vector plan and did not run warm.
     """
 
-    relations: Relations
-    unary_sets: Dict[str, Set[int]]
-    stats: Dict[str, object]
-    state: Optional[KernelState]
+    __slots__ = ("unary_sets", "stats", "state", "_outputs", "_held", "_relations")
+
+    def __init__(
+        self,
+        unary_sets: Dict[str, Set[int]],
+        stats: Dict[str, object],
+        state: Optional[KernelState],
+        outputs: List[Tuple[str, int, int]],
+        held: Tuple[str, ...] = (),
+    ):
+        self.unary_sets = unary_sets
+        self.stats = stats
+        self.state = state
+        #: The lowering's ``(name, pred, arity)`` outputs, and the names of
+        #: the 0-ary ones that hold: with ``unary_sets``, all ``relations``
+        #: is built from.
+        self._outputs = outputs
+        self._held = held
+        self._relations: Optional[Relations] = None
+
+    @property
+    def relations(self) -> Relations:
+        relations = self._relations
+        if relations is None:
+            unary_sets = self.unary_sets
+            relations = self._relations = {
+                name: (
+                    set(zip(unary_sets[name]))
+                    if arity == 1
+                    else {()} if name in self._held else set()
+                )
+                for name, _, arity in self._outputs
+            }
+        return relations
 
 
 def _expand_hops(snapshot, mask: int, hops: int) -> int:
@@ -1044,14 +1077,14 @@ class KernelProgram:
                 seed_zone = _expand_hops(snapshot, region, hops)
                 pending = [facts & seed_zone for facts in derived]
         out = self._run_scalar(bound, "incremental", resume=(derived, pending))
-        stats = {
+        out.stats = {
             "dirty": d.dirty_count,
             "dirty_fraction": d.dirty_fraction,
             "carried": carried_count,
             "deleted": deleted_count,
             **out.stats,
         }
-        return out._replace(stats=stats)
+        return out
 
     def _fixpoint(self, bound, plan):
         """Cold frontier-at-a-time fixpoint.
@@ -1122,44 +1155,42 @@ class KernelProgram:
             else:
                 narrow = 0
         if fallback is not None:
-            engine = "frontier+worklist"
-            relations, unary_sets, handoff, state = self._run_scalar(
-                bound, engine, resume=(derived, pending), sweep=False
+            out = self._run_scalar(
+                bound, "frontier+worklist", resume=(derived, pending), sweep=False
             )
-            facts = handoff["facts"]
-        else:
-            engine = "frontier"
-            state = KernelState(variant, snapshot, derived)
-            relations, unary_sets = self._collect_vector(variant, snapshot, derived)
-            facts = sum(d.bit_count() for d in derived)
+            out.stats.update(
+                rounds=rounds, frontier_widths=_trim_widths(widths), fallback=fallback
+            )
+            return out
         stats = {
-            "engine": engine,
+            "engine": "frontier",
             "rounds": rounds,
-            "facts": facts,
+            "facts": sum(d.bit_count() for d in derived),
             "frontier_widths": _trim_widths(widths),
-            "fallback": fallback,
+            "fallback": None,
         }
-        return KernelRun(relations, unary_sets, stats, state)
+        return KernelRun(
+            self._collect_vector(variant, snapshot, derived),
+            stats,
+            KernelState(variant, snapshot, derived),
+            variant.outputs,
+        )
 
     @staticmethod
-    def _collect_vector(variant, snapshot, derived):
-        """Materialize output relations from the derived big ints."""
-        relations: Relations = {
-            name: set() for name, _, _ in variant.outputs
-        }
+    def _collect_vector(variant, snapshot, derived) -> Dict[str, Set[int]]:
+        """Each unary output's node-id set, read off the derived big ints."""
         unary_sets: Dict[str, Set[int]] = {}
         size = snapshot.size
         for name, pred, arity in variant.outputs:
-            if pred < 0 or arity != 1:
+            if arity != 1:
                 continue
             ids: Set[int] = set()
-            packed = derived[pred]
+            packed = derived[pred] if pred >= 0 else 0
             if packed:
                 buffer = packed.to_bytes(size, "little")
                 ids = set(map(_MATCH_START, _NONZERO.finditer(buffer)))
             unary_sets[name] = ids
-            relations[name] = set(zip(ids))
-        return relations, unary_sets
+        return unary_sets
 
     def _run_scalar(
         self, bound, engine: str, resume=None, sweep: bool = True
@@ -1180,9 +1211,6 @@ class KernelProgram:
         """
         variant, snapshot = bound
         P = variant.npreds
-        outputs = variant.outputs
-        relations: Relations = {name: set() for name, _, _ in outputs}
-        unary_sets: Dict[str, Set[int]] = {}
         n = snapshot.size
         flags = bytearray(len(variant.sweeps))
         if resume is None:
@@ -1231,15 +1259,14 @@ class KernelProgram:
                 snapshot,
                 [int.from_bytes(lane, "little") for lane in lanes],
             )
-        for name, pred, arity in outputs:
-            if pred < 0:
-                continue
+        unary_sets: Dict[str, Set[int]] = {}
+        held = []
+        for name, pred, arity in variant.outputs:
             if arity == 1:
-                ids = set(itertools.compress(range(n), lanes[pred]))
-                unary_sets[name] = ids
-                relations[name] = set(zip(ids))
-            elif gbits[pred]:
-                relations[name] = {()}
+                lane = lanes[pred] if pred >= 0 else b""
+                unary_sets[name] = set(itertools.compress(range(n), lane))
+            elif pred >= 0 and gbits[pred]:
+                held.append(name)
         stats = {
             "engine": engine,
             "rounds": 0,
@@ -1247,7 +1274,7 @@ class KernelProgram:
             "frontier_widths": [],
             "fallback": None,
         }
-        return KernelRun(relations, unary_sets, stats, state)
+        return KernelRun(unary_sets, stats, state, variant.outputs, tuple(held))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -53,7 +53,10 @@ class EvaluationResult:
     Attributes
     ----------
     relations:
-        Mapping from intensional predicate to its derived tuple set.
+        Mapping from intensional predicate to its derived tuple set.  A
+        kernel result builds it on first read, from the run's node-id
+        sets (:attr:`repro.datalog.kernel.KernelRun.relations`), so
+        callers that only ask :meth:`unary` never pay for the 1-tuples.
     method:
         The strategy actually used (``"kernel"``, ``"ground"``, ``"lit"``,
         ``"seminaive"``, or ``"naive"``).
@@ -78,27 +81,29 @@ class EvaluationResult:
 
     def __init__(
         self,
-        relations: Relations,
+        relations: Optional[Relations],
         method: str,
         query: Optional[str],
-        unary_sets: Optional[Dict[str, Set[int]]] = None,
-        engine: Optional[str] = None,
-        stats: Optional[Dict[str, object]] = None,
+        run=None,
     ):
-        self.relations = relations
+        #: The derived tuple sets, or ``None`` for a kernel result, whose
+        #: ``run`` (a :class:`repro.datalog.kernel.KernelRun`) builds them.
+        self._relations = relations
+        self._run = run
         self.method = method
         self.query = query
-        self.engine = engine
-        self.stats = stats
-        #: Optional engine-supplied ``pred -> {node ids}`` sets (the
-        #: propagation kernel produces them for free), so batch wrappers
-        #: skip re-deriving them from the tuple sets.
-        self._unary_sets = unary_sets
+        self.engine = run.stats["engine"] if run is not None else None
+        self.stats = run.stats if run is not None else None
+
+    @property
+    def relations(self) -> Relations:
+        relations = self._relations
+        return relations if relations is not None else self._run.relations
 
     def unary(self, pred: str) -> Set[int]:
         """The extension of a unary predicate as a set of node identifiers."""
-        if self._unary_sets is not None:
-            cached = self._unary_sets.get(pred)
+        if self._run is not None:
+            cached = self._run.unary_sets.get(pred)
             if cached is not None:
                 return cached
         return {tup[0] for tup in self.relations.get(pred, set()) if len(tup) == 1}
@@ -590,7 +595,7 @@ class CompiledProgram:
             kernel = self._kernel
             out = kernel.evaluate(edb) if kernel is not None else None
             if out is not None:
-                return self._kernel_result(out)
+                return EvaluationResult(None, "kernel", self.program.query, out)
             if method == "kernel":
                 reason = (
                     "program is outside the monadic tree fragment"
@@ -668,18 +673,8 @@ class CompiledProgram:
         if out is None:
             return self.run(structure), None, None
         info = out.stats if out.stats["engine"] == "incremental" else None
-        return self._kernel_result(out), out.state, info
-
-    def _kernel_result(self, out) -> EvaluationResult:
-        """The :class:`EvaluationResult` of one kernel run."""
-        return EvaluationResult(
-            out.relations,
-            "kernel",
-            self.program.query,
-            out.unary_sets,
-            engine=out.stats["engine"],
-            stats=out.stats,
-        )
+        result = EvaluationResult(None, "kernel", self.program.query, out)
+        return result, out.state, info
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

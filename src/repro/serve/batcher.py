@@ -195,7 +195,12 @@ class MicroBatcher:
 
         ``timeout`` bounds each *shard call* this document participates
         in; a call that exceeds it kills the hung worker and fails with
-        :class:`~repro.errors.RequestTimeout` (retryable upstream).
+        :class:`~repro.errors.RequestTimeout` (retryable upstream).  A
+        queued document also waits for its coalesced call under its own
+        ``timeout``: past it, this request alone fails with
+        :class:`~repro.errors.RequestTimeout`, while the shared call runs
+        on for its batch-mates (and caches their results), so no worker
+        is killed and no quarantine strike is counted.
         ``span``, when given, is the request's root span: the batcher
         hangs ``batcher.queue`` / ``batch.flush`` / ``ring.route`` /
         ``shard.call`` children off it as the document moves through.
@@ -251,7 +256,16 @@ class MicroBatcher:
             queue.timer = loop.call_later(
                 self.max_delay, self._schedule_flush, entry.cache_key
             )
-        return await future
+        try:
+            # The shield keeps the shared future alive for _flush when
+            # this waiter gives up (and marks its outcome retrieved).
+            return await asyncio.wait_for(asyncio.shield(future), timeout)
+        except asyncio.TimeoutError:
+            self._metrics.incr("timeouts")
+            raise RequestTimeout(
+                f"coalesced shard call exceeded this request's {timeout:.3f}s "
+                "budget; retry the request"
+            ) from None
 
     async def run_batch(
         self,
@@ -350,8 +364,9 @@ class MicroBatcher:
             queue.timer = None
         items = queue.items
         # One shard call serves the whole batch: bound it by the most
-        # generous member budget; stricter per-request deadlines are
-        # enforced upstream by the server's retry loop.
+        # generous member budget.  Each member waits for it under its own
+        # budget in submit(), so a stricter deadline fails only its own
+        # request, and the call runs on for the rest.
         timeouts = [timeout for _, _, timeout, _, _ in items]
         timeout = None if any(t is None for t in timeouts) else max(timeouts)
         self._metrics.observe_batch(len(items))

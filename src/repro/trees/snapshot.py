@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from array import array
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.trees.node import Node
 
@@ -197,6 +197,14 @@ class TreeSnapshot:
     mappings; most nodes have neither), so HTML documents can be wrapped
     -- including text capture on output nodes -- from the columns alone.
 
+    ``attrs`` holds one distinct dict per node that has attributes, built
+    on its first read and kept.  Until then the column stays as its
+    producer gave it, where a value may also be a
+    :func:`repro.html.tokenizer.parse_tag` entry ``(name, is_end, attr,
+    value, self_closing)``: :func:`repro.trees.stream.html_snapshot`
+    stores a single-attribute tag's shared tag-cache entry there, so a
+    page whose attributes are never read allocates no dict for them.
+
     The tree columns are ``array('i')``; ``label_ids`` is ``bytes`` (one
     byte lane per node) when the document has fewer than 256 distinct
     labels and ``array('i')`` otherwise.  Every producer goes through
@@ -233,7 +241,8 @@ class TreeSnapshot:
         "labels",
         "label_index",
         "texts",
-        "attrs",
+        "_attrs",
+        "_attr_dicts",
         "_unary_masks",
         "_unary_nodes",
         "_unary_ints",
@@ -260,7 +269,7 @@ class TreeSnapshot:
         label_index: Dict[str, int],
         max_rank: int = 0,
         texts: Optional[Dict[int, str]] = None,
-        attrs: Optional[Dict[int, Dict[str, str]]] = None,
+        attrs: Optional[Dict[int, Union[Dict[str, str], tuple]]] = None,
     ):
         self.size = len(parent)
         self.schema = schema
@@ -277,7 +286,8 @@ class TreeSnapshot:
         self.labels = labels
         self.label_index = label_index
         self.texts = texts
-        self.attrs = attrs
+        self._attrs = attrs
+        self._attr_dicts: Optional[Dict[int, Dict[str, str]]] = None
         self._unary_masks: Dict[str, Optional[Sequence[int]]] = {}
         self._unary_nodes: Dict[str, Optional[List[int]]] = {}
         self._unary_ints: Dict[str, Optional[int]] = {}
@@ -357,6 +367,18 @@ class TreeSnapshot:
             texts=texts,
             attrs=attrs,
         )
+
+    @property
+    def attrs(self) -> Optional[Dict[int, Dict[str, str]]]:
+        """``node id -> attribute dict`` (``None`` when the producer gave
+        no column); a tag-cache entry becomes a fresh dict on first read."""
+        built = self._attr_dicts
+        if built is None and self._attrs is not None:
+            built = self._attr_dicts = {
+                nid: {value[2]: value[3]} if type(value) is tuple else value
+                for nid, value in self._attrs.items()
+            }
+        return built
 
     # -- unary relations ---------------------------------------------------
 
@@ -679,8 +701,12 @@ class TreeSnapshot:
             # ``parent`` column.  Children of ``S`` are the *preimage*
             # through ``parent`` (always available, byte gather at worst);
             # parents of ``S`` are its image (shift classes or nothing).
+            # Both traversals share the two functions, built once.
             parents, children = self._functional_move(self.parent, None)
             children = self._children_move(children)
+            self._vector_moves[("child", not forward)] = (
+                (parents, children) if forward else (children, parents)
+            )
             move = (children, parents) if forward else (parents, children)
         else:
             arr = self.forward_map(rel) if forward else self.backward_map(rel)

@@ -91,7 +91,10 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     labels: List[str] = []
     label_index: Dict[str, int] = {}
     texts: Dict[int, str] = {}
-    attrs_column: Dict[int, Dict[str, str]] = {}
+    # A dict per multi-attribute node (scan_step's own); a single-attribute
+    # node's shared tag-cache entry, which TreeSnapshot.attrs turns into
+    # a dict of its own only when the column is read.
+    attrs_column: Dict[int, object] = {}
     open_elements = OpenElements()
     open_elements.push(root_label, -1)
     frames = open_elements.labels
@@ -152,7 +155,7 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             text, at = resync(html, pieces, at + len(piece) + 1, i)
             continue
         at += len(piece) + 1
-        name, is_end, attr, value, self_closing = entry
+        name, is_end, attr, _, self_closing = entry
         if is_end:
             if frames[-1] == name and len(frames) > 1:
                 # OpenElements.end_tag's fast path, inlined.
@@ -191,9 +194,7 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             labels.append(name)
         label_ids_append(lid)
         if attr is not None:
-            # A fresh dict per node: the cached entry is shared by every
-            # tag with the same text.
-            attrs_column[nid] = {attr: value}
+            attrs_column[nid] = entry
     if text and not text.isspace():
         on_text(decode_entities(text) if "&" in text else text)
 

@@ -5,7 +5,8 @@ the shard executor's content-hash routing, and the asyncio HTTP server:
 register -> /extract -> /batch round trips on an ephemeral port, cache-hit
 behavior, 503 backpressure, registry persistence across a restart, the
 request reader (framing, caps, one idle deadline per request) and the one
-deadline per shard call.
+deadline per shard call, which a coalesced request waits on under its own
+budget.
 """
 
 import asyncio
@@ -783,3 +784,53 @@ class TestShardCallDeadline:
         assert executor.killed == [0]
         assert metrics.snapshot()["counters"]["timeouts"] == 1
         assert elapsed < 1.5 * budget, elapsed
+
+
+    class _SlowCallExecutor(_SlowExecutor):
+        """One fake shard: installs at once, each call takes ``delay`` s
+        and answers one output per page."""
+
+        def ensure_installed(self, key, wrapper, shard=None):
+            return []
+
+        def submit(self, shard, key, items, trace=None):
+            pages = [{"html": html} for html, _ in items]
+            return self._later({"pages": pages, "kernel": [{}] * len(items)})
+
+    def test_coalesced_request_keeps_its_own_budget(self):
+        # Two pages coalesce into one 0.3 s shard call.  The page with a
+        # 0.1 s budget times out on its own instead of waiting out its
+        # batch-mate's 1.0 s budget; the call runs on, the batch-mate
+        # succeeds, and no worker is killed.
+        registry = WrapperRegistry()
+        entry = registry.register(
+            "items", ITEM_DATALOG, kind="datalog", patterns=["item"]
+        )
+        executor = self._SlowCallExecutor(delay=0.3)
+        metrics = ServeMetrics()
+        batcher = MicroBatcher(
+            executor, ResultCache(0), metrics, max_delay=0.001, bypass_concurrency=0
+        )
+
+        async def timed(budget, html):
+            start = time.monotonic()
+            try:
+                outcome = await batcher.submit(entry, html, timeout=budget)
+            except RequestTimeout as exc:
+                outcome = exc
+            return outcome, time.monotonic() - start
+
+        async def run():
+            return await asyncio.gather(
+                timed(0.1, "<ul><li>a</li></ul>"), timed(1.0, "<ul><li>b</li></ul>")
+            )
+
+        (strict, strict_s), (lenient, _) = asyncio.run(run())
+        assert isinstance(strict, RequestTimeout), strict
+        assert strict_s < 0.3, strict_s
+        assert lenient == {"html": "<ul><li>b</li></ul>"}
+        assert executor.killed == []
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"]["timeouts"] == 1
+        assert snapshot["batches"]["count"] == 1
+        assert snapshot["batches"]["max_size"] == 2

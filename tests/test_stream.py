@@ -13,6 +13,7 @@ column by column, to flattening the Node tree built by ``parse_html``,
 and wrapped outputs agree across every path (Node, Document, workers).
 """
 
+import gc
 import pickle
 import random
 import re
@@ -239,6 +240,16 @@ def catalog_wrapper() -> Wrapper:
     for pattern in ("record", "name", "price"):
         wrapper.add_elog(pattern, program, pattern=pattern)
     return wrapper
+
+
+def catalog_plan():
+    """The catalog wrapper's program, compiled once (the one plan that
+    :func:`catalog_wrapper`'s three patterns share)."""
+    from repro.datalog.plan import compile_program
+    from repro.elog import elog_to_datalog, parse_elog
+
+    program = parse_elog(CATALOG_WRAPPER, query="record")
+    return compile_program(elog_to_datalog(program)).prepare()
 
 
 class TestScanner:
@@ -677,3 +688,83 @@ class TestBatchAndWorkers:
         extracted = wrapper.extract_html_many(pages)
         assert len(outs) == 2 and len(extracted) == 2
         assert all(out.children for out in outs)
+
+
+def gc_allocations(call):
+    """``(allocations, result)``: the GC-counted objects that ``call()``
+    leaves alive, counted by CPython's young-generation counter with the
+    collector off, and the call's result (kept alive while counting)."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        result = call()
+        return gc.get_count()[0] - before, result
+    finally:
+        gc.enable()
+
+
+class TestAllocations:
+    """The page path allocates only what its caller reads.
+
+    A snapshot stores single-attribute tags' shared tag-cache entries
+    instead of one dict per node, and a kernel run returns its unary
+    outputs as id sets instead of one 1-tuple per fact, so neither count
+    grows with the page.  Each dict or 1-tuple is built on first read of
+    ``TreeSnapshot.attrs`` or ``EvaluationResult.relations``.
+    """
+
+    #: GC-counted allocations allowed per page, at every page size.
+    BOUND = 100
+
+    #: Single-attribute tags (the tag cache), repeated and entity-coded,
+    #: next to multi-attribute and odd-shaped ones (the general step).
+    MIXED = (
+        '<div id="top"><a href="/x">1</a><a href="/x">2</a>'
+        '<a x="1" y="2">3</a><a x="1" y="2">4</a><img src=i.png>'
+        "<p class='c'>5</p><a href=\"/q?a=1&amp;b=2\">6</a><br/></div>"
+    )
+
+    @pytest.mark.parametrize("items", [160, 640])
+    def test_snapshot_allocations_do_not_grow_with_the_page(self, items):
+        page = catalog_page(seed=7, items=items)
+        html_snapshot(page)
+        allocated, snapshot = gc_allocations(lambda: html_snapshot(page))
+        assert allocated < self.BOUND, allocated
+        assert len(snapshot.attrs) >= items
+
+    @pytest.mark.parametrize("items", [160, 640])
+    def test_kernel_run_allocations_do_not_grow_with_the_page(self, items):
+        plan = catalog_plan()
+        page = catalog_page(seed=7, items=items)
+        plan.run(Document(html_snapshot(page)))
+        document = Document(html_snapshot(page))
+        allocated, result = gc_allocations(lambda: plan.run(document))
+        assert allocated < self.BOUND, allocated
+        assert result.method == "kernel"
+        assert len(result.unary("record")) == items
+
+    def test_mixed_attribute_tags_match_the_node_path(self):
+        for doc in (self.MIXED, "text" + self.MIXED, self.MIXED * 3):
+            streamed = html_snapshot(doc)
+            reference = UnrankedStructure(parse_html(doc)).snapshot()
+            assert streamed.attrs == reference.attrs, doc
+            assert columns(streamed) == columns(reference), doc
+            dicts = list(streamed.attrs.values())
+            assert all(type(attrs) is dict for attrs in dicts)
+            assert len({id(attrs) for attrs in dicts}) == len(dicts)
+            assert streamed.attrs is streamed.attrs
+
+    def test_mixed_attribute_tags_survive_pickling(self):
+        snapshot = html_snapshot(self.MIXED)
+        clone = pickle.loads(pickle.dumps(snapshot))
+        assert clone.attrs == snapshot.attrs
+        assert Document(clone).attrs_of(1) == {"href": "/x"}
+
+    def test_relations_are_built_once_from_the_id_sets(self):
+        result = catalog_plan().run(Document(html_snapshot(catalog_page(3, 20))))
+        relations = result.relations
+        assert result.relations is relations
+        for name in ("record", "name", "price"):
+            assert relations[name] == {(i,) for i in result.unary(name)}
+            assert result.holds(name, min(result.unary(name)))

@@ -7,9 +7,8 @@ four pieces, each usable on its own:
 
 * :mod:`repro.serve.registry` -- :class:`WrapperRegistry`: named and
   versioned compiled wrappers (Elog- or monadic datalog source ->
-  :meth:`repro.wrap.extraction.Wrapper.compile`), persisted to a disk
-  cache via pickle with source-hash invalidation and warm-loaded on
-  startup;
+  :meth:`repro.wrap.extraction.Wrapper.compile`), persisted as one JSON
+  spec per wrapper and compiled again from source on startup;
 * :mod:`repro.serve.executor` -- :class:`ShardExecutor`: a fixed set of
   long-lived shards (generalizing the per-call ``workers=`` fan-out of
   the batch APIs), each a :class:`ShardDaemon` forked onto a Unix socket
@@ -17,7 +16,7 @@ four pieces, each usable on its own:
   wrapper is pickled to a shard exactly once and documents are routed to
   shards by content hash.  Every shard, local or remote, runs one
   operation on one :class:`ShardStore`: ``(html, doc_id | None)`` items
-  in, outputs plus per-page stats out;
+  in, ``{"pages", "kernel"}`` (outputs plus per-page stats) out;
 * :mod:`repro.serve.batcher` -- :class:`MicroBatcher`: coalesces
   concurrent single-document requests into kernel batches (flush on size
   or deadline), dedupes identical documents inside a batch, and fronts

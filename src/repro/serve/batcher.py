@@ -43,11 +43,15 @@ crash-looping shard cannot leak the server into permanent 503s.
 
 Fault tolerance (see also :mod:`repro.serve.supervisor`):
 
-* every shard call (wrapper install included) is bounded by one
-  deadline, the request's ``timeout`` -- a call that exceeds it gets its
-  worker **killed and respawned** and fails with the retryable
+* every evaluation has one absolute deadline: ``timeout`` after the call
+  starts for a bypassed request or ``POST /batch``, and for a coalesced
+  flush the latest member's enqueue time plus its ``timeout``.  Each
+  shard call (wrapper install included) and each bisection half gets
+  only the time left until it; a call that overruns gets its worker
+  **killed and respawned** and fails with the retryable
   :class:`~repro.errors.RequestTimeout`, so one hung evaluation can
-  never wedge a coalesced batch;
+  never wedge a coalesced batch, and a half with no time left fails
+  without a shard call;
 * shard replies are validated (one output dict and one stats dict per
   page); corruption is treated as a crash;
 * when a *multi-document* shard call crashes, the batch is **bisected**
@@ -100,6 +104,19 @@ Doc = Tuple[str, str, Optional[str]]
 Key = Tuple[str, Optional[str]]
 
 
+def _now() -> float:
+    return asyncio.get_running_loop().time()
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    """The absolute deadline ``timeout`` seconds from now (loop clock)."""
+    return None if timeout is None else _now() + timeout
+
+
+def _expired(deadline: Optional[float]) -> bool:
+    return deadline is not None and deadline <= _now()
+
+
 class _Queue:
     """Per-wrapper pending micro-batch."""
 
@@ -107,9 +124,10 @@ class _Queue:
 
     def __init__(self, entry: RegisteredWrapper):
         self.entry = entry
-        #: ``(doc, future, timeout, span, queue_span)`` tuples awaiting a
-        #: flush; the span pair is ``(None, None)`` when the request is
-        #: untraced.
+        #: ``(doc, future, deadline, span, queue_span)`` tuples awaiting a
+        #: flush; ``deadline`` is the enqueue time plus the request's
+        #: ``timeout`` (loop clock, ``None`` for no bound), and the span
+        #: pair is ``(None, None)`` when the request is untraced.
         self.items: List[
             Tuple[
                 Doc,
@@ -193,14 +211,14 @@ class MicroBatcher:
     ) -> dict:
         """One document through the coalescing queue; returns its payload.
 
-        ``timeout`` bounds each *shard call* this document participates
+        ``timeout`` bounds the shard calls this document participates
         in; a call that exceeds it kills the hung worker and fails with
         :class:`~repro.errors.RequestTimeout` (retryable upstream).  A
-        queued document also waits for its coalesced call under its own
-        ``timeout``: past it, this request alone fails with
+        queued document waits for its coalesced call under its own
+        ``timeout`` from enqueue: past it, this request alone fails with
         :class:`~repro.errors.RequestTimeout`, while the shared call runs
-        on for its batch-mates (and caches their results), so no worker
-        is killed and no quarantine strike is counted.
+        on for its batch-mates (and caches their results) until the
+        latest member's deadline.
         ``span``, when given, is the request's root span: the batcher
         hangs ``batcher.queue`` / ``batch.flush`` / ``ring.route`` /
         ``shard.call`` children off it as the document moves through.
@@ -235,7 +253,9 @@ class MicroBatcher:
             self._metrics.incr("bypassed")
             self._pending += 1
             try:
-                outcome = (await self._evaluate(entry, [doc], timeout, span=span))[0]
+                outcome = (
+                    await self._evaluate(entry, [doc], _deadline(timeout), span=span)
+                )[0]
             finally:
                 self._pending -= 1
             if isinstance(outcome, BaseException):
@@ -248,7 +268,7 @@ class MicroBatcher:
         self._inflight.add(future)
         future.add_done_callback(self._inflight.discard)
         queue_span = span.child("batcher.queue") if span is not None else None
-        queue.items.append((doc, future, timeout, span, queue_span))
+        queue.items.append((doc, future, _deadline(timeout), span, queue_span))
         self._pending += 1
         if len(queue.items) >= self.max_batch:
             self._schedule_flush(entry.cache_key)
@@ -257,10 +277,13 @@ class MicroBatcher:
                 self.max_delay, self._schedule_flush, entry.cache_key
             )
         try:
-            # The shield keeps the shared future alive for _flush when
-            # this waiter gives up (and marks its outcome retrieved).
+            # The shield keeps the flush running for the batch-mates when
+            # this waiter gives up.
             return await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
+            # No waiter is left: _flush skips a cancelled future, so its
+            # outcome is never set and never left unretrieved.
+            future.cancel()
             self._metrics.incr("timeouts")
             raise RequestTimeout(
                 f"coalesced shard call exceeded this request's {timeout:.3f}s "
@@ -300,7 +323,7 @@ class MicroBatcher:
             outcomes = await self._evaluate(
                 entry,
                 [(page, doc_hash, None) for page, doc_hash in zip(pages, hashes)],
-                timeout,
+                _deadline(timeout),
                 span=span,
             )
         finally:
@@ -363,12 +386,12 @@ class MicroBatcher:
             queue.timer.cancel()
             queue.timer = None
         items = queue.items
-        # One shard call serves the whole batch: bound it by the most
-        # generous member budget.  Each member waits for it under its own
-        # budget in submit(), so a stricter deadline fails only its own
-        # request, and the call runs on for the rest.
-        timeouts = [timeout for _, _, timeout, _, _ in items]
-        timeout = None if any(t is None for t in timeouts) else max(timeouts)
+        # One shard call serves the whole batch: it may run until the
+        # latest member deadline, and no later -- past it every waiter
+        # has gone.  Each member waits under its own deadline in
+        # submit(), so a stricter one fails only its own request.
+        deadlines = [deadline for _, _, deadline, _, _ in items]
+        deadline = None if None in deadlines else max(deadlines)
         self._metrics.observe_batch(len(items))
         # One shared ``batch.flush`` span object, attached into *every*
         # traced member's tree: each trace shows the same flush (same
@@ -386,7 +409,7 @@ class MicroBatcher:
             outcomes = await self._evaluate(
                 queue.entry,
                 [doc for doc, _, _, _, _ in items],
-                timeout,
+                deadline,
                 span=flush_span,
             )
             for (_, future, _, _, _), outcome in zip(items, outcomes):
@@ -409,11 +432,12 @@ class MicroBatcher:
         self,
         entry: RegisteredWrapper,
         docs: Sequence[Doc],
-        timeout: Optional[float] = None,
+        deadline: Optional[float],
         span: Optional[Span] = None,
     ) -> List[Outcome]:
         """Resolve docs to per-document outcomes, via the cache, with
-        in-batch dedup and one submission per healthy shard.
+        in-batch dedup and one submission per healthy shard, all by
+        ``deadline`` (loop clock, ``None`` for no bound).
 
         ``span`` is the parent for ``ring.route`` / ``shard.call``
         children: the request's root span on the bypass path, the shared
@@ -461,7 +485,7 @@ class MicroBatcher:
             groups = await asyncio.gather(
                 *(
                     self._call_group(
-                        entry, shard, keys, pages_by_key, timeout, span=span
+                        entry, shard, keys, pages_by_key, deadline, span=span
                     )
                     for shard, keys in by_shard.items()
                 )
@@ -485,54 +509,63 @@ class MicroBatcher:
         shard: int,
         keys: List[Key],
         pages_by_key: Dict[Key, str],
-        timeout: Optional[float],
+        deadline: Optional[float],
         span: Optional[Span] = None,
     ) -> Dict[Key, Outcome]:
         """One shard sub-batch, with crash bisection.
 
-        Returns an outcome per key.  On a crash/timeout of a
-        multi-document call the batch is split and both halves re-run
-        (the shard has respawned in between; ``_call_once`` re-installs
-        the wrapper), so only genuinely poisonous documents keep
-        failing.  A single-document crash earns a quarantine strike.
+        Returns an outcome per key.  On a crash of a multi-document call
+        with time left before ``deadline``, the batch is split and both
+        halves re-run (the shard has respawned in between; ``_call_once``
+        re-installs the wrapper), so only genuinely poisonous documents
+        keep failing.  A single-document crash earns a quarantine
+        strike.  A group with no time left fails with
+        :class:`~repro.errors.RequestTimeout` without a shard call.
         Each attempt (including bisection halves) opens its own
         ``shard.call`` child span, so retries are visible per trace."""
+        if _expired(deadline):
+            late = RequestTimeout(
+                "no time left before the request deadline for this shard "
+                "call; retry the request"
+            )
+            return dict.fromkeys(keys, late)
         items = [(pages_by_key[key], key[1]) for key in keys]
         try:
             payloads = await self._call_once(
-                entry, shard, items, timeout, span=span
+                entry, shard, items, deadline, span=span
             )
         except RetryableServeError as exc:
             if self.supervisor is not None:
                 self.supervisor.record_failure(shard)
-            if len(keys) == 1:
-                # Strike only when the crash is attributable to this
-                # document: the worker died *while evaluating it*.
-                # Blameless crashes (install failures, a shard that was
-                # unreachable before the pages were sent,
-                # wrapper-not-resident) and plain
-                # timeouts never quarantine.
-                if isinstance(exc, ShardCrashed) and not exc.blameless:
-                    if self.quarantine.strike(keys[0][0]):
-                        self._metrics.incr("quarantined")
-                    if span is not None:
-                        span.tag(
-                            quarantine_strikes=span.tags.get(
-                                "quarantine_strikes", 0
-                            )
-                            + 1
-                        )
-                return {keys[0]: exc}
-            self._metrics.incr("bisections")
-            mid = len(keys) // 2
-            left = await self._call_group(
-                entry, shard, keys[:mid], pages_by_key, timeout, span=span
-            )
-            right = await self._call_group(
-                entry, shard, keys[mid:], pages_by_key, timeout, span=span
-            )
-            left.update(right)
-            return left
+            if len(keys) > 1 and not _expired(deadline):
+                self._metrics.incr("bisections")
+                mid = len(keys) // 2
+                left = await self._call_group(
+                    entry, shard, keys[:mid], pages_by_key, deadline, span=span
+                )
+                right = await self._call_group(
+                    entry, shard, keys[mid:], pages_by_key, deadline, span=span
+                )
+                left.update(right)
+                return left
+            # Strike only when the crash is attributable to this one
+            # document: the worker died *while evaluating it*.  Blameless
+            # crashes (install failures, a shard that was unreachable
+            # before the pages were sent, wrapper-not-resident) and plain
+            # timeouts never quarantine.
+            if (
+                len(keys) == 1
+                and isinstance(exc, ShardCrashed)
+                and not exc.blameless
+            ):
+                if self.quarantine.strike(keys[0][0]):
+                    self._metrics.incr("quarantined")
+                if span is not None:
+                    span.tag(
+                        quarantine_strikes=span.tags.get("quarantine_strikes", 0)
+                        + 1
+                    )
+            return dict.fromkeys(keys, exc)
         if self.supervisor is not None:
             self.supervisor.record_success(shard)
         outcomes: Dict[Key, Outcome] = {}
@@ -546,15 +579,15 @@ class MicroBatcher:
         entry: RegisteredWrapper,
         shard: int,
         items: List[Tuple[str, Optional[str]]],
-        timeout: Optional[float],
+        deadline: Optional[float],
         span: Optional[Span] = None,
     ) -> List[dict]:
         """One bounded shard call: install if needed, submit, validate.
 
-        One deadline, ``timeout``, covers the install, the submission
-        and the reply.  Maps worker death to
-        :class:`~repro.errors.ShardCrashed` and a deadline overrun to a
-        worker kill + respawn + :class:`~repro.errors.RequestTimeout`.  Failures in the install
+        One deadline covers the install, the submission and the reply.
+        Maps worker death to :class:`~repro.errors.ShardCrashed` and a
+        deadline overrun to a worker kill + respawn +
+        :class:`~repro.errors.RequestTimeout`.  Failures in the install
         phase -- before the pages ever reach a worker -- are marked
         ``blameless`` so an innocent document retrying into a shard that
         an *earlier* crash took down does not accumulate quarantine
@@ -563,14 +596,14 @@ class MicroBatcher:
         The reply's per-page stats feed the incremental metrics for
         ``doc_id`` items and, with ``span`` set, are grafted into the
         ``shard.call`` child span as ``snapshot.build`` / ``kernel.run``
-        spans.  A daemon too old to send stats degrades the span to a
-        transport-only one tagged ``degraded``."""
+        spans."""
         call_span = (
             span.child("shard.call", shard=shard, pages=len(items))
             if span is not None
             else None
         )
         trace = None if span is None else {"trace_id": span.tags.get("trace_id")}
+        timeout = None if deadline is None else deadline - _now()
         try:
             try:
                 result = await asyncio.wait_for(
@@ -590,7 +623,7 @@ class MicroBatcher:
             if call_span is not None:
                 call_span.fail(f"{type(exc).__name__}: {exc}")
             raise
-        for (_, doc_id), page_stats in zip(items, stats or [{}] * len(items)):
+        for (_, doc_id), page_stats in zip(items, stats):
             if doc_id is None:
                 continue
             if page_stats.get("warm"):
@@ -601,12 +634,9 @@ class MicroBatcher:
             else:
                 self._metrics.incr("incremental_misses")
         if call_span is not None:
-            if stats is None:
-                call_span.tag(degraded="untraced_shard")
-            else:
-                for page_stats in stats:
-                    call_span.graft_kernel_stats(page_stats)
-                call_span.tag(warm=any(s.get("warm") for s in stats))
+            for page_stats in stats:
+                call_span.graft_kernel_stats(page_stats)
+            call_span.tag(warm=any(s.get("warm") for s in stats))
             call_span.finish()
         return payloads
 

@@ -5,30 +5,27 @@ the JSON-serializable result payloads the shards produce.  A hit skips
 tokenizing, snapshot building and the kernel fixpoint entirely -- the
 whole request becomes one dictionary lookup.  Entries are treated as
 immutable by every consumer (handlers serialize them straight to JSON),
-so no defensive copying happens on either side.
+so no defensive copying happens on either side.  Entries never go
+stale: the serving layer's key already names the wrapper version, its
+source hash and the document's content hash.
 
-Two optional bounds beyond the entry-count capacity:
-
-* ``ttl`` -- entries older than this many seconds are treated as absent
-  and dropped on access, so a long-lived server re-extracts eventually
-  even for hot documents;
-* ``max_weight`` -- each entry carries a caller-supplied weight (the
-  serving layer passes the source document's length), and the cache
-  evicts in LRU order until the total weight fits.  One huge page can
-  therefore displace many small ones but never pin the cache: an entry
-  heavier than the whole budget is simply not stored.
+Beyond the entry-count capacity, an optional ``max_weight`` bounds the
+total: each entry carries a caller-supplied weight (the serving layer
+passes the source document's length), and the cache evicts in LRU order
+until the total weight fits.  One huge page can therefore displace many
+small ones but never pin the cache: an entry heavier than the whole
+budget is simply not stored.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 
 class ResultCache:
-    """A bounded thread-safe LRU map with optional TTL and weight budget.
+    """A bounded thread-safe LRU map with an optional weight budget.
 
     ``capacity <= 0`` disables caching entirely (every ``get`` misses).
 
@@ -53,21 +50,11 @@ class ResultCache:
     True
     """
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        ttl: Optional[float] = None,
-        max_weight: Optional[int] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, capacity: int = 512, max_weight: Optional[int] = None):
         self.capacity = capacity
-        self.ttl = ttl
         self.max_weight = max_weight
-        self._clock = clock if clock is not None else time.monotonic
-        #: key -> (value, expiry or None, weight)
-        self._entries: "OrderedDict[Hashable, Tuple[object, Optional[float], int]]" = (
-            OrderedDict()
-        )
+        #: key -> (value, weight)
+        self._entries: "OrderedDict[Hashable, Tuple[object, int]]" = OrderedDict()
         self._weight = 0
         self._lock = threading.Lock()
 
@@ -78,13 +65,8 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            value, expiry, weight = entry
-            if expiry is not None and self._clock() >= expiry:
-                del self._entries[key]
-                self._weight -= weight
-                return None
             self._entries.move_to_end(key)
-            return value
+            return entry[0]
 
     def put(self, key: Hashable, value: object, weight: int = 1) -> None:
         if self.capacity <= 0:
@@ -94,17 +76,16 @@ class ResultCache:
             # Heavier than the entire budget: storing it would evict
             # everything else and then be evicted by the next put anyway.
             return
-        expiry = None if self.ttl is None else self._clock() + self.ttl
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
-                self._weight -= old[2]
-            self._entries[key] = (value, expiry, weight)
+                self._weight -= old[1]
+            self._entries[key] = (value, weight)
             self._weight += weight
             while len(self._entries) > self.capacity or (
                 self.max_weight is not None and self._weight > self.max_weight
             ):
-                _, (_, _, evicted_weight) = self._entries.popitem(last=False)
+                _, (_, evicted_weight) = self._entries.popitem(last=False)
                 self._weight -= evicted_weight
 
     @property

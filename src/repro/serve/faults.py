@@ -61,7 +61,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServeError, ShardCrashed
 
@@ -356,73 +356,40 @@ class TransportFaultInjector:
         return None, None
 
 
-def validate_shard_result(result: object, expected: int) -> List[Dict]:
-    """Reject malformed shard results (corruption -> retryable crash).
+def validate_reply(result: object, expected: int) -> Tuple[List[Dict], List[Dict]]:
+    """Validate one shard reply; returns ``(pages, stats)``.
 
-    A healthy shard returns exactly one JSON-serializable dict per page;
-    anything else means the worker (or the transport) corrupted the
+    Every shard answers ``{"pages": [...], "kernel": [...]}``: one output
+    dict and one per-page stats dict per page.  Anything else -- another
+    shape, a wrong length, a non-dict entry, or a page the injector
+    marked corrupt -- means the worker (or the transport) garbled the
     batch, and the safe response is the crash path: respawn + retry.
 
-    >>> validate_shard_result([{"a": 1}], 1)
-    [{'a': 1}]
-    >>> validate_shard_result([{}, {}], 1)
-    Traceback (most recent call last):
-        ...
-    repro.errors.ShardCrashed: shard returned 2 results for 1 page(s); treating as a crash
-    """
-    if (
-        not isinstance(result, list)
-        or len(result) != expected
-        or not all(isinstance(item, dict) for item in result)
-    ):
-        count = len(result) if isinstance(result, list) else type(result).__name__
-        raise ShardCrashed(
-            f"shard returned {count} results for {expected} page(s); "
-            "treating as a crash"
-        )
-    if any("__corrupt__" in item for item in result):
-        raise ShardCrashed("shard returned a corrupted payload; treating as a crash")
-    return result
-
-
-def validate_reply(result: object, expected: int):
-    """Validate one shard reply; returns ``(pages, stats_or_None)``.
-
-    A shard answers ``{"pages": [...], "kernel": [...]}`` -- one output
-    dict and one per-page stats dict per item.  A daemon that predates
-    per-page stats answers the plain page list; that is healthy too, and
-    the stats come back as ``None`` so the caller can degrade to a
-    transport-only span.  The pages go through
-    :func:`validate_shard_result` (so injected corruption is caught), and
-    a malformed stats column is likewise a crash.
-
-    >>> validate_reply([{"a": 1}], 1)
-    ([{'a': 1}], None)
     >>> pages, stats = validate_reply(
     ...     {"pages": [{"a": 1}], "kernel": [{"kernel_ms": 0.5}]}, 1)
-    >>> stats[0]["kernel_ms"]
-    0.5
-    >>> validate_reply({"pages": [{"a": 1}], "kernel": "bad"}, 1)
+    >>> pages, stats[0]["kernel_ms"]
+    ([{'a': 1}], 0.5)
+    >>> validate_reply({"pages": [{}, {}], "kernel": [{}, {}]}, 1)
     Traceback (most recent call last):
         ...
-    repro.errors.ShardCrashed: shard returned malformed per-page stats for 1 page(s); treating as a crash
+    repro.errors.ShardCrashed: shard returned a malformed reply for 1 page(s); treating as a crash
     """
-    if isinstance(result, list):
-        return validate_shard_result(result, expected), None
-    if not isinstance(result, dict):
-        raise ShardCrashed(
-            f"shard returned {type(result).__name__}, not a pages/kernel "
-            "dict or page list; treating as a crash"
-        )
-    pages = validate_shard_result(result.get("pages"), expected)
-    stats = result.get("kernel")
-    if (
-        not isinstance(stats, list)
-        or len(stats) != expected
-        or not all(isinstance(item, dict) for item in stats)
-    ):
-        raise ShardCrashed(
-            f"shard returned malformed per-page stats for {expected} "
-            "page(s); treating as a crash"
-        )
+    columns = (
+        (result.get("pages"), result.get("kernel"))
+        if isinstance(result, dict)
+        else (None, None)
+    )
+    for column in columns:
+        if (
+            not isinstance(column, list)
+            or len(column) != expected
+            or not all(isinstance(item, dict) for item in column)
+        ):
+            raise ShardCrashed(
+                f"shard returned a malformed reply for {expected} page(s); "
+                "treating as a crash"
+            )
+    pages, stats = columns
+    if any("__corrupt__" in page for page in pages):
+        raise ShardCrashed("shard returned a corrupted payload; treating as a crash")
     return pages, stats

@@ -7,8 +7,9 @@ buckets* (0.5 ms doubling up to ~16 s) instead of the old bounded
 reservoir -- observation is O(log buckets), the memory footprint is
 constant regardless of traffic, and two histograms merge by adding
 bucket counts, which is what real dashboards aggregate.  Per-stage
-histograms (``observe_stage``) decompose a request the same way the
-trace spans do (queue / flush / route / shard / kernel), and per-wrapper
+histograms (fed with a traced request's span timings by
+``observe_request``) decompose a request the same way the trace spans
+do (queue / flush / route / shard / kernel), and per-wrapper
 histograms (the ``wrapper=`` label on ``observe_latency``) break the
 request latency down by wrapper version.
 
@@ -159,11 +160,7 @@ class ServeMetrics:
     2.5
     """
 
-    def __init__(
-        self,
-        latency_window: int = 4096,  # kept for API compat; unused now
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._lock = threading.Lock()
         self._clock = clock
         self._counters: Counter = Counter()
@@ -237,12 +234,12 @@ class ServeMetrics:
     ) -> None:
         """One traced request's latency + per-stage timings, one lock.
 
-        Equivalent to ``observe_latency`` plus ``observe_stage`` for
-        every entry of ``stage_ms`` (milliseconds, as the span tree
+        Records ``observe_latency`` plus one stage-histogram observation
+        per entry of ``stage_ms`` (milliseconds, as the span tree
         reports them; ``http.request`` is skipped -- it duplicates the
-        latency observation), but acquires the metrics lock once
-        instead of once per stage: this runs on the server's event-loop
-        thread for every traced request.
+        latency observation), under one acquisition of the metrics
+        lock: this runs on the server's event-loop thread for every
+        traced request.
 
         >>> metrics = ServeMetrics()
         >>> metrics.observe_request(
@@ -267,21 +264,6 @@ class ServeMetrics:
                 if hist is None:
                     hist = stages[stage] = Histogram()
                 hist.observe(ms / 1e3)
-
-    def observe_stage(self, stage: str, seconds: float) -> None:
-        """Record one stage timing (``queue`` / ``flush`` / ``shard`` /
-        ``kernel`` ... -- the same names the trace spans use).
-
-        >>> metrics = ServeMetrics()
-        >>> metrics.observe_stage("shard.call", 0.002)
-        >>> metrics.snapshot()["stages"]["shard.call"]["count"]
-        1
-        """
-        with self._lock:
-            hist = self._stages.get(stage)
-            if hist is None:
-                hist = self._stages[stage] = Histogram()
-            hist.observe(seconds)
 
     def snapshot(self) -> Dict:
         """JSON-serializable view of every metric (the /metrics body)."""

@@ -7,12 +7,12 @@ translates and fully compiles the wrapper once
 compilation on a request.
 
 With a ``cache_dir`` the registry is persistent: each ``name@version``
-gets a JSON *spec* file (kind, source, patterns, source hash -- the
-source of truth) and a pickle of the compiled wrapper (a pure cache).  On
-startup every spec is warm-loaded; a pickle whose recorded source hash no
-longer matches the spec (or that fails to load) is discarded and the
-wrapper is recompiled from source and re-persisted.  The cache directory
-is trusted input -- do not point it at files you did not write.
+gets one JSON *spec* file (name, version, kind, source, patterns and
+source hash).  On startup every spec is loaded and its wrapper compiled
+from source again -- a few milliseconds per wrapper, so no compiled
+artifact is stored beside the spec.  Other files in the directory (such
+as the ``.pkl`` caches older releases wrote) are ignored and left as
+they are.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 import threading
 from pathlib import Path
@@ -31,10 +30,6 @@ from repro.wrap.extraction import Wrapper
 
 #: Registry names must be filesystem- and URL-safe.
 _NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
-
-#: Bumped when the pickled payload layout changes; older pickles are
-#: treated as cache misses and recompiled from the spec.
-_CACHE_FORMAT = 1
 
 
 def source_hash(kind: str, source: str, patterns: Sequence[str]) -> str:
@@ -310,15 +305,10 @@ class WrapperRegistry:
         assert self._cache_dir is not None
         return self._cache_dir / f"{name}@{version}.json"
 
-    def _pickle_path(self, name: str, version: int) -> Path:
-        assert self._cache_dir is not None
-        return self._cache_dir / f"{name}@{version}.pkl"
-
     def _persist(self, entry: RegisteredWrapper) -> None:
         if self._cache_dir is None:
             return
         spec = {
-            "format": _CACHE_FORMAT,
             "name": entry.name,
             "version": entry.version,
             "kind": entry.kind,
@@ -326,28 +316,13 @@ class WrapperRegistry:
             "patterns": list(entry.patterns),
             "source_hash": entry.source_hash,
         }
-        payload = {
-            "format": _CACHE_FORMAT,
-            "source_hash": entry.source_hash,
-            "wrapper": entry.wrapper,
-        }
-        self._write_atomic(
-            self._spec_path(entry.name, entry.version),
-            json.dumps(spec, indent=2).encode("utf-8"),
-        )
-        self._write_atomic(
-            self._pickle_path(entry.name, entry.version),
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    @staticmethod
-    def _write_atomic(path: Path, data: bytes) -> None:
+        path = self._spec_path(entry.name, entry.version)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
+        tmp.write_bytes(json.dumps(spec, indent=2).encode("utf-8"))
         os.replace(tmp, path)
 
     def _warm_load(self) -> None:
-        """Load every persisted spec, reusing pickles whose hash matches."""
+        """Load every persisted spec, compiling each wrapper from source."""
         assert self._cache_dir is not None
         for spec_path in sorted(self._cache_dir.glob("*.json")):
             try:
@@ -356,48 +331,16 @@ class WrapperRegistry:
                 version = int(spec["version"])
                 kind = spec["kind"]
                 source = spec["source"]
-                patterns = tuple(spec["patterns"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # unreadable spec: leave the file for inspection
+                wrapper, patterns = build_wrapper(kind, source, spec["patterns"])
+            except (OSError, ValueError, KeyError, TypeError, ReproError):
+                # One unreadable spec, or source that no longer parses,
+                # must not abort the whole warm load: leave the file for
+                # inspection.
+                continue
             digest = source_hash(kind, source, patterns)
-            wrapper = self._load_pickle(name, version, digest)
-            if wrapper is None:
-                # Cache miss / stale hash: recompile from the spec source
-                # and refresh both artifacts on disk.
-                try:
-                    wrapper, patterns = build_wrapper(kind, source, patterns)
-                except ReproError:
-                    # One bad cache entry (e.g. source that no longer
-                    # parses) must not abort the whole warm load.
-                    continue
-                digest = source_hash(kind, source, patterns)
-                entry = RegisteredWrapper(
-                    name, version, kind, source, patterns, digest, wrapper
-                )
-                self._by_name.setdefault(name, {})[version] = entry
-                self._persist(entry)
-            else:
-                entry = RegisteredWrapper(
-                    name, version, kind, source, patterns, digest, wrapper
-                )
-                self._by_name.setdefault(name, {})[version] = entry
-
-    def _load_pickle(self, name: str, version: int, digest: str) -> Optional[Wrapper]:
-        path = self._pickle_path(name, version)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("format") != _CACHE_FORMAT:
-            return None
-        if payload.get("source_hash") != digest:
-            return None  # source changed since the wrapper was compiled
-        wrapper = payload.get("wrapper")
-        return wrapper if isinstance(wrapper, Wrapper) else None
+            self._by_name.setdefault(name, {})[version] = RegisteredWrapper(
+                name, version, kind, source, patterns, digest, wrapper
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         where = str(self._cache_dir) if self._cache_dir else "in-memory"

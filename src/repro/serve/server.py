@@ -166,7 +166,6 @@ class ExtractionServer:
         max_delay: float = 0.010,
         max_pending: int = 256,
         cache_size: int = 512,
-        cache_ttl: Optional[float] = None,
         cache_max_weight: Optional[int] = None,
         bypass_concurrency: int = 1,
         max_body: int = 8 * 1024 * 1024,
@@ -199,9 +198,7 @@ class ExtractionServer:
         self.request_log: Optional[RequestLog] = (
             RequestLog(access_log) if access_log is not None else None
         )
-        self.cache = ResultCache(
-            cache_size, ttl=cache_ttl, max_weight=cache_max_weight
-        )
+        self.cache = ResultCache(cache_size, max_weight=cache_max_weight)
         self._shard_count = shards
         #: ``host:port`` shard daemon addresses; when given, evaluation
         #: runs on those remote boxes instead of local shards.

@@ -31,9 +31,7 @@ subtree once per trace.  Shards do not build spans at all:
 every shard reply carries cheap per-page stats dicts, and the router
 grafts them into the client-side trace as ``snapshot.build`` /
 ``kernel.run`` spans (see :meth:`Span.graft_kernel_stats`) -- tracing is
-a router-side decision only.  A daemon too old to send per-page stats
-answers the plain page list and the trace degrades to a transport-only
-``shard.call`` span.
+a router-side decision only.
 
 The :class:`Tracer` keeps finished traces in a bounded ring buffer plus
 two exemplar stores (the slowest N and the last N errored requests), so

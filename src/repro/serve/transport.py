@@ -370,8 +370,7 @@ class _RemoteShard:
     ) -> "asyncio.Task":
         """The ``wrap`` frame: pages, a parallel ``doc_ids`` column and,
         when traced, the request's ``trace`` context for the daemon's log.
-        A daemon from before per-page stats answers the plain page list
-        (its ``doc_id`` pages run cold), which the batcher accepts."""
+        The daemon answers ``{"pages": [...], "kernel": [...]}``."""
         fields = {
             "key": key,
             "pages": [html for html, _ in items],

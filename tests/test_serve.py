@@ -1,19 +1,19 @@
 """End-to-end tests for the wrapper-serving subsystem (:mod:`repro.serve`).
 
-Covers the registry (versioning, persistence, source-hash invalidation),
+Covers the registry (versioning, spec-only persistence, warm load),
 the shard executor's content-hash routing, and the asyncio HTTP server:
 register -> /extract -> /batch round trips on an ephemeral port, cache-hit
 behavior, 503 backpressure, registry persistence across a restart, the
 request reader (framing, caps, one idle deadline per request) and the one
 deadline per shard call, which a coalesced request waits on under its own
-budget.
+budget and which never outlives the latest member's deadline.
 """
 
 import asyncio
 import concurrent.futures
 import http.client
 import json
-import pickle
+import logging
 import socket
 import threading
 import time
@@ -145,8 +145,7 @@ class TestRegistry:
             "catalog", CATALOG_WRAPPER, kind="elog",
             patterns=["record", "name", "price"],
         )
-        assert (cache_dir / "catalog@1.json").exists()
-        assert (cache_dir / "catalog@1.pkl").exists()
+        assert [p.name for p in cache_dir.iterdir()] == ["catalog@1.json"]
         reloaded = WrapperRegistry(cache_dir)
         again = reloaded.resolve("catalog@1")
         assert again.source_hash == entry.source_hash
@@ -154,34 +153,27 @@ class TestRegistry:
         direct = entry.wrapper.wrap_html_many([page])[0].to_dict()
         assert again.wrapper.wrap_html_many([page])[0].to_dict() == direct
 
-    def test_stale_pickle_is_invalidated_and_recompiled(self, tmp_path):
+    def test_warm_load_compiles_from_the_spec_and_ignores_pickles(self, tmp_path):
         cache_dir = tmp_path / "wrappers"
-        registry = WrapperRegistry(cache_dir)
-        registry.register("items", ITEM_DATALOG, kind="datalog", patterns=["item"])
-        # Tamper: pretend the pickle was compiled from different source.
-        pkl = cache_dir / "items@1.pkl"
-        payload = pickle.loads(pkl.read_bytes())
-        payload["source_hash"] = "0" * 64
-        pkl.write_bytes(pickle.dumps(payload))
-        reloaded = WrapperRegistry(cache_dir)
-        entry = reloaded.resolve("items@1")
+        WrapperRegistry(cache_dir).register(
+            "items", ITEM_DATALOG, kind="datalog", patterns=["item"]
+        )
+        # A compiled-wrapper cache left by an older release is not read.
+        stale = cache_dir / "items@1.pkl"
+        stale.write_bytes(b"not a pickle")
+        entry = WrapperRegistry(cache_dir).resolve("items@1")
         assert entry.source_hash == source_hash(
             "datalog", ITEM_DATALOG, ("item",)
         )
-        out = entry.wrapper.wrap_html_many(["<ul><li>a<li>b</ul>"])[0]
+        fresh, _ = build_wrapper("datalog", ITEM_DATALOG, ["item"])
+        page = "<ul><li>a<li>b</ul>"
+        out = entry.wrapper.wrap_html_many([page])[0]
+        assert out.to_dict() == fresh.wrap_html_many([page])[0].to_dict()
         assert out.to_sexpr() == "result(item, item)"
-        # The refreshed pickle is valid again.
-        refreshed = pickle.loads(pkl.read_bytes())
-        assert refreshed["source_hash"] == entry.source_hash
-
-    def test_corrupt_pickle_is_recompiled_from_spec(self, tmp_path):
-        cache_dir = tmp_path / "wrappers"
-        registry = WrapperRegistry(cache_dir)
-        registry.register("items", ITEM_DATALOG, kind="datalog", patterns=["item"])
-        (cache_dir / "items@1.pkl").write_bytes(b"not a pickle")
-        reloaded = WrapperRegistry(cache_dir)
-        out = reloaded.resolve("items").wrapper.wrap_html_many(["<ul><li>x</ul>"])[0]
-        assert out.to_sexpr() == "result(item)"
+        assert stale.read_bytes() == b"not a pickle"
+        assert sorted(p.name for p in cache_dir.iterdir()) == [
+            "items@1.json", "items@1.pkl"
+        ]
 
 
 class TestShardExecutor:
@@ -323,16 +315,6 @@ class TestResultCache:
         cache = ResultCache(capacity=0)
         cache.put("a", 1)
         assert cache.get("a") is None and len(cache) == 0
-
-    def test_ttl_expires_entries(self):
-        now = [100.0]
-        cache = ResultCache(capacity=4, ttl=10.0, clock=lambda: now[0])
-        cache.put("a", 1)
-        now[0] += 9.9
-        assert cache.get("a") == 1
-        now[0] += 0.2
-        assert cache.get("a") is None
-        assert len(cache) == 0  # expired entry was dropped, not retained
 
     def test_weight_budget_evicts_lru_until_fit(self):
         cache = ResultCache(capacity=100, max_weight=10)
@@ -513,7 +495,7 @@ class TestServerEndToEnd:
         finally:
             thread.stop()
 
-        # Fresh process-equivalent: new registry warm-loads the pickle.
+        # Fresh process-equivalent: a new registry recompiles the spec.
         second = ExtractionServer(WrapperRegistry(cache_dir), port=0, shards=0)
         thread = ServerThread(second)
         host, port = thread.start()
@@ -834,3 +816,45 @@ class TestShardCallDeadline:
         assert snapshot["counters"]["timeouts"] == 1
         assert snapshot["batches"]["count"] == 1
         assert snapshot["batches"]["max_size"] == 2
+
+    def test_flush_stops_at_the_latest_member_deadline(self, caplog):
+        # Two pages coalesce into one 0.5 s shard call; their budgets
+        # (0.1 s and 0.2 s) both end before it does.  The call is cut
+        # once, at the later deadline: the worker is killed once, and the
+        # timed-out batch is not bisected into fresh calls after every
+        # waiter has gone.
+        registry = WrapperRegistry()
+        entry = registry.register(
+            "items", ITEM_DATALOG, kind="datalog", patterns=["item"]
+        )
+        executor = self._SlowCallExecutor(delay=0.5)
+        started = []
+        submit = executor.submit
+
+        def timed_submit(*args, **kwargs):
+            started.append(time.monotonic())
+            return submit(*args, **kwargs)
+
+        executor.submit = timed_submit
+        metrics = ServeMetrics()
+        batcher = MicroBatcher(executor, ResultCache(0), metrics, bypass_concurrency=0)
+
+        async def failed(budget, html):
+            with pytest.raises(RequestTimeout):
+                await batcher.submit(entry, html, timeout=budget)
+
+        async def run():
+            start = time.monotonic()
+            await asyncio.gather(
+                failed(0.1, "<ul><li>a</li></ul>"), failed(0.2, "<ul><li>b</li></ul>")
+            )
+            await asyncio.sleep(0.8)  # room for any call made after the deadline
+            return start
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            start = asyncio.run(run())
+        assert len(started) <= 1, started
+        assert all(at - start < 0.2 + 0.05 for at in started), started
+        assert len(executor.killed) <= 1, executor.killed
+        assert "never retrieved" not in caplog.text, caplog.text
+        assert metrics.snapshot()["counters"].get("bisections", 0) == 0

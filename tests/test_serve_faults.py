@@ -40,7 +40,7 @@ from repro.serve import (
     WrapperRegistry,
     content_hash,
 )
-from repro.serve.faults import FaultInjector, validate_shard_result
+from repro.serve.faults import FaultInjector, validate_reply
 from repro.serve.supervisor import ShardSupervisor
 from repro.workloads import CATALOG_WRAPPER, catalog_page
 from tests.test_serve import request
@@ -142,13 +142,14 @@ class TestFaultPlan:
         assert [e["call"] for e in events] == [2, 3, 4, 6]
 
     def test_validate_shard_result_rejects_corruption(self):
-        assert validate_shard_result([{"a": 1}, {"b": 2}], 2) == [{"a": 1}, {"b": 2}]
+        ok = {"pages": [{"a": 1}, {"b": 2}], "kernel": [{}, {}]}
+        assert validate_reply(ok, 2) == ([{"a": 1}, {"b": 2}], [{}, {}])
         with pytest.raises(ShardCrashed):
-            validate_shard_result([{"a": 1}], 2)  # wrong length
+            validate_reply({"pages": [{"a": 1}], "kernel": [{}]}, 2)  # wrong length
         with pytest.raises(ShardCrashed):
-            validate_shard_result("garbage", 1)  # not a list
+            validate_reply("garbage", 1)  # not a reply
         with pytest.raises(ShardCrashed):
-            validate_shard_result([{"__corrupt__": True}], 1)  # marked
+            validate_reply({"pages": [{"__corrupt__": True}], "kernel": [{}]}, 1)  # marked
 
 
 class TestQuarantine:

@@ -229,12 +229,12 @@ class TestHistogramsAndPrometheus:
 
     def test_stage_and_wrapper_histograms_in_snapshot(self):
         metrics = ServeMetrics()
-        metrics.observe_stage("kernel.run", 0.002)
-        metrics.observe_stage("kernel.run", 0.004)
-        metrics.observe_latency(0.01, wrapper="items@1")
+        metrics.observe_request(0.01, "items@1", {"kernel.run": 2.0})
+        metrics.observe_request(0.01, None, {"kernel.run": 4.0})
         snap = metrics.snapshot()
         assert snap["stages"]["kernel.run"]["count"] == 2
         assert snap["wrappers"]["items@1"]["count"] == 1
+        assert snap["latency"]["count"] == 2
 
     def test_prometheus_round_trips_strict_parser(self):
         metrics = ServeMetrics()
@@ -242,8 +242,8 @@ class TestHistogramsAndPrometheus:
         metrics.set_gauge("breakers_open", 0)
         metrics.observe_batch(4)
         metrics.observe_dirty(0.25)
-        metrics.observe_stage("shard.call", 0.008)
-        metrics.observe_latency(0.012, wrapper='it"ems\\@1')  # label escaping
+        # Label escaping in the wrapper name.
+        metrics.observe_request(0.012, 'it"ems\\@1', {"shard.call": 8.0})
         text = metrics.prometheus()
         parsed = parse_prometheus_text(text)
         names = {sample[0] for sample in parsed["samples"]}
@@ -390,26 +390,12 @@ class TestServerTracing:
 # -- end-to-end: loopback remote cluster (satellite: trace propagation) ------
 
 
-class LegacyShardDaemon(ShardDaemon):
-    """A daemon from before per-page stats and the trace frame field.
-
-    Old daemons read only the keys they know and answer ``wrap`` with
-    the plain page list -- the router must degrade the trace instead of
-    failing the request."""
-
-    async def _dispatch(self, message):
-        message.pop("trace", None)
-        message.pop("doc_ids", None)
-        value = await super()._dispatch(message)
-        return value["pages"] if message.get("op") == "wrap" else value
-
-
 @pytest.fixture
 def trace_cluster():
     daemons, threads, servers = [], [], []
 
-    def boot(daemon_cls=ShardDaemon, n_daemons=2):
-        booted = [DaemonThread(daemon_cls()) for _ in range(n_daemons)]
+    def boot(n_daemons=2):
+        booted = [DaemonThread(ShardDaemon()) for _ in range(n_daemons)]
         daemons.extend(booted)
         addresses = [
             f"{host}:{port}" for host, port in (d.start() for d in booted)
@@ -458,27 +444,6 @@ class TestClusterTracePropagation:
         assert sum(
             t.daemon.stats.get("traced_wraps", 0) for t in daemons
         ) >= 1
-
-    def test_old_daemon_degrades_to_transport_only_span(self, trace_cluster):
-        daemons, server, host, port = trace_cluster(
-            daemon_cls=LegacyShardDaemon
-        )
-        status, payload = request(
-            host, port, "POST", "/extract/items", {"html": item_page(9)}
-        )
-        assert status == 200, "old daemons must keep serving traced routers"
-        status, record = request(
-            host, port, "GET", f"/debug/traces/{payload['trace_id']}"
-        )
-        assert status == 200
-        root = record["root"]
-        calls = find_spans(root, "shard.call")
-        assert calls
-        assert all(c["tags"].get("degraded") == "untraced_shard" for c in calls)
-        assert find_spans(root, "kernel.run") == []
-        assert sum(
-            t.daemon.stats.get("traced_wraps", 0) for t in daemons
-        ) == 0
 
     def test_warm_path_trace_carries_route_and_call_spans(self, trace_cluster):
         daemons, server, host, port = trace_cluster()

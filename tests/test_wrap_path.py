@@ -150,17 +150,23 @@ class TestOneShardOp:
         assert reply["kernel"][0]["warm"] is True
 
     def test_reply_validation(self):
-        assert validate_reply([{"a": 1}], 1) == ([{"a": 1}], None)
         pages, stats = validate_reply({"pages": [{"a": 1}], "kernel": [{}]}, 1)
         assert pages == [{"a": 1}] and stats == [{}]
-        for bad in (
-            {"pages": [{"a": 1}], "kernel": [{}, {}]},
-            {"pages": [{"a": 1}]},
-            {"pages": [{"__corrupt__": True}], "kernel": [{}]},
-            "garbage",
+        pages, _ = validate_reply(
+            {"pages": [{"a": 1}, {"b": 2}], "kernel": [{}, {}]}, 2
+        )
+        assert pages == [{"a": 1}, {"b": 2}]
+        for bad, expected in (
+            ([{"a": 1}], 1),  # a bare page list: every shard sends stats
+            ({"pages": [{"a": 1}], "kernel": [{}]}, 2),  # wrong length
+            ({"pages": [{"a": 1}], "kernel": [{}, {}]}, 1),
+            ({"pages": [{"a": 1}]}, 1),
+            ({"pages": ["a"], "kernel": [{}]}, 1),  # a non-dict page
+            ({"pages": [{"__corrupt__": True}], "kernel": [{}]}, 1),  # marked
+            ("garbage", 1),
         ):
             with pytest.raises(ShardCrashed):
-                validate_reply(bad, 1)
+                validate_reply(bad, expected)
 
 
 class TestWarmRequestsCoalesce:

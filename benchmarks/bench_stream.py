@@ -12,8 +12,7 @@ two ingestion pipelines:
 
 The streaming path should beat the Node path by >=2x at the largest
 catalog size; ``benchmarks/report.py`` (E-STREAM section) emits the
-recorded numbers to ``BENCH_stream.json``, including the process-pool
-fan-out (``workers=N``) on machines that offer more than one core.
+recorded numbers to ``BENCH_stream.json``.
 """
 
 import pytest

@@ -13,7 +13,7 @@ linear-time propagation kernel of :mod:`repro.datalog.kernel` against
 both, with a document-size doubling sweep and an empirical-linearity
 column ``time(2n)/time(n)``), ``benchmarks/BENCH_stream.json`` (the
 Node-free streaming ingestion pipeline end to end against the PR-2
-Node-tree path, serial and across a process pool, plus a hostile tag-soup
+Node-tree path, plus a hostile tag-soup
 depth sweep whose ``time(2n)/time(n)`` column the smoke run guards),
 ``benchmarks/BENCH_incremental.json`` (warm re-extraction over Merkle
 snapshot diffs against cold kernel runs on an edit-ratio sweep), and
@@ -580,28 +580,19 @@ def report_stream(smoke: bool = False) -> None:
       ``UnrankedStructure`` -> per-function plans -> Node output walk),
     * the streaming path (one scan loop from HTML text to snapshot
       columns -> one shared kernel fixpoint -> snapshot-native output;
-      zero ``Node`` objects), and
-    * the streaming path fanned out over a process pool
-      (``wrap_html_many(workers=N)``; degrades to serial when the machine
-      offers a single core).
+      zero ``Node`` objects).
 
     Paths alternate inside each repetition (best-of-N per path) so the
-    comparison is robust to machine noise, and every path's outputs are
+    comparison is robust to machine noise, and both paths' outputs are
     asserted identical before any timing is reported.  In smoke mode a
-    serial speedup under :data:`STREAM_MIN_SPEEDUP` at the largest size
+    speedup under :data:`STREAM_MIN_SPEEDUP` at the largest size
     fails the run.  A second sweep
     (``hostile_rows``) wraps catalog pages with deep tag-soup footers at
     doubling depths and records ``t(2n)/t(n)``; see :func:`_hostile_sweep`.
     """
     import gc
-    import os
 
     print("== E-STREAM: streaming ingestion (bytes -> columns -> output) ==")
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        available = os.cpu_count() or 1
-    workers = min(4, available)
     baseline = _catalog_wrapper(shared=False)
     streaming = _catalog_wrapper(shared=True)
     # 640 is the largest size of the established catalog sweep (E-KERNEL).
@@ -610,24 +601,14 @@ def report_stream(smoke: bool = False) -> None:
     rows = []
     for items, batch in sweep:
         pages = catalog_pages(batch, items=items)
-
-        def node_path():
-            return baseline.wrap_many([parse_html(page) for page in pages])
-
-        def stream_path():
-            return streaming.wrap_html_many(pages)
-
-        def worker_path():
-            return streaming.wrap_html_many(pages, workers=workers)
-
-        reference = [out.to_sexpr() for out in node_path()]
-        for path in (stream_path, worker_path) if workers >= 2 else (stream_path,):
-            if [out.to_sexpr() for out in path()] != reference:
-                raise SystemExit(
-                    f"streaming output diverges from the Node path at "
-                    f"items={items}; refusing to report timings"
-                )
-        # Serial paths: per-page best-of-N, summed, with the two paths
+        reference = baseline.wrap_many([parse_html(page) for page in pages])
+        streamed = streaming.wrap_html_many(pages)
+        if [out.to_sexpr() for out in streamed] != [out.to_sexpr() for out in reference]:
+            raise SystemExit(
+                f"streaming output diverges from the Node path at "
+                f"items={items}; refusing to report timings"
+            )
+        # Both paths: per-page best-of-N, summed, with the two paths
         # alternating page by page so they sample the same machine-noise
         # windows; the per-page minima then recover steady-state
         # throughput, and the reported ratio is robust to load drift.
@@ -646,43 +627,23 @@ def report_stream(smoke: bool = False) -> None:
                 elapsed = time.perf_counter() - start
                 if elapsed < stream_best[index]:
                     stream_best[index] = elapsed
-        timings = {"node": sum(node_best), "stream": sum(stream_best)}
-        if workers < 2:
-            # wrap_html_many(workers<2) is by definition the serial path;
-            # reuse its timing rather than re-measuring identical code.
-            timings["workers"] = timings["stream"]
-        else:
-            timings["workers"] = float("inf")
-            for _ in range(repeat):
-                gc.collect()
-                start = time.perf_counter()
-                worker_path()
-                timings["workers"] = min(
-                    timings["workers"], time.perf_counter() - start
-                )
-        dom = Document.from_html(pages[0]).size
-        speedup_stream = timings["node"] / timings["stream"]
-        speedup_workers = timings["node"] / timings["workers"]
+        node_s, stream_s = sum(node_best), sum(stream_best)
+        speedup_stream = node_s / stream_s
         rows.append(
             {
                 "items": items,
                 "pages": batch,
-                "dom_per_page": dom,
-                "node_s": timings["node"],
-                "stream_s": timings["stream"],
-                "stream_workers_s": timings["workers"],
-                "workers_used": max(workers, 1) if workers >= 2 else 1,
-                "pages_per_s_node": round(batch / timings["node"], 2),
-                "pages_per_s_stream": round(batch / timings["stream"], 2),
+                "dom_per_page": Document.from_html(pages[0]).size,
+                "node_s": node_s,
+                "stream_s": stream_s,
+                "pages_per_s_node": round(batch / node_s, 2),
+                "pages_per_s_stream": round(batch / stream_s, 2),
                 "speedup_stream": round(speedup_stream, 2),
-                "speedup_stream_workers": round(speedup_workers, 2),
             }
         )
         print(
-            f"    items={items:>5} pages={batch}  node t={timings['node'] * 1e3:8.2f} ms   "
-            f"stream t={timings['stream'] * 1e3:8.2f} ms   "
-            f"stream+workers t={timings['workers'] * 1e3:8.2f} ms   "
-            f"speedup={speedup_stream:5.2f}x / {speedup_workers:5.2f}x (workers={workers})"
+            f"    items={items:>5} pages={batch}  node t={node_s * 1e3:8.2f} ms   "
+            f"stream t={stream_s * 1e3:8.2f} ms   speedup={speedup_stream:5.2f}x"
         )
         if smoke and items == sweep[-1][0] and speedup_stream < STREAM_MIN_SPEEDUP:
             raise SystemExit(
@@ -696,7 +657,6 @@ def report_stream(smoke: bool = False) -> None:
         "engine": {
             "node": "parse_html -> UnrankedStructure -> per-function plans (PR-2 baseline path)",
             "stream": "Wrapper.wrap_html_many (html_snapshot scan loop -> snapshot columns -> kernel -> snapshot output)",
-            "stream_workers": "Wrapper.wrap_html_many(workers=N) process-pool fan-out",
             "hostile": "Wrapper.wrap_html_many on 64-item catalog pages with a depth-n tag-soup footer",
         },
         "smoke": smoke,

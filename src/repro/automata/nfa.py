@@ -93,26 +93,6 @@ class NFA:
         accept = {i for subset, i in index.items() if subset & self.accept}
         return DFA(len(index), sigma, transitions, 0, accept)
 
-    def reverse_step(self, states: Iterable[int], symbol: Symbol) -> Set[int]:
-        """States from which ``symbol`` (plus epsilon moves) reaches ``states``.
-
-        Used by the backward scans of the SQAu up-transition encoding.
-        """
-        targets = set(states)
-        out: Set[int] = set()
-        for (state, sym_), successors in self.transitions.items():
-            if sym_ == symbol and successors & targets:
-                out.add(state)
-        # Close backwards under epsilon.
-        changed = True
-        while changed:
-            changed = False
-            for state, successors in self.epsilon.items():
-                if state not in out and successors & out:
-                    out.add(state)
-                    changed = True
-        return out
-
 
 class DFA:
     """A deterministic finite automaton, total over its alphabet."""

@@ -156,16 +156,6 @@ class DTA:
         self.delta = delta
         self.accept: FrozenSet[int] = frozenset(accept)
 
-    def check_total(self) -> None:
-        """Verify the transition table is total (raises on gaps)."""
-        for symbol in self.alphabet:
-            for ql in range(self.num_states):
-                for qr in range(self.num_states):
-                    if (symbol, ql, qr) not in self.delta:
-                        raise AutomatonError(
-                            f"missing transition ({symbol!r}, {ql}, {qr})"
-                        )
-
     def step(self, symbol: Symbol, ql: int, qr: int) -> int:
         """One bottom-up transition."""
         try:

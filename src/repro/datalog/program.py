@@ -10,9 +10,9 @@ from the connectedness rewriting in the proof of Theorem 4.2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
-from repro.datalog.terms import Atom, Constant, Term, Variable
+from repro.datalog.terms import Atom, Variable
 from repro.errors import DatalogError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
@@ -59,14 +59,6 @@ class Rule:
         """Whether the rule contains no variables."""
         return self.head.is_ground and all(a.is_ground for a in self.body)
 
-    def binary_atoms(self) -> List[Atom]:
-        """Body atoms of arity two."""
-        return [a for a in self.body if a.arity == 2]
-
-    def unary_atoms(self) -> List[Atom]:
-        """Body atoms of arity one."""
-        return [a for a in self.body if a.arity == 1]
-
     def guard(self) -> Optional[Atom]:
         """A body atom containing all rule variables, if any (Section 3.1)."""
         all_vars = self.variables()
@@ -74,11 +66,6 @@ class Rule:
             if atom.variables() >= all_vars:
                 return atom
         return None
-
-    def rename_variables(self, mapping: Dict[Variable, Variable]) -> "Rule":
-        """Rename variables according to ``mapping`` (identity elsewhere)."""
-        sub: Dict[Variable, Term] = dict(mapping)
-        return Rule(self.head.substitute(sub), [a.substitute(sub) for a in self.body])
 
     def size(self) -> int:
         """Number of atoms, counting the head."""
@@ -193,10 +180,6 @@ class Program:
                     return False
         return True
 
-    def rules_for(self, pred: str) -> List[Rule]:
-        """All rules whose head predicate is ``pred``."""
-        return [rule for rule in self.rules if rule.head.pred == pred]
-
     def fresh_predicate(self, base: str) -> str:
         """A predicate name based on ``base`` not used by the program."""
         used = self.predicates()
@@ -206,10 +189,6 @@ class Program:
         while f"{base}_{i}" in used:
             i += 1
         return f"{base}_{i}"
-
-    def with_query(self, query: str) -> "Program":
-        """A copy of the program with a different query predicate."""
-        return Program(self.rules, query=query, declared=self.declared)
 
     def extend(self, rules: Iterable[Rule]) -> "Program":
         """A copy of the program with additional rules appended."""

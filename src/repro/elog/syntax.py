@@ -118,10 +118,6 @@ class ElogRule:
                 f"{sorted(variables - seen)} in {self}"
             )
 
-    def is_specialization(self) -> bool:
-        """Whether this is a specialization rule (empty path)."""
-        return not self.path
-
     def __str__(self) -> str:
         parts = [f"{self.parent}({self.parent_var})"]
         if self.path:

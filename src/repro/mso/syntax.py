@@ -191,17 +191,6 @@ def conj(*parts: Formula) -> Formula:
     return flat[0] if len(flat) == 1 else And(tuple(flat))
 
 
-def disj(*parts: Formula) -> Formula:
-    """N-ary disjunction convenience."""
-    flat = []
-    for part in parts:
-        if isinstance(part, Or):
-            flat.extend(part.parts)
-        else:
-            flat.append(part)
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
-
-
 def label(name: str, x: FOVar) -> Rel:
     """``label_<name>(x)``."""
     return Rel(f"label_{name}", (x,))

@@ -10,8 +10,8 @@ four pieces, each usable on its own:
   :meth:`repro.wrap.extraction.Wrapper.compile`), persisted as one JSON
   spec per wrapper and compiled again from source on startup;
 * :mod:`repro.serve.executor` -- :class:`ShardExecutor`: a fixed set of
-  long-lived shards (generalizing the per-call ``workers=`` fan-out of
-  the batch APIs), each a :class:`ShardDaemon` forked onto a Unix socket
+  long-lived shards (the only place documents are evaluated in
+  parallel), each a :class:`ShardDaemon` forked onto a Unix socket
   and reached over the same framed RPC as a remote daemon; each compiled
   wrapper is pickled to a shard exactly once and documents are routed to
   shards by content hash.  Every shard, local or remote, runs one

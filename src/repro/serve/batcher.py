@@ -6,9 +6,10 @@ when the oldest entry's deadline (``max_delay`` seconds) expires,
 whichever comes first.  One flush turns into at most one
 :class:`~repro.serve.executor.ShardExecutor` submission per shard, so
 under concurrency the per-request shard round trip (pickling,
-socket hand-off, wakeup) is amortized across the whole batch -- that is
-where the measured >=2x over the naive one-request-one-submission path
-comes from (``benchmarks/bench_serve.py``).
+socket hand-off, wakeup) is amortized across the whole batch.  The
+committed ``benchmarks/BENCH_serve.json`` (``bench_serve.py``, 2 cores)
+reads 1.74x the naive one-request-one-submission path at concurrency 8
+and 4.8x at concurrency 32 on its hot-page stream.
 
 A request may name its document with a ``doc_id`` (a URL, a crawl key):
 it then routes by ``content_hash(doc_id)`` instead of by content, so every

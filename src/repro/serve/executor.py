@@ -1,8 +1,9 @@
 """Sharded long-lived evaluation for compiled wrappers.
 
-The batch APIs of :mod:`repro.wrap.extraction` spin a process pool up per
-call; a server cannot afford that.  :class:`ShardExecutor` owns a fixed
-set of *shards* that live for the whole server lifetime: each a
+The batch APIs of :mod:`repro.wrap.extraction` run serially in the
+calling process; this module is where documents are evaluated in
+parallel.  :class:`ShardExecutor` owns a fixed set of *shards* that live
+for the whole server lifetime: each a
 :class:`~repro.serve.shard.ShardDaemon` forked onto a Unix socket the
 executor owns and reached over the framed RPC of
 :mod:`repro.serve.transport`, the same connection code that reaches a

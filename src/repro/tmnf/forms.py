@@ -5,18 +5,10 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.datalog.program import Program, Rule
-from repro.datalog.terms import Atom, Variable
+from repro.datalog.terms import Variable
 
 #: Binary relations of ``tau_ur`` admissible inside TMNF form (2).
 TAU_UR_BINARY = ("firstchild", "nextsibling")
-
-#: Unary relations of ``tau_ur`` admissible as ``p0`` / ``p1``.
-TAU_UR_UNARY_PREFIXES = ("label_",)
-TAU_UR_UNARY = ("dom", "root", "leaf", "lastsibling")
-
-
-def _is_schema_unary(name: str) -> bool:
-    return name in TAU_UR_UNARY or name.startswith(TAU_UR_UNARY_PREFIXES)
 
 
 def check_tmnf_rule(

@@ -88,21 +88,6 @@ class Node:
         return not self.children
 
     @property
-    def is_root(self) -> bool:
-        """Whether this node has no parent."""
-        return self.parent is None
-
-    @property
-    def first_child(self) -> Optional["Node"]:
-        """The leftmost child, or ``None``."""
-        return self.children[0] if self.children else None
-
-    @property
-    def last_child(self) -> Optional["Node"]:
-        """The rightmost child, or ``None``."""
-        return self.children[-1] if self.children else None
-
-    @property
     def child_index(self) -> int:
         """Zero-based position among siblings (0 for a root)."""
         if self.parent is None:

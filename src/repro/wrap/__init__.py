@@ -6,8 +6,8 @@ assignment, a new tree is computed "along the lines of the input tree but
 using the new labels and omitting nodes that have not been relabeled":
 
 * :mod:`repro.wrap.extraction` -- :class:`Wrapper`: bundles extraction
-  functions from any of the library's query formalisms, with batch and
-  process-pool entry points;
+  functions from any of the library's query formalisms, with serial batch
+  entry points;
 * :mod:`repro.wrap.document` -- :class:`Document`: the streaming,
   Node-free document representation (snapshot columns straight from the
   HTML tokenizer);

@@ -12,8 +12,7 @@ from the snapshot's text column.
 
 This is the per-document payload of the streaming batch pipeline
 (:meth:`repro.wrap.extraction.Wrapper.wrap_html_many`): it is built in
-one pass over the HTML token events and pickles cheaply (flat lists
-only), so batches fan out across process pools without re-parsing.
+one pass over the HTML token events and holds flat lists only.
 
 Examples
 --------

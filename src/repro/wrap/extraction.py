@@ -30,12 +30,10 @@ The batch entry points :meth:`Wrapper.extract_many` /
 the streaming path end to end from raw HTML strings.  Those two and the
 warm :meth:`Wrapper.wrap_html_stateful` share one per-page core that
 returns ``(output, state, stats)`` -- the same per-stage stats a serving
-shard ships back to its router.  All four batch entry points take
-``workers=N`` to fan the batch out over a process pool: documents are
-independent, the compiled wrapper (plans plus kernel tables) is pickled
-once per worker, and each worker streams its documents locally -- for
-``wrap_html_many`` only the HTML strings and the flat output trees ever
-cross the process boundary.
+shard ships back to its router.  The batch entry points run serially in
+the calling process; parallelism across documents belongs to the serving
+layer (:class:`repro.serve.executor.ShardExecutor`), whose long-lived
+shards receive the wrapper once, pickled.
 """
 
 from __future__ import annotations
@@ -195,9 +193,9 @@ class Wrapper:
 
         Normally compilation happens lazily on first use; call this to
         move the cost out of the first document (e.g. before timing a
-        batch, or before pickling the wrapper into a worker pool).  The
-        kernel tables and join plans are fully materialized, so workers
-        receive a ready-to-run artifact.
+        batch, or before pickling the wrapper into a serving shard).  The
+        kernel tables and join plans are fully materialized, so a shard
+        receives a ready-to-run artifact.
         """
         for index, (kind, _, payload) in enumerate(self._functions):
             if kind == "datalog":
@@ -312,19 +310,12 @@ class Wrapper:
         return self._extract_structure(runtime)[0]
 
     def extract_many(
-        self,
-        documents: Iterable[DocumentLike],
-        workers: Optional[int] = None,
+        self, documents: Iterable[DocumentLike]
     ) -> List[Dict[str, Set[int]]]:
         """Batch :meth:`extract`: one shared indexed structure per document,
         all extraction programs compiled exactly once across the batch.
-
-        ``workers`` > 1 shards the batch over a process pool (documents
-        are independent; the compiled wrapper is shipped once per worker).
         """
         self.compile()
-        if _parallel(workers):
-            return self._fanout("extract_many", list(documents), workers)
         return [self.extract(document) for document in documents]
 
     def wrap(self, document: DocumentLike, root_label: str = "result") -> OutputNode:
@@ -337,42 +328,28 @@ class Wrapper:
         self,
         documents: Sequence[DocumentLike],
         root_label: str = "result",
-        workers: Optional[int] = None,
     ) -> List[OutputNode]:
         """Batch :meth:`wrap` over a stream of documents.
 
         Builds exactly one :class:`repro.structures.IndexedStructure` per
         document and reuses every compiled extraction plan across the whole
-        batch; ``workers`` > 1 fans out over a process pool.
+        batch.
         """
         self.compile()
-        if _parallel(workers):
-            return self._fanout(
-                "wrap_many", list(documents), workers, root_label=root_label
-            )
         return [self.wrap(document, root_label) for document in documents]
 
     # -- streaming HTML: one per-page core -----------------------------------
 
     def wrap_html_many(
-        self,
-        pages: Sequence[str],
-        root_label: str = "result",
-        workers: Optional[int] = None,
+        self, pages: Sequence[str], root_label: str = "result"
     ) -> List[OutputNode]:
         """Wrap raw HTML pages end to end on the streaming path.
 
         Each page goes HTML string -> tokenizer events -> snapshot columns
         -> propagation kernel -> output tree, with **zero Node objects**
-        anywhere.  With ``workers=N`` the pages are sharded over a process
-        pool: only the HTML strings travel to the workers and only the
-        flat output trees travel back.
+        anywhere.
         """
         self.compile()
-        if _parallel(workers):
-            return self._fanout(
-                "wrap_html_many", list(pages), workers, root_label=root_label
-            )
         return [self._wrap_page(page, None, root_label)[0] for page in pages]
 
     def wrap_html_stateful(
@@ -420,15 +397,9 @@ class Wrapper:
         self.compile()
         return self._wrap_page(page, prior, root_label)
 
-    def extract_html_many(
-        self,
-        pages: Sequence[str],
-        workers: Optional[int] = None,
-    ) -> List[Dict[str, Set[int]]]:
+    def extract_html_many(self, pages: Sequence[str]) -> List[Dict[str, Set[int]]]:
         """Batch extraction from raw HTML pages on the streaming path."""
         self.compile()
-        if _parallel(workers):
-            return self._fanout("extract_html_many", list(pages), workers)
         return [self._wrap_page(page, None, None)[0] for page in pages]
 
     # -- internals -----------------------------------------------------------
@@ -485,33 +456,3 @@ class Wrapper:
         return build_output_tree(
             structure.root_node, node_assignment, root_label=root_label
         )
-
-    def _fanout(self, method: str, items: list, workers: int, **kwargs) -> list:
-        """Run the batch method ``method`` one item at a time in a pool."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunksize = max(1, len(items) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(self, method, kwargs),
-        ) as pool:
-            return list(pool.map(_pool_job, items, chunksize=chunksize))
-
-
-def _parallel(workers: Optional[int]) -> bool:
-    return workers is not None and workers > 1
-
-
-#: Per-worker state: the unpickled wrapper's batch method and its options.
-_POOL_STATE: Optional[tuple] = None
-
-
-def _pool_init(wrapper: Wrapper, method: str, kwargs: dict) -> None:
-    global _POOL_STATE
-    _POOL_STATE = (getattr(wrapper, method), kwargs)
-
-
-def _pool_job(item):
-    run, kwargs = _POOL_STATE
-    return run([item], **kwargs)[0]

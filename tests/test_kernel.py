@@ -914,9 +914,6 @@ class TestGeneratedWorklist:
             for variant in plan._kernel._variants:
                 assert variant._worklists is None
         assert [out.to_dict() for out in restored.wrap_html_many(pages)] == expected
-        again = pickle.loads(pickle.dumps(wrapper))
-        parallel = again.wrap_html_many(pages, workers=2)
-        assert [out.to_dict() for out in parallel] == expected
 
     def test_wrapper_keeps_no_snapshot_after_a_batch(self):
         import gc

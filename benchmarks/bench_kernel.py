@@ -15,15 +15,13 @@ of the timed region):
 The kernel should dominate the compiled path at every size and scale
 linearly: time roughly doubles when the document doubles.
 
-The kernel itself is measured through both of its engines: the big-int
-frontier-at-a-time evaluator (the default) and the scalar Dowling-Gallier
-worklist it falls back to, plus a deep-chain workload (depth >> breadth)
-where single-bit frontiers hand off to the scalar engine mid-run.
+The kernel runs its one cold engine, the generated Dowling-Gallier
+worklist, on the catalog sweep and on a deep-chain workload (depth >>
+breadth), where the fixpoint derives one fact per chain node in turn.
 """
 
 import pytest
 
-import repro.datalog.kernel as kernel_mod
 from repro.datalog.engine import compile_program, evaluate
 from repro.datalog.parser import parse_program
 from repro.elog.parser import parse_elog
@@ -37,8 +35,8 @@ from repro.workloads import CATALOG_WRAPPER as _WRAPPER, catalog_page
 
 _SIZES = [40, 80, 160, 320, 640]
 
-# Root-to-leaf descent: on a chain every round advances one node, the
-# worst case for frontier-at-a-time and the best case for the worklist.
+# Root-to-leaf descent: on a chain each derived fact enables exactly one
+# more, so the fixpoint is as deep as the document.
 _DEEP_PROGRAM = """
 mark(x) :- root(x).
 mark(y) :- mark(x), child(x, y).
@@ -59,7 +57,7 @@ def test_kernel_scaling(benchmark, items):
     structure = _indexed(items)
     compiled.run(structure, method="kernel")  # warm the columnar snapshot
     result = benchmark(compiled.run, structure, "kernel")
-    assert result.method == "kernel"
+    assert result.method == "kernel" and result.engine == "worklist"
     assert len(result.query_result()) >= items
 
 
@@ -82,26 +80,9 @@ def test_tmnf_ground_oracle_scaling(benchmark, items):
     assert len(result.query_result()) >= items
 
 
-@pytest.mark.parametrize("engine", ["frontier", "worklist"])
-@pytest.mark.parametrize("items", _SIZES)
-def test_kernel_engine_matrix(benchmark, items, engine):
-    """Frontier-at-a-time vs the scalar worklist on the same fixpoint."""
-    compiled = compile_program(elog_to_datalog(parse_elog(_WRAPPER, query="price")))
-    structure = _indexed(items)
-    saved = kernel_mod.VECTORIZE_PROPAGATION
-    kernel_mod.VECTORIZE_PROPAGATION = engine == "frontier"
-    try:
-        warm = compiled.run(structure, method="kernel")
-        assert warm.engine == engine
-        result = benchmark(compiled.run, structure, "kernel")
-        assert len(result.query_result()) >= items
-    finally:
-        kernel_mod.VECTORIZE_PROPAGATION = saved
-
-
 @pytest.mark.parametrize("depth", [1000, 2000])
 def test_kernel_deep_chain(benchmark, depth):
-    """Deep-tree workload: single-bit frontiers bail out to the worklist."""
+    """Deep-tree workload: one derived fact per chain node, in turn."""
     compiled = compile_program(parse_program(_DEEP_PROGRAM, query="deep"))
     structure = as_indexed(UnrankedStructure(chain_tree(depth)))
     compiled.run(structure, method="kernel")  # warm the columnar snapshot

@@ -238,60 +238,6 @@ def report_compiled(smoke: bool = False) -> None:
     _write_bench("BENCH_compiled.json", payload)
 
 
-def _timed_kernel_pair(compiled, indexed, repeat: int):
-    """Best-of-N kernel timings through both engines, interleaved.
-
-    Alternates one frontier run with one worklist run inside each
-    repetition so both engines sample the same machine-noise windows --
-    the reported ratio is then robust to load drift (same scheme as the
-    streaming report).  Returns ``(vector_s, scalar_s, vector_out,
-    scalar_out)``; the ambient flag is restored afterwards.
-    """
-    import repro.datalog.kernel as kernel_mod
-
-    saved = kernel_mod.VECTORIZE_PROPAGATION
-    try:
-        kernel_mod.VECTORIZE_PROPAGATION = True
-        compiled.run(indexed, method="kernel")  # warm snapshot + vector plan
-        vector_s = scalar_s = float("inf")
-        vector_out = scalar_out = None
-        for _ in range(max(repeat, 3) * 2):
-            kernel_mod.VECTORIZE_PROPAGATION = True
-            start = time.perf_counter()
-            vector_out = compiled.run(indexed, method="kernel")
-            vector_s = min(vector_s, time.perf_counter() - start)
-            kernel_mod.VECTORIZE_PROPAGATION = False
-            start = time.perf_counter()
-            scalar_out = compiled.run(indexed, method="kernel")
-            scalar_s = min(scalar_s, time.perf_counter() - start)
-        return vector_s, scalar_s, vector_out, scalar_out
-    finally:
-        kernel_mod.VECTORIZE_PROPAGATION = saved
-
-
-def _assert_scalar_fallback_exercised() -> None:
-    """CI guard: constant-anchored blocks must still ride the worklist.
-
-    The frontier engine deliberately excludes ``cbind``/``ccheck`` blocks;
-    if that fallback ever stops engaging (e.g. the vector planner starts
-    accepting programs it cannot evaluate correctly), the parity oracle
-    for those shapes is gone and the smoke job must fail loudly.
-    """
-    from repro.datalog.kernel import compile_kernel
-    from repro.datalog.parser import parse_program
-    from repro.trees import parse_sexpr
-
-    kernel = compile_kernel(parse_program("p(x) :- firstchild(0, x).", query="p"))
-    out = kernel.evaluate(UnrankedStructure(parse_sexpr("a(b, c)")))
-    engine = out.stats["engine"]
-    if out.relations["p"] != {(1,)} or engine != "worklist":
-        raise SystemExit(
-            "scalar fallback no longer exercised: constant-anchored program "
-            f"ran via {engine!r} and derived {out.relations['p']!r}"
-        )
-    print("    scalar-fallback guard: constant-anchored block -> worklist ok")
-
-
 def report_kernel(smoke: bool = False) -> None:
     """Propagation kernel vs compiled joins vs interpreted evaluation.
 
@@ -300,26 +246,19 @@ def report_kernel(smoke: bool = False) -> None:
     the kernel-over-compiled speedup, and ``linearity`` -- the ratio
     ``kernel_time(this row) / kernel_time(previous row)`` across a
     doubling item sweep, which should stay near 2.0 for a linear-time
-    engine (Theorem 4.2 / Corollary 6.4).
-
-    The kernel is timed through both engines -- the big-int
-    frontier-at-a-time evaluator (``kernel_vector_s``) and the scalar
-    Dowling-Gallier worklist (``kernel_scalar_s``) -- with their ratio in
-    ``vector_vs_scalar``; the headline ``kernel_s`` column follows the
-    ambient ``REPRO_VECTORIZE_PROPAGATION`` flag so the CI matrix uploads
-    one artifact per engine.  ``deep_rows`` adds a chain workload (depth
-    >> breadth, the document-spanner successor shape) where single-bit
-    frontiers must hand off to the worklist instead of going quadratic.
+    engine (Theorem 4.2 / Corollary 6.4).  The kernel runs its one cold
+    engine, the generated Dowling-Gallier worklist.  ``deep_rows`` adds a
+    chain workload (depth >> breadth, the document-spanner successor
+    shape), where an engine paying per-round work over the whole
+    document would go quadratic.
     """
-    import repro.datalog.kernel as kernel_mod
-
     print("== E-KERNEL: linear-time propagation kernel (Thm 4.2 hot path) ==")
-    ambient_vectorize = kernel_mod.VECTORIZE_PROPAGATION
     datalog = elog_to_datalog(parse_elog(CATALOG_WRAPPER, query="price"))
     compiled = compile_program(datalog)
     rows = []
     sizes = (20, 40, 80) if smoke else (40, 80, 160, 320, 640)
     repeat = 3 if smoke else 7
+    kernel_repeat = max(repeat, 3) * 2
     previous_kernel_s = None
     for items in sizes:
         structure = UnrankedStructure(parse_html(catalog_page(seed=5, items=items)))
@@ -331,27 +270,20 @@ def report_kernel(smoke: bool = False) -> None:
         compiled_s, compiled_out = _timed(
             compiled.run, indexed, "seminaive", repeat=repeat
         )
-        vector_s, scalar_s, vector_out, scalar_out = _timed_kernel_pair(
-            compiled, indexed, repeat=repeat
+        compiled.run(indexed, method="kernel")  # warm the columnar snapshot
+        kernel_s, kernel_out = _timed(
+            compiled.run, indexed, "kernel", repeat=kernel_repeat
         )
-        if vector_out.engine != "frontier" or scalar_out.engine != "worklist":
+        if kernel_out.engine != "worklist":
             raise SystemExit(
-                f"unexpected kernel engines on items={items}: "
-                f"{vector_out.engine!r} / {scalar_out.engine!r}"
+                f"unexpected kernel engine on items={items}: {kernel_out.engine!r}"
             )
-        if not (
-            vector_out.relations
-            == scalar_out.relations
-            == compiled_out.relations
-            == interpreted_out
-        ):
+        if not (kernel_out.relations == compiled_out.relations == interpreted_out):
             raise SystemExit(
-                f"kernel engines/compiled/interpreted disagree on items={items}; "
+                f"kernel/compiled/interpreted disagree on items={items}; "
                 "refusing to report timings"
             )
-        kernel_s = vector_s if ambient_vectorize else scalar_s
         speedup = compiled_s / kernel_s if kernel_s else float("inf")
-        vector_vs_scalar = scalar_s / vector_s if vector_s else float("inf")
         linearity = (
             round(kernel_s / previous_kernel_s, 2)
             if previous_kernel_s
@@ -365,9 +297,6 @@ def report_kernel(smoke: bool = False) -> None:
                 "interpreted_s": interpreted_s,
                 "compiled_s": compiled_s,
                 "kernel_s": kernel_s,
-                "kernel_vector_s": vector_s,
-                "kernel_scalar_s": scalar_s,
-                "vector_vs_scalar": round(vector_vs_scalar, 2),
                 "speedup_vs_compiled": round(speedup, 2),
                 "linearity": linearity,
             }
@@ -375,15 +304,11 @@ def report_kernel(smoke: bool = False) -> None:
         print(
             f"    items={items:>4} dom={structure.size:>6}  "
             f"compiled t={compiled_s * 1e3:8.2f} ms   "
-            f"kernel scalar t={scalar_s * 1e3:8.2f} ms   "
-            f"vector t={vector_s * 1e3:8.2f} ms   "
-            f"vector/scalar={vector_vs_scalar:5.2f}x   "
+            f"kernel t={kernel_s * 1e3:8.2f} ms   "
             f"t(2n)/t(n)={linearity if linearity is not None else '  --'}"
         )
-    # Deep-tree workload: a root-to-leaf descent over a unary chain.  Every
-    # frontier is a single node, so the vector engine's narrow-frontier
-    # bailout must hand the run to the worklist instead of paying one
-    # whole-domain big-int round per chain node.
+    # Deep-tree workload: a root-to-leaf descent over a unary chain, which
+    # derives one fact per chain node, one after another.
     from repro.datalog.parser import parse_program
 
     deep_program = parse_program(
@@ -400,38 +325,22 @@ def report_kernel(smoke: bool = False) -> None:
     previous_deep_s = None
     for depth in depths:
         indexed = as_indexed(UnrankedStructure(chain_tree(depth)))
-        vector_s, scalar_s, vector_out, scalar_out = _timed_kernel_pair(
-            deep_compiled, indexed, repeat=repeat
+        deep_compiled.run(indexed, method="kernel")  # warm the snapshot
+        deep_s, deep_out = _timed(
+            deep_compiled.run, indexed, "kernel", repeat=kernel_repeat
         )
-        if vector_out.relations != scalar_out.relations:
-            raise SystemExit(
-                f"kernel engines disagree on the depth={depth} chain"
-            )
-        if vector_out.query_result() != {depth - 1}:
+        if deep_out.query_result() != {depth - 1}:
             raise SystemExit(f"wrong answer on the depth={depth} chain")
-        vector_vs_scalar = scalar_s / vector_s if vector_s else float("inf")
-        deep_s = vector_s if ambient_vectorize else scalar_s
         linearity = (
             round(deep_s / previous_deep_s, 2) if previous_deep_s else None
         )
         previous_deep_s = deep_s
         deep_rows.append(
-            {
-                "depth": depth,
-                "kernel_s": deep_s,
-                "kernel_vector_s": vector_s,
-                "kernel_scalar_s": scalar_s,
-                "vector_vs_scalar": round(vector_vs_scalar, 2),
-                "vector_engine": vector_out.engine,
-                "linearity": linearity,
-            }
+            {"depth": depth, "kernel_s": deep_s, "linearity": linearity}
         )
         print(
             f"    chain depth={depth:>5}  "
-            f"kernel scalar t={scalar_s * 1e3:8.2f} ms   "
-            f"vector t={vector_s * 1e3:8.2f} ms   "
-            f"vector/scalar={vector_vs_scalar:5.2f}x   "
-            f"engine={vector_out.engine}   "
+            f"kernel t={deep_s * 1e3:8.2f} ms   "
             f"t(2n)/t(n)={linearity if linearity is not None else '  --'}"
         )
     if not smoke:
@@ -449,18 +358,17 @@ def report_kernel(smoke: bool = False) -> None:
                     f"kernel linearity broken on the chain sweep: "
                     f"t(2n)/t(n)={row['linearity']} at depth={row['depth']}"
                 )
-    _assert_scalar_fallback_exercised()
     payload = {
         "experiment": "kernel_vs_compiled_vs_interpreted",
         "workload": "elog catalog wrapper (E-C6.4 sweep, doubling items)",
         "engine": {
             "interpreted": "repro.datalog.seminaive.evaluate_seminaive",
             "compiled": "repro.datalog.plan.CompiledProgram.run(seminaive)",
-            "kernel": "repro.datalog.kernel (CompiledProgram.run(kernel))",
-            "kernel_vector": "frontier-at-a-time big-int propagation",
-            "kernel_scalar": "Dowling-Gallier worklist (VECTORIZE_PROPAGATION=0)",
+            "kernel": (
+                "repro.datalog.kernel (CompiledProgram.run(kernel)): "
+                "generated Dowling-Gallier worklist"
+            ),
         },
-        "vectorize_default": ambient_vectorize,
         "smoke": smoke,
         "rows": rows,
         "deep_rows": deep_rows,
@@ -750,8 +658,7 @@ def _assert_incremental_exercised() -> None:
     If the incremental kernel ever silently stops applying (a binding
     change, a diff gate tightened to zero, a state no longer produced),
     every warm call degrades to a cold run and the benchmark would
-    quietly measure cold-vs-cold; fail loudly instead (the incremental
-    twin of ``_assert_scalar_fallback_exercised``).
+    quietly measure cold-vs-cold; fail loudly instead.
     """
     from repro.trees.generate import thread_tree
 
@@ -807,8 +714,8 @@ def report_incremental(smoke: bool = False) -> None:
     Emits ``benchmarks/BENCH_incremental.json``.  The workload is a
     comment-thread page (:func:`repro.trees.generate.thread_tree`: many
     unary chains under one root) with a recursive descent program, so a
-    cold kernel run pays one frontier round per chain level while a warm
-    run pays only the snapshot diff plus the dirty region.  The headline
+    cold kernel run (the generated worklist) derives every fact of the
+    page while a warm run pays the snapshot diff plus the dirty region.  The headline
     rows edit text on the *deepest* comments of each thread -- the
     re-crawl recency model (new activity lands at thread bottoms), which
     keeps delete-and-rederive cones short.  One more row per size
@@ -940,7 +847,7 @@ def report_incremental(smoke: bool = False) -> None:
             "plus one row per size of 1% edits scattered over all depths"
         ),
         "engine": {
-            "cold": "CompiledProgram.run(method='kernel') (frontier)",
+            "cold": "CompiledProgram.run(method='kernel') (worklist)",
             "warm": (
                 "CompiledProgram.run_incremental: signature_table diff + "
                 "DRed delta fixpoint, over-delete and re-derive each one "
@@ -1037,9 +944,8 @@ def _assert_tracing_overhead_bounded() -> None:
 if __name__ == "__main__":
     smoke = "--smoke" in sys.argv[1:]
     if "--kernel-only" in sys.argv[1:]:
-        # The CI engine matrix re-runs just the kernel sweep under each
-        # REPRO_VECTORIZE_PROPAGATION setting; everything else is
-        # engine-independent and measured once by the main smoke job.
+        # The CI kernel-bench job re-runs just the kernel sweep, on its
+        # own runner; everything else is measured by the main smoke job.
         report_kernel(smoke=smoke)
     elif smoke:
         report_compiled(smoke=True)

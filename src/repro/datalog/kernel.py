@@ -46,38 +46,14 @@ is not interpreted: each lowering generates it once as straight-line
 Python (:mod:`repro.datalog.worklist`) -- every rule body one nested
 conjunction of array lookups, every ``child`` enumeration a ``while``
 loop -- and each document passes its columns and masks in as arguments.
+It is the kernel's one cold engine: a derived fact is pushed and popped
+once, so no run pays per-round work over the whole document, however
+deep the recursion goes.
 
 :func:`repro.datalog.engine.evaluate` auto-selects this kernel for monadic
 programs over tree-backed structures; :mod:`repro.datalog.grounding` stays
 as the cross-check oracle (the test suite asserts kernel == ground ==
 seminaive == compiled-plan on randomized programs and trees).
-
-Frontier-at-a-time evaluation
------------------------------
-
-On top of the scalar worklist this module carries a second engine that
-eliminates the per-(pred, node) Python pop entirely: every derived unary
-predicate is one byte-lane big int over preorder node ids (byte ``v`` is
-1 when the predicate holds at node ``v``, matching the snapshot's unary
-byte masks bit for bit), and a whole ``(pred, node-set)`` frontier is
-advanced per round.  Rule bodies become straight-line set programs --
-tree moves are the snapshot's precomputed shift-class/byte-gather maps
-(:meth:`repro.trees.snapshot.TreeSnapshot.vector_move`), unary guards and
-intensional tests are big-int ``&`` -- evaluated as a Yannakakis-style
-semijoin sweep over the rule's move tree (forward pass; plus a backward
-and a second forward pass when the head slot is not the tip of a chain).
-A round processes every predicate with a non-empty frontier and ends when
-no new facts appear.  Blocks the set form cannot express (constant
-anchors and ``cbind`` / ``ccheck`` equality pins, ``bcheck`` cycle edges,
-0-ary predicates, gated re-sweeps, or a move whose map has no linear bulk
-form) make the whole lowering fall back to the scalar worklist -- which
-also takes over mid-run when the frontier stays narrow for many rounds
-(deep-chain propagation derives one node per round, where big-int sweeps
-over the full domain would turn linear work quadratic).  The lanes share
-the big ints' byte layout, so a handoff converts each predicate with one
-``to_bytes`` and the finished lanes pack back with one ``from_bytes``.
-The scalar path doubles as the parity oracle: tests flip
-:data:`VECTORIZE_PROPAGATION` and assert identical output.
 
 Incremental re-evaluation
 -------------------------
@@ -85,7 +61,8 @@ Incremental re-evaluation
 :meth:`KernelProgram.evaluate` given ``previous`` re-evaluates a *changed
 version* of a previously evaluated document without paying the full
 fixpoint again.  A completed run returns a :class:`KernelState` (snapshot
-+ the derived big ints) in its :class:`KernelRun`; the next version is
++ each predicate's lane packed into one big int, byte ``v`` set when the
+fact holds at node ``v``) in its :class:`KernelRun`; the next version is
 matched subtree-by-subtree against that snapshot (:mod:`repro.trees.diff`
 over the subtree signatures of :mod:`repro.trees.merkle`) and the fixpoint
 restarts from the previous facts via delete-and-rederive, both halves on
@@ -120,7 +97,6 @@ across kernel/seminaive/ground).
 from __future__ import annotations
 
 import itertools
-import os
 import re
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
@@ -140,48 +116,14 @@ Relations = Dict[str, Set[Tuple[int, ...]]]
 #: flag to assert exact parity between the two.
 VECTORIZE_SWEEPS = True
 
-#: Module switch for frontier-at-a-time propagation (big-int node sets
-#: advanced whole rounds at a time).  Off, or whenever a lowering contains
-#: an op the set form cannot express, evaluation uses the scalar worklist
-#: -- the parity oracle.  Overridable via ``REPRO_VECTORIZE_PROPAGATION``.
-VECTORIZE_PROPAGATION = os.environ.get(
-    "REPRO_VECTORIZE_PROPAGATION", "1"
-).lower() not in ("0", "false", "no", "off")
-
-#: Adaptive bailout: when a round pushes at most this many new facts...
-_NARROW_FRONTIER = 4
-#: ...for this many consecutive rounds, the frontier engine hands the
-#: partial fixpoint to the scalar worklist (narrow frontiers make whole-
-#: domain big-int sweeps quadratic; the worklist finishes in linear time).
-#: Wide workloads (the catalog sweep) never hit a narrow round at all, so
-#: a short fuse only costs runs that genuinely oscillate narrow-then-wide.
-_NARROW_ROUND_LIMIT = 8
-
 #: Most ``child`` enumerations one lowered rule may nest: the generated
 #: worklist spends one ``while`` per enumeration inside its two drain
 #: loops and a sweep ``for``, and CPython compiles at most 20 nested loops.
 _MAX_BRANCHES = 16
 
-#: Width-histogram buckets preallocated per run: bucket ``b`` counts
-#: rounds whose frontier pushed ``[2^b, 2^(b+1))`` new facts -- 48
-#: buckets cover any document this process can address.
-_WIDTH_BUCKETS = 48
-
-
-def _trim_widths(widths: List[int]) -> List[int]:
-    """Drop trailing empty width buckets for a compact stats payload.
-
-    >>> _trim_widths([2, 0, 1, 0, 0])
-    [2, 0, 1]
-    >>> _trim_widths([0, 0])
-    []
-    """
-    last = 0
-    for index, count in enumerate(widths):
-        if count:
-            last = index + 1
-    return widths[:last]
-
+#: Op kinds a warm-eligible lowering may contain (see
+#: :attr:`_Lowering.warm_eligible`).
+_WARM_OPS = frozenset(("step", "branch", "ubit", "ibit"))
 
 #: Matches every node whose byte survived the mask conjunction.
 _NONZERO = re.compile(rb"[^\x00]")
@@ -261,205 +203,6 @@ class _Block:
         )
 
 
-class _VBlock:
-    """One rule body as a straight-line big-int set program.
-
-    ``slot_init`` holds each slot's static unary-mask conjunction
-    (``None`` = unconstrained), ``preds`` the intensional ``&`` tests,
-    and ``sched`` the move schedule: the rule's move tree re-rooted at
-    the head slot, each edge traversed exactly once toward the head as
-    ``sets[dst] &= fn(sets[src])`` -- the one-pass Yannakakis semijoin
-    sweep that leaves the head slot's set exact.
-    """
-
-    __slots__ = (
-        "entry",
-        "entry_int",
-        "nslots",
-        "slot_init",
-        "preds",
-        "sched",
-        "head_pred",
-        "head_slot",
-    )
-
-
-def _vector_block(block: _Block, snapshot) -> Optional[_VBlock]:
-    """Compile one block to its set form, or ``None`` to fall back.
-
-    Rejected: constant machinery (``cbind`` / ``ccheck`` and the gated
-    re-sweeps), ``bcheck`` edges (a cycle in the move tree breaks the
-    semijoin argument), 0-ary heads and ``gbit`` tests, unsupported
-    relations, and moves whose toward-head direction has no linear bulk
-    form (the image through a broad tree's ``parent`` map).
-    """
-    if block.gate is not None or block.head_slot < 0:
-        return None
-    nslots = max(block.nslots, 1)
-    slot_init: List[Optional[int]] = [None] * nslots
-    preds: List[Tuple[int, int]] = []
-    moves: List[tuple] = []
-    for op in block.ops:
-        kind = op[0]
-        if kind == "step" or kind == "branch":
-            if kind == "step":
-                _, rel, forward, f, t = op
-            else:
-                _, rel, f, t = op
-                forward = True
-            move = snapshot.vector_move(rel, forward)
-            if move is None:
-                return None
-            moves.append((move, f, t))
-        elif kind == "ubit":
-            _, name, f = op
-            mask = snapshot.unary_int(name)
-            if mask is None:
-                return None
-            held = slot_init[f]
-            slot_init[f] = mask if held is None else held & mask
-        elif kind == "ibit":
-            _, pred, f = op
-            preds.append((f, pred))
-        else:
-            return None
-    head = block.head_slot
-    if not moves and head != block.start:
-        return None
-    # Re-root the move tree at the head slot: breadth-first from the head
-    # over the undirected edges, each edge directed toward the head (the
-    # entry-to-head path keeps its forward orientation, everything else
-    # flips to the preimage), emitted farthest-first.
-    adjacency: Dict[int, List[tuple]] = {}
-    for entry_move in moves:
-        _move, f, t = entry_move
-        adjacency.setdefault(f, []).append(entry_move)
-        adjacency.setdefault(t, []).append(entry_move)
-    sched: List[tuple] = []
-    seen = {head}
-    queue = deque((head,))
-    while queue:
-        u = queue.popleft()
-        for move, f, t in adjacency.get(u, ()):
-            other = t if f == u else f
-            if other in seen:
-                continue
-            seen.add(other)
-            fn = move[0] if u == t else move[1]
-            if fn is None:
-                return None
-            sched.append((fn, other, u))
-            queue.append(other)
-    if len(seen) - 1 != len(moves):
-        return None  # parallel edge between two slots: not a tree
-    constrained = {f for f, _ in preds} | {block.start}
-    constrained.update(i for i, m in enumerate(slot_init) if m is not None)
-    if not constrained <= seen:
-        return None  # a constrained slot the sweep would never consult
-    sched.reverse()
-    entry_int = None
-    if block.anchor is not None:
-        entry_int = snapshot.unary_int(
-            "dom" if block.anchor == "*" else block.anchor
-        )
-        if entry_int is None:
-            return None
-    vb = _VBlock()
-    vb.entry = block.start
-    vb.entry_int = entry_int
-    vb.nslots = nslots
-    vb.slot_init = tuple(slot_init)
-    vb.preds = tuple(preds)
-    vb.sched = tuple(sched)
-    vb.head_pred = block.head_pred
-    vb.head_slot = head
-    return vb
-
-
-def _vector_plan(variant: _Lowering, snapshot):
-    """``(vsweeps, vtriggers)`` for a lowering, or ``None``; snapshot-cached.
-
-    All-or-nothing: one inexpressible block anywhere sends the whole
-    lowering to the scalar worklist, so the two engines never interleave
-    within a fixpoint (except through the narrow-frontier handoff, which
-    replays the exact derived state).
-    """
-    plans = snapshot._vector_plans
-    try:
-        return plans[variant]
-    except KeyError:
-        pass
-    plan = None
-    vsweeps = []
-    ok = variant.npreds > 0
-    for block in variant.sweeps:
-        vb = _vector_block(block, snapshot) if ok else None
-        if vb is None:
-            ok = False
-            break
-        vsweeps.append(vb)
-    if ok:
-        vtriggers: List[List[_VBlock]] = []
-        for group in variant.triggers:
-            rows = []
-            for block in group:
-                vb = _vector_block(block, snapshot)
-                if vb is None:
-                    ok = False
-                    break
-                rows.append(vb)
-            if not ok:
-                break
-            vtriggers.append(rows)
-    if ok:
-        plan = (vsweeps, vtriggers)
-    plans[variant] = plan
-    return plan
-
-
-def _run_vblock(
-    vb: _VBlock, entry_set: int, derived: List[int], full: int, memo: Dict
-) -> int:
-    """Node set derivable at the head slot, entering with ``entry_set``.
-
-    Initializes every slot to its static-mask/intensional conjunction
-    (``None`` = unconstrained), narrows the entry slot to ``entry_set``,
-    then runs the precomputed toward-head semijoin schedule.  A slot that
-    is still unconstrained when it feeds a move contributes the full
-    domain (its move then yields the map's definedness set).  ``memo``
-    caches ``(move, operand) -> image`` across the blocks of one round --
-    sibling rules triggered by the same frontier repeat the same moves
-    (e.g. both column extractors of a row enumerate the same children).
-    Returns the exact head-slot projection of the block's satisfying
-    assignments.
-    """
-    if not entry_set:
-        return 0
-    sets = list(vb.slot_init)
-    entry = vb.entry
-    held = sets[entry]
-    sets[entry] = entry_set if held is None else held & entry_set
-    for f, pred in vb.preds:
-        held = sets[f]
-        facts = derived[pred]
-        sets[f] = facts if held is None else held & facts
-    for fn, src, dst in vb.sched:
-        s = sets[src]
-        if s is None:
-            s = full
-        key = (id(fn), s)
-        moved = memo.get(key)
-        if moved is None:
-            moved = memo[key] = fn(s)
-        held = sets[dst]
-        s = moved if held is None else moved & held
-        if not s:
-            return 0
-        sets[dst] = s
-    out = sets[vb.head_slot]
-    return full if out is None else out
-
-
 class _Lowering:
     """One complete lowering of the source program along one route.
 
@@ -484,6 +227,7 @@ class _Lowering:
         "pushes",
         "resources",
         "sweep_masks",
+        "warm_eligible",
         "_worklists",
     )
 
@@ -533,8 +277,24 @@ class _Lowering:
         #: sweep (a pure unary seed rule, evaluated as one big-int AND),
         #: or ``None`` when the sweep runs in the generated worklist.
         self.sweep_masks = tuple(_sweep_masks(block) for block in sweeps)
+        #: Whether a run packs a :class:`KernelState` for warm reuse: only
+        #: lowerings whose facts are all unary node sets reached by tree
+        #: moves from an enumerable anchor -- no 0-ary predicate, no
+        #: constant pin, no gated re-sweep, no ``bcheck`` edge -- because
+        #: the over-delete (:func:`_over_delete`) reads no 0-ary lane and
+        #: re-runs each sweep from anchors near the change.
+        self.warm_eligible = self.npreds > 0 and all(
+            block.gate is None
+            and block.head_slot >= 0
+            and (
+                block.anchor is None
+                or (block.nslots > 0 and not block.anchor.startswith("@const:"))
+            )
+            and all(op[0] in _WARM_OPS for op in block.ops)
+            for block in blocks
+        )
         #: ``(source, derive, condemn)``: the generated worklist source and
-        #: its two functions, built on the first scalar run (both at once,
+        #: its two functions, built on the first run (both at once,
         #: while little else is live) and never pickled.
         self._worklists: Optional[tuple] = None
 
@@ -646,7 +406,7 @@ def _sweep_masks(block: _Block) -> Optional[Tuple[str, ...]]:
 
 
 #: Incremental runs only pay off while most of the document is reusable;
-#: past this unmatched fraction the cold frontier run wins outright.
+#: past this unmatched fraction the cold run wins outright.
 _INCREMENTAL_DIRTY_LIMIT = 0.5
 
 #: Cap on distinct id-shift classes in the old→new fact translation (a
@@ -660,12 +420,12 @@ class KernelState:
     Holds the lowering variant that bound the document, the document's
     snapshot, and the derived big-int node set per predicate -- exactly
     what :meth:`KernelProgram.evaluate` needs, as ``previous``, to
-    re-evaluate the next version of the same document.  Captured when the
-    big-int engine reaches the fixpoint itself, when the scalar worklist
-    finishes a handoff, and by every warm run (each byte lane packs into
-    one big int).  A cold run whose lowering held no vector plan leaves
-    ``None``, which holders must treat as "start cold" -- so a state's
-    lowering never has constants, gated sweeps or 0-ary predicates.
+    re-evaluate the next version of the same document.  Every run, cold
+    or warm, packs one from its finished lanes (one ``int.from_bytes`` per
+    predicate) when its lowering is :attr:`_Lowering.warm_eligible`; any
+    other run leaves ``None``, which holders must treat as "start cold"
+    -- so a state's lowering never has constants, gated sweeps or 0-ary
+    predicates.
     """
 
     __slots__ = ("variant", "snapshot", "derived")
@@ -687,20 +447,14 @@ class KernelRun:
       so a caller that reads only ``unary_sets`` never allocates one
       1-tuple per fact;
     * ``stats`` -- cheap per-run counters, one shape for cold and warm
-      runs: ``engine`` (``"frontier"`` for big-int rounds to fixpoint,
-      ``"worklist"`` for the scalar worklist, ``"frontier+worklist"`` for
-      a narrow-frontier handoff mid-run, ``"incremental"`` for a warm
-      run), ``rounds`` (frontier rounds; 0 on the worklist alone),
-      ``facts`` (derived facts at fixpoint), ``frontier_widths`` (rounds
-      per power-of-two width bucket: index ``b`` covers ``[2^b,
-      2^(b+1))``) and ``fallback`` (why a cold run left the pure frontier
-      engine: ``None``, ``"narrow_frontier"``, ``"vector_plan_rejected"``
-      or ``"vectorize_disabled"``).  Warm runs add ``dirty`` /
-      ``dirty_fraction`` (unmatched new nodes), ``carried`` (old facts
-      kept) and ``deleted`` (old facts the over-delete condemned);
+      runs: ``engine`` (``"worklist"`` for a cold run, ``"incremental"``
+      for a warm run) and ``facts`` (derived facts at fixpoint).  Warm
+      runs add ``dirty`` / ``dirty_fraction`` (unmatched new nodes),
+      ``carried`` (old facts kept) and ``deleted`` (old facts the
+      over-delete condemned);
     * ``state`` -- the :class:`KernelState` to pass as ``previous`` for
-      the document's next version, or ``None`` when the run held no
-      vector plan and did not run warm.
+      the document's next version, or ``None`` when the lowering is not
+      :attr:`_Lowering.warm_eligible`.
     """
 
     __slots__ = ("unary_sets", "stats", "state", "_outputs", "_held", "_relations")
@@ -989,26 +743,16 @@ class KernelProgram:
         :attr:`KernelRun.state` of an earlier run of *this* program over an
         earlier version of the same document: the run goes warm
         (:meth:`_run_warm`) when that state is usable, and cold otherwise.
-        A cold run takes the frontier engine when the bound lowering has a
-        vector plan, and the generated worklist when it has none.
+        A cold run is one call of the lowering's generated worklist.
         """
         bound = self._bind(structure)
         if bound is None:
             return None
-        if VECTORIZE_PROPAGATION:
-            if previous is not None:
-                warm = self._run_warm(bound, previous)
-                if warm is not None:
-                    return warm
-            plan = _vector_plan(*bound)
-            if plan is not None:
-                return self._fixpoint(bound, plan)
-            fallback = "vector_plan_rejected"
-        else:
-            fallback = "vectorize_disabled"
-        out = self._run_scalar(bound, "worklist")
-        out.stats["fallback"] = fallback
-        return out
+        if previous is not None:
+            warm = self._run_warm(bound, previous)
+            if warm is not None:
+                return warm
+        return self._run_scalar(bound, "worklist")
 
     def _run_warm(self, bound, previous: KernelState) -> Optional[KernelRun]:
         """Warm re-evaluation against the previous version's fixpoint.
@@ -1027,8 +771,8 @@ class KernelProgram:
         The result is exactly the cold fixpoint (see the module
         docstring's delete-and-rederive argument).  Both halves run on
         the generated worklist -- one condemn call over the old snapshot,
-        one derive call resumed from the carried facts -- so no frontier
-        round runs, and the engine reports ``"incremental"``.
+        one derive call resumed from the carried facts -- and the engine
+        reports ``"incremental"``.
         """
         old_snap = previous.snapshot
         variant, snapshot = bound
@@ -1086,115 +830,7 @@ class KernelProgram:
         }
         return out
 
-    def _fixpoint(self, bound, plan):
-        """Cold frontier-at-a-time fixpoint.
-
-        Seeds come from the sweep blocks evaluated over their anchor
-        sets; each round then runs every trigger block of every predicate
-        whose frontier is non-empty, entering with the frontier itself
-        (the semi-naive delta -- other intensional tests in the same body
-        read the full ``derived`` sets, and completeness follows exactly
-        as for the worklist: each rule has one trigger block per body
-        occurrence, so the last-derived fact of any satisfied body always
-        re-enters the rule).
-
-        A persistently narrow frontier (see :data:`_NARROW_ROUND_LIMIT`)
-        hands the partial fixpoint to :meth:`_run_scalar`, and the run
-        reports ``"frontier+worklist"``.
-        """
-        variant, snapshot = bound
-        vsweeps, vtriggers = plan
-        P = variant.npreds
-        derived = [0] * P
-        pending = [0] * P
-        full = snapshot.unary_int("dom")
-        has_triggers = [bool(group) for group in vtriggers]
-        # Move results are pure functions of their operand set, so one
-        # memo serves the whole fixpoint.
-        memo: Dict = {}
-        for vb in vsweeps:
-            add = _run_vblock(vb, vb.entry_int, derived, full, memo)
-            if add:
-                hp = vb.head_pred
-                new = add & ~derived[hp]
-                if new:
-                    derived[hp] |= new
-                    if has_triggers[hp]:
-                        pending[hp] |= new
-        narrow = 0
-        rounds = 0
-        widths = [0] * _WIDTH_BUCKETS
-        fallback = None
-        while fallback is None and any(pending):
-            rounds += 1
-            cur = pending
-            pending = [0] * P
-            for pred in range(P):
-                frontier = cur[pred]
-                if not frontier:
-                    continue
-                for vb in vtriggers[pred]:
-                    entry = (
-                        vb.entry_int if vb.entry_int is not None else frontier
-                    )
-                    add = _run_vblock(vb, entry, derived, full, memo)
-                    if add:
-                        hp = vb.head_pred
-                        new = add & ~derived[hp]
-                        if new:
-                            derived[hp] |= new
-                            if has_triggers[hp]:
-                                pending[hp] |= new
-            pushed = sum(f.bit_count() for f in pending)
-            if pushed:
-                widths[pushed.bit_length() - 1] += 1
-            if 0 < pushed <= _NARROW_FRONTIER:
-                narrow += 1
-                if narrow >= _NARROW_ROUND_LIMIT:
-                    fallback = "narrow_frontier"
-            else:
-                narrow = 0
-        if fallback is not None:
-            out = self._run_scalar(
-                bound, "frontier+worklist", resume=(derived, pending), sweep=False
-            )
-            out.stats.update(
-                rounds=rounds, frontier_widths=_trim_widths(widths), fallback=fallback
-            )
-            return out
-        stats = {
-            "engine": "frontier",
-            "rounds": rounds,
-            "facts": sum(d.bit_count() for d in derived),
-            "frontier_widths": _trim_widths(widths),
-            "fallback": None,
-        }
-        return KernelRun(
-            self._collect_vector(variant, snapshot, derived),
-            stats,
-            KernelState(variant, snapshot, derived),
-            variant.outputs,
-        )
-
-    @staticmethod
-    def _collect_vector(variant, snapshot, derived) -> Dict[str, Set[int]]:
-        """Each unary output's node-id set, read off the derived big ints."""
-        unary_sets: Dict[str, Set[int]] = {}
-        size = snapshot.size
-        for name, pred, arity in variant.outputs:
-            if arity != 1:
-                continue
-            ids: Set[int] = set()
-            packed = derived[pred] if pred >= 0 else 0
-            if packed:
-                buffer = packed.to_bytes(size, "little")
-                ids = set(map(_MATCH_START, _NONZERO.finditer(buffer)))
-            unary_sets[name] = ids
-        return unary_sets
-
-    def _run_scalar(
-        self, bound, engine: str, resume=None, sweep: bool = True
-    ) -> KernelRun:
+    def _run_scalar(self, bound, engine: str, resume=None) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
 
         Cold, it starts from empty lanes and the sweeps seed it: pure
@@ -1203,11 +839,10 @@ class KernelProgram:
         ``resume=(derived, pending)`` starts it from a partial fixpoint
         instead: the derived big ints become the lanes, and the pending
         big ints -- every fact whose consequences may still be missing --
-        seed the stacks; the finished lanes pack into the run's state.
-        ``engine`` is the name the run's stats report.  A narrow-frontier
-        handoff passes ``sweep=False`` (its sweeps already ran); a warm run
-        re-runs them, and a sweep pushes only the facts its lane does not
-        hold yet.
+        seed the stacks; the sweeps re-run, each pushing only the facts its
+        lane does not hold yet.  Either way the finished lanes pack into
+        the run's state when the lowering is warm-eligible.  ``engine`` is
+        the name the run's stats report.
         """
         variant, snapshot = bound
         P = variant.npreds
@@ -1223,21 +858,20 @@ class KernelProgram:
                 _ids(facts, n) if pushes else []
                 for facts, pushes in zip(pending, variant.pushes)
             ]
-        if sweep:
-            for k, names in enumerate(variant.sweep_masks):
-                if names is None or not VECTORIZE_SWEEPS:
-                    flags[k] = 1
-                    continue
-                combined = snapshot.unary_int(names[0])
-                for name in names[1:]:
-                    combined &= snapshot.unary_int(name)
-                hp = variant.sweeps[k].head_pred
-                held = int.from_bytes(lanes[hp], "little")
-                new = combined & ~held
-                if new:
-                    lanes[hp] = bytearray((held | new).to_bytes(n, "little"))
-                    if variant.pushes[hp]:
-                        stacks[hp].extend(_ids(new, n))
+        for k, names in enumerate(variant.sweep_masks):
+            if names is None or not VECTORIZE_SWEEPS:
+                flags[k] = 1
+                continue
+            combined = snapshot.unary_int(names[0])
+            for name in names[1:]:
+                combined &= snapshot.unary_int(name)
+            hp = variant.sweeps[k].head_pred
+            held = int.from_bytes(lanes[hp], "little")
+            new = combined & ~held
+            if new:
+                lanes[hp] = bytearray((held | new).to_bytes(n, "little"))
+                if variant.pushes[hp]:
+                    stacks[hp].extend(_ids(new, n))
         gbits = bytearray(P)
         if P:
             derive, _ = variant.worklists()
@@ -1253,7 +887,7 @@ class KernelProgram:
                 flags,
             )
         state = None
-        if resume is not None:
+        if variant.warm_eligible:
             state = KernelState(
                 variant,
                 snapshot,
@@ -1269,10 +903,7 @@ class KernelProgram:
                 held.append(name)
         stats = {
             "engine": engine,
-            "rounds": 0,
             "facts": sum(lane.count(1) for lane in lanes) + gbits.count(1),
-            "frontier_widths": [],
-            "fallback": None,
         }
         return KernelRun(unary_sets, stats, state, variant.outputs, tuple(held))
 

@@ -63,17 +63,15 @@ class EvaluationResult:
     query:
         The program's query predicate, if any.
     engine:
-        For ``method == "kernel"``, which propagation engine ran:
-        ``"frontier"`` (big-int frontier-at-a-time), ``"worklist"`` (scalar
-        Dowling–Gallier), ``"frontier+worklist"`` (narrow-frontier
-        bailout), or ``"incremental"`` (a warm delete-and-rederive run on
-        the scalar worklist).  ``None`` for the other strategies.
+        For ``method == "kernel"``, which propagation run it was:
+        ``"worklist"`` (a cold run of the generated Dowling–Gallier
+        worklist) or ``"incremental"`` (a warm delete-and-rederive run on
+        the same worklist).  ``None`` for the other strategies.
     stats:
         For ``method == "kernel"``, the kernel's per-run stats dict
-        (``engine`` / ``rounds`` / ``facts`` / ``frontier_widths`` /
-        ``fallback``; warm runs add ``dirty`` / ``dirty_fraction`` /
-        ``carried`` / ``deleted``): the ``stats`` of the kernel's
-        :class:`repro.datalog.kernel.KernelRun`, which
+        (``engine`` / ``facts``; warm runs add ``dirty`` /
+        ``dirty_fraction`` / ``carried`` / ``deleted``): the ``stats`` of
+        the kernel's :class:`repro.datalog.kernel.KernelRun`, which
         :meth:`CompiledProgram.run_incremental` also returns as its
         ``info`` triple member after a warm run.  ``None`` for non-kernel
         strategies.
@@ -657,7 +655,7 @@ class CompiledProgram:
         >>> v2 = UnrankedStructure(parse_sexpr("a(b(c), e)"))
         >>> result, state, info = compiled.run_incremental(v1, None)
         >>> sorted(result.query_result()), result.engine
-        ([0, 1, 2, 3], 'frontier')
+        ([0, 1, 2, 3], 'worklist')
         >>> result, state, info = compiled.run_incremental(v2, state)
         >>> sorted(result.query_result()), result.engine
         ([0, 1, 2, 3], 'incremental')

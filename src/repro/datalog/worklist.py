@@ -5,8 +5,9 @@ worklist as Python source generated once per lowering, not through an
 interpreter: :func:`worklist_source` turns the lowering's sweep and
 trigger blocks into straight-line functions -- ``derive`` runs the
 fixpoint, ``condemn`` a warm run's over-delete -- which the kernel
-compiles on the lowering's first scalar run and then calls once per
-document with the document's columns and masks as arguments.
+compiles on the lowering's first run and then calls once per document
+with the document's columns and masks as arguments.  ``derive`` is the
+kernel's one cold engine, and a warm run calls each function once.
 """
 
 from typing import List, Optional, Tuple
@@ -24,7 +25,7 @@ def worklist_source(variant, condemn: bool) -> str:
 
     The Dowling-Gallier worklist as straight-line code over byte lanes:
     ``L<p>`` is predicate ``p``'s lane (byte ``v`` is 1 when ``p(v)``
-    holds; the frontier engine's big ints, byte for byte) and ``S<p>`` its
+    holds; a warm state's big ints, byte for byte) and ``S<p>`` its
     stack of fired nodes.  Each block becomes one conjunction per run of
     ops between ``child`` enumerations, each enumeration a ``while`` over
     ``FC`` / ``NS`` (``firstchild`` / ``nextsibling``), and the head a
@@ -40,7 +41,8 @@ def worklist_source(variant, condemn: bool) -> str:
     yet condemned, and a head -- a sweep's too -- condemns one of those
     (clears its byte and pushes it).  The caller restricts the sweeps
     through their anchor lists in ``R``.  Over-deletes only run for
-    lowerings that left a warm state, which have no 0-ary predicates.
+    warm-eligible lowerings, which have no 0-ary predicates and no
+    constant pins.
 
     The source holds integer literals and fixed names only: every
     document object arrives as an argument.

@@ -51,7 +51,7 @@ change -- a dead or draining daemon moves only its own key interval.
 Observability (``repro.serve.tracing`` / ``repro.serve.metrics``): every
 request gets a :class:`~repro.serve.tracing.Span` tree --
 ``http.request`` down through batcher queueing, ring routing, shard RPC,
-and the kernel run itself (engine, rounds, fallback reason), grafted
+and the kernel run itself (engine, facts, warm reuse counters), grafted
 from the per-page stats every shard reply carries.  A bounded :class:`Tracer` retains
 recent traces plus slow/error exemplars behind ``GET /debug/traces``;
 :class:`ServeMetrics` keeps fixed-bucket latency histograms per stage

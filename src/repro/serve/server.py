@@ -29,8 +29,8 @@ Observability: every ``/extract`` and ``/batch`` request gets a trace id
 (returned in the response payload) and a span tree recorded by the
 server's :class:`~repro.serve.tracing.Tracer` -- ``http.request`` down
 through batcher queueing, ring routing, shard RPC, and the kernel run
-itself (engine, rounds, fallback), including kernel spans grafted back
-from remote shard daemons over the framed RPC protocol, and the
+itself (engine, facts, warm reuse counters), including kernel spans
+grafted back from remote shard daemons over the framed RPC protocol, and the
 response's JSON encoding (``http.encode``).  Stage timings
 feed the per-stage histograms in ``/metrics``; an ``access_log`` sink
 emits one structured JSON line per request (trace id, status, stage

@@ -16,13 +16,13 @@ passes through --
                                 inline thread, or remote daemon RPC)
           snapshot.build        HTML -> columnar snapshot, on the shard
           kernel.run            one kernel fixpoint, on the shard (tags:
-                                engine, rounds, facts, fallback,
-                                frontier-width histogram)
+                                engine, facts, and a warm run's reuse
+                                counters)
       http.encode               JSON-encoding the response
 
--- so a slow request decomposes into *which stage* was slow, and a
-kernel that silently fell back from the frontier engine to the scalar
-worklist is visible per request instead of only in aggregate.
+-- so a slow request decomposes into *which stage* was slow, and
+whether its kernel ran cold or warm is visible per request instead of
+only in aggregate.
 
 Spans are plain objects linked parent -> children; a span created for a
 shared stage (one ``batch.flush`` serving many coalesced requests) is
@@ -171,7 +171,7 @@ class Span:
         runs = trace.get("runs")
         kernel_ms = trace.get("kernel_ms")
         for run in runs if isinstance(runs, list) else []:
-            tags = {k: v for k, v in run.items() if v is not None}
+            tags = dict(run)
             self.children.append(
                 {
                     "name": "kernel.run",

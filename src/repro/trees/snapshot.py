@@ -32,137 +32,19 @@ every page) stores it as ``bytes``, one byte lane per node, so every
 ``label_a`` / ``notlabel_a`` mask is a single ``bytes.translate``; wider
 label sets keep ``array('i')``.
 
-On top of the columns the snapshot also serves the *frontier-at-a-time*
-kernel: byte-lane big ints (:meth:`unary_int`) and bulk set moves
-(:meth:`vector_move`) that push a whole node set through one tree
-relation in a handful of big-int shifts -- see the kernel module
-docstring for the layout contract.
+Each unary relation is also served as one byte-lane big int
+(:meth:`unary_int`, byte ``v`` set when node ``v`` is in the relation):
+the kernel's pure unary sweeps are one big-int AND each, and a warm
+re-evaluation cuts its sweep anchors down to the changed region with one.
 """
 
 from __future__ import annotations
 
-import re
 from array import array
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.trees.node import Node
-
-#: Non-zero bytes of a packed node set (survivor enumeration).
-_NONZERO = re.compile(rb"[^\x00]")
-
-#: Maximum number of distinct ``target - source`` deltas a functional map
-#: may have before :func:`_shift_classes` gives up and the move falls back
-#: to the O(n) byte-gather form.  Chains, sibling links and ``child_k``
-#: maps sit far below this; the many-to-one ``parent`` map of a broad
-#: tree (one delta per child position) is the map that exceeds it.
-_SHIFT_CLASS_CAP = 16
-
-
-def _shift_classes(arr: Sequence[int], size: int):
-    """Decompose a functional map into shift classes, or ``None``.
-
-    Groups sources ``v`` with ``arr[v] >= 0`` by the byte delta
-    ``arr[v] - v`` and returns ``((shift_bits, class_mask_int), ...)``:
-    the image of a byte-lane set ``S`` under the map is exactly
-    ``OR_d (S & mask_d) << shift_d`` (negative shifts shift right).
-    Returns ``None`` when the map needs more than ``_SHIFT_CLASS_CAP``
-    distinct deltas.
-    """
-    classes: Dict[int, bytearray] = {}
-    for v, w in enumerate(arr):
-        if w < 0:
-            continue
-        delta = w - v
-        mask = classes.get(delta)
-        if mask is None:
-            if len(classes) >= _SHIFT_CLASS_CAP:
-                return None
-            mask = classes[delta] = bytearray(size)
-        mask[v] = 1
-    return tuple(
-        (8 * delta, int.from_bytes(mask, "little"))
-        for delta, mask in classes.items()
-    )
-
-
-def _scatter(pairs) -> Callable[[int], int]:
-    """Image function of a shift-class decomposition (``v -> arr[v]``)."""
-
-    def image(s: int) -> int:
-        out = 0
-        for shift, mask in pairs:
-            part = s & mask
-            if part:
-                out |= (part << shift) if shift >= 0 else (part >> -shift)
-        return out
-
-    return image
-
-
-def _gather(pairs) -> Callable[[int], int]:
-    """Preimage function of a shift-class decomposition."""
-
-    def preimage(t: int) -> int:
-        out = 0
-        for shift, mask in pairs:
-            part = (t >> shift) if shift >= 0 else (t << -shift)
-            part &= mask
-            if part:
-                out |= part
-        return out
-
-    return preimage
-
-
-def _byte_gather(arr: Sequence[int], size: int) -> Callable[[int], int]:
-    """O(n) preimage through ``arr`` at C speed (no shift classes).
-
-    ``result[v] = S[arr[v]]``: every node reads the byte of its image, so
-    the returned function computes ``{v : arr[v] in S}`` -- one
-    ``to_bytes`` / ``map`` / ``from_bytes`` round trip, no Python-level
-    per-node loop.  Undefined entries (``-1``) read a padding zero byte.
-    """
-    pad = [w if w >= 0 else size for w in arr]
-
-    def preimage(t: int) -> int:
-        buf = t.to_bytes(size, "little") + b"\x00"
-        return int.from_bytes(bytes(map(buf.__getitem__, pad)), "little")
-
-    return preimage
-
-
-#: Popcount at or below which bulk moves decode set bits one by one
-#: instead of paying an O(n) buffer round trip.  Narrow frontiers (a
-#: handful of nodes descending a deep chain) hit a move every round, so
-#: the O(n) floor of the dense forms would make n rounds quadratic.
-_SPARSE_MOVE_CUTOFF = 8
-
-
-def _sparse_tier(
-    column: Sequence[int], dense: Callable[[int], int]
-) -> Callable[[int], int]:
-    """Wrap a dense bulk move with a per-bit walk for tiny sets.
-
-    ``column`` must map each source node to its single target (``-1``
-    where undefined): the image of a tiny set is just ``column[v]`` per
-    set bit.  Preimages through a partial bijection use the *inverse*
-    column, which maps exactly the same way.
-    """
-
-    def move(t: int) -> int:
-        if t.bit_count() > _SPARSE_MOVE_CUTOFF:
-            return dense(t)
-        out = 0
-        while t:
-            low = t & -t
-            w = column[(low.bit_length() - 1) >> 3]
-            if w >= 0:
-                out |= 1 << (w << 3)
-            t ^= low
-        return out
-
-    return move
 
 
 def _column(values) -> array:
@@ -250,8 +132,6 @@ class TreeSnapshot:
         "_backward",
         "_child_index",
         "_label_nodes",
-        "_vector_moves",
-        "_vector_plans",
         "_sig",
         "_diff",
     )
@@ -295,11 +175,6 @@ class TreeSnapshot:
         self._backward: Dict[str, Optional[Sequence[int]]] = {}
         self._child_index: Optional[List[int]] = None
         self._label_nodes: Optional[List[List[int]]] = None
-        self._vector_moves: Dict = {}
-        #: Per-snapshot cache of compiled frontier plans, keyed by the
-        #: kernel lowering object (identity); owned here so the plan dies
-        #: with the document instead of accumulating on the program.
-        self._vector_plans: Dict = {}
         #: Cached :func:`repro.trees.merkle.signature_table` lanes (the
         #: bulk-comparison form the snapshot diff matches on); computed on
         #: first use, shared by every diff against this snapshot.
@@ -603,120 +478,6 @@ class TreeSnapshot:
         their ``child_k`` relations.
         """
         return name == "child"
-
-    # -- bulk set moves (frontier-at-a-time kernel) ------------------------
-
-    def _functional_move(self, arr, inverse):
-        """``(image, preimage)`` closures for partial-bijection map ``arr``.
-
-        When ``arr`` decomposes into few shift classes both directions are
-        a handful of big-int shift/AND ops; otherwise each direction is an
-        O(n) byte gather through the array that reads it (``image`` needs
-        the ``inverse`` array and is ``None`` without one).
-        """
-        pairs = _shift_classes(arr, self.size)
-        if pairs is not None:
-            image, preimage = _scatter(pairs), _gather(pairs)
-        else:
-            image = (
-                _byte_gather(inverse, self.size) if inverse is not None else None
-            )
-            preimage = _byte_gather(arr, self.size)
-        # Tiny sets skip the dense forms entirely and read the raw
-        # columns bit by bit (images through ``arr``, preimages through
-        # ``inverse`` when the map is a partial bijection).
-        if image is not None:
-            image = _sparse_tier(arr, image)
-        if inverse is not None:
-            preimage = _sparse_tier(inverse, preimage)
-        return (image, preimage)
-
-    def _children_move(self, dense: Callable[[int], int]):
-        """Adaptive children-of-set: sparse walk below a popcount cutoff.
-
-        The dense form pays O(n) however small the input set; enumerating
-        a handful of parents and walking their child lists directly is
-        much cheaper for the selective sets that dominate real sweeps
-        (e.g. the children of the one ``table`` node).
-        """
-        size = self.size
-        firstchild = self.firstchild
-        nextsibling = self.nextsibling
-        cutoff = max(8, size // 16)
-
-        def children(t: int) -> int:
-            count = t.bit_count()
-            if count > cutoff:
-                return dense(t)
-            if count <= _SPARSE_MOVE_CUTOFF:
-                # Tiny parent sets: per-bit child-list walks, no O(n)
-                # buffer round trip (the narrow-frontier hot case).
-                out = 0
-                while t:
-                    low = t & -t
-                    v = firstchild[(low.bit_length() - 1) >> 3]
-                    while v >= 0:
-                        out |= 1 << (v << 3)
-                        v = nextsibling[v]
-                    t ^= low
-                return out
-            out = bytearray(size)
-            for hit in _NONZERO.finditer(t.to_bytes(size, "little")):
-                v = firstchild[hit.start()]
-                while v >= 0:
-                    out[v] = 1
-                    v = nextsibling[v]
-            return int.from_bytes(out, "little")
-
-        return children
-
-    def vector_move(self, rel: str, forward: bool):
-        """Bulk image/preimage functions for one relation traversal.
-
-        Returns ``(fwd, back)`` where ``fwd(S)`` is the byte-lane big-int
-        image of node set ``S`` under the ``forward``-direction traversal
-        of ``rel`` and ``back(T)`` its preimage -- the building blocks of
-        the frontier-at-a-time kernel.  Either function may be ``None``
-        when that direction has no linear-time bulk form (the image
-        through a broad tree's ``parent`` map); the whole result is
-        ``None`` when the snapshot does not supply the relation at all.
-        Cached per ``(rel, forward)``.
-
-        >>> from repro.trees import parse_sexpr
-        >>> from repro.trees.unranked import UnrankedStructure
-        >>> snap = UnrankedStructure(parse_sexpr("a(b, c(d), b)")).snapshot()
-        >>> fwd, back = snap.vector_move("firstchild", True)
-        >>> fwd(1 << 0) == 1 << 8, back(1 << 24) == 1 << 16
-        (True, True)
-        >>> children, parents = snap.vector_move("child", True)
-        >>> children(1 << 0) == (1 << 8) | (1 << 16) | (1 << 32)
-        True
-        """
-        key = (rel, forward)
-        if key in self._vector_moves:
-            return self._vector_moves[key]
-        move = None
-        if rel == "child":
-            # ``child`` is backward-functional: both directions ride the
-            # ``parent`` column.  Children of ``S`` are the *preimage*
-            # through ``parent`` (always available, byte gather at worst);
-            # parents of ``S`` are its image (shift classes or nothing).
-            # Both traversals share the two functions, built once.
-            parents, children = self._functional_move(self.parent, None)
-            children = self._children_move(children)
-            self._vector_moves[("child", not forward)] = (
-                (parents, children) if forward else (children, parents)
-            )
-            move = (children, parents) if forward else (parents, children)
-        else:
-            arr = self.forward_map(rel) if forward else self.backward_map(rel)
-            if arr is not None:
-                inverse = (
-                    self.backward_map(rel) if forward else self.forward_map(rel)
-                )
-                move = self._functional_move(arr, inverse)
-        self._vector_moves[key] = move
-        return move
 
     # -- tree navigation ---------------------------------------------------
 

@@ -11,8 +11,8 @@ Covers the whole warm path bottom up:
   on targeted fast-path shapes (payload-only edits, deep unary spines)
   and randomized edit scripts;
 * the delta kernel -- randomized parity of warm re-evaluation against
-  cold runs across engines, including the states packed back out of
-  narrow-frontier worklist handoffs;
+  cold runs across engines, starting from the states that cold worklist
+  runs pack;
 * the serving warm path -- ``doc_id`` requests against a live server
   must reuse per-document state, agree with cold extraction, and surface
   a nonzero ``incremental_reuse_fraction`` in ``/metrics``.
@@ -40,16 +40,6 @@ mark(x) :- root(x).
 mark(y) :- mark(x), child(x, y).
 deep(x) :- mark(x), label_leafc(x).
 """
-
-
-@pytest.fixture
-def frontier_engine(monkeypatch):
-    """Pin the frontier engine on: these tests assert engine routes
-    (``frontier``, ``incremental``, ``frontier+worklist``, ...), which
-    otherwise follow the ambient ``REPRO_VECTORIZE_PROPAGATION``."""
-    import repro.datalog.kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
 
 
 def descent_program():
@@ -204,7 +194,7 @@ class TestIncrementalKernelParity:
         for node in rng.sample(pool, min(edits, len(pool))):
             node.text += " X"
 
-    def test_randomized_text_edits_match_cold_across_engines(self, frontier_engine):
+    def test_randomized_text_edits_match_cold_across_engines(self):
         rng = random.Random(47)
         program = descent_program()
         raw = parse_program(DESCENT, query="deep")
@@ -234,17 +224,15 @@ class TestIncrementalKernelParity:
         # the warm path must actually engage on most trials, not fall back
         assert applied >= 30
 
-    def test_worklist_handoff_packs_reusable_state(self, frontier_engine):
-        # 2 threads keep the frontier under the narrow limit: the cold
-        # run *must* hand off to the scalar worklist, and since the
-        # handoff packs the finished bitmasks into a KernelState, the
-        # next version still gets a warm run.
+    def test_cold_worklist_run_packs_reusable_state(self):
+        # A cold run is one generated worklist call; its finished lanes
+        # pack into a KernelState, so the next version runs warm.
         program = descent_program()
         v1 = thread_tree(2, 40)
         cold, state, _ = program.run_incremental(
             as_indexed(UnrankedStructure(v1)), None
         )
-        assert cold.engine == "frontier+worklist"
+        assert cold.engine == "worklist"
         assert state is not None
         v2 = thread_tree(2, 40)
         self.edit(random.Random(3), v2, 2)
@@ -320,7 +308,7 @@ class TestDeepConeRoute:
     An edit high up in a reply chain condemns every fact below it; the
     condemn walk closes that cone and the worklist re-derives it, each
     linear in the facts it touches.  Edits at the bottom of the chains
-    condemn a short cone.  Both run warm, with no frontier round.
+    condemn a short cone.  Both run warm.
     """
 
     THREADS, DEPTH = 8, 80
@@ -334,14 +322,13 @@ class TestDeepConeRoute:
         deepest = [(t, self.DEPTH - 1) for t in range(self.THREADS)]
         return base, scattered, edit_comments(scattered, deepest, "(new)")
 
-    def test_scattered_edits_run_warm(self, frontier_engine):
+    def test_scattered_edits_run_warm(self):
         wrapper = forum_wrapper()
         base, scattered, follow_up = self.versions()
         _, state, _ = wrapper.wrap_html_stateful(base)
         out, state, stats = wrapper.wrap_html_stateful(scattered, state)
         (run,) = stats["runs"]
         assert stats["warm"] and run["engine"] == "incremental"
-        assert run["rounds"] == 0 and run["frontier_widths"] == []
         cold = wrapper.wrap_html_many([scattered])[0]
         assert out.to_dict() == cold.to_dict()
         # The worklist's captured state feeds the next version warm.
@@ -350,7 +337,7 @@ class TestDeepConeRoute:
         assert stats["warm"] and run["engine"] == "incremental"
         assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
 
-    def test_deepest_comment_edit_runs_warm(self, frontier_engine):
+    def test_deepest_comment_edit_runs_warm(self):
         wrapper = forum_wrapper()
         base = forum_page(seed=12, threads=self.THREADS, depth=self.DEPTH)
         edited = edit_comments(
@@ -360,10 +347,9 @@ class TestDeepConeRoute:
         out, _, stats = wrapper.wrap_html_stateful(edited, state)
         (run,) = stats["runs"]
         assert stats["warm"] and run["engine"] == "incremental"
-        assert run["fallback"] is None
         assert out.to_dict() == wrapper.wrap_html_many([edited])[0].to_dict()
 
-    def test_deep_cone_parity_across_engines(self, frontier_engine):
+    def test_deep_cone_parity_across_engines(self):
         # An edit near the top of a chain condemns the whole chain below
         # it: the warm run must agree with cold kernel and seminaive runs.
         rng = random.Random(83)
@@ -406,7 +392,7 @@ class TestDeepConeDeletions:
     the over-delete must close the whole cone, or stale facts survive
     (text edits cannot show this -- their cones re-derive unchanged)."""
 
-    def test_relabel_cones_match_cold(self, frontier_engine):
+    def test_relabel_cones_match_cold(self):
         rng = random.Random(2718)
         raw = parse_program(GATED_DESCENT, query="deep")
         program = compile_program(raw)
@@ -467,7 +453,7 @@ class TestTraversingSweepWarm:
             return page[:at] + " edited" + page[at:]
         return page[:at] + page[page.index("</tr>", at) + len("</tr>") :]
 
-    def test_randomized_row_edits_match_cold_and_seminaive(self, frontier_engine):
+    def test_randomized_row_edits_match_cold_and_seminaive(self):
         from repro.elog import elog_to_datalog, parse_elog
         from repro.wrap import Document
         from repro.workloads import CATALOG_WRAPPER, catalog_page
@@ -498,14 +484,11 @@ class TestTraversingSweepWarm:
                 if stats["warm"]:
                     warm_runs += 1
                     (run,) = stats["runs"]
-                    assert run["engine"] == "incremental" and run["rounds"] == 0
-                    (kernel_state,) = state.states.values()
-                    assert not kernel_state.snapshot._vector_moves
-                    assert not kernel_state.snapshot._vector_plans
+                    assert run["engine"] == "incremental"
         assert warm_runs >= 30
 
 
-    def test_relabel_above_a_climbing_sweep_matches_seminaive(self, frontier_engine):
+    def test_relabel_above_a_climbing_sweep_matches_seminaive(self):
         # Relabelling a leaf's grandparent makes its parent bad but not the
         # leaf: only the sweep, run from the leaf, condemns ``near(leaf)``.
         raw = parse_program(CLIMB, query="near")
@@ -555,7 +538,7 @@ class TestServeWarmPath:
         yield host, port
         thread.stop()
 
-    def test_doc_id_reuses_state_and_matches_cold(self, forum_server, frontier_engine):
+    def test_doc_id_reuses_state_and_matches_cold(self, forum_server):
         host, port = forum_server
         v1 = forum_page(seed=5, threads=3, depth=12)
         v2 = v1.replace("Comment 1.11 ", "Comment 1.11 (edited) ")

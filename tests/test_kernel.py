@@ -599,47 +599,43 @@ class TestStructureSatellites:
 
 
 class TestFrontierParity:
-    """Fuzz suite for the frontier-at-a-time engine (frontier big-int
-    propagation == scalar worklist == seminaive == ground), across the
-    direct, TMNF and ranked-TMNF routes, tag-soup documents, and the
-    deep-chain shapes that punish per-node scalar propagation hardest."""
+    """Fuzz suite for the kernel's one cold engine, the generated worklist
+    (worklist == seminaive == ground), across the direct, TMNF and
+    ranked-TMNF routes, tag-soup documents, and the deep-chain shapes
+    that punish per-round propagation hardest.  The class keeps the name
+    and the generators and seeds it had when it cross-checked the
+    frontier-at-a-time engine against the worklist; that engine is gone.
+    """
 
-    def _both_engines(self, kernel, structure, monkeypatch):
-        """Run with the frontier engine allowed, then forced off."""
-        import repro.datalog.kernel as kernel_mod
+    def _worklist(self, kernel, structure):
+        """The kernel's relations, after checking the run was cold."""
+        out = kernel.evaluate(structure)
+        assert out.stats["engine"] == "worklist"
+        return out
 
-        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
-        vectorized = kernel.evaluate(structure)
-        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
-        scalar = kernel.evaluate(structure)
-        assert scalar.stats["engine"] == "worklist"
-        return vectorized.relations, scalar.relations, vectorized.stats["engine"]
-
-    def test_random_programs_random_trees_all_engines_agree(self, monkeypatch):
+    def test_random_programs_random_trees_all_engines_agree(self):
         rng = random.Random(20260807)
-        frontier_runs = 0
+        packed = 0
         for _ in range(60):
             program = _random_kernel_program(rng)
             kernel = compile_kernel(program)
             assert kernel is not None
             tree = random_tree(rng, rng.randint(1, 24), labels=("a", "b"))
             structure = as_indexed(UnrankedStructure(tree))
-            vectorized, scalar, engine = self._both_engines(
-                kernel, structure, monkeypatch
-            )
+            out = self._worklist(kernel, structure)
             reference = evaluate_seminaive(program, structure)
-            assert vectorized == scalar == reference, f"{program}\non {tree}"
-            if engine == "frontier":
-                frontier_runs += 1
+            assert out.relations == reference, f"{program}\non {tree}"
+            packed += out.state is not None
             compiled = compile_program(program)
             if compiled.grounding_applicable(structure):
                 ground = compiled.run(structure, method="ground").relations
                 for pred, tuples in reference.items():
                     assert ground.get(pred, set()) == tuples
-        # The generator must actually exercise the vector engine.
-        assert frontier_runs >= 10
+        # The generator must reach warm-eligible lowerings, whose cold
+        # runs pack a reusable state.
+        assert packed >= 10
 
-    def test_tag_soup_documents_agree(self, monkeypatch):
+    def test_tag_soup_documents_agree(self):
         from repro.html import parse_html
         from tests.test_stream import soup
 
@@ -650,20 +646,18 @@ class TestFrontierParity:
             kernel = compile_kernel(program)
             assert kernel is not None
             structure = UnrankedStructure(parse_html(soup(rng, pieces=40)))
-            vectorized, scalar, _ = self._both_engines(
-                kernel, structure, monkeypatch
-            )
+            out = self._worklist(kernel, structure)
             reference = evaluate_seminaive(program, structure)
-            assert vectorized == scalar == reference
+            assert out.relations == reference
             if any(reference.values()):
                 nonempty += 1
         assert nonempty >= 10  # the fuzz actually derived facts
 
-    def test_deep_chain_trees_agree_and_vectorize(self, monkeypatch):
+    def test_deep_chain_trees_agree(self):
         from repro.trees.generate import chain_tree
 
         rng = random.Random(11)
-        frontier_runs = 0
+        packed = 0
         for _ in range(20):
             program = _random_kernel_program(rng)
             kernel = compile_kernel(program)
@@ -671,15 +665,12 @@ class TestFrontierParity:
             # All-"a" chains: label_a holds everywhere, so recursion walks
             # the full depth (the string-successor worst case).
             structure = UnrankedStructure(chain_tree(rng.randint(1, 120), "a"))
-            vectorized, scalar, engine = self._both_engines(
-                kernel, structure, monkeypatch
-            )
-            assert vectorized == scalar == evaluate_seminaive(program, structure)
-            if engine and engine.startswith("frontier"):
-                frontier_runs += 1
-        assert frontier_runs >= 5
+            out = self._worklist(kernel, structure)
+            assert out.relations == evaluate_seminaive(program, structure)
+            packed += out.state is not None
+        assert packed >= 5
 
-    def test_tmnf_route_agrees(self, monkeypatch):
+    def test_tmnf_route_agrees(self):
         rng = random.Random(77)
         program = parse_program(
             """
@@ -694,12 +685,10 @@ class TestFrontierParity:
         for _ in range(30):
             tree = random_tree(rng, rng.randint(1, 20), labels=("a", "b"))
             structure = UnrankedStructure(tree)
-            vectorized, scalar, _ = self._both_engines(
-                kernel, structure, monkeypatch
-            )
-            assert vectorized == scalar == evaluate_seminaive(program, structure)
+            out = self._worklist(kernel, structure)
+            assert out.relations == evaluate_seminaive(program, structure)
 
-    def test_ranked_tmnf_route_agrees(self, monkeypatch):
+    def test_ranked_tmnf_route_agrees(self):
         rng = random.Random(23)
         program = parse_program(
             """
@@ -716,34 +705,38 @@ class TestFrontierParity:
                 random_binary_tree(rng, rng.randint(1, 14), "f", "c"),
                 max_rank=2,
             )
-            vectorized, scalar, _ = self._both_engines(
-                kernel, structure, monkeypatch
-            )
-            assert vectorized == scalar == evaluate_seminaive(program, structure)
+            out = self._worklist(kernel, structure)
+            assert out.relations == evaluate_seminaive(program, structure)
 
-    def test_constant_anchored_blocks_fall_back_to_worklist(self, monkeypatch):
-        # ``ccheck``/``cbind`` blocks are outside the vector fragment by
-        # design: the whole variant must fall back to the scalar worklist
-        # even with vectorization enabled (the CI smoke job keys on this).
-        import repro.datalog.kernel as kernel_mod
+    def test_constant_and_zero_ary_programs_pack_no_state(self):
+        programs = [
+            # A constant pins the anchor: the over-delete cannot re-run
+            # the sweep from anchors near a change.
+            "p(x) :- firstchild(0, x).",
+            # A 0-ary predicate has no lane for the over-delete to read.
+            "q :- label_c(x).\np(x) :- q, label_b(x).",
+        ]
+        for source in programs:
+            program = parse_program(source, query="p")
+            kernel = compile_kernel(program)
+            variant, _ = kernel._bind(UnrankedStructure(parse_sexpr("a(b, c)")))
+            assert not variant.warm_eligible
+            compiled = compile_program(program)
+            state = None
+            for tree in ("a(b, c)", "a(b, c, d)"):
+                structure = as_indexed(UnrankedStructure(parse_sexpr(tree)))
+                assert kernel.evaluate(structure).state is None
+                result, state, info = compiled.run_incremental(structure, state)
+                assert state is None and info is None
+                assert result.relations == evaluate_seminaive(program, structure)
+                assert result.relations["p"] == {(1,)}
 
-        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
-        program = parse_program("p(x) :- firstchild(0, x).", query="p")
-        kernel = compile_kernel(program)
-        structure = UnrankedStructure(parse_sexpr("a(b, c)"))
-        out = kernel.evaluate(structure)
-        assert out.relations["p"] == {(1,)}
-        assert out.stats["engine"] == "worklist"
-
-    def test_engine_is_reported_through_the_plan_layer(self, monkeypatch):
-        import repro.datalog.kernel as kernel_mod
-
-        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+    def test_engine_is_reported_through_the_plan_layer(self):
         program = parse_program("p(y) :- label_a(x), firstchild(x, y).", query="p")
         structure = UnrankedStructure(parse_sexpr("a(b, c)"))
         result = compile_program(program).run(structure)
         assert result.method == "kernel"
-        assert result.engine == "frontier"
+        assert result.engine == "worklist"
         seminaive = compile_program(program).run(structure, method="seminaive")
         assert seminaive.engine is None
 
@@ -878,10 +871,7 @@ class TestGeneratedWorklist:
         }
         assert gates and zero_ary_heads
 
-    def test_facts_match_the_interpreted_worklist(self, monkeypatch):
-        import repro.datalog.kernel as kernel_mod
-
-        monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", False)
+    def test_facts_match_the_interpreted_worklist(self):
         facts = []
         for kernel, _, program, structure in self._bound_variants():
             out = kernel.evaluate(structure)

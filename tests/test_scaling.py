@@ -9,13 +9,15 @@ retry, wide, commented or rawtext documents, and documents with more
 distinct tag names than a byte holds.  For each one, doubling ``n`` must
 not much more than double the time of both HTML builders, of output
 assembly on the page's snapshot, and of the full wrapping path (a
-quadratic shape gives ~4).  Forum pages whose reply chains double in
-depth hold the kernel to the same bound where its frontier rounds would
-go quadratic: a cold run (handed to the scalar worklist) and a warm
-re-run whose edits condemn whole chains (a deep cone, condemned and
-re-derived on the generated worklist).  The snapshot diff of a warm run
-is held to the bound on every generator's page, one character edited,
-and so is the catalog wrapper's kernel bind.
+quadratic shape gives ~4).  Reply trees that are both wide and deep hold
+the cold kernel to the same bound: an engine that advances the fixpoint
+one round per chain level, at a cost that grows with the document,
+would go quadratic there.  Forum pages whose reply chains double in
+depth hold the whole wrapping path to it, cold and on a warm re-run
+whose edits condemn whole chains (a deep cone, condemned and re-derived
+on the generated worklist).  The snapshot diff of a warm run is held to
+the bound on every generator's page, one character edited, and so is
+the catalog wrapper's kernel bind.
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -38,11 +40,14 @@ import time
 import pytest
 
 from repro.html import parse_html
+from repro.structures import as_indexed
 from repro.trees.diff import diff_snapshots
+from repro.trees.generate import thread_tree
 from repro.trees.stream import html_snapshot
+from repro.trees.unranked import UnrankedStructure
 from repro.workloads import forum_page
 from repro.wrap import Document, build_output_from_snapshot
-from tests.test_incremental import forum_wrapper
+from tests.test_incremental import descent_program, forum_wrapper
 from tests.test_stream import catalog_plan, catalog_wrapper
 
 #: Base size; every generator is timed at N and 2N.
@@ -207,10 +212,45 @@ def test_doubling_input_at_most_doubles_time(generator, path):
     )
 
 
+#: Wide, deep reply trees for the cold kernel alone: KERNEL_THREADS
+#: chains of KERNEL_DEPTH nodes at n, twice as deep at 2n.  Sixteen
+#: chains keep every level of the descent wide, so an engine that pays
+#: one pass over the document per level is quadratic here (the deleted
+#: frontier-at-a-time engine read t(2n)/t(n) = 3.3-3.5), while the
+#: worklist derives each fact once.
+KERNEL_THREADS = 16
+KERNEL_DEPTH = 200
+
+DESCENT = descent_program()
+
+
+@functools.lru_cache(maxsize=2)
+def thread_document(depth):
+    """The reply tree as an indexed document with its snapshot built
+    (once per depth, outside the timed fixpoint)."""
+    document = as_indexed(UnrankedStructure(thread_tree(KERNEL_THREADS, depth)))
+    document.snapshot()
+    return document
+
+
+def test_doubling_thread_depth_at_most_doubles_cold_kernel_time():
+    def run(depth):
+        return DESCENT.run(thread_document(depth), method="kernel")
+
+    for depth in (KERNEL_DEPTH, 2 * KERNEL_DEPTH):
+        result = run(depth)
+        assert result.engine == "worklist"
+        assert len(result.unary("mark")) == thread_document(depth).size
+    ratios = doubling_ratios(run, KERNEL_DEPTH, 2 * KERNEL_DEPTH)
+    assert ratios[-1] <= MAX_RATIO, (
+        "cold kernel on thread_tree: t(2n)/t(n) = "
+        + ", ".join(f"{ratio:.2f}" for ratio in ratios)
+    )
+
+
 #: Deep-chain forum pages: FORUM_THREADS reply chains of FORUM_DEPTH
-#: comments at n, twice as deep at 2n.  Few threads keep the frontier
-#: narrow, so a cold run hands off to the scalar worklist; an edit at
-#: depth 0 of every thread condemns every chain below it (a deep cone).
+#: comments at n, twice as deep at 2n; an edit at depth 0 of every
+#: thread condemns every chain below it (a deep cone).
 FORUM_THREADS = 4
 FORUM_DEPTH = 60
 
@@ -234,7 +274,7 @@ FORUM_PATHS = {
     "cold": (
         lambda depth: FORUM.wrap_html_stateful(forum_versions(depth)[0]),
         False,
-        {"fallback": "narrow_frontier"},
+        {"engine": "worklist"},
     ),
     "deep_cone": (
         lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:]),
@@ -245,10 +285,7 @@ FORUM_PATHS = {
 
 
 @pytest.mark.parametrize("path", sorted(FORUM_PATHS))
-def test_doubling_chain_depth_at_most_doubles_time(path, monkeypatch):
-    import repro.datalog.kernel as kernel_mod
-
-    monkeypatch.setattr(kernel_mod, "VECTORIZE_PROPAGATION", True)
+def test_doubling_chain_depth_at_most_doubles_time(path):
     run, warm, expected = FORUM_PATHS[path]
     for depth in (FORUM_DEPTH, 2 * FORUM_DEPTH):
         _, _, stats = run(depth)

@@ -7,7 +7,7 @@ in :mod:`repro.serve.metrics` (round-tripped through the strict parser
 the CI observability-smoke job uses), and the end-to-end story: a traced
 ``/extract`` against a local server and against a loopback remote
 cluster must yield a retrievable trace whose ``kernel.run`` spans carry
-the engine name and round count shipped back from the shard -- and an
+the engine name and fact count shipped back from the shard -- and an
 *old* daemon that ignores the trace frame field must degrade the trace
 to a transport-only ``shard.call`` span without failing the request.
 """
@@ -90,8 +90,8 @@ class TestSpan:
                 "snapshot_build_ms": 4.2,
                 "kernel_ms": 1.5,
                 "runs": [
-                    {"engine": "frontier", "rounds": 3, "fallback": None},
-                    {"engine": "worklist", "rounds": 7, "fallback": "narrow_frontier"},
+                    {"engine": "worklist", "facts": 12},
+                    {"engine": "incremental", "facts": 12, "deleted": 3},
                 ],
             }
         )
@@ -102,14 +102,9 @@ class TestSpan:
             "kernel.run",
             "kernel.run",
         ]
-        engines = [s["tags"]["engine"] for s in find_spans(tree, "kernel.run")]
-        assert engines == ["frontier", "worklist"]
-        # None-valued stats (no fallback) are omitted from the tags.
-        assert "fallback" not in find_spans(tree, "kernel.run")[0]["tags"]
-        assert (
-            find_spans(tree, "kernel.run")[1]["tags"]["fallback"]
-            == "narrow_frontier"
-        )
+        runs = find_spans(tree, "kernel.run")
+        assert [s["tags"]["engine"] for s in runs] == ["worklist", "incremental"]
+        assert runs[1]["tags"] == {"engine": "incremental", "facts": 12, "deleted": 3}
 
     def test_graft_tolerates_malformed_payloads(self):
         _, clock = make_clock()
@@ -297,10 +292,8 @@ class TestServerTracing:
         assert root["tags"]["wrapper"] == "items@1"
         kernel_runs = find_spans(root, "kernel.run")
         assert kernel_runs, "trace must reach the kernel"
-        assert kernel_runs[0]["tags"]["engine"]
-        # A non-recursive program can converge in round 0; the tag just
-        # has to be present and well-typed.
-        assert kernel_runs[0]["tags"]["rounds"] >= 0
+        assert kernel_runs[0]["tags"]["engine"] == "worklist"
+        assert kernel_runs[0]["tags"]["facts"] >= 0
         assert find_spans(root, "snapshot.build")
 
     def test_response_encode_is_a_child_of_the_request_span(
@@ -432,12 +425,7 @@ class TestClusterTracePropagation:
         assert calls and all("degraded" not in c["tags"] for c in calls)
         kernel_runs = find_spans(root, "kernel.run")
         assert kernel_runs, "remote kernel spans must graft into the trace"
-        assert kernel_runs[0]["tags"]["engine"] in {
-            "frontier",
-            "worklist",
-            "frontier+worklist",
-        }
-        assert kernel_runs[0]["tags"]["rounds"] >= 0
+        assert kernel_runs[0]["tags"]["engine"] == "worklist"
         assert find_spans(root, "snapshot.build")
         assert find_spans(root, "ring.route")
         # The daemon side counted the traced RPC.

@@ -23,11 +23,11 @@ same decomposition drives the monadic datalog program emitted by
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.automata.treeauto import DTA
 from repro.errors import AutomatonError
-from repro.trees.binary import BinNode, encode_binary
+from repro.trees.binary import encode_binary
 from repro.trees.node import Node
 from repro.trees.unranked import UnrankedStructure
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from repro.automata.nfa import thompson
-from repro.automata.regex import Concat, Empty, Epsilon, Regex, Star, Sym, Union
+from repro.automata.regex import Concat, Epsilon, Regex, Star, Sym, Union
 from repro.caterpillar.rewrite import push_inversions
 from repro.caterpillar.syntax import (
     EPSILON_NAME,

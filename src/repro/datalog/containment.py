@@ -19,12 +19,12 @@ exists.  This module provides the practically useful procedures:
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.automata.nfa import language_subset, thompson
 from repro.automata.treeauto import intersect, emptiness_witness_unranked
-from repro.automata.unary import UnaryQueryDTA, marked_alphabet
-from repro.caterpillar.evaluate import image, to_word_regex
+from repro.automata.unary import UnaryQueryDTA
+from repro.caterpillar.evaluate import to_word_regex
 from repro.caterpillar.syntax import CatExpr
 from repro.datalog.engine import evaluate
 from repro.datalog.program import Program

@@ -40,7 +40,7 @@ share a single :class:`repro.structures.IndexedStructure` per document (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.datalog.plan import (
     CompiledProgram,

@@ -29,7 +29,15 @@ Compilation (:func:`compile_kernel`, program-only, cached by
   ``parent`` map, so one node's children may be enumerated once per entry
   point -- are re-lowered through the TMNF normalization of Theorem 5.2
   (:func:`repro.tmnf.pipeline.to_tmnf`), whose output uses only
-  bidirectionally functional relations.
+  bidirectionally functional relations;
+* ranked documents the static lowering cannot bind get the Lemma 5.4
+  ``child`` expansion normalized over their own rank, compiled per rank
+  on first use.
+
+Every lowering the kernel runs is linear.  A program with no linear
+lowering -- TMNF rejects body constants, so a constant in a rule that
+needs two ``child`` enumerations is one -- compiles to ``None`` and runs
+on the general engines instead.
 
 Evaluation (:meth:`KernelProgram.run`) is a worklist fixpoint in the style
 of the Dowling-Gallier Horn-SAT solver (:mod:`repro.datalog.hornsat`),
@@ -116,11 +124,6 @@ Relations = Dict[str, Set[Tuple[int, ...]]]
 #: flag to assert exact parity between the two.
 VECTORIZE_SWEEPS = True
 
-#: Most ``child`` enumerations one lowered rule may nest: the generated
-#: worklist spends one ``while`` per enumeration inside its two drain
-#: loops and a sweep ``for``, and CPython compiles at most 20 nested loops.
-_MAX_BRANCHES = 16
-
 #: Op kinds a warm-eligible lowering may contain (see
 #: :attr:`_Lowering.warm_eligible`).
 _WARM_OPS = frozenset(("step", "branch", "ubit", "ibit"))
@@ -137,6 +140,10 @@ _MATCH_START = re.Match.start
 #: bijections); ``child<k>`` and the ``tau_ur`` binaries resolve only over
 #: their own schema -- the snapshot gates all of this at bind time.
 _BINARY_NAME = re.compile(r"^(firstchild|nextsibling|lastchild|child\d*)$")
+
+#: The ``tau_rk`` binaries ``child1``, ``child2``, ...: only ranked
+#: snapshots supply them.
+_RANKED_CHILD = re.compile(r"^child\d+$")
 
 def _anchor_cost(name: Optional[str]) -> int:
     """Selectivity rank of a unary anchor relation (lower enumerates less)."""
@@ -206,10 +213,10 @@ class _Block:
 class _Lowering:
     """One complete lowering of the source program along one route.
 
-    A :class:`KernelProgram` may hold several lowerings of the *same*
-    program (direct Theorem 4.2, TMNF over ``tau_ur``, TMNF over
-    ``tau_rk``); binding picks the first one whose relations the
-    document's snapshot actually supplies.
+    A :class:`KernelProgram` holds one static lowering (direct Theorem 4.2
+    or TMNF over ``tau_ur``) and compiles one TMNF over ``tau_rk`` per rank
+    of the ranked documents it meets; binding picks the one whose
+    relations the document's snapshot supplies.
     """
 
     __slots__ = (
@@ -222,7 +229,6 @@ class _Lowering:
         "route",
         "max_branches",
         "superlinear",
-        "required_rank",
         "hops",
         "pushes",
         "resources",
@@ -258,11 +264,6 @@ class _Lowering:
         #: every other, so an instance touching a changed node keeps all
         #: its slots within ``nslots`` hops of the change.
         self.hops = max((b.nslots for b in blocks), default=1) or 1
-        #: For ranked-TMNF lowerings: the exact ``max_rank`` the ``child``
-        #: expansion was compiled for.  Binding a snapshot of any other
-        #: rank would be unsound (a rank-``K+1`` tree has children the
-        #: ``child1..childK`` expansion never visits).
-        self.required_rank: Optional[int] = None
         #: Per predicate: whether its facts feed any trigger block (facts
         #: of the others are recorded but never pushed).
         self.pushes = tuple(bool(group) for group in triggers)
@@ -601,14 +602,14 @@ def _over_delete(variant: _Lowering, snapshot, derived: List[int], bad: int):
 class KernelProgram:
     """A monadic program lowered to numeric propagation tables.
 
-    Build with :func:`compile_kernel` (returns ``None`` when the program is
-    outside the kernel fragment); evaluate with :meth:`evaluate` (or
-    :meth:`run`).  The artifact is program-only, keeps no per-run state and
-    is reusable across documents.  It holds one or more alternative
-    :class:`_Lowering` variants -- binding a document selects the first
-    variant whose relations the snapshot supplies, preferring linear
-    lowerings, then a lazily compiled ranked-TMNF variant for ranked
-    snapshots, then any superlinear last resort.
+    Build with :func:`compile_kernel` (returns ``None`` when the program has
+    no linear lowering); evaluate with :meth:`evaluate` (or :meth:`run`).
+    The artifact is program-only, keeps no per-run state and is reusable
+    across documents.  It holds one linear :class:`_Lowering`, ``lowering``
+    -- ``None`` only for a program that reads ``child<k>`` relations, which
+    binds ranked documents alone -- and binding a document picks that
+    lowering, or else for a ranked snapshot the ranked-TMNF lowering
+    compiled for the snapshot's rank.
 
     Examples
     --------
@@ -622,25 +623,12 @@ class KernelProgram:
     [(0,), (1,)]
     """
 
-    def __init__(self, source: Program, variants: List[_Lowering]):
-        if not variants:
-            raise DatalogError("KernelProgram needs at least one lowering")
+    def __init__(self, source: Program, lowering: Optional[_Lowering]):
         self.source = source
-        self._variants = list(variants)
+        self.lowering = lowering
         #: Lazily compiled ranked-TMNF lowerings, keyed by snapshot
         #: ``max_rank`` (``None`` where the route does not apply).
         self._ranked_cache: Dict[int, Optional[_Lowering]] = {}
-        # Introspection mirrors of the primary (preferred) lowering.
-        primary = self._variants[0]
-        self.lowered = primary.lowered
-        self.pred_index = primary.pred_index
-        self.npreds = primary.npreds
-        self.sweeps = primary.sweeps
-        self.triggers = primary.triggers
-        self.outputs = primary.outputs
-        self.route = primary.route
-        self.max_branches = primary.max_branches
-        self.superlinear = primary.superlinear
 
     def applicable(self, structure: Structure) -> bool:
         """Whether this kernel can evaluate over ``structure``."""
@@ -652,7 +640,7 @@ class KernelProgram:
         """The Lemma 5.4 + Theorem 5.2 lowering for rank-``K`` snapshots.
 
         Compiled lazily the first time a ranked snapshot of this rank
-        fails to bind the static lowerings: generic ``child`` atoms are
+        fails to bind the static lowering: generic ``child`` atoms are
         expanded into the ``child1 | ... | childK`` disjunction, the
         result is normalized into TMNF over the *ranked* signature, and
         the TMNF output -- whose binaries are all bidirectionally
@@ -678,19 +666,17 @@ class KernelProgram:
             except (TMNFError, DatalogError):
                 lowering = None
             if lowering is not None and lowering.max_branches == 0:
-                lowering.required_rank = max_rank
                 variant = lowering
         self._ranked_cache[max_rank] = variant
         return variant
 
     def _bind(self, structure: Structure):
-        """``(variant, snapshot)``: the lowering that binds the document.
+        """``(lowering, snapshot)``: the lowering that binds the document.
 
-        ``None`` when no lowering's relations are all supplied.  Tries the
-        static lowerings in preference order (linear ones
-        first); when none binds and the snapshot is ranked, compiles and
-        tries the ranked-TMNF variant before falling back to any
-        superlinear static lowering.
+        The static lowering when the snapshot supplies its relations, else
+        for a ranked snapshot the ranked-TMNF lowering compiled for the
+        snapshot's own rank (a ``child1..childK`` expansion misses the
+        children of a higher-rank tree), else ``None``.
         """
         build = getattr(structure, "snapshot", None)
         if build is None:
@@ -698,29 +684,14 @@ class KernelProgram:
         snapshot = build()
         if snapshot is None:
             return None
-
-        def try_variants(variants):
-            for variant in variants:
-                if variant.required_rank is not None and (
-                    snapshot.schema != "ranked"
-                    or snapshot.max_rank != variant.required_rank
-                ):
-                    continue
-                if variant.bind_args(snapshot) is not None:
-                    return variant, snapshot
-            return None
-
-        fast = [v for v in self._variants if not v.superlinear]
-        bound = try_variants(fast)
-        if bound is not None:
-            return bound
+        lowering = self.lowering
+        if lowering is not None and lowering.bind_args(snapshot) is not None:
+            return lowering, snapshot
         if snapshot.schema == "ranked" and snapshot.max_rank >= 1:
-            ranked = self._ranked_variant(snapshot.max_rank)
-            if ranked is not None:
-                bound = try_variants([ranked])
-                if bound is not None:
-                    return bound
-        return try_variants([v for v in self._variants if v.superlinear])
+            lowering = self._ranked_variant(snapshot.max_rank)
+            if lowering is not None and lowering.bind_args(snapshot) is not None:
+                return lowering, snapshot
+        return None
 
     # -- evaluation --------------------------------------------------------
 
@@ -760,7 +731,7 @@ class KernelProgram:
         Returns ``None`` whenever warm evaluation does not apply, and the
         caller runs cold:
 
-        * the structure bound a different lowering variant, or either
+        * the structure bound a different lowering, or either
           snapshot is not an unranked document (ranked ``child_k``
           positions are not edit-stable, so ranked snapshots always re-run
           cold);
@@ -908,9 +879,12 @@ class KernelProgram:
         return KernelRun(unary_sets, stats, state, variant.outputs, tuple(held))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
+        lowering = self.lowering
+        if lowering is None:
+            return "KernelProgram(ranked-TMNF lowerings only)"
         return (
-            f"KernelProgram({len(self.lowered.rules)} rules via {self.route!r}, "
-            f"{self.npreds} predicate bits, max_branches={self.max_branches})"
+            f"KernelProgram({len(lowering.lowered.rules)} rules via "
+            f"{lowering.route!r}, {lowering.npreds} predicate bits)"
         )
 
 
@@ -1244,26 +1218,28 @@ def _lower(source: Program, lowered: Program, route: str) -> Optional[_Lowering]
         outputs.append(
             (name, pred_index.get(name, -1), source_arities.get(name, 1))
         )
-    lowering = _Lowering(lowered, pred_index, sweeps, triggers, outputs, route)
-    if lowering.max_branches > _MAX_BRANCHES:
-        return None
-    return lowering
+    return _Lowering(lowered, pred_index, sweeps, triggers, outputs, route)
 
 
 def compile_kernel(program: Program) -> Optional[KernelProgram]:
     """Compile ``program`` for the propagation kernel, or ``None``.
 
-    Tries the direct Theorem 4.2 lowering first (connectedness split +
-    functional propagation).  When some rule's best direct lowering is
-    *superlinear* -- it chains two branching ``child`` traversals, or
-    reaches a branch through the many-to-one ``parent`` map, either of
-    which can exceed the linear bound -- the program is re-lowered through
-    the Theorem 5.2 TMNF normalization, whose rules only use
-    bidirectionally functional relations.  Body constants stay inside the
-    fragment: each pins a slot to a single node and is preferred as the
-    rule's anchor.  Returns ``None`` for programs outside both fragments
-    (non-monadic programs, head constants, unsupported binary relations);
-    callers then fall back to another strategy.
+    The kernel holds one linear lowering: the direct Theorem 4.2 lowering
+    (connectedness split + functional propagation) unless some rule's best
+    direct lowering is *superlinear* -- it chains two branching ``child``
+    traversals, or reaches a branch through the many-to-one ``parent``
+    map, either of which can exceed the linear bound -- and otherwise the
+    Theorem 5.2 TMNF normalization, whose rules only use bidirectionally
+    functional relations.  Body constants stay inside the fragment when
+    the direct lowering is linear: each pins a slot to a single node and
+    is preferred as the rule's anchor.  A program with ``child<k>``
+    relations, which only ranked documents supply, may still compile
+    without a static lowering: ranked documents then bind the ranked-TMNF
+    lowering of their rank.  Returns ``None`` for programs with no linear
+    lowering (a body constant in a superlinear rule, which TMNF rejects)
+    and for programs outside the fragment (non-monadic programs, head
+    constants, unsupported binary relations); callers then fall back to
+    another strategy.
 
     >>> from repro.datalog.parser import parse_program
     >>> from repro.trees import parse_sexpr
@@ -1296,19 +1272,19 @@ def compile_kernel(program: Program) -> Optional[KernelProgram]:
         return None
     direct = _lower(program, split, "direct")
     if direct is not None and not direct.superlinear:
-        return KernelProgram(program, [direct])
-    variants: List[_Lowering] = []
+        return KernelProgram(program, direct)
     normalized = _try_tmnf_lowering(program)
     if normalized is not None:
-        variants.append(normalized)
-    if direct is not None:
-        # Last resort: the superlinear direct lowering still evaluates
-        # correctly (just not within the linear bound) on snapshots the
-        # TMNF variants cannot bind.
-        variants.append(direct)
-    if not variants:
-        return None
-    return KernelProgram(program, variants)
+        return KernelProgram(program, normalized)
+    # ``child<k>`` binds only ranked snapshots, and each of those gets the
+    # linear ranked-TMNF lowering of its rank (:meth:`_ranked_variant`).
+    if direct is not None and any(
+        _RANKED_CHILD.match(atom.pred)
+        for rule in program.rules
+        for atom in rule.body
+    ):
+        return KernelProgram(program, None)
+    return None
 
 
 def _try_tmnf_lowering(program: Program) -> Optional[_Lowering]:
@@ -1355,25 +1331,3 @@ def _expand_generic_child(program: Program, max_rank: int) -> Optional[Program]:
                 body[position] = Atom(f"child{k}", body[position].args)
             rules.append(Rule(rule.head, body))
     return Program(rules, query=program.query, declared=program.declared)
-
-
-def kernel_applicable(program: Program, structure: Structure) -> bool:
-    """Whether the kernel strategy fully applies to program + structure."""
-    kernel = compile_kernel(program)
-    return kernel is not None and kernel.applicable(structure)
-
-
-def evaluate_kernel(program: Program, structure: Structure) -> Relations:
-    """One-shot kernel evaluation (compile + run); raises if inapplicable.
-
-    Callers evaluating one program over many documents should compile via
-    :func:`repro.datalog.plan.compile_program` and reuse the plan, which
-    caches the kernel tables alongside the join plans.
-    """
-    kernel = compile_kernel(program)
-    if kernel is None:
-        raise DatalogError(
-            "kernel strategy does not apply: program is outside the monadic "
-            "tree fragment (Theorem 4.2 / Theorem 5.2 lowerings both failed)"
-        )
-    return kernel.run(structure)

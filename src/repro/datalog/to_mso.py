@@ -16,21 +16,15 @@ tests (tiny trees, tiny programs -- set quantification is exponential).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.datalog.program import Program, Rule
-from repro.datalog.terms import Atom, Constant, Variable
+from repro.datalog.terms import Atom, Constant
 from repro.errors import DatalogError
 from repro.mso.syntax import (
-    And,
-    Exists,
     FOVar,
     Forall,
     Formula,
     Implies,
     Member,
-    Not,
-    Or,
     Rel,
     SOVar,
     conj,

@@ -24,7 +24,7 @@ accompanying non-regularity demonstration lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.datalog.engine import EvaluationResult, evaluate
 from repro.datalog.program import Program, Rule, fresh_variable_factory

@@ -23,10 +23,10 @@ scenario.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from repro.datalog.program import Program, Rule
-from repro.datalog.terms import Atom, Variable
+from repro.datalog.program import Program
+from repro.datalog.terms import Variable
 from repro.elog.syntax import Condition, ElogProgram, ElogRule, PatternRef, ROOT_PATTERN
 from repro.errors import ElogError
 from repro.tmnf.forms import check_tmnf_rule

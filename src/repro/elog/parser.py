@@ -37,7 +37,7 @@ from repro.elog.syntax import (
     ElogRule,
     PatternRef,
 )
-from repro.errors import ElogError, ParseError
+from repro.errors import ParseError
 
 _IDENT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.datalog.program import fresh_variable_factory
 from repro.datalog.terms import Atom, Variable
 from repro.errors import ElogError
 

@@ -11,7 +11,7 @@ Theorem 4.2 engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.datalog.engine import CompiledProgram, EvaluationResult, compile_program
 from repro.datalog.program import Program, Rule, fresh_variable_factory

@@ -27,7 +27,7 @@ non-elementary in the quantifier alternation of the formula --
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Sequence, Set, Tuple
 
 from repro.automata.treeauto import DTA, dta_from_step, intersect, product, union_dta
 from repro.automata.unary import UnaryQueryDTA
@@ -44,7 +44,6 @@ from repro.mso.syntax import (
     Not,
     Or,
     Rel,
-    SOVar,
     Subset,
     free_variables,
     standardize_apart,

@@ -25,7 +25,6 @@ from repro.mso.syntax import (
     Not,
     Or,
     Rel,
-    SOVar,
     Subset,
 )
 from repro.trees.unranked import UnrankedStructure

@@ -24,7 +24,7 @@ blow-up against the linear-time datalog simulation of Theorem 4.11.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.errors import QueryAutomatonError
 from repro.trees.node import Node

@@ -24,12 +24,11 @@ transitions.
 from __future__ import annotations
 
 import re
-from typing import Dict, Hashable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.automata.nfa import NFA
 from repro.datalog.program import Program, Rule
 from repro.datalog.terms import Atom, var
-from repro.errors import QueryAutomatonError
 from repro.qa.ranked import RankedQA
 from repro.qa.unranked import StrongUnrankedQA
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List
 
 
 def _point(data: str) -> int:

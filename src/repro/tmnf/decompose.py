@@ -15,7 +15,7 @@ pipeline's final stage (Lemma 5.9) eliminates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.datalog.program import Rule
 from repro.datalog.terms import Atom, Variable

@@ -21,14 +21,14 @@ for inspection and for the Figure 3 reproduction tests.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List
 
 from repro.caterpillar.compile import caterpillar_to_datalog
 from repro.caterpillar.order import total_expression
 from repro.caterpillar.syntax import CatExpr, cat_atom, cat_inverse, cat_star
 from repro.datalog.analysis import variable_components
 from repro.datalog.program import Program, Rule
-from repro.datalog.terms import Atom, Variable
+from repro.datalog.terms import Atom
 from repro.errors import TMNFError
 from repro.tmnf.acyclic import (
     NEXTSIBLING_STAR,

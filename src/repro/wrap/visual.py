@@ -13,9 +13,9 @@ for mouse clicks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
-from repro.elog.paths import Path, WILDCARD
+from repro.elog.paths import WILDCARD
 from repro.elog.syntax import Condition, ElogProgram, ElogRule, ROOT_PATTERN
 from repro.elog.translate import evaluate_elog
 from repro.errors import WrapError

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.datalog.engine import compile_program, evaluate
-from repro.datalog.kernel import compile_kernel, evaluate_kernel, kernel_applicable
+from repro.datalog.kernel import compile_kernel
 from repro.datalog.parser import parse_program
 from repro.datalog.program import Program
 from repro.datalog.seminaive import evaluate_seminaive
@@ -166,7 +166,7 @@ class TestKernelEquivalence:
             query="p3",
         )
         kernel = compile_kernel(program)
-        assert kernel is not None and kernel.route == "direct"
+        assert kernel is not None and kernel.lowering.route == "direct"
         for _, structure in random_structures(seed=97, count=10):
             reference = evaluate_seminaive(program, structure)
             assert kernel.run(structure) == reference
@@ -201,8 +201,8 @@ class TestKernelEquivalence:
             query="p",
         )
         kernel = compile_kernel(program)
-        assert kernel is not None and kernel.route == "tmnf"
-        assert kernel.max_branches == 0
+        assert kernel is not None and kernel.lowering.route == "tmnf"
+        assert kernel.lowering.max_branches == 0
         for _ in range(25):
             tree = random_tree(rng, rng.randint(1, 14), labels=("a", "b"))
             structure = UnrankedStructure(tree)
@@ -220,8 +220,8 @@ class TestKernelEquivalence:
         )
         kernel = compile_kernel(program)
         assert kernel is not None
-        assert kernel.route == "tmnf"
-        assert not kernel.superlinear
+        assert kernel.lowering.route == "tmnf"
+        assert not kernel.lowering.superlinear
         for _ in range(25):
             tree = random_tree(rng, rng.randint(1, 14), labels=("a", "b"))
             structure = UnrankedStructure(tree)
@@ -269,12 +269,12 @@ class TestKernelEquivalence:
         assert ranked_variant is not None
         assert ranked_variant.route == "tmnf-ranked"
         assert ranked_variant.max_branches == 0
-        assert ranked_variant.required_rank == 2
         for _ in range(20):
             structure = RankedStructure(
                 random_binary_tree(rng, rng.randint(1, 14), "f", "c"),
                 max_rank=2,
             )
+            assert kernel._bind(structure)[0] is ranked_variant
             reference = evaluate_seminaive(program, structure)
             auto = evaluate(program, structure)
             assert auto.method == "kernel"
@@ -297,13 +297,14 @@ class TestKernelEquivalence:
         )
         kernel = compile_kernel(program)
         variant = kernel._ranked_variant(2)
-        assert variant is not None and variant.required_rank == 2
+        assert variant is not None
         tree = parse_sexpr("f(c, c, f(c, c, c))")
         structure = RankedStructure(tree, max_rank=3)
         reference = evaluate_seminaive(program, structure)
         result = evaluate(program, structure)
         assert result.relations == reference
         assert kernel._ranked_variant(3) is not None
+        assert kernel._bind(structure)[0] is kernel._ranked_variant(3)
 
     def test_zero_ary_heads_and_declared_predicates(self):
         base = parse_program(
@@ -323,16 +324,138 @@ class TestKernelEquivalence:
             assert auto.relations["ghost"] == set()
 
 
+class TestKernelRunsOnlyLinearLowerings:
+    """Every lowering the kernel binds is linear; a program or document
+    with none runs on seminaive, with the same relations."""
+
+    def test_constant_in_a_two_branch_rule_leaves_the_kernel(self):
+        # Two ``child`` enumerations from one node make the direct lowering
+        # superlinear, and TMNF rejects the body constant.
+        program = parse_program(
+            "p(x) :- child(0, x), child(x, y), child(x, z), "
+            "label_a(y), label_b(z).",
+            query="p",
+        )
+        assert compile_kernel(program) is None
+        for _, structure in random_structures(seed=31, count=15):
+            result = evaluate(program, structure)
+            assert result.method == "seminaive"
+            assert result.relations == evaluate_seminaive(program, structure)
+
+    def test_ranked_expansion_past_the_copy_cap_leaves_the_kernel(self):
+        # Rank 9 expands the two generic ``child`` atoms into 9 * 9 = 81
+        # rule copies, past the 64-copy cap: no ranked-TMNF lowering, and
+        # the static TMNF lowering reads ``tau_ur`` relations a ranked
+        # snapshot does not supply.
+        program = parse_program(
+            "p(x) :- child(x, y), child(x, z), label_a(y), label_b(z).",
+            query="p",
+        )
+        plan = compile_program(program)
+        rng = random.Random(5)
+        for _ in range(10):
+            tree = random_tree(rng, rng.randint(1, 14), labels=("a", "b"))
+            structure = RankedStructure(tree, max_rank=9)
+            assert not plan.kernel_applicable(structure)
+            reference = evaluate_seminaive(program, structure)
+            assert plan.run(structure).relations == reference
+            assert evaluate(program, structure).relations == reference
+        assert plan._kernel._ranked_variant(9) is None
+
+    def test_ranked_child_programs_keep_the_ranked_route(self):
+        # ``child1`` binds only ranked documents, so a program that reads it
+        # and whose direct lowering is superlinear compiles with no static
+        # lowering and runs the ranked-TMNF lowering of each rank.
+        program = parse_program(
+            "p(x) :- child1(x, x1), child(x1, y), child(x1, z), "
+            "label_a(y), label_b(z).",
+            query="p",
+        )
+        kernel = compile_kernel(program)
+        assert kernel is not None and kernel.lowering is None
+        rng = random.Random(17)
+        for rank in (2, 3):
+            for _ in range(8):
+                tree = random_tree(
+                    rng, rng.randint(1, 14), labels=("a", "b"), max_children=rank
+                )
+                structure = RankedStructure(tree, max_rank=rank)
+                bound = kernel._bind(structure)
+                assert bound is not None
+                assert bound[0].route == "tmnf-ranked"
+                assert kernel.run(structure) == evaluate_seminaive(
+                    program, structure
+                )
+        assert not compile_program(program).kernel_applicable(
+            UnrankedStructure(parse_sexpr("a(a(a, b))"))
+        )
+
+    def test_every_bound_lowering_is_linear(self):
+        # ``_random_kernel_program`` reads ``tau_ur`` relations, so over
+        # ranked trees it mostly binds nothing; the ranked programs below
+        # read only what a ranked snapshot supplies, two-branch rules
+        # included, so ranked trees bind both the direct and the
+        # ranked-TMNF route.
+        ranked_shapes = [
+            "p{i}(y) :- {s}(x), child(x, y).",
+            "p{i}(x) :- child(x, y), {s}(y), label_a(x).",
+            "p{i}(y) :- {s}(x), child1(x, y).",
+            "p{i}(x) :- {s}(x), child2(x, y), leaf(y).",
+            "p{i}(x) :- {s}(x), child(x, y), child(y, z), label_b(z).",
+            "p{i}(x) :- child(x, y), child(x, z), {s}(y), label_b(z).",
+            "p{i}(x) :- notlabel_b(x), {s}(x), {o}(x).",
+        ]
+        rng = random.Random(1234)
+        routes = {"unranked": set(), "ranked": set()}
+        for _ in range(30):
+            programs = [_random_kernel_program(rng)]
+            rules, preds = ["p0(x) :- label_a(x)."], ["p0"]
+            for i in range(1, rng.randint(2, 5)):
+                rules.append(
+                    rng.choice(ranked_shapes).format(
+                        i=i, s=rng.choice(preds), o=rng.choice(preds)
+                    )
+                )
+                preds.append(f"p{i}")
+            programs.append(parse_program("\n".join(rules), query=preds[-1]))
+            for program in programs:
+                kernel = compile_kernel(program)
+                assert kernel is not None, program
+                structures = [
+                    UnrankedStructure(
+                        random_tree(rng, rng.randint(1, 14), labels=("a", "b"))
+                    )
+                ]
+                for rank in (1, 2, 3):
+                    tree = random_tree(
+                        rng,
+                        rng.randint(1, 14),
+                        labels=("a", "b"),
+                        max_children=rank,
+                    )
+                    structures.append(RankedStructure(tree, max_rank=rank))
+                for structure in structures:
+                    bound = kernel._bind(structure)
+                    if bound is None:
+                        continue
+                    assert not bound[0].superlinear, program
+                    routes[bound[1].schema].add(bound[0].route)
+        assert routes == {
+            "unranked": {"direct", "tmnf"},
+            "ranked": {"direct", "tmnf-ranked"},
+        }
+
+
 class TestKernelRoutingAndFallback:
     def test_applicability_checks(self):
         program = parse_program("p(x) :- label_a(x).", query="p")
         tree_structure = UnrankedStructure(parse_sexpr("a(b)"))
         generic = GenericStructure(2, {"label_a": [0]})
-        assert kernel_applicable(program, tree_structure)
-        assert not kernel_applicable(program, generic)
+        assert compile_program(program).kernel_applicable(tree_structure)
+        assert not compile_program(program).kernel_applicable(generic)
         non_monadic = parse_program("t(x, y) :- firstchild(x, y).")
         assert compile_kernel(non_monadic) is None
-        assert not kernel_applicable(non_monadic, tree_structure)
+        assert not compile_program(non_monadic).kernel_applicable(tree_structure)
 
     def test_auto_falls_back_cleanly_same_results(self):
         # Same program, tree vs generic structure: auto picks the kernel on
@@ -441,9 +564,9 @@ class TestKernelRoutingAndFallback:
         with pytest.raises(DatalogError):
             compile_program(program).run(generic, method="kernel")
         with pytest.raises(DatalogError):
-            evaluate_kernel(
-                parse_program("t(x, y) :- firstchild(x, y)."), generic
-            )
+            compile_program(
+                parse_program("t(x, y) :- firstchild(x, y).")
+            ).run(generic, method="kernel")
 
     def test_single_node_and_empty_label_edge_cases(self):
         program = parse_program(
@@ -681,7 +804,7 @@ class TestFrontierParity:
             query="p",
         )
         kernel = compile_kernel(program)
-        assert kernel is not None and kernel.route == "tmnf"
+        assert kernel is not None and kernel.lowering.route == "tmnf"
         for _ in range(30):
             tree = random_tree(rng, rng.randint(1, 20), labels=("a", "b"))
             structure = UnrankedStructure(tree)
@@ -901,8 +1024,7 @@ class TestGeneratedWorklist:
         assert len(pickle.dumps(wrapper)) == size
         restored = pickle.loads(pickle.dumps(wrapper))
         for plan in restored._compiled.values():
-            for variant in plan._kernel._variants:
-                assert variant._worklists is None
+            assert plan._kernel.lowering._worklists is None
         assert [out.to_dict() for out in restored.wrap_html_many(pages)] == expected
 
     def test_wrapper_keeps_no_snapshot_after_a_batch(self):

@@ -7,8 +7,8 @@ Two sweeps with the Theorem 4.2 engine (connected grounding + Horn-SAT):
 * program scaling -- growing program families (independent renamed copies
   of the Example 3.2 program) on a fixed tree.
 
-Both series must be (near-)linear; `benchmarks/report.py` fits the slopes
-recorded in EXPERIMENTS.md.
+Both series must be (near-)linear; `benchmarks/report.py` fits and
+prints the slopes.
 """
 
 import pytest

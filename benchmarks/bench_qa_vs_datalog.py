@@ -4,7 +4,8 @@ superpolynomially; the Theorem 4.11 datalog simulation stays linear.
 The ``A_beta`` family on complete binary ``a``-trees: each node at depth
 ``d`` is visited ``Theta(beta^d)`` times by the automaton; the translated
 monadic datalog program is evaluated once per node (Theorem 4.2 engine).
-EXPERIMENTS.md records the measured growth exponents and the crossover.
+``benchmarks/report.py`` prints the measured growth exponents and the
+crossover.
 """
 
 import pytest

@@ -1,4 +1,5 @@
-"""Regenerate the measured numbers recorded in EXPERIMENTS.md.
+"""Regenerate the measured numbers that the README's Benchmarks section
+cites.
 
 Runs each experiment's parameter sweep directly (no pytest), prints the
 series and linear-fit diagnostics.  Usage::

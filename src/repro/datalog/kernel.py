@@ -118,12 +118,6 @@ from repro.trees.diff import diff_snapshots
 
 Relations = Dict[str, Set[Tuple[int, ...]]]
 
-#: Module switch for the vectorized seed-rule sweeps (byte-mask batch
-#: conjunctions instead of the generated per-node loop).  The loop is
-#: kept for the sweeps the vector form cannot express; tests flip this
-#: flag to assert exact parity between the two.
-VECTORIZE_SWEEPS = True
-
 #: Op kinds a warm-eligible lowering may contain (see
 #: :attr:`_Lowering.warm_eligible`).
 _WARM_OPS = frozenset(("step", "branch", "ubit", "ibit"))
@@ -232,7 +226,6 @@ class _Lowering:
         "hops",
         "pushes",
         "resources",
-        "sweep_masks",
         "warm_eligible",
         "_worklists",
     )
@@ -274,10 +267,6 @@ class _Lowering:
         for block in blocks:
             keys.update(dict.fromkeys(_block_resources(block)))
         self.resources = tuple(keys)
-        #: Per sweep block: the unary relations whose conjunction *is* the
-        #: sweep (a pure unary seed rule, evaluated as one big-int AND),
-        #: or ``None`` when the sweep runs in the generated worklist.
-        self.sweep_masks = tuple(_sweep_masks(block) for block in sweeps)
         #: Whether a run packs a :class:`KernelState` for warm reuse: only
         #: lowerings whose facts are all unary node sets reached by tree
         #: moves from an enumerable anchor -- no 0-ary predicate, no
@@ -382,30 +371,6 @@ def _resource(snapshot, kind: str, name: str):
     return snapshot.unary_nodes(name)
 
 
-def _sweep_masks(block: _Block) -> Optional[Tuple[str, ...]]:
-    """Unary relations whose conjunction is this sweep, or ``None``.
-
-    A sweep block is vectorizable when it is a pure unary seed rule: the
-    head is derived at the anchored slot itself and every residual check
-    is a unary byte-mask test on that slot.  The anchor relation
-    contributes its own mask (``"*"`` contributes nothing -- it is the
-    full domain).  Constant-pinned or traversing blocks run in the
-    generated worklist.
-    """
-    if block.head_slot < 0 or block.head_slot != block.start:
-        return None
-    names = []
-    if block.anchor != "*":
-        if block.anchor.startswith("@const:"):
-            return None
-        names.append(block.anchor)
-    for op in block.ops:
-        if op[0] != "ubit" or op[2] != block.start:
-            return None
-        names.append(op[1])
-    return tuple(names) if names else None
-
-
 #: Incremental runs only pay off while most of the document is reusable;
 #: past this unmatched fraction the cold run wins outright.
 _INCREMENTAL_DIRTY_LIMIT = 0.5
@@ -449,10 +414,11 @@ class KernelRun:
       1-tuple per fact;
     * ``stats`` -- cheap per-run counters, one shape for cold and warm
       runs: ``engine`` (``"worklist"`` for a cold run, ``"incremental"``
-      for a warm run) and ``facts`` (derived facts at fixpoint).  Warm
-      runs add ``dirty`` / ``dirty_fraction`` (unmatched new nodes),
-      ``carried`` (old facts kept) and ``deleted`` (old facts the
-      over-delete condemned);
+      for a warm run; either way every sweep and trigger block ran in the
+      lowering's generated worklist) and ``facts`` (derived facts at
+      fixpoint).  Warm runs add ``dirty`` / ``dirty_fraction``
+      (unmatched new nodes), ``carried`` (old facts kept) and
+      ``deleted`` (old facts the over-delete condemned);
     * ``state`` -- the :class:`KernelState` to pass as ``previous`` for
       the document's next version, or ``None`` when the lowering is not
       :attr:`_Lowering.warm_eligible`.
@@ -591,7 +557,6 @@ def _over_delete(variant: _Lowering, snapshot, derived: List[int], bad: int):
         old,
         stacks,
         args,
-        b"\x01" * len(variant.sweeps),
     )
     return [
         facts & ~int.from_bytes(lane, "little")
@@ -671,7 +636,9 @@ class KernelProgram:
         return variant
 
     def _bind(self, structure: Structure):
-        """``(lowering, snapshot)``: the lowering that binds the document.
+        """``(lowering, snapshot, args)``: the lowering that binds the
+        document, and its resources resolved against the snapshot
+        (:meth:`_Lowering.bind_args`), which a run passes to the worklist.
 
         The static lowering when the snapshot supplies its relations, else
         for a ranked snapshot the ranked-TMNF lowering compiled for the
@@ -685,13 +652,11 @@ class KernelProgram:
         if snapshot is None:
             return None
         lowering = self.lowering
-        if lowering is not None and lowering.bind_args(snapshot) is not None:
-            return lowering, snapshot
-        if snapshot.schema == "ranked" and snapshot.max_rank >= 1:
+        args = None if lowering is None else lowering.bind_args(snapshot)
+        if args is None and snapshot.schema == "ranked" and snapshot.max_rank >= 1:
             lowering = self._ranked_variant(snapshot.max_rank)
-            if lowering is not None and lowering.bind_args(snapshot) is not None:
-                return lowering, snapshot
-        return None
+            args = None if lowering is None else lowering.bind_args(snapshot)
+        return None if args is None else (lowering, snapshot, args)
 
     # -- evaluation --------------------------------------------------------
 
@@ -746,7 +711,7 @@ class KernelProgram:
         reports ``"incremental"``.
         """
         old_snap = previous.snapshot
-        variant, snapshot = bound
+        variant, snapshot, _ = bound
         if (
             variant is not previous.variant
             or snapshot.schema != "unranked"
@@ -804,21 +769,21 @@ class KernelProgram:
     def _run_scalar(self, bound, engine: str, resume=None) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
 
-        Cold, it starts from empty lanes and the sweeps seed it: pure
-        unary seed rules as one big-int conjunction each (with
-        :data:`VECTORIZE_SWEEPS`), the rest inside the generated code.
-        ``resume=(derived, pending)`` starts it from a partial fixpoint
-        instead: the derived big ints become the lanes, and the pending
-        big ints -- every fact whose consequences may still be missing --
-        seed the stacks; the sweeps re-run, each pushing only the facts its
-        lane does not hold yet.  Either way the finished lanes pack into
-        the run's state when the lowering is warm-eligible.  ``engine`` is
-        the name the run's stats report.
+        ``bound`` is what :meth:`_bind` returned: the document's resources
+        are resolved there, once, and passed to the generated code as they
+        are.  Cold, the run starts from empty lanes and the sweeps, all
+        inside the generated code, seed it.  ``resume=(derived, pending)``
+        starts it from a partial fixpoint instead: the derived big ints
+        become the lanes, and the pending big ints -- every fact whose
+        consequences may still be missing -- seed the stacks; the sweeps
+        re-run, each pushing only the facts its lane does not hold yet.
+        Either way the finished lanes pack into the run's state when the
+        lowering is warm-eligible.  ``engine`` is the name the run's stats
+        report.
         """
-        variant, snapshot = bound
+        variant, snapshot, args = bound
         P = variant.npreds
         n = snapshot.size
-        flags = bytearray(len(variant.sweeps))
         if resume is None:
             lanes = [bytearray(n) for _ in range(P)]
             stacks: List[List[int]] = [[] for _ in range(P)]
@@ -829,20 +794,6 @@ class KernelProgram:
                 _ids(facts, n) if pushes else []
                 for facts, pushes in zip(pending, variant.pushes)
             ]
-        for k, names in enumerate(variant.sweep_masks):
-            if names is None or not VECTORIZE_SWEEPS:
-                flags[k] = 1
-                continue
-            combined = snapshot.unary_int(names[0])
-            for name in names[1:]:
-                combined &= snapshot.unary_int(name)
-            hp = variant.sweeps[k].head_pred
-            held = int.from_bytes(lanes[hp], "little")
-            new = combined & ~held
-            if new:
-                lanes[hp] = bytearray((held | new).to_bytes(n, "little"))
-                if variant.pushes[hp]:
-                    stacks[hp].extend(_ids(new, n))
         gbits = bytearray(P)
         if P:
             derive, _ = variant.worklists()
@@ -854,8 +805,7 @@ class KernelProgram:
                 lanes,
                 None,
                 stacks,
-                variant.bind_args(snapshot),
-                flags,
+                args,
             )
         state = None
         if variant.warm_eligible:

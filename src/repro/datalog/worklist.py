@@ -32,9 +32,8 @@ def worklist_source(variant, condemn: bool) -> str:
     lane test, a lane set and a push -- or, when that block is the only
     one deriving the predicate and the predicate's trigger blocks are
     straight-line, those blocks in place (see :data:`INLINE_DEPTH`).
-    Sweep blocks run first (those the ``SW`` flags select); then each
-    predicate's stack is drained through its trigger blocks until every
-    stack is empty.
+    Every sweep block runs first, once; then each predicate's stack is
+    drained through its trigger blocks until every stack is empty.
 
     With ``condemn`` the same blocks run an over-delete: body tests read
     the old fixpoint's lanes ``O<p>``, ``L<p>`` holds the old facts not
@@ -66,7 +65,7 @@ def worklist_source(variant, condemn: bool) -> str:
         for p in range(variant.npreds)
     ]
     function = "condemn" if condemn else "derive"
-    lines = [f"def {function}(n, FC, NS, G, L, O, S, R, SW):"]
+    lines = [f"def {function}(n, FC, NS, G, L, O, S, R):"]
 
     def emit(depth: int, text: str) -> None:
         lines.append("    " * depth + text)
@@ -160,9 +159,8 @@ def worklist_source(variant, condemn: bool) -> str:
     if condemn:
         for p in sorted({op[1] for b in blocks for op in b.ops if op[0] == "ibit"}):
             emit(1, f"O{p} = O[{p}]")
-    for k, block in enumerate(variant.sweeps):
-        emit(1, f"if SW[{k}]:")
-        anchored(block, 2, ())
+    for block in variant.sweeps:
+        anchored(block, 1, ())
     order = _drain_order(variant)
     if order:
         emit(1, f"while {' or '.join(f'S{p}' for p in order)}:")

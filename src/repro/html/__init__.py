@@ -5,10 +5,9 @@ front end"; none is available offline, so this package implements one:
 
 * :mod:`repro.html.entities` -- character reference decoding;
 * :mod:`repro.html.tokenizer` -- tag/text/comment tokenization with
-  rawtext handling for ``script``/``style``; the streaming core
-  :func:`~repro.html.tokenizer.scan_events` yields plain event tuples,
-  :func:`~repro.html.tokenizer.tokenize` wraps them in
-  :class:`~repro.html.tokenizer.Token` values;
+  rawtext handling for ``script``/``style``: the scanner
+  :func:`~repro.html.tokenizer.scan_into` delivers events through
+  callbacks, :func:`~repro.html.tokenizer.scan_list` as plain tuples;
 * :mod:`repro.html.policy` -- the shared tag-soup policy (void elements,
   implicit closers, scope barriers) used by both tree construction and
   the streaming snapshot builder;
@@ -20,13 +19,9 @@ front end"; none is available offline, so this package implements one:
 
 from repro.html.parser import parse_html
 from repro.html.policy import IMPLICIT_CLOSERS, VOID_ELEMENTS
-from repro.html.tokenizer import Token, scan_events, tokenize
 
 __all__ = [
     "parse_html",
-    "scan_events",
-    "tokenize",
-    "Token",
     "VOID_ELEMENTS",
     "IMPLICIT_CLOSERS",
 ]

@@ -1,7 +1,7 @@
 """HTML tree construction.
 
-Builds a :class:`repro.trees.Node` document from the
-:func:`repro.html.tokenizer.scan_events` stream:
+Builds a :class:`repro.trees.Node` document from the events of
+:func:`repro.html.tokenizer.scan_into`:
 
 * labels are lowercased tag names; text nodes carry the label ``#text``
   with the text in ``node.text``;
@@ -26,7 +26,7 @@ amortized, so construction is linear in the document on any tag soup.
 from __future__ import annotations
 
 from repro.html.policy import OpenElements
-from repro.html.tokenizer import scan_events
+from repro.html.tokenizer import scan_into
 from repro.trees.node import Node
 
 
@@ -41,21 +41,17 @@ def parse_html(html: str, root_label: str = "document") -> Node:
     stack = OpenElements()
     stack.push(root_label, synthetic_root)
     open_nodes = stack.items
+    start_tag = stack.start_tag
 
-    for event in scan_events(html):
-        kind = event[0]
-        if kind == "text":
-            open_nodes[-1].add_child(Node("#text", text=event[1]))
-            continue
-        if kind == "start":
-            _, name, attrs, self_closing = event
-            element = Node(name, attrs=attrs)
-            stack.start_tag(name, element, self_closing).add_child(element)
-            continue
-        if kind == "end":
-            stack.end_tag(event[1])
-            continue
-        # comments and doctypes carry no tree content
+    def on_start(name, attrs, self_closing):
+        element = Node(name, attrs=attrs)
+        start_tag(name, element, self_closing).add_child(element)
+
+    def on_text(data):
+        open_nodes[-1].add_child(Node("#text", text=data))
+
+    # Comments and doctypes carry no tree content: no ``on_misc``.
+    scan_into(html, on_start, stack.end_tag, on_text)
 
     # Unwrap the synthetic root when the document has one root element and
     # no top-level text.

@@ -1,14 +1,12 @@
 """HTML tokenization.
 
-One scanner, three front ends:
+One scanner, two front ends:
 
-* :func:`scan_into` -- the scanner: delivers events through callbacks;
-* :func:`scan_list` / :func:`scan_events` -- plain event tuples
+* :func:`scan_into` -- the scanner: delivers events through callbacks,
+  which tree construction (:mod:`repro.html.parser`) supplies;
+* :func:`scan_list` -- the same events as plain tuples
   (``("start", name, attrs, self_closing)``, ``("end", name)``,
-  ``("text", data)``, ``("comment", data)``, ``("doctype", data)``),
-  consumed by tree construction (:mod:`repro.html.parser`);
-* :func:`tokenize` -- the classic API: wraps each event in a
-  :class:`Token` value.
+  ``("text", data)``, ``("comment", data)``, ``("doctype", data)``).
 
 The scan splits the document once on ``<``: each piece after the first
 holds one token and the text run after it, split once more at its first
@@ -33,7 +31,6 @@ HTML standard prescribes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from sys import intern
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -78,23 +75,6 @@ _ATTR = re.compile(
     )""",
     re.X,
 )
-
-
-@dataclass
-class Token:
-    """One HTML token.
-
-    ``kind`` is ``"start"``, ``"end"``, ``"text"``, ``"comment"`` or
-    ``"doctype"``; ``name`` is the tag name (lowercased) for tags;
-    ``data`` is the decoded text/comment payload; ``attrs`` the attribute
-    dictionary; ``self_closing`` marks ``<br/>``-style tags.
-    """
-
-    kind: str
-    name: str = ""
-    data: str = ""
-    attrs: Dict[str, str] = field(default_factory=dict)
-    self_closing: bool = False
 
 
 def _scan_attributes(html: str, i: int) -> Tuple[Dict[str, str], bool, int]:
@@ -236,8 +216,8 @@ def resync(html: str, pieces: Iterator[str], at: int, i: int) -> Tuple[str, int]
 def scan_into(html: str, on_start, on_end, on_text, on_misc=None) -> None:
     """Scan an HTML document, delivering events through callbacks.
 
-    The scanner behind :func:`scan_list` (and so :func:`tokenize` and
-    :func:`repro.html.parser.parse_html`).  Permissive, never raises on
+    The scanner behind :func:`scan_list` and
+    :func:`repro.html.parser.parse_html`.  Permissive, never raises on
     bad markup.
 
     * ``on_start(name, attrs, self_closing)`` -- lowercased tag name,
@@ -288,6 +268,9 @@ def scan_list(html: str) -> List[tuple]:
     * ``("end", name)``
     * ``("text", data)`` (entity-decoded, whitespace-only runs dropped)
     * ``("comment", data)`` / ``("doctype", data)``
+
+    >>> [e[0] for e in scan_list('<p class="x">hi</p>')]
+    ['start', 'text', 'end']
     """
     out: List[tuple] = []
     emit = out.append
@@ -301,36 +284,3 @@ def scan_list(html: str) -> List[tuple]:
         lambda kind, data: emit((kind, data)),
     )
     return out
-
-
-def scan_events(html: str) -> Iterator[tuple]:
-    """Iterate the event tuples of :func:`scan_list`.
-
-    Note that the full event list is materialized up front (a few dozen
-    bytes per event); consumers needing callback-grained delivery with no
-    buffering should drive :func:`scan_into` directly.
-
-    >>> [e[0] for e in scan_events('<p class="x">hi</p>')]
-    ['start', 'text', 'end']
-    """
-    return iter(scan_list(html))
-
-
-def tokenize(html: str) -> Iterator[Token]:
-    """Tokenize an HTML document (permissive, never raises on bad markup).
-
-    A thin :class:`Token`-building wrapper over :func:`scan_list` (the
-    event list is materialized up front; :class:`Token` objects are built
-    lazily); the streaming pipeline consumes the events directly.
-
-    >>> [t.kind for t in tokenize('<p class="x">hi</p>')]
-    ['start', 'text', 'end']
-    """
-    for event in scan_list(html):
-        kind = event[0]
-        if kind == "text" or kind == "comment" or kind == "doctype":
-            yield Token(kind, data=event[1])
-        elif kind == "start":
-            yield Token(kind, name=event[1], attrs=event[2], self_closing=event[3])
-        else:
-            yield Token(kind, name=event[1])

@@ -126,6 +126,9 @@ _TIMED_ROUTES = ("/extract/", "/batch")
 #: Header lines accepted per request.
 _MAX_HEADERS = 100
 
+#: Request body bytes accepted; a longer declared body gets a 413.
+_MAX_BODY = 8 * 1024 * 1024
+
 
 class _Rejected(Exception):
     """A request the server answers with ``status`` and then closes."""
@@ -166,9 +169,7 @@ class ExtractionServer:
         max_delay: float = 0.010,
         max_pending: int = 256,
         cache_size: int = 512,
-        cache_max_weight: Optional[int] = None,
         bypass_concurrency: int = 1,
-        max_body: int = 8 * 1024 * 1024,
         idle_timeout: float = 60.0,
         deadline_base: float = 2.0,
         deadline_per_mb: float = 5.0,
@@ -198,7 +199,7 @@ class ExtractionServer:
         self.request_log: Optional[RequestLog] = (
             RequestLog(access_log) if access_log is not None else None
         )
-        self.cache = ResultCache(cache_size, max_weight=cache_max_weight)
+        self.cache = ResultCache(cache_size)
         self._shard_count = shards
         #: ``host:port`` shard daemon addresses; when given, evaluation
         #: runs on those remote boxes instead of local shards.
@@ -207,7 +208,6 @@ class ExtractionServer:
         self._max_delay = max_delay
         self._max_pending = max_pending
         self._bypass_concurrency = bypass_concurrency
-        self.max_body = max_body
         self.idle_timeout = idle_timeout
         #: Per-shard-call deadline: base + per-MB seconds of document.
         #: The kernel is linear in document size (the paper's Theorem
@@ -431,7 +431,7 @@ class ExtractionServer:
             length = -1
         if length < 0:
             raise _Rejected(400, "bad content-length")
-        if length > self.max_body:
+        if length > _MAX_BODY:
             raise _Rejected(413, "body too large")
         if "100-continue" in headers.get("expect", "").lower():
             # curl sends this for large bodies and waits ~1s for the

@@ -34,8 +34,8 @@ label sets keep ``array('i')``.
 
 Each unary relation is also served as one byte-lane big int
 (:meth:`unary_int`, byte ``v`` set when node ``v`` is in the relation):
-the kernel's pure unary sweeps are one big-int AND each, and a warm
-re-evaluation cuts its sweep anchors down to the changed region with one.
+a warm re-evaluation cuts its sweep anchors down to the changed region
+with one big-int AND.
 """
 
 from __future__ import annotations

@@ -638,11 +638,12 @@ class TestKernelBatchParity:
             assert row["name"] == {v for (v,) in reference["name"]}
 
 
-class TestVectorizedSweeps:
-    """The byte-mask batch path for seed-rule enumeration (satellite):
-    vectorized and scalar sweeps must derive identical fact sets."""
+class TestPureUnarySweeps:
+    """Pure unary seed rules -- an anchor relation and byte-mask checks on
+    the anchored node alone -- run in the generated worklist like every
+    other sweep, and derive exactly seminaive's facts."""
 
-    def test_seed_rules_are_vectorized(self):
+    def test_seed_rules_run_in_the_worklist(self):
         program = parse_program(
             "p(x) :- label_a(x), leaf(x), notlabel_b(x).", query="p"
         )
@@ -650,13 +651,14 @@ class TestVectorizedSweeps:
         structure = UnrankedStructure(parse_sexpr("a(a, b(a), c)"))
         bound = kernel._bind(structure)
         assert bound is not None
-        variant, _ = bound
-        assert any(names is not None for names in variant.sweep_masks)
-        assert kernel.run(structure) == evaluate_seminaive(program, structure)
+        (sweep,) = bound[0].sweeps
+        assert sweep.head_slot == sweep.start
+        assert [op[0] for op in sweep.ops] == ["ubit", "ubit"]
+        out = kernel.evaluate(structure)
+        assert out.stats["engine"] == "worklist"
+        assert out.relations == evaluate_seminaive(program, structure)
 
-    def test_vector_and_scalar_paths_agree(self, monkeypatch):
-        import repro.datalog.kernel as kernel_mod
-
+    def test_worklist_and_seminaive_agree(self):
         rng = random.Random(77)
         for _ in range(25):
             program = _random_kernel_program(rng)
@@ -664,16 +666,12 @@ class TestVectorizedSweeps:
             structure = UnrankedStructure(tree)
             kernel = compile_kernel(program)
             assert kernel is not None
-            monkeypatch.setattr(kernel_mod, "VECTORIZE_SWEEPS", True)
-            vectorized = kernel.run(structure)
-            monkeypatch.setattr(kernel_mod, "VECTORIZE_SWEEPS", False)
-            scalar = kernel.run(structure)
             reference = evaluate_seminaive(program, structure)
-            assert vectorized == scalar == reference, f"{program}\non {tree}"
+            assert kernel.run(structure) == reference, f"{program}\non {tree}"
 
     def test_empty_conjunction_short_circuits(self):
-        # label_nothere yields an all-zero mask; the vector path must
-        # derive nothing (and not crash on the zero integer).
+        # label_nothere has no nodes: the sweep's anchor list is empty and
+        # the run derives nothing.
         program = parse_program(
             "p(x) :- label_nothere(x), leaf(x).", query="p"
         )
@@ -842,7 +840,7 @@ class TestFrontierParity:
         for source in programs:
             program = parse_program(source, query="p")
             kernel = compile_kernel(program)
-            variant, _ = kernel._bind(UnrankedStructure(parse_sexpr("a(b, c)")))
+            variant = kernel._bind(UnrankedStructure(parse_sexpr("a(b, c)")))[0]
             assert not variant.warm_eligible
             compiled = compile_program(program)
             state = None

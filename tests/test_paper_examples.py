@@ -5,8 +5,7 @@ Example 2.5 (document order), Example 3.2 (the T^0..T^7 fixpoint),
 Example 4.9 (the run c0..c4), Example 4.15 / Figure 2 (the staged down
 transition), Example 5.10 (the p.child program), and a Figure-3-style
 acyclicization (the figure's exact rule is not fully recoverable from the
-text, so we assert the stages on a rule with the same structure --
-recorded in EXPERIMENTS.md)."""
+text, so we assert the stages on a rule with the same structure)."""
 
 import pytest
 

@@ -157,7 +157,7 @@ class TestTheorem411:
         # |A| (O(beta^4), 16x per beta doubling).  Our reachable-pair
         # pruning measures at ~O(beta^5) (36x) -- still polynomial, which
         # is the content of Example 4.21 against the automaton's
-        # superpolynomial runs.  Recorded in EXPERIMENTS.md.
+        # superpolynomial runs.
         assert large <= 36 * small
 
 

@@ -39,6 +39,7 @@ import time
 
 import pytest
 
+from repro.datalog.parser import parse_program
 from repro.html import parse_html
 from repro.structures import as_indexed
 from repro.trees.diff import diff_snapshots
@@ -95,7 +96,12 @@ GENERATORS = {
 }
 
 
-WRAPPER = catalog_wrapper()
+#: The catalog wrapper plus a pure unary seed rule (an anchor relation and
+#: a mask check on the anchored node), so the wrapping path also times
+#: that sweep shape on every generator's page.
+WRAPPER = catalog_wrapper().add_datalog(
+    "last_leaf", parse_program("p(x) :- leaf(x), lastsibling(x).", query="p")
+)
 
 
 @functools.lru_cache(maxsize=2)

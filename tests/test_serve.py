@@ -32,6 +32,7 @@ from repro.serve import (
     content_hash,
 )
 from repro.serve.registry import build_wrapper, source_hash
+from repro.serve.server import _MAX_BODY
 from repro.workloads import CATALOG_WRAPPER, catalog_page
 
 ITEM_DATALOG = "item(x) :- label_li(x)."
@@ -630,7 +631,7 @@ class TestRequestReader:
         response = raw_exchange(
             host, port,
             b"POST /extract/x HTTP/1.1\r\n"
-            b"Content-Length: %d\r\n\r\n" % (server.max_body + 1),
+            b"Content-Length: %d\r\n\r\n" % (_MAX_BODY + 1),
         )
         assert status_of(response) == 413
         assert b"body too large" in response

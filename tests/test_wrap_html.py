@@ -6,8 +6,9 @@ import pytest
 
 from repro.datalog.parser import parse_program
 from repro.errors import WrapError
-from repro.html import parse_html, tokenize
+from repro.html import parse_html
 from repro.html.entities import decode_entities
+from repro.html.tokenizer import scan_list
 from repro.mso import parse_mso
 from repro.trees import UnrankedStructure, parse_sexpr
 from repro.workloads import catalog_page, news_page, noisy_table_page
@@ -102,30 +103,30 @@ class TestEntities:
 
 class TestTokenizer:
     def test_basic_stream(self):
-        kinds = [t.kind for t in tokenize('<p class="x">hi</p>')]
+        kinds = [e[0] for e in scan_list('<p class="x">hi</p>')]
         assert kinds == ["start", "text", "end"]
 
     def test_attributes(self):
-        token = next(tokenize('<a href="/x" checked data-i=3>'))
-        assert token.attrs == {"href": "/x", "checked": "", "data-i": "3"}
+        event = scan_list('<a href="/x" checked data-i=3>')[0]
+        assert event[2] == {"href": "/x", "checked": "", "data-i": "3"}
 
     def test_comment_and_doctype(self):
-        kinds = [t.kind for t in tokenize("<!DOCTYPE html><!-- hi --><p>")]
+        kinds = [e[0] for e in scan_list("<!DOCTYPE html><!-- hi --><p>")]
         assert kinds == ["doctype", "comment", "start"]
 
     def test_self_closing(self):
-        token = next(tokenize("<br/>"))
-        assert token.self_closing
+        event = scan_list("<br/>")[0]
+        assert event[3]
 
     def test_rawtext_script(self):
-        tokens = list(tokenize("<script>if (a<b) x();</script><p>"))
-        assert tokens[0].name == "script"
-        assert tokens[1].data == "if (a<b) x();"
-        assert tokens[2].kind == "end"
+        events = scan_list("<script>if (a<b) x();</script><p>")
+        assert events[0][1] == "script"
+        assert events[1][1] == "if (a<b) x();"
+        assert events[2][0] == "end"
 
     def test_stray_lt(self):
-        tokens = list(tokenize("a < b"))
-        assert any(t.kind == "text" for t in tokens)
+        events = scan_list("a < b")
+        assert any(e[0] == "text" for e in events)
 
 
 class TestHTMLParser:

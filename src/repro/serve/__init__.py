@@ -44,9 +44,10 @@ The cluster layer (``repro.serve.shard`` / ``repro.serve.transport`` /
 daemons (``python -m repro.serve.shard --listen host:port``) speak a
 length-prefixed frame protocol, :class:`RemoteShardExecutor` maps every
 transport failure onto the error taxonomy above (so retries, breakers
-and quarantine apply unchanged), and a consistent-hash :class:`HashRing`
-in the supervisor routes keys with minimal movement under membership
-change -- a dead or draining daemon moves only its own key interval.
+and quarantine apply unchanged), and one static consistent-hash
+:class:`HashRing` over the shards makes every shard choice; the
+supervisor keeps shard health as a membership set over it, so a dead or
+draining daemon moves only its own key interval.
 
 Observability (``repro.serve.tracing`` / ``repro.serve.metrics``): every
 request gets a :class:`~repro.serve.tracing.Span` tree --

@@ -189,16 +189,18 @@ class MicroBatcher:
         """Documents currently queued or in flight."""
         return self._pending
 
-    def _route(self, routing_hash: str) -> int:
-        """The shard for one routing key (doc content hash or doc_id hash).
+    def _route(self, routing_hash: str) -> Tuple[int, bool]:
+        """``(shard, rerouted)`` for one routing key (doc content hash or
+        doc_id hash), read off the executor's consistent-hash ring.
 
-        With a supervisor attached this is consistent-hash ring routing
-        over the healthy shards (membership change moves only the
-        affected key intervals); without one it is the executor's flat
-        home-shard mapping."""
+        Without a supervisor that is the key's home shard
+        (``executor.shard_for``); with one, the first healthy ring
+        member from the key's point, which is the same shard while every
+        shard is healthy (membership change moves only the affected key
+        intervals)."""
         if self.supervisor is not None:
             return self.supervisor.route_hash(routing_hash)
-        return self._executor.shard_for(routing_hash)
+        return self._executor.shard_for(routing_hash), False
 
     # -- request entry points ------------------------------------------------
 
@@ -471,12 +473,9 @@ class MicroBatcher:
             for key in misses:
                 doc_hash, doc_id = key
                 routing_hash = doc_hash if doc_id is None else content_hash(doc_id)
-                by_shard.setdefault(self._route(routing_hash), []).append(key)
-                if (
-                    self.supervisor is not None
-                    and self.supervisor.last_route_rerouted
-                ):
-                    rerouted += 1
+                shard, moved = self._route(routing_hash)
+                by_shard.setdefault(shard, []).append(key)
+                rerouted += moved
             if route_span is not None:
                 route_span.tag(shards=sorted(by_shard), rerouted=rerouted)
                 if len(by_shard) == 1:
@@ -494,11 +493,7 @@ class MicroBatcher:
             for group in groups:
                 for key, outcome in group.items():
                     if not isinstance(outcome, BaseException):
-                        self._cache.put(
-                            (entry.cache_key, key[0]),
-                            outcome,
-                            weight=len(pages_by_key[key]),
-                        )
+                        self._cache.put((entry.cache_key, key[0]), outcome)
                     for index in misses[key]:
                         results[index] = outcome
         self._metrics.incr("documents", len(docs))

@@ -21,11 +21,15 @@ a ``doc_id`` is wrapped warm against the state that document's previous
 version left on the shard.
 
 Documents are routed to shards by content hash (``doc_id`` requests by
-the hash of the id), so identical documents always land on the same
-shard and a multi-document batch splits into at most one sub-batch per
-shard.  ``shards=0`` selects the *inline* mode -- a single thread-backed
-shard with no pickling -- used by tests and by single-core boxes where
-process fan-out cannot pay for itself.
+the hash of the id) on one static consistent-hash ring over the shard
+indices (:class:`~repro.serve.ring.HashRing`, ``ShardSet.ring``), so
+identical documents always land on the same shard and a multi-document
+batch splits into at most one sub-batch per shard.  The supervisor's
+health routing walks the same ring, so with every shard healthy it
+picks exactly :meth:`ShardSet.shard_for`.  ``shards=0`` selects the
+*inline* mode -- a single thread-backed shard with no pickling -- used
+by tests and by single-core boxes where process fan-out cannot pay for
+itself.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ServeError, WrapperNotResident
 from repro.serve.faults import FaultInjector, FaultPlan, release_hangs
+from repro.serve.ring import HashRing
 from repro.wrap.extraction import Wrapper, WrapperState
 
 #: One unit of shard work: an HTML page and the document id it is a
@@ -186,15 +191,16 @@ class ShardSet:
         self._shards = shards
         self.max_installed = max(1, max_installed)
         self._closed = False
+        #: The one page->shard map: every shard choice reads this ring.
+        self.ring = HashRing(range(len(shards)))
 
     @property
     def n_shards(self) -> int:
         return len(self._shards)
 
     def shard_for(self, doc_hash: str) -> int:
-        """Deterministic home-shard index for one document content hash
-        (the supervisor's consistent-hash ring overrides this)."""
-        return int(doc_hash[:16], 16) % len(self._shards)
+        """The home shard of one routing key: its owner on :attr:`ring`."""
+        return self.ring.node_for(doc_hash)
 
     def _shard(self, shard_index: int):
         if self._closed:

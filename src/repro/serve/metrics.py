@@ -10,7 +10,7 @@ bucket counts, which is what real dashboards aggregate.  Per-stage
 histograms (fed with a traced request's span timings by
 ``observe_request``) decompose a request the same way the trace spans
 do (queue / flush / route / shard / kernel), and per-wrapper
-histograms (the ``wrapper=`` label on ``observe_latency``) break the
+histograms (the ``wrapper`` argument of ``observe_request``) break the
 request latency down by wrapper version.
 
 :meth:`ServeMetrics.snapshot` keeps the stable JSON shape ``GET
@@ -144,7 +144,7 @@ class ServeMetrics:
     >>> metrics = ServeMetrics()
     >>> metrics.incr("requests_total"); metrics.observe_batch(4)
     >>> for ms in (1, 2, 3, 4, 100):
-    ...     metrics.observe_latency(ms / 1000.0, wrapper="demo@v1")
+    ...     metrics.observe_request(ms / 1000.0, "demo@v1", {})
     >>> snap = metrics.snapshot()
     >>> snap["counters"]["requests_total"], snap["batches"]["max_size"]
     (1, 4)
@@ -215,31 +215,21 @@ class ServeMetrics:
             if size > self._batch_max:
                 self._batch_max = size
 
-    def observe_latency(self, seconds: float, wrapper: Optional[str] = None) -> None:
-        """Record one end-to-end request latency; ``wrapper`` adds the
-        observation to that wrapper version's breakdown histogram."""
-        with self._lock:
-            self._latency.observe(seconds)
-            if wrapper is not None:
-                hist = self._wrappers.get(wrapper)
-                if hist is None:
-                    hist = self._wrappers[wrapper] = Histogram()
-                hist.observe(seconds)
-
     def observe_request(
         self,
         seconds: float,
         wrapper: Optional[str],
         stage_ms: Dict[str, float],
     ) -> None:
-        """One traced request's latency + per-stage timings, one lock.
+        """One request's latency + per-stage timings, one lock.
 
-        Records ``observe_latency`` plus one stage-histogram observation
-        per entry of ``stage_ms`` (milliseconds, as the span tree
-        reports them; ``http.request`` is skipped -- it duplicates the
-        latency observation), under one acquisition of the metrics
+        Records the end-to-end latency (``wrapper`` adds it to that
+        wrapper version's breakdown histogram) plus one stage-histogram
+        observation per entry of ``stage_ms`` (milliseconds, as the span
+        tree reports them; ``http.request`` is skipped -- it duplicates
+        the latency observation), under one acquisition of the metrics
         lock: this runs on the server's event-loop thread for every
-        traced request.
+        timed request.  An untraced request passes no stages.
 
         >>> metrics = ServeMetrics()
         >>> metrics.observe_request(
@@ -318,7 +308,7 @@ class ServeMetrics:
 
         >>> metrics = ServeMetrics()
         >>> metrics.incr("requests_total", 3)
-        >>> metrics.observe_latency(0.004)
+        >>> metrics.observe_request(0.004, None, {})
         >>> text = metrics.prometheus()
         >>> 'repro_requests_total 3' in text
         True

@@ -1,15 +1,19 @@
-"""Consistent-hash ring: shard membership with minimal-movement routing.
+"""Consistent-hash ring: the one static page->shard map of the serving stack.
 
-The flat ``hash % n_shards`` routing the executor started with has a
-fatal cluster property: any membership change (a shard joins, a shard
-dies, a daemon drains for deploy) remaps almost *every* key, so all the
-per-shard affinity the serving stack depends on -- warm ``doc_id``
-states, resident compiled wrappers, result locality -- is destroyed at
-once.  A consistent-hash ring confines the damage to the keys that
-actually lived on the changed shard: each node owns ``vnodes`` points on
-a 64-bit circle, a key routes to the first point at or after its own
-hash, and adding or removing one node moves only the key intervals
-adjacent to that node's points (about ``1/n`` of the keyspace).
+Every shard choice reads one :class:`HashRing` built over the shard
+indices at startup.  A flat ``hash % n_shards`` map would remap almost
+*every* key on any membership change (a shard trips, a daemon drains for
+deploy), destroying at once all the per-shard affinity the serving stack
+depends on -- warm ``doc_id`` states, resident compiled wrappers.  On the
+ring each node owns ``vnodes`` points on a 64-bit circle and a key routes
+to the first point at or after its own hash, so taking one node out of
+consideration moves only the key intervals adjacent to that node's
+points (about ``1/n`` of the keyspace).
+
+The ring itself never changes.  Health is a membership *set* kept by the
+supervisor: walking :meth:`HashRing.successors` and skipping non-members
+picks exactly the owner a ring with those members removed would pick, so
+minimal movement and exact rejoin hold without mutating the ring.
 
 Everything is derived from SHA-256, so routing is deterministic across
 processes, machines and Python versions -- a router can be restarted (or
@@ -22,20 +26,20 @@ Examples
 >>> ring = HashRing(["a", "b", "c"], vnodes=8)
 >>> ring.node_for("some-document-hash") in {"a", "b", "c"}
 True
->>> before = {k: ring.node_for(k) for k in map(str, range(100))}
->>> _ = ring.remove("b")
->>> after = {k: ring.node_for(k) for k in map(str, range(100))}
->>> all(after[k] == before[k] for k in after if before[k] != "b")
+>>> def owner(key, members):
+...     return next(n for n in ring.successors(key) if n in members)
+>>> keys = list(map(str, range(100)))
+>>> before = {k: owner(k, {"a", "b", "c"}) for k in keys}
+>>> after = {k: owner(k, {"a", "c"}) for k in keys}   # "b" left
+>>> all(after[k] == before[k] for k in keys if before[k] != "b")
 True
->>> ring.generation
-1
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterable, Iterator, List
+from typing import Hashable, Iterable, Iterator
 
 
 def _point(data: str) -> int:
@@ -44,12 +48,12 @@ def _point(data: str) -> int:
 
 
 class HashRing:
-    """A consistent-hash ring over hashable node ids.
+    """An immutable consistent-hash ring over hashable node ids.
 
     Parameters
     ----------
     nodes:
-        Initial members (shard indices, addresses -- any hashable with a
+        The members (shard indices, addresses -- any hashable with a
         stable ``str()``).
     vnodes:
         Virtual nodes per member.  More vnodes -> better balance; at 64
@@ -59,78 +63,25 @@ class HashRing:
     Examples
     --------
     >>> ring = HashRing([0, 1], vnodes=4)
-    >>> sorted(ring.members), len(ring), 0 in ring
-    ([0, 1], 2, True)
-    >>> ring.add(2); sorted(ring.members)
+    >>> ring.node_for("k") in (0, 1)
     True
-    [0, 1, 2]
-    >>> ring.add(2)          # already present: no-op, no generation bump
-    False
-    >>> ring.generation
-    1
+    >>> sorted(ring.successors("k"))
+    [0, 1]
     """
 
     def __init__(self, nodes: Iterable[Hashable] = (), vnodes: int = 64):
         self.vnodes = max(1, int(vnodes))
-        #: Monotonic membership-change counter (the "ring generation"
-        #: reported by /healthz and /metrics).
-        self.generation = 0
-        self._members: Dict[Hashable, List[int]] = {}
+        points = sorted(
+            (
+                (_point(f"{node!s}#vn{i}"), node)
+                for node in dict.fromkeys(nodes)
+                for i in range(self.vnodes)
+            ),
+            key=lambda pair: pair[0],
+        )
         #: Sorted vnode points and the node owning each, kept aligned.
-        self._points: List[int] = []
-        self._owners: List[Hashable] = []
-        for node in nodes:
-            self._insert(node)
-
-    # -- membership ---------------------------------------------------------
-
-    def _node_points(self, node: Hashable) -> List[int]:
-        return [_point(f"{node!s}#vn{i}") for i in range(self.vnodes)]
-
-    def _insert(self, node: Hashable) -> bool:
-        if node in self._members:
-            return False
-        points = self._node_points(node)
-        self._members[node] = points
-        for point in points:
-            index = bisect_right(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, node)
-        return True
-
-    def add(self, node: Hashable) -> bool:
-        """Join ``node``; True (and a generation bump) if it was absent."""
-        if self._insert(node):
-            self.generation += 1
-            return True
-        return False
-
-    def remove(self, node: Hashable) -> bool:
-        """Leave ``node``; True (and a generation bump) if it was present."""
-        points = self._members.pop(node, None)
-        if points is None:
-            return False
-        keep = [
-            (point, owner)
-            for point, owner in zip(self._points, self._owners)
-            if owner != node
-        ]
-        self._points = [point for point, _ in keep]
-        self._owners = [owner for _, owner in keep]
-        self.generation += 1
-        return True
-
-    @property
-    def members(self) -> List[Hashable]:
-        return list(self._members)
-
-    def __contains__(self, node: Hashable) -> bool:
-        return node in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    # -- routing ------------------------------------------------------------
+        self._points = [point for point, _ in points]
+        self._owners = [owner for _, owner in points]
 
     def node_for(self, key: str) -> Hashable:
         """The member owning ``key`` (first vnode at/after its point).
@@ -163,16 +114,5 @@ class HashRing:
                 seen.add(owner)
                 yield owner
 
-    def describe(self) -> Dict:
-        """JSON view for /healthz: members, generation, vnodes."""
-        return {
-            "members": sorted(self._members, key=str),
-            "generation": self.generation,
-            "vnodes": self.vnodes,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"HashRing({sorted(self._members, key=str)!r}, "
-            f"vnodes={self.vnodes}, generation={self.generation})"
-        )
+        return f"HashRing({sorted(set(self._owners), key=str)!r}, vnodes={self.vnodes})"

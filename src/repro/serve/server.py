@@ -397,7 +397,7 @@ class ExtractionServer:
                 trace_id = tracer.finish_trace(span)
                 self._record_request(span, trace_id, status, elapsed)
             elif timed:
-                self.metrics.observe_latency(elapsed)
+                self.metrics.observe_request(elapsed, None, {})
             ok = await self._respond(writer, status, encoded, keep_alive)
             if not ok or not keep_alive:
                 return
@@ -608,10 +608,8 @@ class ExtractionServer:
                 self.metrics.set_gauge(
                     "breakers_open", states.count("open") + states.count("half_open")
                 )
-                self.metrics.set_gauge(
-                    "ring_generation", self.supervisor.ring.generation
-                )
-                self.metrics.set_gauge("ring_members", len(self.supervisor.ring))
+                self.metrics.set_gauge("ring_generation", self.supervisor.generation)
+                self.metrics.set_gauge("ring_members", len(self.supervisor.members))
             if self.executor is not None:
                 shards = [
                     self.executor.shard_state(index)

@@ -18,9 +18,10 @@ Three cooperating pieces, all clock-injectable for deterministic tests:
   ``interval`` seconds it pings each shard (a trivial round trip bounded
   by ``ping_timeout``); failures feed the breaker, and a breaker that
   *opens* triggers a proactive respawn of the sick shard.  It also owns
-  routing: :meth:`route` maps a document's home shard to the nearest
-  shard whose breaker admits work, so an open breaker reroutes keys to
-  neighbors instead of failing requests.
+  routing: :meth:`~ShardSupervisor.route_hash` walks the executor's
+  static consistent-hash ring from a document's key to the first healthy
+  ring member, so an open breaker reroutes keys to ring successors
+  instead of failing requests.
 
 The batcher reports per-call outcomes into the same breakers, so request
 traffic and the health loop share one failure signal.
@@ -31,11 +32,10 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import PoisonDocument
 from repro.serve.metrics import ServeMetrics
-from repro.serve.ring import HashRing
 
 Clock = Callable[[], float]
 
@@ -210,14 +210,17 @@ class ShardSupervisor:
     :meth:`route_hash` for every shard submission and reports outcomes
     via :meth:`record_failure` / :meth:`record_success`.
 
-    Routing is a consistent-hash ring (:class:`~repro.serve.ring.HashRing`)
-    over the healthy shards: a document's key routes to its ring owner,
-    and membership tracks health -- a shard whose breaker trips *leaves*
-    the ring (moving only its own key interval onto ring successors), a
-    shard announcing a planned drain leaves without breaker penalty, and
-    a shard whose probe succeeds again *rejoins*, reclaiming exactly the
-    interval it owned before.  A moved key is at worst one cold miss on
-    its new shard (warm state and resident wrappers re-materialize on
+    Routing reads the executor's one static consistent-hash ring
+    (:class:`~repro.serve.ring.HashRing`, ``executor.ring``); health is
+    the membership set :attr:`members` over it.  A document's key routes
+    to its first ring successor that is a member, and membership tracks
+    health -- a shard whose breaker trips *leaves* (moving only its own
+    key interval onto ring successors), a shard announcing a planned
+    drain leaves without breaker penalty, and a shard whose probe
+    succeeds again *rejoins*, reclaiming exactly the interval it owned
+    before.  With every shard a member, a key routes to
+    ``executor.shard_for(key)``.  A moved key is at worst one cold miss
+    on its new shard (warm state and resident wrappers re-materialize on
     first use), never a wrong answer.
     """
 
@@ -229,7 +232,6 @@ class ShardSupervisor:
         ping_timeout: float = 5.0,
         threshold: int = 3,
         cooldown: float = 5.0,
-        vnodes: int = 64,
         clock: Clock = time.monotonic,
     ):
         self._executor = executor
@@ -241,69 +243,52 @@ class ShardSupervisor:
             for _ in range(executor.n_shards)
         ]
         self.respawns = [0] * executor.n_shards
-        #: Consistent-hash ring over shard indices; membership follows
-        #: health (breaker trips and drain notices leave, recoveries
-        #: rejoin), so routing moves only the affected key intervals.
-        self.ring = HashRing(range(executor.n_shards), vnodes=vnodes)
+        #: Shards in the ring: health-driven membership over the
+        #: executor's static ring (breaker trips and drain notices
+        #: leave, recoveries rejoin), so routing moves only the affected
+        #: key intervals.
+        self.members: Set[int] = set(range(executor.n_shards))
+        #: Monotonic membership-change counter (the "ring generation"
+        #: reported by /healthz and /metrics).
+        self.generation = 0
         #: Last routed shard per key, LRU-bounded -- the basis of the
         #: ``ring_rebalanced_keys`` counter (a key observed moving to a
         #: different shard after a membership change).
         self._last_route: "OrderedDict[str, int]" = OrderedDict()
         self._last_route_cap = 4096
-        #: Whether the most recent route()/route_hash() call diverged
-        #: from the key's natural owner.  Read by the batcher right
-        #: after routing (single event loop, no interleaving) to tag
-        #: the request's ``ring.route`` span.
-        self.last_route_rerouted = False
         self._task: Optional[asyncio.Task] = None
 
     # -- routing ------------------------------------------------------------
 
-    def route(self, home_shard: int) -> int:
-        """Index-walk fallback: nearest shard whose breaker admits work.
+    def route_hash(self, doc_hash: str) -> Tuple[int, bool]:
+        """``(shard, rerouted)`` for work keyed by ``doc_hash``.
 
-        Kept for callers that route by precomputed home index; ring
-        routing (:meth:`route_hash`) supersedes it on the request path.
-        If every breaker is open, the home shard gets the work anyway
-        (it doubles as the half-open probe)."""
-        count = len(self.breakers)
-        for offset in range(count):
-            shard = (home_shard + offset) % count
-            if self.breakers[shard].admits():
-                self.last_route_rerouted = bool(offset)
-                if offset:
-                    self._metrics.incr("rerouted")
-                return shard
-        self.last_route_rerouted = False
-        return home_shard
-
-    def route_hash(self, doc_hash: str) -> int:
-        """The shard that should receive work keyed by ``doc_hash``.
-
-        The ring owner among healthy members gets the key; if the owner
-        was admitted but a later membership change moved the key, that
-        movement is counted in ``ring_rebalanced_keys``.  When the ring
-        is empty (every shard unhealthy at once), the flat home shard is
-        used as the half-open probe target, like :meth:`route`."""
-        members = len(self.ring)
-        if members == 0:
-            return self.route(self._executor.shard_for(doc_hash))
-        natural = None
-        chosen = None
-        for shard in self.ring.successors(doc_hash):
-            if natural is None:
-                natural = shard
-            if self.breakers[shard].admits() and not self._draining(shard):
+        Walks the executor's ring from the key's point and takes the
+        first member whose breaker admits and that is not draining; if
+        none qualifies, the first member gets the work, and with no
+        member at all the key's home shard does (it doubles as the
+        half-open probe).  ``rerouted`` says the shard is not the home
+        shard.  A key observed moving between shards is counted in
+        ``ring_rebalanced_keys``."""
+        executor = self._executor
+        home = first = chosen = None
+        for shard in executor.ring.successors(doc_hash):
+            if home is None:
+                home = shard
+            if shard not in self.members:
+                continue
+            if first is None:
+                first = shard
+            if self.breakers[shard].admits() and not executor.is_draining(shard):
                 chosen = shard
                 break
         if chosen is None:
-            # Every remaining member is open/draining: probe the owner.
-            chosen = natural
-        self.last_route_rerouted = chosen != natural
-        if chosen != natural:
+            chosen = home if first is None else first
+        rerouted = chosen != home
+        if rerouted:
             self._metrics.incr("rerouted")
         self._note_route(doc_hash, chosen)
-        return chosen
+        return chosen, rerouted
 
     def _note_route(self, doc_hash: str, shard: int) -> None:
         prior = self._last_route.get(doc_hash)
@@ -314,27 +299,27 @@ class ShardSupervisor:
         while len(self._last_route) > self._last_route_cap:
             self._last_route.popitem(last=False)
 
-    def _draining(self, shard: int) -> bool:
-        probe = getattr(self._executor, "is_draining", None)
-        return bool(probe(shard)) if probe is not None else False
-
     # -- ring membership -----------------------------------------------------
 
     def ring_leave(self, shard: int, reason: str) -> None:
-        if self.ring.remove(shard):
+        if shard in self.members:
+            self.members.remove(shard)
+            self.generation += 1
             self._metrics.incr(f"ring_left_{reason}")
-            self._metrics.set_gauge("ring_members", len(self.ring))
+            self._metrics.set_gauge("ring_members", len(self.members))
 
     def ring_join(self, shard: int) -> None:
-        if self.ring.add(shard):
+        if shard not in self.members:
+            self.members.add(shard)
+            self.generation += 1
             self._metrics.incr("ring_rejoined")
-            self._metrics.set_gauge("ring_members", len(self.ring))
+            self._metrics.set_gauge("ring_members", len(self.members))
 
     # -- outcome reporting --------------------------------------------------
 
     def record_success(self, shard: int) -> None:
         self.breakers[shard].record_success()
-        if shard not in self.ring and not self._draining(shard):
+        if shard not in self.members and not self._executor.is_draining(shard):
             self.ring_join(shard)
 
     def record_failure(self, shard: int) -> None:
@@ -385,7 +370,7 @@ class ShardSupervisor:
                 await asyncio.wait_for(
                     asyncio.wrap_future(future), timeout=self.ping_timeout
                 )
-                if self._draining(shard):
+                if self._executor.is_draining(shard):
                     # Planned shutdown, not a failure: stop routing new
                     # keys there before the socket closes.
                     self.ring_leave(shard, "draining")
@@ -394,7 +379,7 @@ class ShardSupervisor:
             except asyncio.CancelledError:
                 raise
             except Exception:
-                if self._draining(shard):
+                if self._executor.is_draining(shard):
                     # The ping read the daemon's drain notice before the
                     # socket closed under it: a planned shutdown, not a
                     # failure.  Leave the ring without breaker penalty.
@@ -416,12 +401,16 @@ class ShardSupervisor:
                 breaker.describe(),
                 shard=index,
                 respawns=self.respawns[index],
-                in_ring=index in self.ring,
-                draining=self._draining(index),
+                in_ring=index in self.members,
+                draining=self._executor.is_draining(index),
             )
             for index, breaker in enumerate(self.breakers)
         ]
 
     def describe_ring(self) -> Dict:
         """Ring membership + generation for ``/healthz``."""
-        return self.ring.describe()
+        return {
+            "members": sorted(self.members),
+            "generation": self.generation,
+            "vnodes": self._executor.ring.vnodes,
+        }

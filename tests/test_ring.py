@@ -4,25 +4,52 @@ The three properties the serving stack depends on:
 
 * **balance** -- at 64 vnodes the most-loaded member of a multi-node
   ring stays within 2x of the ideal share over a large random key set;
-* **minimal movement** -- removing (or adding) one member moves only the
-  keys of that member's own interval; every other key keeps its owner,
-  and a member that leaves and rejoins restores the original routing
-  exactly;
+* **minimal movement** -- the ring is static and the supervisor keeps
+  shard health as a membership set over it: a shard leaving (a breaker
+  trip, a drain) moves only the keys of that shard's own interval; every
+  other key keeps its owner, and a shard that leaves and rejoins
+  restores the original routing exactly;
 * **determinism** -- routing is a pure function of (members, vnodes,
   key), stable across processes and interpreter runs, so every router
   replica makes identical decisions.
+
+With every shard healthy the supervisor's route is the executor's home
+shard, so a batcher built without a supervisor routes like the server.
 """
 
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
+from repro.serve.executor import ShardSet
+from repro.serve.metrics import ServeMetrics
 from repro.serve.ring import HashRing, _point
+from repro.serve.supervisor import ShardSupervisor
 
 
 def keys(n):
     return [f"doc-hash-{i:06d}" for i in range(n)]
+
+
+class _Shard:
+    """Just enough of a shard for routing: never draining, killable."""
+
+    draining = False
+
+    def kill(self):
+        pass
+
+
+def supervised(n_shards):
+    """A supervisor over a routing-only executor of ``n_shards`` shards."""
+    executor = ShardSet([_Shard() for _ in range(n_shards)], max_installed=1)
+    return executor, ShardSupervisor(executor, ServeMetrics())
+
+
+def routes(supervisor, sample):
+    return {key: supervisor.route_hash(key)[0] for key in sample}
 
 
 class TestBalance:
@@ -43,13 +70,33 @@ class TestBalance:
         assert owners == set(range(members))
 
 
+class TestOneRing:
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
+    def test_healthy_route_is_the_home_shard(self, n_shards):
+        executor, supervisor = supervised(n_shards)
+        for i in range(2000):
+            doc_hash = hashlib.sha256(f"page-{i}".encode()).hexdigest()
+            assert supervisor.route_hash(doc_hash) == (
+                executor.shard_for(doc_hash),
+                False,
+            )
+
+    def test_no_member_routes_to_the_home_shard(self):
+        executor, supervisor = supervised(3)
+        for shard in range(3):
+            supervisor.ring_leave(shard, "tripped")
+        assert supervisor.members == set()
+        for key in keys(500):
+            assert supervisor.route_hash(key) == (executor.shard_for(key), False)
+
+
 class TestMinimalMovement:
     def test_remove_moves_only_the_removed_nodes_keys(self):
-        ring = HashRing([0, 1, 2], vnodes=64)
+        _, supervisor = supervised(3)
         sample = keys(3000)
-        before = {key: ring.node_for(key) for key in sample}
-        assert ring.remove(1)
-        after = {key: ring.node_for(key) for key in sample}
+        before = routes(supervisor, sample)
+        supervisor.ring_leave(1, "tripped")
+        after = routes(supervisor, sample)
         for key in sample:
             if before[key] != 1:
                 assert after[key] == before[key]
@@ -57,37 +104,41 @@ class TestMinimalMovement:
                 assert after[key] in (0, 2)
 
     def test_add_steals_only_the_new_nodes_interval(self):
-        ring = HashRing([0, 1], vnodes=64)
+        _, supervisor = supervised(3)
+        supervisor.ring_leave(2, "draining")
         sample = keys(3000)
-        before = {key: ring.node_for(key) for key in sample}
-        assert ring.add(2)
-        after = {key: ring.node_for(key) for key in sample}
+        before = routes(supervisor, sample)
+        supervisor.ring_join(2)
+        after = routes(supervisor, sample)
         moved = [key for key in sample if after[key] != before[key]]
-        # Everything that moved went *to* the new node, and it took
+        # Everything that moved went *to* the rejoined shard, and it took
         # roughly its fair share (1/3), not the whole keyspace.
         assert moved
         assert all(after[key] == 2 for key in moved)
         assert len(moved) <= 2 * len(sample) / 3
 
     def test_leave_then_rejoin_restores_routing_exactly(self):
-        ring = HashRing([0, 1, 2], vnodes=64)
+        _, supervisor = supervised(3)
         sample = keys(1500)
-        before = {key: ring.node_for(key) for key in sample}
-        ring.remove(2)
-        ring.add(2)
-        assert {key: ring.node_for(key) for key in sample} == before
-        assert ring.generation == 2
+        before = routes(supervisor, sample)
+        supervisor.ring_leave(2, "tripped")
+        supervisor.ring_join(2)
+        assert routes(supervisor, sample) == before
+        assert supervisor.generation == 2
 
     def test_generation_counts_membership_changes_only(self):
-        ring = HashRing([0, 1], vnodes=8)
-        assert ring.generation == 0
-        assert not ring.add(0)          # already present
-        assert ring.generation == 0
-        assert not ring.remove(9)       # never present
-        assert ring.generation == 0
-        ring.add(2)
-        ring.remove(0)
-        assert ring.generation == 2
+        _, supervisor = supervised(3)
+        assert supervisor.generation == 0
+        supervisor.ring_join(0)          # already a member
+        assert supervisor.generation == 0
+        supervisor.ring_leave(9, "tripped")  # never a member
+        assert supervisor.generation == 0
+        supervisor.ring_leave(2, "draining")
+        supervisor.ring_leave(0, "tripped")
+        supervisor.ring_leave(0, "tripped")  # already gone
+        assert supervisor.generation == 2
+        supervisor.ring_join(2)
+        assert supervisor.generation == 3
 
 
 class TestDeterminism:
@@ -141,10 +192,10 @@ class TestRoutingApi:
             assert sorted(order) == [0, 1, 2, 3]
 
     def test_describe_is_json_shaped(self):
-        ring = HashRing(["b", "a"], vnodes=16)
-        description = ring.describe()
-        assert description == {
-            "members": ["a", "b"],
-            "generation": 0,
-            "vnodes": 16,
+        _, supervisor = supervised(3)
+        supervisor.ring_leave(1, "draining")
+        assert supervisor.describe_ring() == {
+            "members": [0, 2],
+            "generation": 1,
+            "vnodes": 64,
         }

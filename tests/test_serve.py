@@ -317,29 +317,13 @@ class TestResultCache:
         cache.put("a", 1)
         assert cache.get("a") is None and len(cache) == 0
 
-    def test_weight_budget_evicts_lru_until_fit(self):
-        cache = ResultCache(capacity=100, max_weight=10)
-        cache.put("a", 1, weight=4)
-        cache.put("b", 2, weight=4)
-        cache.put("c", 3, weight=4)  # 12 > 10: evicts "a"
-        assert cache.get("a") is None
-        assert cache.get("b") == 2 and cache.get("c") == 3
-        assert cache.weight == 8
-
-    def test_entry_heavier_than_budget_is_not_stored(self):
-        cache = ResultCache(capacity=100, max_weight=10)
-        cache.put("small", 1, weight=3)
-        cache.put("huge", 2, weight=11)  # would wipe the cache for nothing
-        assert cache.get("huge") is None
-        assert cache.get("small") == 1  # the rest of the LRU survived
-
-    def test_weight_accounting_on_overwrite_and_clear(self):
-        cache = ResultCache(capacity=100, max_weight=100)
-        cache.put("a", 1, weight=60)
-        cache.put("a", 2, weight=5)  # overwrite must release the old weight
-        assert cache.weight == 5 and cache.get("a") == 2
+    def test_overwrite_and_clear(self):
+        cache = ResultCache(capacity=100)
+        cache.put("a", 1)
+        cache.put("a", 2)
+        assert cache.get("a") == 2 and len(cache) == 1
         cache.clear()
-        assert cache.weight == 0 and len(cache) == 0
+        assert cache.get("a") is None and len(cache) == 0
 
 
 class TestServerEndToEnd:

@@ -31,6 +31,7 @@ from repro.serve import (
     CircuitBreaker,
     ExtractionServer,
     FaultPlan,
+    HashRing,
     MicroBatcher,
     Quarantine,
     ResultCache,
@@ -195,9 +196,13 @@ class TestSupervisor:
         """Two fake shards; shard 0 always fails its ping."""
 
         n_shards = 2
+        ring = HashRing(range(2))
 
         def __init__(self):
             self.respawned = []
+
+        def is_draining(self, shard):
+            return False
 
         def ping(self, shard):
             future = concurrent.futures.Future()
@@ -226,7 +231,12 @@ class TestSupervisor:
         assert supervisor.breakers[1].state == "closed"
         assert executor.respawned == [0]  # respawned exactly when it opened
         # Keys homed on the sick shard reroute to its healthy neighbor.
-        assert supervisor.route(0) == 1 and supervisor.route(1) == 1
+        sample = list(map(str, range(200)))
+        homed = [key for key in sample if executor.ring.node_for(key) == 0]
+        assert homed and len(homed) < len(sample)
+        for key in sample:
+            home = executor.ring.node_for(key)
+            assert supervisor.route_hash(key) == (1, home == 0)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["shard_respawns"] == 1
         assert snapshot["counters"]["rerouted"] >= 1

@@ -18,7 +18,7 @@ Compilation (:func:`compile_kernel`, program-only, cached by
   relations are partial bijections; ``child`` is backward-functional with
   forward traversal by child enumeration);
 * every rule body is lowered to a flat numeric op sequence -- functional
-  *steps* (one array lookup), bounded *branch* steps (``child`` forward),
+  *steps* (one column lookup), bounded *branch* steps (``child`` forward),
   byte-mask checks for unary schema relations, byte-lane tests for
   intensional atoms, and guarded binds/equality
   checks for body constants (each constant pins a slot to one node) --
@@ -46,13 +46,13 @@ generalized from propositional atoms to ``(predicate, node)`` pairs
 ``bytearray`` lane per predicate (byte ``v`` is 1 when the fact holds at
 node ``v``), the worklist is one stack of node ids per predicate, and
 when a fact fires, each body occurrence of its predicate re-checks the
-O(1) remaining atoms of that rule through array lookups (bodies are
+O(1) remaining atoms of that rule through column lookups (bodies are
 constant-width after lowering, so re-checking preserves the
 ``O(|P| * |dom|)`` bound that the explicit Dowling-Gallier counters give;
 it just never builds the counter table or any ground rule).  The worklist
 is not interpreted: each lowering generates it once as straight-line
 Python (:mod:`repro.datalog.worklist`) -- every rule body one nested
-conjunction of array lookups, every ``child`` enumeration a ``while``
+conjunction of column lookups, every ``child`` enumeration a ``while``
 loop -- and each document passes its columns and masks in as arguments.
 It is the kernel's one cold engine: a derived fact is pushed and popped
 once, so no run pays per-round work over the whole document, however

@@ -1,4 +1,4 @@
-"""Columnar tree snapshots: the document as flat integer arrays.
+"""Columnar tree snapshots: the document as flat integer columns.
 
 The linear-time propagation kernel (:mod:`repro.datalog.kernel`) never
 touches :class:`~repro.trees.node.Node` objects or tuple sets on its hot
@@ -24,13 +24,19 @@ gates name resolution to exactly the relations the owning structure
 would itself supply: asking for a relation outside the schema returns
 ``None``, which the kernel treats as "not applicable, fall back".
 
-The integer columns are stored as ``array('i')`` rather than Python
-lists, so per-node boxed objects disappear from the snapshot itself, and
-each column exposes a buffer for bulk operations.  The one exception is
-``label_ids``: a document with fewer than 256 distinct labels (nearly
-every page) stores it as ``bytes``, one byte lane per node, so every
-``label_a`` / ``notlabel_a`` mask is a single ``bytes.translate``; wider
-label sets keep ``array('i')``.
+The integer columns are tuples: every reader (the scanner's sibling
+pass, kernel bind, the generated worklist, output assembly) indexes one
+element at a time, which CPython 3.11 specializes on a tuple
+(``BINARY_SUBSCR_TUPLE_INT``), where ``array('i')`` boxes a fresh int
+per read above 256 and costs a conversion per column per page.  On
+catalog-640 (2-core x86 VM) the build fell from 3.39 to 3.00 ms, the
+fixpoint from 0.74 to 0.60 and output assembly from 1.33 to 1.22 ms.
+Lists read as fast, but the collector re-walks a long-lived list of
+ints on every collection (generation-1 time +50%, full +35%; ``recrawl``
+p99 14.0-16.2 -> 16.5-17.5 ms), while an all-int tuple is untracked by
+the first collection that sees it.  ``label_ids`` is ``bytes`` under
+256 distinct labels (nearly every page), so every ``label_a`` /
+``notlabel_a`` mask is one ``bytes.translate``; wider sets keep a tuple.
 
 Each unary relation is also served as one byte-lane big int
 (:meth:`unary_int`, byte ``v`` set when node ``v`` is in the relation):
@@ -40,27 +46,10 @@ with one big-int AND.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.trees.node import Node
-
-
-def _column(values) -> array:
-    """An ``array('i')`` column (idempotent on arrays)."""
-    if isinstance(values, array):
-        return values
-    return array("i", values)
-
-
-def _label_column(label_ids, label_count: int):
-    """``bytes`` label ids when every id fits a byte, else ``array('i')``."""
-    if label_count >= 256:
-        return _column(label_ids)
-    if isinstance(label_ids, array):
-        label_ids = label_ids.tolist()
-    return bytes(label_ids)
 
 
 class TreeSnapshot:
@@ -87,11 +76,11 @@ class TreeSnapshot:
     stores a single-attribute tag's shared tag-cache entry there, so a
     page whose attributes are never read allocates no dict for them.
 
-    The tree columns are ``array('i')``; ``label_ids`` is ``bytes`` (one
-    byte lane per node) when the document has fewer than 256 distinct
-    labels and ``array('i')`` otherwise.  Every producer goes through
-    ``__init__``, which picks the form, so snapshots of one document
-    built by different producers compare equal column by column.
+    The tree columns and every :meth:`forward_map` / :meth:`backward_map`
+    are tuples; ``label_ids`` is ``bytes`` under 256 distinct labels and
+    a tuple otherwise.  Every producer goes through ``__init__``, which
+    picks the form, so snapshots of one document built by different
+    producers compare equal column by column.
 
     Examples
     --------
@@ -99,11 +88,11 @@ class TreeSnapshot:
     >>> from repro.trees.unranked import UnrankedStructure
     >>> snap = UnrankedStructure(parse_sexpr("a(b, c(d), b)")).snapshot()
     >>> snap.parent
-    array('i', [-1, 0, 0, 2, 0])
+    (-1, 0, 0, 2, 0)
     >>> snap.firstchild
-    array('i', [1, -1, 3, -1, -1])
+    (1, -1, 3, -1, -1)
     >>> snap.nextsibling
-    array('i', [-1, 2, 4, -1, -1])
+    (-1, 2, 4, -1, -1)
     >>> snap.label_ids
     b'\\x00\\x01\\x02\\x03\\x01'
     >>> snap.labels[snap.label_ids[3]]
@@ -154,15 +143,15 @@ class TreeSnapshot:
         self.size = len(parent)
         self.schema = schema
         self.max_rank = max_rank
-        # One `array('i')` per column (`bytes` label ids under 256 labels):
-        # unboxed storage, built once here so every producer (HTML
-        # scanner, tree flattener) can keep assembling plain lists.
-        self.parent = _column(parent)
-        self.firstchild = _column(firstchild)
-        self.nextsibling = _column(nextsibling)
-        self.prevsibling = _column(prevsibling)
-        self.lastchild = _column(lastchild)
-        self.label_ids = _label_column(label_ids, len(labels))
+        # One tuple per column (`bytes` label ids under 256 labels),
+        # built once here so every producer (HTML scanner, tree
+        # flattener) can keep assembling plain lists.
+        self.parent = tuple(parent)
+        self.firstchild = tuple(firstchild)
+        self.nextsibling = tuple(nextsibling)
+        self.prevsibling = tuple(prevsibling)
+        self.lastchild = tuple(lastchild)
+        self.label_ids = tuple(label_ids) if len(labels) >= 256 else bytes(label_ids)
         self.labels = labels
         self.label_index = label_index
         self.texts = texts
@@ -261,7 +250,7 @@ class TreeSnapshot:
         """Node-id lists per label id (one document-order pass, cached).
 
         The anchor lists behind ``label_a`` on documents with 256 or more
-        distinct labels (``array('i')`` label ids), so such a document pays
+        distinct labels (tuple label ids), so such a document pays
         one scan total instead of one scan per queried label.  Byte-lane
         label ids derive each list from the label's mask instead.
         """
@@ -397,7 +386,7 @@ class TreeSnapshot:
         return self._child_index
 
     def forward_map(self, name: str) -> Optional[Sequence[int]]:
-        """Array ``a`` with ``R(v, a[v])`` when ``R`` is forward-functional.
+        """Column ``a`` with ``R(v, a[v])`` when ``R`` is forward-functional.
 
         Returns ``None`` for unknown relations and for ``child`` (whose
         forward direction branches; use :attr:`firstchild` /
@@ -405,9 +394,7 @@ class TreeSnapshot:
         """
         if name not in self._forward:
             computed = self._compute_forward(name)
-            if computed is not None:
-                computed = _column(computed)
-            self._forward[name] = computed
+            self._forward[name] = None if computed is None else tuple(computed)
         return self._forward[name]
 
     def _compute_forward(self, name: str) -> Optional[List[int]]:
@@ -429,12 +416,10 @@ class TreeSnapshot:
         return out
 
     def backward_map(self, name: str) -> Optional[Sequence[int]]:
-        """Array ``a`` with ``R(a[v], v)`` when ``R`` is backward-functional."""
+        """Column ``a`` with ``R(a[v], v)`` when ``R`` is backward-functional."""
         if name not in self._backward:
             computed = self._compute_backward(name)
-            if computed is not None:
-                computed = _column(computed)
-            self._backward[name] = computed
+            self._backward[name] = None if computed is None else tuple(computed)
         return self._backward[name]
 
     def _compute_backward(self, name: str) -> Optional[List[int]]:

@@ -8,7 +8,8 @@ module collapses those three passes into one, writing the
 :class:`~repro.trees.snapshot.TreeSnapshot` columns directly and
 assigning identifiers in document order as elements open.  Nothing but
 flat lists is ever allocated, so huge pages can be wrapped with the
-runtime touching only arrays from bytes to output.
+runtime touching only flat columns (tuples, byte lanes) from bytes to
+output.
 
 Sources:
 
@@ -258,7 +259,7 @@ def sexpr_snapshot(text: str) -> TreeSnapshot:
     """Parse s-expression tree syntax straight into snapshot columns.
 
     >>> sexpr_snapshot("a(b, c(d), b)").parent
-    array('i', [-1, 0, 0, 2, 0])
+    (-1, 0, 0, 2, 0)
     """
     from repro.trees.node import parse_sexpr
 

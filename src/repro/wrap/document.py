@@ -124,10 +124,10 @@ class Document(Structure):
         if name not in _FUNCTIONAL_BINARY:
             return None
         if name not in self._functional_cache:
-            array = self._snapshot.forward_map(name)
+            column = self._snapshot.forward_map(name)
             forward: Dict[int, int] = {}
             backward: Dict[int, int] = {}
-            for a, b in enumerate(array):
+            for a, b in enumerate(column):
                 if b >= 0:
                     forward[a] = b
                     backward[b] = a
@@ -160,8 +160,8 @@ class Document(Structure):
                 raise DatalogError(f"unknown relation {name!r} over tau_ur")
             return {(v,) for v in nodes}
         if name in ("firstchild", "nextsibling", "lastchild"):
-            array = snapshot.forward_map(name)
-            return {(a, b) for a, b in enumerate(array) if b >= 0}
+            column = snapshot.forward_map(name)
+            return {(a, b) for a, b in enumerate(column) if b >= 0}
         if name == "child":
             parent = snapshot.parent
             return {(parent[v], v) for v in range(n) if parent[v] >= 0}

@@ -17,7 +17,6 @@ import gc
 import pickle
 import random
 import re
-from array import array
 
 import pytest
 
@@ -35,6 +34,7 @@ from repro.html.tokenizer import _scan_attributes, scan_list
 from repro.structures import as_indexed
 from repro.trees import parse_sexpr
 from repro.trees.generate import random_tree
+from repro.trees.ranked import RankedStructure
 from repro.trees.snapshot import TreeSnapshot
 from repro.trees.stream import html_snapshot, sexpr_snapshot, tree_snapshot
 from repro.trees.unranked import UnrankedStructure
@@ -363,6 +363,53 @@ class TestSnapshotParity:
         assert snapshot.node_text(0) == "interior child"
 
 
+class TestColumnForm:
+    """Every producer's tree columns and functional maps are tuples, and
+    the collector untracks them: a snapshot leaves no GC-tracked column.
+
+    Readers index the columns one element at a time, which CPython
+    specializes on tuples; a tuple holding only ints is untracked by the
+    first collection that sees it, so long-lived snapshots add nothing
+    to later collections."""
+
+    TREE_COLUMNS = ("parent", "firstchild", "nextsibling", "prevsibling", "lastchild")
+
+    @staticmethod
+    def producers():
+        tree = random_tree(random.Random(11), 400, labels=("a", "b", "c"))
+        ranked = random_tree(random.Random(12), 400, labels=("f", "g"), max_children=3)
+        yield "html_snapshot", html_snapshot(catalog_page(seed=7, items=40))
+        yield "sexpr_snapshot", sexpr_snapshot(str(tree))
+        yield "tree_snapshot", tree_snapshot(tree)
+        yield "UnrankedStructure", UnrankedStructure(tree).snapshot()
+        yield "RankedStructure", RankedStructure(ranked).snapshot()
+
+    @classmethod
+    def columns_of(cls, snapshot):
+        """The tree columns plus every functional map the schema serves."""
+        out = [getattr(snapshot, name) for name in cls.TREE_COLUMNS]
+        names = ["child", "firstchild", "nextsibling", "lastchild"]
+        names += [f"child{k}" for k in range(1, snapshot.max_rank + 1)]
+        for name in names:
+            for column in (snapshot.forward_map(name), snapshot.backward_map(name)):
+                if column is not None:
+                    out.append(column)
+        return out
+
+    def test_columns_and_maps_are_untracked_tuples(self):
+        held = []
+        for producer, snapshot in self.producers():
+            found = self.columns_of(snapshot)
+            assert len(found) > len(self.TREE_COLUMNS), producer
+            for column in found:
+                assert type(column) is tuple, (producer, type(column))
+                assert len(column) == snapshot.size, producer
+            held.append((producer, found))
+        gc.collect()
+        for producer, found in held:
+            assert not any(gc.is_tracked(column) for column in found), producer
+
+
 class TestOpenElements:
     """The O(1)-amortized stack cuts exactly where the linear scans do."""
 
@@ -478,7 +525,7 @@ class TestImplicitCloserFastPath:
 
 
 class TestLabelIdLanes:
-    """``label_ids`` is ``bytes`` under 256 labels, ``array('i')`` above,
+    """``label_ids`` is ``bytes`` under 256 labels, a tuple above,
     and everything built on it agrees with the Node path either way."""
 
     @staticmethod
@@ -496,7 +543,10 @@ class TestLabelIdLanes:
 
     def test_lane_form_follows_label_count(self):
         assert isinstance(html_snapshot(self.page(200)).label_ids, bytes)
-        assert isinstance(html_snapshot(self.page(300)).label_ids, array)
+        wide = html_snapshot(self.page(300))
+        assert isinstance(wide.label_ids, tuple)
+        gc.collect()
+        assert not gc.is_tracked(wide.label_ids)
 
     @pytest.mark.parametrize("tags", [200, 300])
     def test_masks_and_wrap_match_node_path(self, tags):
@@ -685,6 +735,17 @@ def gc_allocations(call):
         gc.enable()
 
 
+def gc_survivors(call):
+    """``(survivors, result)``: the GC-tracked objects that ``call()``
+    leaves alive after a full collection, and the call's result (kept
+    alive while counting)."""
+    gc.collect()
+    before = len(gc.get_objects())
+    result = call()
+    gc.collect()
+    return len(gc.get_objects()) - before, result
+
+
 class TestAllocations:
     """The page path allocates only what its caller reads.
 
@@ -724,6 +785,20 @@ class TestAllocations:
         assert allocated < self.BOUND, allocated
         assert result.method == "kernel"
         assert len(result.unary("record")) == items
+
+    def test_wrap_leaves_two_tracked_survivors_per_output_node(self):
+        # What a wrap call leaves for later collections: the output tree's
+        # OutputNode and children list per kept node, plus the returned
+        # list.  Nothing of the document survives: a wrapper that kept
+        # its page's structure would add seven, five more with list
+        # columns (TestColumnForm pins the tuples).
+        wrapper = catalog_wrapper()
+        page = catalog_page(seed=7, items=160)
+        wrapper.wrap_html_many([page])
+        survivors, (out,) = gc_survivors(lambda: wrapper.wrap_html_many([page]))
+        kept = sum(1 for _ in out.iter_subtree())
+        assert kept > 160
+        assert survivors <= 2 * kept + 4, (survivors, kept)
 
     def test_mixed_attribute_tags_match_the_node_path(self):
         for doc in (self.MIXED, "text" + self.MIXED, self.MIXED * 3):

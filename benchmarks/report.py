@@ -408,6 +408,11 @@ HOSTILE_SOUP = {
 #: Smoke-run bound on the hostile sweep's time(2n)/time(n): linear is ~2.
 HOSTILE_MAX_RATIO = 2.5
 
+#: Back-to-back (n, 2n) CPU-time sample pairs per hostile ratio, and the
+#: shortest sample (short ones are repeated).
+HOSTILE_PAIRS = 5
+HOSTILE_MIN_SAMPLE_S = 0.004
+
 #: Smoke-run bound on the streaming path's serial speedup over the Node
 #: path at the largest catalog size (BENCH_stream.json records ~2.1x on
 #: a 2-core x86 VM with Python 3.11).
@@ -424,41 +429,62 @@ def _hostile_page(kind: str, depth: int) -> str:
 def _hostile_sweep(wrapper: Wrapper, smoke: bool) -> list:
     """Wrap hostile pages at doubling depths; returns rows with t(2n)/t(n).
 
-    Each time is a best-of-5.  A ratio above :data:`HOSTILE_MAX_RATIO` is
-    measured again, up to twice, keeping the best time of each size, so a
-    noisy sample does not inflate it; in smoke mode a ratio still above
-    the bound fails the run, since the size-derived serve deadlines assume
-    linear ingestion.
+    Times are CPU seconds (``time.process_time``), so time the host gives
+    to other work does not count, measured as in ``tests/test_scaling.py``:
+    each ratio is the median of :data:`HOSTILE_PAIRS` back-to-back
+    (n, 2n) sample pairs, so a change of host speed that outlasts a pair
+    scales both of its samples alike.  A ratio above
+    :data:`HOSTILE_MAX_RATIO` is measured again from fresh pairs, up to
+    twice; in smoke mode a ratio still above the bound fails the run,
+    since the size-derived serve deadlines assume linear ingestion.  A
+    row's ``wrap_s`` is the median of every sample taken at its depth.
     """
     import gc
+    from statistics import median
 
     depths = (1000, 2000, 4000) if smoke else (2000, 4000, 8000, 16000)
 
-    def best(page):
-        gc.collect()
-        gc.disable()
-        try:
-            return _timed(wrapper.wrap_html_many, [page], repeat=5)[0]
-        finally:
-            gc.enable()
+    def cpu(page, repeats):
+        start = time.process_time()
+        for _ in range(repeats):
+            wrapper.wrap_html_many([page])
+        return (time.process_time() - start) / repeats
 
     rows = []
     for kind in HOSTILE_SOUP:
         pages = {depth: _hostile_page(kind, depth) for depth in depths}
-        wrap_s = {depth: best(pages[depth]) for depth in depths}
+        samples = {depth: [] for depth in depths}
         linearity = {depths[0]: None}
-        for small, large in zip(depths, depths[1:]):
-            for _ in range(2):
-                if wrap_s[large] / wrap_s[small] <= HOSTILE_MAX_RATIO:
-                    break
-                wrap_s[small] = min(wrap_s[small], best(pages[small]))
-                wrap_s[large] = min(wrap_s[large], best(pages[large]))
-            linearity[large] = round(wrap_s[large] / wrap_s[small], 2)
-            if smoke and linearity[large] > HOSTILE_MAX_RATIO:
-                raise SystemExit(
-                    f"tag-soup ingestion no longer linear: {kind} "
-                    f"t(2n)/t(n)={linearity[large]} at depth={large}"
-                )
+        gc.collect()
+        gc.disable()
+        try:
+            for page in pages.values():
+                wrapper.wrap_html_many([page])
+            for small, large in zip(depths, depths[1:]):
+                # Repeat short samples so each lasts a few milliseconds.
+                once = max(cpu(pages[small], 1), 1e-6)
+                repeats = max(1, int(HOSTILE_MIN_SAMPLE_S / once))
+                for attempt in range(3):
+                    if attempt:
+                        time.sleep(0.1)
+                    ratios = []
+                    for _ in range(HOSTILE_PAIRS):
+                        t_small = cpu(pages[small], repeats)
+                        t_large = cpu(pages[large], repeats)
+                        samples[small].append(t_small)
+                        samples[large].append(t_large)
+                        ratios.append(t_large / t_small)
+                    linearity[large] = round(median(ratios), 2)
+                    if linearity[large] <= HOSTILE_MAX_RATIO:
+                        break
+                if smoke and linearity[large] > HOSTILE_MAX_RATIO:
+                    raise SystemExit(
+                        f"tag-soup ingestion no longer linear: {kind} "
+                        f"t(2n)/t(n)={linearity[large]} at depth={large}"
+                    )
+        finally:
+            gc.enable()
+        wrap_s = {depth: median(times) for depth, times in samples.items()}
         for depth in depths:
             ratio = linearity[depth]
             rows.append(

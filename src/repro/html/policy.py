@@ -56,8 +56,10 @@ class OpenElements:
     * ``barriers`` -- the positions of the open scope barriers,
       ascending.
 
-    All four are only ever mutated in place, so a builder may bind them
-    to locals.  :func:`repro.trees.stream.html_snapshot` does, to inline
+    All four, and each list in ``positions``, are only ever mutated in
+    place, so a builder may bind them to locals.
+    :func:`repro.trees.stream.html_snapshot` does (it keeps a label's
+    position list in each cached build step that reads it), to inline
     three fast paths: a start tag that is neither void nor an implicit
     closer is a plain push; so is an implicit closer none of whose closed
     labels is open above the top barrier (``positions[closed]`` empty or

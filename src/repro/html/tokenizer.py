@@ -19,9 +19,10 @@ Everything else (comments, doctypes, tags with other attributes or a
 ``<``, an end tag with no ``>``) is one call of :func:`scan_step`, the
 general scanner step, at the token's ``<``; :func:`resync` then skips
 the pieces that step consumed.  The Node-free snapshot builder
-(:func:`repro.trees.stream.html_snapshot`) drives the same split, cache
-and step itself, with its column appends inline, so the two paths
-cannot drift.
+(:func:`repro.trees.stream.html_snapshot`) drives the same split and
+step itself, with its column appends inline, and caches a build step
+compiled from each distinct tag's :func:`parse_tag` entry, so the two
+paths cannot drift.
 
 ``script`` and ``style`` contents are treated as rawtext (scanned
 verbatim until the matching close tag, see :func:`scan_rawtext`), as the

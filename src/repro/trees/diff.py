@@ -52,7 +52,6 @@ class SnapshotDiff:
     """Result of :func:`diff_snapshots` (see module docstring)."""
 
     __slots__ = (
-        "old",
         "new",
         "new_from_old",
         "ranges",
@@ -63,9 +62,11 @@ class SnapshotDiff:
         "matched_roots",
     )
 
-    def __init__(self, old, new, new_from_old, ranges, dirty_new_int,
+    def __init__(self, new, new_from_old, ranges, dirty_new_int,
                  dirty_count, old_bad_int, new_bad_int, matched_roots):
-        self.old = old
+        # No reference back to the old snapshot: the old snapshot memoizes
+        # this diff, so one would make every replaced version cyclic
+        # garbage that only the collector frees.
         self.new = new
         #: array('i'): new id per old id, -1 where unmapped.
         self.new_from_old = new_from_old
@@ -95,7 +96,7 @@ class SnapshotDiff:
         class mask).
         """
         classes = {}
-        old_size = self.old.size
+        old_size = len(self.new_from_old)
         for ov, nw, size in self.ranges:
             delta = nw - ov
             mask = classes.get(delta)
@@ -153,7 +154,7 @@ def _mismatch_positions(a, b) -> List[int]:
     return out
 
 
-def _payload_only_diff(old, new, keys, otex, ntex, oatt, natt) -> SnapshotDiff:
+def _payload_only_diff(new, keys, otex, ntex, oatt, natt) -> SnapshotDiff:
     """The :func:`diff_snapshots` result for structurally identical
     snapshots: identity mapping with holes at changed payload nodes."""
     n = new.size
@@ -191,7 +192,6 @@ def _payload_only_diff(old, new, keys, otex, ntex, oatt, natt) -> SnapshotDiff:
         ranges.append((prev, prev, n - prev))
     bad_int = int.from_bytes(bad, "little")
     return SnapshotDiff(
-        old,
         new,
         new_from_old,
         ranges,
@@ -241,7 +241,7 @@ def diff_snapshots(old, new) -> SnapshotDiff:
         # slice comparison (O(changed * log n) C-speed compares) instead
         # of the generic per-subtree recursion, which pays O(depth) Python
         # rounds per edit spine.
-        result = _payload_only_diff(old, new, okeys, otex, ntex, oatt, natt)
+        result = _payload_only_diff(new, okeys, otex, ntex, oatt, natt)
         old._diff = (new, result)
         return result
     new_from_old = array("i", [-1]) * old.size
@@ -586,7 +586,6 @@ def diff_snapshots(old, new) -> SnapshotDiff:
             new_bad[nw] = 1
 
     result = SnapshotDiff(
-        old,
         new,
         new_from_old,
         ranges,

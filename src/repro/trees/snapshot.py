@@ -73,7 +73,8 @@ class TreeSnapshot:
     producer gave it, where a value may also be a
     :func:`repro.html.tokenizer.parse_tag` entry ``(name, is_end, attr,
     value, self_closing)``: :func:`repro.trees.stream.html_snapshot`
-    stores a single-attribute tag's shared tag-cache entry there, so a
+    stores a single-attribute tag's shared entry there (the one its
+    cached build step holds), so a
     page whose attributes are never read allocates no dict for them.
 
     The tree columns and every :meth:`forward_map` / :meth:`backward_map`

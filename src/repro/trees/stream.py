@@ -15,8 +15,8 @@ Sources:
 
 * :func:`html_snapshot` -- one loop from HTML text to columns over the
   scanner's own front end (:mod:`repro.html.tokenizer`): the document
-  split once on ``<``, each regular tag read from a per-document tag
-  cache with the column appends inline, and every other token one
+  split once on ``<``, each regular tag run from a per-document cache
+  of build steps with the column appends inline, and every other token one
   :func:`repro.html.tokenizer.scan_step`, the scanner's general step.
   It applies the *same* void-element / implicit-close / end-tag policy
   as :func:`repro.html.parser.parse_html` (both keep their open
@@ -50,8 +50,13 @@ from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
 from repro.trees.traversal import document_order
 
-#: Implicit closer -> the labels it closes, as tuples for the fused loop.
+#: Implicit closer -> the labels it closes, as tuples for the build steps.
 _CLOSES = {name: tuple(closed) for name, closed in IMPLICIT_CLOSERS.items()}
+
+#: Build-step kinds: an end tag, a start tag that is a plain push, an
+#: implicit closer (a push unless it closes an open frame), and a void or
+#: self-closing start tag, which opens no frame.
+_END, _PUSH, _CLOSER, _VOID = range(4)
 
 
 def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
@@ -64,16 +69,23 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     This is the batch pipeline's hottest loop, so it drives the scanner
     itself, with the column appends inline and no callback: the document
     is split once on ``<``, each piece once at its first ``>``, and the
-    tag text between is looked up in a per-document cache of
-    :func:`~repro.html.tokenizer.parse_tag` entries, so each distinct
-    tag is parsed once per page.  Three fast paths of the shared
-    :class:`~repro.html.policy.OpenElements` stack are inlined too: the
-    plain push, the matching pop, and the implicit closer that closes
-    nothing (a ``<td>`` or ``<li>`` with no open ``td``/``li`` above the
-    nearest scope barrier, as on every well-formed page), which is a
-    plain push as well.  Every other tag-soup decision (a needed implied
-    close, void and self-closing tags, unmatched end tags) goes through
-    the stack's own methods, shared with
+    tag text between is looked up in a per-document cache of build steps.
+    A step is compiled from :func:`~repro.html.tokenizer.parse_tag` once
+    per distinct tag text and holds everything the tag's path reads: its
+    kind (end tag, plain push, implicit closer, or void/self-closing),
+    the interned name and its label id, whether the name is a scope
+    barrier, the stack's position lists of the name and of the labels it
+    closes, and the attribute entry.  So a cached tag does no label or
+    policy lookup.  Label ids are assigned as steps are compiled, which
+    is when their tag first occurs, so they keep first-occurrence order.
+
+    Three fast paths of the shared :class:`~repro.html.policy.OpenElements`
+    stack are inlined: the plain push, the matching pop, and the implicit
+    closer that closes nothing (a ``<td>`` or ``<li>`` with no open
+    ``td``/``li`` above the nearest scope barrier, as on every well-formed
+    page), which is a plain push as well.  Every other tag-soup decision
+    (a needed implied close, void and self-closing tags, unmatched end
+    tags) goes through the stack's own methods, shared with
     :func:`repro.html.parser.parse_html`, and every token whose cache
     entry is ``None`` through :func:`~repro.html.tokenizer.scan_step`,
     after which :func:`~repro.html.tokenizer.resync` catches the split
@@ -93,28 +105,32 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     label_index: Dict[str, int] = {}
     texts: Dict[int, str] = {}
     # A dict per multi-attribute node (scan_step's own); a single-attribute
-    # node's shared tag-cache entry, which TreeSnapshot.attrs turns into
-    # a dict of its own only when the column is read.
+    # node's shared parse_tag entry, which TreeSnapshot.attrs turns into a
+    # dict of its own only when the column is read.
     attrs_column: Dict[int, object] = {}
     open_elements = OpenElements()
     open_elements.push(root_label, -1)
     frames = open_elements.labels
     items = open_elements.items
     positions = open_elements.positions
-    open_at = positions.get
     barriers = open_elements.barriers
     start_tag = open_elements.start_tag
     end_tag = open_elements.end_tag
     parent_append = parent.append
     label_ids_append = label_ids.append
-    get_lid = label_index.get
     text_lid = -1
+
+    def label_id(name):
+        lid = label_index.get(name)
+        if lid is None:
+            lid = label_index[name] = len(labels)
+            labels.append(name)
+        return lid
 
     def on_text(data):
         nonlocal text_lid
         if text_lid < 0:
-            text_lid = label_index["#text"] = len(labels)
-            labels.append("#text")
+            text_lid = label_id("#text")
         texts[len(parent)] = data
         parent_append(items[-1])
         label_ids_append(text_lid)
@@ -122,80 +138,89 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     def on_start(name, attrs, self_closing):
         nid = len(parent)
         parent_append(start_tag(name, nid, self_closing))
-        lid = get_lid(name)
-        if lid is None:
-            lid = label_index[name] = len(labels)
-            labels.append(name)
-        label_ids_append(lid)
+        label_ids_append(label_id(name))
         if attrs:
             attrs_column[nid] = attrs
 
-    tags: Dict[str, Optional[tuple]] = {}  # tag text -> parse_tag(tag text)
-    get_tag = tags.get
+    def compile_step(tag):
+        """The build step of tag text ``tag``, or ``None`` for a token
+        that the general step scans."""
+        entry = parse_tag(tag)
+        if entry is None:
+            return None
+        name, is_end, attr, _, self_closing = entry
+        barrier = name in SCOPE_BARRIERS
+        if is_end:
+            return _END, name, -1, barrier, (), None, positions[name]
+        if self_closing or name in VOID_ELEMENTS:
+            kind, closes = _VOID, ()
+        elif name in _CLOSES:
+            kind = _CLOSER
+            closes = tuple(positions[closed] for closed in _CLOSES[name])
+        else:
+            kind, closes = _PUSH, ()
+        attr_entry = entry if attr is not None else None
+        return kind, name, label_id(name), barrier, closes, attr_entry, positions[name]
+
+    steps: Dict[str, Optional[tuple]] = {}  # tag text -> build step
+    get_step = steps.get
     unseen = UNSEEN
-    closes = _CLOSES
-    void_elements = VOID_ELEMENTS
     pieces = iter(html.split("<"))
     text = next(pieces)
     at = len(text)  # offset of the next piece's '<'
     for piece in pieces:
         if text and not text.isspace():
             if text_lid < 0:
-                text_lid = label_index["#text"] = len(labels)
-                labels.append("#text")
+                text_lid = label_id("#text")
             texts[len(parent)] = decode_entities(text) if "&" in text else text
             parent_append(items[-1])
             label_ids_append(text_lid)
         tag, gt, text = piece.partition(">")
-        entry = get_tag(tag, unseen) if gt else None
-        if entry is unseen:
-            entry = tags[tag] = parse_tag(tag)
-        if entry is None:
+        step = get_step(tag, unseen) if gt else None
+        if step is unseen:
+            step = steps[tag] = compile_step(tag)
+        if step is None:
             # Comments and doctypes carry no tree content (on_misc=None).
             i = scan_step(html, at, on_start, end_tag, on_text, None)
             text, at = resync(html, pieces, at + len(piece) + 1, i)
             continue
         at += len(piece) + 1
-        name, is_end, attr, _, self_closing = entry
-        if is_end:
+        kind, name, lid, barrier, closes, attr_entry, at_name = step
+        if kind == _END:
             if frames[-1] == name and len(frames) > 1:
                 # OpenElements.end_tag's fast path, inlined.
                 frames.pop()
                 items.pop()
-                positions[name].pop()
-                if name in SCOPE_BARRIERS:
+                at_name.pop()
+                if barrier:
                     barriers.pop()
             else:
                 end_tag(name)
             continue
         nid = len(parent)
-        general = self_closing or name in void_elements
-        if not general and name in closes:
+        if kind == _CLOSER:
             # An implicit closer cuts only when a label it closes is open
             # above the nearest scope barrier; otherwise it is a push.
             floor = barriers[-1] if barriers else 0
-            for closed in closes[name]:
-                found = open_at(closed)
+            for found in closes:
                 if found and found[-1] > floor:
-                    general = True
                     break
-        if general:
-            parent_append(start_tag(name, nid, self_closing))
-        else:
+            else:
+                kind = _PUSH
+        if kind == _PUSH:
             # OpenElements.start_tag's fast path (a plain push), inlined.
             parent_append(items[-1])
-            positions[name].append(len(frames))
-            if name in SCOPE_BARRIERS:
+            at_name.append(len(frames))
+            if barrier:
                 barriers.append(len(frames))
             frames.append(name)
             items.append(nid)
-        lid = get_lid(name)
-        if lid is None:
-            lid = label_index[name] = len(labels)
-            labels.append(name)
+        else:
+            # A closer that cuts, or a tag that opens no frame.
+            parent_append(start_tag(name, nid, kind == _VOID))
         label_ids_append(lid)
-        if attr is not None:
-            attrs_column[nid] = entry
+        if attr_entry is not None:
+            attrs_column[nid] = attr_entry
     if text and not text.isspace():
         on_text(decode_entities(text) if "&" in text else text)
 

@@ -17,10 +17,14 @@ snapshot's text column).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
+
+
+#: The ``children`` of every output leaf: one shared empty tuple.
+LEAF = ()
 
 
 class OutputNode:
@@ -39,7 +43,9 @@ class OutputNode:
         the synthetic root; always set by the snapshot builder, set by
         the tree builder only when the caller supplies ids).
     children:
-        Output children in document order.
+        Output children in document order: a list once the node has a
+        child, and until then the one shared empty tuple :data:`LEAF`, so
+        a leaf holds no list of its own (:meth:`add` swaps the list in).
     text:
         Concatenated text content of the source subtree, when the source
         tree carries text (HTML wrapping).
@@ -56,11 +62,23 @@ class OutputNode:
         self.label = label
         self.source = source
         self.source_id = source_id
-        self.children: List[OutputNode] = []
+        self.children: Sequence[OutputNode] = LEAF
         self.text: Optional[str] = None
 
     def add(self, child: "OutputNode") -> "OutputNode":
-        self.children.append(child)
+        """Append ``child``; a leaf's first child gives it a list.
+
+        >>> root = OutputNode("result")
+        >>> root.children is LEAF
+        True
+        >>> _ = root.add(OutputNode("item"))
+        >>> root.children
+        [OutputNode(item)]
+        """
+        if self.children is LEAF:
+            self.children = [child]
+        else:
+            self.children.append(child)
         return child
 
     def to_sexpr(self) -> str:
@@ -203,7 +221,11 @@ def build_output_from_snapshot(
     # through the root's parent, holds the synthetic root.  Most kept
     # nodes hang directly under a known id (a record's cells under the
     # record), so the path list is only allocated when that lookup misses.
+    # Nodes are made by ``new`` with their five slots set inline: no
+    # ``__init__`` call per kept node, and a leaf keeps the shared LEAF.
     kept = sorted(assignment)
+    new = object.__new__
+    leaf = LEAF
     out_of: List[Optional[OutputNode]] = [None] * (snapshot.size + 1)
     out_of[-1] = out_root
     for v in kept:
@@ -217,11 +239,19 @@ def build_output_from_snapshot(
                 ancestor_out = out_of[u]
             for u in path:
                 out_of[u] = ancestor_out
-        out_node = OutputNode(assignment[v], None, v)
-        ancestor_out.children.append(out_node)
-        out_of[v] = out_node
+        out_node = out_of[v] = new(OutputNode)
+        out_node.label = assignment[v]
+        out_node.source = None
+        out_node.source_id = v
+        out_node.children = leaf
+        out_node.text = None
+        siblings = ancestor_out.children
+        if siblings is leaf:
+            ancestor_out.children = [out_node]
+        else:
+            siblings.append(out_node)
     if capture_text and snapshot.texts:
-        leaves = [v for v in kept if not out_of[v].children]
+        leaves = [v for v in kept if out_of[v].children is leaf]
         for v, text in zip(leaves, snapshot.node_texts(leaves)):
             if text:
                 out_of[v].text = text

@@ -18,6 +18,7 @@ Covers the whole warm path bottom up:
   a nonzero ``incremental_reuse_fraction`` in ``/metrics``.
 """
 
+import gc
 import json
 import random
 
@@ -336,6 +337,25 @@ class TestDeepConeRoute:
         (run,) = stats["runs"]
         assert stats["warm"] and run["engine"] == "incremental"
         assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
+
+    def test_chained_versions_leave_no_cyclic_garbage(self):
+        # A replaced version's snapshot memoizes its diff to the next one;
+        # the diff must not point back, or every replaced snapshot becomes
+        # cyclic garbage that only the collector frees.
+        wrapper = forum_wrapper()
+        base, scattered, follow_up = self.versions()
+        _, state, _ = wrapper.wrap_html_stateful(base)
+        wrapper.wrap_html_stateful(scattered, state)
+        gc.collect()
+        gc.disable()
+        try:
+            _, state, _ = wrapper.wrap_html_stateful(base)
+            _, state, first = wrapper.wrap_html_stateful(scattered, state)
+            _, state, second = wrapper.wrap_html_stateful(follow_up, state)
+            assert first["warm"] and second["warm"]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deepest_comment_edit_runs_warm(self):
         wrapper = forum_wrapper()

@@ -30,7 +30,7 @@ from repro.html.policy import (
     VOID_ELEMENTS,
     OpenElements,
 )
-from repro.html.tokenizer import _scan_attributes, scan_list
+from repro.html.tokenizer import _scan_attributes, parse_tag, scan_list
 from repro.structures import as_indexed
 from repro.trees import parse_sexpr
 from repro.trees.generate import random_tree
@@ -47,7 +47,8 @@ from repro.workloads import (
     noisy_table_page,
 )
 from repro.wrap import Document, Wrapper, build_output_from_snapshot
-from repro.wrap.output import build_output_tree, node_text
+from repro.wrap.output import LEAF, OutputNode, build_output_tree, node_text
+from repro.wrap.serialize import to_xml
 
 #: Tag-soup fragments exercising every policy rule: implicit closers,
 #: scope barriers, void elements, self-closing syntax, rawtext, stray
@@ -490,6 +491,13 @@ class TestImplicitCloserFastPath:
         "<td/>": ["td"],
         "<li/>": ["li"],
         '<table><tr><td x="1"/><td>a</table>': ["td"],
+        # One tag text (one cached build step) that pushes in one place
+        # and cuts in another, and <br/> next to the plain <br>.
+        '<table><tr><td class="c">a</td><td class="c">b<td class="c">c'
+        '<table><tr><td class="c">d</table><td class="c">e</table>': ["td", "td"],
+        "<ul><li>a</li><li>b<li>c<ul><li>d</ul></li><li>e</ul>": ["li"],
+        "<p>a<br/>b<br/>c<br>d<i>e<br/></i></p>": ["br", "br", "br", "br"],
+        "<dl><dt>a<dd>b</dd><dt>c</dt><dt>d<dt>e</dl>": ["dd", "dt"],
     }
 
     @staticmethod
@@ -522,6 +530,43 @@ class TestImplicitCloserFastPath:
         for page in pages:
             html_snapshot(page)
         assert calls == []
+
+
+class TestCachedBuildSteps:
+    """``html_snapshot`` compiles one build step per distinct tag text
+    and reuses it wherever the text recurs, on whichever path the stack
+    then takes (``TestImplicitCloserFastPath`` pins the paths)."""
+
+    DOCS = list(TestImplicitCloserFastPath.GENERAL_CALLS)
+
+    def test_each_distinct_tag_text_is_parsed_once(self, monkeypatch):
+        import repro.trees.stream as stream
+
+        parsed = []
+
+        def counting(tag):
+            parsed.append(tag)
+            return parse_tag(tag)
+
+        monkeypatch.setattr(stream, "parse_tag", counting)
+        for doc in self.DOCS:
+            del parsed[:]
+            html_snapshot(doc)
+            assert len(parsed) == len(set(parsed)), repr(doc)
+
+    def test_label_ids_keep_first_occurrence_order(self):
+        rng = random.Random(31)
+        docs = list(self.DOCS)
+        # An end tag before its start tag, and a label first seen through
+        # the general step (two attributes), must not take an early id.
+        docs += ["</b></i>x<i>y</i><b>z", '<u a="1" b="2">x</u><u>y<em/>', "<br/>t<br>"]
+        docs += [soup(rng, pieces=20) for _ in range(100)]
+        for doc in docs:
+            snapshot = html_snapshot(doc)
+            first_seen = list(dict.fromkeys(snapshot.label_ids))
+            assert first_seen == sorted(first_seen), repr(doc)
+            via_nodes = UnrankedStructure(parse_html(doc)).snapshot()
+            assert snapshot.labels == via_nodes.labels, repr(doc)
 
 
 class TestLabelIdLanes:
@@ -648,6 +693,45 @@ class TestOutputFromSnapshot:
         assert out.to_sexpr() == "result(item, item)"
         assert [c.text for c in out.children] == ["a b", "c"]
         assert [c.source_id for c in out.children] == [1, 5]
+
+    def test_add_gives_a_leaf_its_own_list(self):
+        root = OutputNode("result")
+        other = OutputNode("result")
+        assert root.children is LEAF and other.children is LEAF
+        first = root.add(OutputNode("item"))
+        assert type(root.children) is list and root.children == [first]
+        second = root.add(OutputNode("item"))
+        assert root.children == [first, second]
+        assert other.children is LEAF and first.children is LEAF
+
+    def test_snapshot_built_leaves_share_one_empty_tuple(self):
+        out = catalog_wrapper().wrap_html_many([catalog_page(seed=7, items=40)])[0]
+        leaves = [node for node in out.iter_subtree() if not node.children]
+        assert len(leaves) > 40
+        assert all(node.children is LEAF for node in leaves)
+        assert all(
+            type(node.children) is list for node in out.iter_subtree() if node.children
+        )
+
+    def test_renderings_match_the_list_per_leaf_form(self):
+        # The same tree with a fresh empty list on every leaf (the form
+        # before leaves shared LEAF) renders identically.
+        wrapper = catalog_wrapper()
+        rng = random.Random(7)
+        pages = [catalog_page(seed=3, items=30), news_page(seed=4, articles=6)]
+        pages += [soup(rng, pieces=20) for _ in range(20)]
+        for page in pages:
+            out = wrapper.wrap_html_many([page])[0]
+            listed = wrapper.wrap_html_many([page])[0]
+            for node in listed.iter_subtree():
+                if node.children is LEAF:
+                    node.children = []
+            assert out.to_dict() == listed.to_dict(), repr(page)
+            assert out.to_sexpr() == listed.to_sexpr(), repr(page)
+            assert to_xml(out) == to_xml(listed), repr(page)
+            assert [(n.label, n.source_id, n.text) for n in out.iter_subtree()] == [
+                (n.label, n.source_id, n.text) for n in listed.iter_subtree()
+            ], repr(page)
 
     def test_node_text_equivalence(self):
         page = news_page(seed=4, articles=6)
@@ -786,19 +870,35 @@ class TestAllocations:
         assert result.method == "kernel"
         assert len(result.unary("record")) == items
 
-    def test_wrap_leaves_two_tracked_survivors_per_output_node(self):
+    def test_wrap_leaves_one_survivor_per_output_node_and_per_child_list(self):
         # What a wrap call leaves for later collections: the output tree's
-        # OutputNode and children list per kept node, plus the returned
-        # list.  Nothing of the document survives: a wrapper that kept
-        # its page's structure would add seven, five more with list
-        # columns (TestColumnForm pins the tuples).
+        # OutputNode per kept node and children list per internal output
+        # node (leaves share one empty tuple), plus the returned list.
+        # Nothing of the document survives: a wrapper that kept its
+        # page's structure would add seven, five more with list columns
+        # (TestColumnForm pins the tuples).
         wrapper = catalog_wrapper()
         page = catalog_page(seed=7, items=160)
         wrapper.wrap_html_many([page])
         survivors, (out,) = gc_survivors(lambda: wrapper.wrap_html_many([page]))
         kept = sum(1 for _ in out.iter_subtree())
-        assert kept > 160
-        assert survivors <= 2 * kept + 4, (survivors, kept)
+        internal = sum(1 for node in out.iter_subtree() if node.children)
+        assert kept > 160 and internal > 160
+        assert survivors <= kept + internal + 4, (survivors, kept, internal)
+
+    def test_wrap_leaves_no_cyclic_garbage(self):
+        # Everything a wrap call drops is freed by reference counting, so
+        # the collector finds nothing even with automatic collection off.
+        wrapper = catalog_wrapper()
+        page = catalog_page(seed=7, items=160)
+        wrapper.wrap_html_many([page])
+        gc.collect()
+        gc.disable()
+        try:
+            wrapper.wrap_html_many([page])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mixed_attribute_tags_match_the_node_path(self):
         for doc in (self.MIXED, "text" + self.MIXED, self.MIXED * 3):

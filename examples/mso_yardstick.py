@@ -2,8 +2,9 @@
 
 The same unary query is expressed in MSO, compiled down to a tree
 automaton, evaluated with the linear two-pass algorithm, translated into
-monadic datalog, normalized into TMNF, and translated into Elog- -- all
-six answers must coincide.
+monadic datalog, normalized into TMNF, translated into Elog-, and run as
+a wrapper on raw HTML (the streaming path) -- all six answers must
+coincide.
 
 Run:  python examples/mso_yardstick.py
 """
@@ -14,6 +15,7 @@ from repro.elog.translate import elog_to_datalog
 from repro.mso import compile_query, naive_select, parse_mso
 from repro.mso.to_datalog import mso_to_datalog
 from repro.tmnf import to_tmnf
+from repro.wrap import Wrapper
 
 
 def main() -> None:
@@ -62,14 +64,27 @@ def main() -> None:
         f"{sorted(result_elog.unary(elog.query or program.query))}"
     )
 
+    # The same tree as HTML: its preorder node ids are the tree's.
+    page = "<r><b><a></a><a></a></b><b><a></a><b></b></b><a><b></b></a></r>"
+    wrapper = Wrapper().add_mso("hit", formula, "x", labels)
+    (streamed,) = wrapper.extract_html_many([page])
+    (output,) = wrapper.wrap_html_many([page])
+    print(
+        f"6. Wrapper.add_mso on wrap_html_many: {sorted(streamed['hit'])} "
+        f"-> {output.to_sexpr()}"
+    )
+    assert output.to_sexpr().count("hit") == len(expected)
+
     answers = {
         frozenset(expected),
         frozenset(query.select_ids(structure)),
         frozenset(result.query_result()),
         frozenset(result_tmnf.query_result()),
         frozenset(result_elog.unary(elog.query or program.query)),
+        frozenset(streamed["hit"]),
     }
     print("\nAll formalisms agree:", len(answers) == 1)
+    assert len(answers) == 1
 
 
 if __name__ == "__main__":

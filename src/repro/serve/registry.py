@@ -62,6 +62,12 @@ def _parse_and_choose(
 
         program = parse_program(source)
         defined = set(program.intensional_predicates())
+        # Thm 4.2's linear time, which the serve deadlines rest on, needs
+        # a monadic program.
+        if not program.is_monadic():
+            wide = next(a.pred for rule in program.rules for a in (rule.head, *rule.body)
+                        if a.pred in defined and a.arity > 1)
+            raise ServeError(f"datalog wrappers must be monadic: {wide!r} has arity > 1")
         if patterns:
             chosen = tuple(patterns)
         elif program.query is not None:

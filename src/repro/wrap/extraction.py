@@ -1,15 +1,16 @@
 """Wrappers: bundles of information extraction functions.
 
 A :class:`Wrapper` maps extraction-predicate names to unary queries; it
-can host queries in any of the library's formalisms (Elog- programs,
-monadic datalog programs, MSO formulas, automaton queries), evaluates them
-all on a document, and assembles the wrapped output tree of Section 6's
-introduction.
+hosts queries in the library's front-end formalisms (Elog- programs,
+monadic datalog programs, MSO formulas), evaluates them all on a document,
+and assembles the wrapped output tree of Section 6's introduction.  Every
+front end lowers to monadic datalog at registration -- Elog- by
+Definition 6.2, MSO by Theorem 4.4 -- so a wrapper holds one kind of
+extraction function and runs it the same way on every document form.
 
 The wrapper is a *compile-once* artifact: every registered datalog/Elog
 program is compiled into a :class:`repro.datalog.plan.CompiledProgram` the
-first time it runs and the plan is reused for every subsequent document
-(MSO queries are already compiled to automata at registration).
+first time it runs and the plan is reused for every subsequent document.
 Extraction functions registered from the *same* program object share one
 plan and one evaluation per document, so a wrapper pulling several
 patterns out of one Elog- program pays for a single fixpoint.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import time
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -55,7 +55,7 @@ from repro.datalog.plan import CompiledProgram, compile_program
 from repro.datalog.program import Program
 from repro.elog.syntax import ElogProgram
 from repro.elog.translate import elog_to_datalog
-from repro.errors import WrapError
+from repro.errors import AutomatonError, WrapError
 from repro.structures import IndexedStructure, as_indexed
 from repro.trees.node import Node
 from repro.trees.unranked import UnrankedStructure
@@ -118,7 +118,11 @@ class Wrapper:
     """
 
     def __init__(self):
-        self._functions: List[tuple] = []
+        #: ``(name, program, predicate)`` per extraction function.
+        self._functions: List[Tuple[str, Program, str]] = []
+        #: The labels every MSO function's closed alphabet holds (``None``
+        #: without MSO functions): documents with other labels are refused.
+        self._alphabet: Optional[frozenset] = None
         #: Lazily compiled plans, keyed by position in ``self._functions``
         #: (functions registered from the same program object share the
         #: same plan instance).
@@ -145,7 +149,7 @@ class Wrapper:
         pred = predicate or program.query
         if pred is None:
             raise WrapError("datalog extraction needs a query predicate")
-        self._functions.append(("datalog", name, (program, pred)))
+        self._functions.append((name, program, pred))
         return self
 
     def add_elog(self, name: str, program: ElogProgram, pattern: Optional[str] = None) -> "Wrapper":
@@ -164,27 +168,23 @@ class Wrapper:
         else:
             datalog = elog_to_datalog(program)
             self._elog_cache[id(program)] = (program, datalog)
-        self._functions.append(("datalog", name, (datalog, pat)))
+        self._functions.append((name, datalog, pat))
         return self
 
     def add_mso(self, name: str, formula, free_var: str, labels: Sequence[str]) -> "Wrapper":
-        """Add an extraction function given by a unary MSO query."""
-        from repro.mso.compile import compile_query
+        """Add an extraction function given by a unary MSO query.
 
-        query = compile_query(formula, free_var, labels)
-        self._functions.append(("automaton", name, query))
-        return self
+        The query lowers to monadic datalog (Theorem 4.4,
+        :func:`repro.mso.to_datalog.mso_to_datalog`).  Its alphabet
+        ``labels`` is closed: wrapping a document with any other label
+        raises :class:`repro.errors.AutomatonError`, on every path.
+        """
+        from repro.mso.to_datalog import mso_to_datalog
 
-    def add_automaton(self, name: str, query) -> "Wrapper":
-        """Add an extraction function given by a
-        :class:`repro.automata.unary.UnaryQueryDTA`."""
-        self._functions.append(("automaton", name, query))
-        return self
-
-    def add_callable(self, name: str, function: Callable[[UnrankedStructure], Set[int]]) -> "Wrapper":
-        """Add an arbitrary ``structure -> node id set`` function."""
-        self._functions.append(("callable", name, function))
-        return self
+        program, _ = mso_to_datalog(formula, free_var, labels)
+        alphabet = frozenset(labels)
+        self._alphabet = alphabet if self._alphabet is None else self._alphabet & alphabet
+        return self.add_datalog(name, program)
 
     # -- compilation ---------------------------------------------------------
 
@@ -197,9 +197,8 @@ class Wrapper:
         kernel tables and join plans are fully materialized, so a shard
         receives a ready-to-run artifact.
         """
-        for index, (kind, _, payload) in enumerate(self._functions):
-            if kind == "datalog":
-                self._compiled_plan(index, payload[0]).prepare()
+        for index, (_, program, _) in enumerate(self._functions):
+            self._compiled_plan(index, program).prepare()
         return self
 
     def _compiled_plan(self, index: int, program: Program) -> CompiledProgram:
@@ -208,8 +207,8 @@ class Wrapper:
             # Reuse the plan of any earlier function registered from the
             # same program object (identity, not equality: programs are
             # immutable artifacts held by ``self._functions``).
-            for other, (kind, _, payload) in enumerate(self._functions[:index]):
-                if kind == "datalog" and payload[0] is program:
+            for other, (_, earlier, _) in enumerate(self._functions[:index]):
+                if earlier is program:
                     plan = self._compiled.get(other)
                     if plan is not None:
                         break
@@ -222,7 +221,7 @@ class Wrapper:
 
     def names(self) -> List[str]:
         """Extraction-function names in priority order."""
-        return [name for _, name, _ in self._functions]
+        return [name for name, _, _ in self._functions]
 
     def _extract_structure(
         self,
@@ -239,11 +238,13 @@ class Wrapper:
         stats dict per plan evaluation (``EvaluationResult.stats``, or a
         minimal ``{"engine": ...}`` for non-kernel strategies).
         """
-        # Automaton queries and user callables keep receiving the concrete
-        # (unwrapped) structure their registered signatures promise; only
-        # the datalog engine consumes the index wrapper.
-        base = structure.base
-        streaming = isinstance(base, Document)
+        if self._alphabet is not None:
+            # The first unlisted label in document order, as select_ids.
+            for label in structure.snapshot().labels:
+                if label not in self._alphabet:
+                    raise AutomatonError(
+                        f"tree label {label!r} outside the automaton alphabet"
+                    )
         prior_states = prior.states if prior is not None else {}
         out: Dict[str, Set[int]] = {}
         #: One evaluation per distinct compiled plan per document.
@@ -252,33 +253,21 @@ class Wrapper:
         #: use, stable across calls because ``self._functions`` is fixed.
         states: Dict[int, object] = {}
         runs: List[Dict] = []
-        for index, (kind, name, payload) in enumerate(self._functions):
-            if kind == "datalog":
-                program, pred = payload
-                plan = self._compiled_plan(index, program)
-                result = results.get(id(plan))
-                if result is None:
-                    slot = len(states)
-                    result, states[slot], _ = plan.run_incremental(
-                        structure, prior_states.get(slot)
-                    )
-                    results[id(plan)] = result
-                    runs.append(
-                        dict(result.stats)
-                        if result.stats
-                        else {"engine": result.engine or result.method}
-                    )
-                ids = result.unary(pred)
-            elif streaming:
-                raise WrapError(
-                    f"extraction function {name!r} ({kind}) needs a "
-                    "Node-backed structure; streaming Documents only "
-                    "support datalog/Elog extraction"
+        for index, (name, program, pred) in enumerate(self._functions):
+            plan = self._compiled_plan(index, program)
+            result = results.get(id(plan))
+            if result is None:
+                slot = len(states)
+                result, states[slot], _ = plan.run_incremental(
+                    structure, prior_states.get(slot)
                 )
-            elif kind == "automaton":
-                ids = payload.select_ids(base)
-            else:
-                ids = set(payload(base))
+                results[id(plan)] = result
+                runs.append(
+                    dict(result.stats)
+                    if result.stats
+                    else {"engine": result.engine or result.method}
+                )
+            ids = result.unary(pred)
             known = out.get(name)
             # Merge without mutating ``ids`` (it may be an engine-owned
             # set): the common single-contribution case stores it as is.

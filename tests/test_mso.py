@@ -8,6 +8,7 @@ evaluation, and the emitted monadic datalog program all agree.
 
 import pytest
 
+from repro.automata.dta_to_datalog import unary_dta_to_datalog
 from repro.datalog.engine import evaluate
 from repro.errors import MSOError, ParseError
 from repro.mso import (
@@ -32,6 +33,8 @@ from repro.mso.syntax import (
     standardize_apart,
 )
 from repro.trees import UnrankedStructure, parse_sexpr
+from repro.trees.stream import html_snapshot
+from repro.workloads import catalog_page
 from tests.helpers_shared import random_structures
 
 #: The unary-query battery: (formula text, short name).
@@ -59,6 +62,24 @@ QUERIES = [
         "exists Y (x in Y & forall z (z in Y -> label_a(z)))",
         "so-membership",
     ),
+]
+
+
+#: The other unary queries the suite and the examples compile (the
+#: expressiveness, containment and wrapper tests, the yardstick example).
+MORE_QUERIES = [
+    "label_b(x)",
+    "leaf(x) & label_b(x)",
+    "label_a(x) & leaf(x)",
+    "exists y (child(x, y))",
+    "exists y (child(y, x))",
+    "exists y (child(y, x)) & firstsibling(x)",
+    "~root(x) & ~exists y (nextsibling(x, y))",
+    "forall y (descendant(x, y) -> leaf(y) | label_a(y))",
+    "label_b(x) & forall y (descendant(x, y) -> label_a(y)) & exists z (before(z, x))",
+    # Its unmarked states tell a subtree with a right spine apart, so they
+    # are reachable only through steps with a non-empty right child.
+    "exists y (firstchild(x, y) & ~lastsibling(y))",
 ]
 
 
@@ -197,3 +218,34 @@ class TestTheorem44Anatomy:
         ground = evaluate(program, structure, method="ground")
         assert result.query_result() == ground.query_result()
         assert result.query_result() == query.select_ids(structure)
+
+
+class TestReachableStateLowering:
+    """The emitted program keeps only the states that can hold and drops
+    the label atom where every label agrees: it must still select exactly
+    what the two-pass automaton evaluation selects."""
+
+    @pytest.mark.parametrize("text", [text for text, _ in QUERIES] + MORE_QUERIES)
+    def test_program_equals_select_ids(self, text):
+        query = compile_query(parse_mso(text), "x", ["a", "b", "c"])
+        program = unary_dta_to_datalog(query)
+        assert program.is_monadic()
+        seed = sum(map(ord, text))
+        # Trees over the whole alphabet and over part of it (where the
+        # label-free rules meet labels that never occur).
+        for labels in (("a", "b", "c"), ("a", "b"), ("c",)):
+            for tree, structure in random_structures(
+                seed=seed, count=12, max_size=30, labels=labels
+            ):
+                result = evaluate(program, structure, method="kernel")
+                assert result.query_result() == query.select_ids(structure), str(tree)
+
+    @pytest.mark.parametrize(
+        "text", ["label_td(x)", "exists y (child(y, x) & label_tr(y))"]
+    )
+    def test_catalog_label_programs_stay_small(self, text):
+        # The full |Sigma| * |Q|^2 product emitted 478 and 844 rules here.
+        labels = html_snapshot(catalog_page(seed=7, items=640)).labels
+        assert len(labels) == 13
+        program, _ = mso_to_datalog(parse_mso(text), "x", labels)
+        assert len(program.rules) <= 30

@@ -310,7 +310,9 @@ class TestWrapperBatching:
         wrapper.add_datalog(
             "bold", parse_program("bold(x) :- label_b(x).", query="bold")
         )
-        wrapper.add_callable("root", lambda s: {0})
+        wrapper.add_datalog(
+            "root", parse_program("top(x) :- root(x).", query="top")
+        )
         return wrapper
 
     def test_wrap_builds_structure_once(self, monkeypatch):
@@ -363,8 +365,9 @@ class TestWrapperBatching:
         wrapper.extract_many(trees)
         wrapper.extract_many(trees)
         wrapper.wrap_many(trees)
-        # Two datalog extraction functions -> exactly two compilations, ever.
-        assert len(compilations) == 2
+        # Three datalog extraction functions -> exactly three
+        # compilations, ever.
+        assert len(compilations) == 3
 
     def test_wrap_many_matches_wrap(self):
         wrapper = self._wrapper()

@@ -8,9 +8,10 @@ the open-element stack, start tags that make the attribute scanner
 retry, wide, commented or rawtext documents, and documents with more
 distinct tag names than a byte holds.  For each one, doubling ``n`` must
 not much more than double the time of both HTML builders, of output
-assembly on the page's snapshot, and of the full wrapping path (a
-quadratic shape gives ~4).  Reply trees that are both wide and deep hold
-the cold kernel to the same bound: an engine that advances the fixpoint
+assembly on the page's snapshot, and of the full wrapping path, for an
+Elog- wrapper and for an MSO one lowered to datalog (a quadratic shape
+gives ~4).  Reply trees that are both wide and deep hold the cold
+kernel to the same bound: an engine that advances the fixpoint
 one round per chain level, at a cost that grows with the document,
 would go quadratic there.  Forum pages whose reply chains double in
 depth hold the whole wrapping path to it, cold and on a warm re-run
@@ -41,13 +42,14 @@ import pytest
 
 from repro.datalog.parser import parse_program
 from repro.html import parse_html
+from repro.mso import parse_mso
 from repro.structures import as_indexed
 from repro.trees.diff import diff_snapshots
 from repro.trees.generate import thread_tree
 from repro.trees.stream import html_snapshot
 from repro.trees.unranked import UnrankedStructure
 from repro.workloads import forum_page
-from repro.wrap import Document, build_output_from_snapshot
+from repro.wrap import Document, Wrapper, build_output_from_snapshot
 from tests.test_incremental import descent_program, forum_wrapper
 from tests.test_stream import catalog_plan, catalog_wrapper
 
@@ -125,6 +127,17 @@ def page_snapshot(page):
     return html_snapshot(page)
 
 
+#: A unary MSO query lowered to monadic datalog (Thm 4.4).  Its alphabet
+#: is closed, so it lists every label the generators emit, the tags of
+#: "distinct_labels" at 2N included.
+MSO_WRAPPER = Wrapper().add_mso(
+    "inner_li",
+    parse_mso("label_li(x) & ~leaf(x)"),
+    "x",
+    ["#text", "a", "b", "div", "document", "li", "p", "script", "table", "td", "ul"]
+    + [f"t{i}" for i in range(2 * N // 5)],
+)
+
 CATALOG_PLAN = catalog_plan()
 
 
@@ -156,6 +169,7 @@ PATHS = {
     "html_snapshot": html_snapshot,
     "parse_html": parse_html,
     "wrap_html_many": lambda page: WRAPPER.wrap_html_many([page]),
+    "wrap_html_many_mso": lambda page: MSO_WRAPPER.wrap_html_many([page]),
     "output_assembly": lambda page: build_output_from_snapshot(
         *snapshot_and_even_ids(page)
     ),

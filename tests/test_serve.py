@@ -37,6 +37,13 @@ from repro.workloads import CATALOG_WRAPPER, catalog_page
 
 ITEM_DATALOG = "item(x) :- label_li(x)."
 
+#: Ancestor-closure datalog: ``anc`` is binary, so seminaive evaluation
+#: is quadratic in the nesting depth.
+NON_MONADIC_DATALOG = (
+    "anc(x, y) :- child(x, y). anc(x, z) :- anc(x, y), child(y, z). "
+    "item(x) :- anc(y, x), label_li(x), root(y)."
+)
+
 
 def request(host, port, method, path, body=None, timeout=30):
     """One HTTP round trip on a fresh connection; returns (status, json)."""
@@ -110,6 +117,8 @@ class TestRegistry:
             registry.register("x", ITEM_DATALOG, kind="datalog", patterns=["ghost"])
         with pytest.raises(ServeError):
             registry.register("x", "", kind="datalog")
+        with pytest.raises(ServeError, match="'anc'"):
+            registry.register("x", NON_MONADIC_DATALOG, kind="datalog", patterns=["item"])
         with pytest.raises(ServeError):
             registry.resolve("nothere")
         with pytest.raises(ServeError):
@@ -408,6 +417,13 @@ class TestServerEndToEnd:
             {"name": "w", "source": "item(x :- label_li(x).", "kind": "datalog"},
         )
         assert status == 400, body
+        # A binary intensional predicate leaves Thm 4.2's linear-time
+        # fragment the deadlines rely on: refused, naming the predicate.
+        status, body = request(
+            host, port, "POST", "/wrappers",
+            {"name": "w", "source": NON_MONADIC_DATALOG, "kind": "datalog"},
+        )
+        assert status == 400 and "'anc'" in str(body), body
         assert request(host, port, "PUT", "/wrappers", {})[0] == 405
 
     def test_oversized_request_line_gets_400(self, running_server):

@@ -779,15 +779,24 @@ class TestBatchAndWorkers:
         results = wrapper.extract(parse_html("<html><body>x</body></html>"))
         assert all(results[f"p{i}"] for i in range(30))
 
-    def test_streaming_rejects_non_datalog_functions(self):
-        wrapper = catalog_wrapper().add_callable(
-            "manual", lambda structure: {0}
-        )
+    def test_mso_wrapper_streaming_equals_node_path_and_select_ids(self):
+        from repro.mso import compile_query, parse_mso
+
         page = catalog_page(seed=2, items=3)
-        # Node path still serves callables; the streaming path refuses.
-        assert "manual" in wrapper.extract(parse_html(page))
-        with pytest.raises(WrapError):
-            wrapper.extract(Document.from_html(page))
+        labels = html_snapshot(page).labels
+        formula = parse_mso("exists y (child(y, x) & label_tr(y))")
+        wrapper = Wrapper().add_mso("cell", formula, "x", labels)
+        tree = parse_html(page)
+        expected = compile_query(formula, "x", labels).select_ids(
+            UnrankedStructure(tree)
+        )
+        assert expected
+        assert wrapper.extract(tree)["cell"] == expected
+        assert wrapper.extract(Document.from_html(page))["cell"] == expected
+        assert wrapper.extract_html_many([page])[0]["cell"] == expected
+        (streamed,) = wrapper.wrap_html_many([page])
+        assert streamed.to_sexpr() == wrapper.wrap(tree).to_sexpr()
+        assert streamed.to_sexpr().count("cell") == len(expected)
 
     def test_streaming_path_allocates_zero_nodes(self, monkeypatch):
         import repro.trees.node as node_module

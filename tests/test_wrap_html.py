@@ -5,14 +5,15 @@ workload generators."""
 import pytest
 
 from repro.datalog.parser import parse_program
-from repro.errors import WrapError
+from repro.errors import AutomatonError, WrapError
 from repro.html import parse_html
 from repro.html.entities import decode_entities
 from repro.html.tokenizer import scan_list
-from repro.mso import parse_mso
+from repro.mso import compile_query, parse_mso
 from repro.trees import UnrankedStructure, parse_sexpr
 from repro.workloads import catalog_page, news_page, noisy_table_page
-from repro.wrap import Wrapper, build_output_tree, to_xml
+from repro.trees.stream import html_snapshot
+from repro.wrap import Document, Wrapper, build_output_tree, to_xml
 from repro.wrap.output import node_text
 
 
@@ -65,10 +66,60 @@ class TestWrapper:
     def test_priority_order(self):
         tree = parse_sexpr("ul(li)")
         wrapper = Wrapper()
-        wrapper.add_callable("first", lambda s: {1})
-        wrapper.add_callable("second", lambda s: {1})
+        wrapper.add_datalog("first", parse_program("p(x) :- label_li(x).", query="p"))
+        wrapper.add_datalog("second", parse_program("q(x) :- leaf(x).", query="q"))
+        assert wrapper.extract(tree) == {"first": {1}, "second": {1}}
         out = wrapper.wrap(tree)
         assert out.children[0].label == "first"
+
+    @pytest.mark.parametrize(
+        "text", ["label_td(x)", "exists y (child(y, x) & label_tr(y))"]
+    )
+    def test_mso_wrapper_output_equals_automaton_output(self, text):
+        # The automaton's answer, assembled the way the Node path assembles
+        # any wrapper's: every path of the lowered wrapper must match it.
+        formula = parse_mso(text)
+        pages = [catalog_page(seed=s, items=40) for s in range(3)]
+        labels = html_snapshot(pages[0]).labels
+        query = compile_query(formula, "x", labels)
+        wrapper = Wrapper().add_mso("cell", formula, "x", labels)
+        trees = [parse_html(page) for page in pages]
+        expected = [
+            build_output_tree(tree, {id(n): "cell" for n in query.select(tree)})
+            .to_sexpr()
+            for tree in trees
+        ]
+        assert "cell" in expected[0]
+        assert [out.to_sexpr() for out in wrapper.wrap_many(trees)] == expected
+        assert [out.to_sexpr() for out in wrapper.wrap_html_many(pages)] == expected
+
+    def test_mso_alphabet_is_closed_on_every_path(self):
+        wrapper = Wrapper().add_datalog(
+            "item", parse_program("item(x) :- label_li(x).", query="item")
+        )
+        wrapper.add_mso("bold", parse_mso("label_b(x)"), "x", ["ul", "li", "b"])
+        assert wrapper.extract_html_many(["<ul><li><b></b></li></ul>"]) == [
+            {"item": {1}, "bold": {2}}
+        ]
+        page = "<ul><li><b>x</b></li></ul>"
+        # '#text' is unlisted: the first label outside the alphabet in
+        # document order, which select_ids names too.
+        query = compile_query(parse_mso("label_b(x)"), "x", ["ul", "li", "b"])
+        with pytest.raises(AutomatonError, match="'#text'") as oracle:
+            query.select_ids(UnrankedStructure(parse_html(page)))
+        message = str(oracle.value)
+        calls = [
+            lambda: wrapper.wrap_html_many([page]),
+            lambda: wrapper.extract_html_many([page]),
+            lambda: wrapper.wrap_many([parse_html(page)]),
+            lambda: wrapper.wrap_many([Document.from_html(page)]),
+            lambda: wrapper.extract(parse_html(page)),
+            lambda: wrapper.extract(Document.from_html(page)),
+        ]
+        for call in calls:
+            with pytest.raises(AutomatonError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_missing_query_predicate_raises(self):
         with pytest.raises(WrapError):

@@ -12,8 +12,11 @@ dictionary-backed implementation used for the "arbitrary finite structure"
 results and in tests, and :class:`IndexedStructure`, the shared per-document
 evaluation runtime: a caching wrapper that builds relation extensions,
 functional maps and positional hash indexes once and serves them to every
-query evaluated on the same document.  The tree-backed implementations live
-in :mod:`repro.trees.unranked` and :mod:`repro.trees.ranked`.
+query evaluated on the same document.  Trees have one implementation,
+:class:`repro.trees.unranked.TreeStructure`, which reads every relation
+from a tree's snapshot columns; :class:`repro.trees.unranked.UnrankedStructure`,
+:class:`repro.trees.ranked.RankedStructure` and
+:class:`repro.wrap.document.Document` are its three constructors.
 
 Conventions
 -----------
@@ -78,11 +81,9 @@ class Structure:
     def snapshot(self):
         """Columnar :class:`repro.trees.snapshot.TreeSnapshot`, if any.
 
-        Tree-backed structures (:class:`repro.trees.unranked.UnrankedStructure`,
-        :class:`repro.trees.ranked.RankedStructure`,
-        :class:`repro.wrap.document.Document`) return their cached
-        snapshot; the default ``None`` tells the propagation kernel the
-        strategy does not apply here.
+        A :class:`repro.trees.unranked.TreeStructure` returns the snapshot
+        its relations are read from; the default ``None`` tells the
+        propagation kernel the strategy does not apply here.
         """
         return None
 

@@ -4,12 +4,15 @@ This package implements Section 2 of the paper:
 
 * :mod:`repro.trees.node` -- ordered labeled unranked trees with an
   s-expression reader/writer;
-* :mod:`repro.trees.unranked` -- the relational schema ``tau_ur``
-  (``root, leaf, label_a, firstchild, nextsibling, lastsibling``) plus the
-  derived relations used elsewhere in the paper (``child, lastchild,
-  firstsibling, nextsibling_star, ...``);
+* :mod:`repro.trees.unranked` -- the one relational view of a tree,
+  :class:`TreeStructure`, which reads every relation from snapshot
+  columns: the schema ``tau_ur`` (``root, leaf, label_a, firstchild,
+  nextsibling, lastsibling``) plus the derived relations used elsewhere
+  in the paper (``child, lastchild, firstsibling, nextsibling_star,
+  ...``), or ``tau_rk`` for ranked snapshots; and
+  :class:`UnrankedStructure`, that view over a :class:`Node` tree;
 * :mod:`repro.trees.ranked` -- ranked alphabets and the schema ``tau_rk``
-  (``root, leaf, child_k, label_a``);
+  (``root, leaf, child_k, label_a``) over a :class:`Node` tree;
 * :mod:`repro.trees.binary` -- the firstchild/nextsibling binary encoding of
   Figure 1;
 * :mod:`repro.trees.snapshot` -- columnar tree snapshots (flat integer
@@ -29,7 +32,7 @@ from repro.trees.stream import (
     sexpr_snapshot,
     tree_snapshot,
 )
-from repro.trees.unranked import UnrankedStructure
+from repro.trees.unranked import TreeStructure, UnrankedStructure
 from repro.trees.ranked import RankedAlphabet, RankedStructure, validate_ranked
 from repro.trees.binary import BinNode, decode_binary, encode_binary
 from repro.trees.traversal import (
@@ -55,6 +58,7 @@ __all__ = [
     "html_snapshot",
     "sexpr_snapshot",
     "tree_snapshot",
+    "TreeStructure",
     "UnrankedStructure",
     "RankedAlphabet",
     "RankedStructure",

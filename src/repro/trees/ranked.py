@@ -5,17 +5,19 @@ Section 2 of the paper represents a ranked tree as the structure::
     t_rk = <dom, root, leaf, (child_k)_{k <= K}, (label_a)_{a in Sigma}>
 
 where each symbol ``a`` has a fixed rank (arity) and a node labeled with a
-rank-``k`` symbol has exactly ``k`` children.
+rank-``k`` symbol has exactly ``k`` children.  :class:`RankedStructure`
+reads these relations from the tree's ``"ranked"`` snapshot through
+:class:`repro.trees.unranked.TreeStructure`, the one relational view of a
+tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.errors import DatalogError, TreeError
-from repro.structures import Fact, Structure
+from repro.errors import TreeError
 from repro.trees.node import Node
-from repro.trees.snapshot import TreeSnapshot
+from repro.trees.unranked import NodeTreeStructure
 
 
 class RankedAlphabet:
@@ -76,12 +78,14 @@ def validate_ranked(root: Node, alphabet: RankedAlphabet) -> None:
             )
 
 
-class RankedStructure(Structure):
+class RankedStructure(NodeTreeStructure):
     """Relational view of a ranked tree (schema ``tau_rk``).
 
     Node identifiers are assigned in document order.  The binary relations
     ``child1 .. childK`` each satisfy both functional dependencies of
-    Proposition 4.1.
+    Proposition 4.1; ``child`` is their union (Lemma 5.4's generic
+    ``child`` over a ranked signature), so programs written over
+    ``tau_ur u {child}`` shapes also evaluate on ranked trees.
 
     >>> from repro.trees import parse_sexpr
     >>> sigma = RankedAlphabet({"f": 2, "c": 0})
@@ -108,122 +112,11 @@ class RankedStructure(Structure):
             )
             labels = {n.label for n in root.iter_subtree()}
             alphabet = RankedAlphabet({label: max(k, 1) for label in labels})
-        self._root = root
+        super().__init__(root, "ranked", alphabet.max_rank)
         self._alphabet = alphabet
-        self._nodes: List[Node] = list(root.iter_subtree())
-        self._ids: Dict[int, int] = {id(n): i for i, n in enumerate(self._nodes)}
-        self._cache: Dict[str, FrozenSet[Fact]] = {}
-        self._functional_cache: Dict[str, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        self._snapshot: Optional[TreeSnapshot] = None
-
-    @property
-    def size(self) -> int:
-        return len(self._nodes)
-
-    def snapshot(self) -> TreeSnapshot:
-        """Columnar snapshot of the tree (built once, then cached).
-
-        Feeds the linear-time propagation kernel
-        (:mod:`repro.datalog.kernel`); the ``tau_rk`` schema gates
-        resolution to ``child1 .. childK`` plus the unary relations.
-        """
-        if self._snapshot is None:
-            self._snapshot = TreeSnapshot.from_tree(
-                self._nodes, self._ids, "ranked", self._alphabet.max_rank
-            )
-        return self._snapshot
+        self._symbols = alphabet.symbols()
 
     @property
     def alphabet(self) -> RankedAlphabet:
         """The ranked alphabet of the tree."""
         return self._alphabet
-
-    @property
-    def root_node(self) -> Node:
-        """The underlying root :class:`Node`."""
-        return self._root
-
-    def node(self, ident: int) -> Node:
-        """The :class:`Node` with identifier ``ident``."""
-        return self._nodes[ident]
-
-    def ident(self, node: Node) -> int:
-        """The identifier of ``node``."""
-        try:
-            return self._ids[id(node)]
-        except KeyError:
-            raise TreeError("node does not belong to this structure") from None
-
-    def label_of(self, ident: int) -> str:
-        """Label of the node with identifier ``ident``."""
-        return self._nodes[ident].label
-
-    def has_relation(self, name: str) -> bool:
-        try:
-            self.relation(name)
-            return True
-        except DatalogError:
-            return False
-
-    def arity(self, name: str) -> int:
-        if name in ("dom", "root", "leaf") or name.startswith(("label_", "notlabel_")):
-            return 1
-        return 2
-
-    def relation(self, name: str) -> FrozenSet[Fact]:
-        if name not in self._cache:
-            self._cache[name] = frozenset(self._compute(name))
-        return self._cache[name]
-
-    def functional(self, name: str) -> Optional[Tuple[Dict[int, int], Dict[int, int]]]:
-        if not name.startswith("child") or not name[len("child") :].isdigit():
-            return None
-        if name not in self._functional_cache:
-            forward: Dict[int, int] = {}
-            backward: Dict[int, int] = {}
-            for a, b in self.relation(name):
-                forward[a] = b
-                backward[b] = a
-            self._functional_cache[name] = (forward, backward)
-        return self._functional_cache[name]
-
-    def relation_names(self) -> Iterable[str]:
-        names = ["dom", "root", "leaf"]
-        names.extend(f"child{k}" for k in range(1, self._alphabet.max_rank + 1))
-        names.extend(sorted(f"label_{a}" for a in self._alphabet.symbols()))
-        return names
-
-    def _compute(self, name: str) -> Set[Fact]:
-        nodes = self._nodes
-        ids = self._ids
-        if name == "dom":
-            return {(i,) for i in range(len(nodes))}
-        if name == "root":
-            return {(0,)} if nodes else set()
-        if name == "leaf":
-            return {(i,) for i, n in enumerate(nodes) if n.is_leaf}
-        if name.startswith("label_"):
-            label = name[len("label_") :]
-            return {(i,) for i, n in enumerate(nodes) if n.label == label}
-        if name.startswith("notlabel_"):
-            label = name[len("notlabel_") :]
-            return {(i,) for i, n in enumerate(nodes) if n.label != label}
-        if name == "child":
-            # The union of the child_k relations (Lemma 5.4's generic
-            # ``child`` over a ranked signature), so programs written over
-            # ``tau_ur u {child}`` shapes also evaluate on ranked trees.
-            out = set()
-            for i, n in enumerate(nodes):
-                for c in n.children:
-                    out.add((i, ids[id(c)]))
-            return out
-        if name.startswith("child") and name[len("child") :].isdigit():
-            k = int(name[len("child") :])
-            if not 1 <= k <= self._alphabet.max_rank:
-                raise DatalogError(f"child index {k} out of range")
-            out: Set[Fact] = set()
-            for i, n in enumerate(nodes):
-                if len(n.children) >= k:
-                    out.add((i, ids[id(n.children[k - 1])]))
-            return out
-        raise DatalogError(f"unknown relation {name!r} over tau_rk")

@@ -2,9 +2,9 @@
 
 The linear-time propagation kernel (:mod:`repro.datalog.kernel`) never
 touches :class:`~repro.trees.node.Node` objects or tuple sets on its hot
-path.  Instead, each tree structure exposes a :class:`TreeSnapshot` -- a
-set of parallel integer columns built once per document in a single
-document-order pass:
+path.  Instead, each tree structure is backed by a :class:`TreeSnapshot`
+-- a set of parallel integer columns built once per document in a single
+document-order pass -- and reads its relations from it too:
 
 * ``parent[i]`` / ``firstchild[i]`` / ``nextsibling[i]`` /
   ``prevsibling[i]`` / ``lastchild[i]`` -- the tree edges as partial
@@ -55,13 +55,14 @@ from repro.trees.node import Node
 class TreeSnapshot:
     """Flat columnar view of one document tree.
 
-    Built by :meth:`repro.trees.unranked.UnrankedStructure.snapshot` /
-    :meth:`repro.trees.ranked.RankedStructure.snapshot` (and cached there
-    and on :class:`repro.structures.IndexedStructure`) via
-    :meth:`from_tree`, or column-by-column -- without any
-    :class:`~repro.trees.node.Node` allocation -- by
-    :func:`repro.trees.stream.html_snapshot`; not usually constructed
-    by hand.
+    Built by :meth:`from_tree` when a
+    :class:`repro.trees.unranked.UnrankedStructure` or
+    :class:`repro.trees.ranked.RankedStructure` is constructed, or
+    column-by-column -- without any :class:`~repro.trees.node.Node`
+    allocation -- by :func:`repro.trees.stream.html_snapshot`; not usually
+    constructed by hand.  Every
+    :class:`repro.trees.unranked.TreeStructure` (``Document`` included)
+    reads its relations from one.
 
     The optional ``texts`` / ``attrs`` side columns carry the text payload
     and attribute dictionary per node (sparse ``node id -> value``

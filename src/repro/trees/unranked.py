@@ -1,14 +1,18 @@
-"""The relational schema ``tau_ur`` for unranked ordered trees.
+"""The relational view of a tree, and the schema ``tau_ur`` for unranked trees.
 
 Section 2 of the paper represents an unranked ordered tree as the structure::
 
     t_ur = <dom, root, leaf, (label_a)_{a in Sigma},
             firstchild, nextsibling, lastsibling>
 
-:class:`UnrankedStructure` materializes this schema over a :class:`Node`
-tree, assigning node identifiers in document order.  In addition to the six
-core relations it can supply, on demand, every derived relation used
-elsewhere in the paper:
+:class:`TreeStructure` is the one relational view of a tree: it reads every
+relation from the columns of a :class:`TreeSnapshot`, over ``tau_ur`` or,
+for a ranked snapshot, over ``tau_rk`` (:mod:`repro.trees.ranked`).
+:class:`UnrankedStructure` builds that view over a :class:`Node` tree,
+assigning node identifiers in document order;
+:class:`repro.wrap.document.Document` builds it over a snapshot streamed
+from HTML.  Besides the six core relations, an unranked view supplies, on
+demand, every derived relation used elsewhere in the paper:
 
 ``child``
     natural child relation (``firstchild . nextsibling*``), Section 5;
@@ -39,14 +43,195 @@ from repro.structures import Fact, Structure
 from repro.trees.node import Node
 from repro.trees.snapshot import TreeSnapshot
 
-#: Relations that are binary and bidirectionally functional (Prop 4.1).
-_FUNCTIONAL_BINARY = ("firstchild", "nextsibling", "lastchild")
+#: Unary relation names (``label_a`` / ``notlabel_a`` aside).
+_UNARY = ("dom", "root", "leaf", "lastsibling", "firstsibling")
 
 #: Upper bound on tree size for materializing quadratic closures.
 _CLOSURE_LIMIT = 4000
 
 
-class UnrankedStructure(Structure):
+class TreeStructure(Structure):
+    """Relational view of a tree, read from its snapshot columns.
+
+    An ``"unranked"`` snapshot answers ``tau_ur`` plus the derived
+    relations listed in the module docstring; a ``"ranked"`` one answers
+    ``tau_rk`` (``dom, root, leaf, child1 .. childK, label_a``) plus
+    ``child``, the union of the ``child_k``.  The binary relations of
+    either schema satisfy both functional dependencies of Proposition 4.1
+    (``child`` only the backward one), and :meth:`functional` serves them
+    from the snapshot's forward columns.
+
+    Parameters
+    ----------
+    snapshot:
+        The tree's columns; every relation, label and size is read from it.
+    """
+
+    def __init__(self, snapshot: TreeSnapshot):
+        self._snapshot = snapshot
+        #: The ``Sigma`` behind ``relation_names``' ``label_a`` entries.
+        self._symbols: Iterable[str] = snapshot.labels
+        self._cache: Dict[str, FrozenSet[Fact]] = {}
+        self._functional_cache: Dict[str, Tuple[Dict[int, int], Dict[int, int]]] = {}
+
+    # -- identity ----------------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        return self._snapshot.size
+
+    def snapshot(self) -> TreeSnapshot:
+        """The columnar snapshot (the propagation kernel binds to this)."""
+        return self._snapshot
+
+    def label_of(self, ident: int) -> str:
+        """Label of the node with identifier ``ident``."""
+        snapshot = self._snapshot
+        return snapshot.labels[snapshot.label_ids[ident]]
+
+    def labels(self) -> Set[str]:
+        """The set of labels occurring in the tree."""
+        return set(self._snapshot.labels)
+
+    # -- relations ---------------------------------------------------------
+
+    def has_relation(self, name: str) -> bool:
+        try:
+            self.relation(name)
+            return True
+        except DatalogError:
+            return False
+
+    def arity(self, name: str) -> int:
+        if name in _UNARY or name.startswith(("label_", "notlabel_")):
+            return 1
+        return 2
+
+    def relation(self, name: str) -> FrozenSet[Fact]:
+        if name not in self._cache:
+            self._cache[name] = frozenset(self._compute(name))
+        return self._cache[name]
+
+    def functional(self, name: str) -> Optional[Tuple[Dict[int, int], Dict[int, int]]]:
+        if name not in self._functional_cache:
+            column = self._snapshot.forward_map(name)
+            if column is None:
+                return None
+            forward: Dict[int, int] = {}
+            backward: Dict[int, int] = {}
+            for a, b in enumerate(column):
+                if b >= 0:
+                    forward[a] = b
+                    backward[b] = a
+            self._functional_cache[name] = (forward, backward)
+        return self._functional_cache[name]
+
+    def relation_names(self) -> Iterable[str]:
+        """Core relation names of the schema (derived relations not included)."""
+        snapshot = self._snapshot
+        if snapshot.schema == "unranked":
+            names = ["dom", "root", "leaf", "lastsibling", "firstchild", "nextsibling"]
+        else:
+            names = ["dom", "root", "leaf"]
+            names.extend(f"child{k}" for k in range(1, snapshot.max_rank + 1))
+        names.extend(sorted(f"label_{a}" for a in self._symbols))
+        return names
+
+    # -- computation -------------------------------------------------------
+
+    def _check_closure_budget(self, name: str) -> None:
+        if self.size > _CLOSURE_LIMIT:
+            raise DatalogError(
+                f"refusing to materialize quadratic relation {name!r} on a "
+                f"tree with {self.size} nodes (limit {_CLOSURE_LIMIT})"
+            )
+
+    def _compute(self, name: str) -> Set[Fact]:
+        snapshot = self._snapshot
+        n = snapshot.size
+        unranked = snapshot.schema == "unranked"
+        if name in _UNARY or name.startswith(("label_", "notlabel_")):
+            nodes = snapshot.unary_nodes(name)
+            if nodes is not None:
+                return {(v,) for v in nodes}
+        elif name == "child":
+            parent = snapshot.parent
+            return {(parent[v], v) for v in range(n) if parent[v] >= 0}
+        elif unranked and name in ("nextsibling_star", "nextsibling_plus"):
+            reflexive = name.endswith("_star")
+            out: Set[Fact] = set()
+            for v in range(n):
+                row = list(snapshot.children(v))
+                for i, a in enumerate(row):
+                    start = i if reflexive else i + 1
+                    for b in row[start:]:
+                        out.add((a, b))
+            if reflexive:
+                for v in range(n):
+                    out.add((v, v))
+            return out
+        elif unranked and name in ("child_star", "child_plus"):
+            self._check_closure_budget(name)
+            out = set()
+            for v in range(n):
+                for d in snapshot.subtree(v):
+                    if d != v:
+                        out.add((v, d))
+                if name == "child_star":
+                    out.add((v, v))
+            return out
+        elif unranked and name == "docorder":
+            self._check_closure_budget(name)
+            return {(i, j) for i in range(n) for j in range(i + 1, n)}
+        elif unranked and name == "total":
+            self._check_closure_budget(name)
+            return {(i, j) for i in range(n) for j in range(n)}
+        else:
+            # firstchild / nextsibling / lastchild, or child1 .. childK.
+            column = snapshot.forward_map(name)
+            if column is not None:
+                return {(a, b) for a, b in enumerate(column) if b >= 0}
+        schema = "tau_ur" if unranked else "tau_rk"
+        raise DatalogError(f"unknown relation {name!r} over {schema}")
+
+
+class NodeTreeStructure(TreeStructure):
+    """A :class:`TreeStructure` built over a :class:`Node` tree.
+
+    Flattens the tree once with :meth:`TreeSnapshot.from_tree` (document-
+    order identifiers) and keeps the handles between nodes and identifiers.
+    """
+
+    def __init__(self, root: Node, schema: str, max_rank: int = 0):
+        nodes: List[Node] = list(root.iter_subtree())
+        ids: Dict[int, int] = {id(n): i for i, n in enumerate(nodes)}
+        super().__init__(TreeSnapshot.from_tree(nodes, ids, schema, max_rank))
+        self._root = root
+        self._nodes = nodes
+        self._ids = ids
+
+    @property
+    def root_node(self) -> Node:
+        """The underlying root :class:`Node`."""
+        return self._root
+
+    def node(self, ident: int) -> Node:
+        """The :class:`Node` with identifier ``ident``."""
+        return self._nodes[ident]
+
+    def ident(self, node: Node) -> int:
+        """The identifier of ``node`` (must belong to this tree)."""
+        try:
+            return self._ids[id(node)]
+        except KeyError:
+            raise TreeError("node does not belong to this structure") from None
+
+    def nodes(self) -> List[Node]:
+        """All nodes in document order."""
+        return list(self._nodes)
+
+
+class UnrankedStructure(NodeTreeStructure):
     """Relational view of an unranked ordered tree (schema ``tau_ur``).
 
     Node identifiers are assigned in document order, so ``i < j`` iff node
@@ -70,175 +255,4 @@ class UnrankedStructure(Structure):
     def __init__(self, root: Node):
         if root.parent is not None:
             raise TreeError("structure must be built from a root node")
-        self._root = root
-        self._nodes: List[Node] = list(root.iter_subtree())
-        self._ids: Dict[int, int] = {id(n): i for i, n in enumerate(self._nodes)}
-        self._cache: Dict[str, FrozenSet[Fact]] = {}
-        self._functional_cache: Dict[str, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        self._snapshot: Optional[TreeSnapshot] = None
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def root_node(self) -> Node:
-        """The underlying root :class:`Node`."""
-        return self._root
-
-    def node(self, ident: int) -> Node:
-        """The :class:`Node` with identifier ``ident``."""
-        return self._nodes[ident]
-
-    def ident(self, node: Node) -> int:
-        """The identifier of ``node`` (must belong to this tree)."""
-        try:
-            return self._ids[id(node)]
-        except KeyError:
-            raise TreeError("node does not belong to this structure") from None
-
-    def nodes(self) -> List[Node]:
-        """All nodes in document order."""
-        return list(self._nodes)
-
-    def label_of(self, ident: int) -> str:
-        """Label of the node with identifier ``ident``."""
-        return self._nodes[ident].label
-
-    def labels(self) -> Set[str]:
-        """The set of labels occurring in the tree."""
-        return {n.label for n in self._nodes}
-
-    def snapshot(self) -> TreeSnapshot:
-        """Columnar snapshot of the tree (built once, then cached).
-
-        Feeds the linear-time propagation kernel
-        (:mod:`repro.datalog.kernel`); see
-        :class:`repro.trees.snapshot.TreeSnapshot`.
-        """
-        if self._snapshot is None:
-            self._snapshot = TreeSnapshot.from_tree(self._nodes, self._ids, "unranked")
-        return self._snapshot
-
-    # -- relations ---------------------------------------------------------
-
-    def has_relation(self, name: str) -> bool:
-        try:
-            self.relation(name)
-            return True
-        except DatalogError:
-            return False
-
-    def arity(self, name: str) -> int:
-        unary = {"dom", "root", "leaf", "lastsibling", "firstsibling"}
-        if name in unary or name.startswith("label_"):
-            return 1
-        return 2
-
-    def relation(self, name: str) -> FrozenSet[Fact]:
-        if name not in self._cache:
-            self._cache[name] = frozenset(self._compute(name))
-        return self._cache[name]
-
-    def functional(self, name: str) -> Optional[Tuple[Dict[int, int], Dict[int, int]]]:
-        if name not in _FUNCTIONAL_BINARY:
-            return None
-        if name not in self._functional_cache:
-            forward: Dict[int, int] = {}
-            backward: Dict[int, int] = {}
-            for a, b in self.relation(name):
-                forward[a] = b
-                backward[b] = a
-            self._functional_cache[name] = (forward, backward)
-        return self._functional_cache[name]
-
-    def relation_names(self) -> Iterable[str]:
-        """Core ``tau_ur`` relation names (derived relations not included)."""
-        names = ["dom", "root", "leaf", "lastsibling", "firstchild", "nextsibling"]
-        names.extend(sorted(f"label_{a}" for a in self.labels()))
-        return names
-
-    # -- computation -------------------------------------------------------
-
-    def _check_closure_budget(self, name: str) -> None:
-        if self.size > _CLOSURE_LIMIT:
-            raise DatalogError(
-                f"refusing to materialize quadratic relation {name!r} on a "
-                f"tree with {self.size} nodes (limit {_CLOSURE_LIMIT})"
-            )
-
-    def _compute(self, name: str) -> Set[Fact]:
-        nodes = self._nodes
-        ids = self._ids
-        if name == "dom":
-            return {(i,) for i in range(len(nodes))}
-        if name == "root":
-            return {(0,)} if nodes else set()
-        if name == "leaf":
-            return {(i,) for i, n in enumerate(nodes) if n.is_leaf}
-        if name == "lastsibling":
-            return {(i,) for i, n in enumerate(nodes) if n.is_last_sibling}
-        if name == "firstsibling":
-            return {(i,) for i, n in enumerate(nodes) if n.is_first_sibling}
-        if name.startswith("label_"):
-            label = name[len("label_") :]
-            return {(i,) for i, n in enumerate(nodes) if n.label == label}
-        if name.startswith("notlabel_"):
-            label = name[len("notlabel_") :]
-            return {(i,) for i, n in enumerate(nodes) if n.label != label}
-        if name == "firstchild":
-            return {
-                (i, ids[id(n.children[0])])
-                for i, n in enumerate(nodes)
-                if n.children
-            }
-        if name == "nextsibling":
-            out: Set[Fact] = set()
-            for n in nodes:
-                for left, right in zip(n.children, n.children[1:]):
-                    out.add((ids[id(left)], ids[id(right)]))
-            return out
-        if name == "lastchild":
-            return {
-                (i, ids[id(n.children[-1])])
-                for i, n in enumerate(nodes)
-                if n.children
-            }
-        if name == "child":
-            out = set()
-            for i, n in enumerate(nodes):
-                for c in n.children:
-                    out.add((i, ids[id(c)]))
-            return out
-        if name in ("nextsibling_star", "nextsibling_plus"):
-            reflexive = name.endswith("_star")
-            out = set()
-            for n in nodes:
-                row = [ids[id(c)] for c in n.children]
-                for i, a in enumerate(row):
-                    start = i if reflexive else i + 1
-                    for b in row[start:]:
-                        out.add((a, b))
-            if reflexive:
-                for i in range(len(nodes)):
-                    out.add((i, i))
-            return out
-        if name in ("child_star", "child_plus"):
-            self._check_closure_budget(name)
-            out = set()
-            for i, n in enumerate(nodes):
-                if name == "child_star":
-                    out.add((i, i))
-                for d in n.iter_subtree():
-                    if d is not n:
-                        out.add((i, ids[id(d)]))
-            return out
-        if name == "docorder":
-            self._check_closure_budget(name)
-            return {(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))}
-        if name == "total":
-            self._check_closure_budget(name)
-            return {(i, j) for i in range(len(nodes)) for j in range(len(nodes))}
-        raise DatalogError(f"unknown relation {name!r} over tau_ur")
+        super().__init__(root, "unranked")

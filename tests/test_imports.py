@@ -78,3 +78,40 @@ def test_modules_use_every_name_they_import():
         for line, name in unused_imports(path)
     ]
     assert unused == []
+
+
+#: The packages a tree module may import from: the relational view of a
+#: tree sits below :mod:`repro.wrap`, so ``Document`` depends on
+#: ``repro.trees`` and never the reverse.
+TREES_MAY_IMPORT = ("repro.trees", "repro.html", "repro.structures", "repro.errors")
+
+
+def repro_imports(path: pathlib.Path):
+    """``(line, module)`` of each ``repro`` module ``path`` imports,
+    imports inside functions included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["repro.trees" if node.level else node.module]
+        else:
+            continue
+        for module in modules:
+            if module == "repro" or module.startswith("repro."):
+                yield node.lineno, module
+
+
+def test_tree_modules_import_only_from_lower_layers():
+    modules = sorted((SRC / "trees").rglob("*.py"))
+    assert modules
+    outside = [
+        f"{path.relative_to(SRC.parent)}:{line}: {module}"
+        for path in modules
+        for line, module in repro_imports(path)
+        if not any(
+            module == allowed or module.startswith(allowed + ".")
+            for allowed in TREES_MAY_IMPORT
+        )
+    ]
+    assert outside == []

@@ -17,8 +17,9 @@ would go quadratic there.  Forum pages whose reply chains double in
 depth hold the whole wrapping path to it, cold and on a warm re-run
 whose edits condemn whole chains (a deep cone, condemned and re-derived
 on the generated worklist).  The snapshot diff of a warm run is held to
-the bound on every generator's page, one character edited, and so is
-the catalog wrapper's kernel bind.
+the bound on every generator's page, one character edited, and so are
+the catalog wrapper's kernel bind and the tree relations the general
+engines read.
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -141,10 +142,10 @@ MSO_WRAPPER = Wrapper().add_mso(
 CATALOG_PLAN = catalog_plan()
 
 
-def bind_from_scratch(page):
-    """Bind the catalog plan's kernel to a fresh :class:`Document` of the
-    page, with the snapshot's memo slots cleared first so that every call
-    recomputes the relation columns the binding reads."""
+def fresh_document(page):
+    """A new :class:`Document` over the page's snapshot, with the
+    snapshot's memo slots cleared so that every call recomputes the
+    relation columns it reads."""
     snapshot = page_snapshot(page)
     snapshot._unary_masks.clear()
     snapshot._unary_nodes.clear()
@@ -152,7 +153,25 @@ def bind_from_scratch(page):
     snapshot._forward.clear()
     snapshot._backward.clear()
     snapshot._child_index = snapshot._label_nodes = None
-    return CATALOG_PLAN.kernel_applicable(Document(snapshot))
+    return Document(snapshot)
+
+
+def bind_from_scratch(page):
+    """Bind the catalog plan's kernel to a fresh document of the page."""
+    return CATALOG_PLAN.kernel_applicable(fresh_document(page))
+
+
+#: The linear relations the seminaive and grounding engines read.
+LINEAR_RELATIONS = (
+    "child", "firstchild", "nextsibling", "lastchild",
+    "leaf", "lastsibling", "label_td", "notlabel_td",
+)
+
+
+def relations_from_scratch(page):
+    """Read every linear relation of a fresh document of the page."""
+    document = fresh_document(page)
+    return [document.relation(name) for name in LINEAR_RELATIONS]
 
 
 def diff_from_scratch(page):
@@ -175,6 +194,7 @@ PATHS = {
     ),
     "snapshot_diff": diff_from_scratch,
     "kernel_bind": bind_from_scratch,
+    "tree_relations": relations_from_scratch,
 }
 
 

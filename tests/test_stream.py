@@ -21,7 +21,7 @@ import re
 import pytest
 
 from repro.datalog.parser import parse_program
-from repro.errors import DatalogError, WrapError
+from repro.errors import WrapError
 from repro.html import parse_html
 from repro.html.entities import decode_entities
 from repro.html.policy import (
@@ -624,23 +624,6 @@ class TestLabelIdLanes:
 
 
 class TestDocument:
-    def test_relations_match_unranked_structure(self):
-        page = noisy_table_page(seed=9, rows=12)
-        reference = UnrankedStructure(parse_html(page))
-        document = Document.from_html(page)
-        for name in (
-            "dom", "root", "leaf", "lastsibling", "firstsibling",
-            "label_td", "label_zzz", "notlabel_td", "firstchild",
-            "nextsibling", "lastchild", "child", "nextsibling_star",
-            "nextsibling_plus", "child_star", "child_plus", "docorder",
-        ):
-            assert document.relation(name) == reference.relation(name), name
-        assert document.functional("firstchild") == reference.functional("firstchild")
-        assert set(document.relation_names()) == set(reference.relation_names())
-        assert document.labels() == reference.labels()
-        with pytest.raises(DatalogError):
-            document.relation("nonsense")
-
     def test_text_and_attrs(self):
         document = Document.from_html(
             '<div id="main"><p>hello <b>world</b></p><p>bye</p></div>'

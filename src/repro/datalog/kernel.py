@@ -11,6 +11,10 @@ allocation on the hot loop**.
 Compilation (:func:`compile_kernel`, program-only, cached by
 :class:`repro.datalog.plan.CompiledProgram`):
 
+* every body constant ``c`` becomes a fresh variable ``v`` plus the unary
+  atom ``@const:c(v)``, the singleton ``{c}``, which each document
+  supplies as a mask and as a one-node list (:func:`_resource`); a
+  constant is then a unary relation like a label, to every route below;
 * the Theorem 4.2 connectedness rewriting
   (:func:`repro.datalog.analysis.split_disconnected`) makes every rule
   connected, so each rule instantiation is determined by a single seed
@@ -20,24 +24,25 @@ Compilation (:func:`compile_kernel`, program-only, cached by
 * every rule body is lowered to a flat numeric op sequence -- functional
   *steps* (one column lookup), bounded *branch* steps (``child`` forward),
   byte-mask checks for unary schema relations, byte-lane tests for
-  intensional atoms, and guarded binds/equality
-  checks for body constants (each constant pins a slot to one node) --
-  rooted at the cheapest anchor (fewest branch steps first, then a
-  pinned constant, then the most selective unary relation);
+  intensional atoms, and a guarded bind for a constant's slot other than
+  the entry one (the bind is the constant's check) -- rooted at the
+  cheapest anchor (fewest branch steps first, then the most selective
+  unary relation, a constant's singleton before any other);
 * programs whose best lowering is still *superlinear* in some rule --
   two chained branch steps, or a branch reached through the many-to-one
   ``parent`` map, so one node's children may be enumerated once per entry
   point -- are re-lowered through the TMNF normalization of Theorem 5.2
   (:func:`repro.tmnf.pipeline.to_tmnf`), whose output uses only
-  bidirectionally functional relations;
+  bidirectionally functional relations (a 0-ary predicate goes through
+  it as a unary one that holds at the root);
 * ranked documents the static lowering cannot bind get the Lemma 5.4
   ``child`` expansion normalized over their own rank, compiled per rank
   on first use.
 
-Every lowering the kernel runs is linear.  A program with no linear
-lowering -- TMNF rejects body constants, so a constant in a rule that
-needs two ``child`` enumerations is one -- compiles to ``None`` and runs
-on the general engines instead.
+Every lowering the kernel runs is linear, and every monadic program over
+``tau_ur`` without head constants has one.  The programs outside the
+kernel's fragment (:func:`fragment_violation` names why) compile to
+``None`` and run on the general engines instead.
 
 Evaluation (:meth:`KernelProgram.run`) is a worklist fixpoint in the style
 of the Dowling-Gallier Horn-SAT solver (:mod:`repro.datalog.hornsat`),
@@ -132,19 +137,23 @@ _MATCH_START = re.Match.start
 #: backward-functional (parent) with forward traversal by enumeration over
 #: *both* schemata (over ``tau_rk`` it is the union of the ``child_k``
 #: bijections); ``child<k>`` and the ``tau_ur`` binaries resolve only over
-#: their own schema -- the snapshot gates all of this at bind time.
+#: their own schema -- the snapshot decides all of this at bind time.
 _BINARY_NAME = re.compile(r"^(firstchild|nextsibling|lastchild|child\d*)$")
 
 #: The ``tau_rk`` binaries ``child1``, ``child2``, ...: only ranked
 #: snapshots supply them.
 _RANKED_CHILD = re.compile(r"^child\d+$")
 
+#: Name prefix of a constant's singleton relation: ``@const:c`` holds at
+#: node ``c`` alone (see :func:`_constants_as_relations`).
+_CONST = "@const:"
+
 def _anchor_cost(name: Optional[str]) -> int:
     """Selectivity rank of a unary anchor relation (lower enumerates less)."""
     if name is None:
         return 5
-    if name.startswith("@const:"):
-        return -1  # a single pinned node: the cheapest possible anchor
+    if name.startswith(_CONST):
+        return -1  # a single node: the cheapest possible anchor
     if name == "root":
         return 0
     if name.startswith("label_"):
@@ -173,7 +182,6 @@ class _Block:
         "head_slot",
         "branches",
         "superlinear",
-        "gate",
     )
 
     def __init__(self, anchor, start, nslots, ops, head_pred, head_slot):
@@ -183,10 +191,6 @@ class _Block:
         self.ops = tuple(ops)
         self.head_pred = head_pred
         self.head_slot = head_slot
-        #: For anchored trigger blocks of a constant-pinned intensional
-        #: atom ``q(c)``: run the enumeration only when the fired node is
-        #: ``c`` (otherwise every ``q`` fact would replay the sweep).
-        self.gate = None
         self.branches = sum(1 for op in ops if op[0] == "branch")
         # A single branch step is linear overall only when every entry node
         # reaches a *distinct* branch source, so the enumerated fan-outs sum
@@ -270,18 +274,19 @@ class _Lowering:
         #: Whether a run packs a :class:`KernelState` for warm reuse: only
         #: lowerings whose facts are all unary node sets reached by tree
         #: moves from an enumerable anchor -- no 0-ary predicate, no
-        #: constant pin, no gated re-sweep, no ``bcheck`` edge -- because
-        #: the over-delete (:func:`_over_delete`) reads no 0-ary lane and
-        #: re-runs each sweep from anchors near the change.
-        self.warm_eligible = self.npreds > 0 and all(
-            block.gate is None
-            and block.head_slot >= 0
-            and (
-                block.anchor is None
-                or (block.nslots > 0 and not block.anchor.startswith("@const:"))
+        #: constant, no ``bcheck`` edge -- because the over-delete
+        #: (:func:`_over_delete`) reads no 0-ary lane and re-runs each
+        #: sweep from anchors near the change, and a constant names a node
+        #: id, which an edit shifts.
+        self.warm_eligible = (
+            self.npreds > 0
+            and not any(name.startswith(_CONST) for _, name in self.resources)
+            and all(
+                block.head_slot >= 0
+                and (block.anchor is None or block.nslots > 0)
+                and all(op[0] in _WARM_OPS for op in block.ops)
+                for block in blocks
             )
-            and all(op[0] in _WARM_OPS for op in block.ops)
-            for block in blocks
         )
         #: ``(source, derive, condemn)``: the generated worklist source and
         #: its two functions, built on the first run (both at once,
@@ -352,22 +357,29 @@ def _resource(snapshot, kind: str, name: str):
 
     ``fwd`` / ``bwd`` are functional maps, ``mask`` a unary byte mask and
     ``nodes`` an anchor's enumeration: ``"*"`` the whole domain, ``""``
-    one pass for a slot-free rule, ``"@const:c"`` the pinned node (none
-    when ``c`` is outside the domain), else the relation's node list.
+    one pass for a slot-free rule, else the relation's node list.  The
+    lowering supplies a constant's singleton ``@const:c`` itself, as a
+    mask and as a node list, both empty when ``c`` is outside the domain.
     """
     if kind == "fwd":
         return snapshot.forward_map(name)
     if kind == "bwd":
         return snapshot.backward_map(name)
+    if name.startswith(_CONST):
+        value = int(name[len(_CONST) :])
+        inside = 0 <= value < snapshot.size
+        if kind == "nodes":
+            return (value,) if inside else ()
+        mask = bytearray(snapshot.size)
+        if inside:
+            mask[value] = 1
+        return mask
     if kind == "mask":
         return snapshot.unary_mask(name)
     if name == "*":
         return range(snapshot.size)
     if not name:
         return (0,)
-    if name.startswith("@const:"):
-        value = int(name[len("@const:") :])
-        return (value,) if 0 <= value < snapshot.size else ()
     return snapshot.unary_nodes(name)
 
 
@@ -390,8 +402,7 @@ class KernelState:
     or warm, packs one from its finished lanes (one ``int.from_bytes`` per
     predicate) when its lowering is :attr:`_Lowering.warm_eligible`; any
     other run leaves ``None``, which holders must treat as "start cold"
-    -- so a state's lowering never has constants, gated sweeps or 0-ary
-    predicates.
+    -- so a state's lowering never has constants or 0-ary predicates.
     """
 
     __slots__ = ("variant", "snapshot", "derived")
@@ -567,8 +578,8 @@ def _over_delete(variant: _Lowering, snapshot, derived: List[int], bad: int):
 class KernelProgram:
     """A monadic program lowered to numeric propagation tables.
 
-    Build with :func:`compile_kernel` (returns ``None`` when the program has
-    no linear lowering); evaluate with :meth:`evaluate` (or :meth:`run`).
+    Build with :func:`compile_kernel` (returns ``None`` for a program
+    outside the kernel's fragment); evaluate with :meth:`evaluate` (or :meth:`run`).
     The artifact is program-only, keeps no per-run state and is reusable
     across documents.  It holds one linear :class:`_Lowering`, ``lowering``
     -- ``None`` only for a program that reads ``child<k>`` relations, which
@@ -614,24 +625,10 @@ class KernelProgram:
         """
         if max_rank in self._ranked_cache:
             return self._ranked_cache[max_rank]
-        variant: Optional[_Lowering] = None
         expanded = _expand_generic_child(self.source, max_rank)
-        if expanded is not None:
-            from repro.errors import TMNFError
-
-            try:
-                from repro.tmnf.pipeline import to_tmnf
-
-                normalized = to_tmnf(
-                    expanded, signature="ranked", max_rank=max_rank
-                ).program
-                lowering = _lower(
-                    self.source, split_disconnected(normalized), "tmnf-ranked"
-                )
-            except (TMNFError, DatalogError):
-                lowering = None
-            if lowering is not None and lowering.max_branches == 0:
-                variant = lowering
+        variant = expanded and _tmnf_lowering(
+            self.source, expanded, "tmnf-ranked", signature="ranked", max_rank=max_rank
+        )
         self._ranked_cache[max_rank] = variant
         return variant
 
@@ -852,7 +849,7 @@ def _spanning(
     ``b -> a`` by the backward functional map (cost 0) and ``a -> b`` by
     the forward map (cost 0) or, for ``child``, by enumeration (cost 1).
     ``sources`` are the slots bound before any move runs -- the entry
-    slot plus every constant-pinned slot.  Returns
+    slot plus every constant's slot.  Returns
     ``(moves, tree_atom_indexes)`` where each move is
     ``("step"| "branch", (rel, forward, from, to))`` in bind order, via a
     0-1 BFS; ``None`` when some slot is unreachable (a disconnected rule,
@@ -918,69 +915,41 @@ class _RuleShape:
 
     __slots__ = (
         "rule",
-        "slot_of",
         "nslots",
         "edges",
         "unary_ext",
         "unary_int",
         "gbits",
-        "consts",
         "head_pred",
         "head_slot",
     )
 
 
 def _shape(rule: Rule, pred_index: Dict[str, int], intensional: Set[str]):
-    """Extract the numeric shape of one rule; ``None`` if unsupported.
-
-    Body constants each get a dedicated slot (``shape.consts`` records
-    ``(slot, value)`` pairs): the instantiation is anchored at the pinned
-    node, so constant-bearing rules stay inside the kernel fragment
-    instead of falling back to the general engine.
-    """
+    """Extract the numeric shape of one rule of the kernel's fragment."""
     shape = _RuleShape()
     shape.rule = rule
     slot_of: Dict[Variable, int] = {}
     for variable in sorted(rule.variables(), key=lambda v: v.name):
         slot_of[variable] = len(slot_of)
-    const_slot: Dict[int, int] = {}
-    shape.consts = []
-
-    def term_slot(term) -> int:
-        if isinstance(term, Constant):
-            slot = const_slot.get(term.value)
-            if slot is None:
-                slot = const_slot[term.value] = len(slot_of) + len(shape.consts)
-                shape.consts.append((slot, term.value))
-            return slot
-        return slot_of[term]
-
     shape.edges = []
     shape.unary_ext = []
     shape.unary_int = []
     shape.gbits = []
     for atom_idx, atom in enumerate(rule.body):
         if atom.arity == 0:
-            if atom.pred not in intensional:
-                return None
             shape.gbits.append((pred_index[atom.pred], atom_idx))
         elif atom.arity == 1:
-            slot = term_slot(atom.args[0])
+            slot = slot_of[atom.args[0]]
             if atom.pred in intensional:
                 shape.unary_int.append((pred_index[atom.pred], slot, atom_idx))
             else:
                 shape.unary_ext.append((atom.pred, slot, atom_idx))
-        elif atom.arity == 2:
-            if atom.pred in intensional or not _BINARY_NAME.match(atom.pred):
-                return None
-            a, b = (term_slot(t) for t in atom.args)
-            shape.edges.append((a, b, atom.pred, atom_idx))
         else:
-            return None
-    shape.nslots = len(slot_of) + len(shape.consts)
+            a, b = (slot_of[t] for t in atom.args)
+            shape.edges.append((a, b, atom.pred, atom_idx))
+    shape.nslots = len(slot_of)
     head = rule.head
-    if head.arity > 1 or any(isinstance(t, Constant) for t in head.args):
-        return None
     shape.head_pred = pred_index[head.pred]
     shape.head_slot = slot_of[head.args[0]] if head.arity == 1 else -1
     return shape
@@ -990,7 +959,16 @@ def _assemble(
     shape: _RuleShape, start: int, skip_atom: int
 ) -> Optional[List[tuple]]:
     """Full op list for one entry point, checks as early as possible."""
-    sources = {start} | {slot for slot, _ in shape.consts}
+    # A constant's slot other than the entry one is bound before any move
+    # (``cbind``), and the bind is its ``@const:`` atom's check.  One bind
+    # per slot: any other constant on the slot stays a mask check.
+    pins = {
+        slot: (int(name[len(_CONST) :]), atom_idx)
+        for name, slot, atom_idx in shape.unary_ext
+        if name.startswith(_CONST) and slot != start
+    }
+    pinned_atoms = {atom_idx for _, atom_idx in pins.values()}
+    sources = {start, *pins}
     result = _spanning(shape.nslots, shape.edges, sources)
     if result is None:
         return None
@@ -1002,7 +980,7 @@ def _assemble(
 
     checks_by_slot: Dict[int, List[tuple]] = {}
     for name, slot, atom_idx in shape.unary_ext:
-        if atom_idx != skip_atom:
+        if atom_idx != skip_atom and atom_idx not in pinned_atoms:
             checks_by_slot.setdefault(slot, []).append(("ubit", name, slot))
     for pred, slot, atom_idx in shape.unary_int:
         if atom_idx != skip_atom:
@@ -1023,19 +1001,12 @@ def _assemble(
                 ops.append(("bcheck", rel, a, b))
                 remaining_binary.remove(entry)
 
-    # Pin the constant slots first: the entry slot gets an equality check
-    # (trigger blocks arrive with an arbitrary fired node there), every
-    # other constant slot a guarded bind.
-    for slot, value in shape.consts:
-        if slot == start:
-            ops.append(("ccheck", value, slot))
-        else:
-            ops.append(("cbind", value, slot))
+    for slot, (value, _) in pins.items():
+        ops.append(("cbind", value, slot))
     if shape.nslots:
         flush(start)
-        for slot, _ in shape.consts:
-            if slot != start:
-                flush(slot)
+        for slot in pins:
+            flush(slot)
     for kind, payload in moves:
         ops.append((kind, *payload))
         target = payload[-1]
@@ -1050,83 +1021,35 @@ def _pick_anchor(shape: _RuleShape, skip_atom: int) -> Optional[_Block]:
     candidates: List[Tuple[Optional[str], int]] = [
         (name, slot) for name, slot, atom_idx in shape.unary_ext
     ]
-    # A constant pins its slot to one node: the ideal anchor.
-    candidates.extend(
-        (f"@const:{value}", slot) for slot, value in shape.consts
-    )
     if shape.nslots:
-        fallback_slot = shape.head_slot if shape.head_slot >= 0 else 0
-        candidates.append((None, fallback_slot))
+        candidates.append((None, shape.head_slot if shape.head_slot >= 0 else 0))
     else:
         candidates.append((None, 0))
-    best: Optional[Tuple[tuple, Optional[str], int, List[tuple]]] = None
+    best: Optional[Tuple[tuple, _Block]] = None
     for name, slot in candidates:
-        # Consuming the anchor atom itself: its check is implied by the
-        # enumeration, but only one syntactic atom may be consumed.
-        consumed = skip_atom
-        ops = _assemble(shape, slot, consumed)
+        ops = _assemble(shape, slot, skip_atom)
         if ops is None:
             continue
-        if name is not None and not name.startswith("@const:"):
-            # Drop exactly one check of this (name, slot) pair: the
-            # enumeration already guarantees it.
-            for i, op in enumerate(ops):
-                if op[0] == "ubit" and op[1] == name and op[2] == slot:
-                    del ops[i]
-                    break
-        branches = sum(1 for op in ops if op[0] == "branch")
-        superlinear = branches >= 2 or (
-            branches >= 1
-            and any(op[0] == "step" and op[1] == "child" for op in ops)
+        if name is not None:
+            # The enumeration guarantees one check of the anchor relation.
+            ops.remove(("ubit", name, slot))
+        block = _Block(
+            name or "*", slot, shape.nslots, ops, shape.head_pred, shape.head_slot
         )
-        key = (superlinear, branches, _anchor_cost(name), len(ops))
+        key = (block.superlinear, block.branches, _anchor_cost(name), len(ops))
         if best is None or key < best[0]:
-            best = (key, name, slot, ops)
-    if best is None:
-        return None
-    _, name, slot, ops = best
-    return _Block(
-        name if name is not None else "*",
-        slot,
-        shape.nslots,
-        ops,
-        shape.head_pred,
-        shape.head_slot,
-    )
-
-
-def _pred_arities(program: Program) -> Optional[Dict[str, int]]:
-    """Arity of each intensional predicate; ``None`` on inconsistent use."""
-    arities: Dict[str, int] = {}
-    intensional = program.intensional_predicates()
-
-    def record(pred: str, arity: int) -> bool:
-        if arities.setdefault(pred, arity) != arity:
-            return False
-        return True
-
-    for rule in program.rules:
-        if not record(rule.head.pred, rule.head.arity):
-            return None
-        for atom in rule.body:
-            if atom.pred in intensional and not record(atom.pred, atom.arity):
-                return None
-    return arities
+            best = (key, block)
+    return None if best is None else best[1]
 
 
 def _lower(source: Program, lowered: Program, route: str) -> Optional[_Lowering]:
     """Lower a connected monadic program into kernel tables."""
-    arities = _pred_arities(lowered)
-    if arities is None:
-        return None
     intensional = lowered.intensional_predicates()
     pred_index = {name: i for i, name in enumerate(sorted(intensional))}
     sweeps: List[_Block] = []
     triggers: List[List[_Block]] = [[] for _ in pred_index]
     for rule in lowered.rules:
         shape = _shape(rule, pred_index, intensional)
-        if shape is None:
-            return None
         occurrences = [
             ("unary", pred, slot, atom_idx)
             for pred, slot, atom_idx in shape.unary_int
@@ -1137,59 +1060,114 @@ def _lower(source: Program, lowered: Program, route: str) -> Optional[_Lowering]
                 return None
             sweeps.append(block)
             continue
-        const_value = {slot: value for slot, value in shape.consts}
         for kind, pred, slot, atom_idx in occurrences:
-            if kind == "unary" and slot not in const_value:
+            if kind == "unary":
                 ops = _assemble(shape, slot, atom_idx)
                 if ops is None:
                     return None
                 block = _Block(
                     None, slot, shape.nslots, ops, shape.head_pred, shape.head_slot
                 )
-            elif kind == "unary":
-                # ``q(c)``: when the fact fires at exactly node ``c`` (the
-                # gate), re-run the rule from its best enumerated anchor,
-                # keeping every check.
-                block = _pick_anchor(shape, skip_atom=-1)
-                if block is None:
-                    return None
-                block.gate = const_value[slot]
             else:
                 block = _pick_anchor(shape, skip_atom=atom_idx)
                 if block is None:
                     return None
             triggers[pred].append(block)
 
-    source_arities = _pred_arities(source)
-    if source_arities is None:
-        return None
-    outputs = []
-    for name in sorted(source.intensional_predicates()):
-        outputs.append(
-            (name, pred_index.get(name, -1), source_arities.get(name, 1))
-        )
+    source_intensional = source.intensional_predicates()
+    arities = {
+        atom.pred: atom.arity
+        for rule in source.rules
+        for atom in (rule.head, *rule.body)
+        if atom.pred in source_intensional
+    }
+    outputs = [
+        (name, pred_index.get(name, -1), arities.get(name, 1))
+        for name in sorted(source_intensional)
+    ]
     return _Lowering(lowered, pred_index, sweeps, triggers, outputs, route)
+
+
+def fragment_violation(program: Program) -> Optional[str]:
+    """Why ``program`` lies outside the kernel's fragment, or ``None``.
+
+    The fragment is the monadic programs over the tree signature whose
+    heads hold no constant: every body relation is intensional, unary, or
+    one of the tree binaries the kernel traverses (:data:`_BINARY_NAME`),
+    and every intensional predicate keeps one arity.  The check runs
+    before any lowering: the TMNF route would silently drop a rule over
+    another relation (such as Elog-Delta's ``before[...]`` conditions) and
+    bind a kernel that evaluates the wrong program.  A head constant
+    stays outside: ``p(9) :- label_a(x).`` derives ``(9,)`` whether or
+    not node 9 exists, which no node set represents.
+
+    >>> from repro.datalog.parser import parse_program
+    >>> fragment_violation(parse_program("p(x) :- label_a(y), docorder(y, x)."))
+    "'docorder' is not a relation of the tree signature"
+    """
+    intensional = program.intensional_predicates()
+    arities: Dict[str, int] = {}
+    for rule in program.rules:
+        if any(isinstance(term, Constant) for term in rule.head.args):
+            return f"the head of {rule} holds a constant"
+        for atom in (rule.head, *rule.body):
+            if atom.pred in intensional:
+                if atom.arity > 1:
+                    return f"{atom.pred!r} has arity > 1: the program is not monadic"
+                if arities.setdefault(atom.pred, atom.arity) != atom.arity:
+                    return f"{atom.pred!r} is used with two arities"
+            elif atom.arity != 1 and not (
+                atom.arity == 2 and _BINARY_NAME.match(atom.pred)
+            ):
+                return f"{atom.pred!r} is not a relation of the tree signature"
+    return None
+
+
+def _constants_as_relations(program: Program) -> Program:
+    """Every body constant ``c`` of a rule becomes a fresh variable ``v``
+    and the atom ``@const:c(v)``.
+
+    ``v`` is named ``@c`` (``@c5`` for 5), which no parsed program can
+    use, and one variable serves every occurrence of ``c`` in the rule.
+    Head constants are not rewritten (:func:`fragment_violation` keeps
+    them out).  A program without body constants is returned as it is.
+    """
+    if not any(
+        isinstance(t, Constant) for r in program.rules for a in r.body for t in a.args
+    ):
+        return program
+    rules: List[Rule] = []
+    for rule in program.rules:
+        fresh: Dict[int, Variable] = {}
+
+        def term(t):
+            if isinstance(t, Constant):
+                return fresh.setdefault(t.value, Variable(f"@c{t.value}"))
+            return t
+
+        body = [Atom(atom.pred, tuple(map(term, atom.args))) for atom in rule.body]
+        body.extend(Atom(f"{_CONST}{c}", (v,)) for c, v in fresh.items())
+        rules.append(Rule(rule.head, body))
+    return Program(rules, query=program.query, declared=program.declared)
 
 
 def compile_kernel(program: Program) -> Optional[KernelProgram]:
     """Compile ``program`` for the propagation kernel, or ``None``.
 
-    The kernel holds one linear lowering: the direct Theorem 4.2 lowering
-    (connectedness split + functional propagation) unless some rule's best
-    direct lowering is *superlinear* -- it chains two branching ``child``
-    traversals, or reaches a branch through the many-to-one ``parent``
-    map, either of which can exceed the linear bound -- and otherwise the
-    Theorem 5.2 TMNF normalization, whose rules only use bidirectionally
-    functional relations.  Body constants stay inside the fragment when
-    the direct lowering is linear: each pins a slot to a single node and
-    is preferred as the rule's anchor.  A program with ``child<k>``
-    relations, which only ranked documents supply, may still compile
-    without a static lowering: ranked documents then bind the ranked-TMNF
-    lowering of their rank.  Returns ``None`` for programs with no linear
-    lowering (a body constant in a superlinear rule, which TMNF rejects)
-    and for programs outside the fragment (non-monadic programs, head
-    constants, unsupported binary relations); callers then fall back to
-    another strategy.
+    Body constants first become unary relations
+    (:func:`_constants_as_relations`).  The kernel then holds one linear
+    lowering: the direct Theorem 4.2 lowering (connectedness split +
+    functional propagation) unless some rule's best direct lowering is
+    *superlinear* -- it chains two branching ``child`` traversals, or
+    reaches a branch through the many-to-one ``parent`` map, either of
+    which can exceed the linear bound -- and otherwise the Theorem 5.2
+    TMNF normalization, whose rules only use bidirectionally functional
+    relations.  A program with ``child<k>`` relations, which only ranked
+    documents supply, may still compile without a static lowering:
+    ranked documents then bind the ranked-TMNF lowering of their rank.
+    Returns ``None`` for programs outside the fragment
+    (:func:`fragment_violation`); callers then fall back to another
+    strategy.
 
     >>> from repro.datalog.parser import parse_program
     >>> from repro.trees import parse_sexpr
@@ -1199,31 +1177,13 @@ def compile_kernel(program: Program) -> Optional[KernelProgram]:
     >>> sorted(anchored.run(UnrankedStructure(parse_sexpr("a(b, c)")))["p"])
     [(1,)]
     """
-    if not program.is_monadic():
+    if fragment_violation(program) is not None:
         return None
-    # The kernel only reads the tree signature: unary labels plus the
-    # _BINARY_NAME relations.  Any other extensional atom of arity >= 2
-    # (e.g. the Elog-Delta ``before[...]`` conditions) puts the program
-    # outside the fragment -- and the TMNF route would silently *drop*
-    # such rules during acyclicization, producing a kernel that binds but
-    # evaluates the wrong program.  Reject up front instead.
-    intensional = program.intensional_predicates()
-    for rule in program.rules:
-        for atom in rule.body:
-            if (
-                atom.arity >= 2
-                and atom.pred not in intensional
-                and not (atom.arity == 2 and _BINARY_NAME.match(atom.pred))
-            ):
-                return None
-    try:
-        split = split_disconnected(program)
-    except DatalogError:
-        return None
-    direct = _lower(program, split, "direct")
+    program = _constants_as_relations(program)
+    direct = _lower(program, split_disconnected(program), "direct")
     if direct is not None and not direct.superlinear:
         return KernelProgram(program, direct)
-    normalized = _try_tmnf_lowering(program)
+    normalized = _tmnf_lowering(program, program, "tmnf")
     if normalized is not None:
         return KernelProgram(program, normalized)
     # ``child<k>`` binds only ranked snapshots, and each of those gets the
@@ -1237,18 +1197,50 @@ def compile_kernel(program: Program) -> Optional[KernelProgram]:
     return None
 
 
-def _try_tmnf_lowering(program: Program) -> Optional[_Lowering]:
+def _tmnf_lowering(
+    source: Program, program: Program, route: str, **signature
+) -> Optional[_Lowering]:
+    """The lowering of ``program``'s Theorem 5.2 TMNF, or ``None`` unless
+    the normalization succeeds and the lowering has no branch step.
+
+    TMNF heads are unary, so each 0-ary predicate ``h`` is normalized as
+    the unary ``h@`` pinned to the root, and the rule ``h :- h@(x)``,
+    added after the normalization, reads it back.
+    """
     from repro.errors import TMNFError
+    from repro.tmnf.pipeline import to_tmnf
 
+    nullary = sorted(
+        {atom.pred for rule in program.rules for atom in (rule.head, *rule.body)
+         if not atom.arity}
+    )
+    roots = itertools.count()
+
+    def lift(atom: Atom) -> List[Atom]:
+        if atom.arity:
+            return [atom]
+        v = Variable(f"@r{next(roots)}")
+        return [Atom(f"{atom.pred}@", (v,)), Atom("root", (v,))]
+
+    if nullary:
+        program = Program(
+            [
+                Rule(head, [*pin, *(a for atom in rule.body for a in lift(atom))])
+                for rule in program.rules
+                for head, *pin in [lift(rule.head)]
+            ],
+            declared=program.declared | {f"{h}@" for h in nullary},
+        )
+    x = Variable("x")
     try:
-        from repro.tmnf.pipeline import to_tmnf
-
-        normalized = to_tmnf(program).program
-        lowered = _lower(program, split_disconnected(normalized), "tmnf")
+        normalized = to_tmnf(program, **signature).program.extend(
+            Rule(Atom(h), [Atom(f"{h}@", (x,))]) for h in nullary
+        )
+        lowering = _lower(source, split_disconnected(normalized), route)
     except (TMNFError, DatalogError):
         return None
-    if lowered is not None and lowered.max_branches == 0:
-        return lowered
+    if lowering is not None and lowering.max_branches == 0:
+        return lowering
     return None
 
 

@@ -41,7 +41,7 @@ def worklist_source(variant, condemn: bool) -> str:
     (clears its byte and pushes it).  The caller restricts the sweeps
     through their anchor lists in ``R``.  Over-deletes only run for
     warm-eligible lowerings, which have no 0-ary predicates and no
-    constant pins.
+    constants.
 
     The source holds integer literals and fixed names only: every
     document object arrives as an argument.
@@ -86,10 +86,9 @@ def worklist_source(variant, condemn: bool) -> str:
                 return f"R{index['bwd', rel]}[{name(b)}] == {name(a)}"
             return f"R{index['fwd', rel]}[{name(a)}] == {name(b)}"
         if kind == "cbind":
+            # A constant outside ``range(n)`` names no node: never bound.
             value = int(op[1])
             return f"({name(op[2])} := {value}) < n" if value >= 0 else "False"
-        if kind == "ccheck":
-            return f"{name(op[2])} == {int(op[1])}"
         return f"G[{int(op[1])}]"  # gbit
 
     def head(block, depth: int, name, conds: List[str], chain, inline) -> None:
@@ -171,9 +170,6 @@ def worklist_source(variant, condemn: bool) -> str:
             if block.anchor is None:
                 name = names((p,), block.start, "v")
                 body(block, 0, 3, name, (p,), not inlinable[p])
-            elif block.gate is not None:
-                emit(3, f"if v == {int(block.gate)}:")
-                anchored(block, 4, (p,))
             else:
                 anchored(block, 3, (p,))
     return "\n".join(lines) + "\n"

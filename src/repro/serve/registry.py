@@ -25,6 +25,7 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.datalog.kernel import fragment_violation
 from repro.errors import ReproError, ServeError
 from repro.wrap.extraction import Wrapper
 
@@ -62,12 +63,11 @@ def _parse_and_choose(
 
         program = parse_program(source)
         defined = set(program.intensional_predicates())
-        # Thm 4.2's linear time, which the serve deadlines rest on, needs
-        # a monadic program.
-        if not program.is_monadic():
-            wide = next(a.pred for rule in program.rules for a in (rule.head, *rule.body)
-                        if a.pred in defined and a.arity > 1)
-            raise ServeError(f"datalog wrappers must be monadic: {wide!r} has arity > 1")
+        # Thm 4.2's linear time, which the serve deadlines rest on, holds
+        # for the programs the kernel lowers; any other runs on seminaive.
+        reason = fragment_violation(program)
+        if reason is not None:
+            raise ServeError(f"datalog wrapper outside the linear-time kernel: {reason}")
         if patterns:
             chosen = tuple(patterns)
         elif program.query is not None:
@@ -109,6 +109,11 @@ def build_wrapper(
     program object, so the whole wrapper costs a single kernel fixpoint
     per document.  ``patterns=None`` exposes every defined Elog- pattern
     (sorted), or the datalog program's query predicate.
+
+    A datalog program must compile for the propagation kernel: a source
+    outside its fragment (not monadic, a head constant, a relation
+    outside the tree signature) raises a :class:`ServeError` that names
+    the reason, and the compiled plan is the last word.
     """
     program, chosen = _parse_and_choose(kind, source, patterns)
     wrapper = Wrapper()
@@ -118,6 +123,9 @@ def build_wrapper(
         else:
             wrapper.add_datalog(pattern, program, predicate=pattern)
     wrapper.compile()
+    # Every pattern shares the one plan just compiled, kernel included.
+    if kind == "datalog" and wrapper._compiled[0]._kernel is None:
+        raise ServeError("datalog wrapper has no linear-time kernel lowering")
     return wrapper, chosen
 
 

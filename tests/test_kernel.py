@@ -328,19 +328,62 @@ class TestKernelRunsOnlyLinearLowerings:
     """Every lowering the kernel binds is linear; a program or document
     with none runs on seminaive, with the same relations."""
 
-    def test_constant_in_a_two_branch_rule_leaves_the_kernel(self):
+    def test_two_branch_constant_rule_lowers_via_tmnf(self):
         # Two ``child`` enumerations from one node make the direct lowering
-        # superlinear, and TMNF rejects the body constant.
+        # superlinear; the body constant is the unary relation
+        # ``@const:0``, which TMNF accepts like a label.
         program = parse_program(
             "p(x) :- child(0, x), child(x, y), child(x, z), "
             "label_a(y), label_b(z).",
             query="p",
         )
-        assert compile_kernel(program) is None
+        lowering = compile_kernel(program).lowering
+        assert lowering.route == "tmnf"
+        assert not lowering.superlinear
         for _, structure in random_structures(seed=31, count=15):
             result = evaluate(program, structure)
-            assert result.method == "seminaive"
+            assert result.method == "kernel"
             assert result.relations == evaluate_seminaive(program, structure)
+
+    def test_constants_and_zero_ary_predicates_always_lower_linearly(self):
+        # Every monadic program over ``tau_ur`` without head constants has
+        # a linear lowering: here body constants (in range, out of range
+        # and negative), ground atoms and 0-ary predicates meet rules that
+        # need two ``child`` enumerations, which only TMNF lowers.
+        shapes = [
+            "q{i}(x) :- {s}(x), child(x, y), child(x, z), label_a(y), label_b(z).",
+            "q{i}(x) :- child({c}, x), child(x, y), child(x, z), {s}(y), label_b(z).",
+            "q{i}(x) :- child(y, x), child(y, z), {s}(z), child({c}, y).",
+            "q{i}(x) :- {s}(x), child(x, y), nextsibling(y, {c}).",
+            "q{i}(x) :- {s}({c}), label_b(x).",
+            "q{i}(x) :- {g}, child(x, y), child(x, z), {s}(y), {s}(z).",
+            "g{i} :- {s}(x), child(x, y), child(x, z), label_a(y), label_b(z).",
+            "g{i} :- {s}({c}).",
+            "q{i}(x) :- {g}, {s}(x).",
+        ]
+        rng = random.Random(34)
+        routes = set()
+        for _ in range(40):
+            rules = ["q0(x) :- label_a(x).", "g0 :- label_b(x)."]
+            preds = {"q": ["q0"], "g": ["g0"]}
+            for i in range(1, rng.randint(2, 5)):
+                rules.append(
+                    rng.choice(shapes).format(
+                        i=i, s=rng.choice(preds["q"]), g=rng.choice(preds["g"]),
+                        c=rng.choice((0, 1, 3, 9, -1)),
+                    )
+                )
+                preds[rules[-1][0]].append(f"{rules[-1][0]}{i}")
+            program = parse_program("\n".join(rules))
+            kernel = compile_kernel(program)
+            assert kernel is not None, program
+            assert not kernel.lowering.superlinear, program
+            routes.add(kernel.lowering.route)
+            for _, structure in random_structures(seed=rng.randrange(99), count=4):
+                assert kernel.run(structure) == evaluate_seminaive(
+                    program, structure
+                ), program
+        assert routes == {"direct", "tmnf"}
 
     def test_ranked_expansion_past_the_copy_cap_leaves_the_kernel(self):
         # Rank 9 expands the two generic ``child`` atoms into 9 * 9 = 81
@@ -497,11 +540,26 @@ class TestKernelRoutingAndFallback:
         assert result.relations["p"] == {(0,)}
 
     def test_out_of_domain_constants_never_fire(self):
-        program = parse_program("p(x) :- firstchild(9, x).", query="p")
         structure = UnrankedStructure(parse_sexpr("a(b, c)"))
-        result = evaluate(program, structure)
-        assert result.method == "kernel"
-        assert result.query_result() == set()
+        sources = [
+            # On an anchor: the constant's node list is empty.
+            "p(x) :- firstchild(9, x).",
+            "p(x) :- firstchild(-1, x).",
+            # On a trigger block's entry slot: the mask holds no node.
+            "s(x) :- label_b(x).\np(x) :- s(9), child(9, x).",
+            "s(x) :- label_b(x).\np(x) :- s(-1), child(-1, x).",
+            # Bound off the entry slot: ``cbind`` binds no node outside
+            # ``range(n)``.  Unguarded, -1 would pass as the root's
+            # parent and derive p(0).
+            "s(x) :- label_a(x).\np(x) :- s(x), child(-1, x).",
+            "s(x) :- label_a(x).\np(x) :- s(x), child(9, x).",
+        ]
+        for source in sources:
+            program = parse_program(source, query="p")
+            result = evaluate(program, structure)
+            assert result.method == "kernel"
+            assert result.query_result() == set(), source
+            assert evaluate_seminaive(program, structure)["p"] == set()
 
     def test_constant_programs_match_seminaive(self):
         rng = random.Random(42)
@@ -540,9 +598,10 @@ class TestKernelRoutingAndFallback:
             assert result.relations == reference, f"{program}\non {tree}"
         assert hits == 60
 
-    def test_constant_gated_trigger_blocks(self):
-        # ``seen(1)`` in a body: the rule replays from its anchor exactly
-        # when ``seen`` fires at node 1 (the gate), not on every fact.
+    def test_constant_in_an_intensional_atom(self):
+        # ``seen(1)`` in a body is its own component: a 0-ary helper that
+        # holds when ``seen`` fires at node 1, and replays the rest of the
+        # rule from its anchor once, not on every ``seen`` fact.
         program = parse_program(
             """
             seen(x) :- label_b(x).
@@ -880,7 +939,8 @@ _FIXED_PROGRAMS = [
     q(x) :- p(x), label_a(y).
     r(x) :- seen, q(x).
     """,
-    # A constant-pinned intensional atom: a gated anchored re-sweep.
+    # A constant in an intensional atom: its own component, whose 0-ary
+    # helper fires the rest of the rule from its anchor once.
     """
     seen(x) :- label_b(x).
     p(x) :- seen(1), firstchild(x, y), label_b(y).
@@ -890,7 +950,7 @@ _FIXED_PROGRAMS = [
     s(x) :- label_a(x).
     p(x) :- s(x), firstchild(x, y), nextsibling(y, z), lastchild(x, z).
     """,
-    # A constant-anchored sweep (ccheck on the pinned entry slot).
+    # A constant-anchored sweep (the singleton ``@const:0`` as anchor).
     """
     p(x) :- firstchild(0, x).
     p(y) :- p(x), nextsibling(x, y).
@@ -912,8 +972,8 @@ p(x) :- q(x), child(x, y), child(y, z), label_c(z).
 def _codegen_corpus():
     """Fixed ``(program, structure)`` fuzz cases for the generated worklist:
     random recursive programs, random constant programs, and programs
-    that pin 0-ary heads, gates, cycle checks, constant anchors and the
-    TMNF / ranked-TMNF routes."""
+    that pin 0-ary heads, ground intensional atoms, cycle checks,
+    constant anchors and the TMNF / ranked-TMNF routes."""
     rng = random.Random(1818)
     cases = []
     for _ in range(24):
@@ -947,11 +1007,15 @@ def _codegen_corpus():
 
 #: ``facts`` per corpus case as counted by the interpreted worklist that
 #: the generated code replaced (every derived fact, helpers and 0-ary
-#: facts included).
+#: facts included).  A ground body atom such as ``label_a(5)`` is its own
+#: connected component since constants became unary relations, so it
+#: adds one 0-ary ``__cc_*`` helper fact when it holds: entries 25, 29,
+#: 35, 37, 38, 44, 46 and 47 count 1 or 2 such facts on top of the
+#: interpreter's figure.
 _INTERPRETER_FACTS = [
     22, 21, 7, 20, 14, 12, 34, 18, 14, 26, 9, 1, 27, 11, 63, 6, 28, 6, 3, 4,
-    38, 15, 11, 58, 2, 4, 1, 1, 3, 12, 3, 12, 1, 0, 7, 2, 2, 2, 8, 8, 4, 11,
-    11, 23, 3, 7, 7, 15, 2, 3, 9, 2, 1, 2, 2, 2, 67, 1, 94, 76, 5, 67, 60, 29,
+    38, 15, 11, 58, 2, 5, 1, 1, 3, 13, 3, 12, 1, 0, 7, 4, 2, 3, 9, 8, 4, 11,
+    11, 23, 4, 7, 8, 16, 2, 3, 9, 2, 1, 2, 2, 2, 67, 1, 94, 76, 5, 67, 60, 29,
 ]
 
 
@@ -980,17 +1044,21 @@ class TestGeneratedWorklist:
                         bool,
                     ), ast.dump(node)
 
-    def test_corpus_covers_every_op_kind_gates_and_zero_ary_heads(self):
-        kinds, gates, zero_ary_heads = set(), 0, 0
+    def test_corpus_covers_op_kinds_constant_entries_zero_ary_heads(self):
+        kinds, constant_entries, zero_ary_heads = set(), 0, 0
         for _, variant, _, _ in self._bound_variants():
             for block in variant.sweeps + [b for g in variant.triggers for b in g]:
                 kinds.update(op[0] for op in block.ops)
-                gates += block.gate is not None
+                # A trigger block entered at a constant's slot: the fired
+                # node meets the constant's singleton as a mask check.
+                constant_entries += block.anchor is None and any(
+                    op[0] == "ubit" and op[1].startswith("@const:")
+                    and op[2] == block.start
+                    for op in block.ops
+                )
                 zero_ary_heads += block.head_slot < 0
-        assert kinds == {
-            "step", "branch", "bcheck", "ubit", "ibit", "gbit", "cbind", "ccheck",
-        }
-        assert gates and zero_ary_heads
+        assert kinds == {"step", "branch", "bcheck", "ubit", "ibit", "gbit", "cbind"}
+        assert constant_entries and zero_ary_heads
 
     def test_facts_match_the_interpreted_worklist(self):
         facts = []

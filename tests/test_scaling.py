@@ -9,8 +9,9 @@ retry, wide, commented or rawtext documents, and documents with more
 distinct tag names than a byte holds.  For each one, doubling ``n`` must
 not much more than double the time of both HTML builders, of output
 assembly on the page's snapshot, and of the full wrapping path, for an
-Elog- wrapper and for an MSO one lowered to datalog (a quadratic shape
-gives ~4).  Reply trees that are both wide and deep hold the cold
+Elog- wrapper, for an MSO one lowered to datalog and for a datalog rule
+whose body constant once sent it to seminaive (a quadratic shape gives
+~4).  Reply trees that are both wide and deep hold the cold
 kernel to the same bound: an engine that advances the fixpoint
 one round per chain level, at a cost that grows with the document,
 would go quadratic there.  Forum pages whose reply chains double in
@@ -139,6 +140,19 @@ MSO_WRAPPER = Wrapper().add_mso(
     + [f"t{i}" for i in range(2 * N // 5)],
 )
 
+#: A body constant in a rule with two ``child`` enumerations from one
+#: node: the direct lowering is superlinear, so the rule lowers through
+#: TMNF with the constant as its singleton relation ``@const:0``.  On
+#: seminaive, which ran it before constants lowered, it was quadratic.
+CONSTANT_WRAPPER = Wrapper().add_datalog(
+    "p",
+    parse_program(
+        "p(x) :- child(y, x), child(y, z), label_li(z), child(x2, y), "
+        "child(0, x2).",
+        query="p",
+    ),
+)
+
 CATALOG_PLAN = catalog_plan()
 
 
@@ -189,6 +203,7 @@ PATHS = {
     "parse_html": parse_html,
     "wrap_html_many": lambda page: WRAPPER.wrap_html_many([page]),
     "wrap_html_many_mso": lambda page: MSO_WRAPPER.wrap_html_many([page]),
+    "wrap_html_many_constant": lambda page: CONSTANT_WRAPPER.wrap_html_many([page]),
     "output_assembly": lambda page: build_output_from_snapshot(
         *snapshot_and_even_ids(page)
     ),

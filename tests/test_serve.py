@@ -44,6 +44,21 @@ NON_MONADIC_DATALOG = (
     "item(x) :- anc(y, x), label_li(x), root(y)."
 )
 
+#: A body constant in a rule with two ``child`` enumerations from one
+#: node: the kernel lowers it through TMNF, so it registers.
+CONSTANT_PROBE_DATALOG = (
+    "p(x) :- child(y, x), child(y, z), label_li(z), child(x2, y), child(0, x2)."
+)
+
+#: Monadic programs the kernel refuses, each with the reason a
+#: registration names.  Each would run on seminaive.
+NON_KERNEL_DATALOG = {
+    "item(0) :- label_li(x).": "holds a constant",
+    "item(x) :- label_li(x), docorder(y, x), root(y).": "'docorder'",
+    "item(x) :- label_li(x), child_star(y, x), root(y).": "'child_star'",
+    "seen(x) :- label_ul(x).\nitem(x) :- seen, label_li(x).": "two arities",
+}
+
 
 def request(host, port, method, path, body=None, timeout=30):
     """One HTTP round trip on a fresh connection; returns (status, json)."""
@@ -123,6 +138,31 @@ class TestRegistry:
             registry.resolve("nothere")
         with pytest.raises(ServeError):
             registry.resolve("items@zzz")
+
+    def test_datalog_outside_the_kernel_is_refused_with_its_reason(self, tmp_path):
+        cache_dir = tmp_path / "reg"
+        registry = WrapperRegistry(cache_dir)
+        for source, reason in NON_KERNEL_DATALOG.items():
+            with pytest.raises(ServeError, match=reason):
+                registry.register("x", source, kind="datalog", patterns=["item"])
+        assert len(registry) == 0 and list(cache_dir.iterdir()) == []
+        entry = registry.register(
+            "probe", CONSTANT_PROBE_DATALOG, kind="datalog", patterns=["p"]
+        )
+        page = "<html><body><ul>" + "<li>a</li>" * 50 + "</ul></body></html>"
+        assert len(entry.wrapper.wrap_html_many([page])[0].children) == 50
+        # A spec persisted before the refusal existed is skipped on warm
+        # load, and its file is left in place.
+        source = next(iter(NON_KERNEL_DATALOG))
+        stale = cache_dir / "old@1.json"
+        stale.write_text(json.dumps({
+            "name": "old", "version": 1, "kind": "datalog", "source": source,
+            "patterns": ["item"],
+            "source_hash": source_hash("datalog", source, ("item",)),
+        }))
+        reloaded = WrapperRegistry(cache_dir)
+        assert [w["name"] for w in reloaded.list()] == ["probe"]
+        assert stale.exists()
 
     def test_version_none_is_idempotent_for_unchanged_source(self, tmp_path):
         cache_dir = tmp_path / "reg"
@@ -350,6 +390,22 @@ class TestServerEndToEnd:
         assert data["name"] == "catalog" and data["version"] == 1
         return data
 
+    def test_constant_probe_registers_and_extracts_a_wide_list(self, running_server):
+        # Before body constants lowered through TMNF, this rule ran on
+        # seminaive: quadratic in the list length, past the deadline of a
+        # 1,000-item page.
+        host, port, _ = running_server
+        status, data = request(
+            host, port, "POST", "/wrappers",
+            {"name": "probe", "source": CONSTANT_PROBE_DATALOG, "kind": "datalog",
+             "patterns": ["p"]},
+        )
+        assert status == 201, data
+        page = "<html><body><ul>" + "<li>a</li>" * 1000 + "</ul></body></html>"
+        status, body = request(host, port, "POST", "/extract/probe", {"html": page})
+        assert status == 200, body
+        assert len(body["result"]["children"]) == 1000
+
     def test_register_extract_batch_and_metrics(self, running_server):
         host, port, server = running_server
         self._register_catalog(host, port)
@@ -424,6 +480,14 @@ class TestServerEndToEnd:
             {"name": "w", "source": NON_MONADIC_DATALOG, "kind": "datalog"},
         )
         assert status == 400 and "'anc'" in str(body), body
+        # So does a relation outside the tree signature, which would run
+        # on seminaive.
+        status, body = request(
+            host, port, "POST", "/wrappers",
+            {"name": "w", "source": "item(x) :- label_li(x), docorder(y, x), "
+             "root(y).", "kind": "datalog"},
+        )
+        assert status == 400 and "'docorder'" in str(body), body
         assert request(host, port, "PUT", "/wrappers", {})[0] == 405
 
     def test_oversized_request_line_gets_400(self, running_server):

@@ -16,8 +16,9 @@ column ``time(2n)/time(n)``), ``benchmarks/BENCH_stream.json`` (the
 Node-free streaming ingestion pipeline end to end against the PR-2
 Node-tree path, plus a hostile tag-soup
 depth sweep whose ``time(2n)/time(n)`` column the smoke run guards),
-``benchmarks/BENCH_incremental.json`` (warm re-extraction over Merkle
-snapshot diffs against cold kernel runs on an edit-ratio sweep), and
+``benchmarks/BENCH_incremental.json`` (warm re-extraction, which reuses
+the previous fixpoint of an unchanged tree, against cold kernel runs on
+an edit-ratio sweep), and
 ``benchmarks/BENCH_delta.json`` (the Theorem 6.6 Elog-Delta workload).
 Smoke runs write each file as ``BENCH_*.smoke.json`` instead
 (:func:`benchio._write_bench`), so they never overwrite a committed
@@ -680,28 +681,49 @@ def _thread_tail_nodes(root, per_thread: int):
 
 
 def _assert_incremental_exercised() -> None:
-    """CI guard: the warm path must actually run on a trivial re-crawl.
+    """CI guard: warm runs reuse exactly when the tree is unchanged.
 
-    If the incremental kernel ever silently stops applying (a binding
-    change, a diff gate tightened to zero, a state no longer produced),
-    every warm call degrades to a cold run and the benchmark would
-    quietly measure cold-vs-cold; fail loudly instead.
+    A text-only re-crawl must take the reuse route (``engine=
+    "incremental"``), or every warm call silently degrades to a cold run
+    and the benchmark measures cold against cold.  Conversely, a one-node
+    relabel must run cold and equal a cold run: a reuse check that missed
+    a label change would hand back the previous version's answer.
     """
     from repro.trees.generate import thread_tree
 
     program = parse_program_incremental()
-    old_doc = as_indexed(UnrankedStructure(thread_tree(4, 6)))
+    _, state, _ = program.run_incremental(
+        as_indexed(UnrankedStructure(thread_tree(4, 6))), None
+    )
     new_tree = thread_tree(4, 6)
     _thread_tail_nodes(new_tree, 1)[0].text = "edited"
-    new_doc = as_indexed(UnrankedStructure(new_tree))
-    _, state, _ = program.run_incremental(old_doc, None)
-    result, _, info = program.run_incremental(new_doc, state)
+    result, _, info = program.run_incremental(
+        as_indexed(UnrankedStructure(new_tree)), state
+    )
     if info is None or result.engine != "incremental":
         raise SystemExit(
             "incremental path no longer exercised: warm re-run reported "
             f"engine={result.engine!r}, info={info!r}"
         )
-    print("    incremental guard: warm re-run -> engine=incremental ok")
+    relabelled = thread_tree(4, 6)
+    _thread_tail_nodes(relabelled, 1)[0].label = "leafc"
+    doc = as_indexed(UnrankedStructure(relabelled))
+    result, _, info = program.run_incremental(doc, state)
+    cold = program.run(doc, method="kernel")
+    if (
+        info is not None
+        or result.engine != "worklist"
+        or result.unary("deep") != cold.unary("deep")
+        or result.unary("mark") != cold.unary("mark")
+    ):
+        raise SystemExit(
+            "a one-node relabel must run cold and equal cold: got "
+            f"engine={result.engine!r}, info={info!r}"
+        )
+    print(
+        "    incremental guard: text edit -> engine=incremental, "
+        "relabel -> engine=worklist == cold ok"
+    )
 
 
 def parse_program_incremental():
@@ -724,8 +746,8 @@ def _thread_spread_nodes(root, edits: int):
     """``edits`` chain nodes spread over all threads and all depths.
 
     Edit ``k`` lands in thread ``k mod threads`` at depth ``k * depth /
-    edits``, so the first edits sit at the tops of their chains and
-    condemn everything below them.
+    edits``, so the first edits sit at the tops of their chains, above
+    every fact of the chain below them.
     """
     chains = _thread_chains(root)
     picked = []
@@ -736,37 +758,30 @@ def _thread_spread_nodes(root, edits: int):
 
 
 def report_incremental(smoke: bool = False) -> None:
-    """E-INCR: warm re-extraction over snapshot diffs vs cold runs.
+    """E-INCR: warm re-extraction of unchanged trees vs cold runs.
 
     Emits ``benchmarks/BENCH_incremental.json``.  The workload is a
     comment-thread page (:func:`repro.trees.generate.thread_tree`: many
     unary chains under one root) with a recursive descent program, so a
-    cold kernel run (the generated worklist) derives every fact of the
-    page while a warm run pays the snapshot diff plus the dirty region.  The headline
-    rows edit text on the *deepest* comments of each thread -- the
-    re-crawl recency model (new activity lands at thread bottoms), which
-    keeps delete-and-rederive cones short.  One more row per size
-    scatters 1% edits over chain interiors at all depths: each edit near
-    the top of a chain condemns the whole chain below it, a deep cone that
-    the warm run condemns and re-derives on the generated worklist, linear
-    in the facts it touches.
-
-    Each warm timing clears the diff memo first: a real re-crawl diffs
-    every incoming version exactly once, so the memo would otherwise hide
-    the diff cost from the measurement.
+    cold kernel run (bind plus the generated worklist) derives every fact
+    of the page.  Each version edits comment text only, so the tree is
+    unchanged and a warm run reuses the previous fixpoint: it compares
+    five snapshot columns and copies the answer sets.  The rows edit the
+    *deepest* comments of each thread (the re-crawl recency model, new
+    activity at thread bottoms) at three edit ratios, plus one row per
+    size of 1% edits scattered over all depths.  A structural edit runs
+    cold; :func:`_assert_incremental_exercised` checks that route.
 
     Guards (SystemExit): cold/warm result parity on every row; every
-    warm row must report ``engine="incremental"``; every scattered row
-    must condemn a deep cone (at least 10 facts per edit, so the rows
-    keep measuring deep cones); and in full mode the ≤1%-edit
-    deepest-comment rows at the largest size must be at least 5x faster
-    than cold.
+    warm row must report ``engine="incremental"`` with no dirty node;
+    and in full mode the ≤1%-edit deepest-comment rows at the largest
+    size must be at least 5x faster than cold.
     """
     import random as _random
 
     from repro.trees.generate import thread_tree
 
-    print("== E-INCR: incremental re-extraction (diff + delta fixpoint) ==")
+    print("== E-INCR: incremental re-extraction (unchanged-tree reuse) ==")
     compiled = parse_program_incremental()
     sizes = ((20, 40), (40, 80)) if smoke else ((50, 100), (100, 200), (150, 400))
     ratios = (0.001, 0.01, 0.1)
@@ -780,8 +795,7 @@ def report_incremental(smoke: bool = False) -> None:
             raise SystemExit(
                 f"no reusable kernel state at threads={threads} depth={depth}"
             )
-        old_snapshot = old_doc.base.snapshot()
-        nodes = old_snapshot.size
+        nodes = old_doc.base.snapshot().size
         edit_sets = []
         for ratio in ratios:
             edits = max(1, round(ratio * nodes))
@@ -806,7 +820,6 @@ def report_incremental(smoke: bool = False) -> None:
             warm_s = float("inf")
             warm = info = None
             for _ in range(repeat):
-                old_snapshot._diff = None  # a re-crawl diffs each pair once
                 start = time.perf_counter()
                 warm, _, info = compiled.run_incremental(new_doc, state)
                 warm_s = min(warm_s, time.perf_counter() - start)
@@ -818,15 +831,10 @@ def report_incremental(smoke: bool = False) -> None:
                 raise SystemExit(
                     f"warm/cold disagree at {where}; refusing to report timings"
                 )
-            if info is None or warm.engine != "incremental":
+            if info is None or warm.engine != "incremental" or info["dirty"]:
                 raise SystemExit(
                     f"incremental path not exercised at {where}: "
-                    f"engine={warm.engine!r}"
-                )
-            if placement == "scattered" and info["deleted"] < 10 * len(chosen):
-                raise SystemExit(
-                    f"no deep cone condemned at {where}: "
-                    f"deleted={info['deleted']} for {len(chosen)} edits"
+                    f"engine={warm.engine!r}, info={info!r}"
                 )
             speedup = cold_s / warm_s if warm_s else float("inf")
             rows.append(
@@ -837,8 +845,7 @@ def report_incremental(smoke: bool = False) -> None:
                     "placement": placement,
                     "edit_ratio": ratio,
                     "edits": len(chosen),
-                    "dirty_fraction": round(info["dirty_fraction"], 6),
-                    "deleted": info["deleted"],
+                    "dirty_fraction": info["dirty_fraction"],
                     "engine": warm.engine,
                     "cold_s": cold_s,
                     "warm_s": warm_s,
@@ -848,7 +855,7 @@ def report_incremental(smoke: bool = False) -> None:
             print(
                 f"    n={nodes:>6} {placement:>9} edits={ratio * 100:5.1f}%  "
                 f"cold t={cold_s * 1e3:8.2f} ms   warm t={warm_s * 1e3:8.2f} ms   "
-                f"speedup={speedup:5.2f}x  deleted={info['deleted']}"
+                f"speedup={speedup:5.2f}x"
             )
     _assert_incremental_exercised()
     if not smoke:
@@ -876,9 +883,9 @@ def report_incremental(smoke: bool = False) -> None:
         "engine": {
             "cold": "CompiledProgram.run(method='kernel') (worklist)",
             "warm": (
-                "CompiledProgram.run_incremental: signature_table diff + "
-                "DRed delta fixpoint, over-delete and re-derive each one "
-                "generated worklist call (engine='incremental')"
+                "CompiledProgram.run_incremental: the tree is unchanged "
+                "(schema, max_rank, labels, label_ids and parent equal), so "
+                "the previous fixpoint is reused (engine='incremental')"
             ),
         },
         "smoke": smoke,

@@ -71,40 +71,29 @@ seminaive == compiled-plan on randomized programs and trees).
 Incremental re-evaluation
 -------------------------
 
-:meth:`KernelProgram.evaluate` given ``previous`` re-evaluates a *changed
-version* of a previously evaluated document without paying the full
-fixpoint again.  A completed run returns a :class:`KernelState` (snapshot
-+ each predicate's lane packed into one big int, byte ``v`` set when the
-fact holds at node ``v``) in its :class:`KernelRun`; the next version is
-matched subtree-by-subtree against that snapshot (:mod:`repro.trees.diff`
-over the subtree signatures of :mod:`repro.trees.merkle`) and the fixpoint
-restarts from the previous facts via delete-and-rederive, both halves on
-the lowering's generated worklist (:mod:`repro.datalog.worklist`) and
-nothing else:
+:meth:`KernelProgram.evaluate` given ``previous`` -- the
+:class:`KernelState` of this program's run over an earlier version of the
+same document -- reuses that run's fixpoint when the tree is unchanged,
+and runs cold otherwise.  The tree is unchanged when five snapshot fields
+equal the previous snapshot's (``schema``, ``max_rank``, ``labels``,
+``label_ids`` and ``parent``: tuple and bytes comparisons at C speed) and
+the state's lowering is the one this program binds for that snapshot.
+The reused run skips bind and the worklist and returns copies of the
+previous run's unary sets, so a caller that mutates a returned set never
+changes the next version's answer.
 
-* **over-delete** (old id space): one call of the generated *condemn*
-  function over the old snapshot condemns every old fact whose
-  derivation might touch a *bad* old node -- an unmatched one, or a
-  matched subtree root whose cross edges changed.  Because every lowered
-  rule connects its slots by 1-hop tree moves, any instance touching a
-  bad node has its entry slot within ``nslots`` hops, so the walk starts
-  with the facts at bad nodes cleared and every old fact in that
-  neighbourhood on the stacks, and runs each sweep only over the
-  anchors there.  Each fact it condemns is pushed in turn, which closes
-  the set downstream, linear in the facts it condemns however deep the
-  cone.
-* **carry + re-derive** (new id space): surviving facts translate through
-  the old→new id mapping (matched ranges are contiguous, so the whole
-  mapping is a handful of mask/shift classes), and one run of the
-  generated *derive* function resumes from them: the sweeps re-run as in
-  a cold start (pushing only facts their lanes do not hold yet), and the
-  stacks start with every carried fact within ``nslots`` hops of the
-  changed region -- the only places a missing rule instance can have
-  all-carried bodies.  Its finished lanes become the next state.
-
-The fixpoint provably equals cold evaluation; the cold engines stay on as
-the parity oracle (randomized edit tests assert incremental == cold
-across kernel/seminaive/ground).
+The reuse is exact.  A monadic query over ``tau_ur`` is a function of the
+labelled tree alone (Theorem 4.2; Elog^- too, Definition 6.2), and the
+kernel reads nothing else: node ids are in document order, so ``parent``
+fixes the ordered tree, and every object :func:`_resource` hands the
+worklist -- functional maps, masks, node lists and ``@const:``
+singletons -- as well as the ``firstchild`` / ``nextsibling`` columns the
+worklist enumerates is computed from the five fields.  The text and
+attribute payloads, which a re-crawl of a page usually changes and
+nothing else, never reach the kernel.  Any structural edit (a relabel, an
+inserted or deleted subtree, a move) runs cold: after Theorem 4.2 a cold
+fixpoint costs about what a snapshot diff alone would, so maintaining the
+previous fixpoint through the edit would not pay.
 """
 
 from __future__ import annotations
@@ -112,26 +101,15 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.datalog.analysis import split_disconnected
 from repro.datalog.program import Program, Rule
 from repro.datalog.terms import Atom, Constant, Variable
 from repro.errors import DatalogError
 from repro.structures import Structure
-from repro.trees.diff import diff_snapshots
 
 Relations = Dict[str, Set[Tuple[int, ...]]]
-
-#: Op kinds a warm-eligible lowering may contain (see
-#: :attr:`_Lowering.warm_eligible`).
-_WARM_OPS = frozenset(("step", "branch", "ubit", "ibit"))
-
-#: Matches every node whose byte survived the mask conjunction.
-_NONZERO = re.compile(rb"[^\x00]")
-
-#: Unbound method for C-speed survivor extraction (``map`` over matches).
-_MATCH_START = re.Match.start
 
 #: Binary relation names the kernel can traverse.  Generic ``child`` is
 #: backward-functional (parent) with forward traversal by enumeration over
@@ -227,10 +205,8 @@ class _Lowering:
         "route",
         "max_branches",
         "superlinear",
-        "hops",
         "pushes",
         "resources",
-        "warm_eligible",
         "_worklists",
     )
 
@@ -256,11 +232,6 @@ class _Lowering:
         blocks = sweeps + [b for group in triggers for b in group]
         self.max_branches = max((b.branches for b in blocks), default=0)
         self.superlinear = any(b.superlinear for b in blocks)
-        #: Locality radius for incremental re-evaluation: every slot of a
-        #: rule instance sits within ``nslots - 1`` one-hop tree moves of
-        #: every other, so an instance touching a changed node keeps all
-        #: its slots within ``nslots`` hops of the change.
-        self.hops = max((b.nslots for b in blocks), default=1) or 1
         #: Per predicate: whether its facts feed any trigger block (facts
         #: of the others are recorded but never pushed).
         self.pushes = tuple(bool(group) for group in triggers)
@@ -271,26 +242,8 @@ class _Lowering:
         for block in blocks:
             keys.update(dict.fromkeys(_block_resources(block)))
         self.resources = tuple(keys)
-        #: Whether a run packs a :class:`KernelState` for warm reuse: only
-        #: lowerings whose facts are all unary node sets reached by tree
-        #: moves from an enumerable anchor -- no 0-ary predicate, no
-        #: constant, no ``bcheck`` edge -- because the over-delete
-        #: (:func:`_over_delete`) reads no 0-ary lane and re-runs each
-        #: sweep from anchors near the change, and a constant names a node
-        #: id, which an edit shifts.
-        self.warm_eligible = (
-            self.npreds > 0
-            and not any(name.startswith(_CONST) for _, name in self.resources)
-            and all(
-                block.head_slot >= 0
-                and (block.anchor is None or block.nslots > 0)
-                and all(op[0] in _WARM_OPS for op in block.ops)
-                for block in blocks
-            )
-        )
-        #: ``(source, derive, condemn)``: the generated worklist source and
-        #: its two functions, built on the first run (both at once,
-        #: while little else is live) and never pickled.
+        #: ``(source, derive)``: the generated worklist source and its
+        #: function, built on the first run and never pickled.
         self._worklists: Optional[tuple] = None
 
     def __getstate__(self):
@@ -302,8 +255,8 @@ class _Lowering:
         for name, value in state.items():
             setattr(self, name, value)
 
-    def worklists(self):
-        """``(derive, condemn)``, generated by
+    def worklist(self):
+        """The ``derive`` function generated by
         :func:`repro.datalog.worklist.worklist_source`."""
         if self._worklists is None:
             # Imported here: only documents that reach the worklist pay
@@ -311,19 +264,10 @@ class _Lowering:
             from repro.datalog.worklist import worklist_source
 
             namespace: Dict[str, object] = {}
-            sources = []
-            # One compile per function halves the compiler's peak memory.
-            for condemn in (False, True):
-                source = worklist_source(self, condemn)
-                code = compile(source, f"<kernel worklist: {self.route}>", "exec")
-                exec(code, namespace)
-                sources.append(source)
-            self._worklists = (
-                "".join(sources),
-                namespace["derive"],
-                namespace["condemn"],
-            )
-        return self._worklists[1:]
+            source = worklist_source(self)
+            exec(compile(source, f"<kernel worklist: {self.route}>", "exec"), namespace)
+            self._worklists = (source, namespace["derive"])
+        return self._worklists[1]
 
     def bind_args(self, snapshot) -> Optional[list]:
         """Resolve :attr:`resources` against ``snapshot``; ``None`` if any
@@ -383,34 +327,35 @@ def _resource(snapshot, kind: str, name: str):
     return snapshot.unary_nodes(name)
 
 
-#: Incremental runs only pay off while most of the document is reusable;
-#: past this unmatched fraction the cold run wins outright.
-_INCREMENTAL_DIRTY_LIMIT = 0.5
-
-#: Cap on distinct id-shift classes in the old→new fact translation (a
-#: heavily shredded diff translates fact masks in many pieces; cold wins).
-_INCREMENTAL_SHIFT_CAP = 64
-
-
 class KernelState:
-    """Reusable residue of one completed kernel run.
+    """What the next version of a document needs from one kernel run.
 
-    Holds the lowering variant that bound the document, the document's
-    snapshot, and the derived big-int node set per predicate -- exactly
-    what :meth:`KernelProgram.evaluate` needs, as ``previous``, to
-    re-evaluate the next version of the same document.  Every run, cold
-    or warm, packs one from its finished lanes (one ``int.from_bytes`` per
-    predicate) when its lowering is :attr:`_Lowering.warm_eligible`; any
-    other run leaves ``None``, which holders must treat as "start cold"
-    -- so a state's lowering never has constants or 0-ary predicates.
+    ``variant`` is the lowering that bound the document, ``snapshot`` the
+    document's snapshot, ``unary_sets`` each unary output predicate's
+    node set (frozen: no caller holds these objects), ``held`` the names
+    of the 0-ary outputs that hold and ``facts`` the run's fact count.
+    Pass it as ``previous`` to :meth:`KernelProgram.evaluate`: when the
+    next version's tree is unchanged, that run is these sets again (see
+    the module docstring).  A state never points back at its
+    :class:`KernelRun`, so a replaced version is freed by reference
+    counting alone.
     """
 
-    __slots__ = ("variant", "snapshot", "derived")
+    __slots__ = ("variant", "snapshot", "unary_sets", "held", "facts")
 
-    def __init__(self, variant: _Lowering, snapshot, derived: List[int]):
+    def __init__(
+        self,
+        variant: _Lowering,
+        snapshot,
+        unary_sets: Dict[str, FrozenSet[int]],
+        held: Tuple[str, ...],
+        facts: int,
+    ):
         self.variant = variant
         self.snapshot = snapshot
-        self.derived = derived
+        self.unary_sets = unary_sets
+        self.held = held
+        self.facts = facts
 
 
 class KernelRun:
@@ -423,16 +368,14 @@ class KernelRun:
       from ``unary_sets`` (and the 0-ary facts) on first read and kept,
       so a caller that reads only ``unary_sets`` never allocates one
       1-tuple per fact;
-    * ``stats`` -- cheap per-run counters, one shape for cold and warm
-      runs: ``engine`` (``"worklist"`` for a cold run, ``"incremental"``
-      for a warm run; either way every sweep and trigger block ran in the
-      lowering's generated worklist) and ``facts`` (derived facts at
-      fixpoint).  Warm runs add ``dirty`` / ``dirty_fraction``
-      (unmatched new nodes), ``carried`` (old facts kept) and
-      ``deleted`` (old facts the over-delete condemned);
+    * ``stats`` -- cheap per-run counters: ``engine`` (``"worklist"``
+      for a cold run of the lowering's generated worklist,
+      ``"incremental"`` for a run that reused the previous version's
+      fixpoint) and ``facts`` (derived facts at fixpoint).  A reused run
+      adds ``dirty`` and ``dirty_fraction``, both zero: no node of the
+      tree changed;
     * ``state`` -- the :class:`KernelState` to pass as ``previous`` for
-      the document's next version, or ``None`` when the lowering is not
-      :attr:`_Lowering.warm_eligible`.
+      the document's next version.
     """
 
     __slots__ = ("unary_sets", "stats", "state", "_outputs", "_held", "_relations")
@@ -441,7 +384,7 @@ class KernelRun:
         self,
         unary_sets: Dict[str, Set[int]],
         stats: Dict[str, object],
-        state: Optional[KernelState],
+        state: KernelState,
         outputs: List[Tuple[str, int, int]],
         held: Tuple[str, ...] = (),
     ):
@@ -469,110 +412,6 @@ class KernelRun:
                 for name, _, arity in self._outputs
             }
         return relations
-
-
-def _expand_hops(snapshot, mask: int, hops: int) -> int:
-    """Close a byte-lane node set under ``hops`` one-hop tree moves.
-
-    One hop adds every parent, child, and adjacent sibling of the set --
-    the union of the images of every 1-hop relation the kernel can move
-    along, in either direction -- read straight off the columns into a
-    byte accumulator.
-    """
-    if not mask or hops <= 0:
-        return mask
-    size = snapshot.size
-    full = snapshot.unary_int("dom")
-    parent = snapshot.parent
-    firstchild = snapshot.firstchild
-    prevsibling = snapshot.prevsibling
-    nextsibling = snapshot.nextsibling
-    # Breadth-first by frontier: hop k only walks the nodes added in hop
-    # k-1 (their neighbours were already folded in when *they* were the
-    # frontier), so the whole walk visits each node and each child edge
-    # at most once.  Broad documents saturate to the whole domain after a
-    # few hops; the ``full`` check stops the walk there.
-    frontier = mask
-    for _ in range(hops):
-        # One spare byte at the end: a missing neighbour (-1) marks it.
-        grown = bytearray(size + 1)
-        for v in _ids(frontier, size):
-            grown[parent[v]] = grown[prevsibling[v]] = grown[nextsibling[v]] = 1
-            child = firstchild[v]
-            while child >= 0:
-                grown[child] = 1
-                child = nextsibling[child]
-        del grown[size]
-        frontier = int.from_bytes(grown, "little") & ~mask
-        if not frontier:
-            break
-        mask |= frontier
-        if mask == full:
-            break
-    return mask
-
-
-def _ids(packed: int, size: int) -> List[int]:
-    """Ascending node ids of a byte-lane big int (a regex scan: fastest on
-    sparse sets, such as the frontiers a worklist is seeded from)."""
-    if not packed:
-        return []
-    buffer = packed.to_bytes(size, "little")
-    return list(map(_MATCH_START, _NONZERO.finditer(buffer)))
-
-
-def _over_delete(variant: _Lowering, snapshot, derived: List[int], bad: int):
-    """The old facts a warm run condemns, per predicate (old id space).
-
-    One call of the generated condemn worklist over the old ``snapshot``:
-    lanes start as the old facts ``derived`` minus those at ``bad``
-    nodes, and the stacks hold every old fact within the lowering's
-    ``hops`` of a bad node, so each trigger block runs from every entry
-    a rule instance touching a bad node can have; sweeps run only over
-    the anchors in that neighbourhood.  Every fact condemned on the way
-    is pushed, which closes the set downstream.
-    """
-    if not bad:
-        return [0] * len(derived)
-    n = snapshot.size
-    near = _expand_hops(snapshot, bad, variant.hops)
-    lanes = [bytearray((facts & ~bad).to_bytes(n, "little")) for facts in derived]
-    # Old-fixpoint lanes only for the predicates some body tests.
-    tested = {
-        op[1]
-        for group in variant.triggers
-        for block in group
-        for op in block.ops
-        if op[0] == "ibit"
-    }
-    old = [
-        bytearray(facts.to_bytes(n, "little")) if p in tested else None
-        for p, facts in enumerate(derived)
-    ]
-    stacks = [
-        _ids(facts & near, n) if pushes else []
-        for facts, pushes in zip(derived, variant.pushes)
-    ]
-    args = variant.bind_args(snapshot)
-    for i, (kind, name) in enumerate(variant.resources):
-        if kind == "nodes":
-            anchors = snapshot.unary_int("dom" if name == "*" else name)
-            args[i] = _ids(anchors & near, n)
-    _, condemn = variant.worklists()
-    condemn(
-        n,
-        snapshot.firstchild,
-        snapshot.nextsibling,
-        None,
-        lanes,
-        old,
-        stacks,
-        args,
-    )
-    return [
-        facts & ~int.from_bytes(lane, "little")
-        for facts, lane in zip(derived, lanes)
-    ]
 
 
 class KernelProgram:
@@ -672,144 +511,88 @@ class KernelProgram:
     ) -> Optional[KernelRun]:
         """Evaluate over ``structure``, or ``None`` if the kernel does not apply.
 
-        Binds the document once.  ``previous`` is the
-        :attr:`KernelRun.state` of an earlier run of *this* program over an
-        earlier version of the same document: the run goes warm
-        (:meth:`_run_warm`) when that state is usable, and cold otherwise.
-        A cold run is one call of the lowering's generated worklist.
+        ``previous`` is the :attr:`KernelRun.state` of an earlier run of
+        *this* program over an earlier version of the same document: when
+        the tree is unchanged (:meth:`_reuse`), the run returns that
+        fixpoint again, and otherwise it is cold.  A cold run binds the
+        document once and makes one call of the lowering's generated
+        worklist.
         """
+        if previous is not None:
+            reused = self._reuse(structure, previous)
+            if reused is not None:
+                return reused
         bound = self._bind(structure)
         if bound is None:
             return None
-        if previous is not None:
-            warm = self._run_warm(bound, previous)
-            if warm is not None:
-                return warm
-        return self._run_scalar(bound, "worklist")
+        return self._run(bound)
 
-    def _run_warm(self, bound, previous: KernelState) -> Optional[KernelRun]:
-        """Warm re-evaluation against the previous version's fixpoint.
+    def _reuse(self, structure: Structure, previous: KernelState) -> Optional[KernelRun]:
+        """The previous fixpoint again, or ``None`` unless the tree is unchanged.
 
-        Returns ``None`` whenever warm evaluation does not apply, and the
-        caller runs cold:
-
-        * the structure bound a different lowering, or either
-          snapshot is not an unranked document (ranked ``child_k``
-          positions are not edit-stable, so ranked snapshots always re-run
-          cold);
-        * the diff matched too little of the document
-          (:data:`_INCREMENTAL_DIRTY_LIMIT`) or in too many shifted
-          pieces (:data:`_INCREMENTAL_SHIFT_CAP`) for reuse to win.
-
-        The result is exactly the cold fixpoint (see the module
-        docstring's delete-and-rederive argument).  Both halves run on
-        the generated worklist -- one condemn call over the old snapshot,
-        one derive call resumed from the carried facts -- and the engine
-        reports ``"incremental"``.
+        Unchanged means the five fields every per-document object of a run
+        is computed from -- ``schema``, ``max_rank``, ``labels``,
+        ``label_ids`` and ``parent`` -- equal the previous snapshot's, and
+        the state's lowering is the one this program binds for such a
+        snapshot (binding depends on ``schema`` and ``max_rank`` alone).
+        The run skips bind and the worklist and reports
+        ``engine="incremental"`` with ``dirty=0``.
         """
-        old_snap = previous.snapshot
-        variant, snapshot, _ = bound
+        build = getattr(structure, "snapshot", None)
+        snapshot = None if build is None else build()
+        old = previous.snapshot
+        variant = previous.variant
         if (
-            variant is not previous.variant
-            or snapshot.schema != "unranked"
-            or old_snap.schema != "unranked"
-            or not snapshot.size
-            or not old_snap.size
+            snapshot is None
+            or not (
+                variant is self.lowering
+                or variant is self._ranked_cache.get(snapshot.max_rank)
+            )
+            or snapshot.schema != old.schema
+            or snapshot.max_rank != old.max_rank
+            or snapshot.labels != old.labels
+            or snapshot.label_ids != old.label_ids
+            or snapshot.parent != old.parent
         ):
             return None
-        d = diff_snapshots(old_snap, snapshot)
-        if d.dirty_fraction > _INCREMENTAL_DIRTY_LIMIT:
-            return None
-        if len({nw - ov for ov, nw, _ in d.ranges}) > _INCREMENTAL_SHIFT_CAP:
-            return None
-        P = variant.npreds
-        hops = variant.hops
-        derived_old = previous.derived
-        deleted = _over_delete(variant, old_snap, derived_old, d.old_bad_int)
-
-        # Carry the survivors into the new id space and resume the
-        # fixpoint from them, with every carried fact near the changed
-        # region on the stacks.
-        translate = d.translator()
-        derived = [0] * P
-        deleted_count = carried_count = 0
-        region = d.new_bad_int
-        for p in range(P):
-            dead = deleted[p]
-            if dead:
-                deleted_count += dead.bit_count()
-                region |= translate(dead)
-            keep = translate(derived_old[p] & ~dead)
-            derived[p] = keep
-            carried_count += keep.bit_count()
-        pending = [0] * P
-        if region:
-            # Few survivors around a wide region (a deep cone condemns
-            # nearly everything): re-seeding every carried fact costs less
-            # than finding the ones near the region, and a re-seeded fact
-            # only repeats work, never changes the fixpoint.
-            if carried_count <= hops * region.bit_count():
-                pending = derived
-            else:
-                seed_zone = _expand_hops(snapshot, region, hops)
-                pending = [facts & seed_zone for facts in derived]
-        out = self._run_scalar(bound, "incremental", resume=(derived, pending))
-        out.stats = {
-            "dirty": d.dirty_count,
-            "dirty_fraction": d.dirty_fraction,
-            "carried": carried_count,
-            "deleted": deleted_count,
-            **out.stats,
+        sets = previous.unary_sets
+        state = KernelState(variant, snapshot, sets, previous.held, previous.facts)
+        stats = {
+            "engine": "incremental",
+            "facts": previous.facts,
+            "dirty": 0,
+            "dirty_fraction": 0.0,
         }
-        return out
+        return KernelRun(
+            {name: set(nodes) for name, nodes in sets.items()},
+            stats,
+            state,
+            variant.outputs,
+            previous.held,
+        )
 
-    def _run_scalar(self, bound, engine: str, resume=None) -> KernelRun:
+    def _run(self, bound) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
 
         ``bound`` is what :meth:`_bind` returned: the document's resources
         are resolved there, once, and passed to the generated code as they
-        are.  Cold, the run starts from empty lanes and the sweeps, all
-        inside the generated code, seed it.  ``resume=(derived, pending)``
-        starts it from a partial fixpoint instead: the derived big ints
-        become the lanes, and the pending big ints -- every fact whose
-        consequences may still be missing -- seed the stacks; the sweeps
-        re-run, each pushing only the facts its lane does not hold yet.
-        Either way the finished lanes pack into the run's state when the
-        lowering is warm-eligible.  ``engine`` is the name the run's stats
-        report.
+        are.  The run starts from empty lanes, and the sweeps, all inside
+        the generated code, seed it.
         """
         variant, snapshot, args = bound
         P = variant.npreds
         n = snapshot.size
-        if resume is None:
-            lanes = [bytearray(n) for _ in range(P)]
-            stacks: List[List[int]] = [[] for _ in range(P)]
-        else:
-            derived, pending = resume
-            lanes = [bytearray(d.to_bytes(n, "little")) for d in derived]
-            stacks = [
-                _ids(facts, n) if pushes else []
-                for facts, pushes in zip(pending, variant.pushes)
-            ]
+        lanes = [bytearray(n) for _ in range(P)]
         gbits = bytearray(P)
         if P:
-            derive, _ = variant.worklists()
-            derive(
+            variant.worklist()(
                 n,
                 snapshot.firstchild,
                 snapshot.nextsibling,
                 gbits,
                 lanes,
-                None,
-                stacks,
+                [[] for _ in range(P)],
                 args,
-            )
-        state = None
-        if variant.warm_eligible:
-            state = KernelState(
-                variant,
-                snapshot,
-                [int.from_bytes(lane, "little") for lane in lanes],
             )
         unary_sets: Dict[str, Set[int]] = {}
         held = []
@@ -819,11 +602,17 @@ class KernelProgram:
                 unary_sets[name] = set(itertools.compress(range(n), lane))
             elif pred >= 0 and gbits[pred]:
                 held.append(name)
-        stats = {
-            "engine": engine,
-            "facts": sum(lane.count(1) for lane in lanes) + gbits.count(1),
-        }
-        return KernelRun(unary_sets, stats, state, variant.outputs, tuple(held))
+        held = tuple(held)
+        facts = sum(lane.count(1) for lane in lanes) + gbits.count(1)
+        state = KernelState(
+            variant,
+            snapshot,
+            {name: frozenset(nodes) for name, nodes in unary_sets.items()},
+            held,
+            facts,
+        )
+        stats = {"engine": "worklist", "facts": facts}
+        return KernelRun(unary_sets, stats, state, variant.outputs, held)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         lowering = self.lowering
@@ -917,8 +706,8 @@ class _RuleShape:
         "rule",
         "nslots",
         "edges",
-        "unary_ext",
-        "unary_int",
+        "unary_edb",
+        "unary_idb",
         "gbits",
         "head_pred",
         "head_slot",
@@ -933,8 +722,8 @@ def _shape(rule: Rule, pred_index: Dict[str, int], intensional: Set[str]):
     for variable in sorted(rule.variables(), key=lambda v: v.name):
         slot_of[variable] = len(slot_of)
     shape.edges = []
-    shape.unary_ext = []
-    shape.unary_int = []
+    shape.unary_edb = []
+    shape.unary_idb = []
     shape.gbits = []
     for atom_idx, atom in enumerate(rule.body):
         if atom.arity == 0:
@@ -942,9 +731,9 @@ def _shape(rule: Rule, pred_index: Dict[str, int], intensional: Set[str]):
         elif atom.arity == 1:
             slot = slot_of[atom.args[0]]
             if atom.pred in intensional:
-                shape.unary_int.append((pred_index[atom.pred], slot, atom_idx))
+                shape.unary_idb.append((pred_index[atom.pred], slot, atom_idx))
             else:
-                shape.unary_ext.append((atom.pred, slot, atom_idx))
+                shape.unary_edb.append((atom.pred, slot, atom_idx))
         else:
             a, b = (slot_of[t] for t in atom.args)
             shape.edges.append((a, b, atom.pred, atom_idx))
@@ -964,7 +753,7 @@ def _assemble(
     # per slot: any other constant on the slot stays a mask check.
     pins = {
         slot: (int(name[len(_CONST) :]), atom_idx)
-        for name, slot, atom_idx in shape.unary_ext
+        for name, slot, atom_idx in shape.unary_edb
         if name.startswith(_CONST) and slot != start
     }
     pinned_atoms = {atom_idx for _, atom_idx in pins.values()}
@@ -979,10 +768,10 @@ def _assemble(
             ops.append(("gbit", pred))
 
     checks_by_slot: Dict[int, List[tuple]] = {}
-    for name, slot, atom_idx in shape.unary_ext:
+    for name, slot, atom_idx in shape.unary_edb:
         if atom_idx != skip_atom and atom_idx not in pinned_atoms:
             checks_by_slot.setdefault(slot, []).append(("ubit", name, slot))
-    for pred, slot, atom_idx in shape.unary_int:
+    for pred, slot, atom_idx in shape.unary_idb:
         if atom_idx != skip_atom:
             checks_by_slot.setdefault(slot, []).append(("ibit", pred, slot))
 
@@ -1019,7 +808,7 @@ def _assemble(
 def _pick_anchor(shape: _RuleShape, skip_atom: int) -> Optional[_Block]:
     """Best enumerated entry point: fewest branches, then selectivity."""
     candidates: List[Tuple[Optional[str], int]] = [
-        (name, slot) for name, slot, atom_idx in shape.unary_ext
+        (name, slot) for name, slot, atom_idx in shape.unary_edb
     ]
     if shape.nslots:
         candidates.append((None, shape.head_slot if shape.head_slot >= 0 else 0))
@@ -1052,7 +841,7 @@ def _lower(source: Program, lowered: Program, route: str) -> Optional[_Lowering]
         shape = _shape(rule, pred_index, intensional)
         occurrences = [
             ("unary", pred, slot, atom_idx)
-            for pred, slot, atom_idx in shape.unary_int
+            for pred, slot, atom_idx in shape.unary_idb
         ] + [("global", pred, -1, atom_idx) for pred, atom_idx in shape.gbits]
         if not occurrences:
             block = _pick_anchor(shape, skip_atom=-1)

@@ -8,6 +8,9 @@ Grammar (whitespace-insensitive, ``%`` starts a line comment)::
     term     ::=  variable | integer
     pred     ::=  identifier  (letters, digits, "_", ".", "[", "]", "<", ">")
 
+A "." followed by whitespace, a comment or the end of the input ends the
+rule, so a 0-ary atom may close a body (``item(x) :- label_li(x), seen.``).
+
 Variables are identifiers whose first letter is ``x``, ``y`` or ``z``
 (optionally suffixed, e.g. ``x0``, ``y_left``), matching the paper's naming
 convention; everything else is a predicate symbol.  A leading ``?`` also
@@ -87,7 +90,13 @@ class _Tokens:
         start = self.pos
         if self.peek() == "?":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
+        text = self.text
+        while self.pos < len(text) and text[self.pos] in _IDENT_CHARS:
+            # A "." before whitespace, a comment or the end of the input
+            # ends the rule (``..., seen.``), not the name.
+            after = text[self.pos + 1 : self.pos + 2]
+            if text[self.pos] == "." and (not after or after.isspace() or after == "%"):
+                break
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an identifier")

@@ -65,13 +65,14 @@ class EvaluationResult:
     engine:
         For ``method == "kernel"``, which propagation run it was:
         ``"worklist"`` (a cold run of the generated Dowling–Gallier
-        worklist) or ``"incremental"`` (a warm delete-and-rederive run on
-        the same worklist).  ``None`` for the other strategies.
+        worklist) or ``"incremental"`` (a warm run that reused the
+        previous version's fixpoint: the tree was unchanged).  ``None``
+        for the other strategies.
     stats:
         For ``method == "kernel"``, the kernel's per-run stats dict
-        (``engine`` / ``facts``; warm runs add ``dirty`` /
-        ``dirty_fraction`` / ``carried`` / ``deleted``): the ``stats`` of
-        the kernel's :class:`repro.datalog.kernel.KernelRun`, which
+        (``engine`` / ``facts``; warm runs add ``dirty`` and
+        ``dirty_fraction``, both zero): the ``stats`` of the kernel's
+        :class:`repro.datalog.kernel.KernelRun`, which
         :meth:`CompiledProgram.run_incremental` also returns as its
         ``info`` triple member after a warm run.  ``None`` for non-kernel
         strategies.
@@ -641,10 +642,12 @@ class CompiledProgram:
         to start cold).  Returns ``(result, state, info)``: the usual
         :class:`EvaluationResult`, the opaque state to feed the *next*
         version of this document, and the kernel's reuse stats dict (or
-        ``None`` when the run fell back to a cold evaluation).  Warm runs
-        require the propagation kernel; any program/structure the kernel
-        cannot hold falls back to :meth:`run` with ``state=None``, so
-        callers can thread the state unconditionally:
+        ``None`` when the run was cold).  A version whose tree -- parent
+        edges and labels -- is unchanged reuses the previous fixpoint
+        (text and attributes may differ); any other version runs cold.
+        Warm runs require the propagation kernel; any program/structure
+        the kernel cannot hold falls back to :meth:`run` with
+        ``state=None``, so callers can thread the state unconditionally:
 
         >>> from repro.datalog.parser import parse_program
         >>> from repro.trees import parse_sexpr
@@ -656,11 +659,17 @@ class CompiledProgram:
         >>> result, state, info = compiled.run_incremental(v1, None)
         >>> sorted(result.query_result()), result.engine
         ([0, 1, 2, 3], 'worklist')
+
+        Relabelling ``d`` to ``e`` changes the tree, so ``v2`` runs cold;
+        a fresh copy of ``v2`` then reuses its fixpoint:
+
         >>> result, state, info = compiled.run_incremental(v2, state)
-        >>> sorted(result.query_result()), result.engine
-        ([0, 1, 2, 3], 'incremental')
-        >>> info["dirty"]
-        1
+        >>> sorted(result.query_result()), result.engine, info
+        ([0, 1, 2, 3], 'worklist', None)
+        >>> v3 = UnrankedStructure(parse_sexpr("a(b(c), e)"))
+        >>> result, state, info = compiled.run_incremental(v3, state)
+        >>> sorted(result.query_result()), result.engine, info["dirty"]
+        ([0, 1, 2, 3], 'incremental', 0)
         """
         kernel = self._kernel
         out = (

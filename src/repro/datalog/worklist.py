@@ -3,11 +3,10 @@
 :mod:`repro.datalog.kernel` evaluates a lowering's scalar Dowling-Gallier
 worklist as Python source generated once per lowering, not through an
 interpreter: :func:`worklist_source` turns the lowering's sweep and
-trigger blocks into straight-line functions -- ``derive`` runs the
-fixpoint, ``condemn`` a warm run's over-delete -- which the kernel
-compiles on the lowering's first run and then calls once per document
-with the document's columns and masks as arguments.  ``derive`` is the
-kernel's one cold engine, and a warm run calls each function once.
+trigger blocks into one straight-line function, ``derive``, which the
+kernel compiles on the lowering's first run and then calls once per
+document with the document's columns and masks as arguments.  It is the
+kernel's one engine.
 """
 
 from typing import List, Optional, Tuple
@@ -19,14 +18,12 @@ from typing import List, Optional, Tuple
 INLINE_DEPTH = 8
 
 
-def worklist_source(variant, condemn: bool) -> str:
-    """Source of the generated ``derive`` function, or with ``condemn``
-    of the ``condemn`` function.
+def worklist_source(variant) -> str:
+    """Source of the generated ``derive`` function.
 
     The Dowling-Gallier worklist as straight-line code over byte lanes:
     ``L<p>`` is predicate ``p``'s lane (byte ``v`` is 1 when ``p(v)``
-    holds; a warm state's big ints, byte for byte) and ``S<p>`` its
-    stack of fired nodes.  Each block becomes one conjunction per run of
+    holds) and ``S<p>`` its stack of fired nodes.  Each block becomes one conjunction per run of
     ops between ``child`` enumerations, each enumeration a ``while`` over
     ``FC`` / ``NS`` (``firstchild`` / ``nextsibling``), and the head a
     lane test, a lane set and a push -- or, when that block is the only
@@ -35,20 +32,11 @@ def worklist_source(variant, condemn: bool) -> str:
     Every sweep block runs first, once; then each predicate's stack is
     drained through its trigger blocks until every stack is empty.
 
-    With ``condemn`` the same blocks run an over-delete: body tests read
-    the old fixpoint's lanes ``O<p>``, ``L<p>`` holds the old facts not
-    yet condemned, and a head -- a sweep's too -- condemns one of those
-    (clears its byte and pushes it).  The caller restricts the sweeps
-    through their anchor lists in ``R``.  Over-deletes only run for
-    warm-eligible lowerings, which have no 0-ary predicates and no
-    constants.
-
     The source holds integer literals and fixed names only: every
     document object arrives as an argument.
     """
     index = {key: i for i, key in enumerate(variant.resources)}
     pushes = variant.pushes
-    test = "O" if condemn else "L"
     blocks = variant.sweeps + [b for group in variant.triggers for b in group]
     sites = [0] * variant.npreds  # blocks deriving each predicate
     for block in blocks:
@@ -64,8 +52,7 @@ def worklist_source(variant, condemn: bool) -> str:
         and all(b.anchor is None and not b.branches for b in variant.triggers[p])
         for p in range(variant.npreds)
     ]
-    function = "condemn" if condemn else "derive"
-    lines = [f"def {function}(n, FC, NS, G, L, O, S, R):"]
+    lines = ["def derive(n, FC, NS, G, L, S, R):"]
 
     def emit(depth: int, text: str) -> None:
         lines.append("    " * depth + text)
@@ -79,7 +66,7 @@ def worklist_source(variant, condemn: bool) -> str:
         if kind == "ubit":
             return f"R{index['mask', op[1]]}[{name(op[2])}]"
         if kind == "ibit":
-            return f"{test}{int(op[1])}[{name(op[2])}]"
+            return f"L{int(op[1])}[{name(op[2])}]"
         if kind == "bcheck":
             _, rel, a, b = op
             if rel == "child":
@@ -101,9 +88,9 @@ def worklist_source(variant, condemn: bool) -> str:
                 emit(depth + 1, f"a{h}(0)")
             return
         x = name(block.head_slot)
-        conds.append(f"L{h}[{x}]" if condemn else f"not L{h}[{x}]")
+        conds.append(f"not L{h}[{x}]")
         emit(depth, f"if {' and '.join(conds)}:")
-        emit(depth + 1, f"L{h}[{x}] = {0 if condemn else 1}")
+        emit(depth + 1, f"L{h}[{x}] = 1")
         if not pushes[h]:
             return
         if inline and inlinable[h] and h not in chain and len(chain) < INLINE_DEPTH:
@@ -155,9 +142,6 @@ def worklist_source(variant, condemn: bool) -> str:
     unpack("a", P, "[s.append for s in S]")
     unpack("o", P, "[s.pop for s in S]")
     unpack("R", len(variant.resources), "R")
-    if condemn:
-        for p in sorted({op[1] for b in blocks for op in b.ops if op[0] == "ibit"}):
-            emit(1, f"O{p} = O[{p}]")
     for block in variant.sweeps:
         anchored(block, 1, ())
     order = _drain_order(variant)

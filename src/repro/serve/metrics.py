@@ -174,7 +174,8 @@ class ServeMetrics:
         self._batch_documents = 0
         self._batch_max = 0
         #: Dirty-node histogram of warm (incremental) evaluations, bucketed
-        #: by the fraction of the document the snapshot diff left dirty.
+        #: by the dirty fraction each reports (0: a warm run reuses the
+        #: fixpoint of an unchanged tree).
         self._dirty_hist: Counter = Counter()
         self._started = clock()
 

@@ -128,8 +128,9 @@ def thread_tree(
     Each chain node carries a distinct deterministic text payload (like a
     comment body), and every chain ends in a ``leaf_label`` node.  The
     deep-recursion workload of the incremental benchmarks: a recursive
-    descent program needs ``depth`` fixpoint rounds cold, while a warm
-    re-run over a few edited texts touches only the dirty region.
+    descent program derives a fact per chain node cold, while a warm
+    re-run over a few edited texts reuses the previous fixpoint (the
+    tree is unchanged).
 
     >>> t = thread_tree(2, 3)
     >>> t.subtree_size()

@@ -38,10 +38,11 @@ the first collection that sees it.  ``label_ids`` is ``bytes`` under
 256 distinct labels (nearly every page), so every ``label_a`` /
 ``notlabel_a`` mask is one ``bytes.translate``; wider sets keep a tuple.
 
-Each unary relation is also served as one byte-lane big int
-(:meth:`unary_int`, byte ``v`` set when node ``v`` is in the relation):
-a warm re-evaluation cuts its sweep anchors down to the changed region
-with one big-int AND.
+Node ids are in document order under every producer, so ``parent`` alone
+fixes the ordered tree: the sibling columns, and everything derived from
+them, follow from it.  With ``schema``, ``max_rank``, ``labels`` and
+``label_ids`` it is all the kernel reads, which is how a re-evaluation
+recognizes an unchanged tree (:mod:`repro.datalog.kernel`).
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class TreeSnapshot:
         "_attr_dicts",
         "_unary_masks",
         "_unary_nodes",
-        "_unary_ints",
         "_forward",
         "_backward",
         "_child_index",
@@ -161,7 +161,6 @@ class TreeSnapshot:
         self._attr_dicts: Optional[Dict[int, Dict[str, str]]] = None
         self._unary_masks: Dict[str, Optional[Sequence[int]]] = {}
         self._unary_nodes: Dict[str, Optional[List[int]]] = {}
-        self._unary_ints: Dict[str, Optional[int]] = {}
         self._forward: Dict[str, Optional[Sequence[int]]] = {}
         self._backward: Dict[str, Optional[Sequence[int]]] = {}
         self._child_index: Optional[List[int]] = None
@@ -171,9 +170,8 @@ class TreeSnapshot:
         #: first use, shared by every diff against this snapshot.
         self._sig = None
         #: One-entry diff memo ``(new_snapshot, SnapshotDiff)`` held by the
-        #: *old* version, so wrappers diffing the same pair once per
-        #: compiled plan pay for one diff (and dropping the old version
-        #: frees the whole chain).
+        #: *old* version, so diffing the same pair again pays for nothing
+        #: (and dropping the old version frees the whole chain).
         self._diff = None
 
     @classmethod
@@ -321,26 +319,6 @@ class TreeSnapshot:
         if name not in self._unary_masks:
             self._unary_masks[name] = self._compute_unary_mask(name)
         return self._unary_masks[name]
-
-    def unary_int(self, name: str) -> Optional[int]:
-        """Unary relation ``name`` as one byte-lane big int.
-
-        Little-endian packing of :meth:`unary_mask`: byte ``v`` of the
-        integer is 1 exactly when node ``v`` is in the relation, so set
-        intersection is a single big-int ``&``.  ``None`` if unsupported.
-
-        >>> from repro.trees import parse_sexpr
-        >>> from repro.trees.unranked import UnrankedStructure
-        >>> snap = UnrankedStructure(parse_sexpr("a(b, c(d), b)")).snapshot()
-        >>> snap.unary_int("leaf") == (1 << 8) | (1 << 24) | (1 << 32)
-        True
-        """
-        if name not in self._unary_ints:
-            mask = self.unary_mask(name)
-            self._unary_ints[name] = (
-                None if mask is None else int.from_bytes(mask, "little")
-            )
-        return self._unary_ints[name]
 
     def unary_nodes(self, name: str) -> Optional[List[int]]:
         """Node ids satisfying unary relation ``name`` (anchor lists)."""

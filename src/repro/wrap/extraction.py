@@ -75,9 +75,10 @@ class WrapperState:
 
     Holds, per distinct compiled plan (in registration order), the kernel
     state of the previous version of one document -- its snapshot plus
-    derived masks.  Feed it back as ``prior`` when the *next* version of
-    the same document arrives; plans whose previous run left no reusable
-    state simply start cold.
+    the plan's answer sets.  Feed it back as ``prior`` when the *next*
+    version of the same document arrives: a plan reuses its answer when
+    the page's tree (tags and nesting) is unchanged, and runs cold
+    otherwise or when its previous run left no kernel state.
     """
 
     __slots__ = ("states",)
@@ -362,11 +363,15 @@ class Wrapper:
                                            # dict per distinct plan
              "warm": bool,                 # some plan reused the prior
                                            # fixpoint (engine incremental)
-             "dirty": int | None,          # the largest diff any plan
-             "dirty_fraction": float | None}   # saw (None when cold)
+             "dirty": int | None,          # 0 when a plan reused its
+             "dirty_fraction": float | None}   # fixpoint, None when cold
 
-        Plans outside the kernel fragment run cold on every version, so
-        this is always safe to call.
+        A plan reuses its previous fixpoint when the page's tree -- its
+        elements, their nesting and their tags -- is unchanged, whatever
+        happened to the text and attributes: a monadic datalog query over
+        the tree reads neither (Theorem 4.2).  Any other version runs
+        cold.  Plans outside the kernel fragment run cold on every
+        version, so this is always safe to call.
 
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
@@ -380,8 +385,12 @@ class Wrapper:
         True
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
+        >>> out.to_sexpr(), stats["warm"], stats["dirty"]
+        ('result(item, item)', True, 0)
+        >>> out, state, stats = w.wrap_html_stateful(
+        ...     "<ul><li>a<li>c<li>d</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"]
-        ('result(item, item)', True)
+        ('result(item, item, item)', False)
         """
         self.compile()
         return self._wrap_page(page, prior, root_label)

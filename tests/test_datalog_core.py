@@ -114,6 +114,28 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_program("p(x) :- q(x)")
 
+    def test_zero_ary_atom_ends_a_body(self):
+        (rule,) = parse_program("item(x) :- label_li(x), seen.").rules
+        assert [atom.pred for atom in rule.body] == ["label_li", "seen"]
+        assert rule.body[1].arity == 0
+        # The same atoms as the order that always parsed.
+        assert set(rule.body) == set(parse_rule("item(x) :- seen, label_li(x).").body)
+
+    def test_zero_ary_atom_ends_the_last_rule_of_a_program(self):
+        program = parse_program(
+            "seen :- label_b(x).\n"
+            "item(x) :- label_li(x),\n"
+            "    seen.\t% the last rule\n"
+            "done."
+        )
+        assert [str(rule.head) for rule in program.rules] == ["seen", "item(x)", "done"]
+        assert [atom.pred for atom in program.rules[1].body] == ["label_li", "seen"]
+        assert program.rules[2].body == ()
+
+    def test_dots_inside_a_name_stay_in_the_name(self):
+        (rule,) = parse_program("p(x) :- before[a.b](x).").rules
+        assert rule.body[0].pred == "before[a.b]"
+
 
 class TestAnalysis:
     def test_query_graph_edges(self):

@@ -1,6 +1,8 @@
 """Incremental re-extraction: subtree signatures, diffs, warm fixpoints.
 
-Covers the whole warm path bottom up:
+A warm run reuses the previous version's fixpoint when the tree -- its
+parent edges and labels -- is unchanged, and runs cold on any other
+version.  Covered bottom up:
 
 * signature stability -- the streaming snapshot sources
   (:func:`tree_snapshot`, :func:`html_snapshot`) and the Node-tree path
@@ -10,9 +12,11 @@ Covers the whole warm path bottom up:
 * snapshot diffing -- the structural invariants every diff must satisfy,
   on targeted fast-path shapes (payload-only edits, deep unary spines)
   and randomized edit scripts;
-* the delta kernel -- randomized parity of warm re-evaluation against
-  cold runs across engines, starting from the states that cold worklist
-  runs pack;
+* warm re-evaluation -- payload-only edits (text, attributes) reuse the
+  previous fixpoint and equal cold and seminaive runs; every structural
+  edit kind (a relabel, an inserted leaf, a deleted subtree, a same-size
+  move) runs cold and equals them too; a caller mutating a returned set
+  never reaches the next version's answer;
 * the serving warm path -- ``doc_id`` requests against a live server
   must reuse per-document state, agree with cold extraction, and surface
   a nonzero ``incremental_reuse_fraction`` in ``/metrics``.
@@ -31,6 +35,7 @@ from repro.structures import as_indexed
 from repro.trees.diff import diff_snapshots
 from repro.trees.generate import random_tree, thread_tree
 from repro.trees.merkle import signature_table
+from repro.trees.node import to_sexpr
 from repro.trees.stream import html_snapshot, tree_snapshot
 from repro.trees.unranked import UnrankedStructure
 from repro.html import parse_html
@@ -208,8 +213,7 @@ class TestIncrementalKernelParity:
                 as_indexed(UnrankedStructure(v1)), None
             )
             v2 = thread_tree(threads, depth)
-            # few edits relative to tree size: stay under the kernel's
-            # dirty-fraction fallback limit so the warm path engages
+            # Text edits leave the tree unchanged: every version reuses.
             self.edit(rng, v2, rng.randint(1, 4))
             doc = as_indexed(UnrankedStructure(v2))
             warm, _, info = program.run_incremental(doc, state)
@@ -222,12 +226,11 @@ class TestIncrementalKernelParity:
                 # spot-check one interpreted engine agrees too
                 interp = evaluate(raw, UnrankedStructure(v2), method="seminaive")
                 assert warm.unary("deep") == interp.unary("deep")
-        # the warm path must actually engage on most trials, not fall back
-        assert applied >= 30
+        assert applied == 40
 
     def test_cold_worklist_run_packs_reusable_state(self):
-        # A cold run is one generated worklist call; its finished lanes
-        # pack into a KernelState, so the next version runs warm.
+        # A cold run is one generated worklist call; its answer sets go
+        # into a KernelState, so the next version runs warm.
         program = descent_program()
         v1 = thread_tree(2, 40)
         cold, state, _ = program.run_incremental(
@@ -254,7 +257,7 @@ class TestIncrementalKernelParity:
         v2 = thread_tree(10, 16)  # a mostly different document
         doc = as_indexed(UnrankedStructure(v2))
         result, _, info = program.run_incremental(doc, state)
-        assert info is None  # fell back
+        assert info is None and result.engine == "worklist"
         assert result.unary("deep") == program.run(doc).unary("deep")
 
     def test_structure_change_parity(self):
@@ -271,6 +274,7 @@ class TestIncrementalKernelParity:
             rng.choice(interior).new_child("extra", text="new node")
             doc = as_indexed(UnrankedStructure(v2))
             warm, _, _ = program.run_incremental(doc, state)
+            assert warm.engine == "worklist"
             cold = program.run(doc, method="kernel")
             assert warm.unary("deep") == cold.unary("deep")
             assert warm.unary("mark") == cold.unary("mark")
@@ -296,20 +300,12 @@ def edit_comments(page, spots, tag):
     return page
 
 
-def condemns_deep_cone(info):
-    """Whether a warm run's over-delete condemned more facts than a cone
-    8 chain levels deep holds (one ``mark`` fact per level, one ``deep``
-    fact at the chain's end)."""
-    return info["deleted"] > 9
-
-
 class TestDeepConeRoute:
-    """Warm runs stay warm however deep the over-delete cone.
+    """Comment edits reuse the fixpoint wherever they sit in a chain.
 
-    An edit high up in a reply chain condemns every fact below it; the
-    condemn walk closes that cone and the worklist re-derives it, each
-    linear in the facts it touches.  Edits at the bottom of the chains
-    condemn a short cone.  Both run warm.
+    An edit high up in a reply chain sits above every fact of the chain
+    below it, an edit at the bottom above none; both change text only, so
+    both versions reuse the previous fixpoint.
     """
 
     THREADS, DEPTH = 8, 80
@@ -339,9 +335,9 @@ class TestDeepConeRoute:
         assert out.to_dict() == wrapper.wrap_html_many([follow_up])[0].to_dict()
 
     def test_chained_versions_leave_no_cyclic_garbage(self):
-        # A replaced version's snapshot memoizes its diff to the next one;
-        # the diff must not point back, or every replaced snapshot becomes
-        # cyclic garbage that only the collector frees.
+        # A replaced version's state must not point back at its run, or
+        # every replaced version becomes cyclic garbage that only the
+        # collector frees.
         wrapper = forum_wrapper()
         base, scattered, follow_up = self.versions()
         _, state, _ = wrapper.wrap_html_stateful(base)
@@ -370,12 +366,11 @@ class TestDeepConeRoute:
         assert out.to_dict() == wrapper.wrap_html_many([edited])[0].to_dict()
 
     def test_deep_cone_parity_across_engines(self):
-        # An edit near the top of a chain condemns the whole chain below
+        # An edit near the top of a chain sits above the whole chain below
         # it: the warm run must agree with cold kernel and seminaive runs.
         rng = random.Random(83)
         program = descent_program()
         raw = parse_program(DESCENT, query="deep")
-        routed = 0
         for _ in range(12):
             threads = rng.randint(2, 6)
             depth = rng.randint(20, 40)
@@ -391,13 +386,11 @@ class TestDeepConeRoute:
             doc = as_indexed(UnrankedStructure(v2))
             warm, state, info = program.run_incremental(doc, state)
             assert info is not None and state is not None
-            assert warm.engine == "incremental"
-            routed += condemns_deep_cone(info)
+            assert warm.engine == "incremental" and info["dirty"] == 0
             cold = program.run(doc, method="kernel")
             interp = evaluate(raw, UnrankedStructure(v2), method="seminaive")
             assert warm.unary("mark") == cold.unary("mark")
             assert warm.unary("deep") == cold.unary("deep") == interp.unary("deep")
-        assert routed >= 10
 
 
 GATED_DESCENT = """
@@ -409,14 +402,13 @@ deep(x) :- mark(x0), child(x0, x), label_leafc(x).
 
 class TestDeepConeDeletions:
     """A relabel near the top of a chain *removes* every fact below it:
-    the over-delete must close the whole cone, or stale facts survive
-    (text edits cannot show this -- their cones re-derive unchanged)."""
+    the tree changed, so the version runs cold, and no fact of the
+    previous version survives into it."""
 
     def test_relabel_cones_match_cold(self):
         rng = random.Random(2718)
         raw = parse_program(GATED_DESCENT, query="deep")
         program = compile_program(raw)
-        walked = 0
         for trial in range(12):
             threads, depth = rng.randint(2, 5), rng.randint(20, 40)
             trees = [thread_tree(threads, depth) for _ in range(2)]
@@ -430,12 +422,10 @@ class TestDeepConeDeletions:
             )
             doc = as_indexed(UnrankedStructure(trees[1]))
             warm, _, info = program.run_incremental(doc, state)
-            assert info is not None and warm.engine == "incremental"
-            walked += condemns_deep_cone(info)
+            assert info is None and warm.engine == "worklist"
             cold = evaluate(raw, UnrankedStructure(trees[1]), method="seminaive")
             assert warm.unary("mark") == cold.unary("mark")
             assert warm.unary("deep") == cold.unary("deep")
-        assert walked >= 5
 
 
 CLIMB = """
@@ -445,9 +435,10 @@ near(x) :- label_leafc(x), child(y, x), label_c(y), child(z, y), label_c(z).
 
 class TestTraversingSweepWarm:
     """The catalog wrapper's ``record`` sweep climbs from each ``tr`` to
-    the body, so the over-delete runs it from the anchors near an edit.
-    Edits in and around the rows, and a relabelled ``table`` that drops
-    or restores every record, must leave warm == cold == seminaive."""
+    the body.  Edits in and around the rows, and a relabelled ``table``
+    that drops or restores every record, must leave warm == cold ==
+    seminaive, and a version runs warm exactly when its tree is the
+    previous version's."""
 
     ROW = '<tr><td class="name">added {}</td><td class="price">$1.00</td></tr>'
     TABLE = ('<table id="products">', '</table><div id="footer">')
@@ -484,11 +475,12 @@ class TestTraversingSweepWarm:
             elog_to_datalog(parse_elog(CATALOG_WRAPPER, query="record"))
         )
         rng = random.Random(4242)
-        warm_runs = 0
+        runs = {True: 0, False: 0}
         for trial in range(12):
             page = catalog_page(seed=trial, items=rng.randint(6, 24))
             _, state, _ = wrapper.wrap_html_stateful(page, root_label=None)
             for _ in range(4):
+                shape = to_sexpr(parse_html(page))
                 for _ in range(rng.randint(1, 3)):
                     page = self.edit(rng, page)
                 ids, state, stats = wrapper.wrap_html_stateful(
@@ -501,16 +493,18 @@ class TestTraversingSweepWarm:
                 assert ids == cold
                 for name in ("record", "name", "price"):
                     assert ids[name] == interp.unary(name)
-                if stats["warm"]:
-                    warm_runs += 1
-                    (run,) = stats["runs"]
-                    assert run["engine"] == "incremental"
-        assert warm_runs >= 30
+                # The Node-path parser is the oracle of "unchanged tree".
+                unchanged = to_sexpr(parse_html(page)) == shape
+                (run,) = stats["runs"]
+                assert stats["warm"] == unchanged
+                assert run["engine"] == ("incremental" if unchanged else "worklist")
+                runs[unchanged] += 1
+        assert runs[True] >= 5 and runs[False] >= 30
 
 
     def test_relabel_above_a_climbing_sweep_matches_seminaive(self):
-        # Relabelling a leaf's grandparent makes its parent bad but not the
-        # leaf: only the sweep, run from the leaf, condemns ``near(leaf)``.
+        # Relabelling a leaf's grandparent changes ``near(leaf)`` two hops
+        # away from the edit: the version runs cold.
         raw = parse_program(CLIMB, query="near")
         program = compile_program(raw)
         rng = random.Random(1618)
@@ -526,9 +520,174 @@ class TestTraversingSweepWarm:
             )
             doc = as_indexed(UnrankedStructure(trees[1]))
             warm, _, info = program.run_incremental(doc, state)
-            assert info is not None and warm.engine == "incremental"
+            assert info is None and warm.engine == "worklist"
             cold = evaluate(raw, UnrankedStructure(trees[1]), method="seminaive")
             assert warm.unary("near") == cold.unary("near")
+
+
+def edit_payloads(rng, tree, edits):
+    """Change the text and attributes of ``edits`` random nodes in place."""
+    for node in rng.sample(all_nodes(tree), min(edits, tree.subtree_size())):
+        node.text = f"edited {rng.randrange(1000)}"
+        node.attrs = {"class": f"c{rng.randrange(10)}"}
+
+
+def edit_structure(rng, tree, kind):
+    """Apply one structural edit of ``kind`` to ``tree`` in place."""
+    nodes = all_nodes(tree)
+    if kind == "relabel":
+        node = rng.choice(nodes)
+        node.label = "b" if node.label == "a" else "a"
+    elif kind == "insert_leaf":
+        rng.choice(nodes).new_child(rng.choice(("a", "b")))
+    elif kind == "delete_subtree":
+        node = rng.choice(nodes[1:])
+        node.parent.children.remove(node)
+        node.parent = None
+    else:
+        # A same-size move: the last child of a non-root node becomes the
+        # next sibling of its parent.  Document order, so every label id,
+        # is unchanged; only the parent edges differ.
+        node = rng.choice([
+            n for n in nodes
+            if n.parent is not None and n.parent.parent is not None
+            and n.parent.children[-1] is n
+        ])
+        parent = node.parent
+        parent.children.remove(node)
+        grand = parent.parent
+        grand.children.insert(grand.children.index(parent) + 1, node)
+        node.parent = grand
+
+
+class TestStructureReuse:
+    """A warm run reuses the previous fixpoint exactly when the tree --
+    parent edges and labels -- is unchanged, and equals the cold kernel
+    and seminaive runs either way."""
+
+    def check(self, raw, compiled, tree, state, engine):
+        structure = UnrankedStructure(tree)
+        result, state, info = compiled.run_incremental(as_indexed(structure), state)
+        assert result.engine == engine
+        assert (info is not None) == (engine == "incremental")
+        cold = compiled.run(as_indexed(UnrankedStructure(tree)), method="kernel")
+        assert cold.engine == "worklist"
+        assert result.relations == cold.relations
+        assert result.relations == evaluate(raw, structure, method="seminaive").relations
+        return state
+
+    def test_payload_only_edits_reuse_on_random_trees(self):
+        from tests.test_kernel import _random_kernel_program
+
+        rng = random.Random(3141)
+        for _ in range(40):
+            raw = _random_kernel_program(rng)
+            compiled = compile_program(raw)
+            seed, size = rng.randrange(10**6), rng.randint(1, 40)
+            state = self.check(raw, compiled, random_tree(seed, size), None, "worklist")
+            for _ in range(2):
+                tree = random_tree(seed, size)
+                edit_payloads(rng, tree, rng.randint(1, 5))
+                state = self.check(raw, compiled, tree, state, "incremental")
+
+    def test_payload_only_edits_reuse_on_forum_versions(self):
+        from repro.elog import elog_to_datalog, parse_elog
+        from repro.wrap import Document
+
+        wrapper = forum_wrapper()
+        reference = compile_program(elog_to_datalog(parse_elog(FORUM_WRAPPER)))
+        page = forum_page(seed=21, threads=4, depth=12)
+        versions = [
+            page,
+            edit_comments(page, [(1, 3), (2, 11)], "(edited)"),
+            page.replace('<li class="comment">', '<li class="comment" data-x="1">', 3),
+            page.replace('class="replies"', 'class="replies open"'),
+        ]
+        _, state, _ = wrapper.wrap_html_stateful(versions[0])
+        for version in versions[1:]:
+            out, state, stats = wrapper.wrap_html_stateful(version, state)
+            (run,) = stats["runs"]
+            assert run["engine"] == "incremental" and stats["dirty"] == 0
+            assert out.to_dict() == wrapper.wrap_html_many([version])[0].to_dict()
+            ids = wrapper.extract_html_many([version])[0]
+            interp = reference.run(
+                as_indexed(Document.from_html(version)), method="seminaive"
+            )
+            for name in ("thread", "comment", "body"):
+                assert ids[name] == interp.unary(name)
+
+    @pytest.mark.parametrize(
+        "kind", ["relabel", "insert_leaf", "delete_subtree", "same_size_move"]
+    )
+    def test_each_structural_edit_kind_runs_cold(self, kind):
+        from tests.test_kernel import _random_kernel_program
+
+        rng = random.Random(sum(map(ord, kind)))
+        for _ in range(30):
+            raw = _random_kernel_program(rng)
+            compiled = compile_program(raw)
+            seed, size = rng.randrange(10**6), rng.randint(3, 40)
+            while kind == "same_size_move" and not any(
+                n.parent is not None and n.parent.parent is not None
+                for n in all_nodes(random_tree(seed, size))
+            ):
+                seed += 1
+            old = random_tree(seed, size)
+            state = self.check(raw, compiled, old, None, "worklist")
+            tree = random_tree(seed, size)
+            edit_structure(rng, tree, kind)
+            before = UnrankedStructure(old).snapshot()
+            after = UnrankedStructure(tree).snapshot()
+            if kind == "same_size_move":
+                assert after.label_ids == before.label_ids
+                assert after.parent != before.parent
+            self.check(raw, compiled, tree, state, "worklist")
+
+    def test_mutating_a_returned_set_does_not_reach_the_next_version(self):
+        compiled = descent_program()
+        rng = random.Random(5)
+        result, state, _ = compiled.run_incremental(
+            as_indexed(UnrankedStructure(thread_tree(3, 9))), None
+        )
+        for _ in range(3):
+            result.unary("mark").clear()
+            result.unary("deep").add(10**6)
+            tree = thread_tree(3, 9)
+            edit_payloads(rng, tree, 2)
+            doc = as_indexed(UnrankedStructure(tree))
+            result, state, info = compiled.run_incremental(doc, state)
+            cold = compiled.run(doc, method="kernel")
+            assert result.engine == "incremental"
+            assert result.unary("mark") == cold.unary("mark")
+            assert result.unary("deep") == cold.unary("deep")
+        # The same through a wrapper's answer sets.
+        wrapper = forum_wrapper()
+        page = forum_page(seed=3, threads=3, depth=6)
+        ids, state, _ = wrapper.wrap_html_stateful(page, root_label=None)
+        expected = wrapper.extract_html_many([page])[0]
+        ids["comment"].clear()
+        ids["body"].add(10**6)
+        again, _, stats = wrapper.wrap_html_stateful(page, state, root_label=None)
+        assert stats["warm"] and again == expected
+
+    def test_constant_and_zero_ary_program_reuses(self):
+        raw = parse_program(
+            "seen :- label_b(x), leaf(x).\n"
+            "top(x) :- child(0, x), label_a(x), seen.\n"
+            "below(y) :- top(x), child(x, y).",
+            query="top",
+        )
+        compiled = compile_program(raw)
+        rng = random.Random(77)
+        reused = 0
+        for _ in range(30):
+            seed, size = rng.randrange(10**6), rng.randint(1, 30)
+            state = self.check(raw, compiled, random_tree(seed, size), None, "worklist")
+            tree = random_tree(seed, size)
+            edit_payloads(rng, tree, 3)
+            self.check(raw, compiled, tree, state, "incremental")
+            reused += bool(evaluate(raw, UnrankedStructure(tree)).relations["seen"])
+        assert reused >= 10  # the 0-ary predicate held on many of the trees
 
 
 def request(host, port, method, path, body=None, timeout=60):

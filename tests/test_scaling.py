@@ -16,11 +16,10 @@ kernel to the same bound: an engine that advances the fixpoint
 one round per chain level, at a cost that grows with the document,
 would go quadratic there.  Forum pages whose reply chains double in
 depth hold the whole wrapping path to it, cold and on a warm re-run
-whose edits condemn whole chains (a deep cone, condemned and re-derived
-on the generated worklist).  The snapshot diff of a warm run is held to
-the bound on every generator's page, one character edited, and so are
-the catalog wrapper's kernel bind and the tree relations the general
-engines read.
+whose edits sit at the top of every chain (the text-only edit reuses
+the previous fixpoint).  The snapshot diff is held to the bound on every
+generator's page, one character edited, and so are the catalog
+wrapper's kernel bind and the tree relations the general engines read.
 
 Each attempt times the two sizes in back-to-back pairs and takes the
 median of the pairs' ratios.  A change of host speed that outlasts a
@@ -163,7 +162,6 @@ def fresh_document(page):
     snapshot = page_snapshot(page)
     snapshot._unary_masks.clear()
     snapshot._unary_nodes.clear()
-    snapshot._unary_ints.clear()
     snapshot._forward.clear()
     snapshot._backward.clear()
     snapshot._child_index = snapshot._label_nodes = None
@@ -304,8 +302,8 @@ def test_doubling_thread_depth_at_most_doubles_cold_kernel_time():
 
 
 #: Deep-chain forum pages: FORUM_THREADS reply chains of FORUM_DEPTH
-#: comments at n, twice as deep at 2n; an edit at depth 0 of every
-#: thread condemns every chain below it (a deep cone).
+#: comments at n, twice as deep at 2n; the warm version edits the text
+#: at depth 0 of every thread, above every chain.
 FORUM_THREADS = 4
 FORUM_DEPTH = 60
 

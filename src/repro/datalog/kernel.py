@@ -78,12 +78,10 @@ and runs cold otherwise.  The tree is unchanged when five snapshot fields
 equal the previous snapshot's (``schema``, ``max_rank``, ``labels``,
 ``label_ids`` and ``parent``: tuple and bytes comparisons at C speed) and
 the state's lowering is the one this program binds for that snapshot.
-The reused run skips bind and the worklist and reads fresh answer sets
-off the previous run's finished lanes, which no caller ever receives, so
-a caller that mutates a returned set never changes the next version's
-answer.  The state keeps the lanes the run filled, so a cold run pays
-nothing for it (holding copies of the answer sets instead cost every
-cold catalog page ~1% of its end-to-end time).
+The reused run skips bind and the worklist and returns fresh sets copied
+from the node-id tuples the state keeps, which no caller ever receives,
+so a caller that mutates a returned set never changes the next version's
+answer.
 
 The reuse is exact.  A monadic query over ``tau_ur`` is a function of the
 labelled tree alone (Theorem 4.2; Elog^- too, Definition 6.2), and the
@@ -334,27 +332,31 @@ class KernelState:
     """What the next version of a document needs from one kernel run.
 
     ``variant`` is the lowering that bound the document, ``snapshot`` the
-    document's snapshot, and ``lanes`` / ``gbits`` the run's finished
-    fact lanes (byte ``v`` of ``lanes[p]`` is 1 when predicate ``p``
-    holds at node ``v``; ``gbits[p]`` for a 0-ary one).  Pass it as
-    ``previous`` to :meth:`KernelProgram.evaluate`: when the next
-    version's tree is unchanged, that run reads its answer off these
-    lanes (see the module docstring).  The lanes are the ones the run
-    filled, kept as they are, so a cold run pays nothing for its state;
-    no caller ever receives them, and nothing writes to them again.  A
+    document's snapshot, ``unary_ids`` each unary output predicate's node
+    ids as a tuple, ``held`` the names of the 0-ary outputs that hold and
+    ``facts`` the run's fact count.  Pass it as ``previous`` to
+    :meth:`KernelProgram.evaluate`: when the next version's tree is
+    unchanged, that run's answer sets are fresh copies of these tuples
+    (see the module docstring).  No caller ever receives the tuples.  A
     state never points back at its :class:`KernelRun`, so a replaced
     version is freed by reference counting alone.
     """
 
-    __slots__ = ("variant", "snapshot", "lanes", "gbits")
+    __slots__ = ("variant", "snapshot", "unary_ids", "held", "facts")
 
     def __init__(
-        self, variant: _Lowering, snapshot, lanes: List[bytearray], gbits: bytearray
+        self,
+        variant: _Lowering,
+        snapshot,
+        unary_ids: Dict[str, Tuple[int, ...]],
+        held: Tuple[str, ...],
+        facts: int,
     ):
         self.variant = variant
         self.snapshot = snapshot
-        self.lanes = lanes
-        self.gbits = gbits
+        self.unary_ids = unary_ids
+        self.held = held
+        self.facts = facts
 
 
 class KernelRun:
@@ -411,27 +413,6 @@ class KernelRun:
                 for name, _, arity in self._outputs
             }
         return relations
-
-
-def _answer(state: KernelState, engine: str) -> KernelRun:
-    """The run whose fixpoint is ``state``'s lanes: fresh answer sets
-    read off the lanes, the fact count, and ``state`` for the next
-    version."""
-    variant, lanes, gbits = state.variant, state.lanes, state.gbits
-    n = state.snapshot.size
-    unary_sets: Dict[str, Set[int]] = {}
-    held = []
-    for name, pred, arity in variant.outputs:
-        if arity == 1:
-            lane = lanes[pred] if pred >= 0 else b""
-            unary_sets[name] = set(itertools.compress(range(n), lane))
-        elif pred >= 0 and gbits[pred]:
-            held.append(name)
-    stats = {
-        "engine": engine,
-        "facts": sum(lane.count(1) for lane in lanes) + gbits.count(1),
-    }
-    return KernelRun(unary_sets, stats, state, variant.outputs, tuple(held))
 
 
 class KernelProgram:
@@ -575,13 +556,20 @@ class KernelProgram:
             or snapshot.parent != old.parent
         ):
             return None
-        out = _answer(
-            KernelState(variant, snapshot, previous.lanes, previous.gbits),
-            "incremental",
+        ids, held, facts = previous.unary_ids, previous.held, previous.facts
+        stats = {
+            "engine": "incremental",
+            "facts": facts,
+            "dirty": 0,
+            "dirty_fraction": 0.0,
+        }
+        return KernelRun(
+            {name: set(nodes) for name, nodes in ids.items()},
+            stats,
+            KernelState(variant, snapshot, ids, held, facts),
+            variant.outputs,
+            held,
         )
-        out.stats["dirty"] = 0
-        out.stats["dirty_fraction"] = 0.0
-        return out
 
     def _run(self, bound) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
@@ -606,7 +594,28 @@ class KernelProgram:
                 [[] for _ in range(P)],
                 args,
             )
-        return _answer(KernelState(variant, snapshot, lanes, gbits), "worklist")
+        unary_sets: Dict[str, Set[int]] = {}
+        held = []
+        for name, pred, arity in variant.outputs:
+            if arity == 1:
+                lane = lanes[pred] if pred >= 0 else b""
+                unary_sets[name] = set(itertools.compress(range(n), lane))
+            elif pred >= 0 and gbits[pred]:
+                held.append(name)
+        held = tuple(held)
+        facts = sum(lane.count(1) for lane in lanes) + gbits.count(1)
+        # Tuples: the cheapest copy to keep (a frozenset's hash table cost
+        # every cold catalog page ~1% of its end-to-end time), and still a
+        # fast source for the next version's sets.
+        ids = {name: tuple(nodes) for name, nodes in unary_sets.items()}
+        stats = {"engine": "worklist", "facts": facts}
+        return KernelRun(
+            unary_sets,
+            stats,
+            KernelState(variant, snapshot, ids, held, facts),
+            variant.outputs,
+            held,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         lowering = self.lowering

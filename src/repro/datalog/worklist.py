@@ -23,14 +23,15 @@ def worklist_source(variant) -> str:
 
     The Dowling-Gallier worklist as straight-line code over byte lanes:
     ``L<p>`` is predicate ``p``'s lane (byte ``v`` is 1 when ``p(v)``
-    holds) and ``S<p>`` its stack of fired nodes.  Each block becomes one conjunction per run of
-    ops between ``child`` enumerations, each enumeration a ``while`` over
-    ``FC`` / ``NS`` (``firstchild`` / ``nextsibling``), and the head a
-    lane test, a lane set and a push -- or, when that block is the only
-    one deriving the predicate and the predicate's trigger blocks are
-    straight-line, those blocks in place (see :data:`INLINE_DEPTH`).
-    Every sweep block runs first, once; then each predicate's stack is
-    drained through its trigger blocks until every stack is empty.
+    holds) and ``S<p>`` its stack of fired nodes.  Each block becomes
+    one conjunction per run of ops between ``child`` enumerations, each
+    enumeration a ``while`` over ``FC`` / ``NS`` (``firstchild`` /
+    ``nextsibling``), and the head a lane test, a lane set and a push --
+    or, when that block is the only one deriving the predicate and the
+    predicate's trigger blocks are straight-line, those blocks in place
+    (see :data:`INLINE_DEPTH`).  Every sweep block runs first, once;
+    then each predicate's stack is drained through its trigger blocks
+    until every stack is empty.
 
     The source holds integer literals and fixed names only: every
     document object arrives as an argument.

@@ -720,10 +720,53 @@ def _assert_incremental_exercised() -> None:
             "a one-node relabel must run cold and equal cold: got "
             f"engine={result.engine!r}, info={info!r}"
         )
+    _assert_snapshot_reuse_exercised()
     print(
         "    incremental guard: text edit -> engine=incremental, "
-        "relabel -> engine=worklist == cold ok"
+        "relabel -> engine=worklist == cold; third text-only page version "
+        "-> snapshot_reused, one-tag relabel -> cold build == cold ok"
     )
+
+
+def _assert_snapshot_reuse_exercised() -> None:
+    """CI guard: a text-only page version reuses the previous structure.
+
+    Through :meth:`Wrapper.wrap_html_stateful` on a forum page: the third
+    text-only version must report ``snapshot_reused`` (the second keeps
+    the first structure key; the first, prior-less, computes none), or
+    every warm page silently pays a cold HTML build.  A one-tag relabel
+    of the next version must build cold and equal a cold wrap.
+    """
+    import re
+
+    from repro.workloads import FORUM_WRAPPER, forum_page
+
+    program = parse_elog(FORUM_WRAPPER)
+    wrapper = Wrapper()
+    for pattern in ("thread", "comment", "body"):
+        wrapper.add_elog(pattern, program, pattern=pattern)
+    v1 = forum_page(seed=4, threads=3, depth=8)
+    v2 = v1.replace("Comment 2.7 by", "Comment 2.7 (edited) by", 1)
+    v3 = v2.replace("Comment 1.2 by", "Comment 1.2 (edited) by", 1)
+    state = None
+    for version in (v1, v2, v3):
+        out, state, stats = wrapper.wrap_html_stateful(version, state)
+    if not stats["snapshot_reused"] or not stats["warm"]:
+        raise SystemExit(
+            "snapshot reuse no longer exercised: a text-only third version "
+            f"reported {stats!r}"
+        )
+    # One comment body's <p> becomes an <h4>: the wrapper's answer changes.
+    relabelled = re.sub(r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", v3, count=1)
+    if relabelled == v3:
+        raise SystemExit("snapshot reuse guard: the relabel edit found no tag")
+    out, _, stats = wrapper.wrap_html_stateful(relabelled, state)
+    cold = wrapper.wrap_html_many([relabelled])[0]
+    if stats["snapshot_reused"] or stats["warm"] or out.to_dict() != cold.to_dict():
+        raise SystemExit(
+            "a one-tag relabel must build cold and equal cold: got "
+            f"{stats!r}"
+        )
 
 
 def parse_program_incremental():

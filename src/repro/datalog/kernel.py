@@ -127,6 +127,23 @@ _RANKED_CHILD = re.compile(r"^child\d+$")
 #: node ``c`` alone (see :func:`_constants_as_relations`).
 _CONST = "@const:"
 
+#: ``(0, 1, ..., n - 1)`` for the largest ``n`` a run has read answers off
+#: (:func:`_node_ids`).  ``compress`` over it picks a lane's node ids
+#: without making one int object per node per output lane.
+_NODE_IDS: Tuple[int, ...] = ()
+
+
+def _node_ids(n: int) -> Tuple[int, ...]:
+    """The shared id tuple, grown to at least ``n`` ids."""
+    global _NODE_IDS
+    ids = _NODE_IDS
+    if len(ids) < n:
+        # Return the tuple built here: a concurrent caller may store a
+        # shorter one between the store and a re-read of the global.
+        ids = _NODE_IDS = tuple(range(n))
+    return ids
+
+
 def _anchor_cost(name: Optional[str]) -> int:
     """Selectivity rank of a unary anchor relation (lower enumerates less)."""
     if name is None:
@@ -596,10 +613,12 @@ class KernelProgram:
             )
         unary_sets: Dict[str, Set[int]] = {}
         held = []
+        node_ids = _node_ids(n)
         for name, pred, arity in variant.outputs:
             if arity == 1:
+                # A lane has n entries, so compress stops at node n - 1.
                 lane = lanes[pred] if pred >= 0 else b""
-                unary_sets[name] = set(itertools.compress(range(n), lane))
+                unary_sets[name] = set(itertools.compress(node_ids, lane))
             elif pred >= 0 and gbits[pred]:
                 held.append(name)
         held = tuple(held)

@@ -622,6 +622,8 @@ class MicroBatcher:
         for (_, doc_id), page_stats in zip(items, stats):
             if doc_id is None:
                 continue
+            if page_stats.get("snapshot_reused"):
+                self._metrics.incr("snapshot_reuses")
             if page_stats.get("warm"):
                 self._metrics.incr("incremental_hits")
                 fraction = page_stats.get("dirty_fraction")

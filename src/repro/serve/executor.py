@@ -75,13 +75,13 @@ class ShardStore:
 
     The store keeps the installed compiled wrappers and, per
     ``(wrapper key, doc_id)``, the :class:`WrapperState` the previous
-    version of that document left behind (its snapshot plus derived
-    kernel masks).  ``state_cap`` bounds the states LRU -- a state holds
-    one snapshot, roughly the document's size in memory -- and
-    ``max_installed`` (when set) bounds the wrappers.  Losing the store
-    (worker death, respawn) is always safe: a missing wrapper is a
-    retryable :class:`~repro.errors.WrapperNotResident`, a missing state
-    a cold run.
+    version of that document left behind (its snapshot, the page's
+    structure digest and each plan's answer ids).  ``state_cap`` bounds
+    the states LRU -- a state holds one snapshot, roughly the document's
+    size in memory -- and ``max_installed`` (when set) bounds the
+    wrappers.  Losing the store (worker death, respawn) is always safe:
+    a missing wrapper is a retryable
+    :class:`~repro.errors.WrapperNotResident`, a missing state a cold run.
 
     >>> from repro.datalog import parse_program
     >>> store = ShardStore()

@@ -232,6 +232,28 @@ class TreeSnapshot:
             attrs=attrs,
         )
 
+    def with_texts(self, texts: Dict[int, str]) -> "TreeSnapshot":
+        """The same tree with text column ``texts``.
+
+        Shares every other column with this snapshot, the raw attribute
+        column included, and none of its derived caches; the new snapshot
+        builds its own ``attrs`` dicts on first read.
+        """
+        return TreeSnapshot(
+            self.schema,
+            self.parent,
+            self.firstchild,
+            self.nextsibling,
+            self.prevsibling,
+            self.lastchild,
+            self.label_ids,
+            self.labels,
+            self.label_index,
+            max_rank=self.max_rank,
+            texts=texts,
+            attrs=self._attrs,
+        )
+
     @property
     def attrs(self) -> Optional[Dict[int, Dict[str, str]]]:
         """``node id -> attribute dict`` (``None`` when the producer gave

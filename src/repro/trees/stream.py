@@ -24,6 +24,10 @@ Sources:
   two front ends cannot drift, and every cut is O(1) amortized, so
   ingestion is linear on any tag soup), with identical synthetic-root
   unwrapping;
+* :func:`html_snapshot_warm` -- a page's next version: one key pass
+  (:func:`structure_key`) and, when the page's structure is unchanged,
+  the previous snapshot's columns with new texts, else
+  :func:`html_snapshot`;
 * :func:`sexpr_snapshot` -- the s-expression reader, and
   :func:`tree_snapshot` -- an existing :class:`Node` tree (parity
   harness, and snapshots for generated trees), both flattened by
@@ -31,12 +35,14 @@ Sources:
 
 Parity invariant (enforced by ``tests/test_stream.py``): for every
 document, ``html_snapshot(doc)`` is column-identical to
-``UnrankedStructure(parse_html(doc)).snapshot()``.
+``UnrankedStructure(parse_html(doc)).snapshot()``, and so is every
+snapshot :func:`html_snapshot_warm` returns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from hashlib import blake2b
+from typing import Dict, List, Optional, Tuple
 
 from repro.html.entities import decode_entities
 from repro.html.policy import (
@@ -96,6 +102,14 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     >>> [snap.labels[l] for l in snap.label_ids]
     ['ul', 'li', '#text', 'li', '#text']
     """
+    return _build(html, root_label)[0]
+
+
+def _build(html: str, root_label: str) -> Tuple[TreeSnapshot, bool]:
+    """:func:`html_snapshot`'s loop: the snapshot, and whether any token
+    went through the general step (after which the split on ``<`` no
+    longer says what the page's tokens are)."""
+    general = False
     # Ids are assigned as if the synthetic root were unwrapped: the root
     # is not a node (its frame carries id -1), so node 0 is the first
     # node of the document.  The root is added at the end if it stays.
@@ -181,6 +195,7 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
             step = steps[tag] = compile_step(tag)
         if step is None:
             # Comments and doctypes carry no tree content (on_misc=None).
+            general = True
             i = scan_step(html, at, on_start, end_tag, on_text, None)
             text, at = resync(html, pieces, at + len(piece) + 1, i)
             continue
@@ -266,7 +281,107 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
         label_index,
         texts=texts,
         attrs=attrs_column,
-    )
+    ), general
+
+
+def structure_key(
+    html: str, root_label: str = "document"
+) -> Tuple[Optional[bytes], List[str]]:
+    """One key pass over ``html``: its structure digest and its texts.
+
+    The pass splits the page as :func:`html_snapshot` does -- once on
+    ``<``, each piece once at its first ``>`` -- and builds nothing.  The
+    structure key is ``root_label``, each piece's tag text and the
+    blankness of each text run between them, the trailing run included
+    (the build's raw ``text and not text.isspace()`` test); the digest is
+    its 16-byte ``blake2b``.  The texts are the non-blank runs,
+    entity-decoded, in document order: the values of the page's text
+    column.  A piece with no ``>`` gives no digest (``None``), since the
+    build scans it with the general step.
+
+    >>> digest, texts = structure_key("<ul><li>a &amp; b<li> </ul>")
+    >>> len(digest), texts
+    (16, ['a & b'])
+    >>> structure_key("<ul><li>c<li> </ul>")[0] == digest
+    True
+    >>> structure_key("<ul><li>c<li>d</ul>")[0] == digest
+    False
+    """
+    texts: List[str] = []
+    keep = texts.append
+    # Tag texts hold no '<' or '>', so joined on '<' with '>' marking a
+    # non-blank run (after the root label, length first), the parts are
+    # recoverable from the joined string.
+    parts = [f"{len(root_label)}:{root_label}"]
+    mark = parts.append
+    pieces = iter(html.split("<"))
+    text = next(pieces)
+    for piece in pieces:
+        if text and not text.isspace():
+            keep(decode_entities(text) if "&" in text else text)
+            mark(">")
+        tag, gt, text = piece.partition(">")
+        if not gt:
+            return None, texts
+        mark(tag)
+    if text and not text.isspace():
+        keep(decode_entities(text) if "&" in text else text)
+        mark(">")
+    key = "<".join(parts).encode("utf-8", "surrogatepass")
+    return blake2b(key, digest_size=16).digest(), texts
+
+
+def html_snapshot_warm(
+    html: str,
+    digest: Optional[bytes],
+    previous: Optional[TreeSnapshot],
+    root_label: str = "document",
+) -> Tuple[TreeSnapshot, Optional[bytes], bool]:
+    """The snapshot of a page's new version, built on its previous one.
+
+    ``digest`` and ``previous`` are what the previous version left: its
+    :func:`structure_key` digest (``None`` when it has none) and its
+    snapshot.  One key pass runs over ``html``.  When its digest equals
+    ``digest``, the new snapshot shares every column of ``previous``
+    (:meth:`TreeSnapshot.with_texts`) but the text column, which takes
+    the new texts under the previous text nodes' ids.  Otherwise the page
+    builds cold (:func:`html_snapshot`).  Returns ``(snapshot, digest,
+    reused)``, where ``digest`` is the one to keep for the next version:
+    ``None`` when the build took the general step.
+
+    Exactness.  On a page none of whose tokens takes the general step,
+    the build visits the pieces of the split in order and reads, per
+    piece, the tag text and whether the run after it is blank.  The tag
+    text fixes the piece's build step (a pure function of it, with label
+    ids in first-occurrence order), the steps alone drive the open-element
+    stack, the stack fixes each node's parent, and a non-blank run adds
+    one text node under the open element.  Root unwrapping reads only
+    ``parent`` and ``label_ids``, and attribute entries come from the
+    steps.  So the structural columns -- ``parent``, the sibling columns,
+    ``label_ids``, ``labels``, ``label_index`` and the raw attribute
+    column -- are a function of the token sequence and of which runs are
+    non-blank, which is the structure key; a run's text reaches only the
+    text column.  The general step (comments, raw text, tags with several
+    attributes or an odd shape, a piece with no ``>``) reads the page
+    past the split, so a page that takes it keeps no digest and its next
+    version builds cold.  A digest is kept only from a build without it,
+    so an equal digest means the new page's build would take none either.
+    The raw attribute column then holds only shared tag entries, never
+    dicts, so the new version's ``attrs`` dicts are its own.
+
+    >>> first = html_snapshot("<ul><li>a<li>b</ul>")
+    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>c</ul>", None, first)
+    >>> reused, sorted(snap.texts.values())
+    (False, ['a', 'c'])
+    >>> snap, digest, reused = html_snapshot_warm("<ul><li>x<li>y</ul>", digest, snap)
+    >>> reused, snap.texts
+    (True, {2: 'x', 4: 'y'})
+    """
+    new_digest, texts = structure_key(html, root_label)
+    if new_digest is not None and new_digest == digest:
+        return previous.with_texts(dict(zip(previous.texts, texts))), digest, True
+    snapshot, general = _build(html, root_label)
+    return snapshot, None if general else new_digest, False
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:

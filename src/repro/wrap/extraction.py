@@ -58,6 +58,7 @@ from repro.elog.translate import elog_to_datalog
 from repro.errors import AutomatonError, WrapError
 from repro.structures import IndexedStructure, as_indexed
 from repro.trees.node import Node
+from repro.trees.stream import html_snapshot, html_snapshot_warm
 from repro.trees.unranked import UnrankedStructure
 from repro.wrap.document import Document
 from repro.wrap.output import (
@@ -73,18 +74,24 @@ DocumentLike = Union[Node, Document, UnrankedStructure, IndexedStructure]
 class WrapperState:
     """Opaque per-document state for :meth:`Wrapper.wrap_html_stateful`.
 
-    Holds, per distinct compiled plan (in registration order), the kernel
-    state of the previous version of one document -- its snapshot plus
-    the plan's answer sets.  Feed it back as ``prior`` when the *next*
-    version of the same document arrives: a plan reuses its answer when
-    the page's tree (tags and nesting) is unchanged, and runs cold
-    otherwise or when its previous run left no kernel state.
+    Holds what the previous version of one document left: its snapshot,
+    its structure digest (:func:`repro.trees.stream.structure_key`;
+    ``None`` when it has none) and, per distinct compiled plan (in
+    registration order), the plan's kernel state -- the snapshot plus the
+    plan's answer ids.  Feed it back as ``prior`` when the *next* version
+    of the same document arrives.  When the page's structure key is
+    unchanged, the new snapshot shares every column of the previous one
+    but the texts; a plan reuses its answer when the page's tree (tags and
+    nesting) is unchanged, and runs cold otherwise or when its previous
+    run left no kernel state.
     """
 
-    __slots__ = ("states",)
+    __slots__ = ("states", "snapshot", "digest")
 
-    def __init__(self, states: Dict[int, object]):
+    def __init__(self, states: Dict[int, object], snapshot, digest: Optional[bytes]):
         self.states = states
+        self.snapshot = snapshot
+        self.digest = digest
 
 
 class Wrapper:
@@ -228,16 +235,17 @@ class Wrapper:
         self,
         structure: IndexedStructure,
         prior: Optional[WrapperState] = None,
-    ) -> Tuple[Dict[str, Set[int]], WrapperState, List[Dict]]:
+    ) -> Tuple[Dict[str, Set[int]], Dict[int, object], List[Dict]]:
         """Evaluate all extraction functions against one shared runtime.
 
         Each distinct compiled plan is evaluated once, warm against its
         state in ``prior`` when there is one (a plan without a usable
         state runs cold; see :meth:`CompiledProgram.run_incremental`).
-        Returns ``(ids, state, runs)``: node-id sets per name, the
-        :class:`WrapperState` for the document's next version, and one
-        stats dict per plan evaluation (``EvaluationResult.stats``, or a
-        minimal ``{"engine": ...}`` for non-kernel strategies).
+        Returns ``(ids, states, runs)``: node-id sets per name, the plans'
+        kernel states for the document's next version (a
+        :class:`WrapperState`'s ``states``), and one stats dict per plan
+        evaluation (``EvaluationResult.stats``, or a minimal
+        ``{"engine": ...}`` for non-kernel strategies).
         """
         if self._alphabet is not None:
             # The first unlisted label in document order, as select_ids.
@@ -273,7 +281,7 @@ class Wrapper:
             # Merge without mutating ``ids`` (it may be an engine-owned
             # set): the common single-contribution case stores it as is.
             out[name] = ids if known is None else known | ids
-        return out, WrapperState(states), runs
+        return out, states, runs
 
     def _runtime(self, document: DocumentLike) -> IndexedStructure:
         """One shared :class:`IndexedStructure` for any document form."""
@@ -358,6 +366,8 @@ class Wrapper:
         stats a shard ships back to the router::
 
             {"snapshot_build_ms": float,   # HTML -> columnar snapshot
+             "snapshot_reused": bool,      # the snapshot shares the prior
+                                           # version's structure columns
              "kernel_ms": float,           # extraction + output assembly
              "runs": [...],                # one EvaluationResult.stats
                                            # dict per distinct plan
@@ -365,6 +375,16 @@ class Wrapper:
                                            # fixpoint (engine incremental)
              "dirty": int | None,          # 0 when a plan reused its
              "dirty_fraction": float | None}   # fixpoint, None when cold
+
+        A warm attempt (``prior`` given) first runs one key pass over the
+        page (:func:`repro.trees.stream.html_snapshot_warm`).  When the
+        page's structure key -- its tag texts and which text runs are
+        blank -- equals the prior version's, the snapshot shares the
+        prior's structural columns and only its texts are new
+        (``snapshot_reused``); otherwise it builds cold and keeps the new
+        key.  The first warm version has no prior key to match, and a page
+        with comments, raw text or tags that the general scanner step
+        reads keeps none, so its next version builds cold too.
 
         A plan reuses its previous fixpoint when the page's tree -- its
         elements, their nesting and their tags -- is unchanged, whatever
@@ -385,12 +405,16 @@ class Wrapper:
         True
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
-        >>> out.to_sexpr(), stats["warm"], stats["dirty"]
-        ('result(item, item)', True, 0)
+        >>> out.to_sexpr(), stats["warm"], stats["dirty"], stats["snapshot_reused"]
+        ('result(item, item)', True, 0, False)
+        >>> out, state, stats = w.wrap_html_stateful(
+        ...     "<ul><li>b<li>d</ul>", prior=state)
+        >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
+        ('result(item, item)', True, True)
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c<li>d</ul>", prior=state)
-        >>> out.to_sexpr(), stats["warm"]
-        ('result(item, item, item)', False)
+        >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
+        ('result(item, item, item)', False, False)
         """
         self.compile()
         return self._wrap_page(page, prior, root_label)
@@ -414,9 +438,15 @@ class Wrapper:
         as the output.  See :meth:`wrap_html_stateful` for the result.
         """
         started = time.perf_counter()
-        runtime = as_indexed(Document.from_html(page))
+        if prior is None:
+            snapshot, digest, reused = html_snapshot(page), None, False
+        else:
+            snapshot, digest, reused = html_snapshot_warm(
+                page, prior.digest, prior.snapshot
+            )
+        runtime = as_indexed(Document(snapshot))
         built = time.perf_counter()
-        ids, state, runs = self._extract_structure(runtime, prior)
+        ids, states, runs = self._extract_structure(runtime, prior)
         output = ids if root_label is None else self._assemble(runtime, ids, root_label)
         finished = time.perf_counter()
         dirtiest = max(
@@ -426,13 +456,14 @@ class Wrapper:
         )
         stats = {
             "snapshot_build_ms": round((built - started) * 1e3, 3),
+            "snapshot_reused": reused,
             "kernel_ms": round((finished - built) * 1e3, 3),
             "runs": runs,
             "warm": any(run.get("engine") == "incremental" for run in runs),
             "dirty": dirtiest.get("dirty"),
             "dirty_fraction": dirtiest.get("dirty_fraction"),
         }
-        return output, state, stats
+        return output, WrapperState(states, snapshot, digest), stats
 
     def _assemble(
         self, structure: IndexedStructure, ids: Dict[str, Set[int]], root_label: str

@@ -743,6 +743,48 @@ class TestServeWarmPath:
         assert metrics["counters"].get("incremental_hits", 0) >= 1
         assert metrics["gauges"].get("incremental_reuse_fraction", 0) > 0
 
+    def test_text_only_third_version_reuses_the_snapshot(self):
+        import http.client
+
+        registry = WrapperRegistry()
+        registry.register(
+            "forum", FORUM_WRAPPER, kind="elog",
+            patterns=["thread", "comment", "body"],
+        )
+        # No tracing: a response then carries no trace id, so a warm and a
+        # cold reply to one page are comparable byte for byte.
+        server = ExtractionServer(
+            registry, port=0, shards=0, cache_size=0, tracing=False
+        )
+        thread = ServerThread(server)
+        host, port = thread.start()
+
+        def body_of(payload):
+            conn = http.client.HTTPConnection(host, port, timeout=60)
+            try:
+                conn.request("POST", "/extract/forum", json.dumps(payload))
+                response = conn.getresponse()
+                assert response.status == 200
+                return response.read()
+            finally:
+                conn.close()
+
+        try:
+            v1 = forum_page(seed=8, threads=3, depth=10)
+            v2 = v1.replace("Comment 2.9 ", "Comment 2.9 (edited) ")
+            v3 = v2.replace("Comment 0.3 ", "Comment 0.3 &amp; more ")
+            for version in (v1, v2):
+                body_of({"html": version, "doc_id": "doc-r"})
+            status, metrics = request(host, port, "GET", "/metrics")
+            assert metrics["counters"].get("snapshot_reuses", 0) == 0
+            warm = body_of({"html": v3, "doc_id": "doc-r"})
+            status, metrics = request(host, port, "GET", "/metrics")
+            assert metrics["counters"]["snapshot_reuses"] == 1
+            assert warm == body_of({"html": v3})
+            assert b"Comment 0.3 & more" in warm
+        finally:
+            thread.stop()
+
     def test_distinct_doc_ids_do_not_share_state(self, forum_server):
         host, port = forum_server
         page_a = forum_page(seed=6, threads=2, depth=8)

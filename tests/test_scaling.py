@@ -17,7 +17,8 @@ one round per chain level, at a cost that grows with the document,
 would go quadratic there.  Forum pages whose reply chains double in
 depth hold the whole wrapping path to it, cold and on a warm re-run
 whose edits sit at the top of every chain (the text-only edit reuses
-the previous fixpoint).  The snapshot diff is held to the bound on every
+the previous fixpoint), and on the next text-only version, whose
+snapshot reuses the previous structure after one key pass.  The snapshot diff is held to the bound on every
 generator's page, one character edited, and so are the catalog
 wrapper's kernel bind and the tree relations the general engines read.
 
@@ -312,25 +313,39 @@ FORUM = forum_wrapper()
 
 @functools.lru_cache(maxsize=2)
 def forum_versions(depth):
-    """A forum page, the page with depth 0 of every thread edited, and
-    the page's warm state (built once per depth, outside the timing)."""
+    """A forum page, the page with depth 0 of every thread edited, the
+    page's warm state, the page edited again and the edited page's warm
+    state, which holds its structure key (built once per depth, outside
+    the timing)."""
     base = forum_page(seed=5, threads=FORUM_THREADS, depth=depth)
-    edited = base
+    edited = again = base
     for t in range(FORUM_THREADS):
         edited = edited.replace(f"Comment {t}.0 by", f"Comment {t}.0 (edited) by", 1)
+        again = again.replace(f"Comment {t}.0 by", f"Comment {t}.0 (again) by", 1)
     _, state, _ = FORUM.wrap_html_stateful(base)
-    return base, edited, state
+    _, keyed, _ = FORUM.wrap_html_stateful(edited, state)
+    return base, edited, state, again, keyed
 
 
 FORUM_PATHS = {
-    # (timed call, whether it runs warm, what its kernel run must report)
+    # (timed call, whether it runs warm, whether its snapshot is reused,
+    # what its kernel run must report)
     "cold": (
         lambda depth: FORUM.wrap_html_stateful(forum_versions(depth)[0]),
+        False,
         False,
         {"engine": "worklist"},
     ),
     "deep_cone": (
-        lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:]),
+        lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:3]),
+        True,
+        False,
+        {"engine": "incremental"},
+    ),
+    # The third text-only version: one key pass, no structure build.
+    "reused_structure": (
+        lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[3:]),
+        True,
         True,
         {"engine": "incremental"},
     ),
@@ -339,11 +354,12 @@ FORUM_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(FORUM_PATHS))
 def test_doubling_chain_depth_at_most_doubles_time(path):
-    run, warm, expected = FORUM_PATHS[path]
+    run, warm, reused, expected = FORUM_PATHS[path]
     for depth in (FORUM_DEPTH, 2 * FORUM_DEPTH):
         _, _, stats = run(depth)
         (kernel_run,) = stats["runs"]
         assert stats["warm"] == warm
+        assert stats["snapshot_reused"] == reused
         assert {key: kernel_run[key] for key in expected} == expected
     ratios = doubling_ratios(run, FORUM_DEPTH, 2 * FORUM_DEPTH)
     assert ratios[-1] <= MAX_RATIO, (

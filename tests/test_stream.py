@@ -623,6 +623,133 @@ class TestLabelIdLanes:
             assert clone.unary_nodes("label_td") == snapshot.unary_nodes("label_td")
 
 
+#: A page as a token list: tags (one or two attributes, entity-coded
+#: values) and text runs; :meth:`TestWarmSnapshot.edit` rewrites it.
+WARM_BASE = [
+    '<div class="page">', "Title &amp; more", "<ul>",
+    '<li class="a">', "one", "<li>", " ", '<li class="b">', "AT&T",
+    "</ul>", "<p>", "x &lt; y", "<br>", "\n", "<table>", "<tr>", "<td>",
+    "cell", '<td title="q&amp;a">', "", "</table>", "<p>", "last", "</div>",
+]
+
+#: Text runs to swap in: non-blank, blank and entity-coded ones.
+WARM_TEXTS = [
+    "alpha", "beta gamma", " ", "\n\t", "", "a &amp; b", "&lt;tag&gt;",
+    "caf&eacute;", "AT&T", "1 &lt; 2", "&#32;", "x",
+]
+
+#: Tokens the general scanner step reads: comments, raw text, two
+#: attributes, a '>' inside a quoted value.
+WARM_GENERAL = [
+    "<!-- note -->", "<script>if(a<b)x();</script>", "<style>p>q{}</style>",
+    '<a x="1" y="2">', '<a t="x>y">', "<!DOCTYPE html>",
+]
+
+
+class TestWarmSnapshot:
+    """``html_snapshot_warm`` equals a cold ``html_snapshot`` column by
+    column on every version of randomized edit sequences, and the wrapped
+    output equals ``wrap_html_many``."""
+
+    @staticmethod
+    def edit(rng, tokens):
+        """One random edit of the token list, in place; mostly text."""
+        texts = [i for i, tok in enumerate(tokens) if not tok.startswith("<")]
+        kind = rng.choice(
+            ["text"] * 8
+            + ["attr", "general", "ungeneral", "trailing", "top_text", "tag"]
+        )
+        if kind == "text" and texts:
+            tokens[rng.choice(texts)] = rng.choice(WARM_TEXTS)
+        elif kind == "attr":
+            tags = [i for i, tok in enumerate(tokens) if tok.startswith("<li")]
+            if tags:
+                tokens[rng.choice(tags)] = rng.choice(
+                    ['<li class="a">', '<li class="z">', "<li>", "<li id=q>",
+                     '<li class="a&amp;b">', '<li class="a" id="two">']
+                )
+        elif kind == "general":
+            tokens.insert(rng.randrange(1, len(tokens)), rng.choice(WARM_GENERAL))
+        elif kind == "ungeneral":
+            found = [i for i, tok in enumerate(tokens) if tok in WARM_GENERAL]
+            if found:
+                del tokens[rng.choice(found)]
+        elif kind == "trailing":
+            if tokens[-1] in ("</a", "<b", "<"):
+                tokens.pop()
+            else:
+                tokens.append(rng.choice(["</a", "<b", "<"]))
+        elif kind == "top_text":
+            # Text before the root element: non-blank text keeps the
+            # synthetic root, blank text unwraps it.
+            if tokens[0].startswith("<"):
+                tokens.insert(0, rng.choice(["lead", " ", "&amp;"]))
+            else:
+                del tokens[0]
+        else:
+            tokens.insert(rng.randrange(1, len(tokens)), rng.choice(["<p>", "</li>", "<b>"]))
+
+    def test_randomized_edit_sequences_match_cold(self):
+        from repro.trees.stream import html_snapshot_warm
+
+        rng = random.Random(20261020)
+        wrapper = Wrapper()
+        wrapper.add_datalog("item", parse_program("item(x) :- label_li(x).", query="item"))
+        wrapper.add_datalog("cell", parse_program("cell(x) :- label_td(x).", query="cell"))
+        counts = {True: 0, False: 0}
+        for _ in range(40):
+            tokens = list(WARM_BASE)
+            # The first version builds cold and keeps no digest, as a
+            # wrapper's prior-less first version does.
+            snapshot, digest, reused = html_snapshot("".join(tokens)), None, False
+            _, state, _ = wrapper.wrap_html_stateful("".join(tokens))
+            for _ in range(12):
+                self.edit(rng, tokens)
+                page = "".join(tokens)
+                cold = html_snapshot(page)
+                snapshot, digest, reused = html_snapshot_warm(page, digest, snapshot)
+                counts[reused] += 1
+                assert columns(snapshot) == columns(cold), repr(page)
+                if reused:
+                    assert snapshot.parent is not cold.parent
+                out, state, stats = wrapper.wrap_html_stateful(page, state)
+                assert stats["snapshot_reused"] == reused, repr(page)
+                assert out.to_dict() == wrapper.wrap_html_many([page])[0].to_dict()
+                assert columns(state.snapshot) == columns(cold), repr(page)
+                # Mutating this version's attribute dicts and texts must
+                # not reach the next version's snapshot.
+                for attrs in (snapshot.attrs or {}).values():
+                    attrs["mutated"] = "yes"
+                for attrs in (state.snapshot.attrs or {}).values():
+                    attrs["mutated"] = "yes"
+        assert counts[True] > 80 and counts[False] > 80, counts
+
+    def test_a_general_step_page_keeps_no_digest(self):
+        from repro.trees.stream import html_snapshot_warm, structure_key
+
+        for page in ("<p>a<!-- c --><p>b", "<p>a<script>x</script>", "<p>a<b"):
+            snapshot, digest, reused = html_snapshot_warm(page, None, None)
+            assert digest is None and not reused
+            assert columns(snapshot) == columns(html_snapshot(page))
+        digest, texts = structure_key("<p>a<p>b")
+        snapshot, kept, reused = html_snapshot_warm("<p>c<p>d", None, None)
+        assert kept == digest and not reused
+        snapshot, kept, reused = html_snapshot_warm("<p>e<p>f", kept, snapshot)
+        assert reused and snapshot.texts == {2: "e", 4: "f"}  # root kept: two roots
+
+    def test_structure_key_separates_texts_from_tags(self):
+        from repro.trees.stream import structure_key
+
+        pages = ("<a>x<b>", "<a><b>x", "<a>x<b>y", "<a><b>", "x<a><b>",
+                 "<a><b><>", "<a b><>", "<a><b c>")
+        assert len({structure_key(page)[0] for page in pages}) == len(pages)
+        # A blank run is no node, whatever its whitespace.
+        assert structure_key("<a> <b>\n")[0] == structure_key("<a><b>")[0]
+        assert structure_key("<a>x", "r")[0] != structure_key("<a>x", "s")[0]
+        for page in ("<a>x<b", "<a><<b>"):
+            assert structure_key(page)[0] is None
+
+
 class TestDocument:
     def test_text_and_attrs(self):
         document = Document.from_html(

@@ -37,7 +37,8 @@ from repro.workloads import FORUM_WRAPPER, forum_page
 from tests.test_serve_faults import make_registry
 
 STAT_KEYS = {
-    "snapshot_build_ms", "kernel_ms", "runs", "warm", "dirty", "dirty_fraction"
+    "snapshot_build_ms", "snapshot_reused", "kernel_ms", "runs", "warm",
+    "dirty", "dirty_fraction",
 }
 
 
@@ -69,8 +70,9 @@ class TestPerPageCore:
             assert out.to_dict() == expected
             assert set(stats) == STAT_KEYS
         # The last versions changed only comment text: they reuse the
-        # previous fixpoint, and no node of the tree is dirty.
-        assert stats["warm"] is True
+        # previous fixpoint, and no node of the tree is dirty.  The third
+        # and fourth also reuse the previous snapshot's structure.
+        assert stats["warm"] is True and stats["snapshot_reused"] is True
         assert stats["dirty"] == 0 and stats["dirty_fraction"] == 0.0
         extracted = wrapper.extract_html_many(pages)
         assert extracted == [wrapper.extract(Document.from_html(p)) for p in pages]

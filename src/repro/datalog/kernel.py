@@ -102,7 +102,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.datalog.analysis import split_disconnected
 from repro.datalog.program import Program, Rule
@@ -127,17 +127,26 @@ _RANKED_CHILD = re.compile(r"^child\d+$")
 #: node ``c`` alone (see :func:`_constants_as_relations`).
 _CONST = "@const:"
 
-#: ``(0, 1, ..., n - 1)`` for the largest ``n`` a run has read answers off
-#: (:func:`_node_ids`).  ``compress`` over it picks a lane's node ids
-#: without making one int object per node per output lane.
+#: ``(0, 1, ..., n - 1)`` for the largest ``n`` up to :data:`_NODE_IDS_CAP`
+#: a run has read answers off (:func:`_node_ids`).  ``compress`` over it
+#: picks a lane's node ids without making one int object per node per
+#: output lane.
 _NODE_IDS: Tuple[int, ...] = ()
 
+#: The most ids :data:`_NODE_IDS` holds (about 36 bytes each, for the life
+#: of the process); a larger tree reads its lanes off a ``range``, so one
+#: huge page leaves no id tuple of its size behind.
+_NODE_IDS_CAP = 1 << 15
 
-def _node_ids(n: int) -> Tuple[int, ...]:
-    """The shared id tuple, grown to at least ``n`` ids."""
+
+def _node_ids(n: int) -> Union[Tuple[int, ...], range]:
+    """The shared id tuple, grown to at least ``n`` ids; ``range(n)``
+    when ``n`` is above the cap."""
     global _NODE_IDS
     ids = _NODE_IDS
     if len(ids) < n:
+        if n > _NODE_IDS_CAP:
+            return range(n)
         # Return the tuple built here: a concurrent caller may store a
         # shorter one between the store and a re-read of the global.
         ids = _NODE_IDS = tuple(range(n))

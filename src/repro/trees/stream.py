@@ -27,7 +27,8 @@ Sources:
 * :func:`html_snapshot_warm` -- a page's next version: one key pass
   (:func:`structure_key`) and, when the page's structure is unchanged,
   the previous snapshot's columns with new texts, else
-  :func:`html_snapshot`;
+  :func:`html_snapshot` (with no key pass after a version that took the
+  general scanner step);
 * :func:`sexpr_snapshot` -- the s-expression reader, and
   :func:`tree_snapshot` -- an existing :class:`Node` tree (parity
   harness, and snapshots for generated trees), both flattened by
@@ -105,10 +106,13 @@ def html_snapshot(html: str, root_label: str = "document") -> TreeSnapshot:
     return _build(html, root_label)[0]
 
 
-def _build(html: str, root_label: str) -> Tuple[TreeSnapshot, bool]:
+def _build(
+    html: str, root_label: str, split: Optional[List[str]] = None
+) -> Tuple[TreeSnapshot, bool]:
     """:func:`html_snapshot`'s loop: the snapshot, and whether any token
     went through the general step (after which the split on ``<`` no
-    longer says what the page's tokens are)."""
+    longer says what the page's tokens are).  ``split`` is
+    ``html.split("<")`` when the caller already made it."""
     general = False
     # Ids are assigned as if the synthetic root were unwrapped: the root
     # is not a node (its frame carries id -1), so node 0 is the first
@@ -179,7 +183,10 @@ def _build(html: str, root_label: str) -> Tuple[TreeSnapshot, bool]:
     steps: Dict[str, Optional[tuple]] = {}  # tag text -> build step
     get_step = steps.get
     unseen = UNSEEN
-    pieces = iter(html.split("<"))
+    # This loop reads the split as _key's does (the partition at '>' and
+    # the blankness test); the exactness of html_snapshot_warm rests on
+    # the two staying in step, so change them together.
+    pieces = iter(html.split("<") if split is None else split)
     text = next(pieces)
     at = len(text)  # offset of the next piece's '<'
     for piece in pieces:
@@ -284,6 +291,11 @@ def _build(html: str, root_label: str) -> Tuple[TreeSnapshot, bool]:
     ), general
 
 
+#: The digest kept after a build that took the general step: that page's
+#: next version builds cold without a key pass (:func:`html_snapshot_warm`).
+GENERAL = b""
+
+
 def structure_key(
     html: str, root_label: str = "document"
 ) -> Tuple[Optional[bytes], List[str]]:
@@ -307,6 +319,11 @@ def structure_key(
     >>> structure_key("<ul><li>c<li>d</ul>")[0] == digest
     False
     """
+    return _key(html.split("<"), root_label)
+
+
+def _key(pieces: List[str], root_label: str) -> Tuple[Optional[bytes], List[str]]:
+    """:func:`structure_key` of the page split into ``pieces`` on ``<``."""
     texts: List[str] = []
     keep = texts.append
     # Tag texts hold no '<' or '>', so joined on '<' with '>' marking a
@@ -314,7 +331,10 @@ def structure_key(
     # recoverable from the joined string.
     parts = [f"{len(root_label)}:{root_label}"]
     mark = parts.append
-    pieces = iter(html.split("<"))
+    # This loop reads the split as _build's does (the partition at '>'
+    # and the blankness test); the exactness of html_snapshot_warm rests
+    # on the two staying in step, so change them together.
+    pieces = iter(pieces)
     text = next(pieces)
     for piece in pieces:
         if text and not text.isspace():
@@ -333,21 +353,27 @@ def structure_key(
 
 def html_snapshot_warm(
     html: str,
-    digest: Optional[bytes],
-    previous: Optional[TreeSnapshot],
+    digest: Optional[bytes] = None,
+    previous: Optional[TreeSnapshot] = None,
     root_label: str = "document",
 ) -> Tuple[TreeSnapshot, Optional[bytes], bool]:
     """The snapshot of a page's new version, built on its previous one.
 
-    ``digest`` and ``previous`` are what the previous version left: its
-    :func:`structure_key` digest (``None`` when it has none) and its
-    snapshot.  One key pass runs over ``html``.  When its digest equals
-    ``digest``, the new snapshot shares every column of ``previous``
-    (:meth:`TreeSnapshot.with_texts`) but the text column, which takes
-    the new texts under the previous text nodes' ids.  Otherwise the page
-    builds cold (:func:`html_snapshot`).  Returns ``(snapshot, digest,
-    reused)``, where ``digest`` is the one to keep for the next version:
-    ``None`` when the build took the general step.
+    ``digest`` and ``previous`` are what the previous version left: the
+    digest this function returned for it and its snapshot.  Without a
+    ``previous`` (a page's first version) or after :data:`GENERAL`, the
+    page builds cold (:func:`html_snapshot`) with no key pass.  Otherwise
+    one key pass (:func:`structure_key`) runs over ``html``, and when its
+    digest equals ``digest``, the new snapshot shares every column of
+    ``previous`` (:meth:`TreeSnapshot.with_texts`) but the text column,
+    which takes the new texts under the previous text nodes' ids; on any
+    other digest the page builds cold from the key pass's split.
+
+    Returns ``(snapshot, digest, reused)``, where ``digest`` is the one to
+    keep for the next version: :data:`GENERAL` when the build took the
+    general step, so that version skips the key pass it could not use;
+    the page's key when a key pass ran; ``None`` (no key yet, so the next
+    version runs one) when none ran.
 
     Exactness.  On a page none of whose tokens takes the general step,
     the build visits the pieces of the split in order and reads, per
@@ -363,25 +389,30 @@ def html_snapshot_warm(
     non-blank, which is the structure key; a run's text reaches only the
     text column.  The general step (comments, raw text, tags with several
     attributes or an odd shape, a piece with no ``>``) reads the page
-    past the split, so a page that takes it keeps no digest and its next
-    version builds cold.  A digest is kept only from a build without it,
-    so an equal digest means the new page's build would take none either.
-    The raw attribute column then holds only shared tag entries, never
-    dicts, so the new version's ``attrs`` dicts are its own.
+    past the split, so a page that takes it keeps no key.  A key is kept
+    only from a build without it, so an equal digest means the new page's
+    build would take none either.  The raw attribute column then holds
+    only shared tag entries, never dicts, so the new version's ``attrs``
+    dicts are its own.
 
-    >>> first = html_snapshot("<ul><li>a<li>b</ul>")
-    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>c</ul>", None, first)
+    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>b</ul>")
+    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>c</ul>", digest, snap)
     >>> reused, sorted(snap.texts.values())
     (False, ['a', 'c'])
     >>> snap, digest, reused = html_snapshot_warm("<ul><li>x<li>y</ul>", digest, snap)
     >>> reused, snap.texts
     (True, {2: 'x', 4: 'y'})
+    >>> html_snapshot_warm("<ul><!-- c --><li>z</ul>", digest, snap)[1] == GENERAL
+    True
     """
-    new_digest, texts = structure_key(html, root_label)
-    if new_digest is not None and new_digest == digest:
-        return previous.with_texts(dict(zip(previous.texts, texts))), digest, True
-    snapshot, general = _build(html, root_label)
-    return snapshot, None if general else new_digest, False
+    pieces, new_digest = None, None
+    if previous is not None and digest != GENERAL:
+        pieces = html.split("<")
+        new_digest, texts = _key(pieces, root_label)
+        if new_digest is not None and new_digest == digest:
+            return previous.with_texts(dict(zip(previous.texts, texts))), digest, True
+    snapshot, general = _build(html, root_label, pieces)
+    return snapshot, GENERAL if general else new_digest, False
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:

@@ -58,7 +58,7 @@ from repro.elog.translate import elog_to_datalog
 from repro.errors import AutomatonError, WrapError
 from repro.structures import IndexedStructure, as_indexed
 from repro.trees.node import Node
-from repro.trees.stream import html_snapshot, html_snapshot_warm
+from repro.trees.stream import html_snapshot_warm
 from repro.trees.unranked import UnrankedStructure
 from repro.wrap.document import Document
 from repro.wrap.output import (
@@ -75,15 +75,17 @@ class WrapperState:
     """Opaque per-document state for :meth:`Wrapper.wrap_html_stateful`.
 
     Holds what the previous version of one document left: its snapshot,
-    its structure digest (:func:`repro.trees.stream.structure_key`;
-    ``None`` when it has none) and, per distinct compiled plan (in
-    registration order), the plan's kernel state -- the snapshot plus the
-    plan's answer ids.  Feed it back as ``prior`` when the *next* version
-    of the same document arrives.  When the page's structure key is
-    unchanged, the new snapshot shares every column of the previous one
-    but the texts; a plan reuses its answer when the page's tree (tags and
-    nesting) is unchanged, and runs cold otherwise or when its previous
-    run left no kernel state.
+    the digest :func:`repro.trees.stream.html_snapshot_warm` returned for
+    it (its structure key; ``None`` when it has none yet;
+    :data:`~repro.trees.stream.GENERAL` when its build took the general
+    scanner step, so the next version skips the key pass) and, per
+    distinct compiled plan (in registration order), the plan's kernel
+    state -- the snapshot plus the plan's answer ids.  Feed it back as
+    ``prior`` when the *next* version of the same document arrives.
+    When the page's structure key is unchanged, the new snapshot shares
+    every column of the previous one but the texts; a plan reuses its
+    answer when the page's tree (tags and nesting) is unchanged, and runs
+    cold otherwise or when its previous run left no kernel state.
     """
 
     __slots__ = ("states", "snapshot", "digest")
@@ -382,9 +384,10 @@ class Wrapper:
         blank -- equals the prior version's, the snapshot shares the
         prior's structural columns and only its texts are new
         (``snapshot_reused``); otherwise it builds cold and keeps the new
-        key.  The first warm version has no prior key to match, and a page
+        key.  The first warm version has no prior key to match.  A version
         with comments, raw text or tags that the general scanner step
-        reads keeps none, so its next version builds cold too.
+        reads keeps no key, and its next version builds cold without a
+        key pass.
 
         A plan reuses its previous fixpoint when the page's tree -- its
         elements, their nesting and their tags -- is unchanged, whatever
@@ -439,7 +442,7 @@ class Wrapper:
         """
         started = time.perf_counter()
         if prior is None:
-            snapshot, digest, reused = html_snapshot(page), None, False
+            snapshot, digest, reused = html_snapshot_warm(page)
         else:
             snapshot, digest, reused = html_snapshot_warm(
                 page, prior.digest, prior.snapshot

@@ -670,6 +670,22 @@ class TestStructureReuse:
         again, _, stats = wrapper.wrap_html_stateful(page, state, root_label=None)
         assert stats["warm"] and again == expected
 
+    def test_a_tree_above_the_id_cap_leaves_no_id_tuple_behind(self, monkeypatch):
+        from repro.datalog import kernel
+
+        monkeypatch.setattr(kernel, "_NODE_IDS_CAP", 40)
+        monkeypatch.setattr(kernel, "_NODE_IDS", ())
+        compiled = descent_program()
+        # 31 nodes, then 79 (above the cap), then 31 again.
+        for shape in ((3, 9), (6, 12), (3, 9)):
+            doc = as_indexed(UnrankedStructure(thread_tree(*shape)))
+            result = compiled.run(doc, method="kernel")
+            slow = compiled.run(doc, method="seminaive")
+            assert result.unary("mark") == slow.unary("mark")
+            assert result.unary("deep") == slow.unary("deep")
+            # The held tuple stays at the largest tree under the cap.
+            assert len(kernel._NODE_IDS) == 31
+
     def test_constant_and_zero_ary_program_reuses(self):
         raw = parse_program(
             "seen :- label_b(x), leaf(x).\n"

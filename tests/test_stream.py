@@ -699,9 +699,9 @@ class TestWarmSnapshot:
         counts = {True: 0, False: 0}
         for _ in range(40):
             tokens = list(WARM_BASE)
-            # The first version builds cold and keeps no digest, as a
+            # The first version builds cold with no key pass, as a
             # wrapper's prior-less first version does.
-            snapshot, digest, reused = html_snapshot("".join(tokens)), None, False
+            snapshot, digest, reused = html_snapshot_warm("".join(tokens))
             _, state, _ = wrapper.wrap_html_stateful("".join(tokens))
             for _ in range(12):
                 self.edit(rng, tokens)
@@ -724,18 +724,38 @@ class TestWarmSnapshot:
                     attrs["mutated"] = "yes"
         assert counts[True] > 80 and counts[False] > 80, counts
 
-    def test_a_general_step_page_keeps_no_digest(self):
-        from repro.trees.stream import html_snapshot_warm, structure_key
+    def test_a_general_step_page_skips_the_next_key_pass(self, monkeypatch):
+        from repro.trees import stream
+        from repro.trees.stream import GENERAL, html_snapshot_warm, structure_key
 
+        expected_key = structure_key("<p>a<p>b")[0]
+        passes = []
+        key = stream._key
+        monkeypatch.setattr(
+            stream, "_key", lambda pieces, root: passes.append(1) or key(pieces, root)
+        )
+        # A first version runs no key pass and keeps no key, unless its
+        # build took the general step.
+        snapshot, kept, reused = html_snapshot_warm("<p>a<p>b")
+        assert kept is None and not reused and not passes
         for page in ("<p>a<!-- c --><p>b", "<p>a<script>x</script>", "<p>a<b"):
-            snapshot, digest, reused = html_snapshot_warm(page, None, None)
-            assert digest is None and not reused
-            assert columns(snapshot) == columns(html_snapshot(page))
-        digest, texts = structure_key("<p>a<p>b")
-        snapshot, kept, reused = html_snapshot_warm("<p>c<p>d", None, None)
-        assert kept == digest and not reused
+            first, digest, reused = html_snapshot_warm(page)
+            assert digest == GENERAL and not reused and not passes
+            # Its next version builds cold without a key pass, and keeps
+            # GENERAL again or, with no general step, no key yet.
+            for again, expected in ((page, GENERAL), ("<p>c<p>d", None)):
+                snap, digest, reused = html_snapshot_warm(again, GENERAL, first)
+                assert digest == expected and not reused and not passes
+                assert columns(snap) == columns(html_snapshot(again))
+        # A key pass that meets the general step keeps GENERAL.
+        snap, digest, reused = html_snapshot_warm("<p>a<!-- c -->", kept, snapshot)
+        assert digest == GENERAL and not reused and len(passes) == 1
+        # No key yet: one key pass, a cold build, then reuse.
+        snapshot, kept, reused = html_snapshot_warm("<p>c<p>d", None, snapshot)
+        assert kept == expected_key and not reused
         snapshot, kept, reused = html_snapshot_warm("<p>e<p>f", kept, snapshot)
         assert reused and snapshot.texts == {2: "e", 4: "f"}  # root kept: two roots
+        assert len(passes) == 3
 
     def test_structure_key_separates_texts_from_tags(self):
         from repro.trees.stream import structure_key

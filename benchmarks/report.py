@@ -723,19 +723,21 @@ def _assert_incremental_exercised() -> None:
     _assert_snapshot_reuse_exercised()
     print(
         "    incremental guard: text edit -> engine=incremental, "
-        "relabel -> engine=worklist == cold; third text-only page version "
-        "-> snapshot_reused, one-tag relabel -> cold build == cold ok"
+        "relabel -> engine=worklist == cold; second text-only page version "
+        "-> snapshot_reused, appended reply and one-tag relabel -> cold "
+        "build == cold ok"
     )
 
 
 def _assert_snapshot_reuse_exercised() -> None:
     """CI guard: a text-only page version reuses the previous structure.
 
-    Through :meth:`Wrapper.wrap_html_stateful` on a forum page: the third
-    text-only version must report ``snapshot_reused`` (the second keeps
-    the first structure key; the first, prior-less, computes none), or
-    every warm page silently pays a cold HTML build.  A one-tag relabel
-    of the next version must build cold and equal a cold wrap.
+    Through :meth:`Wrapper.wrap_html_stateful` on a forum page: the second
+    version, text-only, must report ``snapshot_reused`` (its prior-less
+    first version keeps its page for the comparison), or every warm page
+    silently pays a cold HTML build.  A next version with one appended
+    reply, and one with a one-tag relabel, must each build cold and equal
+    a cold wrap.
     """
     import re
 
@@ -747,26 +749,28 @@ def _assert_snapshot_reuse_exercised() -> None:
         wrapper.add_elog(pattern, program, pattern=pattern)
     v1 = forum_page(seed=4, threads=3, depth=8)
     v2 = v1.replace("Comment 2.7 by", "Comment 2.7 (edited) by", 1)
-    v3 = v2.replace("Comment 1.2 by", "Comment 1.2 (edited) by", 1)
-    state = None
-    for version in (v1, v2, v3):
-        out, state, stats = wrapper.wrap_html_stateful(version, state)
+    _, state, _ = wrapper.wrap_html_stateful(v1)
+    out, state, stats = wrapper.wrap_html_stateful(v2, state)
     if not stats["snapshot_reused"] or not stats["warm"]:
         raise SystemExit(
-            "snapshot reuse no longer exercised: a text-only third version "
+            "snapshot reuse no longer exercised: a text-only second version "
             f"reported {stats!r}"
         )
-    # One comment body's <p> becomes an <h4>: the wrapper's answer changes.
-    relabelled = re.sub(r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", v3, count=1)
-    if relabelled == v3:
-        raise SystemExit("snapshot reuse guard: the relabel edit found no tag")
-    out, _, stats = wrapper.wrap_html_stateful(relabelled, state)
-    cold = wrapper.wrap_html_many([relabelled])[0]
-    if stats["snapshot_reused"] or stats["warm"] or out.to_dict() != cold.to_dict():
-        raise SystemExit(
-            "a one-tag relabel must build cold and equal cold: got "
-            f"{stats!r}"
-        )
+    # One reply appended to the thread list, and one comment body's <p>
+    # turned into an <h4>: the wrapper's answer changes either way.
+    appended = v2.replace(
+        "</ul></div>", '<li class="comment"><p>A new reply.</p></li></ul></div>', 1
+    )
+    relabelled = re.sub(r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", v2, count=1)
+    for name, edited in (("appended reply", appended), ("one-tag relabel", relabelled)):
+        if edited == v2:
+            raise SystemExit(f"snapshot reuse guard: the {name} edit found no tag")
+        out, _, stats = wrapper.wrap_html_stateful(edited, state)
+        cold = wrapper.wrap_html_many([edited])[0]
+        if stats["snapshot_reused"] or stats["warm"] or out.to_dict() != cold.to_dict():
+            raise SystemExit(
+                f"the {name} version must build cold and equal cold: got {stats!r}"
+            )
 
 
 def parse_program_incremental():

@@ -24,11 +24,11 @@ Sources:
   two front ends cannot drift, and every cut is O(1) amortized, so
   ingestion is linear on any tag soup), with identical synthetic-root
   unwrapping;
-* :func:`html_snapshot_warm` -- a page's next version: one key pass
-  (:func:`structure_key`) and, when the page's structure is unchanged,
-  the previous snapshot's columns with new texts, else
-  :func:`html_snapshot` (with no key pass after a version that took the
-  general scanner step);
+* :func:`html_snapshot_warm` -- a page's next version: its pieces
+  compared with the previous version's, and when the structure is
+  unchanged, the previous snapshot's columns with the changed texts,
+  else :func:`html_snapshot` (with no comparison after a version that
+  took the general scanner step);
 * :func:`sexpr_snapshot` -- the s-expression reader, and
   :func:`tree_snapshot` -- an existing :class:`Node` tree (parity
   harness, and snapshots for generated trees), both flattened by
@@ -42,8 +42,10 @@ snapshot :func:`html_snapshot_warm` returns.
 
 from __future__ import annotations
 
-from hashlib import blake2b
-from typing import Dict, List, Optional, Tuple
+from array import array
+from itertools import compress, islice
+from operator import ne
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.html.entities import decode_entities
 from repro.html.policy import (
@@ -183,9 +185,10 @@ def _build(
     steps: Dict[str, Optional[tuple]] = {}  # tag text -> build step
     get_step = steps.get
     unseen = UNSEEN
-    # This loop reads the split as _key's does (the partition at '>' and
-    # the blankness test); the exactness of html_snapshot_warm rests on
-    # the two staying in step, so change them together.
+    # This loop reads the split as _new_texts and _ranks do (the
+    # partition at '>' and the blankness test); the exactness of
+    # html_snapshot_warm rests on them staying in step, so change them
+    # together.
     pieces = iter(html.split("<") if split is None else split)
     text = next(pieces)
     at = len(text)  # offset of the next piece's '<'
@@ -291,128 +294,139 @@ def _build(
     ), general
 
 
-#: The digest kept after a build that took the general step: that page's
-#: next version builds cold without a key pass (:func:`html_snapshot_warm`).
+#: The page kept after a build that took the general step: that page's
+#: next version builds cold without a comparison (:func:`html_snapshot_warm`).
 GENERAL = b""
-
-
-def structure_key(
-    html: str, root_label: str = "document"
-) -> Tuple[Optional[bytes], List[str]]:
-    """One key pass over ``html``: its structure digest and its texts.
-
-    The pass splits the page as :func:`html_snapshot` does -- once on
-    ``<``, each piece once at its first ``>`` -- and builds nothing.  The
-    structure key is ``root_label``, each piece's tag text and the
-    blankness of each text run between them, the trailing run included
-    (the build's raw ``text and not text.isspace()`` test); the digest is
-    its 16-byte ``blake2b``.  The texts are the non-blank runs,
-    entity-decoded, in document order: the values of the page's text
-    column.  A piece with no ``>`` gives no digest (``None``), since the
-    build scans it with the general step.
-
-    >>> digest, texts = structure_key("<ul><li>a &amp; b<li> </ul>")
-    >>> len(digest), texts
-    (16, ['a & b'])
-    >>> structure_key("<ul><li>c<li> </ul>")[0] == digest
-    True
-    >>> structure_key("<ul><li>c<li>d</ul>")[0] == digest
-    False
-    """
-    return _key(html.split("<"), root_label)
-
-
-def _key(pieces: List[str], root_label: str) -> Tuple[Optional[bytes], List[str]]:
-    """:func:`structure_key` of the page split into ``pieces`` on ``<``."""
-    texts: List[str] = []
-    keep = texts.append
-    # Tag texts hold no '<' or '>', so joined on '<' with '>' marking a
-    # non-blank run (after the root label, length first), the parts are
-    # recoverable from the joined string.
-    parts = [f"{len(root_label)}:{root_label}"]
-    mark = parts.append
-    # This loop reads the split as _build's does (the partition at '>'
-    # and the blankness test); the exactness of html_snapshot_warm rests
-    # on the two staying in step, so change them together.
-    pieces = iter(pieces)
-    text = next(pieces)
-    for piece in pieces:
-        if text and not text.isspace():
-            keep(decode_entities(text) if "&" in text else text)
-            mark(">")
-        tag, gt, text = piece.partition(">")
-        if not gt:
-            return None, texts
-        mark(tag)
-    if text and not text.isspace():
-        keep(decode_entities(text) if "&" in text else text)
-        mark(">")
-    key = "<".join(parts).encode("utf-8", "surrogatepass")
-    return blake2b(key, digest_size=16).digest(), texts
 
 
 def html_snapshot_warm(
     html: str,
-    digest: Optional[bytes] = None,
+    page: Union[str, bytes, None] = None,
     previous: Optional[TreeSnapshot] = None,
+    ranks: Optional[array] = None,
     root_label: str = "document",
-) -> Tuple[TreeSnapshot, Optional[bytes], bool]:
+) -> Tuple[TreeSnapshot, Union[str, bytes], Optional[array], bool]:
     """The snapshot of a page's new version, built on its previous one.
 
-    ``digest`` and ``previous`` are what the previous version left: the
-    digest this function returned for it and its snapshot.  Without a
+    ``page``, ``previous`` and ``ranks`` are what this function returned
+    for the previous version, built with the same ``root_label``: the page
+    to compare with, its snapshot and its rank table.  Without a
     ``previous`` (a page's first version) or after :data:`GENERAL`, the
-    page builds cold (:func:`html_snapshot`) with no key pass.  Otherwise
-    one key pass (:func:`structure_key`) runs over ``html``, and when its
-    digest equals ``digest``, the new snapshot shares every column of
-    ``previous`` (:meth:`TreeSnapshot.with_texts`) but the text column,
-    which takes the new texts under the previous text nodes' ids; on any
-    other digest the page builds cold from the key pass's split.
+    page builds cold (:func:`html_snapshot`) with no comparison.  So it
+    does when the two pages split into different numbers of pieces on
+    ``<``, and the previous page is then never split.  Otherwise
+    :func:`_new_texts` compares the pieces, and when the structure is the
+    previous one, the new snapshot shares every column of ``previous``
+    (:meth:`TreeSnapshot.with_texts`) but the text column, where only the
+    changed runs get new texts; any other page builds cold from its split.
 
-    Returns ``(snapshot, digest, reused)``, where ``digest`` is the one to
-    keep for the next version: :data:`GENERAL` when the build took the
-    general step, so that version skips the key pass it could not use;
-    the page's key when a key pass ran; ``None`` (no key yet, so the next
-    version runs one) when none ran.
+    Returns ``(snapshot, page, ranks, reused)``, where ``page`` and
+    ``ranks`` are the ones to keep for the next version: ``html``, or
+    :data:`GENERAL` when the build took the general step, so that version
+    skips a comparison it could not use; and the rank table, built by the
+    first comparison that needs it and carried forward while the
+    structure holds (``None`` after a cold build).
 
-    Exactness.  On a page none of whose tokens takes the general step,
-    the build visits the pieces of the split in order and reads, per
-    piece, the tag text and whether the run after it is blank.  The tag
-    text fixes the piece's build step (a pure function of it, with label
-    ids in first-occurrence order), the steps alone drive the open-element
+    >>> snap, page, ranks, reused = html_snapshot_warm("<ul><li>a<li>b</ul>")
+    >>> snap, page, ranks, reused = html_snapshot_warm(
+    ...     "<ul><li>x<li>b</ul>", page, snap, ranks)
+    >>> reused, snap.texts
+    (True, {2: 'x', 4: 'b'})
+    >>> html_snapshot_warm("<ul><li>x<li>b<li>c</ul>", page, snap, ranks)[3]
+    False
+    >>> html_snapshot_warm("<ul><!-- c --><li>z</ul>", page, snap, ranks)[1] == GENERAL
+    True
+    """
+    pieces = html.split("<")
+    if (
+        previous is not None
+        and isinstance(page, str)
+        and len(pieces) == page.count("<") + 1
+    ):
+        found = _new_texts(pieces, page.split("<"), previous.texts, ranks)
+        if found is not None:
+            texts, ranks = found
+            return previous.with_texts(texts), html, ranks, True
+    snapshot, general = _build(html, root_label, pieces)
+    return snapshot, GENERAL if general else html, None, False
+
+
+def _new_texts(
+    pieces: List[str], old: List[str], texts: Dict[int, str], ranks: Optional[array]
+) -> Optional[Tuple[Dict[int, str], Optional[array]]]:
+    """The text column and rank table of a page whose structure is the
+    previous version's, or ``None`` when it may differ.
+
+    ``pieces`` and ``old`` are the new and the previous page split on
+    ``<``, equally many; ``texts`` and ``ranks`` are the previous text
+    column and rank table (:func:`_ranks`, ``None`` until a change needs
+    it).  The differing pieces are found at C speed, so the Python work
+    is per changed piece.  Each must keep its tag text (up to its first
+    ``>``), its ``>`` and the blankness of its run.  A changed head piece
+    (the run before the first ``<``, which has no tag text) is refused,
+    which costs only a cold build.
+
+    Exactness.  The previous page's build took no general step (else its
+    page is :data:`GENERAL`), so each of its pieces but the head has a
+    ``>``.  Such a build visits the pieces in order and reads, per piece,
+    the tag text and whether the run after it is blank.  The tag text
+    fixes the piece's build step (a pure function of it, with label ids
+    in first-occurrence order), the steps alone drive the open-element
     stack, the stack fixes each node's parent, and a non-blank run adds
     one text node under the open element.  Root unwrapping reads only
     ``parent`` and ``label_ids``, and attribute entries come from the
-    steps.  So the structural columns -- ``parent``, the sibling columns,
-    ``label_ids``, ``labels``, ``label_index`` and the raw attribute
-    column -- are a function of the token sequence and of which runs are
-    non-blank, which is the structure key; a run's text reaches only the
-    text column.  The general step (comments, raw text, tags with several
-    attributes or an odd shape, a piece with no ``>``) reads the page
-    past the split, so a page that takes it keeps no key.  A key is kept
-    only from a build without it, so an equal digest means the new page's
-    build would take none either.  The raw attribute column then holds
-    only shared tag entries, never dicts, so the new version's ``attrs``
-    dicts are its own.
-
-    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>b</ul>")
-    >>> snap, digest, reused = html_snapshot_warm("<ul><li>a<li>c</ul>", digest, snap)
-    >>> reused, sorted(snap.texts.values())
-    (False, ['a', 'c'])
-    >>> snap, digest, reused = html_snapshot_warm("<ul><li>x<li>y</ul>", digest, snap)
-    >>> reused, snap.texts
-    (True, {2: 'x', 4: 'y'})
-    >>> html_snapshot_warm("<ul><!-- c --><li>z</ul>", digest, snap)[1] == GENERAL
-    True
+    steps.  So the structural columns -- ``parent``, the sibling
+    columns, ``label_ids``, ``labels``, ``label_index`` and the raw
+    attribute column -- are a function of the tag texts and of which
+    runs are non-blank; a run's text reaches only the text column.  An
+    equal piece reads alike, and so does a differing one with the same
+    tag text, ``>`` and blankness.  Whether a token takes the general
+    step depends on its tag text and ``>`` alone, so the new page's build
+    would take none either and would give the previous structural
+    columns, with the text nodes in the same order: the run of piece
+    ``i``, when non-blank, is text node number ``ranks[i]``.  The raw
+    attribute column then holds only shared tag entries, never dicts, so
+    the new version's ``attrs`` dicts are its own.
     """
-    pieces, new_digest = None, None
-    if previous is not None and digest != GENERAL:
-        pieces = html.split("<")
-        new_digest, texts = _key(pieces, root_label)
-        if new_digest is not None and new_digest == digest:
-            return previous.with_texts(dict(zip(previous.texts, texts))), digest, True
-    snapshot, general = _build(html, root_label, pieces)
-    return snapshot, GENERAL if general else new_digest, False
+    changed = list(compress(range(len(pieces)), map(ne, pieces, old)))
+    if changed and changed[0] == 0:
+        return None
+    runs = []
+    for i in changed:
+        tag, gt, text = pieces[i].partition(">")
+        old_tag, old_gt, old_text = old[i].partition(">")
+        keep = bool(text and not text.isspace())
+        if (
+            tag != old_tag
+            or gt != old_gt
+            or keep != bool(old_text and not old_text.isspace())
+        ):
+            return None
+        if keep:
+            runs.append((i, decode_entities(text) if "&" in text else text))
+    texts = dict(texts)
+    if runs:
+        if ranks is None:
+            ranks = _ranks(old)
+        ids = list(texts)
+        for i, text in runs:
+            texts[ids[ranks[i]]] = text
+    return texts, ranks
+
+
+def _ranks(pieces: List[str]) -> array:
+    """For each piece of a page split on ``<``, how many non-blank text
+    runs come before its own run (the head piece is a run of its own)."""
+    ranks = array("i", [0])
+    append = ranks.append
+    count = 0
+    text = pieces[0]
+    for piece in islice(pieces, 1, None):
+        if text and not text.isspace():
+            count += 1
+        append(count)
+        text = piece.partition(">")[2]
+    return ranks
 
 
 def tree_snapshot(root: Node, schema: str = "unranked", max_rank: int = 0) -> TreeSnapshot:

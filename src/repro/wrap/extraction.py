@@ -75,25 +75,29 @@ class WrapperState:
     """Opaque per-document state for :meth:`Wrapper.wrap_html_stateful`.
 
     Holds what the previous version of one document left: its snapshot,
-    the digest :func:`repro.trees.stream.html_snapshot_warm` returned for
-    it (its structure key; ``None`` when it has none yet;
+    the page :func:`repro.trees.stream.html_snapshot_warm` compares the
+    next version with (the version's HTML, or
     :data:`~repro.trees.stream.GENERAL` when its build took the general
-    scanner step, so the next version skips the key pass) and, per
-    distinct compiled plan (in registration order), the plan's kernel
-    state -- the snapshot plus the plan's answer ids.  Feed it back as
-    ``prior`` when the *next* version of the same document arrives.
-    When the page's structure key is unchanged, the new snapshot shares
-    every column of the previous one but the texts; a plan reuses its
-    answer when the page's tree (tags and nesting) is unchanged, and runs
-    cold otherwise or when its previous run left no kernel state.
+    scanner step, so the next version builds cold without comparing), the
+    rank table that places changed text runs on text node ids (an
+    ``array`` of one int per piece of the page split on ``<``; ``None``
+    until a comparison needs it) and, per distinct compiled plan (in
+    registration order), the plan's kernel state -- the snapshot plus the
+    plan's answer ids.  Feed it back as ``prior`` when the *next* version
+    of the same document arrives.  When the page's structure is
+    unchanged, the new snapshot shares every column of the previous one
+    but the texts; a plan reuses its answer when the page's tree (tags
+    and nesting) is unchanged, and runs cold otherwise or when its
+    previous run left no kernel state.
     """
 
-    __slots__ = ("states", "snapshot", "digest")
+    __slots__ = ("states", "snapshot", "page", "ranks")
 
-    def __init__(self, states: Dict[int, object], snapshot, digest: Optional[bytes]):
+    def __init__(self, states: Dict[int, object], snapshot, page, ranks):
         self.states = states
         self.snapshot = snapshot
-        self.digest = digest
+        self.page = page
+        self.ranks = ranks
 
 
 class Wrapper:
@@ -378,16 +382,15 @@ class Wrapper:
              "dirty": int | None,          # 0 when a plan reused its
              "dirty_fraction": float | None}   # fixpoint, None when cold
 
-        A warm attempt (``prior`` given) first runs one key pass over the
-        page (:func:`repro.trees.stream.html_snapshot_warm`).  When the
-        page's structure key -- its tag texts and which text runs are
-        blank -- equals the prior version's, the snapshot shares the
-        prior's structural columns and only its texts are new
-        (``snapshot_reused``); otherwise it builds cold and keeps the new
-        key.  The first warm version has no prior key to match.  A version
-        with comments, raw text or tags that the general scanner step
-        reads keeps no key, and its next version builds cold without a
-        key pass.
+        A warm attempt (``prior`` given) first compares the page with the
+        prior version's, piece by piece on ``<``
+        (:func:`repro.trees.stream.html_snapshot_warm`).  When every
+        differing piece keeps its tag text and the blankness of its text
+        run, the snapshot shares the prior's structural columns and only
+        the changed texts are new (``snapshot_reused``); otherwise it
+        builds cold.  A version with comments, raw text or tags that the
+        general scanner step reads keeps no page, and its next version
+        builds cold without a comparison.
 
         A plan reuses its previous fixpoint when the page's tree -- its
         elements, their nesting and their tags -- is unchanged, whatever
@@ -409,11 +412,7 @@ class Wrapper:
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"], stats["dirty"], stats["snapshot_reused"]
-        ('result(item, item)', True, 0, False)
-        >>> out, state, stats = w.wrap_html_stateful(
-        ...     "<ul><li>b<li>d</ul>", prior=state)
-        >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
-        ('result(item, item)', True, True)
+        ('result(item, item)', True, 0, True)
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c<li>d</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
@@ -442,10 +441,10 @@ class Wrapper:
         """
         started = time.perf_counter()
         if prior is None:
-            snapshot, digest, reused = html_snapshot_warm(page)
+            snapshot, kept, ranks, reused = html_snapshot_warm(page)
         else:
-            snapshot, digest, reused = html_snapshot_warm(
-                page, prior.digest, prior.snapshot
+            snapshot, kept, ranks, reused = html_snapshot_warm(
+                page, prior.page, prior.snapshot, prior.ranks
             )
         runtime = as_indexed(Document(snapshot))
         built = time.perf_counter()
@@ -466,7 +465,7 @@ class Wrapper:
             "dirty": dirtiest.get("dirty"),
             "dirty_fraction": dirtiest.get("dirty_fraction"),
         }
-        return output, WrapperState(states, snapshot, digest), stats
+        return output, WrapperState(states, snapshot, kept, ranks), stats
 
     def _assemble(
         self, structure: IndexedStructure, ids: Dict[str, Set[int]], root_label: str

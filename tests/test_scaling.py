@@ -17,8 +17,8 @@ one round per chain level, at a cost that grows with the document,
 would go quadratic there.  Forum pages whose reply chains double in
 depth hold the whole wrapping path to it, cold and on a warm re-run
 whose edits sit at the top of every chain (the text-only edit reuses
-the previous fixpoint), and on the next text-only version, whose
-snapshot reuses the previous structure after one key pass.  The snapshot diff is held to the bound on every
+the previous fixpoint and, compared piece by piece with the previous
+page, the previous structure), and on the next text-only version.  The snapshot diff is held to the bound on every
 generator's page, one character edited, and so are the catalog
 wrapper's kernel bind and the tree relations the general engines read.
 
@@ -315,8 +315,8 @@ FORUM = forum_wrapper()
 def forum_versions(depth):
     """A forum page, the page with depth 0 of every thread edited, the
     page's warm state, the page edited again and the edited page's warm
-    state, which holds its structure key (built once per depth, outside
-    the timing)."""
+    state, which holds its rank table (built once per depth, outside the
+    timing)."""
     base = forum_page(seed=5, threads=FORUM_THREADS, depth=depth)
     edited = again = base
     for t in range(FORUM_THREADS):
@@ -336,13 +336,14 @@ FORUM_PATHS = {
         False,
         {"engine": "worklist"},
     ),
+    # The second version: a piece comparison, no structure build.
     "deep_cone": (
         lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[1:3]),
         True,
-        False,
+        True,
         {"engine": "incremental"},
     ),
-    # The third text-only version: one key pass, no structure build.
+    # The third text-only version: its rank table is already built.
     "reused_structure": (
         lambda depth: FORUM.wrap_html_stateful(*forum_versions(depth)[3:]),
         True,

@@ -632,11 +632,19 @@ WARM_BASE = [
     "cell", '<td title="q&amp;a">', "", "</table>", "<p>", "last", "</div>",
 ]
 
-#: Text runs to swap in: non-blank, blank and entity-coded ones.
+#: Text runs to swap in: non-blank, blank (unusual whitespace too) and
+#: entity-coded ones.
 WARM_TEXTS = [
     "alpha", "beta gamma", " ", "\n\t", "", "a &amp; b", "&lt;tag&gt;",
-    "caf&eacute;", "AT&T", "1 &lt; 2", "&#32;", "x",
+    "caf&eacute;", "AT&T", "1 &lt; 2", "&#32;", "x", "\x85", "\u3000",
 ]
+
+#: Text runs holding '>': the piece's first '>' still ends its tag.
+WARM_GT_TEXTS = ["a > b", "1 &gt; 2", ">", " > ", "x>y>z"]
+
+#: Tags to swap in for another one at the same piece count; "</a" has no
+#: '>', so its piece takes the general step.
+WARM_SWAPS = ["<p>", "<b>", "<h4>", "</li>", "<li>", "<td>", "</a"]
 
 #: Tokens the general scanner step reads: comments, raw text, two
 #: attributes, a '>' inside a quoted value.
@@ -657,10 +665,21 @@ class TestWarmSnapshot:
         texts = [i for i, tok in enumerate(tokens) if not tok.startswith("<")]
         kind = rng.choice(
             ["text"] * 8
-            + ["attr", "general", "ungeneral", "trailing", "top_text", "tag"]
+            + ["attr", "general", "ungeneral", "trailing", "top_text", "tag",
+               "swap", "gt_text"]
         )
         if kind == "text" and texts:
             tokens[rng.choice(texts)] = rng.choice(WARM_TEXTS)
+        elif kind == "gt_text" and texts:
+            tokens[rng.choice(texts)] = rng.choice(WARM_GT_TEXTS)
+        elif kind == "swap":
+            # One tag for another: the page keeps its piece count.
+            tags = [
+                i for i, tok in enumerate(tokens)
+                if tok.startswith("<") and tok not in WARM_GENERAL
+            ]
+            if tags:
+                tokens[rng.choice(tags)] = rng.choice(WARM_SWAPS)
         elif kind == "attr":
             tags = [i for i, tok in enumerate(tokens) if tok.startswith("<li")]
             if tags:
@@ -699,23 +718,25 @@ class TestWarmSnapshot:
         counts = {True: 0, False: 0}
         for _ in range(40):
             tokens = list(WARM_BASE)
-            # The first version builds cold with no key pass, as a
+            # The first version builds cold with no comparison, as a
             # wrapper's prior-less first version does.
-            snapshot, digest, reused = html_snapshot_warm("".join(tokens))
+            snapshot, page, ranks, reused = html_snapshot_warm("".join(tokens))
             _, state, _ = wrapper.wrap_html_stateful("".join(tokens))
             for _ in range(12):
                 self.edit(rng, tokens)
-                page = "".join(tokens)
-                cold = html_snapshot(page)
-                snapshot, digest, reused = html_snapshot_warm(page, digest, snapshot)
+                html = "".join(tokens)
+                cold = html_snapshot(html)
+                snapshot, page, ranks, reused = html_snapshot_warm(
+                    html, page, snapshot, ranks
+                )
                 counts[reused] += 1
-                assert columns(snapshot) == columns(cold), repr(page)
+                assert columns(snapshot) == columns(cold), repr(html)
                 if reused:
                     assert snapshot.parent is not cold.parent
-                out, state, stats = wrapper.wrap_html_stateful(page, state)
-                assert stats["snapshot_reused"] == reused, repr(page)
-                assert out.to_dict() == wrapper.wrap_html_many([page])[0].to_dict()
-                assert columns(state.snapshot) == columns(cold), repr(page)
+                out, state, stats = wrapper.wrap_html_stateful(html, state)
+                assert stats["snapshot_reused"] == reused, repr(html)
+                assert out.to_dict() == wrapper.wrap_html_many([html])[0].to_dict()
+                assert columns(state.snapshot) == columns(cold), repr(html)
                 # Mutating this version's attribute dicts and texts must
                 # not reach the next version's snapshot.
                 for attrs in (snapshot.attrs or {}).values():
@@ -724,50 +745,111 @@ class TestWarmSnapshot:
                     attrs["mutated"] = "yes"
         assert counts[True] > 80 and counts[False] > 80, counts
 
-    def test_a_general_step_page_skips_the_next_key_pass(self, monkeypatch):
+    def test_a_general_step_page_builds_the_next_version_without_comparing(
+        self, monkeypatch
+    ):
         from repro.trees import stream
-        from repro.trees.stream import GENERAL, html_snapshot_warm, structure_key
+        from repro.trees.stream import GENERAL, html_snapshot_warm
 
-        expected_key = structure_key("<p>a<p>b")[0]
-        passes = []
-        key = stream._key
+        compared = []
+        new_texts = stream._new_texts
         monkeypatch.setattr(
-            stream, "_key", lambda pieces, root: passes.append(1) or key(pieces, root)
+            stream, "_new_texts",
+            lambda *args: compared.append(1) or new_texts(*args),
         )
-        # A first version runs no key pass and keeps no key, unless its
-        # build took the general step.
-        snapshot, kept, reused = html_snapshot_warm("<p>a<p>b")
-        assert kept is None and not reused and not passes
-        for page in ("<p>a<!-- c --><p>b", "<p>a<script>x</script>", "<p>a<b"):
-            first, digest, reused = html_snapshot_warm(page)
-            assert digest == GENERAL and not reused and not passes
-            # Its next version builds cold without a key pass, and keeps
-            # GENERAL again or, with no general step, no key yet.
-            for again, expected in ((page, GENERAL), ("<p>c<p>d", None)):
-                snap, digest, reused = html_snapshot_warm(again, GENERAL, first)
-                assert digest == expected and not reused and not passes
+        # A first version keeps its page at no cost, unless its build
+        # took the general step.
+        snapshot, kept, ranks, reused = html_snapshot_warm("<p>a<p>b")
+        assert kept == "<p>a<p>b" and ranks is None and not reused
+        for html in ("<p>a<!-- c --><p>b", "<p>a<script>x</script>", "<p>a<b"):
+            first, page, _, reused = html_snapshot_warm(html)
+            assert page == GENERAL and not reused
+            # Its next version builds cold without a comparison, and keeps
+            # GENERAL again or, with no general step, its own page.
+            for again, expected in ((html, GENERAL), ("<p>c<p>d", "<p>c<p>d")):
+                snap, page, ranks, reused = html_snapshot_warm(again, GENERAL, first)
+                assert page == expected and ranks is None and not reused
                 assert columns(snap) == columns(html_snapshot(again))
-        # A key pass that meets the general step keeps GENERAL.
-        snap, digest, reused = html_snapshot_warm("<p>a<!-- c -->", kept, snapshot)
-        assert digest == GENERAL and not reused and len(passes) == 1
-        # No key yet: one key pass, a cold build, then reuse.
-        snapshot, kept, reused = html_snapshot_warm("<p>c<p>d", None, snapshot)
-        assert kept == expected_key and not reused
-        snapshot, kept, reused = html_snapshot_warm("<p>e<p>f", kept, snapshot)
-        assert reused and snapshot.texts == {2: "e", 4: "f"}  # root kept: two roots
-        assert len(passes) == 3
+        assert not compared
+        # A comparison that meets the general step keeps GENERAL.
+        snap, page, _, reused = html_snapshot_warm("<p>a<!-- c -->", kept, snapshot)
+        assert page == GENERAL and not reused and compared == [1]
+        # A text-only second version reuses: one comparison.
+        snapshot, kept, ranks, reused = html_snapshot_warm(
+            "<p>e<p>f", kept, snapshot
+        )
+        assert reused and snapshot.texts == {2: "e", 4: "f"}  # two roots
+        assert kept == "<p>e<p>f" and len(ranks) == 3 and compared == [1, 1]
 
-    def test_structure_key_separates_texts_from_tags(self):
-        from repro.trees.stream import structure_key
+    def test_a_new_piece_count_neither_splits_nor_compares(self, monkeypatch):
+        from repro.trees import stream
+        from repro.trees.stream import html_snapshot_warm
 
-        pages = ("<a>x<b>", "<a><b>x", "<a>x<b>y", "<a><b>", "x<a><b>",
-                 "<a><b><>", "<a b><>", "<a><b c>")
-        assert len({structure_key(page)[0] for page in pages}) == len(pages)
-        # A blank run is no node, whatever its whitespace.
-        assert structure_key("<a> <b>\n")[0] == structure_key("<a><b>")[0]
-        assert structure_key("<a>x", "r")[0] != structure_key("<a>x", "s")[0]
-        for page in ("<a>x<b", "<a><<b>"):
-            assert structure_key(page)[0] is None
+        class Page(str):
+            def split(self, *args):
+                raise AssertionError("the previous page was split")
+
+        compared = []
+        monkeypatch.setattr(stream, "_new_texts", lambda *args: compared.append(1))
+        snapshot = html_snapshot("<ul><li>a<li>b</ul>")
+        for html in ("<ul><li>a<li>b<li>c</ul>", "<ul><li>a</ul>", "<ul>"):
+            snap, page, ranks, reused = html_snapshot_warm(
+                html, Page("<ul><li>a<li>b</ul>"), snapshot
+            )
+            assert not reused and page == html and ranks is None
+            assert columns(snap) == columns(html_snapshot(html))
+        assert not compared
+
+    #: ``(previous, new)`` at one piece count whose structures differ.
+    EQUAL_COUNT_CHANGES = [
+        ("<ul><li>a<li>b</ul>", "<ul><li>a<p>b</ul>"),  # a swapped tag
+        ("<ul><li>a<li>b</ul>", "<ul><li>a<li class=x>b</ul>"),
+        ("<ul><li>a<li> </ul>", "<ul><li>a<li>b</ul>"),  # blank to non-blank
+        ("<ul><li>a<li>b</ul>", "<ul><li>a<li>\n</ul>"),  # and back
+        ("<ul><li>a<li></ul>", "<ul><li>a<li</ul>"),  # a piece with no '>'
+        ("x<p>a", "y<p>a"),  # the head text (root-level)
+        ("x<p>a", " <p>a"),  # which unwraps the root when blank
+        ("a", "z"),  # one piece
+    ]
+
+    def test_structure_changes_at_an_equal_piece_count_build_cold(self):
+        from repro.trees.stream import GENERAL, _ranks, html_snapshot_warm
+
+        for before, after in self.EQUAL_COUNT_CHANGES:
+            assert before.count("<") == after.count("<")
+            previous, page, _, _ = html_snapshot_warm(before)
+            # With and without a rank table from an earlier reuse.
+            for ranks in (None, _ranks(before.split("<"))):
+                snap, kept, kept_ranks, reused = html_snapshot_warm(
+                    after, page, previous, ranks
+                )
+                assert not reused, (before, after)
+                assert columns(snap) == columns(html_snapshot(after)), after
+                assert kept_ranks is None and kept in (after, GENERAL)
+
+    def test_runs_with_gt_or_odd_whitespace_reuse_in_place(self):
+        from repro.trees.stream import html_snapshot_warm
+
+        # Blank runs of unusual whitespace hold no text node, so each
+        # non-blank run after them keeps its own text id.
+        base = "<div><p>\x1c<p>one<p>\x85<b>two</b>\u3000<p> <i>three</i>end</div>"
+        edits = [
+            ("one", "a > b"), ("two", "1 &gt; 2"), ("three", ">"),
+            ("\x85", "\u3000\x1c"), ("end", "x>y"), ("\u3000", "\x85"),
+            ("a > b", "one"),
+        ]
+        snapshot, page, ranks, _ = html_snapshot_warm(base)
+        html = base
+        for old, new in edits:
+            html = html.replace(old, new, 1)
+            cold = html_snapshot(html)
+            snapshot, page, ranks, reused = html_snapshot_warm(
+                html, page, snapshot, ranks
+            )
+            assert reused, html
+            assert snapshot.texts == cold.texts, html
+            assert columns(snapshot) == columns(cold), html
+        assert list(snapshot.texts.values()) == ["one", "1 > 2", ">", "x>y"]
 
 
 class TestDocument:

@@ -32,14 +32,15 @@ Three measurements, written to ``benchmarks/BENCH_serve.json``
   without tokenizing or running a fixpoint (bar: >= 10x, enforced; the
   committed file reads 54x).
 * **incremental doc_id warm path**: versioned re-extraction over real
-  sockets, on deep forum pages (recursive reply chains: cold evaluation
-  pays one fixpoint round per nesting level).  Each request carries a
-  ``doc_id``; the shard holding that document's
-  :class:`~repro.wrap.WrapperState` diffs the new version against the
-  previous snapshot and runs only the delta fixpoint.  Every pass edits
-  the deepest comment of each thread (the re-crawl case the warm path
-  exists for), so the content-hash cache can never answer and the row
-  isolates fixpoint reuse; the same pages POSTed without ``doc_id`` are
+  sockets, on deep forum pages (recursive reply chains).  Each request
+  carries a ``doc_id``; the shard holding that document's
+  :class:`~repro.wrap.extraction.WrapperState` compares the new page
+  with the previous version's piece by piece, and on a text-only edit
+  reuses the previous snapshot's structure, the previous fixpoint and
+  the previous output's shape, reading only the changed texts.  Every
+  pass edits the deepest comment of each thread (the re-crawl case the
+  warm path exists for), so the content-hash cache can never answer and
+  the row isolates that reuse; the same pages POSTed without ``doc_id`` are
   the cold baseline.  The run fails if ``/metrics`` does not report a
   nonzero ``incremental_reuse_fraction``.
 * **HTTP end to end**: a :class:`~repro.serve.server.ServerThread` on an
@@ -783,8 +784,9 @@ def main(argv=None) -> int:
             "cache": "content-hash LRU in front of the batcher",
             "http": "ExtractionServer (asyncio streams) end to end",
             "warm_doc": (
-                "doc_id requests: per-shard WrapperState, snapshot diff + "
-                "delta fixpoint vs full cold runs (cache off)"
+                "doc_id requests: per-shard WrapperState, page compare + "
+                "snapshot, fixpoint and output-shape reuse vs full cold runs "
+                "(cache off)"
             ),
             "chaos": (
                 "same HTTP stack with kill_every=5 fault injection; "

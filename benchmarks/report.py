@@ -724,20 +724,23 @@ def _assert_incremental_exercised() -> None:
     print(
         "    incremental guard: text edit -> engine=incremental, "
         "relabel -> engine=worklist == cold; second text-only page version "
-        "-> snapshot_reused, appended reply and one-tag relabel -> cold "
-        "build == cold ok"
+        "-> snapshot_reused, third -> output_reused == cold, appended reply "
+        "and one-tag relabel -> cold build == cold ok"
     )
 
 
 def _assert_snapshot_reuse_exercised() -> None:
-    """CI guard: a text-only page version reuses the previous structure.
+    """CI guard: a text-only page version reuses the previous structure
+    and, from the third version on, the previous output's shape.
 
     Through :meth:`Wrapper.wrap_html_stateful` on a forum page: the second
     version, text-only, must report ``snapshot_reused`` (its prior-less
     first version keeps its page for the comparison), or every warm page
-    silently pays a cold HTML build.  A next version with one appended
-    reply, and one with a one-tag relabel, must each build cold and equal
-    a cold wrap.
+    silently pays a cold HTML build.  A third text-only version must
+    report ``output_reused`` and equal a cold wrap, or every warm page
+    silently pays a cold output assembly.  A next version with one
+    appended reply, and one with a one-tag relabel, must each build and
+    assemble cold and equal a cold wrap.
     """
     import re
 
@@ -749,6 +752,7 @@ def _assert_snapshot_reuse_exercised() -> None:
         wrapper.add_elog(pattern, program, pattern=pattern)
     v1 = forum_page(seed=4, threads=3, depth=8)
     v2 = v1.replace("Comment 2.7 by", "Comment 2.7 (edited) by", 1)
+    v3 = v2.replace("Comment 0.3 by", "Comment 0.3 (edited) by", 1)
     _, state, _ = wrapper.wrap_html_stateful(v1)
     out, state, stats = wrapper.wrap_html_stateful(v2, state)
     if not stats["snapshot_reused"] or not stats["warm"]:
@@ -756,18 +760,32 @@ def _assert_snapshot_reuse_exercised() -> None:
             "snapshot reuse no longer exercised: a text-only second version "
             f"reported {stats!r}"
         )
+    out, state, stats = wrapper.wrap_html_stateful(v3, state)
+    if (
+        not stats["output_reused"]
+        or out.to_dict() != wrapper.wrap_html_many([v3])[0].to_dict()
+    ):
+        raise SystemExit(
+            "output reuse no longer exercised: a text-only third version must "
+            f"report output_reused and equal a cold wrap: got {stats!r}"
+        )
     # One reply appended to the thread list, and one comment body's <p>
     # turned into an <h4>: the wrapper's answer changes either way.
-    appended = v2.replace(
+    appended = v3.replace(
         "</ul></div>", '<li class="comment"><p>A new reply.</p></li></ul></div>', 1
     )
-    relabelled = re.sub(r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", v2, count=1)
+    relabelled = re.sub(r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", v3, count=1)
     for name, edited in (("appended reply", appended), ("one-tag relabel", relabelled)):
-        if edited == v2:
+        if edited == v3:
             raise SystemExit(f"snapshot reuse guard: the {name} edit found no tag")
         out, _, stats = wrapper.wrap_html_stateful(edited, state)
         cold = wrapper.wrap_html_many([edited])[0]
-        if stats["snapshot_reused"] or stats["warm"] or out.to_dict() != cold.to_dict():
+        if (
+            stats["snapshot_reused"]
+            or stats["warm"]
+            or stats["output_reused"]
+            or out.to_dict() != cold.to_dict()
+        ):
             raise SystemExit(
                 f"the {name} version must build cold and equal cold: got {stats!r}"
             )

@@ -76,8 +76,9 @@ class ShardStore:
     The store keeps the installed compiled wrappers and, per
     ``(wrapper key, doc_id)``, the :class:`WrapperState` the previous
     version of that document left behind (its snapshot, its page and
-    rank table for the next version's comparison, and each plan's answer
-    ids).  ``state_cap`` bounds the states LRU -- a state holds one
+    rank table for the next version's comparison, each plan's answer
+    ids and, while the plans keep reusing, the output's shape).
+    ``state_cap`` bounds the states LRU -- a state holds one
     snapshot and one page, a few times the document's size in memory --
     and ``max_installed`` (when set) bounds the
     wrappers.  Losing the store (worker death, respawn) is always safe:

@@ -63,8 +63,10 @@ from repro.trees.unranked import UnrankedStructure
 from repro.wrap.document import Document
 from repro.wrap.output import (
     OutputNode,
+    build_output_from_shape,
     build_output_from_snapshot,
     build_output_tree,
+    output_shape,
 )
 
 #: Anything the wrapper can treat as one document.
@@ -81,23 +83,29 @@ class WrapperState:
     scanner step, so the next version builds cold without comparing), the
     rank table that places changed text runs on text node ids (an
     ``array`` of one int per piece of the page split on ``<``; ``None``
-    until a comparison needs it) and, per distinct compiled plan (in
-    registration order), the plan's kernel state -- the snapshot plus the
-    plan's answer ids.  Feed it back as ``prior`` when the *next* version
+    until a comparison needs it), per distinct compiled plan (in
+    registration order) the plan's kernel state -- the snapshot plus the
+    plan's answer ids -- and the output's shape
+    (:class:`repro.wrap.output.OutputShape`: its kept ids, labels, parent
+    positions and leaf positions; ``None`` until a version reuses every
+    plan's fixpoint).  Feed it back as ``prior`` when the *next* version
     of the same document arrives.  When the page's structure is
     unchanged, the new snapshot shares every column of the previous one
     but the texts; a plan reuses its answer when the page's tree (tags
     and nesting) is unchanged, and runs cold otherwise or when its
-    previous run left no kernel state.
+    previous run left no kernel state.  When every plan reuses, so does
+    the output's shape, and only the leaf texts are read again; the
+    shape is dropped on any version with a cold plan.
     """
 
-    __slots__ = ("states", "snapshot", "page", "ranks")
+    __slots__ = ("states", "snapshot", "page", "ranks", "shape")
 
-    def __init__(self, states: Dict[int, object], snapshot, page, ranks):
+    def __init__(self, states: Dict[int, object], snapshot, page, ranks, shape):
         self.states = states
         self.snapshot = snapshot
         self.page = page
         self.ranks = ranks
+        self.shape = shape
 
 
 class Wrapper:
@@ -379,6 +387,8 @@ class Wrapper:
                                            # dict per distinct plan
              "warm": bool,                 # some plan reused the prior
                                            # fixpoint (engine incremental)
+             "output_reused": bool,        # the output was rebuilt from
+                                           # the prior version's shape
              "dirty": int | None,          # 0 when a plan reused its
              "dirty_fraction": float | None}   # fixpoint, None when cold
 
@@ -399,6 +409,14 @@ class Wrapper:
         cold.  Plans outside the kernel fragment run cold on every
         version, so this is always safe to call.
 
+        When every plan reused its fixpoint, the tree and every answer
+        are the previous version's, and so is the output's shape: the
+        first such version reads it (:func:`repro.wrap.output.output_shape`)
+        and builds its output from it, and the next ones build fresh
+        output nodes from the kept shape, reading only the leaf texts from
+        the new snapshot (``output_reused``).  A version with a cold plan
+        assembles cold and drops the shape.
+
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
         ...     "item(x) :- label_li(x).", query="item"))
@@ -413,10 +431,18 @@ class Wrapper:
         ...     "<ul><li>a<li>c</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"], stats["dirty"], stats["snapshot_reused"]
         ('result(item, item)', True, 0, True)
+        >>> stats["output_reused"]
+        False
+        >>> out, state, stats = w.wrap_html_stateful(
+        ...     "<ul><li>e<li>c</ul>", prior=state)
+        >>> [c.text for c in out.children], stats["output_reused"]
+        (['e', 'c'], True)
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c<li>d</ul>", prior=state)
         >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
         ('result(item, item, item)', False, False)
+        >>> stats["output_reused"], state.shape
+        (False, None)
         """
         self.compile()
         return self._wrap_page(page, prior, root_label)
@@ -449,7 +475,21 @@ class Wrapper:
         runtime = as_indexed(Document(snapshot))
         built = time.perf_counter()
         ids, states, runs = self._extract_structure(runtime, prior)
-        output = ids if root_label is None else self._assemble(runtime, ids, root_label)
+        # Every plan reused its fixpoint: the tree and every answer are
+        # the previous version's, and so is the output's shape.
+        reusable = bool(runs) and all(
+            run.get("engine") == "incremental" for run in runs
+        )
+        shape = prior.shape if reusable else None
+        output_reused = shape is not None and root_label is not None
+        if root_label is None:
+            output = ids
+        elif reusable:
+            if shape is None:
+                shape = output_shape(snapshot, self._assignment(ids))
+            output = build_output_from_shape(shape, snapshot, root_label)
+        else:
+            output = self._assemble(runtime, ids, root_label)
         finished = time.perf_counter()
         dirtiest = max(
             (run for run in runs if run.get("dirty") is not None),
@@ -462,10 +502,19 @@ class Wrapper:
             "kernel_ms": round((finished - built) * 1e3, 3),
             "runs": runs,
             "warm": any(run.get("engine") == "incremental" for run in runs),
+            "output_reused": output_reused,
             "dirty": dirtiest.get("dirty"),
             "dirty_fraction": dirtiest.get("dirty_fraction"),
         }
-        return output, WrapperState(states, snapshot, kept, ranks), stats
+        return output, WrapperState(states, snapshot, kept, ranks, shape), stats
+
+    def _assignment(self, ids: Dict[str, Set[int]]) -> Dict[int, str]:
+        """``node id -> label``: each answer node's earliest-added name."""
+        assignment: Dict[int, str] = {}
+        for name in self.names():
+            for ident in ids.get(name, ()):
+                assignment.setdefault(ident, name)
+        return assignment
 
     def _assemble(
         self, structure: IndexedStructure, ids: Dict[str, Set[int]], root_label: str
@@ -473,12 +522,8 @@ class Wrapper:
         """Relabel by priority and build the output tree."""
         base = structure.base
         if isinstance(base, Document):
-            assignment: Dict[int, str] = {}
-            for name in self.names():
-                for ident in ids.get(name, ()):
-                    assignment.setdefault(ident, name)
             return build_output_from_snapshot(
-                base.snapshot(), assignment, root_label=root_label
+                base.snapshot(), self._assignment(ids), root_label=root_label
             )
         node_assignment: Dict[int, str] = {}
         for name in self.names():

@@ -12,11 +12,17 @@ Two equivalent builders: :func:`build_output_tree` walks a
 rule over the flat columns of a
 :class:`~repro.trees.snapshot.TreeSnapshot` (the streaming pipeline's
 path -- no ``Node`` is ever touched, and text capture reads the
-snapshot's text column).
+snapshot's text column).  A snapshot-built output's columns without
+its texts, an :class:`OutputShape`, rebuild the output of any document
+with the same tree and the same assignment
+(:func:`build_output_from_shape`), reading only the leaf texts again.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress, islice, repeat
+from operator import ne
 from typing import Dict, List, Optional, Sequence
 
 from repro.trees.node import Node
@@ -255,4 +261,123 @@ def build_output_from_snapshot(
         for v, text in zip(leaves, snapshot.node_texts(leaves)):
             if text:
                 out_of[v].text = text
+    return out_root
+
+
+class OutputShape:
+    """A snapshot-built output's columns, texts aside (:func:`output_shape`).
+
+    Position ``i`` is the ``i``-th output node below the synthetic root in
+    document order: ``ids[i]`` is its source node id (ascending),
+    ``labels[i]`` its label and ``parents[i]`` the position of its output
+    parent (-1 for the synthetic root); ``leaves`` lists the positions of
+    the output leaves, the nodes that capture text.
+    """
+
+    __slots__ = ("ids", "labels", "parents", "leaves")
+
+    def __init__(self, ids: array, labels: tuple, parents: array, leaves: array):
+        self.ids = ids
+        self.labels = labels
+        self.parents = parents
+        self.leaves = leaves
+
+
+def output_shape(snapshot: TreeSnapshot, assignment: Dict[int, str]) -> OutputShape:
+    """The shape of ``build_output_from_snapshot(snapshot, assignment)``,
+    read without building it.
+
+    The builder's own nearest-kept-ancestor walk, memoized the same way,
+    so it touches O(kept + ancestors) ids, recording positions instead
+    of making nodes.
+
+    >>> from repro.trees.stream import html_snapshot
+    >>> shape = output_shape(html_snapshot("<ul><li>a<b>x</b><li>b</ul>"),
+    ...                      {1: "item", 3: "bold", 5: "item"})
+    >>> list(shape.ids), shape.labels, list(shape.parents), list(shape.leaves)
+    ([1, 3, 5], ('item', 'bold', 'item'), [-1, 0, -1], [1, 2])
+    """
+    kept = sorted(assignment)
+    parent = snapshot.parent
+    # ``at[u]`` is the position of u's output node (kept) or of its
+    # nearest kept ancestor's (unkept, memoized on the walk up); its extra
+    # last slot, read as ``at[-1]`` through the root's parent, holds the
+    # synthetic root's -1.
+    at: List[Optional[int]] = [None] * (snapshot.size + 1)
+    at[-1] = -1
+    parents: List[int] = []
+    append = parents.append
+    position = 0
+    for v in kept:
+        u = parent[v]
+        up = at[u]
+        if up is None:
+            path: List[int] = []
+            while up is None:
+                path.append(u)
+                u = parent[u]
+                up = at[u]
+            for u in path:
+                at[u] = up
+        at[v] = position
+        position += 1
+        append(up)
+    # Positions are in pre-order, so a node has a child exactly when the
+    # next position's parent is that node.
+    leaves = array(
+        "i", compress(range(position), map(ne, islice(parents, 1, None), range(position)))
+    )
+    if position:
+        leaves.append(position - 1)
+    return OutputShape(
+        array("i", kept),
+        tuple(map(assignment.__getitem__, kept)),
+        array("i", parents),
+        leaves,
+    )
+
+
+def build_output_from_shape(
+    shape: OutputShape, snapshot: TreeSnapshot, root_label: str = "result"
+) -> OutputNode:
+    """:func:`build_output_from_snapshot` for a snapshot whose tree and
+    assignment are those of the output ``shape`` was read from.
+
+    Fresh nodes at the recorded places, and each leaf's text read from
+    ``snapshot`` by the same :meth:`TreeSnapshot.node_texts` call: the
+    output equals the cold build's, and shares no node with any other.
+
+    >>> from repro.trees.stream import html_snapshot
+    >>> snap = html_snapshot("<ul><li>a</li><li>b</li></ul>")
+    >>> shape = output_shape(snap, {1: "item", 3: "item"})
+    >>> out = build_output_from_shape(shape, html_snapshot("<ul><li>c</li><li>b</li></ul>"))
+    >>> out.to_sexpr(), [c.text for c in out.children]
+    ('result(item, item)', ['c', 'b'])
+    """
+    out_root = OutputNode(root_label)
+    ids = shape.ids
+    # ``nodes[i]`` is position i's output node, made as
+    # :func:`build_output_from_snapshot` makes its nodes; the extra last
+    # slot, read as ``nodes[-1]``, holds the synthetic root.
+    nodes = list(map(object.__new__, repeat(OutputNode, len(ids))))
+    nodes.append(out_root)
+    leaf = LEAF
+    for out_node, v, label, up in zip(nodes, ids, shape.labels, shape.parents):
+        out_node.label = label
+        out_node.source = None
+        out_node.source_id = v
+        out_node.children = leaf
+        out_node.text = None
+        owner = nodes[up]
+        siblings = owner.children
+        if siblings is leaf:
+            owner.children = [out_node]
+        else:
+            siblings.append(out_node)
+    leaves = shape.leaves
+    if leaves and snapshot.texts:
+        texts = snapshot.node_texts([ids[i] for i in leaves])
+        for i, text in zip(leaves, texts):
+            if text:
+                nodes[i].text = text
     return out_root

@@ -17,6 +17,11 @@ version.  Covered bottom up:
   edit kind (a relabel, an inserted leaf, a deleted subtree, a same-size
   move) runs cold and equals them too; a caller mutating a returned set
   never reaches the next version's answer;
+* output reuse -- a version on which every plan reuses its fixpoint
+  rebuilds the previous output's shape with fresh nodes and refreshed
+  leaf texts, equal to a cold wrap; a changed tree, or a plan outside the
+  kernel fragment, assembles cold and keeps no shape, and a caller
+  changing a returned output never reaches the next version's;
 * the serving warm path -- ``doc_id`` requests against a live server
   must reuse per-document state, agree with cold extraction, and surface
   a nonzero ``incremental_reuse_fraction`` in ``/metrics``.
@@ -40,6 +45,7 @@ from repro.trees.stream import html_snapshot, tree_snapshot
 from repro.trees.unranked import UnrankedStructure
 from repro.html import parse_html
 from repro.workloads import FORUM_WRAPPER, forum_page
+from tests.test_stream import scramble
 
 DESCENT = """
 mark(x) :- root(x).
@@ -704,6 +710,133 @@ class TestStructureReuse:
             self.check(raw, compiled, tree, state, "incremental")
             reused += bool(evaluate(raw, UnrankedStructure(tree)).relations["seen"])
         assert reused >= 10  # the 0-ary predicate held on many of the trees
+
+
+def item_wrapper():
+    from repro.wrap import Wrapper
+
+    return Wrapper().add_datalog(
+        "item", parse_program("item(x) :- label_li(x).", query="item")
+    )
+
+
+class TestOutputReuse:
+    """When every plan reuses its fixpoint, the output is rebuilt from the
+    previous output's shape: the second such version reads the shape, and
+    the next ones reuse it with only the leaf texts read again."""
+
+    @staticmethod
+    def chain(wrapper, pages):
+        """Wrap ``pages`` as successive versions of one document; each
+        output must equal a cold wrap.  Yields ``(output, state, stats)``."""
+        state = None
+        for page in pages:
+            out, state, stats = wrapper.wrap_html_stateful(page, state)
+            assert out.to_dict() == wrapper.wrap_html_many([page])[0].to_dict()
+            yield out, state, stats
+
+    def test_leaf_texts_are_read_again(self):
+        pages = [
+            "<ul><li>a<b>x</b>c<li>solo<li>&#32;<li>keep</ul>",
+            "<ul><li>a<b>y</b>c<li>solo<li>&#32;<li>keep</ul>",
+            # A multi-run leaf's last run changes, and a leaf's only run
+            # goes blank once decoded: the raw runs stay non-blank, so
+            # the structure is reused.
+            "<ul><li>a<b>y</b>z<li>&nbsp;<li>&#32;<li>keep</ul>",
+            # And back: a blank leaf gets its text again.
+            "<ul><li>q<b>y</b>z<li>back<li>now<li>keep</ul>",
+        ]
+        texts = [
+            ["a x c", "solo", None, "keep"],
+            ["a y c", "solo", None, "keep"],
+            ["a y z", None, None, "keep"],
+            ["q y z", "back", "now", "keep"],
+        ]
+        versions = list(self.chain(item_wrapper(), pages))
+        assert [stats["output_reused"] for _, _, stats in versions] == [
+            False, False, True, True,
+        ]
+        assert all(stats["snapshot_reused"] for _, _, stats in versions[1:])
+        assert [[c.text for c in out.children] for out, _, _ in versions] == texts
+
+    def test_a_general_step_page_with_an_unchanged_tree_reuses_the_shape(self):
+        # The comment sends every build through the general scanner step,
+        # so no version reuses the snapshot; the tree never changes.
+        pages = [
+            f"<ul><!-- {k} --><li>v{k}<li>b{k % 2}</ul>" for k in range(4)
+        ]
+        versions = list(self.chain(item_wrapper(), pages))
+        assert [
+            (stats["snapshot_reused"], stats["warm"], stats["output_reused"])
+            for _, _, stats in versions
+        ] == [(False, False, False), (False, True, False)] + [(False, True, True)] * 2
+        assert [c.text for c in versions[-1][0].children] == ["v3", "b1"]
+
+    @pytest.mark.parametrize("edit", ["appended_reply", "relabel"])
+    def test_a_changed_tree_assembles_cold_and_drops_the_shape(self, edit):
+        import re
+
+        base = forum_page(seed=4, threads=3, depth=8)
+        text = edit_comments(base, [(2, 7)], "(edited)")
+        if edit == "appended_reply":
+            changed = text.replace(
+                "</ul></div>",
+                '<li class="comment"><p>A new reply.</p></li></ul></div>', 1,
+            )
+        else:
+            changed = re.sub(
+                r"<p>(Comment 1\.2 [^<]*)</p>", r"<h4>\1</h4>", text, count=1
+            )
+        assert changed != text
+        pages = [
+            base, text, edit_comments(text, [(0, 3)], "(again)"), changed,
+            edit_comments(changed, [(1, 5)], "(later)"),
+            edit_comments(changed, [(1, 5)], "(latest)"),
+        ]
+        versions = list(self.chain(forum_wrapper(), pages))
+        assert [
+            (stats["warm"], stats["output_reused"], state.shape is not None)
+            for _, state, stats in versions
+        ] == [
+            (False, False, False), (True, False, True), (True, True, True),
+            (False, False, False), (True, False, True), (True, True, True),
+        ]
+
+    def test_a_plan_outside_the_kernel_fragment_never_reuses_the_shape(self):
+        # A binary intensional predicate: the plan has no kernel, so it
+        # runs cold on every version, while the item plan reuses.
+        reach = parse_program(
+            "anc(x, y) :- child(x, y).\n"
+            "anc(x, z) :- anc(x, y), child(y, z).\n"
+            "deep(y) :- anc(x, y), label_ul(x), label_b(y).",
+            query="deep",
+        )
+        wrapper = item_wrapper().add_datalog("deep", reach)
+        pages = [f"<ul><li>a<b>x{k}</b><li>c{k}</ul>" for k in range(4)]
+        versions = list(self.chain(wrapper, pages))
+        for _, state, stats in versions[1:]:
+            engines = sorted(run["engine"] for run in stats["runs"])
+            assert "incremental" in engines and engines != ["incremental"] * 2
+            assert stats["warm"] and stats["snapshot_reused"]
+            assert not stats["output_reused"] and state.shape is None
+        assert versions[-1][0].to_sexpr() == "result(item(deep), item)"
+
+    def test_changing_a_returned_output_never_reaches_the_next_version(self):
+        page = forum_page(seed=3, threads=3, depth=6)
+        pages = [page] + [
+            edit_comments(page, [(k % 3, 5)], f"(edit {k})") for k in range(5)
+        ]
+        kept = []
+        for out, _, stats in self.chain(forum_wrapper(), pages):
+            # Checked against a cold wrap before it is changed.
+            scramble(out)
+            kept.append((out, stats["output_reused"]))
+        assert [reused for _, reused in kept] == [False, False] + [True] * 4
+        # No two versions share a node or a child list.
+        nodes = [node for out, _ in kept for node in out.iter_subtree()]
+        assert len({id(node) for node in nodes}) == len(nodes)
+        lists = [node.children for node in nodes if node.children]
+        assert len({id(children) for children in lists}) == len(lists)
 
 
 def request(host, port, method, path, body=None, timeout=60):

@@ -654,10 +654,20 @@ WARM_GENERAL = [
 ]
 
 
+def scramble(out: OutputNode) -> None:
+    """Change a returned output every way a caller can: every node gets a
+    new label, a new text and one more child."""
+    for node in list(out.iter_subtree()):
+        node.label = "mutated"
+        node.text = "mutated"
+        node.add(OutputNode("intruder"))
+
+
 class TestWarmSnapshot:
     """``html_snapshot_warm`` equals a cold ``html_snapshot`` column by
     column on every version of randomized edit sequences, and the wrapped
-    output equals ``wrap_html_many``."""
+    output equals ``wrap_html_many``, whether it was assembled cold or
+    rebuilt from the previous output's shape."""
 
     @staticmethod
     def edit(rng, tokens):
@@ -716,6 +726,7 @@ class TestWarmSnapshot:
         wrapper.add_datalog("item", parse_program("item(x) :- label_li(x).", query="item"))
         wrapper.add_datalog("cell", parse_program("cell(x) :- label_td(x).", query="cell"))
         counts = {True: 0, False: 0}
+        outputs = {True: 0, False: 0}
         for _ in range(40):
             tokens = list(WARM_BASE)
             # The first version builds cold with no comparison, as a
@@ -737,6 +748,16 @@ class TestWarmSnapshot:
                 assert stats["snapshot_reused"] == reused, repr(html)
                 assert out.to_dict() == wrapper.wrap_html_many([html])[0].to_dict()
                 assert columns(state.snapshot) == columns(cold), repr(html)
+                # The output's shape is kept exactly while every plan
+                # reuses its fixpoint, and only then reused.
+                every_plan = all(
+                    run["engine"] == "incremental" for run in stats["runs"]
+                )
+                assert (state.shape is not None) == every_plan, repr(html)
+                assert every_plan or not stats["output_reused"], repr(html)
+                outputs[stats["output_reused"]] += 1
+                # Nor must changing this version's output reach the next.
+                scramble(out)
                 # Mutating this version's attribute dicts and texts must
                 # not reach the next version's snapshot.
                 for attrs in (snapshot.attrs or {}).values():
@@ -744,6 +765,7 @@ class TestWarmSnapshot:
                 for attrs in (state.snapshot.attrs or {}).values():
                     attrs["mutated"] = "yes"
         assert counts[True] > 80 and counts[False] > 80, counts
+        assert outputs[True] > 80 and outputs[False] > 80, outputs
 
     def test_a_general_step_page_builds_the_next_version_without_comparing(
         self, monkeypatch

@@ -38,7 +38,7 @@ from tests.test_serve_faults import make_registry
 
 STAT_KEYS = {
     "snapshot_build_ms", "snapshot_reused", "kernel_ms", "runs", "warm",
-    "dirty", "dirty_fraction",
+    "output_reused", "dirty", "dirty_fraction",
 }
 
 
@@ -70,11 +70,16 @@ class TestPerPageCore:
             out, state, stats = wrapper.wrap_html_stateful(page, state)
             assert out.to_dict() == expected
             assert set(stats) == STAT_KEYS
-            reuse.append((stats["snapshot_reused"], stats["warm"]))
+            reuse.append(
+                (stats["snapshot_reused"], stats["warm"], stats["output_reused"])
+            )
         # The later versions changed only comment text: from the second
         # on, each reuses the previous snapshot's structure and the
-        # previous fixpoint, and no node of the tree is dirty.
-        assert reuse == [(False, False)] + [(True, True)] * 3
+        # previous fixpoint, and no node of the tree is dirty; the second
+        # reads the output's shape, and from the third on each reuses it.
+        assert reuse == [(False, False, False), (True, True, False)] + [
+            (True, True, True)
+        ] * 2
         assert stats["dirty"] == 0 and stats["dirty_fraction"] == 0.0
         extracted = wrapper.extract_html_many(pages)
         assert extracted == [wrapper.extract(Document.from_html(p)) for p in pages]

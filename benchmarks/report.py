@@ -725,7 +725,8 @@ def _assert_incremental_exercised() -> None:
         "    incremental guard: text edit -> engine=incremental, "
         "relabel -> engine=worklist == cold; second text-only page version "
         "-> snapshot_reused, third -> output_reused == cold, appended reply "
-        "and one-tag relabel -> cold build == cold ok"
+        "and one-tag relabel -> cold build == cold, crawl-stamped versions "
+        "-> warm by same_tree == cold ok"
     )
 
 
@@ -741,6 +742,15 @@ def _assert_snapshot_reuse_exercised() -> None:
     silently pays a cold output assembly.  A next version with one
     appended reply, and one with a one-tag relabel, must each build and
     assemble cold and equal a cold wrap.
+
+    Then a chain of three versions, each stamped with a new crawl-stamp
+    comment: the comment sends every build through the general scanner
+    step, so no snapshot is reused, and only the page's
+    :meth:`~repro.trees.snapshot.TreeSnapshot.same_tree` test can find
+    the unchanged tree.  The second and third versions must report
+    ``warm`` without ``snapshot_reused``, the third ``output_reused``,
+    and each must equal a cold wrap, or reuse silently depends on the
+    page comparison alone.
     """
     import re
 
@@ -788,6 +798,20 @@ def _assert_snapshot_reuse_exercised() -> None:
         ):
             raise SystemExit(
                 f"the {name} version must build cold and equal cold: got {stats!r}"
+            )
+    state = None
+    for k, version in enumerate((v1, v2, v3)):
+        stamped = f"<!-- crawled at {1000 + k} -->{version}"
+        out, state, stats = wrapper.wrap_html_stateful(stamped, state)
+        expected = (k > 0, False, k > 1)
+        got = (stats["warm"], stats["snapshot_reused"], stats["output_reused"])
+        if (
+            got != expected
+            or out.to_dict() != wrapper.wrap_html_many([stamped])[0].to_dict()
+        ):
+            raise SystemExit(
+                f"stamped version {k + 1} must report (warm, snapshot_reused, "
+                f"output_reused) == {expected} and equal a cold wrap: got {stats!r}"
             )
 
 
@@ -858,7 +882,7 @@ def report_incremental(smoke: bool = False) -> None:
         _, state, _ = compiled.run_incremental(old_doc, None)
         if state is None:
             raise SystemExit(
-                f"no reusable kernel state at threads={threads} depth={depth}"
+                f"no reusable plan state at threads={threads} depth={depth}"
             )
         nodes = old_doc.base.snapshot().size
         edit_sets = []

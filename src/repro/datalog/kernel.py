@@ -59,42 +59,17 @@ is not interpreted: each lowering generates it once as straight-line
 Python (:mod:`repro.datalog.worklist`) -- every rule body one nested
 conjunction of column lookups, every ``child`` enumeration a ``while``
 loop -- and each document passes its columns and masks in as arguments.
-It is the kernel's one cold engine: a derived fact is pushed and popped
-once, so no run pays per-round work over the whole document, however
-deep the recursion goes.
+It is the kernel's one engine: a derived fact is pushed and popped once,
+so no run pays per-round work over the whole document, however deep the
+recursion goes.  Every run is cold.  Whether a new version of a document
+may reuse the previous version's answers is one test on the tree
+(:meth:`repro.trees.snapshot.TreeSnapshot.same_tree`), made above the
+kernel, once for every program at once.
 
 :func:`repro.datalog.engine.evaluate` auto-selects this kernel for monadic
 programs over tree-backed structures; :mod:`repro.datalog.grounding` stays
 as the cross-check oracle (the test suite asserts kernel == ground ==
 seminaive == compiled-plan on randomized programs and trees).
-
-Incremental re-evaluation
--------------------------
-
-:meth:`KernelProgram.evaluate` given ``previous`` -- the
-:class:`KernelState` of this program's run over an earlier version of the
-same document -- reuses that run's fixpoint when the tree is unchanged,
-and runs cold otherwise.  The tree is unchanged when five snapshot fields
-equal the previous snapshot's (``schema``, ``max_rank``, ``labels``,
-``label_ids`` and ``parent``: tuple and bytes comparisons at C speed) and
-the state's lowering is the one this program binds for that snapshot.
-The reused run skips bind and the worklist and returns fresh sets copied
-from the node-id tuples the state keeps, which no caller ever receives,
-so a caller that mutates a returned set never changes the next version's
-answer.
-
-The reuse is exact.  A monadic query over ``tau_ur`` is a function of the
-labelled tree alone (Theorem 4.2; Elog^- too, Definition 6.2), and the
-kernel reads nothing else: node ids are in document order, so ``parent``
-fixes the ordered tree, and every object :func:`_resource` hands the
-worklist -- functional maps, masks, node lists and ``@const:``
-singletons -- as well as the ``firstchild`` / ``nextsibling`` columns the
-worklist enumerates is computed from the five fields.  The text and
-attribute payloads, which a re-crawl of a page usually changes and
-nothing else, never reach the kernel.  Any structural edit (a relabel, an
-inserted or deleted subtree, a move) runs cold: after Theorem 4.2 a cold
-fixpoint costs about what a snapshot diff alone would, so maintaining the
-previous fixpoint through the edit would not pay.
 """
 
 from __future__ import annotations
@@ -354,90 +329,45 @@ def _resource(snapshot, kind: str, name: str):
     return snapshot.unary_nodes(name)
 
 
-class KernelState:
-    """What the next version of a document needs from one kernel run.
-
-    ``variant`` is the lowering that bound the document, ``snapshot`` the
-    document's snapshot, ``unary_ids`` each unary output predicate's node
-    ids as a tuple, ``held`` the names of the 0-ary outputs that hold and
-    ``facts`` the run's fact count.  Pass it as ``previous`` to
-    :meth:`KernelProgram.evaluate`: when the next version's tree is
-    unchanged, that run's answer sets are fresh copies of these tuples
-    (see the module docstring).  No caller ever receives the tuples.  A
-    state never points back at its :class:`KernelRun`, so a replaced
-    version is freed by reference counting alone.
-    """
-
-    __slots__ = ("variant", "snapshot", "unary_ids", "held", "facts")
-
-    def __init__(
-        self,
-        variant: _Lowering,
-        snapshot,
-        unary_ids: Dict[str, Tuple[int, ...]],
-        held: Tuple[str, ...],
-        facts: int,
-    ):
-        self.variant = variant
-        self.snapshot = snapshot
-        self.unary_ids = unary_ids
-        self.held = held
-        self.facts = facts
-
-
 class KernelRun:
     """The outcome of one :meth:`KernelProgram.evaluate` call.
 
     * ``unary_sets`` -- each unary output predicate's plain ``{node id}``
       set, read straight off the propagation lanes: the unary query's
       answer, which wrappers consume directly;
+    * ``nullary`` -- whether each 0-ary output predicate holds;
     * ``relations`` -- each output predicate's derived tuple set, built
-      from ``unary_sets`` (and the 0-ary facts) on first read and kept,
-      so a caller that reads only ``unary_sets`` never allocates one
-      1-tuple per fact;
-    * ``stats`` -- cheap per-run counters: ``engine`` (``"worklist"``
-      for a cold run of the lowering's generated worklist,
-      ``"incremental"`` for a run that reused the previous version's
-      fixpoint) and ``facts`` (derived facts at fixpoint).  A reused run
-      adds ``dirty`` and ``dirty_fraction``, both zero: no node of the
-      tree changed;
-    * ``state`` -- the :class:`KernelState` to pass as ``previous`` for
-      the document's next version.
+      from ``unary_sets`` and ``nullary`` on first read and kept, so a
+      caller that reads only ``unary_sets`` never allocates one 1-tuple
+      per fact;
+    * ``stats`` -- cheap per-run counters: ``engine`` (``"worklist"``, a
+      cold run of the lowering's generated worklist;
+      :meth:`repro.datalog.plan.CompiledProgram.run_incremental` reports
+      ``"incremental"`` for the answers of an unchanged tree it reused)
+      and ``facts`` (derived facts at fixpoint).
     """
 
-    __slots__ = ("unary_sets", "stats", "state", "_outputs", "_held", "_relations")
+    __slots__ = ("unary_sets", "stats", "nullary", "_relations")
 
     def __init__(
         self,
         unary_sets: Dict[str, Set[int]],
         stats: Dict[str, object],
-        state: KernelState,
-        outputs: List[Tuple[str, int, int]],
-        held: Tuple[str, ...] = (),
+        nullary: Dict[str, bool],
     ):
         self.unary_sets = unary_sets
         self.stats = stats
-        self.state = state
-        #: The lowering's ``(name, pred, arity)`` outputs, and the names of
-        #: the 0-ary ones that hold: with ``unary_sets``, all ``relations``
-        #: is built from.
-        self._outputs = outputs
-        self._held = held
+        self.nullary = nullary
         self._relations: Optional[Relations] = None
 
     @property
     def relations(self) -> Relations:
         relations = self._relations
         if relations is None:
-            unary_sets = self.unary_sets
-            relations = self._relations = {
-                name: (
-                    set(zip(unary_sets[name]))
-                    if arity == 1
-                    else {()} if name in self._held else set()
-                )
-                for name, _, arity in self._outputs
-            }
+            relations = {name: set(zip(ids)) for name, ids in self.unary_sets.items()}
+            for name, holds in self.nullary.items():
+                relations[name] = {()} if holds else set()
+            self._relations = relations
         return relations
 
 
@@ -533,69 +463,16 @@ class KernelProgram:
             )
         return out.relations
 
-    def evaluate(
-        self, structure: Structure, previous: Optional[KernelState] = None
-    ) -> Optional[KernelRun]:
+    def evaluate(self, structure: Structure) -> Optional[KernelRun]:
         """Evaluate over ``structure``, or ``None`` if the kernel does not apply.
 
-        ``previous`` is the :attr:`KernelRun.state` of an earlier run of
-        *this* program over an earlier version of the same document: when
-        the tree is unchanged (:meth:`_reuse`), the run returns that
-        fixpoint again, and otherwise it is cold.  A cold run binds the
-        document once and makes one call of the lowering's generated
-        worklist.
+        The run is cold: it binds the document once and makes one call
+        of the lowering's generated worklist.
         """
-        if previous is not None:
-            reused = self._reuse(structure, previous)
-            if reused is not None:
-                return reused
         bound = self._bind(structure)
         if bound is None:
             return None
         return self._run(bound)
-
-    def _reuse(self, structure: Structure, previous: KernelState) -> Optional[KernelRun]:
-        """The previous fixpoint again, or ``None`` unless the tree is unchanged.
-
-        Unchanged means the five fields every per-document object of a run
-        is computed from -- ``schema``, ``max_rank``, ``labels``,
-        ``label_ids`` and ``parent`` -- equal the previous snapshot's, and
-        the state's lowering is the one this program binds for such a
-        snapshot (binding depends on ``schema`` and ``max_rank`` alone).
-        The run skips bind and the worklist and reports
-        ``engine="incremental"`` with ``dirty=0``.
-        """
-        build = getattr(structure, "snapshot", None)
-        snapshot = None if build is None else build()
-        old = previous.snapshot
-        variant = previous.variant
-        if (
-            snapshot is None
-            or not (
-                variant is self.lowering
-                or variant is self._ranked_cache.get(snapshot.max_rank)
-            )
-            or snapshot.schema != old.schema
-            or snapshot.max_rank != old.max_rank
-            or snapshot.labels != old.labels
-            or snapshot.label_ids != old.label_ids
-            or snapshot.parent != old.parent
-        ):
-            return None
-        ids, held, facts = previous.unary_ids, previous.held, previous.facts
-        stats = {
-            "engine": "incremental",
-            "facts": facts,
-            "dirty": 0,
-            "dirty_fraction": 0.0,
-        }
-        return KernelRun(
-            {name: set(nodes) for name, nodes in ids.items()},
-            stats,
-            KernelState(variant, snapshot, ids, held, facts),
-            variant.outputs,
-            held,
-        )
 
     def _run(self, bound) -> KernelRun:
         """Run the lowering's generated worklist to the fixpoint.
@@ -621,29 +498,17 @@ class KernelProgram:
                 args,
             )
         unary_sets: Dict[str, Set[int]] = {}
-        held = []
+        nullary: Dict[str, bool] = {}
         node_ids = _node_ids(n)
         for name, pred, arity in variant.outputs:
             if arity == 1:
                 # A lane has n entries, so compress stops at node n - 1.
                 lane = lanes[pred] if pred >= 0 else b""
                 unary_sets[name] = set(itertools.compress(node_ids, lane))
-            elif pred >= 0 and gbits[pred]:
-                held.append(name)
-        held = tuple(held)
+            else:
+                nullary[name] = pred >= 0 and bool(gbits[pred])
         facts = sum(lane.count(1) for lane in lanes) + gbits.count(1)
-        # Tuples: the cheapest copy to keep (a frozenset's hash table cost
-        # every cold catalog page ~1% of its end-to-end time), and still a
-        # fast source for the next version's sets.
-        ids = {name: tuple(nodes) for name, nodes in unary_sets.items()}
-        stats = {"engine": "worklist", "facts": facts}
-        return KernelRun(
-            unary_sets,
-            stats,
-            KernelState(variant, snapshot, ids, held, facts),
-            variant.outputs,
-            held,
-        )
+        return KernelRun(unary_sets, {"engine": "worklist", "facts": facts}, nullary)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         lowering = self.lowering

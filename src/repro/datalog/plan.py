@@ -65,13 +65,12 @@ class EvaluationResult:
     engine:
         For ``method == "kernel"``, which propagation run it was:
         ``"worklist"`` (a cold run of the generated Dowling–Gallier
-        worklist) or ``"incremental"`` (a warm run that reused the
-        previous version's fixpoint: the tree was unchanged).  ``None``
-        for the other strategies.
+        worklist) or ``"incremental"`` (a :meth:`CompiledProgram.run_incremental`
+        result that reused the previous version's answers: the tree was
+        unchanged).  ``None`` for the other strategies.
     stats:
         For ``method == "kernel"``, the kernel's per-run stats dict
-        (``engine`` / ``facts``; warm runs add ``dirty`` and
-        ``dirty_fraction``, both zero): the ``stats`` of the kernel's
+        (``engine`` / ``facts``): the ``stats`` of the kernel's
         :class:`repro.datalog.kernel.KernelRun`, which
         :meth:`CompiledProgram.run_incremental` also returns as its
         ``info`` triple member after a warm run.  ``None`` for non-kernel
@@ -638,16 +637,18 @@ class CompiledProgram:
     def run_incremental(self, structure: Structure, previous):
         """Warm evaluation against a previous version of the same document.
 
-        ``previous`` is the state returned by an earlier call (or ``None``
-        to start cold).  Returns ``(result, state, info)``: the usual
-        :class:`EvaluationResult`, the opaque state to feed the *next*
-        version of this document, and the kernel's reuse stats dict (or
-        ``None`` when the run was cold).  A version whose tree -- parent
-        edges and labels -- is unchanged reuses the previous fixpoint
-        (text and attributes may differ); any other version runs cold.
-        Warm runs require the propagation kernel; any program/structure
-        the kernel cannot hold falls back to :meth:`run` with
-        ``state=None``, so callers can thread the state unconditionally:
+        ``previous`` is the :class:`PlanState` returned by an earlier call
+        of this plan (or ``None`` to start cold).  Returns ``(result,
+        state, info)``: the usual :class:`EvaluationResult`, the state to
+        feed the *next* version of this document, and the reuse stats
+        dict (``None`` when the run was cold).  A version whose tree --
+        parent edges and labels -- is unchanged
+        (:meth:`repro.trees.snapshot.TreeSnapshot.same_tree`) reuses the
+        previous answers (text and attributes may differ); any other
+        version, or a state from another plan, runs cold.  Only kernel
+        runs leave a state; any program/structure the kernel cannot hold
+        runs :meth:`run` with ``state=None``, so callers can thread the
+        state unconditionally:
 
         >>> from repro.datalog.parser import parse_program
         >>> from repro.trees import parse_sexpr
@@ -661,33 +662,72 @@ class CompiledProgram:
         ([0, 1, 2, 3], 'worklist')
 
         Relabelling ``d`` to ``e`` changes the tree, so ``v2`` runs cold;
-        a fresh copy of ``v2`` then reuses its fixpoint:
+        a fresh copy of ``v2`` then reuses its answers:
 
         >>> result, state, info = compiled.run_incremental(v2, state)
         >>> sorted(result.query_result()), result.engine, info
         ([0, 1, 2, 3], 'worklist', None)
         >>> v3 = UnrankedStructure(parse_sexpr("a(b(c), e)"))
         >>> result, state, info = compiled.run_incremental(v3, state)
-        >>> sorted(result.query_result()), result.engine, info["dirty"]
-        ([0, 1, 2, 3], 'incremental', 0)
+        >>> sorted(result.query_result()), result.engine
+        ([0, 1, 2, 3], 'incremental')
         """
-        kernel = self._kernel
-        out = (
-            kernel.evaluate(as_indexed(structure), previous)
-            if kernel is not None
-            else None
-        )
-        if out is None:
-            return self.run(structure), None, None
-        info = out.stats if out.stats["engine"] == "incremental" else None
-        result = EvaluationResult(None, "kernel", self.program.query, out)
-        return result, out.state, info
+        edb = as_indexed(structure)
+        snapshot = edb.snapshot()
+        if (
+            previous is not None
+            and previous.plan is self
+            and snapshot is not None
+            and previous.snapshot.same_tree(snapshot)
+        ):
+            from repro.datalog.kernel import KernelRun
+
+            ids, nullary = previous.unary_ids, previous.nullary
+            # ``dirty`` and ``dirty_fraction``, always zero, are kept
+            # because ``perfbench/layers.py`` reads them.
+            info = {
+                "engine": "incremental",
+                "facts": previous.facts,
+                "dirty": 0,
+                "dirty_fraction": 0.0,
+            }
+            run = KernelRun({name: set(nodes) for name, nodes in ids.items()}, info, nullary)
+            result = EvaluationResult(None, "kernel", self.program.query, run)
+            return result, PlanState(self, snapshot, ids, nullary, previous.facts), info
+        result = self.run(edb)
+        run = result._run
+        if run is None:
+            return result, None, None
+        ids = {name: tuple(nodes) for name, nodes in run.unary_sets.items()}
+        return result, PlanState(self, snapshot, ids, run.nullary, run.stats["facts"]), None
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"CompiledProgram({len(self.program.rules)} rules, "
             f"{len(self._strata)} strata, query={self.program.query!r})"
         )
+
+
+class PlanState:
+    """What :meth:`CompiledProgram.run_incremental` keeps for a document's
+    next version.
+
+    ``plan`` is the :class:`CompiledProgram` that made it (a state from
+    another plan runs cold), ``snapshot`` the document's snapshot,
+    ``unary_ids`` each unary output's node ids as a tuple, ``nullary``
+    whether each 0-ary output holds, and ``facts`` the run's fact count.
+    No caller ever receives the tuples, so a caller that mutates a
+    returned set never changes the next version's answer.
+    """
+
+    __slots__ = ("plan", "snapshot", "unary_ids", "nullary", "facts")
+
+    def __init__(self, plan, snapshot, unary_ids, nullary, facts):
+        self.plan = plan
+        self.snapshot = snapshot
+        self.unary_ids = unary_ids
+        self.nullary = nullary
+        self.facts = facts
 
 
 def compile_program(program: Program) -> CompiledProgram:

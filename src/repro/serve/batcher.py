@@ -626,9 +626,6 @@ class MicroBatcher:
                 self._metrics.incr("snapshot_reuses")
             if page_stats.get("warm"):
                 self._metrics.incr("incremental_hits")
-                fraction = page_stats.get("dirty_fraction")
-                if fraction is not None:
-                    self._metrics.observe_dirty(fraction)
             else:
                 self._metrics.incr("incremental_misses")
         if call_span is not None:

@@ -75,9 +75,10 @@ class ShardStore:
 
     The store keeps the installed compiled wrappers and, per
     ``(wrapper key, doc_id)``, the :class:`WrapperState` the previous
-    version of that document left behind (its snapshot, its page and
-    rank table for the next version's comparison, each plan's answer
-    ids and, while the plans keep reusing, the output's shape).
+    version of that document left behind (the wrapper that made it, its
+    snapshot, its page and rank table for the next version's comparison,
+    the page's answer ids and per-plan stats and, while the versions keep
+    reusing them, the output's shape).
     ``state_cap`` bounds the states LRU -- a state holds one
     snapshot and one page, a few times the document's size in memory --
     and ``max_installed`` (when set) bounds the
@@ -113,8 +114,8 @@ class ShardStore:
     def install(self, key: str, wrapper: Wrapper) -> bool:
         # A key names one compiled artifact (it carries the source hash),
         # so a re-install -- after a dropped connection, say -- keeps the
-        # resident wrapper, and with it the warm states, whose kernel
-        # lowerings belong to that wrapper object.
+        # resident wrapper, and with it the warm states, which reuse only
+        # for the wrapper that made the state.
         self.wrappers.setdefault(key, wrapper)
         self.wrappers.move_to_end(key)
         cap = self.max_installed

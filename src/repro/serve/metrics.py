@@ -173,10 +173,6 @@ class ServeMetrics:
         self._batch_count = 0
         self._batch_documents = 0
         self._batch_max = 0
-        #: Dirty-node histogram of warm (incremental) evaluations, bucketed
-        #: by the dirty fraction each reports (0: a warm run reuses the
-        #: fixpoint of an unchanged tree).
-        self._dirty_hist: Counter = Counter()
         self._started = clock()
 
     def incr(self, name: str, count: int = 1) -> None:
@@ -187,27 +183,6 @@ class ServeMetrics:
         """Point-in-time values (breaker states, quarantine size, ...)."""
         with self._lock:
             self._gauges[name] = value
-
-    def observe_dirty(self, fraction: float) -> None:
-        """Record one warm evaluation's dirty fraction in the histogram.
-
-        >>> metrics = ServeMetrics()
-        >>> metrics.observe_dirty(0.0005); metrics.observe_dirty(0.3)
-        >>> metrics.snapshot()["incremental"]["dirty_histogram"]
-        {'<=0.1%': 1, '<=50%': 1}
-        """
-        if fraction <= 0.001:
-            bucket = "<=0.1%"
-        elif fraction <= 0.01:
-            bucket = "<=1%"
-        elif fraction <= 0.1:
-            bucket = "<=10%"
-        elif fraction <= 0.5:
-            bucket = "<=50%"
-        else:
-            bucket = ">50%"
-        with self._lock:
-            self._dirty_hist[bucket] += 1
 
     def observe_batch(self, size: int) -> None:
         with self._lock:
@@ -261,7 +236,6 @@ class ServeMetrics:
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
-            dirty_hist = dict(self._dirty_hist)
             latency = self._latency.summary()
             stages = {name: h.summary() for name, h in self._stages.items()}
             wrappers = {ref: h.summary() for ref, h in self._wrappers.items()}
@@ -289,11 +263,7 @@ class ServeMetrics:
             "latency": latency,
             "stages": stages,
             "wrappers": wrappers,
-            "incremental": {
-                "hits": hits,
-                "misses": misses,
-                "dirty_histogram": dirty_hist,
-            },
+            "incremental": {"hits": hits, "misses": misses},
             "uptime_s": round(uptime, 3),
         }
 
@@ -320,7 +290,6 @@ class ServeMetrics:
         with self._lock:
             counters = sorted(self._counters.items())
             gauges = sorted(self._gauges.items())
-            dirty = sorted(self._dirty_hist.items())
             latency = self._latency
             stages = sorted(self._stages.items())
             wrappers = sorted(self._wrappers.items())
@@ -372,18 +341,6 @@ class ServeMetrics:
             lines.append(f"{prefix}_batch_documents_total {batch_documents}")
             family(f"{prefix}_batch_max_size", "gauge", "Largest batch flushed.")
             lines.append(f"{prefix}_batch_max_size {batch_max}")
-
-            if dirty:
-                name = f"{prefix}_incremental_dirty_total"
-                family(
-                    name,
-                    "counter",
-                    "Warm evaluations by dirty-fraction bucket.",
-                )
-                for bucket, count in dirty:
-                    lines.append(
-                        f'{name}{{bucket="{_escape_label(bucket)}"}} {count}'
-                    )
 
             histogram_family(
                 f"{prefix}_request_latency_seconds",

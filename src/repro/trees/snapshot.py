@@ -41,8 +41,8 @@ the first collection that sees it.  ``label_ids`` is ``bytes`` under
 Node ids are in document order under every producer, so ``parent`` alone
 fixes the ordered tree: the sibling columns, and everything derived from
 them, follow from it.  With ``schema``, ``max_rank``, ``labels`` and
-``label_ids`` it is all the kernel reads, which is how a re-evaluation
-recognizes an unchanged tree (:mod:`repro.datalog.kernel`).
+``label_ids`` it is every relation a query reads, which is how a
+re-evaluation recognizes an unchanged tree (:meth:`TreeSnapshot.same_tree`).
 """
 
 from __future__ import annotations
@@ -252,6 +252,47 @@ class TreeSnapshot:
             max_rank=self.max_rank,
             texts=texts,
             attrs=self._attrs,
+        )
+
+    def same_tree(self, other: "TreeSnapshot") -> bool:
+        """Whether ``other`` is the same labelled tree as this snapshot.
+
+        Compares five fields -- ``schema``, ``max_rank``, ``labels``,
+        ``label_ids`` and ``parent`` -- as tuple and bytes comparisons at
+        C speed.  When they are equal, every query over the tree has the
+        same answer on both snapshots, so a re-evaluation may reuse the
+        previous version's answers, for every program at once.
+
+        The reuse is exact.  A monadic query over ``tau_ur`` is a function
+        of the labelled tree alone (Theorem 4.2; Elog^- too, Definition
+        6.2), and every relation a
+        :class:`~repro.trees.unranked.TreeStructure` serves, to the kernel
+        and to the general engines alike, is computed from these five
+        fields: node ids are in document order, so ``parent`` fixes the
+        ordered tree and with it the sibling columns, and the masks, node
+        lists, functional maps and ``@const:`` singletons follow from the
+        tree and its labels.  The text and attribute payloads, which a
+        re-crawl of a page usually changes and nothing else, reach only
+        output assembly.  Any structural edit (a relabel, an inserted or
+        deleted subtree, a move) fails the test: after Theorem 4.2 a cold
+        run costs about what a snapshot diff alone would, so maintaining
+        the previous answers through the edit would not pay.
+
+        >>> from repro.trees import parse_sexpr
+        >>> from repro.trees.unranked import UnrankedStructure
+        >>> def snap(text):
+        ...     return UnrankedStructure(parse_sexpr(text)).snapshot()
+        >>> snap("a(b, c)").same_tree(snap("a(b, c)"))
+        True
+        >>> snap("a(b, c)").same_tree(snap("a(b(c))"))
+        False
+        """
+        return (
+            self.schema == other.schema
+            and self.max_rank == other.max_rank
+            and self.labels == other.labels
+            and self.label_ids == other.label_ids
+            and self.parent == other.parent
         )
 
     @property

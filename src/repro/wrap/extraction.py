@@ -76,32 +76,47 @@ DocumentLike = Union[Node, Document, UnrankedStructure, IndexedStructure]
 class WrapperState:
     """Opaque per-document state for :meth:`Wrapper.wrap_html_stateful`.
 
-    Holds what the previous version of one document left: its snapshot,
-    the page :func:`repro.trees.stream.html_snapshot_warm` compares the
-    next version with (the version's HTML, or
-    :data:`~repro.trees.stream.GENERAL` when its build took the general
-    scanner step, so the next version builds cold without comparing), the
-    rank table that places changed text runs on text node ids (an
-    ``array`` of one int per piece of the page split on ``<``; ``None``
-    until a comparison needs it), per distinct compiled plan (in
-    registration order) the plan's kernel state -- the snapshot plus the
-    plan's answer ids -- and the output's shape
-    (:class:`repro.wrap.output.OutputShape`: its kept ids, labels, parent
-    positions and leaf positions; ``None`` until a version reuses every
-    plan's fixpoint).  Feed it back as ``prior`` when the *next* version
-    of the same document arrives.  When the page's structure is
-    unchanged, the new snapshot shares every column of the previous one
-    but the texts; a plan reuses its answer when the page's tree (tags
-    and nesting) is unchanged, and runs cold otherwise or when its
-    previous run left no kernel state.  When every plan reuses, so does
-    the output's shape, and only the leaf texts are read again; the
-    shape is dropped on any version with a cold plan.
+    Holds what the previous version of one document left:
+
+    * ``wrapper`` and ``functions`` -- the :class:`Wrapper` that made the
+      state and how many extraction functions it had; any other wrapper,
+      an unpickled copy of this one included, runs cold on it, and so
+      does this one once it gains a function;
+    * ``answers`` -- one tuple of node ids per extraction name, which no
+      caller ever receives;
+    * ``runs`` -- the per-plan stats dicts of the cold version they came
+      from;
+    * ``snapshot`` -- the version's snapshot;
+    * ``page`` -- what :func:`repro.trees.stream.html_snapshot_warm`
+      compares the next version with: the version's HTML, or
+      :data:`~repro.trees.stream.GENERAL` when its build took the general
+      scanner step, so the next version builds cold without comparing;
+    * ``ranks`` -- the rank table that places changed text runs on text
+      node ids (an ``array`` of one int per piece of the page split on
+      ``<``; ``None`` until a comparison needs it);
+    * ``shape`` -- the output's shape
+      (:class:`repro.wrap.output.OutputShape`: its kept ids, labels,
+      parent positions and leaf positions; ``None`` until a version
+      reuses the answers).
+
+    Feed it back as ``prior`` when the *next* version of the same
+    document arrives.  When the page's structure is unchanged, the new
+    snapshot shares every column of the previous one but the texts.
+    When the page's tree (tags and nesting) is unchanged, the version
+    takes the answers, the runs and the output's shape from here, and
+    only the leaf texts are read again; any other version runs every plan
+    cold and drops the shape.
     """
 
-    __slots__ = ("states", "snapshot", "page", "ranks", "shape")
+    __slots__ = (
+        "wrapper", "functions", "answers", "runs", "snapshot", "page", "ranks", "shape"
+    )
 
-    def __init__(self, states: Dict[int, object], snapshot, page, ranks, shape):
-        self.states = states
+    def __init__(self, wrapper, answers, runs, snapshot, page, ranks, shape):
+        self.wrapper = wrapper
+        self.functions = len(wrapper._functions)
+        self.answers = answers
+        self.runs = runs
         self.snapshot = snapshot
         self.page = page
         self.ranks = ranks
@@ -246,19 +261,13 @@ class Wrapper:
         return [name for name, _, _ in self._functions]
 
     def _extract_structure(
-        self,
-        structure: IndexedStructure,
-        prior: Optional[WrapperState] = None,
-    ) -> Tuple[Dict[str, Set[int]], Dict[int, object], List[Dict]]:
+        self, structure: IndexedStructure
+    ) -> Tuple[Dict[str, Set[int]], List[Dict]]:
         """Evaluate all extraction functions against one shared runtime.
 
-        Each distinct compiled plan is evaluated once, warm against its
-        state in ``prior`` when there is one (a plan without a usable
-        state runs cold; see :meth:`CompiledProgram.run_incremental`).
-        Returns ``(ids, states, runs)``: node-id sets per name, the plans'
-        kernel states for the document's next version (a
-        :class:`WrapperState`'s ``states``), and one stats dict per plan
-        evaluation (``EvaluationResult.stats``, or a minimal
+        Each distinct compiled plan is evaluated once, cold.  Returns
+        ``(ids, runs)``: node-id sets per name, and one stats dict per
+        plan evaluation (``EvaluationResult.stats``, or a minimal
         ``{"engine": ...}`` for non-kernel strategies).
         """
         if self._alphabet is not None:
@@ -268,23 +277,15 @@ class Wrapper:
                     raise AutomatonError(
                         f"tree label {label!r} outside the automaton alphabet"
                     )
-        prior_states = prior.states if prior is not None else {}
         out: Dict[str, Set[int]] = {}
         #: One evaluation per distinct compiled plan per document.
         results: Dict[int, object] = {}
-        #: Kernel states by plan slot: distinct plans in order of first
-        #: use, stable across calls because ``self._functions`` is fixed.
-        states: Dict[int, object] = {}
         runs: List[Dict] = []
         for index, (name, program, pred) in enumerate(self._functions):
             plan = self._compiled_plan(index, program)
             result = results.get(id(plan))
             if result is None:
-                slot = len(states)
-                result, states[slot], _ = plan.run_incremental(
-                    structure, prior_states.get(slot)
-                )
-                results[id(plan)] = result
+                result = results[id(plan)] = plan.run(structure)
                 runs.append(
                     dict(result.stats)
                     if result.stats
@@ -295,7 +296,7 @@ class Wrapper:
             # Merge without mutating ``ids`` (it may be an engine-owned
             # set): the common single-contribution case stores it as is.
             out[name] = ids if known is None else known | ids
-        return out, states, runs
+        return out, runs
 
     def _runtime(self, document: DocumentLike) -> IndexedStructure:
         """One shared :class:`IndexedStructure` for any document form."""
@@ -385,12 +386,10 @@ class Wrapper:
              "kernel_ms": float,           # extraction + output assembly
              "runs": [...],                # one EvaluationResult.stats
                                            # dict per distinct plan
-             "warm": bool,                 # some plan reused the prior
-                                           # fixpoint (engine incremental)
-             "output_reused": bool,        # the output was rebuilt from
+             "warm": bool,                 # the answers are the prior
+                                           # version's (engine incremental)
+             "output_reused": bool}        # the output was rebuilt from
                                            # the prior version's shape
-             "dirty": int | None,          # 0 when a plan reused its
-             "dirty_fraction": float | None}   # fixpoint, None when cold
 
         A warm attempt (``prior`` given) first compares the page with the
         prior version's, piece by piece on ``<``
@@ -402,20 +401,22 @@ class Wrapper:
         general scanner step reads keeps no page, and its next version
         builds cold without a comparison.
 
-        A plan reuses its previous fixpoint when the page's tree -- its
-        elements, their nesting and their tags -- is unchanged, whatever
-        happened to the text and attributes: a monadic datalog query over
-        the tree reads neither (Theorem 4.2).  Any other version runs
-        cold.  Plans outside the kernel fragment run cold on every
-        version, so this is always safe to call.
+        Reuse is then decided once for the page.  When ``prior`` was made
+        by this wrapper and the page's tree -- its elements, their nesting
+        and their tags -- is unchanged (the snapshot was reused, or
+        :meth:`repro.trees.snapshot.TreeSnapshot.same_tree` holds),
+        whatever happened to the text and attributes, every answer is the
+        previous version's: a query over the tree reads neither (Theorem
+        4.2), whatever engine runs it.  The version then runs no plan and
+        reports each plan's run with ``engine`` ``"incremental"``
+        (``warm``).  Any other version runs every plan cold.
 
-        When every plan reused its fixpoint, the tree and every answer
-        are the previous version's, and so is the output's shape: the
-        first such version reads it (:func:`repro.wrap.output.output_shape`)
+        A warm version's output has the previous version's shape too: the
+        first warm version reads it (:func:`repro.wrap.output.output_shape`)
         and builds its output from it, and the next ones build fresh
         output nodes from the kept shape, reading only the leaf texts from
-        the new snapshot (``output_reused``).  A version with a cold plan
-        assembles cold and drops the shape.
+        the new snapshot (``output_reused``).  A cold version assembles
+        cold and drops the shape.
 
         >>> from repro.datalog import parse_program
         >>> w = Wrapper().add_datalog("item", parse_program(
@@ -429,8 +430,8 @@ class Wrapper:
         True
         >>> out, state, stats = w.wrap_html_stateful(
         ...     "<ul><li>a<li>c</ul>", prior=state)
-        >>> out.to_sexpr(), stats["warm"], stats["dirty"], stats["snapshot_reused"]
-        ('result(item, item)', True, 0, True)
+        >>> out.to_sexpr(), stats["warm"], stats["snapshot_reused"]
+        ('result(item, item)', True, True)
         >>> stats["output_reused"]
         False
         >>> out, state, stats = w.wrap_html_stateful(
@@ -472,41 +473,46 @@ class Wrapper:
             snapshot, kept, ranks, reused = html_snapshot_warm(
                 page, prior.page, prior.snapshot, prior.ranks
             )
-        runtime = as_indexed(Document(snapshot))
         built = time.perf_counter()
-        ids, states, runs = self._extract_structure(runtime, prior)
-        # Every plan reused its fixpoint: the tree and every answer are
-        # the previous version's, and so is the output's shape.
-        reusable = bool(runs) and all(
-            run.get("engine") == "incremental" for run in runs
+        warm = (
+            prior is not None
+            and prior.wrapper is self
+            and prior.functions == len(self._functions)
+            and (reused or prior.snapshot.same_tree(snapshot))
         )
-        shape = prior.shape if reusable else None
-        output_reused = shape is not None and root_label is not None
-        if root_label is None:
-            output = ids
-        elif reusable:
-            if shape is None:
-                shape = output_shape(snapshot, self._assignment(ids))
-            output = build_output_from_shape(shape, snapshot, root_label)
+        if warm:
+            # The tree is the previous version's, and so are every answer
+            # and the output's shape.
+            answers, shape = prior.answers, prior.shape
+            runs = [dict(run, engine="incremental") for run in prior.runs]
+            output_reused = shape is not None and root_label is not None
+            if root_label is None:
+                output = {name: set(ids) for name, ids in answers.items()}
+            else:
+                if shape is None:
+                    shape = output_shape(snapshot, self._assignment(answers))
+                output = build_output_from_shape(shape, snapshot, root_label)
         else:
-            output = self._assemble(runtime, ids, root_label)
+            runtime = as_indexed(Document(snapshot))
+            ids, runs = self._extract_structure(runtime)
+            answers = {name: tuple(nodes) for name, nodes in ids.items()}
+            shape = None
+            output_reused = False
+            if root_label is None:
+                output = ids
+            else:
+                output = self._assemble(runtime, ids, root_label)
         finished = time.perf_counter()
-        dirtiest = max(
-            (run for run in runs if run.get("dirty") is not None),
-            key=lambda run: run["dirty"],
-            default={},
-        )
         stats = {
             "snapshot_build_ms": round((built - started) * 1e3, 3),
             "snapshot_reused": reused,
             "kernel_ms": round((finished - built) * 1e3, 3),
             "runs": runs,
-            "warm": any(run.get("engine") == "incremental" for run in runs),
+            "warm": warm,
             "output_reused": output_reused,
-            "dirty": dirtiest.get("dirty"),
-            "dirty_fraction": dirtiest.get("dirty_fraction"),
         }
-        return output, WrapperState(states, snapshot, kept, ranks, shape), stats
+        state = WrapperState(self, answers, runs, snapshot, kept, ranks, shape)
+        return output, state, stats
 
     def _assignment(self, ids: Dict[str, Set[int]]) -> Dict[int, str]:
         """``node id -> label``: each answer node's earliest-added name."""

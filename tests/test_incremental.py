@@ -17,11 +17,14 @@ version.  Covered bottom up:
   edit kind (a relabel, an inserted leaf, a deleted subtree, a same-size
   move) runs cold and equals them too; a caller mutating a returned set
   never reaches the next version's answer;
-* output reuse -- a version on which every plan reuses its fixpoint
-  rebuilds the previous output's shape with fresh nodes and refreshed
-  leaf texts, equal to a cold wrap; a changed tree, or a plan outside the
-  kernel fragment, assembles cold and keeps no shape, and a caller
-  changing a returned output never reaches the next version's;
+* output reuse -- a version whose tree is unchanged rebuilds the
+  previous output's shape with fresh nodes and refreshed leaf texts,
+  equal to a cold wrap, for plans outside the kernel fragment too; a
+  changed tree assembles cold and keeps no shape, and a caller changing
+  a returned output never reaches the next version's;
+* ownership -- a state reuses only for the wrapper (or plan) that made
+  it: another wrapper, an unpickled copy, a wrapper that gained a
+  function and another plan all run cold and equal a cold run;
 * the serving warm path -- ``doc_id`` requests against a live server
   must reuse per-document state, agree with cold extraction, and surface
   a nonzero ``incremental_reuse_fraction`` in ``/metrics``.
@@ -29,6 +32,7 @@ version.  Covered bottom up:
 
 import gc
 import json
+import pickle
 import random
 
 import pytest
@@ -613,7 +617,7 @@ class TestStructureReuse:
         for version in versions[1:]:
             out, state, stats = wrapper.wrap_html_stateful(version, state)
             (run,) = stats["runs"]
-            assert run["engine"] == "incremental" and stats["dirty"] == 0
+            assert run["engine"] == "incremental" and stats["warm"]
             assert out.to_dict() == wrapper.wrap_html_many([version])[0].to_dict()
             ids = wrapper.extract_html_many([version])[0]
             interp = reference.run(
@@ -802,9 +806,10 @@ class TestOutputReuse:
             (False, False, False), (True, False, True), (True, True, True),
         ]
 
-    def test_a_plan_outside_the_kernel_fragment_never_reuses_the_shape(self):
-        # A binary intensional predicate: the plan has no kernel, so it
-        # runs cold on every version, while the item plan reuses.
+    def test_a_plan_outside_the_kernel_fragment_reuses_on_an_unchanged_tree(self):
+        # A binary intensional predicate: the plan has no kernel, and its
+        # answers are a function of the tree all the same, so a version
+        # with an unchanged tree reuses them, and the output's shape.
         reach = parse_program(
             "anc(x, y) :- child(x, y).\n"
             "anc(x, z) :- anc(x, y), child(y, z).\n"
@@ -814,11 +819,16 @@ class TestOutputReuse:
         wrapper = item_wrapper().add_datalog("deep", reach)
         pages = [f"<ul><li>a<b>x{k}</b><li>c{k}</ul>" for k in range(4)]
         versions = list(self.chain(wrapper, pages))
+        assert [run["engine"] for run in versions[0][2]["runs"]] == [
+            "worklist", "seminaive",
+        ]
         for _, state, stats in versions[1:]:
-            engines = sorted(run["engine"] for run in stats["runs"])
-            assert "incremental" in engines and engines != ["incremental"] * 2
+            assert [run["engine"] for run in stats["runs"]] == ["incremental"] * 2
             assert stats["warm"] and stats["snapshot_reused"]
-            assert not stats["output_reused"] and state.shape is None
+            assert state.shape is not None
+        assert [stats["output_reused"] for _, _, stats in versions] == [
+            False, False, True, True,
+        ]
         assert versions[-1][0].to_sexpr() == "result(item(deep), item)"
 
     def test_changing_a_returned_output_never_reaches_the_next_version(self):
@@ -837,6 +847,62 @@ class TestOutputReuse:
         assert len({id(node) for node in nodes}) == len(nodes)
         lists = [node.children for node in nodes if node.children]
         assert len({id(children) for children in lists}) == len(lists)
+
+
+class TestReuseOwnership:
+    """A state reuses only for the wrapper, or the plan, that made it;
+    handed to any other, the version runs cold and equals a cold run."""
+
+    def test_a_state_passed_to_another_wrapper_runs_cold(self):
+        from repro.wrap import Wrapper
+
+        owner = forum_wrapper()
+        page = forum_page(seed=9, threads=3, depth=6)
+        edited = edit_comments(page, [(1, 4)], "(edited)")
+        paragraphs = Wrapper().add_datalog(
+            "para", parse_program("para(x) :- label_p(x).", query="para")
+        )
+        # Another program, whose answers differ from the state's, and an
+        # unpickled copy of the wrapper that made the state.
+        for other in (paragraphs, pickle.loads(pickle.dumps(owner))):
+            _, state, _ = owner.wrap_html_stateful(page)
+            out, state, stats = other.wrap_html_stateful(edited, state)
+            # The page comparison still holds: only the answers are cold.
+            assert stats["snapshot_reused"] and not stats["warm"]
+            assert all(run["engine"] != "incremental" for run in stats["runs"])
+            assert state.wrapper is other and state.shape is None
+            assert out.to_dict() == other.wrap_html_many([edited])[0].to_dict()
+            # The state ``other`` left reuses for ``other``.
+            out, _, stats = other.wrap_html_stateful(page, state)
+            assert stats["warm"]
+            assert out.to_dict() == other.wrap_html_many([page])[0].to_dict()
+
+    def test_a_wrapper_that_gains_a_function_runs_cold(self):
+        wrapper = item_wrapper()
+        _, state, _ = wrapper.wrap_html_stateful("<ul><li>a<li>b</ul>")
+        wrapper.add_datalog(
+            "list", parse_program("list(x) :- label_ul(x).", query="list")
+        )
+        out, _, stats = wrapper.wrap_html_stateful("<ul><li>a<li>c</ul>", state)
+        assert not stats["warm"] and len(stats["runs"]) == 2
+        assert out.to_sexpr() == "result(list(item, item))"
+
+    def test_a_plan_state_passed_to_another_plan_runs_cold(self):
+        def doc():
+            return as_indexed(UnrankedStructure(thread_tree(3, 8)))
+
+        owner = descent_program()
+        gated = parse_program(GATED_DESCENT, query="deep")
+        # The same program compiled again, and a program whose answers
+        # differ from the state's: neither made the state.
+        for other in (descent_program(), compile_program(gated)):
+            _, state, _ = owner.run_incremental(doc(), None)
+            result, state, info = other.run_incremental(doc(), state)
+            assert info is None and result.engine == "worklist"
+            assert state.plan is other
+            assert result.relations == other.run(doc(), method="seminaive").relations
+            result, _, info = other.run_incremental(doc(), state)
+            assert info is not None and result.engine == "incremental"
 
 
 def request(host, port, method, path, body=None, timeout=60):

@@ -795,7 +795,6 @@ class TestFrontierParity:
 
     def test_random_programs_random_trees_all_engines_agree(self):
         rng = random.Random(20260807)
-        packed = 0
         for _ in range(60):
             program = _random_kernel_program(rng)
             kernel = compile_kernel(program)
@@ -805,14 +804,11 @@ class TestFrontierParity:
             out = self._worklist(kernel, structure)
             reference = evaluate_seminaive(program, structure)
             assert out.relations == reference, f"{program}\non {tree}"
-            packed += out.state is not None
             compiled = compile_program(program)
             if compiled.grounding_applicable(structure):
                 ground = compiled.run(structure, method="ground").relations
                 for pred, tuples in reference.items():
                     assert ground.get(pred, set()) == tuples
-        # Every cold run packs a reusable state.
-        assert packed == 60
 
     def test_tag_soup_documents_agree(self):
         from repro.html import parse_html
@@ -836,7 +832,6 @@ class TestFrontierParity:
         from repro.trees.generate import chain_tree
 
         rng = random.Random(11)
-        packed = 0
         for _ in range(20):
             program = _random_kernel_program(rng)
             kernel = compile_kernel(program)
@@ -846,8 +841,6 @@ class TestFrontierParity:
             structure = UnrankedStructure(chain_tree(rng.randint(1, 120), "a"))
             out = self._worklist(kernel, structure)
             assert out.relations == evaluate_seminaive(program, structure)
-            packed += out.state is not None
-        assert packed == 20
 
     def test_tmnf_route_agrees(self):
         rng = random.Random(77)

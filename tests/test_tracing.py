@@ -236,7 +236,6 @@ class TestHistogramsAndPrometheus:
         metrics.incr("requests_total")
         metrics.set_gauge("breakers_open", 0)
         metrics.observe_batch(4)
-        metrics.observe_dirty(0.25)
         # Label escaping in the wrapper name.
         metrics.observe_request(0.012, 'it"ems\\@1', {"shard.call": 8.0})
         text = metrics.prometheus()

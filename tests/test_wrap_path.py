@@ -38,7 +38,7 @@ from tests.test_serve_faults import make_registry
 
 STAT_KEYS = {
     "snapshot_build_ms", "snapshot_reused", "kernel_ms", "runs", "warm",
-    "output_reused", "dirty", "dirty_fraction",
+    "output_reused",
 }
 
 
@@ -75,12 +75,11 @@ class TestPerPageCore:
             )
         # The later versions changed only comment text: from the second
         # on, each reuses the previous snapshot's structure and the
-        # previous fixpoint, and no node of the tree is dirty; the second
-        # reads the output's shape, and from the third on each reuses it.
+        # previous answers; the second reads the output's shape, and from
+        # the third on each reuses it.
         assert reuse == [(False, False, False), (True, True, False)] + [
             (True, True, True)
         ] * 2
-        assert stats["dirty"] == 0 and stats["dirty_fraction"] == 0.0
         extracted = wrapper.extract_html_many(pages)
         assert extracted == [wrapper.extract(Document.from_html(p)) for p in pages]
 
@@ -91,7 +90,7 @@ class TestPerPageCore:
         _, _, stats = wrapper.wrap_html_stateful("<ul><li>a<li>b</ul>")
         assert len(stats["runs"]) == 2
         assert all("engine" in run for run in stats["runs"])
-        assert stats["warm"] is False and stats["dirty"] is None
+        assert stats["warm"] is False
 
 
 async def _executor_replies(executor, wrapper, batches):
@@ -149,8 +148,8 @@ class TestOneShardOp:
 
     def test_reinstall_keeps_warm_states(self):
         """A router that reconnects re-sends its installs; the documents'
-        warm states must survive that (a fresh copy of the wrapper would
-        not match their kernel lowerings)."""
+        warm states must survive that (a fresh copy of the wrapper is not
+        the wrapper that made the state, so it would run cold)."""
         store = ShardStore()
         store.install("k", forum_wrapper())
         pages = versions()
